@@ -1,10 +1,11 @@
 //! Batched multi-stripe operations vs loops of single operations, under
 //! injected per-node latency.
 //!
-//! The unified store's `write_batch`/`read_batch` do not loop single
-//! ops: every block's level-`l` fan-out is fused into one
-//! `MultiRound` scatter, so a batch of m blocks costs roughly one
-//! network round per trapezoid level instead of m. This bench puts
+//! The unified store has one protocol path — the fused plan; a single
+//! op is a plan of one. In a `write_batch`/`read_batch` every block's
+//! level-`l` fan-out is fused into one `MultiRound` scatter, so a batch
+//! of m blocks costs roughly one network round per trapezoid level
+//! instead of the m a loop of single ops pays. This bench puts
 //! numbers on that claim over a `ChannelTransport` whose nodes each
 //! sleep a fixed service delay — the regime where rounds, not bytes,
 //! dominate: the batch's wall-clock stays nearly flat in m while the

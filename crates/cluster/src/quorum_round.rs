@@ -174,88 +174,22 @@ impl QuorumRound {
         self.lane
     }
 
-    /// Runs the round: wraps `calls` into enveloped commands under one
-    /// fresh round epoch, scatters them through the transport's fan-out
-    /// primitive and gathers according to the completion policy,
-    /// matching every reply to its slot by op id.
+    /// Runs the round as a one-op [`MultiRound`] plan — a single
+    /// operation is a batch of one, so envelope stamping, identity
+    /// matching, completion and health feeding live in exactly one
+    /// gather loop.
     pub fn run<T: Transport + ?Sized>(
         &self,
         transport: &T,
         calls: Vec<(NodeId, Request)>,
     ) -> RoundOutcome {
-        let epoch = next_round_epoch();
-        let mut issued: Vec<NodeId> = Vec::with_capacity(calls.len());
-        let mut slot_of: DetHashMap<OpId, usize> =
-            DetHashMap::with_capacity_and_hasher(calls.len(), Default::default());
-        let envelopes: Vec<(NodeId, Envelope)> = calls
-            .into_iter()
-            .enumerate()
-            .map(|(index, (node, req))| {
-                let mut env = Envelope::in_epoch(req, epoch);
-                if self.lane == Lane::Background {
-                    env = env.background();
-                }
-                slot_of.insert(env.op_id, index);
-                issued.push(node);
-                (node, env)
-            })
-            .collect();
-        let mut outcome = RoundOutcome {
-            needed: self.needed,
-            accepted: Vec::new(),
-            rejected: Vec::new(),
-            abandoned: Vec::new(),
-            hedges: HedgeCounters::default(),
-        };
-        let hedges_before = transport.health().map(|h| h.hedge_counters());
-        let mut seen = vec![false; issued.len()];
-        // A zero threshold under FirstQuorum is already satisfied; skip
-        // dispatch entirely rather than special-casing inside the sink.
-        if !(self.completion == Completion::FirstQuorum && self.needed == 0) {
-            transport.multicall(envelopes, &mut |reply| {
-                let keep_going = |outcome: &RoundOutcome| match self.completion {
-                    Completion::AwaitAll => true,
-                    Completion::FirstQuorum => outcome.accepted.len() < self.needed,
-                };
-                // Identity matching: an at-least-once fabric may deliver
-                // the same reply twice, or a stale reply from an earlier
-                // round. Only the first completion of an op id this
-                // round issued counts — anything else would let a
-                // duplicated ack fake a quorum.
-                let Some(&index) = slot_of.get(&reply.op_id) else {
-                    return keep_going(&outcome);
-                };
-                if seen[index] {
-                    return keep_going(&outcome);
-                }
-                seen[index] = true;
-                match reply.result {
-                    Ok(response) => outcome.accepted.push(Accepted {
-                        index,
-                        node: reply.node,
-                        response,
-                    }),
-                    Err(error) => outcome.rejected.push(Rejected {
-                        index,
-                        node: reply.node,
-                        error,
-                    }),
-                }
-                keep_going(&outcome)
-            });
-        }
-        for (i, node) in issued.into_iter().enumerate() {
-            if !seen[i] {
-                outcome.abandoned.push(node);
-            }
-        }
-        if let Some(health) = transport.health() {
-            if let Some(before) = hedges_before {
-                outcome.hedges = health.hedge_counters().since(&before);
-            }
-            feed_health(health, &outcome);
-        }
-        outcome
+        let plan = vec![PlanOp {
+            round: *self,
+            calls,
+        }];
+        MultiRound::run(transport, plan)
+            .pop()
+            .expect("a one-op plan yields one outcome")
     }
 }
 
@@ -296,7 +230,8 @@ pub struct PlanOp {
 ///
 /// All the plan's envelopes share one round epoch; replies are matched
 /// to their (op, slot) origin by op id, so duplicates and cross-round
-/// strangers are ignored exactly as in [`QuorumRound::run`].
+/// strangers are ignored (a lone [`QuorumRound::run`] is a one-op plan
+/// and inherits exactly this matching).
 ///
 /// Semantic differences from running the ops separately, both inherent
 /// to fusion and documented here because accounting depends on them:
@@ -361,8 +296,11 @@ impl MultiRound {
         let mut seen = vec![false; flat.len()];
         if incomplete > 0 {
             transport.multicall(flat, &mut |reply| {
-                // Identity matching — see `QuorumRound::run`. Vital
-                // here: a duplicate or stale stranger would also
+                // Identity matching: an at-least-once fabric may deliver
+                // the same reply twice, or a stale reply from an earlier
+                // round. Only the first completion of an op id this
+                // plan issued counts — anything else would let a
+                // duplicated ack fake a quorum, and would also
                 // underflow `remaining`.
                 let Some(&flat_idx) = slot_of.get(&reply.op_id) else {
                     return incomplete > 0;

@@ -684,9 +684,21 @@ impl Transport for TcpTransport {
     /// dispatcher thread per call) and completions stream to the sink in
     /// arrival order. Abandoning the round only stops waiting — like any
     /// real fabric, requests already written will still execute.
-    fn multicall(&self, calls: Vec<(NodeId, Envelope)>, sink: &mut dyn FnMut(RoundReply) -> bool) {
+    ///
+    /// A round of exactly one call has nothing to overlap: it is
+    /// dispatched inline on the caller's thread, as [`Transport::call`]
+    /// is, instead of paying a thread spawn and a channel hand-off for
+    /// a wait the caller would sit through anyway.
+    fn multicall(
+        &self,
+        mut calls: Vec<(NodeId, Envelope)>,
+        sink: &mut dyn FnMut(RoundReply) -> bool,
+    ) {
         let total = calls.len();
-        if total == 0 {
+        if total <= 1 {
+            if let Some((node, env)) = calls.pop() {
+                sink(RoundReply::from_reply(node, self.inner.dispatch(node, env)));
+            }
             return;
         }
         let (tx, rx) = unbounded::<RoundReply>();
@@ -886,6 +898,41 @@ mod tests {
             seen < 2
         });
         assert_eq!(seen, 2, "early abandon stops the wait");
+    }
+
+    #[test]
+    fn tcp_one_call_round_is_served_on_the_callers_thread() {
+        let (cluster, _servers, addrs) = serve_cluster(2);
+        let t = TcpTransport::connect(addrs);
+        // Reply delivery: the lone call's answer reaches the sink once,
+        // with the envelope's identity, on the thread that asked.
+        let caller = std::thread::current().id();
+        let env = Envelope::new(Request::Ping);
+        let op_id = env.op_id;
+        let mut replies = Vec::new();
+        t.multicall(vec![(NodeId(1), env)], &mut |reply| {
+            assert_eq!(std::thread::current().id(), caller);
+            replies.push(reply);
+            true
+        });
+        assert_eq!(replies.len(), 1);
+        assert_eq!(replies[0].op_id, op_id);
+        assert_eq!(replies[0].node, NodeId(1));
+        assert_eq!(replies[0].result, Ok(Response::Pong));
+        // The `sink → false` contract: abandoning after the only reply
+        // is a clean return, and an in-band failure is still delivered
+        // (exactly once) rather than swallowed.
+        cluster.kill(0);
+        let mut seen = 0;
+        t.multicall(
+            vec![(NodeId(0), Envelope::new(Request::Ping))],
+            &mut |reply| {
+                assert_eq!(reply.result, Err(NodeError::Down));
+                seen += 1;
+                false
+            },
+        );
+        assert_eq!(seen, 1, "one completion, then the round is over");
     }
 
     #[test]

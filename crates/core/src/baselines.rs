@@ -5,100 +5,263 @@
 //! spectrum the paper sketches (ROWA: perfect reads / fragile writes;
 //! Majority: balanced; trapezoid: tunable between them).
 //!
-//! The create/read/write scaffolding both clients share — provisioning
-//! fan-outs, graded write rounds, anti-entropy pushes, fused batches —
-//! lives in one crate-internal `ReplicaSet`; the clients differ only
-//! in their read strategy and quorum size. Both populate the unified
-//! [`ReadOutcome`] fully (quorum-time version, path, round accounting),
-//! so cross-protocol assertions through
-//! [`QuorumStore`](crate::store::QuorumStore) are possible.
+//! Every replication protocol here is a list of *levels* — a node range
+//! with a read threshold and a write threshold — walked by the one read
+//! walk and the one write walk of the crate-internal `ReplicaSet`: ROWA
+//! is the single level `(r, w) = (1, n)` whose poll asks for the data
+//! itself, Majority the single level `(⌊n/2⌋+1, ⌊n/2⌋+1)`, and TRAP-FR
+//! ([`crate::TrapFrClient`]) the trapezoid's `h + 1` levels. A single
+//! op is a batch of one. All populate the unified [`ReadOutcome`] fully
+//! (quorum-time version, path, round accounting), so cross-protocol
+//! assertions through [`QuorumStore`](crate::store::QuorumStore) are
+//! possible.
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 use bytes::Bytes;
 use tq_cluster::{NodeError, NodeId, PlanOp, QuorumRound, Request, Response, Transport};
 
 use crate::errors::ProtocolError;
-use crate::rounds::{self, run_fused, run_recorded};
+use crate::rounds::{self, run_fused, run_recorded, Writing};
 use crate::store::{BatchReads, BatchWrites, OpReport, OBJECTS_PER_STRIPE};
 use crate::trap_erc::{ReadOutcome, ReadPath, ScrubReport, WriteOutcome};
 
-/// The replica scaffolding ROWA and Majority share: `n` replicas on one
-/// transport, provisioning, graded write fan-outs and batch plumbing.
+/// One level of a replicated layout: the nodes holding a full copy and
+/// how many of them a version check (`r`) and a write (`w`) need.
+#[derive(Debug, Clone)]
+pub(crate) struct ReplicaLevel {
+    pub members: Range<usize>,
+    pub r: usize,
+    pub w: usize,
+}
+
+/// The replica scaffolding ROWA, Majority and TRAP-FR share: `n` full
+/// replicas on one transport organised in levels, provisioning, the
+/// read walk, the write walk and the anti-entropy pass.
 #[derive(Debug)]
-struct ReplicaSet<T: Transport> {
-    n: usize,
-    transport: T,
+pub(crate) struct ReplicaSet<T: Transport> {
+    pub n: usize,
+    levels: Vec<ReplicaLevel>,
+    /// What a level's version check asks each member. `VersionData`
+    /// for the quorum protocols; ROWA asks `ReadData`, whose answer
+    /// already *is* the read (its defining one-RPC cost).
+    poll: fn(u64) -> Request,
+    pub transport: T,
+}
+
+pub(crate) fn poll_version(id: u64) -> Request {
+    Request::VersionData { id }
+}
+
+fn poll_data(id: u64) -> Request {
+    Request::ReadData { id }
 }
 
 impl<T: Transport> ReplicaSet<T> {
-    fn new(n: usize, transport: T) -> Result<Self, ProtocolError> {
+    pub(crate) fn new(
+        n: usize,
+        levels: Vec<ReplicaLevel>,
+        poll: fn(u64) -> Request,
+        transport: T,
+    ) -> Result<Self, ProtocolError> {
         if transport.node_count() < n || n == 0 {
             return Err(ProtocolError::Node(NodeError::TransportClosed));
         }
-        Ok(ReplicaSet { n, transport })
+        Ok(ReplicaSet {
+            n,
+            levels,
+            poll,
+            transport,
+        })
     }
 
-    /// Installs one object everywhere (provisioning).
-    fn create(&self, id: u64, bytes: &[u8]) -> Result<OpReport, ProtocolError> {
-        let mut report = OpReport::default();
-        rounds::provision(&self.transport, self.n, id, bytes, &mut report)?;
-        Ok(report)
-    }
-
-    /// Installs many objects everywhere in one fused fan-out round.
-    fn create_many(&self, items: &[(u64, &[u8])]) -> Result<OpReport, ProtocolError> {
+    /// Installs many objects everywhere in one fused fan-out round (one
+    /// object is a batch of one).
+    pub(crate) fn create_many(&self, items: &[(u64, &[u8])]) -> Result<OpReport, ProtocolError> {
         let mut report = OpReport::default();
         rounds::provision_many(&self.transport, self.n, items, &mut report)?;
         Ok(report)
     }
 
-    /// One graded write fan-out to all replicas, requiring `needed` acks.
-    fn write(
-        &self,
-        id: u64,
-        new: &[u8],
-        version: u64,
-        needed: usize,
-        report: &mut OpReport,
-    ) -> Result<WriteOutcome, ProtocolError> {
-        let (version, validated) =
-            rounds::write_all(&self.transport, self.n, needed, id, new, version, report)?;
-        Ok(WriteOutcome {
-            version,
-            validated,
-            report: OpReport::default(),
-        })
+    /// **The read walk.** Per level, one fused first-quorum poll carries
+    /// every unresolved object's version check; an object whose check
+    /// completes is served from a polled replica holding the latest
+    /// version ("any node giving the adequate latest version ... can be
+    /// used") — straight from the poll when it asked for the data,
+    /// otherwise by fused fetch rounds, one per holder rank, until a
+    /// holder delivers. If every latest holder died between the poll
+    /// and the fetch, the level counts as failed and the object moves on
+    /// to the next one — restarting from level 0 would only re-poll
+    /// levels already known to be short or holderless.
+    pub(crate) fn read_many(&self, ids: &[u64]) -> BatchReads {
+        let mut report = OpReport::default();
+        let mut served: Vec<Option<ReadOutcome>> = vec![None; ids.len()];
+        let mut saw_not_found = vec![false; ids.len()];
+        let mut saw_success = vec![false; ids.len()];
+        for (l, level) in self.levels.iter().enumerate() {
+            let pending: Vec<usize> = (0..ids.len()).filter(|&x| served[x].is_none()).collect();
+            if pending.is_empty() {
+                break;
+            }
+            let ops: Vec<PlanOp> = pending
+                .iter()
+                .map(|&x| PlanOp {
+                    round: QuorumRound::first_quorum(level.r),
+                    calls: level
+                        .members
+                        .clone()
+                        .map(|pos| (NodeId(pos), (self.poll)(ids[x])))
+                        .collect(),
+                })
+                .collect();
+            let polls = run_fused(&self.transport, Some(l), ops, &mut report);
+            // (object, quorum-time latest, replicas known to hold it)
+            let mut fetch: Vec<(usize, u64, Vec<usize>)> = Vec::new();
+            for (&x, poll) in pending.iter().zip(&polls) {
+                saw_not_found[x] |= poll.saw_error(|e| matches!(e, NodeError::NotFound));
+                saw_success[x] |= !poll.accepted.is_empty();
+                if !poll.quorum_met() {
+                    continue;
+                }
+                let version_of = |r: &Response| match r {
+                    Response::Version(v) | Response::Data { version: v, .. } => Some(*v),
+                    _ => None,
+                };
+                let Some(latest) = poll
+                    .accepted
+                    .iter()
+                    .filter_map(|a| version_of(&a.response))
+                    .max()
+                else {
+                    continue;
+                };
+                let holders = poll
+                    .accepted
+                    .iter()
+                    .filter(|a| version_of(&a.response) == Some(latest));
+                served[x] = holders.clone().find_map(|a| direct(&a.response, latest));
+                if served[x].is_none() {
+                    fetch.push((x, latest, holders.map(|a| a.node.0).collect()));
+                }
+            }
+            for rank in 0..level.members.len() {
+                fetch.retain(|(x, _, holders)| served[*x].is_none() && rank < holders.len());
+                if fetch.is_empty() {
+                    break;
+                }
+                let ops: Vec<PlanOp> = fetch
+                    .iter()
+                    .map(|(x, _, holders)| PlanOp {
+                        round: QuorumRound::await_all(0),
+                        calls: vec![(NodeId(holders[rank]), Request::ReadData { id: ids[*x] })],
+                    })
+                    .collect();
+                let fetched = run_fused(&self.transport, None, ops, &mut report);
+                for ((x, latest, _), outcome) in fetch.iter().zip(&fetched) {
+                    served[*x] = outcome
+                        .accepted
+                        .first()
+                        .and_then(|a| direct(&a.response, *latest));
+                }
+            }
+        }
+        BatchReads {
+            outcomes: served
+                .into_iter()
+                .enumerate()
+                .map(|(x, out)| {
+                    // A stripe no contacted node knows is missing;
+                    // anything else is a failed version check.
+                    out.ok_or(if saw_not_found[x] && !saw_success[x] {
+                        ProtocolError::StripeMissing
+                    } else {
+                        ProtocolError::VersionCheckFailed
+                    })
+                })
+                .collect(),
+            report,
+        }
     }
 
-    /// One *fused* write round for many objects, each graded against
-    /// `needed` acks.
-    fn write_many(
+    /// **The write walk.** One fused version-discovery pass through the
+    /// read walk, then every object's `WriteData` scatter fused into one
+    /// graded round per level. Ids must be distinct.
+    ///
+    /// The per-replica `WriteData` is monotone (compare-and-advance on
+    /// version), so the write is safe under at-least-once delivery: a
+    /// duplicated or cross-round-stale copy of any level's install acks
+    /// idempotently on a replica that has since moved on, instead of
+    /// rolling it back.
+    pub(crate) fn write_many(&self, items: &[(u64, &[u8])]) -> BatchWrites {
+        let mut results: Vec<Option<Result<WriteOutcome, ProtocolError>>> = vec![None; items.len()];
+        rounds::flag_duplicates(items.iter().map(|&(id, _)| id), &mut results);
+        let read_idx: Vec<usize> = (0..items.len())
+            .filter(|&idx| results[idx].is_none())
+            .collect();
+        let ids: Vec<u64> = read_idx.iter().map(|&idx| items[idx].0).collect();
+        let reads = self.read_many(&ids);
+        let mut olds: Vec<(usize, u64)> = Vec::with_capacity(read_idx.len());
+        for (&idx, old) in read_idx.iter().zip(reads.outcomes) {
+            match old {
+                Ok(old) => olds.push((idx, old.version)),
+                Err(e) => results[idx] = Some(Err(ProtocolError::OldValueUnreadable(Box::new(e)))),
+            }
+        }
+        self.write_levels(items, &olds, results, reads.report)
+    }
+
+    /// The write walk with the current versions in hand: `olds` pairs a
+    /// position in `items` with that object's old version.
+    pub(crate) fn write_levels(
         &self,
-        items: &[(u64, &[u8], u64)],
-        needed: usize,
-        report: &mut OpReport,
-    ) -> Vec<Result<WriteOutcome, ProtocolError>> {
-        let ops: Vec<PlanOp> = items
+        items: &[(u64, &[u8])],
+        olds: &[(usize, u64)],
+        results: Vec<Option<Result<WriteOutcome, ProtocolError>>>,
+        report: OpReport,
+    ) -> BatchWrites {
+        let alive: Vec<Writing<Bytes>> = olds
             .iter()
-            .map(|&(id, new, version)| PlanOp {
-                round: QuorumRound::await_all(needed),
-                calls: rounds::write_calls(self.n, id, new, version),
+            .map(|&(idx, old_version)| Writing {
+                idx,
+                version: old_version + 1,
+                // One shared allocation per object; per-replica clones
+                // are O(1) Arc bumps.
+                payload: Bytes::copy_from_slice(items[idx].1),
+                validated: Vec::new(),
             })
             .collect();
-        run_fused(&self.transport, Some(0), ops, report)
-            .into_iter()
-            .zip(items)
-            .map(|(outcome, &(_, _, version))| {
-                let mut validated = Vec::new();
-                rounds::grade_write_level(&outcome, 0, needed, &mut validated)?;
-                Ok(WriteOutcome {
-                    version,
-                    validated,
-                    report: OpReport::default(),
-                })
-            })
-            .collect()
+        rounds::write_levels(
+            &self.transport,
+            self.levels.len(),
+            alive,
+            |w, l| {
+                let level = &self.levels[l];
+                let calls = rounds::write_calls(
+                    level.members.clone(),
+                    items[w.idx].0,
+                    &w.payload,
+                    w.version,
+                );
+                (level.w, calls)
+            },
+            results,
+            report,
+        )
+    }
+}
+
+/// A `ReadData` answer at (or past) the quorum-time latest version, as
+/// the read's outcome.
+fn direct(response: &Response, latest: u64) -> Option<ReadOutcome> {
+    match response {
+        Response::Data { bytes, version, .. } if *version >= latest => Some(ReadOutcome {
+            bytes: bytes.to_vec(),
+            version: *version,
+            path: ReadPath::Direct,
+            report: OpReport::default(),
+        }),
+        _ => None,
     }
 }
 
@@ -109,16 +272,17 @@ impl<T: Transport> ReplicaSet<T> {
 /// replacements are re-initialised. `refreshed` reports the replicas
 /// that acked every push.
 pub(crate) fn repair_contiguous_objects<T: Transport>(
-    transport: &T,
-    n: usize,
+    replicas: &ReplicaSet<T>,
     stripe: u64,
-    read: impl Fn(u64, &mut OpReport) -> Result<ReadOutcome, ProtocolError>,
 ) -> Result<ScrubReport, ProtocolError> {
+    let (transport, n) = (&replicas.transport, replicas.n);
     let mut report = OpReport::default();
     let mut refreshed: Option<BTreeSet<usize>> = None;
     for block in 0..OBJECTS_PER_STRIPE {
         let id = stripe * OBJECTS_PER_STRIPE + block;
-        let out = match read(id, &mut report) {
+        let mut read = replicas.read_many(&[id]);
+        report.merge_from(std::mem::take(&mut read.report));
+        let out = match read.into_single() {
             Ok(out) => out,
             Err(ProtocolError::StripeMissing) => break,
             Err(e) => return Err(e),
@@ -179,7 +343,8 @@ fn push_state<T: Transport>(
     version: u64,
     report: &mut OpReport,
 ) -> BTreeSet<usize> {
-    let calls = rounds::write_calls(n, id, bytes, version);
+    let payload = Bytes::copy_from_slice(bytes);
+    let calls = rounds::write_calls(0..n, id, &payload, version);
     let outcome = run_recorded(transport, QuorumRound::await_all(0), None, calls, report);
     let mut acked: BTreeSet<usize> = outcome.accepted.iter().map(|a| a.node.0).collect();
     let missing: Vec<usize> = outcome
@@ -189,7 +354,6 @@ fn push_state<T: Transport>(
         .map(|r| r.node.0)
         .collect();
     if !missing.is_empty() {
-        let payload = Bytes::copy_from_slice(bytes);
         let init: Vec<(NodeId, Request)> = missing
             .iter()
             .map(|&node| {
@@ -222,17 +386,6 @@ fn push_state<T: Transport>(
     acked
 }
 
-/// Grades a read round's liveness evidence into the unified error: a
-/// stripe no contacted node knows is [`ProtocolError::StripeMissing`],
-/// anything else is [`ProtocolError::VersionCheckFailed`].
-fn read_failure(saw_not_found: bool, saw_success: bool) -> ProtocolError {
-    if saw_not_found && !saw_success {
-        ProtocolError::StripeMissing
-    } else {
-        ProtocolError::VersionCheckFailed
-    }
-}
-
 /// Read One, Write All.
 #[derive(Debug)]
 pub struct RowaClient<T: Transport> {
@@ -245,8 +398,13 @@ impl<T: Transport> RowaClient<T> {
     /// # Errors
     /// [`ProtocolError::Node`] if the transport is too small.
     pub fn new(n: usize, transport: T) -> Result<Self, ProtocolError> {
+        let level = ReplicaLevel {
+            members: 0..n,
+            r: 1,
+            w: n,
+        };
         Ok(RowaClient {
-            replicas: ReplicaSet::new(n, transport)?,
+            replicas: ReplicaSet::new(n, vec![level], poll_data, transport)?,
         })
     }
 
@@ -261,7 +419,7 @@ impl<T: Transport> RowaClient<T> {
     /// [`ProtocolError::Node`] with the lowest-indexed failing node's
     /// error.
     pub fn create(&self, id: u64, bytes: &[u8]) -> Result<OpReport, ProtocolError> {
-        self.replicas.create(id, bytes)
+        self.replicas.create_many(&[(id, bytes)])
     }
 
     /// Installs many objects in one fused provisioning round.
@@ -285,64 +443,13 @@ impl<T: Transport> RowaClient<T> {
     /// stores the object; [`ProtocolError::VersionCheckFailed`] if every
     /// replica is down.
     pub fn read(&self, id: u64) -> Result<ReadOutcome, ProtocolError> {
-        let mut report = OpReport::default();
-        let result = self.read_recorded(id, &mut report);
-        result.map(|mut out| {
-            out.report = report;
-            out
-        })
-    }
-
-    fn read_recorded(&self, id: u64, report: &mut OpReport) -> Result<ReadOutcome, ProtocolError> {
-        let calls: Vec<(NodeId, Request)> = (0..self.replicas.n)
-            .map(|node| (NodeId(node), Request::ReadData { id }))
-            .collect();
-        let outcome = run_recorded(
-            &self.replicas.transport,
-            QuorumRound::first_quorum(1),
-            Some(0),
-            calls,
-            report,
-        );
-        Self::serve_first(&outcome)
-    }
-
-    /// Extracts the first `Data` answer of a ROWA read round.
-    fn serve_first(outcome: &tq_cluster::RoundOutcome) -> Result<ReadOutcome, ProtocolError> {
-        for accepted in &outcome.accepted {
-            if let Response::Data { bytes, version, .. } = &accepted.response {
-                return Ok(ReadOutcome {
-                    bytes: bytes.to_vec(),
-                    version: *version,
-                    path: ReadPath::Direct,
-                    report: OpReport::default(),
-                });
-            }
-        }
-        Err(read_failure(
-            outcome.saw_error(|e| matches!(e, NodeError::NotFound)),
-            false,
-        ))
+        self.read_many(&[id]).into_single()
     }
 
     /// Batched ROWA read: one fused round carrying every object's
     /// first-live-replica poll.
     pub fn read_many(&self, ids: &[u64]) -> BatchReads {
-        let mut report = OpReport::default();
-        let ops: Vec<PlanOp> = ids
-            .iter()
-            .map(|&id| PlanOp {
-                round: QuorumRound::first_quorum(1),
-                calls: (0..self.replicas.n)
-                    .map(|node| (NodeId(node), Request::ReadData { id }))
-                    .collect(),
-            })
-            .collect();
-        let outcomes = run_fused(&self.replicas.transport, Some(0), ops, &mut report);
-        BatchReads {
-            outcomes: outcomes.iter().map(Self::serve_first).collect(),
-            report,
-        }
+        self.replicas.read_many(ids)
     }
 
     /// Writes to *all* replicas; a single failure fails the operation
@@ -353,34 +460,19 @@ impl<T: Transport> RowaClient<T> {
     /// replica failure; [`ProtocolError::OldValueUnreadable`] if no
     /// replica serves the current version.
     pub fn write(&self, id: u64, new: &[u8]) -> Result<WriteOutcome, ProtocolError> {
-        let old = self
-            .read(id)
-            .map_err(|e| ProtocolError::OldValueUnreadable(Box::new(e)))?;
-        let mut report = old.report;
-        let mut out =
-            self.replicas
-                .write(id, new, old.version + 1, self.replicas.n, &mut report)?;
-        out.report = report;
-        Ok(out)
+        self.write_many(&[(id, new)]).into_single()
     }
 
     /// Batched ROWA write: one fused read round for current versions,
     /// one fused all-replica write round.
     pub fn write_many(&self, items: &[(u64, &[u8])]) -> BatchWrites {
-        write_many_via(&self.replicas, items, self.replicas.n, |ids| {
-            self.read_many(ids)
-        })
+        self.replicas.write_many(items)
     }
 
     /// Anti-entropy for the store facade (see
     /// [`repair_contiguous_objects`]).
     pub(crate) fn repair_stripe_objects(&self, stripe: u64) -> Result<ScrubReport, ProtocolError> {
-        repair_contiguous_objects(
-            &self.replicas.transport,
-            self.replicas.n,
-            stripe,
-            |id, report| self.read_recorded(id, report),
-        )
+        repair_contiguous_objects(&self.replicas, stripe)
     }
 }
 
@@ -396,8 +488,13 @@ impl<T: Transport> MajorityClient<T> {
     /// # Errors
     /// [`ProtocolError::Node`] if the transport is too small.
     pub fn new(n: usize, transport: T) -> Result<Self, ProtocolError> {
+        let level = ReplicaLevel {
+            members: 0..n,
+            r: n / 2 + 1,
+            w: n / 2 + 1,
+        };
         Ok(MajorityClient {
-            replicas: ReplicaSet::new(n, transport)?,
+            replicas: ReplicaSet::new(n, vec![level], poll_version, transport)?,
         })
     }
 
@@ -417,7 +514,7 @@ impl<T: Transport> MajorityClient<T> {
     /// [`ProtocolError::Node`] with the lowest-indexed failing node's
     /// error.
     pub fn create(&self, id: u64, bytes: &[u8]) -> Result<OpReport, ProtocolError> {
-        self.replicas.create(id, bytes)
+        self.replicas.create_many(&[(id, bytes)])
     }
 
     /// Installs many objects in one fused provisioning round.
@@ -439,152 +536,14 @@ impl<T: Transport> MajorityClient<T> {
     /// stores the object; [`ProtocolError::VersionCheckFailed`] without
     /// a live majority.
     pub fn read(&self, id: u64) -> Result<ReadOutcome, ProtocolError> {
-        let mut report = OpReport::default();
-        let result = self.read_recorded(id, &mut report);
-        result.map(|mut out| {
-            out.report = report;
-            out
-        })
+        self.read_many(&[id]).into_single()
     }
 
-    fn read_recorded(&self, id: u64, report: &mut OpReport) -> Result<ReadOutcome, ProtocolError> {
-        let calls: Vec<(NodeId, Request)> = (0..self.replicas.n)
-            .map(|node| (NodeId(node), Request::VersionData { id }))
-            .collect();
-        let outcome = run_recorded(
-            &self.replicas.transport,
-            QuorumRound::first_quorum(self.quorum()),
-            Some(0),
-            calls,
-            report,
-        );
-        let (latest, holders) = Self::quorum_versions(&outcome)?;
-        for &node in &holders {
-            let result = self
-                .replicas
-                .transport
-                .call(NodeId(node), Request::ReadData { id });
-            report.absorb_call(result.is_ok());
-            if let Ok(Response::Data { bytes, version, .. }) = result {
-                if version >= latest {
-                    return Ok(ReadOutcome {
-                        bytes: bytes.to_vec(),
-                        version,
-                        path: ReadPath::Direct,
-                        report: OpReport::default(),
-                    });
-                }
-            }
-        }
-        Err(ProtocolError::VersionCheckFailed)
-    }
-
-    /// Grades a version-poll round: quorum-time latest version plus the
-    /// replicas known to hold it.
-    fn quorum_versions(
-        outcome: &tq_cluster::RoundOutcome,
-    ) -> Result<(u64, Vec<usize>), ProtocolError> {
-        if !outcome.quorum_met() {
-            return Err(read_failure(
-                outcome.saw_error(|e| matches!(e, NodeError::NotFound)),
-                !outcome.accepted.is_empty(),
-            ));
-        }
-        let responders = rounds::version_responders(outcome);
-        let latest = responders.iter().map(|&(_, v)| v).max().expect("non-empty");
-        let holders = responders
-            .iter()
-            .filter(|&&(_, v)| v == latest)
-            .map(|&(node, _)| node)
-            .collect();
-        Ok((latest, holders))
-    }
-
-    /// Batched Majority read: one fused version-poll round, one fused
-    /// fetch round from each object's first latest holder, per-object
-    /// fallback only when that holder died in between.
+    /// Batched Majority read: one fused version-poll round, then fused
+    /// fetch rounds from each object's latest holders (one round unless
+    /// a holder died in between).
     pub fn read_many(&self, ids: &[u64]) -> BatchReads {
-        let mut report = OpReport::default();
-        let ops: Vec<PlanOp> = ids
-            .iter()
-            .map(|&id| PlanOp {
-                round: QuorumRound::first_quorum(self.quorum()),
-                calls: (0..self.replicas.n)
-                    .map(|node| (NodeId(node), Request::VersionData { id }))
-                    .collect(),
-            })
-            .collect();
-        let polls = run_fused(&self.replicas.transport, Some(0), ops, &mut report);
-        let graded: Vec<Result<(u64, Vec<usize>), ProtocolError>> =
-            polls.iter().map(Self::quorum_versions).collect();
-
-        // One fused fetch from the first latest holder of each object.
-        let fetch: Vec<usize> = (0..ids.len()).filter(|&i| graded[i].is_ok()).collect();
-        let fetch_ops: Vec<PlanOp> = fetch
-            .iter()
-            .map(|&i| {
-                let (_, holders) = graded[i].as_ref().expect("filtered Ok");
-                PlanOp {
-                    round: QuorumRound::await_all(0),
-                    calls: vec![(NodeId(holders[0]), Request::ReadData { id: ids[i] })],
-                }
-            })
-            .collect();
-        let fetched = run_fused(&self.replicas.transport, None, fetch_ops, &mut report);
-
-        let mut outcomes: Vec<Option<Result<ReadOutcome, ProtocolError>>> = graded
-            .iter()
-            .map(|g| match g {
-                Err(e) => Some(Err(e.clone())),
-                Ok(_) => None,
-            })
-            .collect();
-        for (&i, outcome) in fetch.iter().zip(&fetched) {
-            let (latest, holders) = graded[i].as_ref().expect("filtered Ok");
-            if let Some(accepted) = outcome.accepted.first() {
-                if let Response::Data { bytes, version, .. } = &accepted.response {
-                    if version >= latest {
-                        outcomes[i] = Some(Ok(ReadOutcome {
-                            bytes: bytes.to_vec(),
-                            version: *version,
-                            path: ReadPath::Direct,
-                            report: OpReport::default(),
-                        }));
-                    }
-                }
-            }
-            if outcomes[i].is_none() {
-                // The first holder died between the rounds: walk the
-                // remaining holders one call at a time.
-                let mut served = None;
-                for &node in &holders[1..] {
-                    let result = self
-                        .replicas
-                        .transport
-                        .call(NodeId(node), Request::ReadData { id: ids[i] });
-                    report.absorb_call(result.is_ok());
-                    if let Ok(Response::Data { bytes, version, .. }) = result {
-                        if version >= *latest {
-                            served = Some(ReadOutcome {
-                                bytes: bytes.to_vec(),
-                                version,
-                                path: ReadPath::Direct,
-                                report: OpReport::default(),
-                            });
-                            break;
-                        }
-                    }
-                }
-                outcomes[i] = Some(served.ok_or(ProtocolError::VersionCheckFailed));
-            }
-        }
-        BatchReads {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every item resolved"))
-                .collect(),
-            report,
-        }
+        self.replicas.read_many(ids)
     }
 
     /// Reads the current version from a majority, then writes
@@ -594,72 +553,19 @@ impl<T: Transport> MajorityClient<T> {
     /// [`ProtocolError::OldValueUnreadable`] /
     /// [`ProtocolError::WriteQuorumNotMet`].
     pub fn write(&self, id: u64, new: &[u8]) -> Result<WriteOutcome, ProtocolError> {
-        let old = self
-            .read(id)
-            .map_err(|e| ProtocolError::OldValueUnreadable(Box::new(e)))?;
-        let mut report = old.report;
-        let mut out = self
-            .replicas
-            .write(id, new, old.version + 1, self.quorum(), &mut report)?;
-        out.report = report;
-        Ok(out)
+        self.write_many(&[(id, new)]).into_single()
     }
 
     /// Batched Majority write: one fused version-discovery pass, one
     /// fused all-replica write round graded against the majority.
     pub fn write_many(&self, items: &[(u64, &[u8])]) -> BatchWrites {
-        write_many_via(&self.replicas, items, self.quorum(), |ids| {
-            self.read_many(ids)
-        })
+        self.replicas.write_many(items)
     }
 
     /// Anti-entropy for the store facade (see
     /// [`repair_contiguous_objects`]).
     pub(crate) fn repair_stripe_objects(&self, stripe: u64) -> Result<ScrubReport, ProtocolError> {
-        repair_contiguous_objects(
-            &self.replicas.transport,
-            self.replicas.n,
-            stripe,
-            |id, report| self.read_recorded(id, report),
-        )
-    }
-}
-
-/// The shared batched-write shape: fused version discovery through the
-/// protocol's own batched read, then one fused graded write round.
-fn write_many_via<T: Transport>(
-    replicas: &ReplicaSet<T>,
-    items: &[(u64, &[u8])],
-    needed: usize,
-    read_many: impl FnOnce(&[u64]) -> BatchReads,
-) -> BatchWrites {
-    let mut results: Vec<Option<Result<WriteOutcome, ProtocolError>>> = vec![None; items.len()];
-    rounds::flag_duplicates(items.iter().map(|&(id, _)| id), &mut results);
-    let read_idx: Vec<usize> = (0..items.len())
-        .filter(|&idx| results[idx].is_none())
-        .collect();
-    let ids: Vec<u64> = read_idx.iter().map(|&idx| items[idx].0).collect();
-    let reads = read_many(&ids);
-    let mut report = reads.report;
-
-    let mut writable: Vec<(usize, u64)> = Vec::with_capacity(read_idx.len());
-    for (&idx, old) in read_idx.iter().zip(reads.outcomes) {
-        match old {
-            Ok(old) => writable.push((idx, old.version + 1)),
-            Err(e) => results[idx] = Some(Err(ProtocolError::OldValueUnreadable(Box::new(e)))),
-        }
-    }
-    let write_items: Vec<(u64, &[u8], u64)> = writable
-        .iter()
-        .map(|&(idx, version)| (items[idx].0, items[idx].1, version))
-        .collect();
-    let written = replicas.write_many(&write_items, needed, &mut report);
-    for (&(idx, _), result) in writable.iter().zip(written) {
-        results[idx] = Some(result);
-    }
-    BatchWrites {
-        outcomes: rounds::finish_batch(results),
-        report,
+        repair_contiguous_objects(&self.replicas, stripe)
     }
 }
 

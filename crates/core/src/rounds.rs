@@ -1,16 +1,19 @@
 //! Crate-internal helpers for the fan-out shapes every client shares.
 //!
-//! Every round runs through these helpers so that [`OpReport`]
-//! accounting is uniform across protocols: single rounds via
-//! [`run_recorded`], fused multi-op rounds via [`run_fused`].
+//! Every round runs through [`run_fused`] so that [`OpReport`]
+//! accounting is uniform across protocols; a single-op round
+//! ([`run_recorded`]) is a fused plan of one. [`write_levels`] is the
+//! one write walk all four protocols share.
 
 use bytes::Bytes;
 use tq_cluster::{MultiRound, NodeId, PlanOp, QuorumRound, Request, RoundOutcome, Transport};
 
 use crate::errors::ProtocolError;
-use crate::store::OpReport;
+use crate::store::{BatchWrites, OpReport};
+use crate::trap_erc::WriteOutcome;
 
-/// Runs one single-op round and records it in `report`.
+/// Runs one single-op round — a fused plan of one — and records it in
+/// `report`.
 pub(crate) fn run_recorded<T: Transport>(
     transport: &T,
     round: QuorumRound,
@@ -18,19 +21,24 @@ pub(crate) fn run_recorded<T: Transport>(
     calls: Vec<(NodeId, Request)>,
     report: &mut OpReport,
 ) -> RoundOutcome {
-    let outcome = round.run(transport, calls);
-    report.absorb(level, &outcome);
-    outcome
+    run_fused(transport, level, vec![PlanOp { round, calls }], report)
+        .pop()
+        .expect("a one-op plan yields one outcome")
 }
 
 /// Runs one fused multi-op round and records it in `report` as a single
-/// network round covering `ops.len()` logical operations.
+/// network round covering `ops.len()` logical operations. A stage no
+/// block is in (`ops` empty) is not a round: nothing runs, nothing is
+/// recorded.
 pub(crate) fn run_fused<T: Transport>(
     transport: &T,
     level: Option<usize>,
     ops: Vec<PlanOp>,
     report: &mut OpReport,
 ) -> Vec<RoundOutcome> {
+    if ops.is_empty() {
+        return Vec::new();
+    }
     let outcomes = MultiRound::run(transport, ops);
     report.absorb_fused(level, &outcomes);
     outcomes
@@ -59,37 +67,6 @@ pub(crate) fn require_all(outcome: &RoundOutcome) -> Result<(), ProtocolError> {
     }
 }
 
-/// One provisioning fan-out: install the object on nodes `0..n`; any
-/// failure fails the operation.
-pub(crate) fn provision<T: Transport>(
-    transport: &T,
-    n: usize,
-    id: u64,
-    bytes: &[u8],
-    report: &mut OpReport,
-) -> Result<(), ProtocolError> {
-    // One shared allocation; per-node clones are O(1) Arc bumps.
-    let payload = Bytes::copy_from_slice(bytes);
-    let calls: Vec<(NodeId, Request)> = (0..n)
-        .map(|node| {
-            (
-                NodeId(node),
-                Request::InitData {
-                    id,
-                    bytes: payload.clone(),
-                },
-            )
-        })
-        .collect();
-    require_all(&run_recorded(
-        transport,
-        QuorumRound::await_all(n),
-        None,
-        calls,
-        report,
-    ))
-}
-
 /// Flags duplicate batch keys: every occurrence of a key after its
 /// first gets the per-item `Misconfigured` error (duplicate addresses
 /// in one fused write have no single-op-equivalent ordering).
@@ -105,16 +82,6 @@ pub(crate) fn flag_duplicates<K: Eq + std::hash::Hash, T>(
             )));
         }
     }
-}
-
-/// Unwraps a fully-resolved batch result table into per-item results.
-pub(crate) fn finish_batch<T>(
-    results: Vec<Option<Result<T, ProtocolError>>>,
-) -> Vec<Result<T, ProtocolError>> {
-    results
-        .into_iter()
-        .map(|r| r.expect("every item resolved"))
-        .collect()
 }
 
 /// Fused provisioning for many objects: one [`MultiRound`] scatter of
@@ -151,75 +118,104 @@ pub(crate) fn provision_many<T: Transport>(
     Ok(())
 }
 
-/// Grades one write level's outcome: validated members appended in issue
-/// order, [`ProtocolError::WriteQuorumNotMet`] if fewer than `needed`
-/// acks arrived.
-pub(crate) fn grade_write_level(
-    outcome: &RoundOutcome,
-    level: usize,
-    needed: usize,
-    validated: &mut Vec<usize>,
-) -> Result<(), ProtocolError> {
-    validated.extend(outcome.accepted_in_issue_order().iter().map(|a| a.node.0));
-    if !outcome.quorum_met() {
-        return Err(ProtocolError::WriteQuorumNotMet {
-            level,
-            needed,
-            achieved: outcome.validations(),
-        });
-    }
-    Ok(())
+/// One block (or replicated object) on its way through the write levels
+/// of a fused plan.
+pub(crate) struct Writing<P> {
+    /// Position in the caller's batch (and its result table).
+    pub idx: usize,
+    /// The version this write installs.
+    pub version: u64,
+    /// Whatever the protocol builds the item's level scatters from.
+    pub payload: P,
+    /// Validated members so far, level-major, issue order within a level.
+    pub validated: Vec<usize>,
 }
 
-/// Runs one graded write level, recorded in `report`, then graded via
-/// [`grade_write_level`].
+/// **Algorithm 1 lines 16–38 for a whole plan** — the one write walk:
+/// every surviving item's level-`l` scatter (`level_op` returns its
+/// `w_l` and calls) is fused into one round per level; an item
+/// validating fewer than `w_l` members leaves the plan with
+/// [`ProtocolError::WriteQuorumNotMet`] (the walk stops at the failed
+/// level, residue and all), the rest resolve `Ok` after the last level.
+/// `results` arrives holding the items that failed before the walk and
+/// leaves, fully resolved, as the batch's outcomes.
 ///
-/// By default the round awaits every member: the validated write *set*
-/// is the durability statement. When the transport carries an armed
-/// health registry (hedging on), the level completes on the first
-/// `needed` acks instead — stragglers are hedged by the transport and
-/// their requests still execute, but the round's tail is the quorum's
+/// This is also the one place a write level's completion rule is
+/// chosen. By default a level awaits every member: the validated write
+/// *set* is the durability statement. When the transport carries an
+/// armed health registry (hedging on), the level completes on the first
+/// `w_l` acks instead — stragglers are hedged by the transport and
+/// their requests still execute, but the level's tail is the quorum's
 /// tail, not the slowest member's. The validated set then underreports
 /// the stragglers that applied the write after abandonment, which is
 /// the safe direction: version polls rediscover them.
-pub(crate) fn graded_write_level<T: Transport>(
+pub(crate) fn write_levels<T: Transport, P>(
     transport: &T,
-    level: usize,
-    needed: usize,
-    calls: Vec<(NodeId, Request)>,
-    validated: &mut Vec<usize>,
-    report: &mut OpReport,
-) -> Result<(), ProtocolError> {
-    let round = if transport.health().is_some_and(|h| h.hedging_enabled()) {
-        QuorumRound::first_quorum(needed)
-    } else {
-        QuorumRound::await_all(needed)
-    };
-    let outcome = run_recorded(transport, round, Some(level), calls, report);
-    grade_write_level(&outcome, level, needed, validated)
+    levels: usize,
+    mut alive: Vec<Writing<P>>,
+    level_op: impl Fn(&Writing<P>, usize) -> (usize, Vec<(NodeId, Request)>),
+    mut results: Vec<Option<Result<WriteOutcome, ProtocolError>>>,
+    mut report: OpReport,
+) -> BatchWrites {
+    let first_quorum = transport.health().is_some_and(|h| h.hedging_enabled());
+    for l in 0..levels {
+        if alive.is_empty() {
+            break;
+        }
+        let ops: Vec<PlanOp> = alive
+            .iter()
+            .map(|w| {
+                let (needed, calls) = level_op(w, l);
+                let round = if first_quorum {
+                    QuorumRound::first_quorum(needed)
+                } else {
+                    QuorumRound::await_all(needed)
+                };
+                PlanOp { round, calls }
+            })
+            .collect();
+        let outcomes = run_fused(transport, Some(l), ops, &mut report);
+        let mut survivors = Vec::with_capacity(alive.len());
+        for (mut w, outcome) in alive.into_iter().zip(outcomes) {
+            w.validated
+                .extend(outcome.accepted_in_issue_order().iter().map(|a| a.node.0));
+            if outcome.quorum_met() {
+                survivors.push(w);
+            } else {
+                results[w.idx] = Some(Err(ProtocolError::WriteQuorumNotMet {
+                    level: l,
+                    needed: outcome.needed,
+                    achieved: outcome.validations(),
+                }));
+            }
+        }
+        alive = survivors;
+    }
+    for w in alive {
+        results[w.idx] = Some(Ok(WriteOutcome {
+            version: w.version,
+            validated: w.validated,
+            report: OpReport::default(),
+        }));
+    }
+    BatchWrites {
+        outcomes: results
+            .into_iter()
+            .map(|r| r.expect("every item resolved"))
+            .collect(),
+        report,
+    }
 }
 
-/// One write fan-out over nodes `0..n` requiring `needed` acks.
-pub(crate) fn write_all<T: Transport>(
-    transport: &T,
-    n: usize,
-    needed: usize,
+/// One object's write scatter: `WriteData` to every node of `members`,
+/// sharing the payload allocation by refcount.
+pub(crate) fn write_calls(
+    members: std::ops::Range<usize>,
     id: u64,
-    new: &[u8],
+    payload: &Bytes,
     version: u64,
-    report: &mut OpReport,
-) -> Result<(u64, Vec<usize>), ProtocolError> {
-    let calls = write_calls(n, id, new, version);
-    let mut validated = Vec::with_capacity(n);
-    graded_write_level(transport, 0, needed, calls, &mut validated, report)?;
-    Ok((version, validated))
-}
-
-/// The full-replication write batch for one object: `WriteData` to every
-/// node `0..n`, sharing one payload allocation.
-pub(crate) fn write_calls(n: usize, id: u64, new: &[u8], version: u64) -> Vec<(NodeId, Request)> {
-    let payload = Bytes::copy_from_slice(new);
-    (0..n)
+) -> Vec<(NodeId, Request)> {
+    members
         .map(|node| {
             (
                 NodeId(node),

@@ -15,10 +15,12 @@
 //! * [`Store`] + [`StoreBuilder`] — one builder replacing the four
 //!   ad-hoc client constructors.
 //!
-//! Batched operations do **not** loop single ops: each backend fuses the
-//! per-level fan-outs of all addressed blocks into one
-//! [`tq_cluster::MultiRound`] scatter per level, so a `write_batch` of
-//! `m` blocks costs roughly one network round per trapezoid level
+//! There is one protocol path per backend: the fused plan. Each backend
+//! fuses the per-level fan-outs of all addressed blocks into one
+//! [`tq_cluster::MultiRound`] scatter per level, and a single `read` /
+//! `write` is that plan with one item — same rounds, same messages,
+//! same error for the same cluster state. A `write_batch` of `m` blocks
+//! therefore costs roughly one network round per trapezoid level
 //! instead of `m` — compare [`OpReport::network_rounds`] of a batch
 //! against a loop, or run `cargo bench --bench batch_ops`.
 //!
@@ -232,26 +234,9 @@ impl OpReport {
         self.rounds.iter().map(|r| r.retries_spent).sum()
     }
 
-    /// Records one single-op round.
-    pub(crate) fn absorb(&mut self, level: Option<usize>, outcome: &RoundOutcome) {
-        self.rounds.push(RoundStats {
-            level,
-            ops: 1,
-            sent: outcome.accepted.len() + outcome.rejected.len(),
-            accepted: outcome.accepted.len(),
-            rejected: outcome.rejected.len(),
-            abandoned: outcome.abandoned.len(),
-            hedges_fired: outcome.hedges.fired as usize,
-            hedges_won: outcome.hedges.won as usize,
-            retries_spent: outcome.hedges.retries as usize,
-        });
-    }
-
-    /// Records one fused round covering several logical ops.
+    /// Records one fused round covering `outcomes.len()` logical ops (a
+    /// single-op round is a plan of one).
     pub(crate) fn absorb_fused(&mut self, level: Option<usize>, outcomes: &[RoundOutcome]) {
-        if outcomes.is_empty() {
-            return;
-        }
         let mut stats = RoundStats {
             level,
             ops: outcomes.len(),
@@ -274,21 +259,6 @@ impl OpReport {
             stats.retries_spent += o.hedges.retries as usize;
         }
         self.rounds.push(stats);
-    }
-
-    /// Records one lone [`Transport::call`] (counts as a round of one).
-    pub(crate) fn absorb_call(&mut self, ok: bool) {
-        self.rounds.push(RoundStats {
-            level: None,
-            ops: 1,
-            sent: 1,
-            accepted: usize::from(ok),
-            rejected: usize::from(!ok),
-            abandoned: 0,
-            hedges_fired: 0,
-            hedges_won: 0,
-            retries_spent: 0,
-        });
     }
 
     /// Appends another report's rounds (e.g. a write's embedded read).
@@ -329,6 +299,14 @@ impl BatchReads {
     pub fn all_ok(&self) -> bool {
         self.outcomes.iter().all(|r| r.is_ok())
     }
+
+    /// A batch of one, as the single-op result: the plan's rounds ride
+    /// on the outcome.
+    pub(crate) fn into_single(mut self) -> Result<ReadOutcome, ProtocolError> {
+        let mut out = self.outcomes.pop().expect("one outcome per item")?;
+        out.report = self.report;
+        Ok(out)
+    }
 }
 
 /// Result of a [`QuorumStore::write_batch`]; see [`BatchReads`] for the
@@ -345,6 +323,13 @@ impl BatchWrites {
     /// `true` iff every item succeeded.
     pub fn all_ok(&self) -> bool {
         self.outcomes.iter().all(|r| r.is_ok())
+    }
+
+    /// See [`BatchReads::into_single`].
+    pub(crate) fn into_single(mut self) -> Result<WriteOutcome, ProtocolError> {
+        let mut out = self.outcomes.pop().expect("one outcome per item")?;
+        out.report = self.report;
+        Ok(out)
     }
 }
 
@@ -531,19 +516,9 @@ impl<T: Transport> QuorumStore for TrapErcClient<T> {
         self.create_stripe(stripe, blocks)
     }
     fn read(&self, addr: BlockAddr) -> Result<ReadOutcome, ProtocolError> {
-        if addr.block >= self.config().params().k() {
-            return Err(ProtocolError::Misconfigured(
-                "block index outside the stripe",
-            ));
-        }
         self.read_block(addr.stripe, addr.block)
     }
     fn write(&self, addr: BlockAddr, new: &[u8]) -> Result<WriteOutcome, ProtocolError> {
-        if addr.block >= self.config().params().k() {
-            return Err(ProtocolError::Misconfigured(
-                "block index outside the stripe",
-            ));
-        }
         self.write_block(addr.stripe, addr.block, new)
     }
     fn read_batch(&self, addrs: &[BlockAddr]) -> BatchReads {
@@ -1162,15 +1137,23 @@ mod tests {
 
     #[test]
     fn op_report_accounting() {
+        use crate::rounds::run_recorded;
+        use tq_cluster::{NodeId, QuorumRound, Request};
+        let t = transport(2);
+        t.cluster().kill(1);
+        let ping = |node: usize, report: &mut OpReport| {
+            let calls = vec![(NodeId(node), Request::Ping)];
+            run_recorded(&t, QuorumRound::await_all(0), None, calls, report);
+        };
         let mut report = OpReport::default();
-        report.absorb_call(true);
-        report.absorb_call(false);
+        ping(0, &mut report);
+        ping(1, &mut report);
         assert_eq!(report.network_rounds(), 2);
         assert_eq!(report.messages(), 2);
         assert_eq!(report.accepted(), 1);
         assert_eq!(report.rejected(), 1);
         let mut other = OpReport::default();
-        other.absorb_call(true);
+        ping(0, &mut other);
         report.merge_from(other);
         assert_eq!(report.network_rounds(), 3);
     }

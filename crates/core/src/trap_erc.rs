@@ -44,16 +44,31 @@
 //!
 //! ## Dispatch
 //!
-//! Every level loop runs through the [`QuorumRound`] engine: the level's
-//! requests are scattered in one [`Transport::multicall`] batch and
-//! gathered under the paper's quorum condition. Write levels use
-//! [`QuorumRound::await_all`] (the validated *set* is the durability
-//! statement; every member must still be attempted), read version checks
-//! use [`QuorumRound::first_quorum`] (Algorithm 2 line 30 completes on
-//! the `r_l`-th answer; stragglers are abandoned). On
-//! `LocalTransport` this reproduces the seed's sequential behaviour
-//! bit-for-bit; on `ChannelTransport` a level costs roughly its slowest
-//! needed responder instead of the sum over members.
+//! There is one rendering of each algorithm: the fused plan. A read
+//! ([`TrapErcClient::read_blocks`]) walks its stages — read-around
+//! poll, level version checks, `N_i` probe, direct fetch, Case-2 decode
+//! — once for *all* addressed blocks, each stage one
+//! [`tq_cluster::MultiRound`] scatter carrying every block still in it;
+//! a write ([`TrapErcClient::write_blocks`]) is that read plus one fused
+//! scatter per trapezoid level. A single op is a plan of one
+//! ([`TrapErcClient::read_block`], [`TrapErcClient::write_block`]), a
+//! hinted write is the write plan with the embedded read skipped, and a
+//! scrub reads its `k` blocks as one `k`-item plan — so an op's rounds,
+//! messages, corruption attribution and error do not depend on which
+//! entry point it arrived through.
+//!
+//! Each scatter is gathered under the paper's quorum condition. Write
+//! levels await every member (the validated *set* is the durability
+//! statement; every member must still be attempted) unless a hedge
+//! policy is armed, when they complete on the `w_l`-th ack — one rule,
+//! chosen in one place for every protocol. Read version checks
+//! complete on the `r_l`-th answer (Algorithm 2 line 30; stragglers are
+//! abandoned). Straggler read-around is not a second path but the
+//! plan's first stage: it only selects which members a flagged block
+//! polls first. On `LocalTransport` a plan reproduces the seed's
+//! sequential behaviour bit-for-bit; on `ChannelTransport` a stage
+//! costs roughly its slowest needed responder instead of the sum over
+//! members.
 
 use bytes::Bytes;
 use tq_cluster::{
@@ -66,7 +81,7 @@ use tq_quorum::trapezoid::TrapErcSystem;
 
 use crate::config::ProtocolConfig;
 use crate::errors::ProtocolError;
-use crate::rounds::{run_fused, run_recorded};
+use crate::rounds::{run_fused, run_recorded, Writing};
 use crate::store::{BatchReads, BatchWrite, BatchWrites, BlockAddr, OpReport};
 use crate::version_matrix::VersionMatrix;
 
@@ -108,6 +123,52 @@ impl ReadOutcome {
 fn record_corrupt(corrupt: &mut Vec<usize>, node: usize) {
     if !corrupt.contains(&node) {
         corrupt.push(node);
+    }
+}
+
+/// One block's state on its way through a read plan.
+struct ReadItem {
+    /// The health registry flagged the block's home node `N_i` a
+    /// straggler when the plan was drawn up: the read routes around it.
+    around: bool,
+    matrix: VersionMatrix,
+    /// The version a completed check settled on (Algorithm 2 line 30).
+    latest: Option<u64>,
+    /// Shard replies in hand for Case 2, in fetch order.
+    shards: Vec<(usize, Response)>,
+    /// Every node already asked for a shard, answered or not.
+    asked: Vec<usize>,
+    /// Nodes that provably served this block's read corrupt bytes.
+    corrupt: Vec<usize>,
+    saw_not_found: bool,
+    saw_success: bool,
+    done: Option<Result<ReadOutcome, ProtocolError>>,
+}
+
+/// What a write plan builds one block's level scatters from.
+struct Delta {
+    /// The item's single payload allocation; every level's `WriteData`
+    /// shares it by refcount (and the accepting node adopts it as the
+    /// stored block without copying).
+    new: Bytes,
+    /// One raw-delta allocation per item: every parity member's
+    /// `AddParity` across all levels shares it by refcount and carries
+    /// its own α_{j,i} for the node to fold in place.
+    raw_delta: Bytes,
+    /// The written block's new cross-checksum, updating one entry of
+    /// each parity node's stored vector in the same message.
+    new_check: u64,
+    old_version: u64,
+}
+
+/// Records every member of `outcome` that refused to serve with a
+/// self-check failure: provably corrupt even though it returned no
+/// bytes.
+fn record_corrupt_refusals(corrupt: &mut Vec<usize>, outcome: &RoundOutcome) {
+    for rejected in &outcome.rejected {
+        if matches!(rejected.error, NodeError::Corrupt) {
+            record_corrupt(corrupt, rejected.node.0);
+        }
     }
 }
 
@@ -306,7 +367,8 @@ impl<T: Transport> TrapErcClient<T> {
         Ok(report)
     }
 
-    /// **Algorithm 1** — writes value `new` to data block `i`.
+    /// **Algorithm 1** — writes value `new` to data block `i`: the
+    /// write plan ([`TrapErcClient::write_blocks`]) with one item.
     ///
     /// Line 15 first runs READBLOCK to obtain the old chunk and version
     /// (needed for the parity deltas), then walks the trapezoid level by
@@ -323,21 +385,15 @@ impl<T: Transport> TrapErcClient<T> {
         i: usize,
         new: &[u8],
     ) -> Result<WriteOutcome, ProtocolError> {
-        let old = self
-            .read_block(id, i)
-            .map_err(|e| ProtocolError::OldValueUnreadable(Box::new(e)))?;
-        let mut out = self.write_block_with_hint(id, i, new, &old.bytes, old.version)?;
-        // The embedded read's rounds belong to this operation's bill.
-        let mut report = old.report;
-        report.merge_from(std::mem::take(&mut out.report));
-        out.report = report;
-        Ok(out)
+        self.write_blocks(&[BatchWrite::new(BlockAddr::new(id, i), new)])
+            .into_single()
     }
 
     /// Algorithm 1 with the old chunk/version supplied by the caller —
     /// the writer that maintains a cache (or the experiment driver that
-    /// tracks ground truth) skips the embedded read. With the hint, the
-    /// write succeeds *iff* every level has `w_l` live members, which is
+    /// tracks ground truth) skips the embedded read: the write plan of
+    /// one item, entered after line 15. With the hint, the write
+    /// succeeds *iff* every level has `w_l` live members, which is
     /// exactly the predicate of eq. 8/9 — `tq-sim` uses this to validate
     /// the write-availability closed form.
     ///
@@ -351,67 +407,74 @@ impl<T: Transport> TrapErcClient<T> {
         old_chunk: &[u8],
         old_version: u64,
     ) -> Result<WriteOutcome, ProtocolError> {
-        if new.len() != old_chunk.len() {
-            return Err(ProtocolError::SizeMismatch);
-        }
-        let sys = &self.systems[i];
-        let new_version = old_version + 1;
-        // One raw-delta allocation for the whole write: every parity
-        // member's `AddParity` shares it by refcount and carries its own
-        // α_{j,i} for the node to fold in place.
-        let raw_delta = Bytes::from(block_delta(old_chunk, new)?);
-        // The written block's new cross-checksum, updating one entry of
-        // each parity node's stored vector in the same message.
-        let new_check = block_check(new);
-        // One payload allocation for the whole write; every level's
-        // `WriteData` shares it by refcount (and the accepting node
-        // adopts it as the stored block without copying).
-        let payload = Bytes::copy_from_slice(new);
-        let mut validated = Vec::new();
-        let mut report = OpReport::default();
-
-        // Lines 16–38: level by level, from the top of the trapezoid.
-        // Each level is one scatter-gather round: every member is always
-        // attempted (await-all — durability wants the full validated
-        // set), success requires w_l validations.
-        for l in 0..sys.shape().num_levels() {
-            let needed = sys.thresholds().write_threshold(l);
-            let calls = self.write_level_calls(
-                id,
-                i,
-                l,
-                (&payload, &raw_delta, new_check),
-                (old_version, new_version),
-            );
-            // Lines 35–37 live in the shared grading: fewer than w_l
-            // validations fail the write at this level.
-            crate::rounds::graded_write_level(
-                &self.transport,
-                l,
-                needed,
-                calls,
-                &mut validated,
-                &mut report,
-            )?;
-        }
-        Ok(WriteOutcome {
-            version: new_version,
-            validated,
-            report,
-        })
+        let items = [BatchWrite::new(BlockAddr::new(id, i), new)];
+        let olds = [(0, old_chunk, old_version)];
+        self.write_plan(&items, &olds, vec![None], OpReport::default())
+            .into_single()
     }
 
-    /// Builds level `l`'s scatter for a write of block `i`: `write(x)` to
-    /// `N_i`, a guarded delta fold to every other member (Algorithm 1
+    /// Algorithm 1 lines 16–38 for every item whose old chunk and
+    /// version are in hand (`olds`: position in `items`, old chunk, old
+    /// version): level by level from the top of the trapezoid, every
+    /// surviving block's scatter fused into one round per level (see
+    /// [`crate::rounds::write_levels`] for the completion rule).
+    fn write_plan(
+        &self,
+        items: &[BatchWrite<'_>],
+        olds: &[(usize, &[u8], u64)],
+        mut results: Vec<Option<Result<WriteOutcome, ProtocolError>>>,
+        report: OpReport,
+    ) -> BatchWrites {
+        let mut alive: Vec<Writing<Delta>> = Vec::with_capacity(olds.len());
+        for &(idx, old_chunk, old_version) in olds {
+            let new = items[idx].bytes;
+            if new.len() != old_chunk.len() {
+                results[idx] = Some(Err(ProtocolError::SizeMismatch));
+                continue;
+            }
+            match block_delta(old_chunk, new) {
+                Ok(raw_delta) => alive.push(Writing {
+                    idx,
+                    version: old_version + 1,
+                    payload: Delta {
+                        new: Bytes::copy_from_slice(new),
+                        raw_delta: Bytes::from(raw_delta),
+                        new_check: block_check(new),
+                        old_version,
+                    },
+                    validated: Vec::new(),
+                }),
+                Err(e) => results[idx] = Some(Err(e.into())),
+            }
+        }
+        crate::rounds::write_levels(
+            &self.transport,
+            self.config.shape().num_levels(),
+            alive,
+            |w, l| {
+                let addr = items[w.idx].addr;
+                let needed = self.systems[addr.block].thresholds().write_threshold(l);
+                (
+                    needed,
+                    self.write_level_calls(addr, l, &w.payload, w.version),
+                )
+            },
+            results,
+            report,
+        )
+    }
+
+    /// Builds level `l`'s scatter for a write of block `addr`: `write(x)`
+    /// to `N_i`, a guarded delta fold to every other member (Algorithm 1
     /// lines 20 and 25–28).
     fn write_level_calls(
         &self,
-        id: u64,
-        i: usize,
+        addr: BlockAddr,
         l: usize,
-        (new, raw_delta, new_check): (&Bytes, &Bytes, u64),
-        (old_version, new_version): (u64, u64),
+        delta: &Delta,
+        new_version: u64,
     ) -> Vec<(NodeId, Request)> {
+        let (id, i) = (addr.stripe, addr.block);
         self.systems[i]
             .level_members(l)
             .iter()
@@ -421,7 +484,7 @@ impl<T: Transport> TrapErcClient<T> {
                     // write's single payload allocation).
                     Request::WriteData {
                         id,
-                        bytes: new.clone(),
+                        bytes: delta.new.clone(),
                         version: new_version,
                     }
                 } else {
@@ -433,11 +496,11 @@ impl<T: Transport> TrapErcClient<T> {
                     Request::AddParity {
                         id,
                         block_index: i,
-                        delta: raw_delta.clone(),
-                        expected_version: old_version,
+                        delta: delta.raw_delta.clone(),
+                        expected_version: delta.old_version,
                         new_version,
                         coeff: self.rs.coefficient(member, i).0,
-                        new_check: Some(new_check),
+                        new_check: Some(delta.new_check),
                     }
                 };
                 (NodeId(member), req)
@@ -445,12 +508,14 @@ impl<T: Transport> TrapErcClient<T> {
             .collect()
     }
 
-    /// **Algorithm 2** — reads data block `i`.
+    /// **Algorithm 2** — reads data block `i`: the read plan
+    /// ([`TrapErcClient::read_blocks`]) with one item.
     ///
     /// Walks levels 0..=h; in each level polls members until
     /// `r_l = s_l − w_l + 1` have answered (the version check). Once a
     /// level completes, serves from `N_i` if it holds the latest version
-    /// (Case 1) or decodes from `k` consistent nodes (Case 2).
+    /// or has already moved past it (Case 1), or decodes from `k`
+    /// consistent nodes (Case 2).
     ///
     /// # Errors
     /// [`ProtocolError::VersionCheckFailed`] if no level completes;
@@ -460,20 +525,14 @@ impl<T: Transport> TrapErcClient<T> {
     /// [`ProtocolError::StripeMissing`] if nodes respond but none knows
     /// the object.
     pub fn read_block(&self, id: u64, i: usize) -> Result<ReadOutcome, ProtocolError> {
-        let mut report = OpReport::default();
-        let mut corrupt = Vec::new();
-        let result = self.read_block_recorded(id, i, &mut report, &mut corrupt);
-        result.map(|mut out| {
-            out.report = report;
-            out
-        })
+        self.read_blocks(&[BlockAddr::new(id, i)]).into_single()
     }
 
     /// True when an armed health registry marks block `i`'s home node
-    /// `N_i` a straggler: the read path then skips the `N_i` probe and
-    /// direct fetch and reconstructs from `k` healthy members instead —
-    /// the decode pool for block `i` never contains `N_i`, so a gray
-    /// home node stays off the read's critical path. A dormant or
+    /// `N_i` a straggler: the read plan then polls `k` healthy members
+    /// first and skips the `N_i` probe and direct fetch, reconstructing
+    /// instead — the decode pool for block `i` never contains `N_i`, so
+    /// a gray home node stays off the read's critical path. A dormant or
     /// absent registry never reroutes, keeping the default path
     /// bit-identical to the unhedged protocol.
     fn avoid_home(&self, i: usize) -> bool {
@@ -482,35 +541,33 @@ impl<T: Transport> TrapErcClient<T> {
             .is_some_and(|h| h.hedging_enabled() && h.straggler(i))
     }
 
-    /// **Straggler salvage (extension)** — one fan-out round replacing
-    /// the walk + probe + widen + fetch pipeline when [`avoid_home`]
-    /// flags `N_i`: fetch `k` shards from the healthiest members
-    /// (ranked data blocks topped up from parity) and let the parity
-    /// replies' version vectors stand in for the level walk. The check
-    /// is sound because every non-home member of every level is a
-    /// parity node (eq. 5 membership) and any `r_l` members of a level
-    /// intersect every completed write's `w_l` set — so once some level
-    /// has `r_l` accepted columns, the newest block-`i` entry among all
-    /// accepted columns is at least the last committed version, and any
-    /// version observed at all was installed by a real write (the same
-    /// residue visibility the walk admits). Any shortfall — too few
-    /// healthy members, no level quorum, inconsistent, stale or corrupt
-    /// shards — returns `None` and the caller falls back to the full
-    /// Algorithm 2 path: the fast path may only save messages, never
-    /// weaken the read.
+    /// **Straggler read-around (extension)** — the plan-selection policy
+    /// for a block whose home node [`avoid_home`] flags: *which members
+    /// to poll first*. Instead of opening with the level-0 version check
+    /// (which would wait on `N_i`), the block's first round fetches `k`
+    /// shards from the healthiest members (ranked data blocks topped up
+    /// from parity) and lets the parity replies' version vectors stand
+    /// in for the level walk. The check is sound because every non-home
+    /// member of every level is a parity node (eq. 5 membership) and any
+    /// `r_l` members of a level intersect every completed write's `w_l`
+    /// set — so once some level has `r_l` accepted columns, the newest
+    /// block-`i` entry among all accepted columns is at least the last
+    /// committed version, and any version observed at all was installed
+    /// by a real write (the same residue visibility the walk admits).
+    /// When everything lands the read is that one round of `k`
+    /// messages. Any shortfall only means the block carries on through
+    /// the ordinary stages with the replies it has: no level quorum among
+    /// the polled columns — the level walk runs; too few consistent,
+    /// current, clean shards — Case 2 widens and fetches replacements.
+    /// `None` (too few healthy members) polls nothing. The policy may
+    /// only save messages, never weaken the read.
     ///
     /// [`avoid_home`]: TrapErcClient::avoid_home
-    fn read_around(
-        &self,
-        id: u64,
-        i: usize,
-        report: &mut OpReport,
-        corrupt: &mut Vec<usize>,
-    ) -> Option<ReadOutcome> {
+    fn read_around(&self, id: u64, i: usize) -> Option<Vec<(NodeId, Request)>> {
         let health = self.transport.health()?;
         let (n, k) = (self.config.params().n(), self.config.params().k());
         let sys = &self.systems[i];
-        // Healthy members only, best first: a one-round salvage cannot
+        // Healthy members only, best first: a one-round poll cannot
         // route around a member that stalls it.
         let mut data: Vec<usize> = (0..k).filter(|&t| t != i && !health.straggler(t)).collect();
         let mut parity: Vec<usize> = (k..n).filter(|&p| !health.straggler(p)).collect();
@@ -547,298 +604,66 @@ impl<T: Transport> TrapErcClient<T> {
         // every healthy one and only then with spare parity.
         let data_take = data.len().min(k.saturating_sub(pinned.len()));
         let mut poll_parity = pinned;
-        let spares: Vec<usize> = parity
+        let mut spares = parity
             .iter()
             .copied()
             .filter(|p| !poll_parity.contains(p))
-            .collect();
-        let mut spares = spares.into_iter();
+            .collect::<Vec<usize>>()
+            .into_iter();
         while poll_parity.len() + data_take < k {
             poll_parity.push(spares.next()?);
         }
-        let calls: Vec<(NodeId, Request)> = data[..data_take]
-            .iter()
-            .map(|&t| (NodeId(t), Request::ReadData { id }))
-            .chain(
-                poll_parity
-                    .iter()
-                    .map(|&p| (NodeId(p), Request::ReadParity { id })),
-            )
-            .collect();
-        // Primary poll, then — only when it leaves fewer than k
-        // mutually consistent shards (a write racing on another block
-        // of the stripe, a stale or corrupt member) — one top-up round
-        // polling the remaining healthy parity columns, whose fresher
-        // vectors let the basis regroup. Two cheap rounds instead of
-        // falling all the way back to the walk + widen + fetch
-        // pipeline; only when both miss does the caller pay full price.
-        let mut spare_calls: Vec<(NodeId, Request)> = spares
-            .map(|p| (NodeId(p), Request::ReadParity { id }))
-            .collect();
-        let mut round_calls = calls;
-        let mut outcomes: Vec<RoundOutcome> = Vec::with_capacity(2);
-        while !round_calls.is_empty() {
-            // The top-up is a replacement fetch — a retry in budget
-            // terms; when the budget is dry the walk fallback decides.
-            if !outcomes.is_empty() && !health.try_spend(Lane::Foreground) {
-                break;
-            }
-            let outcome = run_recorded(
-                &self.transport,
-                QuorumRound::await_all(0),
-                None,
-                round_calls,
-                report,
-            );
-            for rejected in &outcome.rejected {
-                if matches!(rejected.error, NodeError::Corrupt) {
-                    record_corrupt(corrupt, rejected.node.0);
-                }
-            }
-            outcomes.push(outcome);
-            if let Some(out) = self.salvage_assemble(i, &outcomes, corrupt) {
-                return Some(out);
-            }
-            round_calls = std::mem::take(&mut spare_calls);
-        }
-        None
+        Some(Self::shard_calls(
+            id,
+            k,
+            data[..data_take].iter().chain(&poll_parity),
+        ))
     }
 
-    /// The gather half of [`read_around`]: from the accumulated salvage
-    /// rounds, mirror the level check, pick the best consistent basis,
-    /// validate every shard and decode. `None` means the replies in
-    /// hand cannot yet produce a sound read.
-    ///
-    /// [`read_around`]: TrapErcClient::read_around
-    fn salvage_assemble(
-        &self,
-        i: usize,
-        outcomes: &[RoundOutcome],
-        corrupt: &mut Vec<usize>,
-    ) -> Option<ReadOutcome> {
-        let k = self.config.params().k();
-        let sys = &self.systems[i];
-        let mut parity_replies: Vec<(usize, &Bytes, &Vec<u64>, &Vec<u64>)> = Vec::new();
-        let mut data_replies: Vec<(usize, &Bytes, u64, u64)> = Vec::new();
-        for outcome in outcomes {
-            for accepted in outcome.accepted_in_issue_order() {
-                match &accepted.response {
-                    Response::Parity {
-                        bytes,
-                        versions,
-                        checks,
-                    } if versions.len() == k => {
-                        parity_replies.push((accepted.node.0, bytes, versions, checks));
-                    }
-                    Response::Data {
-                        bytes,
-                        version,
-                        check,
-                    } => data_replies.push((accepted.node.0, bytes, *version, *check)),
-                    _ => {}
-                }
-            }
-        }
-
-        // The level check, mirrored: some level must have r_l members
-        // answering with version columns.
-        let quorum = (0..sys.shape().num_levels()).any(|l| {
-            let got = sys
-                .level_members(l)
-                .iter()
-                .filter(|m| parity_replies.iter().any(|r| r.0 == **m))
-                .count();
-            got >= sys.thresholds().read_threshold(sys.shape(), l)
-        });
-        if !quorum {
-            return None;
-        }
-        let latest = parity_replies.iter().map(|r| r.2[i]).max()?;
-
-        // Basis selection, as in the widened decode: group parity
-        // columns current for block i by exact vector, join data
-        // replies whose live version matches the group's view of them,
-        // keep the group maximising usable shards.
-        let mut best_column: Option<&Vec<u64>> = None;
-        let mut best_total = 0usize;
-        let mut seen: Vec<&Vec<u64>> = Vec::new();
-        for &(_, _, versions, _) in &parity_replies {
-            if versions[i] != latest || seen.contains(&versions) {
-                continue;
-            }
-            seen.push(versions);
-            let total = parity_replies.iter().filter(|r| r.2 == versions).count()
-                + data_replies.iter().filter(|r| versions[r.0] == r.2).count();
-            if total > best_total {
-                best_total = total;
-                best_column = Some(versions);
-            }
-        }
-        let column = best_column?;
-        if best_total < k {
-            return None;
-        }
-
-        // Shard validation is the decode path's verbatim: self-checks
-        // first, then every survivor against the group's cross-checksum
-        // vector; a provably-bad shard is attributed before falling
-        // back. Data first keeps the decoder input order deterministic.
-        let mut available: Vec<(usize, Vec<u8>)> = Vec::with_capacity(k);
-        let mut vector: Option<&Vec<u64>> = None;
-        for &(node, bytes, version, check) in &data_replies {
-            if version != column[node] {
-                continue;
-            }
-            if check != 0 && block_check(bytes) != check {
-                record_corrupt(corrupt, node);
-                continue;
-            }
-            available.push((node, bytes.to_vec()));
-        }
-        for &(node, bytes, versions, checks) in &parity_replies {
-            if versions != column {
-                continue;
-            }
-            if checks.len() == k {
-                if block_check(bytes) != expected_parity_check(&self.rs, node, checks) {
-                    record_corrupt(corrupt, node);
-                    continue;
-                }
-                if vector.is_none() {
-                    vector = Some(checks);
-                }
-            }
-            available.push((node, bytes.to_vec()));
-        }
-        if let Some(checks) = vector {
-            available.retain(|(node, bytes)| {
-                if verify_block(&self.rs, *node, bytes, checks) {
-                    true
-                } else {
-                    record_corrupt(corrupt, *node);
-                    false
-                }
-            });
-        }
-        if available.len() < k {
-            return None;
-        }
-        let refs: Vec<(usize, &[u8])> = available
-            .iter()
-            .map(|(idx, b)| (*idx, b.as_slice()))
-            .collect();
-        let bytes = self.rs.decode_block(i, &refs).ok()?;
-        if let Some(checks) = vector {
-            if !verify_block(&self.rs, i, &bytes, checks) {
-                return None;
-            }
-        }
-        Some(ReadOutcome {
-            bytes,
-            version: latest,
-            path: ReadPath::Decoded {
-                nodes: refs.iter().map(|&(idx, _)| idx).take(k).collect(),
-            },
-            report: OpReport::default(),
-        })
-    }
-
-    /// Algorithm 2 with the rounds recorded into a caller-owned report
-    /// (the scrub and batch paths bill several reads to one report) and
-    /// provably-corrupt node indices collected into `corrupt`.
-    fn read_block_recorded(
-        &self,
+    /// Full-shard fetches: `ReadData` to data nodes, `ReadParity` (bytes,
+    /// version vector and cross-checksum vector) to parity nodes.
+    fn shard_calls<'a>(
         id: u64,
-        i: usize,
-        report: &mut OpReport,
-        corrupt: &mut Vec<usize>,
-    ) -> Result<ReadOutcome, ProtocolError> {
-        // Straggler fast path: one healthy-member round instead of the
-        // walk + probe + fetch pipeline; a miss rejoins the walk below.
-        if self.avoid_home(i) {
-            if let Some(out) = self.read_around(id, i, report, corrupt) {
-                return Ok(out);
-            }
-        }
-        let sys = &self.systems[i];
-        let (n, k) = (self.config.params().n(), self.config.params().k());
-        let mut matrix = VersionMatrix::new(n, k);
-        let mut saw_not_found = false;
-        let mut saw_success = false;
-
-        for l in 0..sys.shape().num_levels() {
-            let needed = sys.thresholds().read_threshold(sys.shape(), l);
-            // One first-quorum round per level: the version check is
-            // complete on the r_l-th answer (line 30); later members are
-            // abandoned stragglers.
-            let calls = self.version_level_calls(id, i, l);
-            let outcome = run_recorded(
-                &self.transport,
-                QuorumRound::first_quorum(needed),
-                Some(l),
-                calls,
-                report,
-            );
-            self.fold_versions_into(&mut matrix, &outcome);
-            saw_not_found |= outcome.saw_error(|e| matches!(e, NodeError::NotFound));
-            saw_success |= !outcome.accepted.is_empty();
-            // Line 30: the check for this level is complete.
-            if outcome.quorum_met() {
-                let latest = matrix
-                    .latest_version(i)
-                    .expect("quorum met implies at least one version");
-                // Line 31: compare against N_i's current version —
-                // unless the health registry marks N_i a straggler, in
-                // which case the read routes around it like an erasure
-                // and goes straight to Case 2.
-                let ni_version = if self.avoid_home(i) {
-                    None
+        k: usize,
+        nodes: impl Iterator<Item = &'a usize>,
+    ) -> Vec<(NodeId, Request)> {
+        nodes
+            .map(|&node| {
+                let req = if node < k {
+                    Request::ReadData { id }
                 } else {
-                    match self.call_recorded(i, Request::VersionData { id }, report) {
-                        Ok(Response::Version(v)) => Some(v),
-                        _ => None,
-                    }
+                    Request::ReadParity { id }
                 };
-                if ni_version == Some(latest) {
-                    // Case 1: direct read from N_i — but only if the bytes
-                    // match the check N_i stamped at install time. A
-                    // mismatch means N_i's copy (or the node itself, via
-                    // `NodeError::Corrupt`) is provably bad: route around
-                    // it through the decode path instead of serving it.
-                    match self.call_recorded(i, Request::ReadData { id }, report) {
-                        Ok(Response::Data {
-                            bytes,
-                            version,
-                            check,
-                        }) if version == latest => {
-                            if check == 0 || block_check(&bytes) == check {
-                                return Ok(ReadOutcome {
-                                    bytes: bytes.to_vec(),
-                                    version: latest,
-                                    path: ReadPath::Direct,
-                                    report: OpReport::default(),
-                                });
-                            }
-                            record_corrupt(corrupt, i);
-                        }
-                        Err(NodeError::Corrupt) => record_corrupt(corrupt, i),
-                        _ => {}
-                    }
-                    // N_i died, changed, or served corrupt bytes between
-                    // the version query and the read; fall through to the
-                    // decode path.
+                (NodeId(node), req)
+            })
+            .collect()
+    }
+
+    /// Files one shard-fetch round with the block it was fetched for:
+    /// the replies join the shards in hand (issue order keeps the decode
+    /// input deterministic), their version stamps refresh the matrix —
+    /// a node may have changed since the version pass — and every
+    /// member asked is remembered so no round asks it again.
+    fn absorb_shards(&self, st: &mut ReadItem, outcome: RoundOutcome) {
+        let k = self.config.params().k();
+        record_corrupt_refusals(&mut st.corrupt, &outcome);
+        st.asked.extend(outcome.rejected.iter().map(|r| r.node.0));
+        let mut accepted = outcome.accepted;
+        accepted.sort_by_key(|a| a.index);
+        for a in accepted {
+            let node = a.node.0;
+            match &a.response {
+                Response::Data { version, .. } if node < k => {
+                    st.matrix.set_data_version(node, *version);
                 }
-                // Case 2: reconstruct from k updated nodes.
-                return self.decode_block_at(id, i, latest, &mut matrix, report, corrupt);
+                Response::Parity { versions, .. } if node >= k && versions.len() == k => {
+                    st.matrix.set_column(node, versions.clone());
+                }
+                _ => {}
             }
-            // Level incomplete (fewer than r_l live members): try the
-            // next level, keeping whatever columns we already collected.
+            st.asked.push(node);
+            st.shards.push((node, a.response));
         }
-        if saw_not_found && !saw_success {
-            return Err(ProtocolError::StripeMissing);
-        }
-        // Line 39: data is not readable.
-        Err(ProtocolError::VersionCheckFailed)
     }
 
     /// Builds level `l`'s version-check scatter for block `i`
@@ -859,244 +684,443 @@ impl<T: Transport> TrapErcClient<T> {
             .collect()
     }
 
-    /// Case 2 of Algorithm 2: decode block `i` at version `latest` from
-    /// `k` mutually consistent live nodes, verifying every fetched shard
-    /// against the stripe's cross-checksum vector before it may enter
-    /// the decoder.
-    fn decode_block_at(
+    /// The read plan: Algorithm 2 for every addressed block at once,
+    /// stage by stage, each stage one fused round over the blocks still
+    /// in it. Returns every block's final state (its result in `done`,
+    /// the corrupt nodes its read met in `corrupt`) and the plan's
+    /// rounds.
+    fn read_plan(&self, addrs: &[BlockAddr]) -> (Vec<ReadItem>, OpReport) {
+        let (n, k) = (self.config.params().n(), self.config.params().k());
+        let mut report = OpReport::default();
+        let mut items: Vec<ReadItem> = addrs
+            .iter()
+            .map(|addr| ReadItem {
+                around: addr.block < k && self.avoid_home(addr.block),
+                matrix: VersionMatrix::new(n, k),
+                latest: None,
+                shards: Vec::new(),
+                asked: Vec::new(),
+                corrupt: Vec::new(),
+                saw_not_found: false,
+                saw_success: false,
+                done: (addr.block >= k).then_some(Err(ProtocolError::Misconfigured(
+                    "block index outside the stripe",
+                ))),
+            })
+            .collect();
+        // The unresolved blocks (by position) a stage applies to.
+        let stage = |items: &[ReadItem], applies: &dyn Fn(&ReadItem) -> bool| {
+            (0..items.len())
+                .filter(|&idx| items[idx].done.is_none() && applies(&items[idx]))
+                .collect::<Vec<usize>>()
+        };
+
+        // Read-around, the first stage for blocks routing around a
+        // straggler home node: one fused poll of k healthy shards each.
+        // Where the polled columns complete some level's check the
+        // block's version is settled and it goes straight to Case 2 with
+        // its shards in hand.
+        let (polled, ops): (Vec<usize>, Vec<PlanOp>) = stage(&items, &|st| st.around)
+            .into_iter()
+            .filter_map(|idx| {
+                let calls = self.read_around(addrs[idx].stripe, addrs[idx].block)?;
+                let round = QuorumRound::await_all(0);
+                Some((idx, PlanOp { round, calls }))
+            })
+            .unzip();
+        let polls = run_fused(&self.transport, None, ops, &mut report);
+        for (idx, outcome) in polled.into_iter().zip(polls) {
+            let (st, i) = (&mut items[idx], addrs[idx].block);
+            let sys = &self.systems[i];
+            self.absorb_shards(st, outcome);
+            let level_checked = (0..sys.shape().num_levels()).any(|l| {
+                let columns = sys
+                    .level_members(l)
+                    .iter()
+                    .filter(|&&m| m >= k && st.matrix.get(i, m).is_some())
+                    .count();
+                columns >= sys.thresholds().read_threshold(sys.shape(), l)
+            });
+            if level_checked {
+                st.latest = st.matrix.latest_version(i);
+            }
+        }
+
+        // Fused version checks, level by level; a block leaves the
+        // pending set once some level completes its check (line 30).
+        for l in 0..self.config.shape().num_levels() {
+            let pending = stage(&items, &|st| st.latest.is_none());
+            if pending.is_empty() {
+                break;
+            }
+            let ops: Vec<PlanOp> = pending
+                .iter()
+                .map(|&idx| {
+                    let i = addrs[idx].block;
+                    let sys = &self.systems[i];
+                    // One first-quorum op per block: the version check
+                    // is complete on the r_l-th answer; later members
+                    // are abandoned stragglers.
+                    PlanOp {
+                        round: QuorumRound::first_quorum(
+                            sys.thresholds().read_threshold(sys.shape(), l),
+                        ),
+                        calls: self.version_level_calls(addrs[idx].stripe, i, l),
+                    }
+                })
+                .collect();
+            let outcomes = run_fused(&self.transport, Some(l), ops, &mut report);
+            for (&idx, outcome) in pending.iter().zip(&outcomes) {
+                let st = &mut items[idx];
+                Self::fold_versions_into(&mut st.matrix, outcome);
+                st.saw_not_found |= outcome.saw_error(|e| matches!(e, NodeError::NotFound));
+                st.saw_success |= !outcome.accepted.is_empty();
+                if outcome.quorum_met() {
+                    st.latest = Some(
+                        st.matrix
+                            .latest_version(addrs[idx].block)
+                            .expect("quorum met implies at least one version"),
+                    );
+                }
+                // Level incomplete (fewer than r_l live members): the
+                // block tries the next level, keeping whatever columns
+                // it already collected.
+            }
+        }
+        for st in &mut items {
+            if st.done.is_none() && st.latest.is_none() {
+                // Line 39: data is not readable.
+                st.done = Some(Err(if st.saw_not_found && !st.saw_success {
+                    ProtocolError::StripeMissing
+                } else {
+                    ProtocolError::VersionCheckFailed
+                }));
+            }
+        }
+
+        // Line 31 compares the latest version against N_i's current one —
+        // on the reply of the fetch itself (Case 1): `ReadData` returns
+        // N_i's version with its bytes, so one fused round asks every
+        // block's N_i for both. A separate version probe first would
+        // cost every healthy read a round to learn what this reply
+        // states anyway. The block is served if those bytes match the
+        // check N_i stamped at install time and are at `latest` — or
+        // past it: N_i is the first node every write of the block
+        // touches, so a copy newer than anything the check saw is a write
+        // racing this read (or its residue, which a check that had
+        // gathered N_i's answer would equally have settled on). Serving
+        // it is the read being ordered after that write, where decoding
+        // `latest` would ask for k consistent shards of a stripe in
+        // mid-update. A check mismatch means N_i's copy (or the node
+        // itself, via `NodeError::Corrupt`) is provably bad: it is
+        // attributed. N_i dead, stale or corrupt, the block falls through
+        // to the decode path. Blocks routing around a straggler home node
+        // skip the fetch — they are headed for Case 2 regardless.
+        let direct = stage(&items, &|st| !st.around);
+        let ops = direct
+            .iter()
+            .map(|&idx| PlanOp {
+                round: QuorumRound::await_all(0),
+                calls: vec![(
+                    NodeId(addrs[idx].block),
+                    Request::ReadData {
+                        id: addrs[idx].stripe,
+                    },
+                )],
+            })
+            .collect();
+        let fetched = run_fused(&self.transport, None, ops, &mut report);
+        for (idx, outcome) in direct.into_iter().zip(fetched) {
+            let (st, i) = (&mut items[idx], addrs[idx].block);
+            record_corrupt_refusals(&mut st.corrupt, &outcome);
+            if let Some(Response::Data {
+                bytes,
+                version,
+                check,
+            }) = outcome.accepted.first().map(|a| &a.response)
+            {
+                if Some(*version) < st.latest {
+                    continue;
+                }
+                if *check == 0 || block_check(bytes) == *check {
+                    st.done = Some(Ok(ReadOutcome {
+                        bytes: bytes.to_vec(),
+                        version: *version,
+                        path: ReadPath::Direct,
+                        report: OpReport::default(),
+                    }));
+                } else {
+                    record_corrupt(&mut st.corrupt, i);
+                }
+            }
+        }
+
+        // Case 2 for the leftovers: per-block decode (the uncommon,
+        // failure-mode path — fusing it would complicate the consistent
+        // group selection for no steady-state gain).
+        for (idx, st) in items.iter_mut().enumerate() {
+            if st.done.is_none() {
+                let latest = st.latest.expect("leftover items have a version");
+                st.done = Some(self.decode_block_at(
+                    addrs[idx].stripe,
+                    addrs[idx].block,
+                    latest,
+                    st,
+                    &mut report,
+                ));
+            }
+        }
+        (items, report)
+    }
+
+    /// validate → cross-check → decode → verify: block `i` at `latest`
+    /// from the shards in hand that belong to the stripe state `column`.
+    /// A shard enters the decoder only if its version stamp matches the
+    /// column *and* its bytes match first its own check and then the
+    /// stripe's cross-checksum vector; a provably-bad shard is attributed
+    /// to its node and counts as one more erasure.
+    /// [`ProtocolError::NotEnoughForDecode`] reports how many clean
+    /// shards there were when that is fewer than `k`.
+    fn decode_shards(
         &self,
-        id: u64,
         i: usize,
         latest: u64,
-        matrix: &mut VersionMatrix,
-        report: &mut OpReport,
+        column: &[u64],
+        shards: &[(usize, Response)],
         corrupt: &mut Vec<usize>,
     ) -> Result<ReadOutcome, ProtocolError> {
         let k = self.config.params().k();
-        // Widen V beyond the nodes the version check happened to probe:
-        // ask every parity node for its column and every data node for
-        // its version ("any k nodes out of n", line 34) — one fan-out
-        // round, every reply awaited.
-        let mut calls: Vec<(NodeId, Request)> = Vec::new();
-        for j in self.config.params().parity_indices() {
-            if matrix.get(0, j).is_none() {
-                calls.push((NodeId(j), Request::VersionVector { id }));
-            }
-        }
-        for t in (0..k).filter(|&t| t != i) {
-            if matrix.data_version(t).is_none() {
-                calls.push((NodeId(t), Request::VersionData { id }));
-            }
-        }
-        let widen = run_recorded(
-            &self.transport,
-            QuorumRound::await_all(0),
-            None,
-            calls,
-            report,
-        );
-        self.fold_versions_into(matrix, &widen);
-
-        // Every group of parity nodes sharing one exact version vector
-        // (with block i at `latest`) is a valid decode basis; data nodes
-        // whose live version matches the group's view of them can join.
-        // Pick the group maximising usable nodes — the largest parity
-        // group is not always the one with the most matching data nodes.
-        let groups = matrix.consistent_parity_groups(i, latest);
-        let mut best: Option<(Vec<usize>, Vec<u64>, Vec<usize>)> = None;
-        let mut best_total = 0usize;
-        for (parity_members, column) in groups {
-            let data_members: Vec<usize> = (0..k)
-                .filter(|&t| t != i && matrix.data_version(t) == Some(column[t]))
-                .collect();
-            let total = parity_members.len() + data_members.len();
-            if total > best_total {
-                best_total = total;
-                best = Some((parity_members, column, data_members));
-            }
-        }
-        let Some((mut parity_members, column, mut data_members)) = best else {
-            return Err(ProtocolError::NotEnoughForDecode {
-                needed: k,
-                found: 0,
-            });
-        };
-
-        // Members of the chosen group in fetch-preference order: data
-        // blocks first (they feed the decode verbatim), then parity.
-        // Within each segment an armed health registry ranks members —
-        // circuit-open and slow nodes sink to the spare end of the pool,
-        // so the first fetch round lands on the healthiest k. With no
-        // registry (or a cold one) the rank is the identity and the
-        // fetch order is the seed's.
-        if let Some(health) = self.transport.health() {
-            health.rank_nodes(&mut data_members);
-            health.rank_nodes(&mut parity_members);
-        }
-        let mut pool: Vec<usize> = Vec::with_capacity(data_members.len() + parity_members.len());
-        pool.extend(data_members);
-        pool.extend(parity_members);
-        if pool.len() < k {
-            return Err(ProtocolError::NotEnoughForDecode {
-                needed: k,
-                found: pool.len(),
-            });
-        }
-
-        // Fetch k of the pool, re-validating versions *and checksums* at
-        // read time (a node may have changed, died or rotted since the
-        // version pass). A shard that fails verification is one more
-        // erasure: spare members of the same group are fetched in
-        // follow-up rounds until k clean shards are in hand or the group
-        // runs dry. Issue order keeps the decode input deterministic.
-        let corrupt_before = corrupt.len();
-        let mut available: Vec<(usize, Vec<u8>)> = Vec::with_capacity(k);
-        let mut vector: Option<Vec<u64>> = None;
-        let mut cursor = 0usize;
-        while available.len() < k && cursor < pool.len() {
-            // Every round after the first is a replacement fetch — a
-            // retry in budget terms, re-requesting shards the previous
-            // round failed to produce. It must win a token from the
-            // transport's retry budget; when the budget is dry the read
-            // gives up with the shards in hand rather than amplify load
-            // on an already-struggling group. Without a health registry
-            // the loop is bounded only by the pool, as before.
-            if cursor > 0 {
-                if let Some(health) = self.transport.health() {
-                    if !health.try_spend(Lane::Foreground) {
-                        break;
+        // First pass: version re-validation plus each shard's *own*
+        // check (stamped by the serving node at install time). A parity
+        // reply also carries the stripe's cross-checksum vector; the
+        // first verified one becomes the reference vector for the
+        // uniform cross-check below.
+        let mut available: Vec<(usize, &[u8])> = Vec::with_capacity(k);
+        let mut vector: Option<&Vec<u64>> = None;
+        for (node, response) in shards {
+            let node = *node;
+            match response {
+                Response::Data {
+                    bytes,
+                    version,
+                    check,
+                } if *version == column[node] => {
+                    if *check != 0 && block_check(bytes) != *check {
+                        record_corrupt(corrupt, node);
+                        continue;
                     }
+                    available.push((node, &bytes[..]));
                 }
-            }
-            let want = (k - available.len()).min(pool.len() - cursor);
-            let batch = &pool[cursor..cursor + want];
-            cursor += want;
-            let fetch: Vec<(NodeId, Request)> = batch
-                .iter()
-                .map(|&node| {
-                    let req = if node < k {
-                        Request::ReadData { id }
-                    } else {
-                        Request::ReadParity { id }
-                    };
-                    (NodeId(node), req)
-                })
-                .collect();
-            // Gather-all with no enforced threshold: sufficiency is
-            // decided here, after per-shard validation.
-            let outcome = run_recorded(
-                &self.transport,
-                QuorumRound::await_all(0),
-                None,
-                fetch,
-                report,
-            );
-            // Nodes that refused the fetch with a self-check failure are
-            // provably corrupt even though they returned no bytes.
-            for rejected in &outcome.rejected {
-                if matches!(rejected.error, NodeError::Corrupt) {
-                    record_corrupt(corrupt, rejected.node.0);
-                }
-            }
-            // First pass: version re-validation plus each shard's *own*
-            // check (stamped by the serving node at install time). A
-            // parity reply also carries the stripe's cross-checksum
-            // vector; the first verified one becomes the reference
-            // vector for the uniform cross-check below.
-            for accepted in outcome.accepted_in_issue_order() {
-                let node = accepted.node.0;
-                match &accepted.response {
-                    Response::Data {
-                        bytes,
-                        version,
-                        check,
-                    } if *version == column[node] => {
-                        if *check != 0 && block_check(bytes) != *check {
+                Response::Parity {
+                    bytes,
+                    versions,
+                    checks,
+                } if versions == column => {
+                    if checks.len() == k {
+                        // The parity block's expected check is a linear
+                        // combination of the data checks — derivable
+                        // from the vector the node itself served.
+                        if block_check(bytes) != expected_parity_check(&self.rs, node, checks) {
                             record_corrupt(corrupt, node);
                             continue;
                         }
-                        available.push((node, bytes.to_vec()));
+                        vector = vector.or(Some(checks));
                     }
-                    Response::Parity {
-                        bytes,
-                        versions,
-                        checks,
-                    } if *versions == column => {
-                        if checks.len() == k {
-                            // The parity block's expected check is a
-                            // linear combination of the data checks —
-                            // derivable from the vector the node itself
-                            // served.
-                            if block_check(bytes) != expected_parity_check(&self.rs, node, checks) {
-                                record_corrupt(corrupt, node);
-                                continue;
-                            }
-                            if vector.is_none() {
-                                vector = Some(checks.clone());
-                            }
-                        }
-                        available.push((node, bytes.to_vec()));
-                    }
-                    _ => {}
+                    available.push((node, &bytes[..]));
                 }
-            }
-            // Second pass: hold every candidate shard against the
-            // reference cross-checksum vector. This catches data blocks
-            // from nodes whose self-check was unknown
-            // (legacy/invalidated, check == 0) or whose stamp was
-            // tampered alongside the bytes. Idempotent across rounds.
-            if let Some(checks) = &vector {
-                available.retain(|(node, bytes)| {
-                    if verify_block(&self.rs, *node, bytes, checks) {
-                        true
-                    } else {
-                        record_corrupt(corrupt, *node);
-                        false
-                    }
-                });
+                _ => {}
             }
         }
-        if available.len() < k {
-            // Distinguish "nodes are missing/stale" from "nodes are
-            // provably lying": only the latter is an integrity verdict.
-            return Err(if corrupt.len() > corrupt_before {
-                ProtocolError::Integrity {
-                    needed: k,
-                    clean: available.len(),
-                    corrupt: corrupt.clone(),
+        // Second pass: hold every candidate shard against the reference
+        // cross-checksum vector. This catches data blocks from nodes
+        // whose self-check was unknown (legacy/invalidated, check == 0)
+        // or whose stamp was tampered alongside the bytes. Idempotent
+        // across rounds.
+        if let Some(checks) = vector {
+            available.retain(|&(node, bytes)| {
+                let clean = verify_block(&self.rs, node, bytes, checks);
+                if !clean {
+                    record_corrupt(corrupt, node);
                 }
-            } else {
-                ProtocolError::NotEnoughForDecode {
-                    needed: k,
-                    found: available.len(),
-                }
+                clean
             });
         }
-        let refs: Vec<(usize, &[u8])> = available
-            .iter()
-            .map(|(idx, b)| (*idx, b.as_slice()))
-            .collect();
-        let bytes = self.rs.decode_block(i, &refs)?;
+        if available.len() < k {
+            return Err(ProtocolError::NotEnoughForDecode {
+                needed: k,
+                found: available.len(),
+            });
+        }
+        let bytes = self.rs.decode_block(i, &available)?;
         // Belt-and-suspenders: the decode of verified inputs is already
         // consistent by linearity, but the 64-bit check is cheap and a
         // collision on every input simultaneously is the only escape.
-        if let Some(checks) = &vector {
-            if !verify_block(&self.rs, i, &bytes, checks) {
-                return Err(ProtocolError::Integrity {
-                    needed: k,
-                    clean: 0,
-                    corrupt: corrupt.clone(),
-                });
-            }
+        if vector.is_some_and(|checks| !verify_block(&self.rs, i, &bytes, checks)) {
+            return Err(ProtocolError::Integrity {
+                needed: k,
+                clean: 0,
+                corrupt: corrupt.clone(),
+            });
         }
         Ok(ReadOutcome {
             bytes,
             version: latest,
             path: ReadPath::Decoded {
-                nodes: refs.iter().map(|&(idx, _)| idx).take(k).collect(),
+                nodes: available.iter().map(|&(node, _)| node).take(k).collect(),
             },
             report: OpReport::default(),
         })
+    }
+
+    /// Case 2 of Algorithm 2: decode block `i` at version `latest` from
+    /// `k` mutually consistent live nodes, verifying every fetched shard
+    /// against the stripe's cross-checksum vector before it may enter
+    /// the decoder.
+    ///
+    /// One loop serves every way a block gets here. Each pass picks the
+    /// best decode basis from the versions known so far and tries the
+    /// shards in hand against it (a read-around poll may already hold
+    /// all `k`); while that falls short it buys one more round — first
+    /// the widening version poll, then shard fetches from the basis,
+    /// every fetch after the first a budgeted replacement.
+    fn decode_block_at(
+        &self,
+        id: u64,
+        i: usize,
+        latest: u64,
+        st: &mut ReadItem,
+        report: &mut OpReport,
+    ) -> Result<ReadOutcome, ProtocolError> {
+        let k = self.config.params().k();
+        let health = self.transport.health();
+        let corrupt_before = st.corrupt.len();
+        let (mut widened, mut fetches) = (false, 0usize);
+        let mut basis: Option<(Vec<usize>, Vec<u64>, Vec<usize>)> = None;
+        loop {
+            // Every group of parity nodes sharing one exact version
+            // vector (with block i at `latest`) is a valid decode basis;
+            // data nodes whose live version matches the group's view of
+            // them can join. Pick the group maximising usable nodes —
+            // the largest parity group is not always the one with the
+            // most matching data nodes. Once shards are being fetched
+            // for a basis it stays: they were requested to fit it, and a
+            // racing write moving some members on must cost those
+            // members only, not the shards already in hand.
+            if fetches == 0 {
+                basis = None;
+                let mut best_total = 0usize;
+                for (parity_members, column) in st.matrix.consistent_parity_groups(i, latest) {
+                    let data_members: Vec<usize> = (0..k)
+                        .filter(|&t| t != i && st.matrix.data_version(t) == Some(column[t]))
+                        .collect();
+                    let total = parity_members.len() + data_members.len();
+                    if total > best_total {
+                        best_total = total;
+                        basis = Some((parity_members, column, data_members));
+                    }
+                }
+            }
+            let in_hand = basis.as_ref().map(|(_, column, _)| {
+                self.decode_shards(i, latest, column, &st.shards, &mut st.corrupt)
+            });
+            let clean = match in_hand {
+                Some(Err(ProtocolError::NotEnoughForDecode { found, .. })) => found,
+                Some(done) => return done,
+                None => 0,
+            };
+            if !widened {
+                // Widen V beyond the nodes the version check happened to
+                // probe: ask every parity node for its column and every
+                // data node for its version ("any k nodes out of n",
+                // line 34) — one fan-out round, every reply awaited.
+                widened = true;
+                let mut calls: Vec<(NodeId, Request)> = Vec::new();
+                for j in self.config.params().parity_indices() {
+                    if st.matrix.get(0, j).is_none() {
+                        calls.push((NodeId(j), Request::VersionVector { id }));
+                    }
+                }
+                for t in (0..k).filter(|&t| t != i) {
+                    if st.matrix.data_version(t).is_none() {
+                        calls.push((NodeId(t), Request::VersionData { id }));
+                    }
+                }
+                if !calls.is_empty() {
+                    let round = QuorumRound::await_all(0);
+                    let widen = run_recorded(&self.transport, round, None, calls, report);
+                    Self::fold_versions_into(&mut st.matrix, &widen);
+                }
+                continue;
+            }
+            let Some((parity_members, _, data_members)) = &mut basis else {
+                return Err(ProtocolError::NotEnoughForDecode {
+                    needed: k,
+                    found: 0,
+                });
+            };
+            // Members of the chosen group in fetch-preference order:
+            // data blocks first (they feed the decode verbatim), then
+            // parity. Within each segment an armed health registry ranks
+            // members — circuit-open and slow nodes sink to the spare
+            // end of the pool, so the first fetch round lands on the
+            // healthiest k. With no registry (or a cold one) the rank is
+            // the identity and the fetch order is the seed's.
+            if let Some(health) = health {
+                health.rank_nodes(data_members);
+                health.rank_nodes(parity_members);
+            }
+            let mut pool = data_members.clone();
+            pool.extend(parity_members.iter());
+            if pool.len() < k {
+                return Err(ProtocolError::NotEnoughForDecode {
+                    needed: k,
+                    found: pool.len(),
+                });
+            }
+            // Fetch as many of the pool's unasked members as are still
+            // missing. A shard that fails verification is one more
+            // erasure: spare members of the group are fetched in
+            // follow-up rounds until k clean shards are in hand or the
+            // group runs dry. Every round after the first is a
+            // replacement fetch — a retry in budget terms, re-requesting
+            // shards the previous round failed to produce. It must win a
+            // token from the transport's retry budget; when the budget is
+            // dry the read gives up with the shards in hand rather than
+            // amplify load on an already-struggling group. Without a
+            // health registry the loop is bounded only by the pool.
+            pool.retain(|member| !st.asked.contains(member));
+            pool.truncate(k - clean);
+            if pool.is_empty()
+                || (fetches > 0 && health.is_some_and(|h| !h.try_spend(Lane::Foreground)))
+            {
+                // Distinguish "nodes are missing/stale" from "nodes are
+                // provably lying": only the latter is an integrity
+                // verdict.
+                return Err(if st.corrupt.len() > corrupt_before {
+                    ProtocolError::Integrity {
+                        needed: k,
+                        clean,
+                        corrupt: st.corrupt.clone(),
+                    }
+                } else {
+                    ProtocolError::NotEnoughForDecode {
+                        needed: k,
+                        found: clean,
+                    }
+                });
+            }
+            fetches += 1;
+            // Gather-all with no enforced threshold: sufficiency is
+            // decided above, after per-shard validation.
+            let fetch = run_recorded(
+                &self.transport,
+                QuorumRound::await_all(0),
+                None,
+                Self::shard_calls(id, k, pool.iter()),
+                report,
+            );
+            self.absorb_shards(st, fetch);
+        }
     }
 
     /// **Scrub (extension)** — the paper defines no repair path, so a
@@ -1104,13 +1128,14 @@ impl<T: Transport> TrapErcClient<T> {
     /// guard keeps rejecting later deltas). This extension restores full
     /// redundancy, the way production stores run anti-entropy:
     ///
-    /// 1. read every data block through Algorithm 2 (quorum reads, so
-    ///    only committed-or-residue state is used); if a block is
-    ///    *poisoned* — a failed write's residue version is visible in
-    ///    version checks but unrecoverable from any k consistent nodes,
-    ///    which bricks the paper's protocol permanently — **salvage** it:
-    ///    recover the newest version that still decodes and install it at
-    ///    a version *above* the residue, superseding it;
+    /// 1. read every data block through Algorithm 2, as one `k`-item
+    ///    read plan (quorum reads, so only committed-or-residue state is
+    ///    used); if a block is *poisoned* — a failed write's residue
+    ///    version is visible in version checks but unrecoverable from any
+    ///    k consistent nodes, which bricks the paper's protocol
+    ///    permanently — **salvage** it: recover the newest version that
+    ///    still decodes and install it at a version *above* the residue,
+    ///    superseding it;
     /// 2. re-encode the parity blocks from that state;
     /// 3. push the reconstructed state to every *live* node — data nodes
     ///    get `write(x)`, parity nodes get the repair primitive
@@ -1134,9 +1159,10 @@ impl<T: Transport> TrapErcClient<T> {
         let mut versions = Vec::with_capacity(k);
         let mut salvaged = Vec::new();
         let mut corrupt = Vec::new();
-        let mut report = OpReport::default();
-        for i in 0..k {
-            match self.read_block_recorded(id, i, &mut report, &mut corrupt) {
+        let addrs: Vec<BlockAddr> = (0..k).map(|i| BlockAddr::new(id, i)).collect();
+        let (items, mut report) = self.read_plan(&addrs);
+        for (i, mut st) in items.into_iter().enumerate() {
+            match st.done.take().expect("every item resolved") {
                 Ok(out) => {
                     versions.push(out.version);
                     data.push(out.bytes);
@@ -1146,7 +1172,7 @@ impl<T: Transport> TrapErcClient<T> {
                     // chase older versions for the newest one that still
                     // decodes, then supersede the residue.
                     let (bytes, recovered, max_observed) =
-                        self.best_recoverable(id, i, &mut report, &mut corrupt)?;
+                        self.best_recoverable(id, i, &mut st, &mut report)?;
                     versions.push(if recovered < max_observed {
                         max_observed + 1
                     } else {
@@ -1157,6 +1183,7 @@ impl<T: Transport> TrapErcClient<T> {
                 }
                 Err(e) => return Err(e),
             }
+            corrupt.append(&mut st.corrupt);
         }
         // Residue poll: every live node's version state. `WriteData` /
         // `WriteParity` are monotone (a push never regresses a node), so
@@ -1225,11 +1252,7 @@ impl<T: Transport> TrapErcClient<T> {
             audit_calls,
             &mut report,
         );
-        for rejected in &audit.rejected {
-            if matches!(rejected.error, NodeError::Corrupt) {
-                record_corrupt(&mut corrupt, rejected.node.0);
-            }
-        }
+        record_corrupt_refusals(&mut corrupt, &audit);
         for accepted in &audit.accepted {
             if let Response::Parity {
                 bytes,
@@ -1290,17 +1313,19 @@ impl<T: Transport> TrapErcClient<T> {
     }
 
     /// Salvage search: the newest version of block `i` recoverable from
-    /// the currently-live nodes. Returns `(bytes, recovered_version,
+    /// the currently-live nodes, continuing from the state `st` the
+    /// block's failed read left (its shards in hand, the nodes it asked,
+    /// the corruption it met). Returns `(bytes, recovered_version,
     /// max_observed_version)`.
     fn best_recoverable(
         &self,
         id: u64,
         i: usize,
+        st: &mut ReadItem,
         report: &mut OpReport,
-        corrupt: &mut Vec<usize>,
     ) -> Result<(Vec<u8>, u64, u64), ProtocolError> {
         let (n, k) = (self.config.params().n(), self.config.params().k());
-        let mut matrix = VersionMatrix::new(n, k);
+        st.matrix = VersionMatrix::new(n, k);
         // Gather everything live in one fan-out round: N_i's
         // bytes+version, every parity column, every other data version.
         let mut calls: Vec<(NodeId, Request)> = Vec::with_capacity(n);
@@ -1326,28 +1351,24 @@ impl<T: Transport> TrapErcClient<T> {
                 check,
             } = &accepted.response
             {
-                matrix.set_data_version(i, *version);
+                st.matrix.set_data_version(i, *version);
                 // A self-check mismatch disqualifies N_i's copy from the
                 // salvage shortcut but its version still counts — the
                 // decode path below can rebuild that version cleanly.
                 if *check == 0 || block_check(bytes) == *check {
                     ni = Some((bytes.to_vec(), *version));
                 } else {
-                    record_corrupt(corrupt, i);
+                    record_corrupt(&mut st.corrupt, i);
                 }
             }
         }
-        for rejected in &outcome.rejected {
-            if matches!(rejected.error, NodeError::Corrupt) {
-                record_corrupt(corrupt, rejected.node.0);
-            }
-        }
-        self.fold_versions_into(&mut matrix, &outcome);
+        record_corrupt_refusals(&mut st.corrupt, &outcome);
+        Self::fold_versions_into(&mut st.matrix, &outcome);
         let mut candidates: Vec<u64> = self
             .config
             .params()
             .parity_indices()
-            .filter_map(|j| matrix.get(i, j))
+            .filter_map(|j| st.matrix.get(i, j))
             .chain(ni.as_ref().map(|&(_, v)| v))
             .collect();
         candidates.sort_unstable();
@@ -1361,7 +1382,7 @@ impl<T: Transport> TrapErcClient<T> {
                     return Ok((bytes.clone(), v, max_observed));
                 }
             }
-            if let Ok(out) = self.decode_block_at(id, i, v, &mut matrix, report, corrupt) {
+            if let Ok(out) = self.decode_block_at(id, i, v, st, report) {
                 return Ok((out.bytes, v, max_observed));
             }
         }
@@ -1372,200 +1393,15 @@ impl<T: Transport> TrapErcClient<T> {
     }
 
     /// **Batched Algorithm 2** — reads many blocks (possibly across
-    /// stripes) in *fused* per-level fan-outs: one
+    /// stripes) in *fused* per-stage fan-outs: one
     /// [`tq_cluster::MultiRound`] scatter per trapezoid level carries
     /// every pending block's version check, one fused fetch round serves
     /// all current `N_i` copies. The round count stays flat as the batch
     /// grows, instead of scaling with the number of blocks.
     pub fn read_blocks(&self, addrs: &[BlockAddr]) -> BatchReads {
-        let (n, k) = (self.config.params().n(), self.config.params().k());
-        let mut report = OpReport::default();
-
-        struct ItemState {
-            matrix: VersionMatrix,
-            latest: Option<u64>,
-            saw_not_found: bool,
-            saw_success: bool,
-            done: Option<Result<ReadOutcome, ProtocolError>>,
-        }
-        let mut states: Vec<ItemState> = addrs
-            .iter()
-            .map(|addr| ItemState {
-                matrix: VersionMatrix::new(n, k),
-                latest: None,
-                saw_not_found: false,
-                saw_success: false,
-                done: (addr.block >= k).then_some(Err(ProtocolError::Misconfigured(
-                    "block index outside the stripe",
-                ))),
-            })
-            .collect();
-
-        // Straggler fast path, per item: a block whose home node is
-        // flagged skips the fused walk entirely when the one-round
-        // salvage lands (see `read_around`); a miss rejoins the normal
-        // path below.
-        for (idx, st) in states.iter_mut().enumerate() {
-            if st.done.is_none() && self.avoid_home(addrs[idx].block) {
-                if let Some(out) = self.read_around(
-                    addrs[idx].stripe,
-                    addrs[idx].block,
-                    &mut report,
-                    &mut Vec::new(),
-                ) {
-                    st.done = Some(Ok(out));
-                }
-            }
-        }
-
-        // Fused version checks, level by level; a block leaves the
-        // pending set once some level completes its check (line 30).
-        for l in 0..self.config.shape().num_levels() {
-            let pending: Vec<usize> = (0..states.len())
-                .filter(|&idx| states[idx].done.is_none() && states[idx].latest.is_none())
-                .collect();
-            if pending.is_empty() {
-                break;
-            }
-            let ops: Vec<PlanOp> = pending
-                .iter()
-                .map(|&idx| {
-                    let i = addrs[idx].block;
-                    let sys = &self.systems[i];
-                    PlanOp {
-                        round: QuorumRound::first_quorum(
-                            sys.thresholds().read_threshold(sys.shape(), l),
-                        ),
-                        calls: self.version_level_calls(addrs[idx].stripe, i, l),
-                    }
-                })
-                .collect();
-            let outcomes = run_fused(&self.transport, Some(l), ops, &mut report);
-            for (&idx, outcome) in pending.iter().zip(&outcomes) {
-                let st = &mut states[idx];
-                self.fold_versions_into(&mut st.matrix, outcome);
-                st.saw_not_found |= outcome.saw_error(|e| matches!(e, NodeError::NotFound));
-                st.saw_success |= !outcome.accepted.is_empty();
-                if outcome.quorum_met() {
-                    st.latest = Some(
-                        st.matrix
-                            .latest_version(addrs[idx].block)
-                            .expect("quorum met implies at least one version"),
-                    );
-                }
-            }
-        }
-        for st in &mut states {
-            if st.done.is_none() && st.latest.is_none() {
-                st.done = Some(Err(if st.saw_not_found && !st.saw_success {
-                    ProtocolError::StripeMissing
-                } else {
-                    ProtocolError::VersionCheckFailed
-                }));
-            }
-        }
-
-        // One fused probe for the N_i versions the level rounds did not
-        // happen to observe (line 31's comparison, batched). Blocks
-        // whose home node the health registry marks a straggler skip
-        // the probe — they are headed for the decode path regardless.
-        let probe: Vec<usize> = (0..states.len())
-            .filter(|&idx| {
-                states[idx].done.is_none()
-                    && states[idx].matrix.data_version(addrs[idx].block).is_none()
-                    && !self.avoid_home(addrs[idx].block)
-            })
-            .collect();
-        if !probe.is_empty() {
-            let ops: Vec<PlanOp> = probe
-                .iter()
-                .map(|&idx| PlanOp {
-                    round: QuorumRound::await_all(0),
-                    calls: vec![(
-                        NodeId(addrs[idx].block),
-                        Request::VersionData {
-                            id: addrs[idx].stripe,
-                        },
-                    )],
-                })
-                .collect();
-            let outcomes = run_fused(&self.transport, None, ops, &mut report);
-            for (&idx, outcome) in probe.iter().zip(&outcomes) {
-                let st = &mut states[idx];
-                self.fold_versions_into(&mut st.matrix, outcome);
-            }
-        }
-
-        // One fused fetch for every block whose N_i is current (Case 1);
-        // blocks it cannot serve — and blocks routing around a
-        // straggler home node — fall through to the decode path.
-        let direct: Vec<usize> = (0..states.len())
-            .filter(|&idx| {
-                states[idx].done.is_none()
-                    && states[idx].matrix.data_version(addrs[idx].block) == states[idx].latest
-                    && !self.avoid_home(addrs[idx].block)
-            })
-            .collect();
-        if !direct.is_empty() {
-            let ops: Vec<PlanOp> = direct
-                .iter()
-                .map(|&idx| PlanOp {
-                    round: QuorumRound::await_all(0),
-                    calls: vec![(
-                        NodeId(addrs[idx].block),
-                        Request::ReadData {
-                            id: addrs[idx].stripe,
-                        },
-                    )],
-                })
-                .collect();
-            let outcomes = run_fused(&self.transport, None, ops, &mut report);
-            for (&idx, outcome) in direct.iter().zip(&outcomes) {
-                let st = &mut states[idx];
-                if let Some(accepted) = outcome.accepted.first() {
-                    if let Response::Data {
-                        bytes,
-                        version,
-                        check,
-                    } = &accepted.response
-                    {
-                        // Same guard as the single-read Case 1: a stale
-                        // version *or* a checksum mismatch drops the item
-                        // through to the decode path.
-                        if Some(*version) == st.latest
-                            && (*check == 0 || block_check(bytes) == *check)
-                        {
-                            st.done = Some(Ok(ReadOutcome {
-                                bytes: bytes.to_vec(),
-                                version: *version,
-                                path: ReadPath::Direct,
-                                report: OpReport::default(),
-                            }));
-                        }
-                    }
-                }
-            }
-        }
-
-        // Case 2 for the leftovers: per-block decode (the uncommon,
-        // failure-mode path — fusing it would complicate the consistent
-        // group selection for no steady-state gain).
-        for (idx, st) in states.iter_mut().enumerate() {
-            if st.done.is_none() {
-                let latest = st.latest.expect("leftover items have a version");
-                st.done = Some(self.decode_block_at(
-                    addrs[idx].stripe,
-                    addrs[idx].block,
-                    latest,
-                    &mut st.matrix,
-                    &mut report,
-                    &mut Vec::new(),
-                ));
-            }
-        }
-
+        let (items, report) = self.read_plan(addrs);
         BatchReads {
-            outcomes: states
+            outcomes: items
                 .into_iter()
                 .map(|st| st.done.expect("every item resolved"))
                 .collect(),
@@ -1600,103 +1436,26 @@ impl<T: Transport> TrapErcClient<T> {
             .collect();
         let addrs: Vec<BlockAddr> = read_idx.iter().map(|&idx| items[idx].addr).collect();
         let reads = self.read_blocks(&addrs);
-        let mut report = reads.report;
-
-        struct Alive {
-            idx: usize,
-            /// The item's single payload allocation, shared by every
-            /// level's `WriteData` clone.
-            payload: Bytes,
-            /// One refcounted raw-delta allocation per item, shared by
-            /// every parity member's `AddParity` across all levels.
-            raw_delta: Bytes,
-            new_check: u64,
-            old_version: u64,
-            new_version: u64,
-            validated: Vec<usize>,
-        }
-        let mut alive: Vec<Alive> = Vec::with_capacity(read_idx.len());
+        let mut olds: Vec<(usize, ReadOutcome)> = Vec::with_capacity(read_idx.len());
         for (&idx, old) in read_idx.iter().zip(reads.outcomes) {
             match old {
-                Ok(old) => {
-                    if items[idx].bytes.len() != old.bytes.len() {
-                        results[idx] = Some(Err(ProtocolError::SizeMismatch));
-                        continue;
-                    }
-                    match block_delta(&old.bytes, items[idx].bytes) {
-                        Ok(raw_delta) => alive.push(Alive {
-                            idx,
-                            payload: Bytes::copy_from_slice(items[idx].bytes),
-                            raw_delta: Bytes::from(raw_delta),
-                            new_check: block_check(items[idx].bytes),
-                            old_version: old.version,
-                            new_version: old.version + 1,
-                            validated: Vec::new(),
-                        }),
-                        Err(e) => results[idx] = Some(Err(e.into())),
-                    }
-                }
+                Ok(old) => olds.push((idx, old)),
                 Err(e) => {
                     results[idx] = Some(Err(ProtocolError::OldValueUnreadable(Box::new(e))));
                 }
             }
         }
-
-        // Fused write levels: every surviving block's level-l scatter in
-        // one round; a block failing its w_l grade leaves the batch
-        // (Algorithm 1 stops at the failed level, residue and all).
-        for l in 0..self.config.shape().num_levels() {
-            if alive.is_empty() {
-                break;
-            }
-            let ops: Vec<PlanOp> = alive
-                .iter()
-                .map(|w| {
-                    let i = items[w.idx].addr.block;
-                    PlanOp {
-                        round: QuorumRound::await_all(
-                            self.systems[i].thresholds().write_threshold(l),
-                        ),
-                        calls: self.write_level_calls(
-                            items[w.idx].addr.stripe,
-                            i,
-                            l,
-                            (&w.payload, &w.raw_delta, w.new_check),
-                            (w.old_version, w.new_version),
-                        ),
-                    }
-                })
-                .collect();
-            let outcomes = run_fused(&self.transport, Some(l), ops, &mut report);
-            let mut survivors = Vec::with_capacity(alive.len());
-            for (mut w, outcome) in alive.into_iter().zip(outcomes) {
-                let i = items[w.idx].addr.block;
-                let needed = self.systems[i].thresholds().write_threshold(l);
-                match crate::rounds::grade_write_level(&outcome, l, needed, &mut w.validated) {
-                    Ok(()) => survivors.push(w),
-                    Err(e) => results[w.idx] = Some(Err(e)),
-                }
-            }
-            alive = survivors;
-        }
-        for w in alive {
-            results[w.idx] = Some(Ok(WriteOutcome {
-                version: w.new_version,
-                validated: w.validated,
-                report: OpReport::default(),
-            }));
-        }
-
-        BatchWrites {
-            outcomes: crate::rounds::finish_batch(results),
-            report,
-        }
+        let olds: Vec<(usize, &[u8], u64)> = olds
+            .iter()
+            .map(|(idx, old)| (*idx, old.bytes.as_slice(), old.version))
+            .collect();
+        self.write_plan(items, &olds, results, reads.report)
     }
 
     /// Folds the version-query replies of a gather round into `matrix`:
     /// parity columns from `Versions` answers, data-node versions from
     /// scalar `Version` answers.
-    fn fold_versions_into(&self, matrix: &mut VersionMatrix, outcome: &RoundOutcome) {
+    fn fold_versions_into(matrix: &mut VersionMatrix, outcome: &RoundOutcome) {
         for accepted in &outcome.accepted {
             match &accepted.response {
                 Response::Versions(col) => matrix.set_column(accepted.node.0, col.clone()),
@@ -1706,27 +1465,10 @@ impl<T: Transport> TrapErcClient<T> {
         }
     }
 
-    #[inline]
-    fn call(&self, node: usize, req: Request) -> Result<Response, NodeError> {
-        self.transport.call(NodeId(node), req)
-    }
-
-    /// A lone node call, billed to `report` as a round of one.
-    fn call_recorded(
-        &self,
-        node: usize,
-        req: Request,
-        report: &mut OpReport,
-    ) -> Result<Response, NodeError> {
-        let result = self.call(node, req);
-        report.absorb_call(result.is_ok());
-        result
-    }
-
     /// Crate-internal raw node access for the recovery workflows.
     #[inline]
     pub(crate) fn raw_call(&self, node: usize, req: Request) -> Result<Response, NodeError> {
-        self.call(node, req)
+        self.transport.call(NodeId(node), req)
     }
 }
 
@@ -2122,10 +1864,13 @@ mod tests {
         client.create_stripe(1, blocks(8, 32)).unwrap();
         client.create_stripe(2, blocks(8, 32)).unwrap();
 
-        // Single-op baseline: a healthy read costs one level round plus
-        // two lone N_i calls; a write adds one round per level.
+        // A single op is a plan of one: a healthy read costs the level-0
+        // round plus the N_i fetch. There is no separate N_i version
+        // probe — the `ReadData` reply carries N_i's version with the
+        // bytes, and line 31's comparison against `latest` is made on
+        // that reply. A write adds one round per level.
         let single = client.read_block(1, 0).unwrap();
-        assert_eq!(single.report.network_rounds(), 3);
+        assert_eq!(single.report.network_rounds(), 2);
 
         // Batched read across two stripes: one fused level-0 round plus
         // one fused fetch round — flat in m, not 3·m.
@@ -2338,20 +2083,30 @@ mod tests {
         for node in [0, 6, 7, 8] {
             tamper(&cluster, node, 1);
         }
-        let err = client.read_block(1, 0).unwrap_err();
-        match err {
-            ProtocolError::Integrity {
-                needed,
-                clean,
-                corrupt,
-            } => {
-                assert_eq!(needed, 6);
-                assert_eq!(clean, 5);
-                for node in [0, 6, 7, 8] {
-                    assert!(corrupt.contains(&node), "{node} missing from {corrupt:?}");
+        // Read alone or in a batch, the verdict names the same nodes —
+        // N_0 included, whose rot the direct stage (not the decode) met.
+        let single = client.read_block(1, 0).unwrap_err();
+        let mut batch = client.read_blocks(&[BlockAddr::new(1, 0), BlockAddr::new(1, 3)]);
+        assert!(batch.outcomes[1].is_ok(), "a clean block rides along");
+        let batched = batch.outcomes.swap_remove(0).unwrap_err();
+        for (how, err) in [("alone", single), ("in a batch", batched)] {
+            match err {
+                ProtocolError::Integrity {
+                    needed,
+                    clean,
+                    corrupt,
+                } => {
+                    assert_eq!(needed, 6, "{how}");
+                    assert_eq!(clean, 5, "{how}");
+                    for node in [0, 6, 7, 8] {
+                        assert!(
+                            corrupt.contains(&node),
+                            "{how}: {node} missing from {corrupt:?}"
+                        );
+                    }
                 }
+                other => panic!("{how}: expected Integrity, got {other:?}"),
             }
-            other => panic!("expected Integrity, got {other:?}"),
         }
         // Other blocks still read directly — corruption of one shard's
         // worth of nodes is not an availability event for the rest.

@@ -12,14 +12,13 @@
 //! can be used to retrieve the corresponding data" — no decode path, no
 //! dependence on other blocks.
 
-use bytes::Bytes;
-use tq_cluster::{NodeError, NodeId, PlanOp, QuorumRound, Request, Response, Transport};
+use tq_cluster::Transport;
 use tq_quorum::trapezoid::{TrapezoidShape, WriteThresholds};
 
+use crate::baselines::{poll_version, repair_contiguous_objects, ReplicaLevel, ReplicaSet};
 use crate::errors::ProtocolError;
-use crate::rounds::{run_fused, run_recorded};
 use crate::store::{BatchReads, BatchWrites, OpReport};
-use crate::trap_erc::{ReadOutcome, ReadPath, ScrubReport, WriteOutcome};
+use crate::trap_erc::{ReadOutcome, ScrubReport, WriteOutcome};
 
 /// Full-replication trapezoid client for one replicated object universe.
 #[derive(Debug)]
@@ -29,7 +28,9 @@ pub struct TrapFrClient<T: Transport> {
     /// The (n, k) stripe this deployment substitutes for — eq. 5 sizes
     /// the trapezoid as `n − k + 1`; kept for [`crate::store::StoreInfo`].
     stripe: (usize, usize),
-    transport: T,
+    /// The trapezoid's levels `(level_range(l), r_l, w_l)` over full
+    /// replicas; the shared read and write walks run on them.
+    replicas: ReplicaSet<T>,
 }
 
 impl<T: Transport> TrapFrClient<T> {
@@ -76,14 +77,18 @@ impl<T: Transport> TrapFrClient<T> {
                 },
             ));
         }
-        if transport.node_count() < shape.node_count() {
-            return Err(ProtocolError::Node(NodeError::TransportClosed));
-        }
+        let levels = (0..shape.num_levels())
+            .map(|l| ReplicaLevel {
+                members: shape.level_range(l),
+                r: thresholds.read_threshold(&shape, l),
+                w: thresholds.write_threshold(l),
+            })
+            .collect();
         Ok(TrapFrClient {
+            replicas: ReplicaSet::new(shape.node_count(), levels, poll_version, transport)?,
             shape,
             thresholds,
             stripe: (n, k),
-            transport,
         })
     }
 
@@ -114,15 +119,7 @@ impl<T: Transport> TrapFrClient<T> {
     /// [`ProtocolError::Node`] with the lowest-positioned failing
     /// replica's error.
     pub fn create(&self, id: u64, bytes: &[u8]) -> Result<OpReport, ProtocolError> {
-        let mut report = OpReport::default();
-        crate::rounds::provision(
-            &self.transport,
-            self.shape.node_count(),
-            id,
-            bytes,
-            &mut report,
-        )?;
-        Ok(report)
+        self.replicas.create_many(&[(id, bytes)])
     }
 
     /// Provisions many objects in one fused fan-out round.
@@ -130,14 +127,7 @@ impl<T: Transport> TrapFrClient<T> {
     /// # Errors
     /// [`ProtocolError::Node`] with the first failing replica's error.
     pub fn create_many(&self, items: &[(u64, &[u8])]) -> Result<OpReport, ProtocolError> {
-        let mut report = OpReport::default();
-        crate::rounds::provision_many(
-            &self.transport,
-            self.shape.node_count(),
-            items,
-            &mut report,
-        )?;
-        Ok(report)
+        self.replicas.create_many(items)
     }
 
     /// Reads the object: per level, poll `r_l` members' versions; once a
@@ -149,109 +139,26 @@ impl<T: Transport> TrapFrClient<T> {
     /// check; [`ProtocolError::StripeMissing`] if nodes answer but none
     /// stores the object.
     pub fn read(&self, id: u64) -> Result<ReadOutcome, ProtocolError> {
-        let mut report = OpReport::default();
-        let result = self.read_recorded(id, &mut report);
-        result.map(|mut out| {
-            out.report = report;
-            out
-        })
-    }
-
-    fn read_recorded(&self, id: u64, report: &mut OpReport) -> Result<ReadOutcome, ProtocolError> {
-        let mut saw_not_found = false;
-        let mut saw_success = false;
-        for l in 0..self.shape.num_levels() {
-            let needed = self.thresholds.read_threshold(&self.shape, l);
-            // One first-quorum round per level: complete on the r_l-th
-            // version answer, abandon the stragglers.
-            let calls: Vec<(NodeId, Request)> = self
-                .shape
-                .level_range(l)
-                .map(|pos| (NodeId(pos), Request::VersionData { id }))
-                .collect();
-            let outcome = run_recorded(
-                &self.transport,
-                QuorumRound::first_quorum(needed),
-                Some(l),
-                calls,
-                report,
-            );
-            saw_not_found |= outcome.saw_error(|e| matches!(e, NodeError::NotFound));
-            saw_success |= !outcome.accepted.is_empty();
-            let responders = crate::rounds::version_responders(&outcome);
-            if outcome.quorum_met() {
-                let latest = responders.iter().map(|&(_, v)| v).max().expect("non-empty");
-                if let Some(out) = self.fetch_latest(id, latest, &responders, report) {
-                    return Ok(out);
-                }
-                // Every latest holder died between the two calls — treat
-                // the level as failed and move on.
-            }
-        }
-        if saw_not_found && !saw_success {
-            return Err(ProtocolError::StripeMissing);
-        }
-        Err(ProtocolError::VersionCheckFailed)
-    }
-
-    /// Serves the bytes from some polled replica holding `latest` ("any
-    /// node giving the adequate latest version ... can be used").
-    fn fetch_latest(
-        &self,
-        id: u64,
-        latest: u64,
-        responders: &[(usize, u64)],
-        report: &mut OpReport,
-    ) -> Option<ReadOutcome> {
-        for &(pos, v) in responders {
-            if v != latest {
-                continue;
-            }
-            let result = self.call(pos, Request::ReadData { id });
-            report.absorb_call(result.is_ok());
-            if let Ok(Response::Data { bytes, version, .. }) = result {
-                if version >= latest {
-                    return Some(ReadOutcome {
-                        bytes: bytes.to_vec(),
-                        version,
-                        path: ReadPath::Direct,
-                        report: OpReport::default(),
-                    });
-                }
-            }
-        }
-        None
+        self.read_many(&[id]).into_single()
     }
 
     /// Writes the object: discovers the current version via the read
     /// path's version check, then installs `version + 1` on at least
     /// `w_l` members of *every* level.
     ///
-    /// The per-replica `WriteData` is monotone (compare-and-advance on
-    /// version), so this write is safe under at-least-once delivery: a
-    /// duplicated or cross-round-stale copy of any level's install acks
-    /// idempotently on a replica that has since moved on, instead of
-    /// rolling it back.
-    ///
     /// # Errors
     /// [`ProtocolError::OldValueUnreadable`] if the version discovery
     /// fails; [`ProtocolError::WriteQuorumNotMet`] if a level validates
     /// fewer than `w_l` replicas.
     pub fn write(&self, id: u64, new: &[u8]) -> Result<WriteOutcome, ProtocolError> {
-        let old = self
-            .read(id)
-            .map_err(|e| ProtocolError::OldValueUnreadable(Box::new(e)))?;
-        let mut out = self.write_with_version(id, new, old.version)?;
-        let mut report = old.report;
-        report.merge_from(std::mem::take(&mut out.report));
-        out.report = report;
-        Ok(out)
+        self.write_many(&[(id, new)]).into_single()
     }
 
     /// The write fan-out with a caller-supplied current version — the
     /// eq. 8 predicate in executable form (used by the Monte-Carlo
     /// validation, mirroring
-    /// [`crate::TrapErcClient::write_block_with_hint`]).
+    /// [`crate::TrapErcClient::write_block_with_hint`]): the write walk
+    /// with the version discovery skipped.
     ///
     /// # Errors
     /// [`ProtocolError::WriteQuorumNotMet`] as above.
@@ -261,249 +168,27 @@ impl<T: Transport> TrapFrClient<T> {
         new: &[u8],
         old_version: u64,
     ) -> Result<WriteOutcome, ProtocolError> {
-        let new_version = old_version + 1;
-        // One shared allocation; per-replica clones are O(1) Arc bumps.
-        let payload = Bytes::copy_from_slice(new);
-        let mut validated = Vec::new();
-        let mut report = OpReport::default();
-        for l in 0..self.shape.num_levels() {
-            let needed = self.thresholds.write_threshold(l);
-            // Await-all: every replica of the level is written; w_l acks
-            // grade the level.
-            let calls = self.write_level_calls(id, l, &payload, new_version);
-            crate::rounds::graded_write_level(
-                &self.transport,
-                l,
-                needed,
-                calls,
-                &mut validated,
-                &mut report,
-            )?;
-        }
-        Ok(WriteOutcome {
-            version: new_version,
-            validated,
-            report,
-        })
-    }
-
-    /// Builds level `l`'s write scatter: `WriteData` to every member.
-    fn write_level_calls(
-        &self,
-        id: u64,
-        l: usize,
-        payload: &Bytes,
-        version: u64,
-    ) -> Vec<(NodeId, Request)> {
-        self.shape
-            .level_range(l)
-            .map(|pos| {
-                (
-                    NodeId(pos),
-                    Request::WriteData {
-                        id,
-                        bytes: payload.clone(),
-                        version,
-                    },
-                )
-            })
-            .collect()
+        self.replicas
+            .write_levels(
+                &[(id, new)],
+                &[(0, old_version)],
+                vec![None],
+                OpReport::default(),
+            )
+            .into_single()
     }
 
     /// Batched read: fused per-level version rounds for every object,
-    /// then one fused fetch round serving each object from a replica
-    /// that answered with the latest version.
+    /// each level followed by a fused fetch round serving the objects it
+    /// resolved from a replica that answered with the latest version.
     pub fn read_many(&self, ids: &[u64]) -> BatchReads {
-        let mut report = OpReport::default();
-        struct ItemState {
-            latest: Option<u64>,
-            holders: Vec<usize>,
-            saw_not_found: bool,
-            saw_success: bool,
-            done: Option<Result<ReadOutcome, ProtocolError>>,
-        }
-        let mut states: Vec<ItemState> = ids
-            .iter()
-            .map(|_| ItemState {
-                latest: None,
-                holders: Vec::new(),
-                saw_not_found: false,
-                saw_success: false,
-                done: None,
-            })
-            .collect();
-
-        for l in 0..self.shape.num_levels() {
-            let pending: Vec<usize> = (0..states.len())
-                .filter(|&idx| states[idx].latest.is_none())
-                .collect();
-            if pending.is_empty() {
-                break;
-            }
-            let needed = self.thresholds.read_threshold(&self.shape, l);
-            let ops: Vec<PlanOp> = pending
-                .iter()
-                .map(|&idx| PlanOp {
-                    round: QuorumRound::first_quorum(needed),
-                    calls: self
-                        .shape
-                        .level_range(l)
-                        .map(|pos| (NodeId(pos), Request::VersionData { id: ids[idx] }))
-                        .collect(),
-                })
-                .collect();
-            let outcomes = run_fused(&self.transport, Some(l), ops, &mut report);
-            for (&idx, outcome) in pending.iter().zip(&outcomes) {
-                let st = &mut states[idx];
-                st.saw_not_found |= outcome.saw_error(|e| matches!(e, NodeError::NotFound));
-                st.saw_success |= !outcome.accepted.is_empty();
-                if outcome.quorum_met() {
-                    let responders = crate::rounds::version_responders(outcome);
-                    let latest = responders.iter().map(|&(_, v)| v).max().expect("non-empty");
-                    st.latest = Some(latest);
-                    st.holders = responders
-                        .iter()
-                        .filter(|&&(_, v)| v == latest)
-                        .map(|&(pos, _)| pos)
-                        .collect();
-                }
-            }
-        }
-        for st in &mut states {
-            if st.latest.is_none() {
-                st.done = Some(Err(if st.saw_not_found && !st.saw_success {
-                    ProtocolError::StripeMissing
-                } else {
-                    ProtocolError::VersionCheckFailed
-                }));
-            }
-        }
-
-        // One fused fetch round: the first known holder of each object.
-        let fetch: Vec<usize> = (0..states.len())
-            .filter(|&idx| states[idx].done.is_none())
-            .collect();
-        if !fetch.is_empty() {
-            let ops: Vec<PlanOp> = fetch
-                .iter()
-                .map(|&idx| PlanOp {
-                    round: QuorumRound::await_all(0),
-                    calls: vec![(
-                        NodeId(states[idx].holders[0]),
-                        Request::ReadData { id: ids[idx] },
-                    )],
-                })
-                .collect();
-            let outcomes = run_fused(&self.transport, None, ops, &mut report);
-            for (&idx, outcome) in fetch.iter().zip(&outcomes) {
-                let st = &mut states[idx];
-                let latest = st.latest.expect("fetch items have a version");
-                if let Some(accepted) = outcome.accepted.first() {
-                    if let Response::Data { bytes, version, .. } = &accepted.response {
-                        if *version >= latest {
-                            st.done = Some(Ok(ReadOutcome {
-                                bytes: bytes.to_vec(),
-                                version: *version,
-                                path: ReadPath::Direct,
-                                report: OpReport::default(),
-                            }));
-                        }
-                    }
-                }
-            }
-        }
-        // Fallback for objects whose first holder died between the two
-        // rounds: walk the remaining holders, then (matching the
-        // single-op semantics, which treat a fetch-less level as failed
-        // and move on to the next) rerun the full per-object read.
-        for (idx, st) in states.iter_mut().enumerate() {
-            if st.done.is_none() {
-                let latest = st.latest.expect("resolved above otherwise");
-                let holders: Vec<(usize, u64)> =
-                    st.holders.iter().map(|&pos| (pos, latest)).collect();
-                st.done = Some(
-                    match self.fetch_latest(ids[idx], latest, &holders[1..], &mut report) {
-                        Some(out) => Ok(out),
-                        None => self.read_recorded(ids[idx], &mut report),
-                    },
-                );
-            }
-        }
-        BatchReads {
-            outcomes: states
-                .into_iter()
-                .map(|st| st.done.expect("every item resolved"))
-                .collect(),
-            report,
-        }
+        self.replicas.read_many(ids)
     }
 
     /// Batched write: one fused version-discovery pass, then one fused
     /// `WriteData` scatter per trapezoid level for every object.
     pub fn write_many(&self, items: &[(u64, &[u8])]) -> BatchWrites {
-        let mut results: Vec<Option<Result<WriteOutcome, ProtocolError>>> = vec![None; items.len()];
-        crate::rounds::flag_duplicates(items.iter().map(|&(id, _)| id), &mut results);
-        let read_idx: Vec<usize> = (0..items.len())
-            .filter(|&idx| results[idx].is_none())
-            .collect();
-        let ids: Vec<u64> = read_idx.iter().map(|&idx| items[idx].0).collect();
-        let reads = self.read_many(&ids);
-        let mut report = reads.report;
-
-        struct Alive {
-            idx: usize,
-            payload: Bytes,
-            new_version: u64,
-            validated: Vec<usize>,
-        }
-        let mut alive: Vec<Alive> = Vec::with_capacity(read_idx.len());
-        for (&idx, old) in read_idx.iter().zip(reads.outcomes) {
-            match old {
-                Ok(old) => alive.push(Alive {
-                    idx,
-                    payload: Bytes::copy_from_slice(items[idx].1),
-                    new_version: old.version + 1,
-                    validated: Vec::new(),
-                }),
-                Err(e) => {
-                    results[idx] = Some(Err(ProtocolError::OldValueUnreadable(Box::new(e))));
-                }
-            }
-        }
-
-        for l in 0..self.shape.num_levels() {
-            if alive.is_empty() {
-                break;
-            }
-            let needed = self.thresholds.write_threshold(l);
-            let ops: Vec<PlanOp> = alive
-                .iter()
-                .map(|w| PlanOp {
-                    round: QuorumRound::await_all(needed),
-                    calls: self.write_level_calls(items[w.idx].0, l, &w.payload, w.new_version),
-                })
-                .collect();
-            let outcomes = run_fused(&self.transport, Some(l), ops, &mut report);
-            let mut survivors = Vec::with_capacity(alive.len());
-            for (mut w, outcome) in alive.into_iter().zip(outcomes) {
-                match crate::rounds::grade_write_level(&outcome, l, needed, &mut w.validated) {
-                    Ok(()) => survivors.push(w),
-                    Err(e) => results[w.idx] = Some(Err(e)),
-                }
-            }
-            alive = survivors;
-        }
-        for w in alive {
-            results[w.idx] = Some(Ok(WriteOutcome {
-                version: w.new_version,
-                validated: w.validated,
-                report: OpReport::default(),
-            }));
-        }
-        BatchWrites {
-            outcomes: crate::rounds::finish_batch(results),
-            report,
-        }
+        self.replicas.write_many(items)
     }
 
     /// Anti-entropy for the store facade: reads every object of the
@@ -513,17 +198,7 @@ impl<T: Transport> TrapFrClient<T> {
     /// # Errors
     /// Propagates objects whose current state cannot be read back.
     pub(crate) fn repair_stripe_objects(&self, stripe: u64) -> Result<ScrubReport, ProtocolError> {
-        crate::baselines::repair_contiguous_objects(
-            &self.transport,
-            self.shape.node_count(),
-            stripe,
-            |id, report| self.read_recorded(id, report),
-        )
-    }
-
-    #[inline]
-    fn call(&self, pos: usize, req: Request) -> Result<Response, NodeError> {
-        self.transport.call(NodeId(pos), req)
+        repair_contiguous_objects(&self.replicas, stripe)
     }
 }
 

@@ -250,3 +250,42 @@ fn fault_churn_under_concurrent_writes_settles_clean() {
         );
     }
 }
+
+/// The armed-hedge completion rule is chosen in one place for every
+/// write path: with a hedge policy armed, a `write_batch` of one
+/// completes each level on its `w_l`-th ack and abandons a 30× slower
+/// member exactly as `write` does, instead of awaiting it.
+#[test]
+fn hedged_batch_write_abandons_the_straggler_like_a_single_write() {
+    use trapezoid_quorum::cluster::HedgePolicy;
+    use trapezoid_quorum::{BatchWrite, BlockAddr};
+
+    // Node 14 sits in level 1 = {11, 12, 13, 14} (w_1 = 2) of every
+    // block's trapezoid and is on no read path of a healthy stripe.
+    let base = Duration::from_millis(2);
+    let mut latency = vec![base; 15];
+    latency[14] = base * 30;
+    let transport = ChannelTransport::with_latency(Cluster::new(15), &latency);
+    transport.health_registry().set_policy(HedgePolicy::P99);
+    let client = TrapErcClient::new(config_15_8(), transport).unwrap();
+    client.create_stripe(1, blocks(8, BLOCK_LEN, 5)).unwrap();
+
+    let single = client.write_block(1, 0, &[0x51; BLOCK_LEN]).unwrap();
+    let payload = [0x52; BLOCK_LEN];
+    let mut batch = client.write_blocks(&[BatchWrite::new(BlockAddr::new(1, 1), &payload)]);
+    let batched = batch.outcomes.remove(0).unwrap();
+    for (path, out, report) in [
+        ("write", &single, &single.report),
+        ("write_batch", &batched, &batch.report),
+    ] {
+        assert_eq!(out.version, 1, "{path}");
+        assert!(
+            !out.validated.contains(&14),
+            "{path} awaited the straggler: {:?}",
+            out.validated
+        );
+        let level1 = report.rounds.last().expect("write levels recorded");
+        assert_eq!(level1.level, Some(1), "{path}");
+        assert!(level1.abandoned >= 1, "{path}: {level1:?}");
+    }
+}

@@ -326,3 +326,184 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// One protocol path: a single op is a batch of one.
+// ---------------------------------------------------------------------
+
+mod single_is_batch_of_one {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use trapezoid_quorum::cluster::storage::StoredBlock;
+    use trapezoid_quorum::{BatchWrite, BlockAddr, Cluster, LocalTransport, QuorumStore, Store};
+
+    const K: usize = 8;
+    const LEN: usize = 32;
+    const STRIPE: u64 = 1;
+    const SEEDS: u64 = 32;
+    const BACKENDS: [&str; 4] = ["trap-erc", "trap-fr", "rowa", "majority"];
+
+    fn payload(block: usize, tag: u8) -> Vec<u8> {
+        (0..LEN)
+            .map(|b| tag.wrapping_mul(29) ^ (block * 13 + b) as u8)
+            .collect()
+    }
+
+    /// Flips one bit of `node`'s stored copy of `id` behind its back,
+    /// metadata intact (a latent media error). No-op if not stored.
+    fn tamper(cluster: &Cluster, node: usize, id: u64) {
+        let backend = cluster.node(node).backend();
+        let flip = |bytes: &bytes::Bytes| {
+            let mut b = bytes.to_vec();
+            b[0] ^= 0x40;
+            bytes::Bytes::from(b)
+        };
+        let tampered = match backend.get(id).unwrap() {
+            Some(StoredBlock::Data {
+                version,
+                bytes,
+                check,
+            }) => StoredBlock::Data {
+                version,
+                bytes: flip(&bytes),
+                check,
+            },
+            Some(StoredBlock::Parity {
+                versions,
+                bytes,
+                check,
+                checks,
+            }) => StoredBlock::Parity {
+                versions,
+                bytes: flip(&bytes),
+                check,
+                checks,
+            },
+            None => return,
+        };
+        backend.put(id, tampered).unwrap();
+    }
+
+    /// A provisioned backend driven into a seeded degraded state: writes
+    /// that some nodes miss (stale replicas, residue), bit rot on stored
+    /// copies (half the seeds on nodes that do not self-verify, so both
+    /// detection sites are exercised), then a fail-stop pattern. Fully
+    /// determined by `(backend, seed)` — two calls build twins.
+    fn world(backend: &str, seed: u64) -> (Box<dyn QuorumStore>, Cluster) {
+        let nodes = match backend {
+            "trap-erc" => 15,
+            "trap-fr" => 8,
+            _ => 5,
+        };
+        let cluster =
+            Cluster::with_node_builders(nodes, |_, b| b.verify_reads(seed.is_multiple_of(2)));
+        let transport = LocalTransport::new(cluster.clone());
+        let builder = match backend {
+            "trap-erc" => Store::trap_erc(15, K).shape(0, 4, 1).uniform_w(2),
+            "trap-fr" => Store::trap_fr(15, K).shape(0, 4, 1).uniform_w(2),
+            "rowa" => Store::rowa(nodes),
+            "majority" => Store::majority(nodes),
+            other => unreachable!("unknown backend {other}"),
+        };
+        let store = builder.transport(transport).build().unwrap();
+        store
+            .create(STRIPE, (0..K).map(|b| payload(b, 0)).collect())
+            .unwrap();
+
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        for round in 1..=3u8 {
+            for node in 0..nodes {
+                if rng.random_bool(0.2) {
+                    cluster.kill(node);
+                }
+            }
+            let block = rng.random_range(0..K);
+            let _ = store.write(BlockAddr::new(STRIPE, block), &payload(block, round));
+            for node in 0..nodes {
+                cluster.revive(node);
+            }
+        }
+        for _ in 0..rng.random_range(0..4usize) {
+            let node = rng.random_range(0..nodes);
+            let id = if backend == "trap-erc" {
+                STRIPE
+            } else {
+                STRIPE * trapezoid_quorum::protocol::store::OBJECTS_PER_STRIPE
+                    + rng.random_range(0..K) as u64
+            };
+            tamper(&cluster, node, id);
+        }
+        for node in 0..nodes {
+            if rng.random_bool(0.2) {
+                cluster.kill(node);
+            }
+        }
+        (store, cluster)
+    }
+
+    /// `read(a)` ≡ `read_batch(&[a]).outcomes[0]`: same bytes, version and
+    /// path, same error (down to the nodes an `Integrity` verdict names),
+    /// and the same rounds entry by entry.
+    #[test]
+    fn single_read_equals_read_batch_of_one_on_every_backend() {
+        for backend in BACKENDS {
+            for seed in 0..SEEDS {
+                let (store, _cluster) = world(backend, seed);
+                for block in 0..K {
+                    let addr = BlockAddr::new(STRIPE, block);
+                    let ctx = format!("{backend} seed {seed} block {block}");
+                    let single = store.read(addr);
+                    let mut batch = store.read_batch(&[addr]);
+                    match (single, batch.outcomes.remove(0)) {
+                        (Ok(single), Ok(batched)) => {
+                            assert_eq!(single.bytes, batched.bytes, "{ctx}");
+                            assert_eq!(single.version, batched.version, "{ctx}");
+                            assert_eq!(single.path, batched.path, "{ctx}");
+                            assert_eq!(single.report.rounds, batch.report.rounds, "{ctx}");
+                        }
+                        (single, batched) => assert_eq!(
+                            single.map(|o| o.version).unwrap_err(),
+                            batched.map(|o| o.version).unwrap_err(),
+                            "{ctx}"
+                        ),
+                    }
+                }
+            }
+        }
+    }
+
+    /// `write(a, x)` ≡ `write_batch(&[(a, x)])` on twin worlds: same
+    /// version, validated set and rounds (or the same error), and the
+    /// same state left behind — residue of a failed write included.
+    #[test]
+    fn single_write_equals_write_batch_of_one_on_every_backend() {
+        for backend in BACKENDS {
+            for seed in 0..SEEDS {
+                let block = seed as usize % K;
+                let addr = BlockAddr::new(STRIPE, block);
+                let new = payload(block, 0xF0);
+                let ctx = format!("{backend} seed {seed} block {block}");
+                let (a, _cluster_a) = world(backend, seed);
+                let (b, _cluster_b) = world(backend, seed);
+                let single = a.write(addr, &new);
+                let mut batch = b.write_batch(&[BatchWrite::new(addr, &new)]);
+                match (single, batch.outcomes.remove(0)) {
+                    (Ok(single), Ok(batched)) => {
+                        assert_eq!(single.version, batched.version, "{ctx}");
+                        assert_eq!(single.validated, batched.validated, "{ctx}");
+                        assert_eq!(single.report.rounds, batch.report.rounds, "{ctx}");
+                    }
+                    (single, batched) => assert_eq!(
+                        single.map(|o| o.version).unwrap_err(),
+                        batched.map(|o| o.version).unwrap_err(),
+                        "{ctx}"
+                    ),
+                }
+                for probe in 0..K {
+                    let probe = BlockAddr::new(STRIPE, probe);
+                    assert_eq!(a.read(probe), b.read(probe), "{ctx}: state after");
+                }
+            }
+        }
+    }
+}
