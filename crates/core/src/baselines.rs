@@ -43,9 +43,11 @@ pub(crate) struct ReplicaLevel {
 pub(crate) struct ReplicaSet<T: Transport> {
     pub n: usize,
     levels: Vec<ReplicaLevel>,
-    /// What a level's version check asks each member. `VersionData`
-    /// for the quorum protocols; ROWA asks `ReadData`, whose answer
-    /// already *is* the read (its defining one-RPC cost).
+    /// What a level's version check asks each member but the first,
+    /// which is always asked for the data (`ReadData` states the
+    /// version too). `VersionData` for the quorum protocols; ROWA asks
+    /// everyone `ReadData`, whose answer already *is* the read (its
+    /// defining one-RPC cost).
     poll: fn(u64) -> Request,
     pub transport: T,
 }
@@ -85,12 +87,14 @@ impl<T: Transport> ReplicaSet<T> {
     }
 
     /// **The read walk.** Per level, one fused first-quorum poll carries
-    /// every unresolved object's version check; an object whose check
-    /// completes is served from a polled replica holding the latest
-    /// version ("any node giving the adequate latest version ... can be
-    /// used") — straight from the poll when it asked for the data,
-    /// otherwise by fused fetch rounds, one per holder rank, until a
-    /// holder delivers. If every latest holder died between the poll
+    /// every unresolved object's version check, asking the level's first
+    /// member for the data and the rest what the protocol polls; an
+    /// object whose check completes is served from a polled replica
+    /// holding the latest version ("any node giving the adequate latest
+    /// version ... can be used") — straight from the poll when a holder
+    /// was asked for the data (the healthy read: one round), otherwise
+    /// by fused fetch rounds, one per holder rank, until a holder
+    /// delivers. If every latest holder died between the poll
     /// and the fetch, the level counts as failed and the object moves on
     /// to the next one — restarting from level 0 would only re-poll
     /// levels already known to be short or holderless.
@@ -111,7 +115,14 @@ impl<T: Transport> ReplicaSet<T> {
                     calls: level
                         .members
                         .clone()
-                        .map(|pos| (NodeId(pos), (self.poll)(ids[x])))
+                        .map(|pos| {
+                            let req = if pos == level.members.start {
+                                Request::ReadData { id: ids[x] }
+                            } else {
+                                (self.poll)(ids[x])
+                            };
+                            (NodeId(pos), req)
+                        })
                         .collect(),
                 })
                 .collect();
@@ -525,11 +536,13 @@ impl<T: Transport> MajorityClient<T> {
         self.replicas.create_many(items)
     }
 
-    /// Polls versions in a first-quorum round until a majority answers,
-    /// then serves the bytes from a replica holding the maximum version
-    /// seen — the outcome's `version` is that quorum-time maximum (or
-    /// newer, if the replica advanced between the two rounds), never a
-    /// stale replica's private version.
+    /// Polls a first-quorum round until a majority answers — the first
+    /// replica with its data, the rest with their versions — then serves
+    /// the bytes from a replica holding the maximum version seen: from
+    /// the poll itself when the first replica does (the healthy read),
+    /// else by a fetch. The outcome's `version` is that quorum-time
+    /// maximum (or newer, if the replica advanced before the fetch),
+    /// never a stale replica's private version.
     ///
     /// # Errors
     /// [`ProtocolError::StripeMissing`] if replicas answer but none
@@ -539,9 +552,9 @@ impl<T: Transport> MajorityClient<T> {
         self.read_many(&[id]).into_single()
     }
 
-    /// Batched Majority read: one fused version-poll round, then fused
-    /// fetch rounds from each object's latest holders (one round unless
-    /// a holder died in between).
+    /// Batched Majority read: one fused poll round, then — only for
+    /// objects whose first replica was stale, dead or abandoned — fused
+    /// fetch rounds from each object's latest holders.
     pub fn read_many(&self, ids: &[u64]) -> BatchReads {
         self.replicas.read_many(ids)
     }
@@ -649,6 +662,9 @@ mod tests {
         let out = c.read(1).unwrap();
         assert_eq!(out.bytes, b"v1");
         assert_eq!(out.version, 1);
+        // Node 0 answered the poll with its stale block: not served, and
+        // the fetch goes to the holder.
+        assert_eq!(out.report.network_rounds(), 2, "poll + fetch from node 2");
     }
 
     #[test]
@@ -667,9 +683,10 @@ mod tests {
         majority.write(8, b"m1").unwrap();
         let out = majority.read(8).unwrap();
         assert_eq!(out.version, 1, "quorum-time latest, not first responder");
-        // One version-poll round + one data fetch call.
-        assert_eq!(out.report.network_rounds(), 2);
-        assert_eq!(out.report.messages(), majority.quorum() + 1);
+        // One round: the poll asked its first member for the data, and
+        // that member holds the latest version.
+        assert_eq!(out.report.network_rounds(), 1);
+        assert_eq!(out.report.messages(), majority.quorum());
     }
 
     #[test]
@@ -709,13 +726,14 @@ mod tests {
             .collect();
         let batch = c.write_many(&write_items);
         assert!(batch.all_ok());
-        // One fused poll + one fused fetch + one fused write — not 6×3.
-        assert_eq!(batch.report.network_rounds(), 3);
+        // One fused poll (serving the old versions) + one fused write —
+        // not 6×2.
+        assert_eq!(batch.report.network_rounds(), 2);
 
         let ids: Vec<u64> = (0..6).collect();
         let reads = c.read_many(&ids);
         assert!(reads.all_ok());
-        assert_eq!(reads.report.network_rounds(), 2, "fused poll + fetch");
+        assert_eq!(reads.report.network_rounds(), 1, "one fused poll");
         for (i, out) in reads.outcomes.iter().enumerate() {
             assert_eq!(out.as_ref().unwrap().bytes, payloads[i]);
             assert_eq!(out.as_ref().unwrap().version, 1);

@@ -46,9 +46,12 @@
 //!
 //! There is one rendering of each algorithm: the fused plan. A read
 //! ([`TrapErcClient::read_blocks`]) walks its stages — read-around
-//! poll, level version checks, `N_i` probe, direct fetch, Case-2 decode
-//! — once for *all* addressed blocks, each stage one
-//! [`tq_cluster::MultiRound`] scatter carrying every block still in it;
+//! poll, level checks, Case-2 decode — once for *all* addressed blocks,
+//! each stage one [`tq_cluster::MultiRound`] scatter carrying every
+//! block still in it. The level check asks `N_i` for the block itself,
+//! not just its version, so a healthy read is that one round: `N_i`'s
+//! reply answers the version and the data question atomically (an `N_i`
+//! fetch follows only where first-quorum completion abandoned it);
 //! a write ([`TrapErcClient::write_blocks`]) is that read plus one fused
 //! scatter per trapezoid level. A single op is a plan of one
 //! ([`TrapErcClient::read_block`], [`TrapErcClient::write_block`]), a
@@ -75,7 +78,9 @@ use tq_cluster::{
     Lane, NodeError, NodeId, PlanOp, QuorumRound, Request, Response, RoundOutcome, Transport,
 };
 use tq_erasure::delta::block_delta;
-use tq_erasure::{data_checks, expected_parity_check, verify_block, ReedSolomon};
+use tq_erasure::{
+    data_checks, expected_block_check, expected_parity_check, verify_block, ReedSolomon,
+};
 use tq_gf256::check::block_check;
 use tq_quorum::trapezoid::TrapErcSystem;
 
@@ -136,8 +141,11 @@ struct ReadItem {
     latest: Option<u64>,
     /// Shard replies in hand for Case 2, in fetch order.
     shards: Vec<(usize, Response)>,
-    /// Every node already asked for a shard, answered or not.
+    /// Every node already asked for a shard (`N_i` too), answered or not.
     asked: Vec<usize>,
+    /// `N_i`'s answer to the `ReadData` a round asked it, held for line
+    /// 31 until some level's quorum settles `latest`.
+    home: Option<Response>,
     /// Nodes that provably served this block's read corrupt bytes.
     corrupt: Vec<usize>,
     saw_not_found: bool,
@@ -530,7 +538,7 @@ impl<T: Transport> TrapErcClient<T> {
 
     /// True when an armed health registry marks block `i`'s home node
     /// `N_i` a straggler: the read plan then polls `k` healthy members
-    /// first and skips the `N_i` probe and direct fetch, reconstructing
+    /// first and skips the separate `N_i` fetch, reconstructing
     /// instead — the decode pool for block `i` never contains `N_i`, so
     /// a gray home node stays off the read's critical path. A dormant or
     /// absent registry never reroutes, keeping the default path
@@ -666,22 +674,33 @@ impl<T: Transport> TrapErcClient<T> {
         }
     }
 
-    /// Builds level `l`'s version-check scatter for block `i`
-    /// (Algorithm 2 line 30): scalar version from `N_i`, version vector
-    /// from every other member.
-    fn version_level_calls(&self, id: u64, i: usize, l: usize) -> Vec<(NodeId, Request)> {
-        self.systems[i]
+    /// Level `l`'s `r_l` and check scatter for block `i` (Algorithm 2
+    /// line 30): the block itself from `N_i` — its reply states its
+    /// version, and is what line 31 serves — and the version vector from
+    /// every other member. `N_i` is asked last of the `r_0` members a
+    /// sequential transport polls: a write reaches `N_i` before any
+    /// parity member, so an answer gathered after theirs is never behind
+    /// them because of a write in flight (which would send the read off
+    /// to decode a stripe in mid-update).
+    fn version_level_calls(&self, id: u64, i: usize, l: usize) -> (usize, Vec<(NodeId, Request)>) {
+        let sys = &self.systems[i];
+        let r_l = sys.thresholds().read_threshold(sys.shape(), l);
+        let mut calls: Vec<(NodeId, Request)> = sys
             .level_members(l)
             .iter()
             .map(|&member| {
                 let req = if member == i {
-                    Request::VersionData { id }
+                    Request::ReadData { id }
                 } else {
                     Request::VersionVector { id }
                 };
                 (NodeId(member), req)
             })
-            .collect()
+            .collect();
+        if l == 0 {
+            calls[..r_l].rotate_left(1);
+        }
+        (r_l, calls)
     }
 
     /// The read plan: Algorithm 2 for every addressed block at once,
@@ -700,6 +719,7 @@ impl<T: Transport> TrapErcClient<T> {
                 latest: None,
                 shards: Vec::new(),
                 asked: Vec::new(),
+                home: None,
                 corrupt: Vec::new(),
                 saw_not_found: false,
                 saw_success: false,
@@ -709,9 +729,9 @@ impl<T: Transport> TrapErcClient<T> {
             })
             .collect();
         // The unresolved blocks (by position) a stage applies to.
-        let stage = |items: &[ReadItem], applies: &dyn Fn(&ReadItem) -> bool| {
+        let stage = |items: &[ReadItem], applies: &dyn Fn(usize, &ReadItem) -> bool| {
             (0..items.len())
-                .filter(|&idx| items[idx].done.is_none() && applies(&items[idx]))
+                .filter(|&idx| items[idx].done.is_none() && applies(idx, &items[idx]))
                 .collect::<Vec<usize>>()
         };
 
@@ -720,7 +740,7 @@ impl<T: Transport> TrapErcClient<T> {
         // Where the polled columns complete some level's check the
         // block's version is settled and it goes straight to Case 2 with
         // its shards in hand.
-        let (polled, ops): (Vec<usize>, Vec<PlanOp>) = stage(&items, &|st| st.around)
+        let (polled, ops): (Vec<usize>, Vec<PlanOp>) = stage(&items, &|_, st| st.around)
             .into_iter()
             .filter_map(|idx| {
                 let calls = self.read_around(addrs[idx].stripe, addrs[idx].block)?;
@@ -746,26 +766,25 @@ impl<T: Transport> TrapErcClient<T> {
             }
         }
 
-        // Fused version checks, level by level; a block leaves the
-        // pending set once some level completes its check (line 30).
+        // Fused level checks; a block leaves the pending set once some
+        // level completes its check (line 30). N_i's reply, the block
+        // itself, is its version answer here and waits in `home`.
         for l in 0..self.config.shape().num_levels() {
-            let pending = stage(&items, &|st| st.latest.is_none());
+            let pending = stage(&items, &|_, st| st.latest.is_none());
             if pending.is_empty() {
                 break;
             }
             let ops: Vec<PlanOp> = pending
                 .iter()
                 .map(|&idx| {
-                    let i = addrs[idx].block;
-                    let sys = &self.systems[i];
                     // One first-quorum op per block: the version check
                     // is complete on the r_l-th answer; later members
                     // are abandoned stragglers.
+                    let (r_l, calls) =
+                        self.version_level_calls(addrs[idx].stripe, addrs[idx].block, l);
                     PlanOp {
-                        round: QuorumRound::first_quorum(
-                            sys.thresholds().read_threshold(sys.shape(), l),
-                        ),
-                        calls: self.version_level_calls(addrs[idx].stripe, i, l),
+                        round: QuorumRound::first_quorum(r_l),
+                        calls,
                     }
                 })
                 .collect();
@@ -773,6 +792,7 @@ impl<T: Transport> TrapErcClient<T> {
             for (&idx, outcome) in pending.iter().zip(&outcomes) {
                 let st = &mut items[idx];
                 Self::fold_versions_into(&mut st.matrix, outcome);
+                Self::absorb_home(st, addrs[idx].block, outcome);
                 st.saw_not_found |= outcome.saw_error(|e| matches!(e, NodeError::NotFound));
                 st.saw_success |= !outcome.accepted.is_empty();
                 if outcome.quorum_met() {
@@ -798,60 +818,61 @@ impl<T: Transport> TrapErcClient<T> {
             }
         }
 
-        // Line 31 compares the latest version against N_i's current one —
-        // on the reply of the fetch itself (Case 1): `ReadData` returns
-        // N_i's version with its bytes, so one fused round asks every
-        // block's N_i for both. A separate version probe first would
-        // cost every healthy read a round to learn what this reply
-        // states anyway. The block is served if those bytes match the
-        // check N_i stamped at install time and are at `latest` — or
-        // past it: N_i is the first node every write of the block
-        // touches, so a copy newer than anything the check saw is a write
-        // racing this read (or its residue, which a check that had
-        // gathered N_i's answer would equally have settled on). Serving
-        // it is the read being ordered after that write, where decoding
-        // `latest` would ask for k consistent shards of a stripe in
-        // mid-update. A check mismatch means N_i's copy (or the node
-        // itself, via `NodeError::Corrupt`) is provably bad: it is
-        // attributed. N_i dead, stale or corrupt, the block falls through
-        // to the decode path. Blocks routing around a straggler home node
-        // skip the fetch — they are headed for Case 2 regardless.
-        let direct = stage(&items, &|st| !st.around);
+        // A level's first-quorum completion may have abandoned N_i's reply
+        // (s_0 > 1 and r_0 other members answered first): only then is
+        // N_i still to be asked, in one fused fetch. A block routing
+        // around a straggler home node is headed for Case 2 regardless.
+        let direct = stage(&items, &|idx, st| {
+            !st.around && !st.asked.contains(&addrs[idx].block)
+        });
         let ops = direct
             .iter()
             .map(|&idx| PlanOp {
                 round: QuorumRound::await_all(0),
-                calls: vec![(
-                    NodeId(addrs[idx].block),
-                    Request::ReadData {
-                        id: addrs[idx].stripe,
-                    },
-                )],
+                calls: Self::shard_calls(addrs[idx].stripe, k, [addrs[idx].block].iter()),
             })
             .collect();
         let fetched = run_fused(&self.transport, None, ops, &mut report);
-        for (idx, outcome) in direct.into_iter().zip(fetched) {
-            let (st, i) = (&mut items[idx], addrs[idx].block);
-            record_corrupt_refusals(&mut st.corrupt, &outcome);
-            if let Some(Response::Data {
+        for (idx, outcome) in direct.into_iter().zip(&fetched) {
+            Self::absorb_home(&mut items[idx], addrs[idx].block, outcome);
+        }
+
+        // Line 31 compares the latest version against N_i's current one —
+        // on the reply that carries the block (Case 1): `ReadData` states
+        // N_i's version with its bytes, so the one message the check sent
+        // N_i answers both questions atomically, where a probe followed
+        // by a fetch would straddle a racing write. Once a level's quorum
+        // has settled `latest`, never before, the block is served if
+        // those bytes match the check N_i stamped at install time and are
+        // at `latest` — or, for a fetched reply, past it: N_i is the
+        // first node every write of the block touches, so a copy newer
+        // than anything the check saw is a write racing this read (or its
+        // residue); serving it orders the read after that write, where
+        // decoding `latest` would ask for k consistent shards of a stripe
+        // in mid-update. A check mismatch (or `NodeError::Corrupt`) proves
+        // N_i's copy bad: it is attributed. N_i dead, stale or corrupt,
+        // the block falls through to the decode path.
+        for (st, addr) in items.iter_mut().zip(addrs) {
+            let Some(Response::Data {
                 bytes,
                 version,
                 check,
-            }) = outcome.accepted.first().map(|a| &a.response)
-            {
-                if Some(*version) < st.latest {
-                    continue;
-                }
-                if *check == 0 || block_check(bytes) == *check {
-                    st.done = Some(Ok(ReadOutcome {
-                        bytes: bytes.to_vec(),
-                        version: *version,
-                        path: ReadPath::Direct,
-                        report: OpReport::default(),
-                    }));
-                } else {
-                    record_corrupt(&mut st.corrupt, i);
-                }
+            }) = st.home.take()
+            else {
+                continue;
+            };
+            if st.done.is_some() || Some(version) < st.latest {
+                continue;
+            }
+            if check == 0 || block_check(&bytes) == check {
+                st.done = Some(Ok(ReadOutcome {
+                    bytes: bytes.to_vec(),
+                    version,
+                    path: ReadPath::Direct,
+                    report: OpReport::default(),
+                }));
+            } else {
+                record_corrupt(&mut st.corrupt, addr.block);
             }
         }
 
@@ -894,8 +915,9 @@ impl<T: Transport> TrapErcClient<T> {
         // check (stamped by the serving node at install time). A parity
         // reply also carries the stripe's cross-checksum vector; the
         // first verified one becomes the reference vector for the
-        // uniform cross-check below.
-        let mut available: Vec<(usize, &[u8])> = Vec::with_capacity(k);
+        // uniform cross-check below. Each shard's bytes are summed once,
+        // here; both passes compare that sum.
+        let mut available: Vec<(usize, &[u8], u64)> = Vec::with_capacity(k);
         let mut vector: Option<&Vec<u64>> = None;
         for (node, response) in shards {
             let node = *node;
@@ -905,28 +927,30 @@ impl<T: Transport> TrapErcClient<T> {
                     version,
                     check,
                 } if *version == column[node] => {
-                    if *check != 0 && block_check(bytes) != *check {
+                    let sum = block_check(bytes);
+                    if *check != 0 && sum != *check {
                         record_corrupt(corrupt, node);
                         continue;
                     }
-                    available.push((node, &bytes[..]));
+                    available.push((node, &bytes[..], sum));
                 }
                 Response::Parity {
                     bytes,
                     versions,
                     checks,
                 } if versions == column => {
+                    let sum = block_check(bytes);
                     if checks.len() == k {
                         // The parity block's expected check is a linear
                         // combination of the data checks — derivable
                         // from the vector the node itself served.
-                        if block_check(bytes) != expected_parity_check(&self.rs, node, checks) {
+                        if sum != expected_parity_check(&self.rs, node, checks) {
                             record_corrupt(corrupt, node);
                             continue;
                         }
                         vector = vector.or(Some(checks));
                     }
-                    available.push((node, &bytes[..]));
+                    available.push((node, &bytes[..], sum));
                 }
                 _ => {}
             }
@@ -937,8 +961,8 @@ impl<T: Transport> TrapErcClient<T> {
         // or whose stamp was tampered alongside the bytes. Idempotent
         // across rounds.
         if let Some(checks) = vector {
-            available.retain(|&(node, bytes)| {
-                let clean = verify_block(&self.rs, node, bytes, checks);
+            available.retain(|&(node, _, sum)| {
+                let clean = sum == expected_block_check(&self.rs, node, checks);
                 if !clean {
                     record_corrupt(corrupt, node);
                 }
@@ -951,7 +975,8 @@ impl<T: Transport> TrapErcClient<T> {
                 found: available.len(),
             });
         }
-        let bytes = self.rs.decode_block(i, &available)?;
+        let inputs: Vec<(usize, &[u8])> = available.iter().map(|&(n, b, _)| (n, b)).collect();
+        let bytes = self.rs.decode_block(i, &inputs)?;
         // Belt-and-suspenders: the decode of verified inputs is already
         // consistent by linearity, but the 64-bit check is cheap and a
         // collision on every input simultaneously is the only escape.
@@ -966,7 +991,7 @@ impl<T: Transport> TrapErcClient<T> {
             bytes,
             version: latest,
             path: ReadPath::Decoded {
-                nodes: available.iter().map(|&(node, _)| node).take(k).collect(),
+                nodes: inputs.iter().map(|&(node, _)| node).take(k).collect(),
             },
             report: OpReport::default(),
         })
@@ -1351,7 +1376,6 @@ impl<T: Transport> TrapErcClient<T> {
                 check,
             } = &accepted.response
             {
-                st.matrix.set_data_version(i, *version);
                 // A self-check mismatch disqualifies N_i's copy from the
                 // salvage shortcut but its version still counts — the
                 // decode path below can rebuild that version cleanly.
@@ -1395,9 +1419,9 @@ impl<T: Transport> TrapErcClient<T> {
     /// **Batched Algorithm 2** — reads many blocks (possibly across
     /// stripes) in *fused* per-stage fan-outs: one
     /// [`tq_cluster::MultiRound`] scatter per trapezoid level carries
-    /// every pending block's version check, one fused fetch round serves
-    /// all current `N_i` copies. The round count stays flat as the batch
-    /// grows, instead of scaling with the number of blocks.
+    /// every pending block's check, and with it the `ReadData` that
+    /// serves each current `N_i` copy. The round count stays flat as the
+    /// batch grows, instead of scaling with the number of blocks.
     pub fn read_blocks(&self, addrs: &[BlockAddr]) -> BatchReads {
         let (items, report) = self.read_plan(addrs);
         BatchReads {
@@ -1452,16 +1476,33 @@ impl<T: Transport> TrapErcClient<T> {
         self.write_plan(items, &olds, results, reads.report)
     }
 
-    /// Folds the version-query replies of a gather round into `matrix`:
-    /// parity columns from `Versions` answers, data-node versions from
-    /// scalar `Version` answers.
+    /// Folds the version answers of a gather round into `matrix`: parity
+    /// columns from `Versions` answers, data-node versions from scalar
+    /// `Version` answers and from the stamp on a served block.
     fn fold_versions_into(matrix: &mut VersionMatrix, outcome: &RoundOutcome) {
         for accepted in &outcome.accepted {
             match &accepted.response {
                 Response::Versions(col) => matrix.set_column(accepted.node.0, col.clone()),
-                Response::Version(v) => matrix.set_data_version(accepted.node.0, *v),
+                Response::Version(v) | Response::Data { version: v, .. } => {
+                    matrix.set_data_version(accepted.node.0, *v)
+                }
                 _ => {}
             }
+        }
+    }
+
+    /// Files `N_i`'s part of a round that asked it for block `i`: an
+    /// answer is held for line 31, a self-check refusal is attributed,
+    /// and either way `N_i` is remembered so no round asks it again.
+    fn absorb_home(st: &mut ReadItem, i: usize, outcome: &RoundOutcome) {
+        let refusal = outcome.rejected.iter().find(|r| r.node.0 == i);
+        if refusal.is_some_and(|r| matches!(r.error, NodeError::Corrupt)) {
+            record_corrupt(&mut st.corrupt, i);
+        }
+        let answer = outcome.accepted.iter().find(|a| a.node.0 == i);
+        if refusal.is_some() || answer.is_some() {
+            st.home = answer.map(|a| a.response.clone());
+            st.asked.push(i);
         }
     }
 
@@ -1571,10 +1612,45 @@ mod tests {
         assert!(!w.validated.contains(&0));
         cluster.revive(0); // back, but stale at version 0
 
+        // The level-0 check hears N_0's stale block and parity 8's v1:
+        // the quorum's `latest` is 1, N_0's answer is below it, and the
+        // read decodes at `latest` without asking N_0 anything more.
+        let before = cluster.node(0).io_snapshot();
         let out = client.read_block(7, 0).unwrap();
         assert_eq!(out.bytes, new, "stale N_0 must not serve the read");
         assert_eq!(out.version, 1);
         assert!(out.decoded());
+        let asked = cluster.node(0).io_snapshot().since(&before);
+        assert_eq!(asked.reads, 1, "N_0 is asked for its block exactly once");
+        assert_eq!(asked.total_ops() + asked.rejected, 1, "and nothing else");
+    }
+
+    #[test]
+    fn held_home_answer_waits_for_a_level_quorum() {
+        // Level 0 of block 0 is {N_0, 8, 9, 10} with r_0 = 2. With the
+        // three parity members dead N_0 still answers the check — but one
+        // answer is no quorum, so its block is held, not served: level 1
+        // (r_1 = 3) settles `latest`, and only then does line 31 serve
+        // the reply already in hand. Two rounds, N_0 asked once.
+        let (client, cluster) = client_15_8();
+        let data = blocks(8, 16);
+        client.create_stripe(1, data.clone()).unwrap();
+        for node in [8, 9, 10] {
+            cluster.kill(node);
+        }
+        let before = cluster.node(0).io_snapshot();
+        let out = client.read_block(1, 0).unwrap();
+        assert_eq!(out.bytes, data[0]);
+        assert_eq!(out.path, ReadPath::Direct);
+        assert_eq!(out.report.network_rounds(), 2, "level 0, level 1");
+        assert_eq!(cluster.node(0).io_snapshot().since(&before).reads, 1);
+        // Without any level's quorum the held answer is never served.
+        cluster.kill(11);
+        cluster.kill(12);
+        assert_eq!(
+            client.read_block(1, 0).unwrap_err(),
+            ProtocolError::VersionCheckFailed
+        );
     }
 
     #[test]
@@ -1697,8 +1773,12 @@ mod tests {
 
     #[test]
     fn stripe_missing_detected() {
+        // `NotFound` from N_i's `ReadData` counts like any member's.
         let (client, _cluster) = client_9_6();
         let err = client.read_block(99, 0).unwrap_err();
+        assert_eq!(err, ProtocolError::StripeMissing);
+        let (client, _cluster) = client_15_8();
+        let err = client.read_block(99, 3).unwrap_err();
         assert_eq!(err, ProtocolError::StripeMissing);
     }
 
@@ -1865,21 +1945,23 @@ mod tests {
         client.create_stripe(2, blocks(8, 32)).unwrap();
 
         // A single op is a plan of one: a healthy read costs the level-0
-        // round plus the N_i fetch. There is no separate N_i version
-        // probe — the `ReadData` reply carries N_i's version with the
-        // bytes, and line 31's comparison against `latest` is made on
-        // that reply. A write adds one round per level.
+        // round and nothing else. The check asks N_i for the block, so
+        // its `ReadData` reply is both its version answer and — once the
+        // level's r_0 = 2 quorum is met — the bytes line 31 serves. A
+        // write adds one round per level.
         let single = client.read_block(1, 0).unwrap();
-        assert_eq!(single.report.network_rounds(), 2);
+        assert_eq!(single.report.network_rounds(), 1);
+        assert_eq!(single.report.messages(), 2, "N_0 and one parity member");
+        assert_eq!(single.path, ReadPath::Direct);
 
-        // Batched read across two stripes: one fused level-0 round plus
-        // one fused fetch round — flat in m, not 3·m.
+        // Batched read across two stripes: one fused level-0 round —
+        // flat in m, not m.
         let addrs: Vec<BlockAddr> = (0..8)
             .map(|i| BlockAddr::new(1 + (i as u64 & 1), i))
             .collect();
         let reads = client.read_blocks(&addrs);
         assert!(reads.all_ok());
-        assert_eq!(reads.report.network_rounds(), 2);
+        assert_eq!(reads.report.network_rounds(), 1);
         assert_eq!(
             reads.report.rounds_at_level(0),
             1,
@@ -1897,7 +1979,7 @@ mod tests {
             .collect();
         let batch = client.write_blocks(&items);
         assert!(batch.all_ok());
-        assert_eq!(batch.report.network_rounds(), 4);
+        assert_eq!(batch.report.network_rounds(), 3);
         assert_eq!(
             batch.report.rounds_at_level(0),
             2,
@@ -2073,7 +2155,17 @@ mod tests {
 
     #[test]
     fn too_few_clean_shards_is_a_typed_integrity_error() {
-        let (client, cluster) = unverified_client_9_6();
+        // Both node postures: verify-off nodes serve the tampered bytes
+        // (N_0's in the level check itself) and the client's checksum
+        // catches them; self-verifying nodes refuse with
+        // `NodeError::Corrupt` — N_0 in the check round. The verdict is
+        // the same.
+        for (client, cluster) in [unverified_client_9_6(), client_9_6()] {
+            too_few_clean_shards(client, cluster);
+        }
+    }
+
+    fn too_few_clean_shards(client: TrapErcClient<LocalTransport>, cluster: Cluster) {
         client.create_stripe(1, blocks(6, 32)).unwrap();
         // Corrupt N_0 and every parity node: block 0 has only the 5
         // other data shards left clean — one short of k = 6. The read
@@ -2084,7 +2176,7 @@ mod tests {
             tamper(&cluster, node, 1);
         }
         // Read alone or in a batch, the verdict names the same nodes —
-        // N_0 included, whose rot the direct stage (not the decode) met.
+        // N_0 included, whose rot the level check (not the decode) met.
         let single = client.read_block(1, 0).unwrap_err();
         let mut batch = client.read_blocks(&[BlockAddr::new(1, 0), BlockAddr::new(1, 3)]);
         assert!(batch.outcomes[1].is_ok(), "a clean block rides along");

@@ -130,9 +130,11 @@ impl<T: Transport> TrapFrClient<T> {
         self.replicas.create_many(items)
     }
 
-    /// Reads the object: per level, poll `r_l` members' versions; once a
-    /// level completes, fetch the bytes from any polled replica holding
-    /// the latest version.
+    /// Reads the object: per level, poll `r_l` members — the level's
+    /// first for its data, the rest for their versions; once a level
+    /// completes, serve the bytes from a polled replica holding the
+    /// latest version (straight from the poll when the first member
+    /// does, else by a fetch).
     ///
     /// # Errors
     /// [`ProtocolError::VersionCheckFailed`] if no level completes its
@@ -178,9 +180,9 @@ impl<T: Transport> TrapFrClient<T> {
             .into_single()
     }
 
-    /// Batched read: fused per-level version rounds for every object,
-    /// each level followed by a fused fetch round serving the objects it
-    /// resolved from a replica that answered with the latest version.
+    /// Batched read: fused per-level poll rounds for every object; a
+    /// fused fetch round follows a level only for objects its poll
+    /// resolved without hearing the data from a latest holder.
     pub fn read_many(&self, ids: &[u64]) -> BatchReads {
         self.replicas.read_many(ids)
     }

@@ -1,0 +1,149 @@
+//! The deterministic cost gate: network rounds and messages per
+//! operation, pinned for all four backends on the benchmark's shape —
+//! an (9, 6) stripe on the (2, 1, 1) trapezoid with `w_1 = 2`
+//! (`r_0 = 1`, `r_1 = 2`), the replication baselines on the `n − k + 1
+//! = 4` nodes TRAP-FR uses.
+//!
+//! On `LocalTransport` these counts are exact and repeat bit for bit,
+//! so a plan change that adds a round or a message to any operation
+//! fails here, loudly, instead of drifting into the wall-clock numbers
+//! (ROADMAP's standing gate). CI runs this file by name before the
+//! benchmark smoke.
+
+use trapezoid_quorum::{
+    BatchWrite, BlockAddr, Cluster, LocalTransport, OpReport, QuorumStore, Store,
+};
+
+const N: usize = 9;
+const K: usize = 6;
+const BLOCK_LEN: usize = 64;
+const STRIPE: u64 = 1;
+
+fn payload(block: usize, round: u8) -> Vec<u8> {
+    vec![(round << 4) | block as u8; BLOCK_LEN]
+}
+
+/// A provisioned backend on a fresh all-live cluster.
+fn world(backend: &str) -> (Box<dyn QuorumStore>, Cluster) {
+    let replicas = N - K + 1;
+    let (nodes, builder) = match backend {
+        "trap-erc" => (N, Store::trap_erc(N, K).shape(2, 1, 1).uniform_w(2)),
+        "trap-fr" => (replicas, Store::trap_fr(N, K).shape(2, 1, 1).uniform_w(2)),
+        "rowa" => (replicas, Store::rowa(replicas)),
+        "majority" => (replicas, Store::majority(replicas)),
+        other => unreachable!("unknown backend {other}"),
+    };
+    let cluster = Cluster::new(nodes);
+    let store = builder
+        .transport(LocalTransport::new(cluster.clone()))
+        .build()
+        .unwrap();
+    store
+        .create(STRIPE, (0..K).map(|b| payload(b, 0)).collect())
+        .unwrap();
+    (store, cluster)
+}
+
+/// `(network rounds, messages)` of one operation's report.
+fn cost(report: &OpReport) -> (usize, usize) {
+    (report.network_rounds(), report.messages())
+}
+
+#[test]
+fn healthy_ops_cost_what_the_plan_says() {
+    // backend, read, write — each `(rounds, messages)`.
+    let pins = [
+        // One round: N_i's reply to the level-0 check is the block.
+        // A write is that read plus one scatter per level (1 + 3).
+        ("trap-erc", (1, 1), (3, 5)),
+        // The same trapezoid over full replicas, the same bill.
+        ("trap-fr", (1, 1), (3, 5)),
+        // Read one; the embedded read plus write all four.
+        ("rowa", (1, 1), (2, 5)),
+        // A majority of 4 is 3 — the first of them asked for the data.
+        ("majority", (1, 3), (2, 7)),
+    ];
+    for (backend, read, write) in pins {
+        let (store, _cluster) = world(backend);
+        let addr = BlockAddr::new(STRIPE, 2);
+        let out = store.read(addr).unwrap();
+        assert_eq!(out.bytes, payload(2, 0), "{backend}");
+        assert_eq!(cost(&out.report), read, "{backend}: healthy read");
+        let out = store.write(addr, &payload(2, 1)).unwrap();
+        assert_eq!(out.version, 1, "{backend}");
+        assert_eq!(cost(&out.report), write, "{backend}: healthy write");
+        // The write left nothing behind that a read pays for.
+        let out = store.read(addr).unwrap();
+        assert_eq!(out.bytes, payload(2, 1), "{backend}");
+        assert_eq!(cost(&out.report), read, "{backend}: read after write");
+    }
+}
+
+#[test]
+fn batches_stay_flat_in_rounds() {
+    // backend, rounds of an m-block read, rounds of an m-block write.
+    let pins = [
+        ("trap-erc", 1, 3),
+        ("trap-fr", 1, 3),
+        ("rowa", 1, 2),
+        ("majority", 1, 2),
+    ];
+    for (backend, read_rounds, write_rounds) in pins {
+        let (store, _cluster) = world(backend);
+        let addrs: Vec<BlockAddr> = (0..K).map(|b| BlockAddr::new(STRIPE, b)).collect();
+        let reads = store.read_batch(&addrs);
+        assert!(reads.all_ok(), "{backend}");
+        assert_eq!(
+            reads.report.network_rounds(),
+            read_rounds,
+            "{backend}: an m-block read"
+        );
+        if backend == "trap-erc" {
+            // One message per block. (A replication poll has members
+            // to spare, and the lazy sequential transport keeps issuing
+            // a completed op's calls while its fused siblings gather.)
+            assert_eq!(reads.report.messages(), K, "{backend}");
+        }
+        let payloads: Vec<Vec<u8>> = (0..K).map(|b| payload(b, 1)).collect();
+        let items: Vec<BatchWrite> = addrs
+            .iter()
+            .zip(&payloads)
+            .map(|(&addr, p)| BatchWrite::new(addr, p))
+            .collect();
+        let writes = store.write_batch(&items);
+        assert!(writes.all_ok(), "{backend}");
+        assert_eq!(
+            writes.report.network_rounds(),
+            write_rounds,
+            "{backend}: an m-block write"
+        );
+    }
+}
+
+#[test]
+fn degraded_reads_cost_what_the_plan_says() {
+    // TRAP-ERC with the home node down: the level-0 check is N_i's one
+    // refused message (never asked again), level 1 completes on 2 of its
+    // 3 members, the widening poll asks the third parity node and the 5
+    // other data nodes, and one fetch brings the k = 6 shards.
+    let (store, cluster) = world("trap-erc");
+    cluster.kill(2);
+    let out = store.read(BlockAddr::new(STRIPE, 2)).unwrap();
+    assert!(out.decoded());
+    assert_eq!(out.bytes, payload(2, 0));
+    assert_eq!(cost(&out.report), (4, 15), "trap-erc: N_i down");
+
+    // The replication backends with their first-polled replica down.
+    // TRAP-FR: level 0 is that replica alone, so level 1 polls — its
+    // first member for the data: 2 rounds, 1 + 2 messages. ROWA: the
+    // next replica serves in the same round. Majority: the poll runs on
+    // to a fourth member, whose version answer names a holder to fetch
+    // from.
+    for (backend, pin) in [("trap-fr", (2, 3)), ("rowa", (1, 2)), ("majority", (2, 5))] {
+        let (store, cluster) = world(backend);
+        cluster.kill(0);
+        let out = store.read(BlockAddr::new(STRIPE, 2)).unwrap();
+        assert_eq!(out.bytes, payload(2, 0), "{backend}");
+        assert_eq!(cost(&out.report), pin, "{backend}: first replica down");
+    }
+}

@@ -237,7 +237,7 @@ fn scrub_restores_eq1_invariant_across_cluster() {
 
 /// A health-flagged home node stays entirely off a read's critical
 /// path: with the registry armed and `N_0` marked gray, reading block 0
-/// skips the walk, probe and direct fetch and decodes from `k` healthy
+/// skips the level walk and the `N_i` fetch and decodes from `k` healthy
 /// members in a *single* round — the read costs exactly `k` wire
 /// messages (plus any hedges the transport fires independently).
 #[test]

@@ -507,3 +507,55 @@ mod single_is_batch_of_one {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// One round per healthy read: the level check asks N_i for the block.
+// ---------------------------------------------------------------------
+
+/// On a concurrent transport a level's first-quorum completion can
+/// abandon `N_i`'s reply: with `s_0 = 4`, `r_0 = 2` and a slow home
+/// node, two parity members complete the check first. The block then
+/// takes the fallback `N_i` fetch — one more round — and the read is
+/// the one a sequential transport (whose check always hears `N_i`)
+/// returns in a single round.
+#[test]
+fn abandoned_home_reply_falls_back_to_the_fetch_stage() {
+    use std::time::Duration;
+    use trapezoid_quorum::cluster::ChannelTransport;
+    use trapezoid_quorum::protocol::ReadPath;
+
+    let config = || ProtocolConfig::with_uniform_w(15, 8, 0, 4, 1, 2).unwrap();
+    let data: Vec<Vec<u8>> = (0..8).map(|i| vec![0x30 | i as u8; BLOCK_LEN]).collect();
+    let new = vec![0xE7; BLOCK_LEN];
+
+    let local = TrapErcClient::new(config(), LocalTransport::new(Cluster::new(15))).unwrap();
+    let cluster = Cluster::new(15);
+    let transport = ChannelTransport::new(cluster.clone());
+    let slow = TrapErcClient::new(config(), transport).unwrap();
+    local.create_stripe(1, data.clone()).unwrap();
+    slow.create_stripe(1, data).unwrap();
+    local.write_block(1, 0, &new).unwrap();
+    slow.write_block(1, 0, &new).unwrap();
+    // N_0 now answers long after every parity member has.
+    slow.transport()
+        .set_node_latency(0, Duration::from_millis(40));
+
+    let before = cluster.node(0).io_snapshot();
+    let fell_back = slow.read_block(1, 0).unwrap();
+    let direct = local.read_block(1, 0).unwrap();
+    assert_eq!(direct.report.network_rounds(), 1);
+    assert_eq!(
+        fell_back.report.network_rounds(),
+        2,
+        "level-0 check (N_0 abandoned) + fallback fetch"
+    );
+    assert_eq!(fell_back.path, ReadPath::Direct);
+    assert_eq!(
+        (&fell_back.bytes, fell_back.version, &fell_back.path),
+        (&direct.bytes, direct.version, &direct.path)
+    );
+    assert_eq!(fell_back.bytes, new);
+    // The abandoned request still reaches N_0 (a concurrent transport
+    // delivers it); the fetch is the second and last.
+    assert!(cluster.node(0).io_snapshot().since(&before).reads <= 2);
+}
