@@ -9,8 +9,9 @@
 //!   integer EWMA of round-trip latency plus variance, error/timeout
 //!   rates, and a consecutive-failure circuit state
 //!   ([`CircuitState`]). Quorum rounds feed it completion outcomes;
-//!   transports read back per-node deadlines ([`NodeHealth::timeout_for`])
-//!   and hedge delays ([`NodeHealth::hedge_delay`]).
+//!   the dispatch driver reads back per-node deadlines
+//!   ([`NodeHealth::timeout_for`]) and hedge delays
+//!   ([`NodeHealth::hedge_delay`]) and advances its clock.
 //! * [`RetryBudget`] — a token bucket that caps all client-side
 //!   re-issue traffic (hedges, integrity route-around refetches, TCP
 //!   reconnects) to a fraction of observed successes, so a sick cluster
@@ -260,7 +261,9 @@ struct HealthInner {
     retries_spent: u64,
 }
 
-/// Running totals of hedge activity, for `OpReport`/`SimStats` plumbing.
+/// Running totals of hedge activity — the one hedge ledger: the
+/// dispatch driver writes it, `OpReport` and the DST's `CaseReport` read
+/// it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HedgeCounters {
     /// Speculative re-issues sent.
@@ -352,8 +355,9 @@ impl NodeHealth {
     }
 
     /// Advance the registry's clock (monotone: earlier values are
-    /// ignored). The sim calls this with virtual time; real transports
-    /// with monotonic wall nanoseconds.
+    /// ignored). The dispatch driver calls this with its link's clock at
+    /// every round start and completion: virtual time under the sim,
+    /// monotonic wall nanoseconds on the real transports.
     pub fn advance_now(&self, now: u64) {
         let mut g = self.lock();
         if now > g.now {

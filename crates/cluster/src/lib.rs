@@ -24,7 +24,10 @@
 //!   invokes nodes synchronously (deterministic, fast — the default for
 //!   experiments), [`transport::ChannelTransport`] runs a thread per node behind
 //!   crossbeam channels (the concurrent configuration integration tests
-//!   exercise).
+//!   exercise). Under every concurrent transport — channels, simulator,
+//!   TCP — sits one private dispatch driver (`driver.rs`): deadlines,
+//!   hedged re-issue and late-reply absorption are written once, and
+//!   each fabric contributes only a link (send, receive, tell the time).
 //! * [`quorum_round`] — the scatter-gather round engine: one trapezoid
 //!   level's requests issued at once through [`transport::Transport::multicall`],
 //!   completed on the paper's `w_l`/`r_l` quorum condition, stragglers
@@ -67,6 +70,7 @@
 
 pub mod cluster;
 pub mod detmap;
+mod driver;
 pub mod fault;
 pub mod health;
 pub mod node;

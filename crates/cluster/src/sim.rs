@@ -9,7 +9,7 @@
 //! exactly that hostility:
 //!
 //! * **Virtual time.** No wall clock and no threads: a seeded
-//!   event-scheduler loop pops `(time, seq)`-ordered events off a heap.
+//!   scheduler pops `(time, seq)`-ordered message events off a heap.
 //!   The same seed replays the same schedule bit-for-bit, on any
 //!   machine, under any test runner.
 //! * **Programmable network.** A [`NetworkModel`] gives every message an
@@ -18,7 +18,7 @@
 //!   landed but looks failed — the classic partial-write hazard), a
 //!   duplication probability (the duplicate executes on the node again),
 //!   and a round-trip `timeout` after which the caller sees
-//!   [`NodeError::TimedOut`].
+//!   [`NodeError::TimedOut`](crate::rpc::NodeError::TimedOut).
 //! * **At-least-once delivery.** With [`NetworkModel::redelivery`] on,
 //!   a message still in flight when its round ends is **not** dropped:
 //!   it goes to a bounded limbo and is re-injected into later rounds —
@@ -40,29 +40,34 @@
 //!   of a set of links, independently. [`SimFault::Degrade`] grays a
 //!   node out — up and correct, just 10–100× slower — the straggler
 //!   regime the adaptive layer exists for.
-//! * **Adaptive robustness under test.** The transport owns a
-//!   virtual-time-driven [`NodeHealth`] registry (exposed via
-//!   [`SimTransport::health_registry`]). Arming a
-//!   [`HedgePolicy`](crate::health::HedgePolicy) turns on per-node
-//!   adaptive deadlines (never looser than the model's budget) and
-//!   speculative re-issue of slow calls — same `OpId`, so the existing
-//!   duplicate-absorption hardening makes the losing copy invisible.
-//!   With the default policy (`Off`) no extra events are scheduled and
-//!   no extra RNG draws happen: every legacy schedule replays
-//!   bit-identically.
+//! * **The waiting code under test is the waiting code that ships.**
+//!   The simulator is a *link* — the seeded event heap with loss,
+//!   duplication, FIFO, limbo and scheduled faults — under the same
+//!   dispatch driver (`driver.rs`) the channel and TCP transports run:
+//!   deadlines (the model's `timeout`, tightened per node once a policy
+//!   is armed), hedge timers, the straggler-skip rule, late-reply
+//!   absorption and timeout synthesis are the driver's, on this
+//!   transport's virtual clock. The transport owns a [`NodeHealth`]
+//!   registry (exposed via [`SimTransport::health_registry`]); arming a
+//!   [`HedgePolicy`](crate::health::HedgePolicy) turns on adaptive
+//!   deadlines and speculative re-issue of slow calls — same `OpId`, so
+//!   the existing duplicate-absorption hardening makes the losing copy
+//!   invisible. With the default policy (`Off`) the driver wakes only at
+//!   deadlines and draws nothing from the RNG or the retry budget.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cluster::Cluster;
+use crate::driver::{drive, drive_one, Link, NEVER};
 use crate::health::NodeHealth;
 use crate::node::NodeId;
-use crate::rpc::{Envelope, Lane, NodeApi, NodeError, OpId, Reply};
+use crate::rpc::{Envelope, NodeApi, Reply};
 use crate::transport::{RoundReply, Transport};
 
 /// How many times one limbo message is re-injected into later rounds
@@ -95,7 +100,7 @@ pub struct NetworkModel {
     /// independently sampled time (at-least-once fabric).
     pub duplicate: f64,
     /// Round-trip budget per call: with no reply by `issue + timeout`
-    /// the caller sees [`NodeError::TimedOut`].
+    /// the caller sees [`NodeError::TimedOut`](crate::rpc::NodeError::TimedOut).
     pub timeout: u64,
     /// Keep each link FIFO (per direction, per node): a later message on
     /// the same link never overtakes an earlier one. Reordering across
@@ -226,7 +231,7 @@ pub struct SimStats {
     pub rounds: u64,
     /// Requests handed to the network.
     pub requests: u64,
-    /// Replies delivered to callers.
+    /// Replies handed to the round that was waiting for them.
     pub delivered: u64,
     /// Requests lost (sampled loss or request-partition).
     pub requests_dropped: u64,
@@ -235,8 +240,6 @@ pub struct SimStats {
     /// Duplicate deliveries: requests that reached their node again,
     /// plus replies that surfaced at a caller again.
     pub duplicates: u64,
-    /// Calls completed by the timeout instead of a reply.
-    pub timeouts: u64,
     /// Faults applied (scheduled and immediate).
     pub faults: u64,
     /// Cross-round redeliveries: stale requests executed in a later
@@ -245,14 +248,6 @@ pub struct SimStats {
     /// Limbo messages dropped for good (TTL exhausted, capacity, or a
     /// [`SimTransport::flush_inflight`]).
     pub limbo_dropped: u64,
-    /// Hedges fired: speculative re-issues of calls still outstanding
-    /// past their node's hedge quantile (armed policies only).
-    pub hedges_fired: u64,
-    /// Completions won by the hedge copy arriving before the original.
-    pub hedges_won: u64,
-    /// Late arrivals absorbed on already-completed slots a hedge had
-    /// been fired for — the losing copy of a hedged pair.
-    pub hedge_dups: u64,
 }
 
 /// A message that outlived its round, waiting to be re-injected.
@@ -273,21 +268,17 @@ enum LimboMsg {
     },
 }
 
-/// What travels through the event heap.
+/// What travels through the event heap: messages, and nothing else —
+/// deadlines and hedge timers are the driver's, not the fabric's.
 #[derive(Debug)]
 enum EventKind {
     /// A request reaches its node (and executes there). `foreign` marks
-    /// a cross-round redelivery: no caller of the *current* round awaits
-    /// it, so it never counts toward the round's completion.
+    /// a cross-round redelivery, counted as such.
     ReqArrive {
         node: NodeId,
         env: Envelope,
-        deadline: u64,
         duplicate: bool,
         foreign: bool,
-        /// Provenance: this copy was issued by a hedge re-send. Carried
-        /// through to the reply so the scheduler can attribute wins.
-        hedged: bool,
         hops: u8,
     },
     /// A reply reaches the caller.
@@ -296,19 +287,8 @@ enum EventKind {
         reply: Reply,
         duplicate: bool,
         foreign: bool,
-        /// The reply answers a hedge copy (see [`EventKind::ReqArrive`]).
-        hedged: bool,
         hops: u8,
     },
-    /// The round-trip budget for a call elapses.
-    Timeout {
-        op_id: OpId,
-        round_epoch: u64,
-        node: NodeId,
-    },
-    /// The hedge quantile for a still-outstanding call elapses: re-issue
-    /// the same envelope to the straggler (armed policies only).
-    HedgeFire { slot: usize },
 }
 
 struct Event {
@@ -441,15 +421,12 @@ impl SimState {
     /// duplicate), honouring request-partitions, loss, FIFO and the
     /// duplication knob — the single path fresh sends, hedge re-issues
     /// and limbo re-injections all go through.
-    #[allow(clippy::too_many_arguments)] // internal: one slot per delivery knob
     fn schedule_request(
         &mut self,
         heap: &mut BinaryHeap<Event>,
         node: NodeId,
-        env: Envelope,
-        deadline: u64,
+        env: &Envelope,
         foreign: bool,
-        hedged: bool,
         hops: u8,
     ) {
         let loss = self.model.loss;
@@ -457,36 +434,19 @@ impl SimState {
             self.stats.requests_dropped += 1;
             return;
         }
-        let at = self.next_req_arrival(node.0);
         let dup_p = self.model.duplicate;
-        let dup = self.roll(dup_p);
-        let seq = self.next_seq();
-        heap.push(Event {
-            time: at,
-            seq,
-            kind: EventKind::ReqArrive {
-                node,
-                env: env.clone(),
-                deadline,
-                duplicate: false,
-                foreign,
-                hedged,
-                hops,
-            },
-        });
-        if dup {
-            let at = self.next_req_arrival(node.0);
+        let first = self.next_req_arrival(node.0);
+        let again = self.roll(dup_p).then(|| self.next_req_arrival(node.0));
+        for (copy, time) in std::iter::once(first).chain(again).enumerate() {
             let seq = self.next_seq();
             heap.push(Event {
-                time: at,
+                time,
                 seq,
                 kind: EventKind::ReqArrive {
                     node,
-                    env,
-                    deadline,
-                    duplicate: true,
+                    env: env.clone(),
+                    duplicate: copy > 0,
                     foreign,
-                    hedged,
                     hops,
                 },
             });
@@ -495,19 +455,15 @@ impl SimState {
 
     /// Schedules one reply delivery from `node` (plus a sampled
     /// duplicate), honouring reply-partitions, loss, FIFO and the
-    /// duplication knob. `deadline` bounds in-round replies: one
-    /// arriving past it is stale — parked for a later round in
-    /// at-least-once mode, dropped otherwise. Limbo re-injections pass
-    /// `None` (their original caller is long gone).
-    #[allow(clippy::too_many_arguments)] // internal: one slot per delivery knob
+    /// duplication knob. `stall` delays the original like extra wire
+    /// time. A reply that lands after its caller stopped waiting is
+    /// absorbed by the driver, or outlives the round in the heap.
     fn schedule_reply(
         &mut self,
         heap: &mut BinaryHeap<Event>,
         node: NodeId,
-        reply: Reply,
-        deadline: Option<u64>,
+        reply: &Reply,
         foreign: bool,
-        hedged: bool,
         hops: u8,
         stall: u64,
     ) {
@@ -516,44 +472,19 @@ impl SimState {
             self.stats.replies_dropped += 1;
             return;
         }
-        let at = self.next_reply_arrival(node.0, stall);
         let dup_p = self.model.duplicate;
-        let dup = self.roll(dup_p);
-        if deadline.is_some_and(|d| at > d) {
-            // Arrives after the caller stopped waiting: a stale reply.
-            if self.model.redelivery {
-                self.park(LimboMsg::Reply { node, reply, hops });
-            }
-            return;
-        }
-        let seq = self.next_seq();
-        heap.push(Event {
-            time: at,
-            seq,
-            kind: EventKind::ReplyArrive {
-                node,
-                reply: reply.clone(),
-                duplicate: false,
-                foreign,
-                hedged,
-                hops,
-            },
-        });
-        if dup {
-            let at = self.next_reply_arrival(node.0, 0);
-            if deadline.is_some_and(|d| at > d) {
-                return; // only the duplicate is late: the original made it
-            }
+        let first = self.next_reply_arrival(node.0, stall);
+        let again = self.roll(dup_p).then(|| self.next_reply_arrival(node.0, 0));
+        for (copy, time) in std::iter::once(first).chain(again).enumerate() {
             let seq = self.next_seq();
             heap.push(Event {
-                time: at,
+                time,
                 seq,
                 kind: EventKind::ReplyArrive {
                     node,
-                    reply,
-                    duplicate: true,
+                    reply: reply.clone(),
+                    duplicate: copy > 0,
                     foreign,
-                    hedged,
                     hops,
                 },
             });
@@ -787,266 +718,131 @@ impl SimTransport {
         self.state.lock().plan.iter().map(|p| p.time).min()
     }
 
-    /// Shared event loop: runs one fan-out until every call completed or
-    /// the sink abandoned the round. In at-least-once mode, undelivered
-    /// messages (this round's *and* re-injected older ones) go back to
-    /// limbo when the round ends; otherwise they die with the round.
-    fn run_round(&self, calls: Vec<(NodeId, Envelope)>, sink: &mut dyn FnMut(RoundReply) -> bool) {
-        let total = calls.len();
-        if total == 0 {
-            return;
-        }
+    /// Opens a round's link: takes the scheduler for the round's
+    /// duration and, in at-least-once mode, re-injects everything parked
+    /// by earlier rounds through the same scheduling path as fresh
+    /// traffic — loss/partitions/duplication roll again per
+    /// re-injection; the fabric is as adversarial to stragglers as to
+    /// new messages.
+    fn link(&self) -> SimLink<'_> {
         let mut st = self.state.lock();
         st.stats.rounds += 1;
-        let mut heap: BinaryHeap<Event> = BinaryHeap::new();
-        // Completion slots for this round's own calls, by issue order;
-        // foreign (cross-round) messages have no slot and never count.
-        let slot_of = |ids: &[(OpId, NodeId)], op: OpId| ids.iter().position(|&(id, _)| id == op);
-        let ids: Vec<(OpId, NodeId)> = calls.iter().map(|(n, e)| (e.op_id, *n)).collect();
-        let mut completed = vec![false; total];
-        let mut done = 0usize;
-
-        // Adaptive layer: with a policy armed, deadlines come from the
-        // per-node estimator (never looser than the model budget) and
-        // each foreground call gets a HedgeFire event at its node's
-        // hedge quantile. With the policy Off none of this runs — no
-        // extra events, no extra RNG draws, bit-identical schedules.
-        let hedging = self.health.hedging_enabled();
-        self.health.advance_now(st.now);
-        let start = st.now;
-        let mut hedge_plan: Vec<Option<(Envelope, u64)>> = (0..total).map(|_| None).collect();
-        let mut hedge_fired = vec![false; total];
-
-        for (i, (node, env)) in calls.into_iter().enumerate() {
-            assert!(node.0 < self.cluster.len(), "node {node} out of range");
-            st.stats.requests += 1;
-            let budget = if hedging {
-                self.health
-                    .timeout_for(node.0)
-                    .map_or(st.model.timeout, |t| t.min(st.model.timeout))
-            } else {
-                st.model.timeout
-            };
-            let deadline = st.now + budget;
-            let seq = st.next_seq();
-            heap.push(Event {
-                time: deadline,
-                seq,
-                kind: EventKind::Timeout {
-                    op_id: env.op_id,
-                    round_epoch: env.round_epoch,
-                    node,
-                },
-            });
-            if hedging && env.lane == Lane::Foreground {
-                if let Some(d) = self.health.hedge_delay(node.0) {
-                    let at = st.now + d;
-                    if at < deadline {
-                        let seq = st.next_seq();
-                        heap.push(Event {
-                            time: at,
-                            seq,
-                            kind: EventKind::HedgeFire { slot: i },
-                        });
-                        hedge_plan[i] = Some((env.clone(), deadline));
-                    }
-                }
-            }
-            st.schedule_request(&mut heap, node, env, deadline, false, false, 0);
-        }
-
-        // At-least-once: re-inject everything parked by earlier rounds
-        // through the same scheduling path as fresh traffic —
-        // loss/partitions/duplication roll again per re-injection; the
-        // fabric is as adversarial to stragglers as to new messages.
+        let mut heap = BinaryHeap::new();
         if st.model.redelivery {
-            let parked = std::mem::take(&mut st.limbo);
-            for msg in parked {
+            for msg in std::mem::take(&mut st.limbo) {
                 match msg {
                     LimboMsg::Req { node, env, hops } => {
-                        st.schedule_request(&mut heap, node, env, u64::MAX, true, false, hops + 1);
+                        st.schedule_request(&mut heap, node, &env, true, hops + 1);
                     }
                     LimboMsg::Reply { node, reply, hops } => {
-                        st.schedule_reply(&mut heap, node, reply, None, true, false, hops + 1, 0);
+                        st.schedule_reply(&mut heap, node, &reply, true, hops + 1, 0);
                     }
                 }
             }
         }
+        SimLink {
+            cluster: &self.cluster,
+            st,
+            heap,
+        }
+    }
+}
 
-        let mut abandoned = false;
-        while done < total && !abandoned {
-            let Some(ev) = heap.pop() else {
-                // Unreachable: every slot owns a Timeout event. Kept as
-                // a graceful exit rather than a hang if it ever breaks.
-                break;
-            };
-            st.run_faults_until(&self.cluster, ev.time);
+/// The simulated fabric as the driver sees it: one round's seeded event
+/// heap. `send` schedules deliveries, `recv` pops them in `(time, seq)`
+/// order — executing requests on their nodes as they arrive, whether or
+/// not anyone still waits — and time is the virtual clock, which moves
+/// only when an event or the driver's own wake-up instant is reached.
+struct SimLink<'a> {
+    cluster: &'a Cluster,
+    st: MutexGuard<'a, SimState>,
+    heap: BinaryHeap<Event>,
+}
+
+impl Link for SimLink<'_> {
+    fn send(&mut self, node: NodeId, env: &Envelope) {
+        assert!(node.0 < self.cluster.len(), "node {node} out of range");
+        self.st.stats.requests += 1;
+        self.st
+            .schedule_request(&mut self.heap, node, env, false, 0);
+    }
+
+    fn recv(&mut self, until: u64) -> Option<RoundReply> {
+        let st = &mut *self.st;
+        while self.heap.peek().is_some_and(|ev| ev.time < until) {
+            let ev = self.heap.pop()?;
+            st.run_faults_until(self.cluster, ev.time);
             st.now = st.now.max(ev.time);
             match ev.kind {
                 EventKind::ReqArrive {
                     node,
                     env,
-                    deadline,
                     duplicate,
                     foreign,
-                    hedged,
                     hops,
                 } => {
                     // The node executes the request at arrival time even
                     // if the caller has already given up on this op —
-                    // side effects of unawaited messages are the point.
-                    if duplicate {
-                        st.stats.duplicates += 1;
-                    }
-                    if foreign {
-                        st.stats.redelivered += 1;
-                    }
-                    // The ack is sent regardless of whether the caller
-                    // is still waiting — a request arriving after its
-                    // own timeout produces exactly the stale reply the
-                    // at-least-once mode must keep in flight (it parks
-                    // past-deadline replies; without redelivery they
-                    // drop here as before).
+                    // side effects of unawaited messages are the point —
+                    // and the ack is sent regardless: a request arriving
+                    // after its own timeout produces exactly the stale
+                    // reply the at-least-once mode must keep in flight.
+                    st.stats.duplicates += u64::from(duplicate);
+                    st.stats.redelivered += u64::from(foreign);
                     let reply = self.cluster.node(node.0).execute(env);
                     // Storage-fault axis: slow reads charged by the
                     // node's backend surface as reply latency.
                     let stall =
                         self.cluster.node(node.0).backend().take_stall_ticks() * STALL_TICK_NS;
-                    st.schedule_reply(
-                        &mut heap,
-                        node,
-                        reply,
-                        Some(deadline),
-                        foreign,
-                        hedged,
-                        hops,
-                        stall,
-                    );
+                    st.schedule_reply(&mut self.heap, node, &reply, foreign, hops, stall);
                 }
                 EventKind::ReplyArrive {
                     node,
                     reply,
                     duplicate,
                     foreign,
-                    hedged,
                     hops: _,
                 } => {
-                    if duplicate {
-                        st.stats.duplicates += 1;
-                    }
-                    let slot = slot_of(&ids, reply.op_id).filter(|_| !foreign);
-                    match slot {
-                        Some(i) => {
-                            if completed[i] {
-                                if hedge_fired[i] {
-                                    // The losing copy of a hedged pair
-                                    // landing after the winner: absorbed
-                                    // here, invisible to the caller.
-                                    st.stats.hedge_dups += 1;
-                                    self.health.note_hedge_dup();
-                                }
-                                continue;
-                            }
-                            completed[i] = true;
-                            done += 1;
-                            st.stats.delivered += 1;
-                            // Feed the estimator the real virtual-time
-                            // RTT; outcomes (accept/reject) are fed once,
-                            // by the quorum engine.
-                            if reply.result.is_ok() {
-                                self.health.advance_now(st.now);
-                                self.health
-                                    .record_sample(node.0, st.now.saturating_sub(start));
-                            }
-                            if hedged {
-                                st.stats.hedges_won += 1;
-                                self.health.note_hedge_won();
-                            }
-                            if !sink(RoundReply::from_reply(node, reply)) {
-                                abandoned = true;
-                            }
-                        }
-                        None => {
-                            // A stale straggler from an earlier round
-                            // surfacing at this round's caller: deliver
-                            // it — the engine must discard it by
-                            // identity — but never count it.
-                            st.stats.redelivered += 1;
-                            if !sink(RoundReply::from_reply(node, reply)) {
-                                abandoned = true;
-                            }
-                        }
-                    }
-                }
-                EventKind::Timeout {
-                    op_id,
-                    round_epoch,
-                    node,
-                } => {
-                    let Some(i) = slot_of(&ids, op_id) else {
-                        continue;
-                    };
-                    if completed[i] {
-                        continue;
-                    }
-                    completed[i] = true;
-                    done += 1;
-                    st.stats.timeouts += 1;
-                    if !sink(RoundReply {
-                        op_id,
-                        round_epoch,
-                        node,
-                        result: Err(NodeError::TimedOut),
-                    }) {
-                        abandoned = true;
-                    }
-                }
-                EventKind::HedgeFire { slot } => {
-                    // Speculative re-issue: the call is still outstanding
-                    // past its node's hedge quantile. Same OpId — the
-                    // identity matching and idempotent command API absorb
-                    // whichever copy loses. Budget-gated so hedges stay a
-                    // bounded fraction of successful traffic.
-                    if completed[slot] {
-                        continue;
-                    }
-                    let Some((env, deadline)) = hedge_plan[slot].take() else {
-                        continue;
-                    };
-                    let node = ids[slot].1;
-                    if !self.health.try_spend(env.lane) {
-                        continue;
-                    }
-                    hedge_fired[slot] = true;
-                    st.stats.hedges_fired += 1;
-                    self.health.note_hedge_fired();
-                    st.schedule_request(&mut heap, node, env, deadline, false, true, 0);
+                    // A stale straggler from an earlier round surfaces
+                    // here like any reply: the driver forwards it and the
+                    // engine must discard it by identity.
+                    st.stats.duplicates += u64::from(duplicate);
+                    st.stats.redelivered += u64::from(foreign);
+                    st.stats.delivered += u64::from(!foreign);
+                    return Some(RoundReply::from_reply(node, reply));
                 }
             }
         }
-        // The round is over. Remaining events are messages still in
-        // flight: in at-least-once mode requests and replies go to limbo
-        // for later rounds; otherwise they die here. Timeouts die either
-        // way (their caller is gone).
-        if st.model.redelivery {
-            while let Some(ev) = heap.pop() {
-                match ev.kind {
-                    EventKind::ReqArrive {
-                        node, env, hops, ..
-                    } => st.park(LimboMsg::Req { node, env, hops }),
-                    EventKind::ReplyArrive {
-                        node, reply, hops, ..
-                    } => st.park(LimboMsg::Reply { node, reply, hops }),
-                    // Their caller is gone either way; hedge triggers are
-                    // meaningless outside their round.
-                    EventKind::Timeout { .. } | EventKind::HedgeFire { .. } => {}
-                }
-            }
+        if until != NEVER {
+            st.run_faults_until(self.cluster, until);
+            st.now = st.now.max(until);
         }
-        // Keep the health clock current so outcome feeding (circuit
-        // stamps, cooldowns) that happens after multicall returns sees
-        // the end-of-round instant.
-        self.health.advance_now(st.now);
+        None
+    }
+
+    fn now(&self) -> u64 {
+        self.st.now
+    }
+}
+
+impl Drop for SimLink<'_> {
+    /// The round is over. What the heap still holds are messages in
+    /// flight: in at-least-once mode they go to limbo for later rounds;
+    /// otherwise they die here.
+    fn drop(&mut self) {
+        if !self.st.model.redelivery {
+            return;
+        }
+        while let Some(ev) = self.heap.pop() {
+            self.st.park(match ev.kind {
+                EventKind::ReqArrive {
+                    node, env, hops, ..
+                } => LimboMsg::Req { node, env, hops },
+                EventKind::ReplyArrive {
+                    node, reply, hops, ..
+                } => LimboMsg::Reply { node, reply, hops },
+            });
+        }
     }
 }
 
@@ -1056,25 +852,15 @@ impl Transport for SimTransport {
     }
 
     fn dispatch(&self, node: NodeId, env: Envelope) -> Reply {
-        let (op_id, round_epoch) = (env.op_id, env.round_epoch);
-        let mut result = Err(NodeError::TimedOut);
-        self.run_round(vec![(node, env)], &mut |reply| {
-            if reply.op_id == op_id {
-                result = reply.result;
-                false
-            } else {
-                true // stale stranger from an earlier round: ignore
-            }
-        });
-        Reply {
-            op_id,
-            round_epoch,
-            result,
-        }
+        let link = self.link();
+        let budget = link.st.model.timeout;
+        drive_one(link, &self.health, Some(budget), node, env)
     }
 
     fn multicall(&self, calls: Vec<(NodeId, Envelope)>, sink: &mut dyn FnMut(RoundReply) -> bool) {
-        self.run_round(calls, sink);
+        let link = self.link();
+        let budget = link.st.model.timeout;
+        drive(link, &self.health, Some(budget), calls, sink)
     }
 
     fn health(&self) -> Option<&NodeHealth> {
@@ -1097,7 +883,7 @@ impl std::fmt::Debug for SimTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rpc::{Request, Response};
+    use crate::rpc::{NodeError, Request, Response};
     use bytes::Bytes;
 
     fn pings(n: usize) -> Vec<(NodeId, Request)> {
@@ -1127,7 +913,6 @@ mod tests {
         assert_eq!(replies.len(), 5);
         assert!(replies.iter().all(|r| r.result == Ok(Response::Pong)));
         assert!(t.now() > 0, "virtual time advanced");
-        assert_eq!(t.stats().timeouts, 0);
     }
 
     #[test]
@@ -1159,7 +944,6 @@ mod tests {
         let replies = collect(&t, pings(4));
         assert_eq!(replies.len(), 4);
         assert!(replies.iter().all(|r| r.result == Err(NodeError::TimedOut)));
-        assert_eq!(t.stats().timeouts, 4);
         // Synthesised timeout replies still echo the issuing round's
         // epoch, like every other reply.
         let env = Envelope::in_epoch(Request::Ping, 99);
@@ -1668,7 +1452,6 @@ mod tests {
             NodeId(1),
             "the gray node answers last, not never"
         );
-        assert_eq!(t.stats().timeouts, 0, "degraded ≠ down");
         // Restoring factor 1 closes the gap again.
         t.apply(SimFault::Degrade { node: 0, factor: 1 });
         let replies = collect(&t, pings(2));
@@ -1694,18 +1477,23 @@ mod tests {
                 assert_eq!(replies.len(), 4, "every call completes");
                 order.extend(replies.into_iter().map(|r| (r.node, r.result.is_ok())));
             }
-            (order, t.stats(), t.now())
+            let hedges = t.health_registry().hedge_counters();
+            (order, t.stats(), hedges, t.now())
         };
-        let (order, stats, now) = run(51);
+        let (order, stats, hedges, now) = run(51);
         assert!(
-            stats.hedges_fired >= 1,
-            "heavy-tail stragglers trip the hedge quantile: {stats:?}"
+            hedges.fired >= 1,
+            "heavy-tail stragglers trip the hedge quantile: {hedges:?}"
         );
         assert!(
-            stats.hedges_won + stats.hedge_dups >= 1,
-            "a hedged pair resolved one way or the other: {stats:?}"
+            hedges.won + hedges.dups >= 1,
+            "a hedged pair resolved one way or the other: {hedges:?}"
         );
-        assert_eq!(run(51), (order, stats, now), "hedged replay is bit-for-bit");
+        assert_eq!(
+            run(51),
+            (order, stats, hedges, now),
+            "hedged replay is bit-for-bit"
+        );
     }
 
     #[test]
@@ -1718,10 +1506,10 @@ mod tests {
             let replies = collect(&t, pings(2));
             assert_eq!(replies.len(), 2);
         }
-        let stats = t.stats();
-        assert_eq!(stats.hedges_fired, 0);
-        assert_eq!(stats.hedges_won, 0);
-        assert_eq!(stats.hedge_dups, 0);
+        assert_eq!(
+            t.health_registry().hedge_counters(),
+            crate::health::HedgeCounters::default()
+        );
         let snap = t.health_registry().snapshot();
         assert!(
             snap.iter().any(|s| s.timeout.is_some()),

@@ -5,30 +5,43 @@
 //! The container this reproduction builds in is offline and carries no
 //! async runtime, so everything here is blocking `std::net`: the server
 //! runs an accept loop plus one thread per connection; the client runs
-//! one *reader* thread per pooled connection feeding a shared dispatch
-//! table, while callers write frames directly and park on a rendezvous
-//! channel until their reply (matched by [`OpId`](crate::rpc::OpId) —
-//! never by arrival
-//! order) comes back. That shape is exactly the per-connection
-//! reader / shared dispatcher split a nonblocking implementation would
-//! have, minus the reactor.
+//! one *reader* thread per pooled connection, and nothing else that
+//! lives longer than a send. A round is a *link* under the shared
+//! dispatch driver (`driver.rs`, the loop every concurrent transport
+//! waits in): the caller's own thread writes each frame on a pooled
+//! connection and then waits on the round's one reply channel, which the
+//! reader threads feed — replies are matched to waiters by
+//! [`OpId`], never by arrival order. Only a send that
+//! would *block* — the pool slot has no live connection (reconnect with
+//! backoff), or the peer's inflight window is full (`overload_wait`) —
+//! is handed to a short-lived helper thread, so a dead or saturated
+//! peer never delays the round's other members; the choice is made per
+//! send from what the pool can observe. Deadlines, hedged re-issue (the
+//! re-send round-robins onto the peer's *other* pooled connection and
+//! its other serving thread, which is where a re-issue to the same node
+//! can actually win) and late-reply absorption are the driver's, exactly
+//! as under the simulator.
 //!
 //! Failure surfacing keeps the vocabulary the protocol already speaks:
 //!
 //! * a node that cannot be reached after bounded reconnect-with-backoff
 //!   answers [`NodeError::Down`];
-//! * an exceeded round-trip budget answers [`NodeError::TimedOut`]
-//!   (and, as everywhere else, the request *may still execute* — a
-//!   timed-out write is a partial write, not a no-op);
+//! * an exceeded round-trip budget ([`TcpConfig::io_timeout`], tightened
+//!   per node once a hedge policy is armed) answers
+//!   [`NodeError::TimedOut`] (and, as everywhere else, the request *may
+//!   still execute* — a timed-out write is a partial write, not a
+//!   no-op);
 //! * a connection dying mid-flight answers
 //!   [`NodeError::TransportClosed`].
 //!
 //! Per-node inflight limits provide backpressure: once `max_inflight`
-//! commands are outstanding against one node, further dispatches block
-//! briefly (bounded by [`TcpConfig::overload_wait`]) and then shed the
-//! request as [`NodeError::Overloaded`] — a typed signal that the
-//! request was *never sent*, so the caller may retry elsewhere
-//! immediately instead of waiting out the full round-trip budget.
+//! commands are outstanding against one node, further sends wait
+//! briefly (bounded by [`TcpConfig::overload_wait`]) and are then shed
+//! as [`NodeError::Overloaded`] — a typed signal that the request was
+//! *never sent*, so the caller may retry elsewhere immediately instead
+//! of waiting out the full round-trip budget. A command holds its unit
+//! of the window until its reply arrives or its round closes, whichever
+//! is first.
 //!
 //! Reconnects back off exponentially with a cap and deterministic
 //! per-peer jitter (seeded from the address, not a global RNG — two
@@ -41,19 +54,20 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
+use crate::driver::{drive, drive_one, Link};
 use crate::health::NodeHealth;
 use crate::node::NodeId;
-use crate::rpc::{Envelope, Lane, NodeApi, NodeError, Reply, Response};
-use crate::transport::{RoundReply, Transport};
+use crate::rpc::{Envelope, Lane, NodeApi, NodeError, OpId, Reply, Response};
+use crate::transport::{wall_nanos, RoundReply, Transport};
 use crate::wire::{self, Frame, Header, HEADER_LEN};
 
 // ---------------------------------------------------------------------
@@ -266,67 +280,160 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// What a parked caller gets back: the node's answer or the transport's
-/// synthesised error.
-type ReplyResult = Result<Response, NodeError>;
+/// A registration a round made and takes back when it closes.
+struct Written {
+    conn: Arc<Conn>,
+    op_id: u64,
+    waiter: u64,
+}
+
+/// One round's reply channel, and the registrations it must take back
+/// when it closes. Shared with the helpers the round started, which may
+/// register after the caller moved on.
+struct Round {
+    tx: Sender<RoundReply>,
+    /// One entry per frame written; `None` once the round closed — a
+    /// helper arriving that late sends nothing.
+    open: Mutex<Option<Vec<Written>>>,
+}
+
+impl Round {
+    /// Answers `env` in-band with a failure the transport synthesised.
+    fn fail(&self, node: NodeId, env: &Envelope, error: NodeError) {
+        let _ = self.tx.send(RoundReply {
+            op_id: env.op_id,
+            round_epoch: env.round_epoch,
+            node,
+            result: Err(error),
+        });
+    }
+}
+
+/// Where the reply frame for one written command goes. It holds the
+/// command's unit of the peer's inflight window, released when the
+/// waiter goes — answered, failed, or taken back by its round.
+struct Waiter {
+    /// The registration's own identity: an at-least-once caller (a
+    /// hedge, most often) may legally have one op id in flight twice,
+    /// and each copy is removed as itself.
+    id: u64,
+    node: NodeId,
+    round_epoch: u64,
+    tx: Sender<RoundReply>,
+    _permit: InflightPermit,
+}
+
+impl Waiter {
+    /// Delivers `result` under *our* envelope's identity: even a buggy
+    /// peer cannot make us mislabel an answer.
+    fn answer(self, op_id: u64, result: Result<Response, NodeError>) {
+        let _ = self.tx.send(RoundReply {
+            op_id: OpId(op_id),
+            round_epoch: self.round_epoch,
+            node: self.node,
+            result,
+        });
+    }
+}
 
 /// A live client connection: shared writer, reader thread, and the
-/// dispatch table matching reply frames to parked callers by op id.
+/// dispatch table matching reply frames to waiting rounds by op id.
 struct Conn {
     writer: Mutex<TcpStream>,
-    /// op id → FIFO of waiters. A queue because an at-least-once caller
-    /// may legally have the same op id in flight more than once.
-    pending: Mutex<HashMap<u64, Vec<Sender<ReplyResult>>>>,
+    /// op id → FIFO of waiters.
+    pending: Mutex<HashMap<u64, Vec<Waiter>>>,
+    next_waiter: AtomicU64,
     alive: AtomicBool,
 }
 
 impl Conn {
-    fn register(&self, op_id: u64) -> crossbeam::channel::Receiver<ReplyResult> {
-        let (tx, rx) = bounded(1);
-        self.pending.lock().entry(op_id).or_default().push(tx);
-        rx
-    }
-
-    fn deregister(&self, op_id: u64) {
-        let mut pending = self.pending.lock();
-        if let Some(waiters) = pending.get_mut(&op_id) {
-            waiters.pop();
-            if waiters.is_empty() {
-                pending.remove(&op_id);
-            }
+    fn new(stream: TcpStream) -> Conn {
+        Conn {
+            writer: Mutex::new(stream),
+            pending: Mutex::new(HashMap::new()),
+            next_waiter: AtomicU64::new(0),
+            alive: AtomicBool::new(true),
         }
     }
 
-    fn complete(&self, op_id: u64, result: Result<Response, NodeError>) {
-        let tx = {
-            let mut pending = self.pending.lock();
-            match pending.get_mut(&op_id) {
-                Some(waiters) if !waiters.is_empty() => {
-                    let tx = waiters.remove(0);
-                    if waiters.is_empty() {
-                        pending.remove(&op_id);
-                    }
-                    Some(tx)
-                }
-                // A reply nobody waits for: a straggler whose caller
-                // already timed out. Drop it; identity matching means it
-                // cannot be miscounted against another command.
-                _ => None,
-            }
+    /// Parks a waiter for `env`'s reply; returns its registration.
+    fn register(&self, node: NodeId, env: &Envelope, round: &Round, permit: InflightPermit) -> u64 {
+        let id = self.next_waiter.fetch_add(1, Ordering::Relaxed);
+        let waiter = Waiter {
+            id,
+            node,
+            round_epoch: env.round_epoch,
+            tx: round.tx.clone(),
+            _permit: permit,
         };
-        if let Some(tx) = tx {
-            let _ = tx.send(result);
+        let mut pending = self.pending.lock();
+        pending.entry(env.op_id.0).or_default().push(waiter);
+        id
+    }
+
+    /// Removes the waiter an op id's reply would be served to: the
+    /// oldest, or the one registered as `id`.
+    fn take(&self, op_id: u64, id: Option<u64>) -> Option<Waiter> {
+        let mut pending = self.pending.lock();
+        let waiters = pending.get_mut(&op_id)?;
+        let at = match id {
+            Some(id) => waiters.iter().position(|w| w.id == id)?,
+            None => 0,
+        };
+        let waiter = waiters.remove(at);
+        if waiters.is_empty() {
+            pending.remove(&op_id);
+        }
+        Some(waiter)
+    }
+
+    /// Takes registration `id` back: its round no longer waits.
+    fn deregister(&self, op_id: u64, id: u64) {
+        self.take(op_id, Some(id));
+    }
+
+    /// Serves a reply frame to the op id's oldest waiter. A reply nobody
+    /// waits for — its round closed — is dropped; identity matching
+    /// means it cannot be miscounted against another command.
+    fn complete(&self, op_id: u64, result: Result<Response, NodeError>) {
+        if let Some(waiter) = self.take(op_id, None) {
+            waiter.answer(op_id, result);
         }
     }
 
-    /// Marks the connection dead and fails every parked caller.
+    /// Marks the connection dead and fails every waiter.
     fn poison(&self) {
         self.alive.store(false, Ordering::Release);
         let drained: Vec<_> = self.pending.lock().drain().collect();
-        for (_, waiters) in drained {
-            for tx in waiters {
-                let _ = tx.send(Err(NodeError::TransportClosed));
+        for (op_id, waiters) in drained {
+            for waiter in waiters {
+                waiter.answer(op_id, Err(NodeError::TransportClosed));
             }
+        }
+    }
+
+    /// Registers `env` for `round` and writes its frame. A write that
+    /// fails poisons the connection, which answers this waiter with the
+    /// rest.
+    fn transmit(
+        self: &Arc<Self>,
+        round: &Round,
+        permit: InflightPermit,
+        node: NodeId,
+        env: &Envelope,
+    ) {
+        {
+            let mut open = round.open.lock();
+            let Some(written) = open.as_mut() else { return };
+            written.push(Written {
+                conn: Arc::clone(self),
+                op_id: env.op_id.0,
+                waiter: self.register(node, env, round, permit),
+            });
+        }
+        let frame = wire::encode_envelope(env);
+        if self.writer.lock().write_all(&frame).is_err() {
+            self.poison();
         }
     }
 }
@@ -365,39 +472,41 @@ struct Slot {
     next_attempt: Instant,
 }
 
+/// A peer's inflight window: commands written and not yet answered.
+#[derive(Default)]
+struct Inflight {
+    count: Mutex<usize>,
+    freed: Condvar,
+}
+
+/// One unit of a peer's inflight window, given back on drop — so every
+/// way a command ends (reply, failure, its round closing) returns it.
+struct InflightPermit(Arc<Inflight>);
+
+impl Drop for InflightPermit {
+    fn drop(&mut self) {
+        *self.0.count.lock() -= 1;
+        self.0.freed.notify_one();
+    }
+}
+
 /// Everything the transport knows about one node.
 struct Peer {
     addr: SocketAddr,
     slots: Vec<Mutex<Slot>>,
     rr: AtomicUsize,
-    inflight: Mutex<usize>,
-    inflight_cv: Condvar,
-}
-
-/// Releases one unit of a peer's inflight budget on drop, so every
-/// dispatch return path (reply, timeout, failure) gives it back.
-struct InflightPermit<'a> {
-    peer: &'a Peer,
-}
-
-impl Drop for InflightPermit<'_> {
-    fn drop(&mut self) {
-        let mut count = self.peer.inflight.lock();
-        *count -= 1;
-        self.peer.inflight_cv.notify_one();
-    }
+    inflight: Arc<Inflight>,
 }
 
 struct TcpInner {
     peers: Vec<Peer>,
     cfg: TcpConfig,
-    /// Real-scale health registry: RTT samples land here per dispatch,
-    /// reconnect retries draw on its budget, and the quorum engine feeds
-    /// outcomes through [`Transport::health`].
+    /// Real-scale health registry: the driver feeds it RTT samples,
+    /// reconnect retries draw on its budget, and the quorum engine
+    /// feeds outcomes through [`Transport::health`].
     health: Arc<NodeHealth>,
-    /// Wall-clock anchor for the health registry's monotone nanosecond
-    /// clock.
-    started: Instant,
+    /// Sends handed to a helper thread because they would have blocked.
+    helped: AtomicU64,
 }
 
 /// [`Transport`] over real TCP connections, one pool per node.
@@ -442,8 +551,7 @@ impl TcpTransport {
                     })
                     .collect(),
                 rr: AtomicUsize::new(0),
-                inflight: Mutex::new(0),
-                inflight_cv: Condvar::new(),
+                inflight: Arc::default(),
             })
             .collect();
         TcpTransport {
@@ -451,49 +559,63 @@ impl TcpTransport {
                 peers,
                 cfg,
                 health: Arc::new(NodeHealth::real_scale()),
-                started: now,
+                helped: AtomicU64::new(0),
             }),
         }
     }
 
     /// The health registry behind this transport — arm a hedge policy
-    /// for adaptive per-node deadlines, inspect snapshots, or share the
-    /// retry budget with other clients of the same cluster.
+    /// for hedged re-issue and adaptive per-node deadlines, inspect
+    /// snapshots, or share the retry budget with other clients of the
+    /// same cluster.
     pub fn health_registry(&self) -> &Arc<NodeHealth> {
         &self.inner.health
+    }
+
+    /// A round's link, and the fabric's fixed round-trip budget.
+    fn link(&self) -> (TcpLink<'_>, Option<u64>) {
+        let (tx, rx) = unbounded();
+        let round = Arc::new(Round {
+            tx,
+            open: Mutex::new(Some(Vec::new())),
+        });
+        let link = TcpLink {
+            inner: &self.inner,
+            round,
+            rx,
+        };
+        (link, Some(self.inner.cfg.io_timeout.as_nanos() as u64))
     }
 }
 
 impl TcpInner {
-    /// Blocks until the peer has inflight budget, bounded by `deadline`.
-    fn acquire_inflight<'a>(
-        &self,
-        peer: &'a Peer,
-        deadline: Instant,
-    ) -> Option<InflightPermit<'a>> {
-        let mut count = peer.inflight.lock();
+    /// Takes one unit of the peer's inflight window, waiting for one to
+    /// be freed until `deadline` (`None`: only if one is free now).
+    fn acquire_inflight(&self, peer: &Peer, deadline: Option<Instant>) -> Option<InflightPermit> {
+        let mut count = peer.inflight.count.lock();
         while *count >= self.cfg.max_inflight {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            if peer.inflight_cv.wait_for(&mut count, deadline - now)
-                && *count >= self.cfg.max_inflight
-            {
+            let wait = deadline?.checked_duration_since(Instant::now())?;
+            if peer.inflight.freed.wait_for(&mut count, wait) && *count >= self.cfg.max_inflight {
                 return None;
             }
         }
         *count += 1;
-        Some(InflightPermit { peer })
+        Some(InflightPermit(Arc::clone(&peer.inflight)))
     }
 
     /// Gets (or re-establishes, with capped jittered backoff) a live
-    /// connection for `peer`. `None` means the node is unreachable
-    /// within the attempt budget / deadline. Every attempt beyond the
-    /// first must be paid for out of the retry budget (`lane`-aware:
-    /// background reconnects leave the foreground reserve untouched).
-    fn get_conn(&self, peer: &Peer, deadline: Instant, lane: Lane) -> Option<Arc<Conn>> {
-        let slot_index = peer.rr.fetch_add(1, Ordering::Relaxed) % peer.slots.len();
+    /// connection in `peer`'s pool slot `slot_index`. `None` means the
+    /// node is unreachable within the attempt budget / deadline. Every
+    /// attempt beyond the first must be paid for out of the retry budget
+    /// (`lane`-aware: background reconnects leave the foreground reserve
+    /// untouched). Holds the slot for as long as it takes.
+    fn get_conn(
+        &self,
+        peer: &Peer,
+        slot_index: usize,
+        deadline: Instant,
+        lane: Lane,
+    ) -> Option<Arc<Conn>> {
         let mut slot = peer.slots[slot_index].lock();
         if let Some(conn) = &slot.conn {
             if conn.alive.load(Ordering::Acquire) {
@@ -528,11 +650,7 @@ impl TcpInner {
                         Ok(s) => s,
                         Err(_) => continue,
                     };
-                    let conn = Arc::new(Conn {
-                        writer: Mutex::new(stream),
-                        pending: Mutex::new(HashMap::new()),
-                        alive: AtomicBool::new(true),
-                    });
+                    let conn = Arc::new(Conn::new(stream));
                     let reader_conn = Arc::clone(&conn);
                     if std::thread::Builder::new()
                         .name(format!("tq-tcp-read-{}", peer.addr))
@@ -570,85 +688,28 @@ impl TcpInner {
         None
     }
 
-    fn dispatch(&self, node: NodeId, env: Envelope) -> Reply {
-        let (op_id, round_epoch) = (env.op_id, env.round_epoch);
-        let fail = |e: NodeError| Reply {
-            op_id,
-            round_epoch,
-            result: Err(e),
-        };
-        let Some(peer) = self.peers.get(node.0) else {
-            return fail(NodeError::TransportClosed);
-        };
+    /// The send that may block, run on a helper thread: waits out a
+    /// saturated inflight window (bounded, then shed), reconnects with
+    /// backoff, then writes the frame like any other send.
+    fn send_blocking(&self, round: &Round, node: NodeId, slot_index: usize, env: &Envelope) {
+        let peer = &self.peers[node.0];
         let issued = Instant::now();
-        self.health
-            .advance_now(issued.duration_since(self.started).as_nanos() as u64);
-        // Adaptive round-trip budget: with a hedge policy armed, the
-        // per-node estimate (never looser than the configured budget)
-        // governs the deadline; fixed io_timeout otherwise.
-        let budget = if self.health.hedging_enabled() {
-            self.health
-                .timeout_for(node.0)
-                .map_or(self.cfg.io_timeout, |ns| {
-                    Duration::from_nanos(ns).min(self.cfg.io_timeout)
-                })
-        } else {
-            self.cfg.io_timeout
-        };
-        let deadline = issued + budget;
-
+        let deadline = issued + self.cfg.io_timeout;
         // Backpressure first: a node already saturated with our own
         // inflight commands should not accumulate more. Shedding is
         // typed — Overloaded means "never sent", so the caller may
         // re-route immediately.
         let overload_deadline = deadline.min(issued + self.cfg.overload_wait);
-        let Some(_permit) = self.acquire_inflight(peer, overload_deadline) else {
-            return fail(NodeError::Overloaded);
+        let Some(permit) = self.acquire_inflight(peer, Some(overload_deadline)) else {
+            return round.fail(node, env, NodeError::Overloaded);
         };
-
-        let Some(conn) = self.get_conn(peer, deadline, env.lane) else {
+        match self.get_conn(peer, slot_index, deadline, env.lane) {
+            Some(conn) => conn.transmit(round, permit, node, env),
             // Unreachable within the bounded reconnect budget: for the
             // protocol that is a down node, unless the clock ran out
             // while we were still trying.
-            return if Instant::now() >= deadline {
-                fail(NodeError::TimedOut)
-            } else {
-                fail(NodeError::Down)
-            };
-        };
-
-        let frame = wire::encode_envelope(&env);
-        let rx = conn.register(op_id.0);
-        {
-            let mut writer = conn.writer.lock();
-            if writer.write_all(&frame).is_err() {
-                drop(writer);
-                conn.deregister(op_id.0);
-                conn.poison();
-                return fail(NodeError::TransportClosed);
-            }
-        }
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        match rx.recv_timeout(remaining) {
-            // Rebuild the reply around *our* envelope identity: even a
-            // buggy peer cannot make us mislabel an answer.
-            Ok(result) => {
-                if result.is_ok() {
-                    // RTT sample for the estimator; outcomes are fed
-                    // once, by the quorum engine.
-                    let rtt = issued.elapsed().as_nanos() as u64;
-                    self.health.record_sample(node.0, rtt.max(1));
-                }
-                Reply {
-                    op_id,
-                    round_epoch,
-                    result,
-                }
-            }
-            Err(_) => {
-                conn.deregister(op_id.0);
-                fail(NodeError::TimedOut)
-            }
+            None if Instant::now() >= deadline => round.fail(node, env, NodeError::TimedOut),
+            None => round.fail(node, env, NodeError::Down),
         }
     }
 }
@@ -667,71 +728,95 @@ impl Drop for TcpInner {
     }
 }
 
+/// The socket fabric as the driver sees it: callers write frames on
+/// pooled connections, reader threads feed the round's one channel, and
+/// the clock is monotonic wall time.
+struct TcpLink<'a> {
+    inner: &'a Arc<TcpInner>,
+    round: Arc<Round>,
+    rx: Receiver<RoundReply>,
+}
+
+impl Link for TcpLink<'_> {
+    /// A peer with a live pooled connection and inflight headroom is
+    /// written from the caller's thread. A send that would block —
+    /// reconnect-with-backoff, a saturated peer's `overload_wait` — is
+    /// handed to a short-lived helper instead, so a dead or slow peer
+    /// never delays the round's other members. The choice is made on
+    /// what the pool can observe, per send.
+    fn send(&mut self, node: NodeId, env: &Envelope) {
+        let Some(peer) = self.inner.peers.get(node.0) else {
+            return self.round.fail(node, env, NodeError::TransportClosed);
+        };
+        // Requests round-robin over the pool, so a hedge re-issue lands
+        // on the peer's other connection and its other serving thread.
+        let slot_index = peer.rr.fetch_add(1, Ordering::Relaxed) % peer.slots.len();
+        let live = peer.slots[slot_index]
+            .try_lock()
+            .and_then(|slot| slot.conn.clone())
+            .filter(|conn| conn.alive.load(Ordering::Acquire));
+        if let Some(conn) = live {
+            if let Some(permit) = self.inner.acquire_inflight(peer, None) {
+                return conn.transmit(&self.round, permit, node, env);
+            }
+        }
+        self.inner.helped.fetch_add(1, Ordering::Relaxed);
+        let (inner, round, helper_env) =
+            (Arc::clone(self.inner), Arc::clone(&self.round), env.clone());
+        // Detached on purpose: joining it would make the round wait out
+        // exactly the backoff it was started to keep off this thread. It
+        // ends within `io_timeout`, and sends nothing once the round
+        // closed.
+        let spawned = std::thread::Builder::new()
+            .name("tq-tcp-send".into())
+            .spawn(move || inner.send_blocking(&round, node, slot_index, &helper_env));
+        if spawned.is_err() {
+            self.round.fail(node, env, NodeError::TransportClosed);
+        }
+    }
+
+    fn recv(&mut self, until: u64) -> Option<RoundReply> {
+        let wait = Duration::from_nanos(until.saturating_sub(self.now()));
+        self.rx.recv_timeout(wait).ok()
+    }
+
+    fn now(&self) -> u64 {
+        wall_nanos()
+    }
+}
+
+impl Drop for TcpLink<'_> {
+    /// Closing the round takes back every registration it left
+    /// outstanding, which frees those commands' inflight units at once
+    /// instead of when (or if) their replies arrive.
+    fn drop(&mut self) {
+        for w in self.round.open.lock().take().into_iter().flatten() {
+            w.conn.deregister(w.op_id, w.waiter);
+        }
+    }
+}
+
 impl Transport for TcpTransport {
     fn node_count(&self) -> usize {
         self.inner.peers.len()
     }
 
     fn dispatch(&self, node: NodeId, env: Envelope) -> Reply {
-        self.inner.dispatch(node, env)
+        let (link, budget) = self.link();
+        drive_one(link, &self.inner.health, budget, node, env)
     }
 
     fn health(&self) -> Option<&NodeHealth> {
         Some(&self.inner.health)
     }
 
-    /// Concurrent fan-out: every call is written immediately (one
-    /// dispatcher thread per call) and completions stream to the sink in
-    /// arrival order. Abandoning the round only stops waiting — like any
-    /// real fabric, requests already written will still execute.
-    ///
-    /// A round of exactly one call has nothing to overlap: it is
-    /// dispatched inline on the caller's thread, as [`Transport::call`]
-    /// is, instead of paying a thread spawn and a channel hand-off for
-    /// a wait the caller would sit through anyway.
-    fn multicall(
-        &self,
-        mut calls: Vec<(NodeId, Envelope)>,
-        sink: &mut dyn FnMut(RoundReply) -> bool,
-    ) {
-        let total = calls.len();
-        if total <= 1 {
-            if let Some((node, env)) = calls.pop() {
-                sink(RoundReply::from_reply(node, self.inner.dispatch(node, env)));
-            }
-            return;
-        }
-        let (tx, rx) = unbounded::<RoundReply>();
-        for (node, env) in calls {
-            let inner = Arc::clone(&self.inner);
-            let thread_tx = tx.clone();
-            let (op_id, round_epoch) = (env.op_id, env.round_epoch);
-            let spawned = std::thread::Builder::new()
-                .name("tq-tcp-multicall".into())
-                .spawn(move || {
-                    let reply = inner.dispatch(node, env);
-                    let _ = thread_tx.send(RoundReply::from_reply(node, reply));
-                });
-            if spawned.is_err() {
-                // Could not even spawn the dispatcher: fail this call
-                // in-band so the round still sees `total` completions.
-                let _ = tx.send(RoundReply {
-                    op_id,
-                    round_epoch,
-                    node,
-                    result: Err(NodeError::TransportClosed),
-                });
-            }
-        }
-        drop(tx);
-        let mut received = 0;
-        while received < total {
-            let Ok(reply) = rx.recv() else { break };
-            received += 1;
-            if !sink(reply) {
-                break; // stragglers complete on their own threads
-            }
-        }
+    /// Concurrent fan-out: every call is written immediately and
+    /// completions stream to the sink in arrival order. Abandoning the
+    /// round only stops waiting — like any real fabric, requests already
+    /// written will still execute.
+    fn multicall(&self, calls: Vec<(NodeId, Envelope)>, sink: &mut dyn FnMut(RoundReply) -> bool) {
+        let (link, budget) = self.link();
+        drive(link, &self.inner.health, budget, calls, sink)
     }
 }
 
@@ -933,6 +1018,175 @@ mod tests {
             },
         );
         assert_eq!(seen, 1, "one completion, then the round is over");
+    }
+
+    #[test]
+    fn tcp_warm_round_is_written_from_the_callers_thread() {
+        let (_cluster, _servers, addrs) = serve_cluster(3);
+        let t = TcpTransport::connect(addrs);
+        // Two pings per peer connect both of its pooled connections
+        // (each through a helper: connecting may block).
+        for _ in 0..2 {
+            for i in 0..3 {
+                assert_eq!(t.call(NodeId(i), Request::Ping), Ok(Response::Pong));
+            }
+        }
+        let helped = t.inner.helped.load(Ordering::Relaxed);
+        assert_eq!(helped, 6, "one helper per connection made");
+        let caller = std::thread::current().id();
+        let calls: Vec<(NodeId, Envelope)> = (0..3)
+            .map(|i| (NodeId(i), Envelope::new(Request::Ping)))
+            .collect();
+        let mut seen = 0;
+        t.multicall(calls, &mut |reply| {
+            assert_eq!(std::thread::current().id(), caller);
+            assert_eq!(reply.result, Ok(Response::Pong));
+            seen += 1;
+            true
+        });
+        assert_eq!(seen, 3);
+        assert_eq!(
+            t.inner.helped.load(Ordering::Relaxed),
+            helped,
+            "live connections with headroom: no thread was started"
+        );
+    }
+
+    #[test]
+    fn tcp_refusing_peer_does_not_delay_the_rounds_other_members() {
+        use crate::quorum_round::QuorumRound;
+        let (_cluster, _servers, mut addrs) = serve_cluster(1);
+        let throwaway = TcpListener::bind("127.0.0.1:0").unwrap();
+        addrs.insert(0, throwaway.local_addr().unwrap());
+        drop(throwaway);
+        let backoff_base = Duration::from_millis(50);
+        let t = TcpTransport::with_config(
+            addrs,
+            TcpConfig {
+                backoff_base,
+                ..TcpConfig::default()
+            },
+        );
+        // Warm the live peer; put the refusing one into its backoff
+        // window, where the next connect attempt sleeps first.
+        for _ in 0..2 {
+            assert_eq!(t.call(NodeId(1), Request::Ping), Ok(Response::Pong));
+            assert_eq!(t.call(NodeId(0), Request::Ping), Err(NodeError::Down));
+        }
+        let started = Instant::now();
+        let outcome = QuorumRound::first_quorum(1).run(
+            &t,
+            vec![(NodeId(0), Request::Ping), (NodeId(1), Request::Ping)],
+        );
+        let elapsed = started.elapsed();
+        assert!(outcome.quorum_met());
+        assert_eq!(outcome.accepted[0].node, NodeId(1));
+        assert!(
+            elapsed < backoff_base / 2,
+            "the refusing peer, listed first, held the round up: {elapsed:?}"
+        );
+    }
+
+    /// Counts every envelope and parks the first one to arrive after
+    /// arming until released — on a [`TcpNodeServer`] that stalls one
+    /// connection's serving thread and leaves the node's others free.
+    struct StallFirst {
+        inner: Arc<dyn NodeApi>,
+        seen: AtomicUsize,
+        gate: Mutex<Option<Receiver<()>>>,
+    }
+
+    impl NodeApi for StallFirst {
+        fn execute(&self, env: Envelope) -> Reply {
+            self.seen.fetch_add(1, Ordering::SeqCst);
+            let gate = self.gate.lock().take();
+            if let Some(gate) = gate {
+                let _ = gate.recv();
+            }
+            self.inner.execute(env)
+        }
+    }
+
+    #[test]
+    fn tcp_hedge_wins_on_the_peers_other_connection() {
+        use crate::health::HedgePolicy;
+        let cluster = Cluster::new(1);
+        let node = Arc::new(StallFirst {
+            inner: Arc::clone(cluster.node(0)) as Arc<dyn NodeApi>,
+            seen: AtomicUsize::new(0),
+            gate: Mutex::new(None),
+        });
+        let server =
+            TcpNodeServer::spawn(Arc::clone(&node) as Arc<dyn NodeApi>, "127.0.0.1:0").unwrap();
+        let t = TcpTransport::connect(vec![server.local_addr()]);
+        for _ in 0..2 {
+            assert_eq!(t.call(NodeId(0), Request::Ping), Ok(Response::Pong));
+        }
+        // A warm estimator far above loopback latency, so the hedge
+        // (≈ 2·srtt) and the adaptive deadline (≈ 4·srtt) leave scheduler
+        // noise no say in the outcome.
+        let health = t.health_registry();
+        health.set_policy(HedgePolicy::P99);
+        for _ in 0..16 {
+            health.record_sample(0, 20_000_000);
+        }
+        let (release, gate) = unbounded();
+        *node.gate.lock() = Some(gate);
+        let before = node.seen.load(Ordering::SeqCst);
+        let env = Envelope::new(Request::Ping);
+        let op_id = env.op_id;
+        let reply = t.dispatch(NodeId(0), env);
+        assert_eq!(reply.op_id, op_id);
+        assert_eq!(reply.result, Ok(Response::Pong), "the hedge copy answered");
+        assert_eq!(
+            node.seen.load(Ordering::SeqCst) - before,
+            2,
+            "the node saw the same envelope twice"
+        );
+        let c = health.hedge_counters();
+        assert!(c.fired >= 1 && c.won >= 1, "{c:?}");
+        release.send(()).unwrap();
+    }
+
+    #[test]
+    fn tcp_deregister_removes_its_own_registration() {
+        // One op id in flight twice (a call and its hedge) on one
+        // connection: the first registration is taken back, and the
+        // reply must still reach the second.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let conn = Conn::new(stream);
+        let inflight = Arc::new(Inflight::default());
+        let permit = || {
+            *inflight.count.lock() += 1;
+            InflightPermit(Arc::clone(&inflight))
+        };
+        let env = Envelope::in_epoch(Request::Ping, 5);
+        let round = |tx| Round {
+            tx,
+            open: Mutex::new(Some(Vec::new())),
+        };
+        let (tx1, rx1) = unbounded();
+        let (tx2, rx2) = unbounded();
+        let first = conn.register(NodeId(3), &env, &round(tx1), permit());
+        let second = conn.register(NodeId(3), &env, &round(tx2), permit());
+        assert_ne!(first, second);
+        assert_eq!(*inflight.count.lock(), 2);
+        conn.deregister(env.op_id.0, first);
+        assert_eq!(*inflight.count.lock(), 1, "taken back with its permit");
+        conn.complete(env.op_id.0, Ok(Response::Pong));
+        assert!(rx1.try_recv().is_err(), "the first caller had left");
+        assert_eq!(
+            rx2.try_recv(),
+            Ok(RoundReply {
+                op_id: env.op_id,
+                round_epoch: 5,
+                node: NodeId(3),
+                result: Ok(Response::Pong),
+            })
+        );
+        assert_eq!(*inflight.count.lock(), 0);
+        assert!(conn.pending.lock().is_empty());
     }
 
     #[test]

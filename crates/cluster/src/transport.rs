@@ -1,10 +1,14 @@
 //! How protocol code reaches storage nodes.
 //!
-//! Two implementations of one [`Transport`] trait:
+//! One [`Transport`] trait, and the two in-process implementations of it
+//! (the simulated and the socket ones live in [`crate::sim`] and
+//! [`crate::tcp`]):
 //!
 //! * [`LocalTransport`] — synchronous in-process dispatch. Deterministic
 //!   and allocation-light; the default for availability experiments,
-//!   where per-operation outcomes must be exactly replayable.
+//!   where per-operation outcomes must be exactly replayable. It has no
+//!   link to wait on, so it keeps the trait's lazy sequential
+//!   `multicall` and stays outside the dispatch driver.
 //! * [`ChannelTransport`] — one worker thread per node behind crossbeam
 //!   channels, a faithful stand-in for an RPC fabric. Requests from many
 //!   protocol threads interleave on the node's mailbox exactly as they
@@ -12,7 +16,12 @@
 //!   paper's "no failure on communication links" assumption. Per-node
 //!   latency injection ([`ChannelTransport::set_node_latency`]) makes
 //!   dispatch strategies measurable: a level fanned out over slow nodes
-//!   costs one round trip, a sequential walk costs their sum.
+//!   costs one round trip, a sequential walk costs their sum. All it
+//!   contributes to a round is a link — a mailbox send and one reply
+//!   channel on the wall clock; how the round waits (hedging when a
+//!   policy is armed, late-reply absorption, the health clock) is the
+//!   shared dispatch driver's (`driver.rs`). The fabric has no
+//!   round-trip budget: a call here never times out.
 //!
 //! Everything a transport carries is an [`Envelope`] (command identity +
 //! payload) answered by a [`Reply`] echoing that identity; transports
@@ -25,17 +34,17 @@
 //! a quorum is satisfied.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::cluster::Cluster;
-use crate::detmap::DetHashMap;
+use crate::driver::{drive, drive_one, Link, NEVER};
 use crate::health::NodeHealth;
 use crate::node::NodeId;
-use crate::rpc::{Envelope, Lane, NodeApi, NodeError, OpId, Reply, Request, Response};
+use crate::rpc::{Envelope, NodeApi, NodeError, OpId, Reply, Request, Response};
 
 /// One completed call of a [`Transport::multicall`] batch, identified by
 /// the op id its envelope carried (never by arrival position — an
@@ -155,22 +164,12 @@ impl Transport for LocalTransport {
     }
 }
 
-/// Where a node worker routes its answer.
-enum ReplyTo {
-    /// A lone [`Transport::dispatch`]: one rendezvous channel.
-    Single(Sender<Reply>),
-    /// Part of a [`Transport::multicall`] round: answers from the whole
-    /// batch funnel into one channel, tagged with the serving node.
-    Round {
-        node: NodeId,
-        tx: Sender<RoundReply>,
-    },
-}
-
-/// One in-flight request parcel on a node's mailbox.
+/// One in-flight request parcel on a node's mailbox: the command, and
+/// the round channel its answer goes to, tagged with the serving node.
 struct Parcel {
     env: Envelope,
-    reply: ReplyTo,
+    node: NodeId,
+    reply: Sender<RoundReply>,
 }
 
 /// Thread-per-node transport over crossbeam channels.
@@ -218,21 +217,18 @@ impl ChannelTransport {
                     // Serve until the mailbox closes. A reply failing to
                     // send means the caller gave up; that is its problem,
                     // not the node's.
-                    while let Ok(Parcel { env, reply }) = rx.recv() {
+                    while let Ok(Parcel {
+                        env,
+                        node: id,
+                        reply,
+                    }) = rx.recv()
+                    {
                         let nanos = worker_delay.load(Ordering::Relaxed);
                         if nanos > 0 {
                             // tq-lint: allow(sim-determinism) -- ChannelTransport is the real-threads fabric; DST runs use SimTransport, which injects latency on the virtual clock instead.
                             std::thread::sleep(Duration::from_nanos(nanos));
                         }
-                        let answer = node.execute(env);
-                        match reply {
-                            ReplyTo::Single(tx) => {
-                                let _ = tx.send(answer);
-                            }
-                            ReplyTo::Round { node, tx } => {
-                                let _ = tx.send(RoundReply::from_reply(node, answer));
-                            }
-                        }
+                        let _ = reply.send(RoundReply::from_reply(id, node.execute(env)));
                     }
                 })
                 .expect("spawn node worker");
@@ -285,174 +281,67 @@ impl ChannelTransport {
         self.messages.load(Ordering::Relaxed)
     }
 
-    /// The hedged fan-out path, entered only when a
-    /// [`HedgePolicy`](crate::health::HedgePolicy) is active: sends
-    /// every request up front like the plain path, but while waiting it
-    /// watches each foreground slot's hedge deadline (a quantile of the
-    /// node's latency estimate) and speculatively re-issues the *same*
-    /// envelope to the straggler once the deadline passes — idempotency
-    /// makes the duplicate safe, and the retry budget caps how many can
-    /// fire. The first reply completes the slot; the loser's answer is
-    /// absorbed as a duplicate.
-    ///
-    /// Attribution caveat: both copies carry the same `OpId`, so the
-    /// transport cannot tell which one a completion came from. A slot
-    /// that completes after its hedge fired is counted as a hedge win;
-    /// totals (fired/won/dups) are conserved, per-slot attribution is
-    /// approximate under real-thread races.
-    fn multicall_hedged(
-        &self,
-        calls: Vec<(NodeId, Envelope)>,
-        sink: &mut dyn FnMut(RoundReply) -> bool,
-    ) {
-        struct Slot {
-            node: NodeId,
-            env: Envelope,
-            sent: std::time::Instant,
-            hedge_at: Option<std::time::Instant>,
-            hedged: bool,
-            done: bool,
-        }
-        let total = calls.len();
-        if total == 0 {
-            return;
-        }
-        let (tx, rx) = unbounded::<RoundReply>();
-        let mut slots: Vec<Slot> = Vec::with_capacity(total);
-        let mut by_op: DetHashMap<OpId, usize> = DetHashMap::default();
-        for (node, env) in calls {
-            let mailbox = self
-                .mailboxes
-                .get(node.0)
-                .expect("node index within cluster");
-            let (op_id, round_epoch) = (env.op_id, env.round_epoch);
-            self.messages.fetch_add(1, Ordering::Relaxed);
-            let sent = mailbox.send(Parcel {
-                env: env.clone(),
-                reply: ReplyTo::Round {
-                    node,
-                    tx: tx.clone(),
-                },
-            });
-            if sent.is_err() {
-                let _ = tx.send(RoundReply {
-                    op_id,
-                    round_epoch,
-                    node,
-                    result: Err(NodeError::TransportClosed),
-                });
-            }
-            // tq-lint: allow(sim-determinism) -- hedged multicall is the real-threads path; SimTransport hedges on the virtual clock instead.
-            let now = std::time::Instant::now();
-            // No hedge for a flagged straggler: the re-issue goes to the
-            // *same* node (its protocol role is fixed), which can win
-            // against transient jitter or a dropped packet but never
-            // against a chronically slow node — there the duplicate only
-            // burns budget and messages. Reads already route around
-            // stragglers; writes must await them for durability either
-            // way.
-            let hedge_at = (env.lane == Lane::Foreground && !self.health.straggler(node.0))
-                .then(|| self.health.hedge_delay(node.0))
-                .flatten()
-                .map(|d| now + Duration::from_nanos(d));
-            by_op.insert(op_id, slots.len());
-            slots.push(Slot {
-                node,
-                env,
-                sent: now,
-                hedge_at,
-                hedged: false,
-                done: false,
-            });
-        }
-        // `tx` stays alive for hedge re-sends; the loop exits on
-        // completion count, not channel disconnect. Every slot is
-        // guaranteed a completion: a dead mailbox was synthesised as
-        // `TransportClosed` in-band above.
-        let mut done_count = 0;
-        while done_count < total {
-            let next_hedge = slots
-                .iter()
-                .filter(|s| !s.done && !s.hedged)
-                .filter_map(|s| s.hedge_at)
-                .min();
-            let received = match next_hedge {
-                Some(at) => {
-                    // tq-lint: allow(sim-determinism) -- real-threads path, see above.
-                    let wait = at.saturating_duration_since(std::time::Instant::now());
-                    match rx.recv_timeout(wait) {
-                        Ok(reply) => Some(reply),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                None => match rx.recv() {
-                    Ok(reply) => Some(reply),
-                    Err(_) => break,
-                },
-            };
-            let Some(reply) = received else {
-                // A hedge deadline passed with the slot still open:
-                // re-issue the same envelope if the budget allows.
-                // tq-lint: allow(sim-determinism) -- real-threads path, see above.
-                let now = std::time::Instant::now();
-                for s in slots.iter_mut() {
-                    if s.done || s.hedged || s.hedge_at.is_none_or(|at| at > now) {
-                        continue;
-                    }
-                    if !self.health.try_spend(s.env.lane) {
-                        s.hedge_at = None; // budget refused; stop asking
-                        continue;
-                    }
-                    self.messages.fetch_add(1, Ordering::Relaxed);
-                    let resend = self.mailboxes.get(s.node.0).and_then(|m| {
-                        m.send(Parcel {
-                            env: s.env.clone(),
-                            reply: ReplyTo::Round {
-                                node: s.node,
-                                tx: tx.clone(),
-                            },
-                        })
-                        .ok()
-                    });
-                    if resend.is_some() {
-                        s.hedged = true;
-                        self.health.note_hedge_fired();
-                    } else {
-                        s.hedge_at = None;
-                    }
-                }
-                continue;
-            };
-            match by_op.get(&reply.op_id) {
-                Some(&i) if !slots[i].done => {
-                    let s = &mut slots[i];
-                    s.done = true;
-                    done_count += 1;
-                    // Latency sample only — success/failure outcomes are
-                    // fed once, by the quorum engine, to avoid double
-                    // counting against the circuit breaker and budget.
-                    if reply.result.is_ok() {
-                        let rtt = s.sent.elapsed().as_nanos() as u64;
-                        self.health.record_sample(s.node.0, rtt);
-                    }
-                    if s.hedged {
-                        self.health.note_hedge_won();
-                    }
-                }
-                Some(&i) => {
-                    if slots[i].hedged {
-                        self.health.note_hedge_dup();
-                    }
-                    continue; // duplicate: absorbed, not forwarded
-                }
-                None => {} // stranger: forward; the sink ignores by identity
-            }
-            if !sink(reply) {
-                break;
-            }
+    /// A round's link: every answer of the round funnels into one
+    /// channel.
+    fn link(&self) -> ChannelLink<'_> {
+        let (tx, rx) = unbounded();
+        ChannelLink {
+            transport: self,
+            tx,
+            rx,
         }
     }
+}
+
+/// The in-process fabric as the driver sees it: mailbox sends and one
+/// reply channel, reliable and FIFO, on the wall clock. The link keeps a
+/// sender of its own for hedge re-sends, so the channel never reports
+/// disconnection; every send is answered instead — by the worker, or
+/// in-band below when its mailbox is gone.
+struct ChannelLink<'a> {
+    transport: &'a ChannelTransport,
+    tx: Sender<RoundReply>,
+    rx: Receiver<RoundReply>,
+}
+
+impl Link for ChannelLink<'_> {
+    fn send(&mut self, node: NodeId, env: &Envelope) {
+        self.transport.messages.fetch_add(1, Ordering::Relaxed);
+        let parcel = Parcel {
+            env: env.clone(),
+            node,
+            reply: self.tx.clone(),
+        };
+        let mailbox = self.transport.mailboxes.get(node.0);
+        if mailbox.and_then(|m| m.send(parcel).ok()).is_none() {
+            let _ = self.tx.send(RoundReply {
+                op_id: env.op_id,
+                round_epoch: env.round_epoch,
+                node,
+                result: Err(NodeError::TransportClosed),
+            });
+        }
+    }
+
+    fn recv(&mut self, until: u64) -> Option<RoundReply> {
+        if until == NEVER {
+            return self.rx.recv().ok();
+        }
+        let wait = Duration::from_nanos(until.saturating_sub(self.now()));
+        self.rx.recv_timeout(wait).ok()
+    }
+
+    fn now(&self) -> u64 {
+        wall_nanos()
+    }
+}
+
+/// The real fabrics' link clock: monotonic wall nanoseconds since the
+/// process first asked.
+pub(crate) fn wall_nanos() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    // tq-lint: allow(sim-determinism) -- the real-threads fabrics' clock; DST runs the same driver over SimTransport's virtual one.
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
 impl Transport for ChannelTransport {
@@ -461,37 +350,7 @@ impl Transport for ChannelTransport {
     }
 
     fn dispatch(&self, node: NodeId, env: Envelope) -> Reply {
-        let mailbox = self
-            .mailboxes
-            .get(node.0)
-            .expect("node index within cluster");
-        let (op_id, round_epoch) = (env.op_id, env.round_epoch);
-        let closed = || Reply {
-            op_id,
-            round_epoch,
-            result: Err(NodeError::TransportClosed),
-        };
-        let (reply_tx, reply_rx) = bounded(1);
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        match mailbox.send(Parcel {
-            env,
-            reply: ReplyTo::Single(reply_tx),
-        }) {
-            Ok(()) => {
-                // tq-lint: allow(sim-determinism) -- real-threads path; SimTransport samples on the virtual clock.
-                let sent = std::time::Instant::now();
-                let reply = reply_rx.recv().unwrap_or_else(|_| closed());
-                // The estimator warms even while hedging is off, so
-                // arming a policy later starts from live latencies
-                // instead of a cold table.
-                if reply.result.is_ok() {
-                    self.health
-                        .record_sample(node.0, sent.elapsed().as_nanos() as u64);
-                }
-                reply
-            }
-            Err(_) => closed(),
-        }
+        drive_one(self.link(), &self.health, None, node, env)
     }
 
     fn health(&self) -> Option<&NodeHealth> {
@@ -499,48 +358,7 @@ impl Transport for ChannelTransport {
     }
 
     fn multicall(&self, calls: Vec<(NodeId, Envelope)>, sink: &mut dyn FnMut(RoundReply) -> bool) {
-        if self.health.hedging_enabled() {
-            return self.multicall_hedged(calls, sink);
-        }
-        let total = calls.len();
-        if total == 0 {
-            return;
-        }
-        let (tx, rx) = unbounded::<RoundReply>();
-        for (node, env) in calls {
-            let mailbox = self
-                .mailboxes
-                .get(node.0)
-                .expect("node index within cluster");
-            let (op_id, round_epoch) = (env.op_id, env.round_epoch);
-            self.messages.fetch_add(1, Ordering::Relaxed);
-            let sent = mailbox.send(Parcel {
-                env,
-                reply: ReplyTo::Round {
-                    node,
-                    tx: tx.clone(),
-                },
-            });
-            if sent.is_err() {
-                // The worker is gone; synthesise the failure in-band so
-                // the round still sees `total` completions.
-                let _ = tx.send(RoundReply {
-                    op_id,
-                    round_epoch,
-                    node,
-                    result: Err(NodeError::TransportClosed),
-                });
-            }
-        }
-        drop(tx); // the receiver must not count our own handle as pending
-        let mut received = 0;
-        while received < total {
-            let Ok(reply) = rx.recv() else { break };
-            received += 1;
-            if !sink(reply) {
-                break; // stragglers execute anyway; nobody awaits them
-            }
-        }
+        drive(self.link(), &self.health, None, calls, sink)
     }
 }
 

@@ -995,12 +995,15 @@ fn l3_wire_tag_coverage(f: &FileCtx, out: &mut Vec<Diagnostic>) {
 // ---------------------------------------------------------------------------
 
 /// Modules that must stay deterministic: the sim crate itself plus every
-/// node-logic module reachable from `SimTransport`. `tcp.rs` is excluded —
-/// it is real-clock by nature and unreachable from the simulator.
+/// node-logic module reachable from `SimTransport` — the dispatch driver
+/// included: it runs under the simulator's virtual clock, so a wall
+/// clock or a sleep in it is an error. `tcp.rs` is excluded — it is
+/// real-clock by nature and unreachable from the simulator.
 fn l4_in_scope(path: &str) -> bool {
     path.contains("crates/sim/")
         || [
             "crates/cluster/src/sim.rs",
+            "crates/cluster/src/driver.rs",
             "crates/cluster/src/node.rs",
             "crates/cluster/src/storage.rs",
             "crates/cluster/src/rpc.rs",
@@ -1330,13 +1333,15 @@ fn l7_unsafe_allow(f: &FileCtx, out: &mut Vec<Diagnostic>) {
 // L8: bounded-retry
 // ---------------------------------------------------------------------------
 
-/// Client-side dispatch surfaces: the protocol client crate plus the
-/// transports. The quorum engine (`quorum_round.rs`) is out of scope —
-/// its loops walk distinct ops/slots and dispatch each envelope exactly
-/// once per round by construction.
+/// Client-side dispatch surfaces: the protocol client crate, the
+/// dispatch driver (the one loop that re-sends an envelope: its hedge)
+/// and the transports' links. The quorum engine (`quorum_round.rs`) is
+/// out of scope — its loops walk distinct ops/slots and dispatch each
+/// envelope exactly once per round by construction.
 fn l8_in_scope(path: &str) -> bool {
     path.contains("crates/core/src/")
         || [
+            "crates/cluster/src/driver.rs",
             "crates/cluster/src/tcp.rs",
             "crates/cluster/src/transport.rs",
             "crates/cluster/src/sim.rs",
@@ -1348,10 +1353,11 @@ fn l8_in_scope(path: &str) -> bool {
 /// Call idioms that put an envelope (or a whole round of them) on the
 /// wire. A loop whose body contains one is re-dispatching under its own
 /// control flow, which is exactly where an unbudgeted retry storm hides.
+/// The driver's own idiom, `link.send(..)`, is matched with its
+/// receiver (see [`l8_bounded_retry`]): a bare `send` is every channel.
 const L8_DISPATCH: &[&str] = &[
     "dispatch",
     "multicall",
-    "multicall_hedged",
     "run_recorded",
     "run_fused",
     "schedule_request",
@@ -1407,7 +1413,8 @@ fn l8_bounded_retry(f: &FileCtx, out: &mut Vec<Diagnostic>) {
             continue;
         }
         let Some(name) = f.ident(d) else { continue };
-        if !L8_DISPATCH.contains(&name) || !f.p(d + 1, '(') {
+        let link_send = name == "send" && d >= 2 && f.p(d - 1, '.') && f.id(d - 2, "link");
+        if !(L8_DISPATCH.contains(&name) || link_send) || !f.p(d + 1, '(') {
             continue;
         }
         if d > 0 && f.id(d - 1, "fn") {

@@ -35,6 +35,24 @@ fn per_attempt_multicall(calls: Vec<(NodeId, Request)>) {
     }
 }
 
+fn unbudgeted_hedge_loop(link: &mut impl Link, slots: &mut [Slot]) {
+    // The driver's idiom: a waiting loop that re-sends on the link.
+    while slots.iter().any(|s| !s.done) {
+        if link.recv(NEVER).is_none() {
+            link.send(slots[0].node, &slots[0].env); // FIRE
+        }
+    }
+}
+
+fn channel_send_is_not_a_dispatch(tx: &Sender<u8>) {
+    // Clean: a bare channel `send` puts nothing on the wire.
+    loop {
+        if tx.send(1).is_err() {
+            break;
+        }
+    }
+}
+
 fn budgeted_retry_loop(transport: &T, env: Envelope, health: &NodeHealth) {
     // Clean: the loop body consults the budget before every re-issue.
     loop {

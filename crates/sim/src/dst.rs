@@ -55,8 +55,8 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tq_cluster::{
-    Cluster, FaultingBackend, HedgePolicy, MemoryBackend, NetworkModel, SimFault, SimStats,
-    SimTransport, StorageFaults,
+    Cluster, FaultingBackend, HedgeCounters, HedgePolicy, MemoryBackend, NetworkModel, SimFault,
+    SimStats, SimTransport, StorageFaults,
 };
 use tq_trapezoid::{
     BatchWrite, BlockAddr, ProtocolError, QuorumStore, ShardMap, ShardedStore, Store,
@@ -812,6 +812,9 @@ pub struct CaseReport {
     pub stats: CaseStats,
     /// The simulation's network counters.
     pub sim: SimStats,
+    /// What the armed hedge policy did over the case: re-issues fired,
+    /// won, absorbed, and retry tokens spent.
+    pub hedges: HedgeCounters,
     /// Reads the storage fault axis served corrupted (bit-flipped or
     /// misdirected) — non-zero on a corruption-axis case proves the
     /// clean checker verdict was earned, not vacuous.
@@ -876,7 +879,7 @@ pub fn run_case(cfg: &CaseConfig) -> CaseReport {
     // provisioning, so the estimator starts the workload warm. The
     // matrices thereby double as the adaptive-robustness soak — hedge
     // re-issues, adaptive deadlines and retry-budget spends all run
-    // under the checker, and `CaseReport::sim` counts what fired.
+    // under the checker, and `CaseReport::hedges` counts what fired.
     sim.health_registry().set_policy(HedgePolicy::P99);
     sim.set_model(cfg.scenario.model.clone());
 
@@ -886,6 +889,7 @@ pub fn run_case(cfg: &CaseConfig) -> CaseReport {
         config: cfg.clone(),
         stats,
         sim: sim.stats(),
+        hedges: sim.health_registry().hedge_counters(),
         corrupted_reads: fault_backends.iter().map(|b| b.corrupted_reads()).sum(),
         violation,
     }

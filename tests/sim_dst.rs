@@ -83,8 +83,8 @@ fn seed_matrix_stays_checker_clean_across_all_backends() {
             commits += report.stats.commits;
             reads_ok += report.stats.reads_ok;
             corrupted += report.corrupted_reads;
-            hedges_fired += report.sim.hedges_fired;
-            hedges_absorbed += report.sim.hedges_won + report.sim.hedge_dups;
+            hedges_fired += report.hedges.fired;
+            hedges_absorbed += report.hedges.won + report.hedges.dups;
             if report.violation.is_some() {
                 let minimal = minimize(&cfg).expect("violation reproduces");
                 failures.push(format!(
@@ -173,7 +173,7 @@ fn at_least_once_matrix_stays_checker_clean_across_all_backends() {
             commits += report.stats.commits;
             reads_ok += report.stats.reads_ok;
             redelivered += report.sim.redelivered;
-            hedges_fired += report.sim.hedges_fired;
+            hedges_fired += report.hedges.fired;
             if report.violation.is_some() {
                 let minimal = minimize(&cfg).expect("violation reproduces");
                 failures.push(format!(

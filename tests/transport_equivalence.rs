@@ -1,29 +1,33 @@
 //! Transport equivalence: the same [`NodeApi`] instances answer an
-//! identical command sequence identically under [`SimTransport`] (the
-//! in-process simulation seam) and [`TcpTransport`] (real loopback
-//! sockets through the versioned wire format).
+//! identical command sequence identically under every transport —
+//! [`LocalTransport`] (the sequential reference), [`ChannelTransport`]
+//! (in-process threads), [`SimTransport`] (the simulation seam, reliable
+//! links) and [`TcpTransport`] (real loopback sockets through the
+//! versioned wire format).
 //!
 //! This is the seam contract the whole test strategy leans on: every
 //! protocol property proven under the deterministic simulator transfers
 //! to the real transport *because* the transport is invisible to the
-//! node — same envelopes in, same replies out, byte for byte. A
-//! divergence here means the wire encode/decode or the TCP framing
-//! changed observable behaviour, which no amount of simulation coverage
-//! would catch.
+//! node — same envelopes in, same replies out, byte for byte. The three
+//! concurrent transports share one dispatch driver and differ only in
+//! their link, so a divergence here means a link (the mailbox hand-off,
+//! the event heap, the wire encode/decode or the TCP framing) changed
+//! observable behaviour, which no amount of simulation coverage would
+//! catch.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use trapezoid_quorum::cluster::transport::Transport;
 use trapezoid_quorum::cluster::{
-    Cluster, Envelope, Lane, NetworkModel, NodeApi, NodeId, OpId, Reply, Request, SimTransport,
-    TcpNodeServer, TcpTransport,
+    ChannelTransport, Cluster, Envelope, Lane, LocalTransport, NetworkModel, NodeApi, NodeId, OpId,
+    Reply, Request, SimTransport, TcpNodeServer, TcpTransport,
 };
 
 /// A deterministic script touching every request variant, the absorbed
 /// duplicate/stale paths, and every node-level error the wire must
 /// carry faithfully. Envelope identities are fixed (not `fresh()`) so
-/// the two runs are bit-identical.
+/// the four runs are bit-identical.
 fn script() -> Vec<(usize, Envelope)> {
     let env = |n: u64, payload: Request| Envelope {
         op_id: OpId(0x5000 + n),
@@ -195,21 +199,28 @@ fn run(transport: &dyn Transport, script: &[(usize, Envelope)]) -> Vec<Reply> {
 }
 
 #[test]
-fn sim_and_tcp_transports_are_observationally_identical() {
+fn all_four_transports_are_observationally_identical() {
     let cluster = Cluster::new(5);
     let script = script();
+    // Every run starts from the *same* node instances, wiped (blocks
+    // and applied-op window both live in the wiped durability domain).
+    let fresh = |cluster: &Cluster| {
+        for node in cluster.nodes() {
+            node.wipe();
+        }
+        cluster.clone()
+    };
 
-    // Run 1: the simulation seam with a fault-free network.
-    let sim = SimTransport::with_model(cluster.clone(), 42, NetworkModel::reliable());
-    let sim_replies = run(&sim, &script);
+    // The sequential reference, then the two in-process fabrics.
+    let local = run(&LocalTransport::new(fresh(&cluster)), &script);
+    let channel = run(&ChannelTransport::new(fresh(&cluster)), &script);
+    let sim = run(
+        &SimTransport::with_model(fresh(&cluster), 42, NetworkModel::reliable()),
+        &script,
+    );
 
-    // Reset the *same* node instances (blocks and applied-op window
-    // both live in the wiped durability domain).
-    for node in cluster.nodes() {
-        node.wipe();
-    }
-
-    // Run 2: the same NodeApi objects behind real loopback TCP.
+    // The same NodeApi objects behind real loopback TCP.
+    fresh(&cluster);
     let servers: Vec<TcpNodeServer> = cluster
         .nodes()
         .map(|n| {
@@ -218,23 +229,24 @@ fn sim_and_tcp_transports_are_observationally_identical() {
         })
         .collect();
     let addrs = servers.iter().map(|s| s.local_addr()).collect();
-    let tcp = TcpTransport::connect(addrs);
-    let tcp_replies = run(&tcp, &script);
+    let tcp = run(&TcpTransport::connect(addrs), &script);
 
-    assert_eq!(sim_replies.len(), tcp_replies.len());
-    for (i, (s, t)) in sim_replies.iter().zip(&tcp_replies).enumerate() {
-        assert_eq!(
-            s, t,
-            "reply {i} diverged between SimTransport and TcpTransport \
-             for {}",
-            script[i].1
-        );
+    assert_eq!(local.len(), script.len());
+    for (name, replies) in [("Channel", &channel), ("Sim", &sim), ("Tcp", &tcp)] {
+        assert_eq!(replies.len(), local.len());
+        for (i, (l, r)) in local.iter().zip(replies).enumerate() {
+            assert_eq!(
+                l, r,
+                "reply {i} diverged between LocalTransport and {name}Transport for {}",
+                script[i].1
+            );
+        }
     }
 
     // Sanity: the script exercised both success and error paths (an
     // all-`Ok` or all-`Err` run would make equivalence vacuous).
-    let ok = sim_replies.iter().filter(|r| r.result.is_ok()).count();
-    let err = sim_replies.len() - ok;
+    let ok = local.iter().filter(|r| r.result.is_ok()).count();
+    let err = local.len() - ok;
     assert!(ok >= 8, "script should succeed broadly (got {ok} oks)");
     assert!(err >= 4, "script should fail broadly (got {err} errors)");
 }
