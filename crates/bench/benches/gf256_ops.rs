@@ -5,7 +5,8 @@
 //! tier detection or `TQ_GF256_FORCE` selected); the `backends` group
 //! measures every tier this machine can run side by side, so the
 //! scalar-vs-SIMD speedup is a recorded number in `BENCH_gf256.json`
-//! rather than a claim.
+//! rather than a claim. The `block_check` and `crc32` rows are the two
+//! checksum passes the data path makes over a payload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -114,6 +115,32 @@ fn bench_matrix_inverse(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_block_check(c: &mut Criterion) {
+    // The integrity layer's pass over a payload: every install, every
+    // verified serve and every fetched shard pays one of these.
+    let mut group = c.benchmark_group("gf256/block_check");
+    for size in [256usize, 4096, 65536] {
+        let block = payload(size, 17);
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
+            b.iter(|| tq_gf256::check::block_check(black_box(&block)))
+        });
+    }
+    group.finish();
+}
+
+fn bench_crc32(c: &mut Criterion) {
+    // The append-log record checksum over a 4 KiB block's record body.
+    let mut group = c.benchmark_group("cluster/crc32");
+    let size = 4096usize;
+    let body = payload(size, 23);
+    group.throughput(Throughput::Bytes(size as u64));
+    group.bench_function(BenchmarkId::from_parameter(size), |b| {
+        b.iter(|| tq_cluster::wire::crc32(black_box(&body)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_mul_add_slice,
@@ -121,6 +148,8 @@ criterion_group!(
     bench_mul_add_multi,
     bench_mul_slice,
     bench_add_assign,
-    bench_matrix_inverse
+    bench_matrix_inverse,
+    bench_block_check,
+    bench_crc32
 );
 criterion_main!(benches);

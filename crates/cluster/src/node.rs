@@ -439,8 +439,10 @@ impl StorageNode {
                             return Ok(Response::Ack);
                         }
                         self.stats.record_write(bytes.len());
-                        // Zero-copy: the request payload replaces the
-                        // stored allocation outright.
+                        // Release this handler's clone first: the store
+                        // overwrites the resident buffer in place only
+                        // while nothing else holds it.
+                        drop(stored);
                         self.put_acked(id, StoredBlock::new_data(version, bytes))?;
                         Ok(Response::Ack)
                     }
@@ -576,6 +578,7 @@ impl StorageNode {
                         } else {
                             Vec::new()
                         };
+                        drop(stored); // as for `WriteData`
                         self.put_acked(id, StoredBlock::new_parity(versions, bytes, checks))?;
                         Ok(Response::Ack)
                     }
@@ -649,6 +652,9 @@ impl StorageNode {
                         // α_{j,i} in place, instead of materialising a
                         // scaled copy per parity member.
                         let mut folded = bytes.to_vec();
+                        // The loaded clone has served; released, the store
+                        // can take the fold into the resident buffer.
+                        drop(bytes);
                         if coeff == 1 {
                             tq_gf256::slice_ops::add_assign(&mut folded, &delta);
                         } else {
@@ -1042,6 +1048,63 @@ mod tests {
             }),
             Err(NodeError::SizeMismatch { stored: 4, got: 2 })
         );
+    }
+
+    #[test]
+    fn mutations_overwrite_the_resident_buffers() {
+        // The handlers hold no clone of the stored block across the
+        // install, so the store's in-place path is the one taken: the
+        // node keeps the allocations it was provisioned with.
+        let n = node();
+        n.handle(Request::InitData {
+            id: 1,
+            bytes: Bytes::from(vec![1u8; 64]),
+        })
+        .unwrap();
+        n.handle(Request::InitParity {
+            id: 2,
+            bytes: Bytes::from(vec![0u8; 64]),
+            k: 2,
+            checks: vec![],
+        })
+        .unwrap();
+        let served = |req| match n.handle(req).unwrap() {
+            Response::Data { bytes, .. } | Response::Parity { bytes, .. } => bytes,
+            other => panic!("unexpected {other:?}"),
+        };
+        let data_at = served(Request::ReadData { id: 1 }).as_ptr();
+        let parity_at = served(Request::ReadParity { id: 2 }).as_ptr();
+
+        n.handle(Request::WriteData {
+            id: 1,
+            bytes: Bytes::from(vec![2u8; 64]),
+            version: 1,
+        })
+        .unwrap();
+        n.handle(Request::AddParity {
+            id: 2,
+            block_index: 0,
+            delta: Bytes::from(vec![3u8; 64]),
+            expected_version: 0,
+            new_version: 1,
+            coeff: 1,
+            new_check: None,
+        })
+        .unwrap();
+        n.handle(Request::WriteParity {
+            id: 2,
+            bytes: Bytes::from(vec![4u8; 64]),
+            versions: vec![2, 0],
+            checks: vec![],
+        })
+        .unwrap();
+
+        let data = served(Request::ReadData { id: 1 });
+        assert_eq!(&data[..], &[2u8; 64]);
+        assert_eq!(data.as_ptr(), data_at);
+        let parity = served(Request::ReadParity { id: 2 });
+        assert_eq!(&parity[..], &[4u8; 64]);
+        assert_eq!(parity.as_ptr(), parity_at);
     }
 
     #[test]

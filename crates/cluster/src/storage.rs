@@ -25,6 +25,7 @@
 //! nodes built without an explicit choice (`memory` | `applog`), which
 //! is how CI runs the whole integration suite against both.
 
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -41,11 +42,15 @@ use crate::wire::crc32;
 
 /// What one node stores for one object.
 ///
-/// Blocks are held as refcounted [`Bytes`]: an install *moves* the
-/// request's payload into the store (no copy), and a read hands out a
-/// clone of the stored allocation (an `Arc` bump). The only place block
-/// bytes are materialised anew is the parity fold, which must produce a
-/// different value anyway.
+/// Blocks are held as refcounted [`Bytes`], and a read hands out a clone
+/// of the stored allocation (an `Arc` bump). The first install of a
+/// block *moves* the request's payload into the store; a later one of
+/// the same length ([`install`](StoredBlock::install)) copies
+/// the payload once into the buffer already resident, unless a reader
+/// still holds a clone of it — then the payload replaces the buffer, and
+/// the reader keeps the bytes it was given. A store therefore keeps the
+/// allocations it was provisioned with instead of trading each one, on
+/// every write, for a buffer from whichever thread served that write.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoredBlock {
     /// A full data block `b_i` with its version (the paper's data nodes).
@@ -115,6 +120,31 @@ impl StoredBlock {
         }
     }
 
+    /// Makes this stored block equal `new`, keeping its payload buffer
+    /// when it can. With equal lengths and the only handle on the
+    /// resident allocation, the new bytes are copied into it and the
+    /// incoming buffer is dropped here, by the thread that brought it;
+    /// otherwise the incoming buffer takes its place and whoever else
+    /// holds the old one keeps what they have. Every backend's `put`
+    /// installs through here.
+    pub(crate) fn install(&mut self, new: StoredBlock) {
+        let displaced = std::mem::replace(self, new);
+        let (StoredBlock::Data {
+            bytes: resident, ..
+        }
+        | StoredBlock::Parity {
+            bytes: resident, ..
+        }) = displaced;
+        let (StoredBlock::Data { bytes, .. } | StoredBlock::Parity { bytes, .. }) = self;
+        if resident.len() != bytes.len() {
+            return;
+        }
+        if let Ok(mut buffer) = resident.try_into_mut() {
+            buffer.copy_from_slice(bytes);
+            *bytes = buffer.freeze();
+        }
+    }
+
     /// Recomputes the payload checksum and compares it to the stamp.
     /// `false` means the bytes no longer match what was installed.
     pub fn self_check_ok(&self) -> bool {
@@ -122,6 +152,17 @@ impl StoredBlock {
             StoredBlock::Data { bytes, check, .. } | StoredBlock::Parity { bytes, check, .. } => {
                 tq_gf256::check::block_check(bytes) == *check
             }
+        }
+    }
+}
+
+/// Installs `block` under `id`: over the resident entry if there is one
+/// ([`StoredBlock::install`]), as a new entry otherwise.
+fn install_into(map: &mut DetHashMap<BlockId, StoredBlock>, id: BlockId, block: StoredBlock) {
+    match map.entry(id) {
+        Entry::Occupied(mut resident) => resident.get_mut().install(block),
+        Entry::Vacant(slot) => {
+            slot.insert(block);
         }
     }
 }
@@ -260,7 +301,7 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn put(&self, id: BlockId, block: StoredBlock) -> Result<(), StorageError> {
-        self.stripes[stripe_of(id)].lock().insert(id, block);
+        install_into(&mut self.stripes[stripe_of(id)].lock(), id, block);
         Ok(())
     }
 
@@ -371,6 +412,24 @@ fn encode_record(id: BlockId, block: Option<&StoredBlock>) -> Vec<u8> {
     rec.extend_from_slice(&crc32(&body).to_le_bytes());
     rec.extend_from_slice(&body);
     rec
+}
+
+/// `encode_record(id, Some(block)).len()` without encoding anything: what
+/// the live-size accounting adds for an installed block and subtracts
+/// for a displaced or deleted one.
+fn record_len(block: &StoredBlock) -> u64 {
+    // Header, kind byte, block id.
+    let fixed = REC_HEADER + 1 + 8;
+    let body = match block {
+        StoredBlock::Data { bytes, .. } => 8 + 4 + bytes.len(),
+        StoredBlock::Parity {
+            versions,
+            bytes,
+            checks,
+            ..
+        } => 4 + 8 * versions.len() + 4 + 8 * checks.len() + 4 + bytes.len(),
+    };
+    (fixed + body) as u64
 }
 
 /// Parses one record body. Returns `None` on any structural problem —
@@ -540,23 +599,18 @@ impl AppendLogBackend {
             let Some((id, block)) = parse_record(body) else {
                 break;
             };
+            // Account the *canonical* (current-layout) record length, not
+            // the on-disk one: a legacy V1 record is shorter than its
+            // re-encoding, and live_bytes must match what later
+            // overwrites subtract (and what compaction would write).
+            live_bytes -= index.get(&id).map_or(0, record_len);
             match block {
                 Some(b) => {
-                    // Account the *canonical* (current-layout) record
-                    // length, not the on-disk one: a legacy V1 record is
-                    // shorter than its re-encoding, and live_bytes must
-                    // match what later overwrites subtract (and what
-                    // compaction would write).
-                    let canonical = encode_record(id, Some(&b)).len() as u64;
-                    if let Some(old) = index.insert(id, b) {
-                        live_bytes -= (encode_record(id, Some(&old)).len()) as u64;
-                    }
-                    live_bytes += canonical;
+                    live_bytes += record_len(&b);
+                    index.insert(id, b);
                 }
                 None => {
-                    if let Some(old) = index.remove(&id) {
-                        live_bytes -= (encode_record(id, Some(&old)).len()) as u64;
-                    }
+                    index.remove(&id);
                 }
             }
             valid += total;
@@ -615,9 +669,9 @@ impl AppendLogBackend {
         &self,
         inner: &mut LogInner,
         id: BlockId,
-        block: Option<&StoredBlock>,
+        block: Option<StoredBlock>,
     ) -> Result<(), StorageError> {
-        let rec = encode_record(id, block);
+        let rec = encode_record(id, block.as_ref());
         inner
             .file
             .write_all(&rec)
@@ -626,17 +680,14 @@ impl AppendLogBackend {
         inner.dirty += 1;
 
         // Index + live-size accounting.
+        inner.live_bytes -= inner.index.get(&id).map_or(0, record_len);
         match block {
             Some(b) => {
-                if let Some(old) = inner.index.insert(id, b.clone()) {
-                    inner.live_bytes -= encode_record(id, Some(&old)).len() as u64;
-                }
                 inner.live_bytes += rec.len() as u64;
+                install_into(&mut inner.index, id, b);
             }
             None => {
-                if let Some(old) = inner.index.remove(&id) {
-                    inner.live_bytes -= encode_record(id, Some(&old)).len() as u64;
-                }
+                inner.index.remove(&id);
             }
         }
 
@@ -711,7 +762,7 @@ impl StorageBackend for AppendLogBackend {
 
     fn put(&self, id: BlockId, block: StoredBlock) -> Result<(), StorageError> {
         let mut inner = self.inner.lock();
-        self.append_locked(&mut inner, id, Some(&block))
+        self.append_locked(&mut inner, id, Some(block))
     }
 
     fn delete(&self, id: BlockId) -> Result<(), StorageError> {
@@ -1150,6 +1201,114 @@ mod tests {
         assert_eq!(b.get(1), Ok(None));
     }
 
+    fn payload_ptr(block: &StoredBlock) -> *const u8 {
+        match block {
+            StoredBlock::Data { bytes, .. } | StoredBlock::Parity { bytes, .. } => bytes.as_ptr(),
+        }
+    }
+
+    /// The two stores whose `put` installs into a resident map.
+    fn installing_backends(name: &str) -> [Box<dyn StorageBackend>; 2] {
+        let path = temp_log(name);
+        let _ = std::fs::remove_file(&path);
+        let log = AppendLogBackend::open_ephemeral(path, FsyncPolicy::Manual).unwrap();
+        [Box::new(MemoryBackend::new()), Box::new(log)]
+    }
+
+    #[test]
+    fn put_overwrites_a_uniquely_held_block_in_place() {
+        for b in installing_backends("in-place") {
+            b.put(1, data(0, b"first-payload")).unwrap();
+            b.put(
+                2,
+                StoredBlock::new_parity(vec![0, 0], Bytes::copy_from_slice(b"par0"), vec![1, 2]),
+            )
+            .unwrap();
+            let resident_data = payload_ptr(&b.get(1).unwrap().unwrap());
+            let resident_parity = payload_ptr(&b.get(2).unwrap().unwrap());
+
+            b.put(1, data(1, b"other-payload")).unwrap();
+            let parity =
+                StoredBlock::new_parity(vec![3, 0], Bytes::copy_from_slice(b"par1"), vec![]);
+            b.put(2, parity.clone()).unwrap();
+
+            let got = b.get(1).unwrap().unwrap();
+            assert_eq!(got, data(1, b"other-payload"), "{}", b.label());
+            assert!(got.self_check_ok());
+            assert_eq!(
+                payload_ptr(&got),
+                resident_data,
+                "{}: same buffer",
+                b.label()
+            );
+            let got = b.get(2).unwrap().unwrap();
+            assert_eq!(got, parity, "{}: vectors and stamp follow", b.label());
+            assert_eq!(payload_ptr(&got), resident_parity, "{}", b.label());
+
+            // A different length cannot reuse the buffer; a kind change
+            // carries its own stamps either way.
+            b.put(1, data(2, b"longer-than-before")).unwrap();
+            assert_eq!(b.get(1), Ok(Some(data(2, b"longer-than-before"))));
+            b.put(2, data(0, b"data")).unwrap();
+            assert_eq!(b.get(2), Ok(Some(data(0, b"data"))));
+        }
+    }
+
+    #[test]
+    fn put_leaves_a_readers_clone_untouched() {
+        for b in installing_backends("cow") {
+            b.put(1, data(0, b"being-sent")).unwrap();
+            let reader = b.get(1).unwrap().unwrap();
+            b.put(1, data(1, b"new-bytes!")).unwrap();
+            assert_eq!(reader, data(0, b"being-sent"), "{}", b.label());
+            let got = b.get(1).unwrap().unwrap();
+            assert_eq!(got, data(1, b"new-bytes!"));
+            assert_ne!(payload_ptr(&got), payload_ptr(&reader), "{}", b.label());
+        }
+    }
+
+    #[test]
+    fn record_len_is_the_encoded_length() {
+        let payload = Bytes::copy_from_slice(b"thirteen-byte");
+        let blocks = [
+            data(7, b""),
+            data(7, &payload),
+            // What a legacy V1 parity record replays as: no vector.
+            StoredBlock::new_parity(vec![4, 9], payload.clone(), vec![]),
+            StoredBlock::new_parity(vec![4, 9, 2], payload, vec![1, 2, 3]),
+        ];
+        for block in &blocks {
+            assert_eq!(
+                record_len(block),
+                encode_record(5, Some(block)).len() as u64,
+                "{block:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn applog_live_bytes_follow_overwrites_and_deletes() {
+        let path = temp_log("live-bytes");
+        let _ = std::fs::remove_file(&path);
+        let b = AppendLogBackend::open(&path, FsyncPolicy::Manual).unwrap();
+        let live = |b: &AppendLogBackend| b.inner.lock().live_bytes;
+        let parity = StoredBlock::new_parity(vec![1, 2], Bytes::copy_from_slice(b"pp"), vec![3, 4]);
+        b.put(1, data(0, b"abcd")).unwrap();
+        b.put(2, parity.clone()).unwrap();
+        b.put(1, data(1, b"a-longer-payload")).unwrap();
+        let rewritten = record_len(&data(1, b"a-longer-payload"));
+        assert_eq!(live(&b), rewritten + record_len(&parity));
+        // A delete's own record is never live: it only takes away.
+        b.delete(2).unwrap();
+        assert_eq!(live(&b), rewritten);
+        // Replay arrives at the same figure.
+        drop(b);
+        let b = AppendLogBackend::open(&path, FsyncPolicy::Manual).unwrap();
+        assert_eq!(live(&b), rewritten);
+        drop(b);
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn applog_roundtrip_and_reopen() {
         let path = temp_log("roundtrip");
@@ -1351,6 +1510,33 @@ mod tests {
         assert_eq!(b.get(1), Ok(Some(data(0, b"durable"))));
         assert_eq!(b.get(2), Ok(None));
         assert_eq!(b.crashes_reverted(), 1);
+    }
+
+    #[test]
+    fn faulting_backend_crash_reverts_an_equal_length_overwrite() {
+        // The barrier snapshot shares the resident buffer, so the put
+        // after it must replace that buffer, not write through it.
+        let faults = StorageFaults {
+            sync_every: u64::MAX,
+            fsync_fail_p: 0,
+            slow_read_p: 0,
+            slow_read_max_ticks: 1,
+            corrupt_read_p: 0,
+            misdirect_read_p: 0,
+        };
+        let b = FaultingBackend::new(Arc::new(MemoryBackend::new()), faults, 42);
+        b.put(1, data(0, b"before-crash")).unwrap();
+        b.flush().unwrap();
+        b.put(1, data(1, b"lost-on-boot")).unwrap();
+        assert_eq!(b.get(1), Ok(Some(data(1, b"lost-on-boot"))));
+        b.crash_restart();
+        assert_eq!(b.get(1), Ok(Some(data(0, b"before-crash"))));
+        // And again from the restored state, whose blocks the snapshot
+        // still shares.
+        b.put(1, data(2, b"lost-again!!")).unwrap();
+        b.crash_restart();
+        assert_eq!(b.get(1), Ok(Some(data(0, b"before-crash"))));
+        assert_eq!(b.crashes_reverted(), 2);
     }
 
     #[test]

@@ -311,11 +311,14 @@ pub enum Frame {
 }
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven; the table is built at compile time.
+// CRC-32 (IEEE 802.3), slicing-by-8; the tables are built at compile time.
 // ---------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[j][b]`
+/// is the CRC of byte `b` followed by `j` zero bytes, which is what lets
+/// eight table reads advance the register over eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -328,18 +331,46 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut j = 1;
+    while j < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[j - 1][i];
+            tables[j][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        j += 1;
+    }
+    tables
 };
+
+/// One byte into the CRC register.
+#[inline]
+fn crc32_step(crc: u32, b: u8) -> u32 {
+    (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize]
+}
 
 /// CRC-32 (IEEE) over `bytes` — the header and record checksum used
 /// across the wire format and the append-only storage log.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)")) ^ crc as u64;
+        crc = CRC_TABLES[7][(word & 0xFF) as usize]
+            ^ CRC_TABLES[6][(word >> 8 & 0xFF) as usize]
+            ^ CRC_TABLES[5][(word >> 16 & 0xFF) as usize]
+            ^ CRC_TABLES[4][(word >> 24 & 0xFF) as usize]
+            ^ CRC_TABLES[3][(word >> 32 & 0xFF) as usize]
+            ^ CRC_TABLES[2][(word >> 40 & 0xFF) as usize]
+            ^ CRC_TABLES[1][(word >> 48 & 0xFF) as usize]
+            ^ CRC_TABLES[0][(word >> 56) as usize];
+    }
+    for &b in words.remainder() {
+        crc = crc32_step(crc, b);
     }
     !crc
 }
@@ -593,52 +624,101 @@ fn encode_error_body(err: &NodeError, out: &mut Vec<u8>) {
     }
 }
 
+/// A frame buffer with room for a body whose variable-length fields
+/// (block payload, version and checksum vectors) total `variable` bytes,
+/// and the header's place left blank at the front: the body is encoded
+/// straight behind it and [`finish_frame`] fills the header in, so a
+/// payload is copied once, into a buffer that never regrows.
+fn start_frame(variable: usize) -> Vec<u8> {
+    // Tags, ids, versions, lengths and extension headers of the largest
+    // variant (add-parity) come to 60 bytes.
+    const FIXED_FIELDS: usize = 64;
+    let mut frame = Vec::with_capacity(HEADER_LEN + FIXED_FIELDS + variable);
+    frame.resize(HEADER_LEN, 0);
+    frame
+}
+
+/// Writes the header over the room [`start_frame`] left, now that the
+/// body's length is known.
 fn finish_frame(
     kind: FrameKind,
     flags: u16,
     op_id: OpId,
     round_epoch: u64,
-    body: Vec<u8>,
+    mut frame: Vec<u8>,
 ) -> Vec<u8> {
-    debug_assert!(body.len() <= MAX_BODY_LEN as usize, "body exceeds wire max");
+    let body_len = frame.len() - HEADER_LEN;
+    debug_assert!(body_len <= MAX_BODY_LEN as usize, "body exceeds wire max");
     let header = Header {
         kind,
         flags,
         op_id,
         round_epoch,
-        body_len: body.len() as u32,
+        body_len: body_len as u32,
     };
-    let mut frame = Vec::with_capacity(HEADER_LEN + body.len());
-    frame.extend_from_slice(&header.encode());
-    frame.extend_from_slice(&body);
+    frame[..HEADER_LEN].copy_from_slice(&header.encode());
     frame
+}
+
+/// Bytes of a request's variable-length fields, for [`start_frame`].
+fn request_variable_len(req: &Request) -> usize {
+    match req {
+        Request::InitData { bytes, .. } | Request::WriteData { bytes, .. } => bytes.len(),
+        Request::InitParity { bytes, checks, .. } => bytes.len() + 8 * checks.len(),
+        Request::WriteParity {
+            bytes,
+            versions,
+            checks,
+            ..
+        } => bytes.len() + 8 * (versions.len() + checks.len()),
+        Request::AddParity { delta, .. } => delta.len(),
+        Request::Ping
+        | Request::ReadData { .. }
+        | Request::VersionData { .. }
+        | Request::VersionVector { .. }
+        | Request::ReadParity { .. } => 0,
+    }
+}
+
+/// Bytes of a response's variable-length fields, for [`start_frame`].
+fn response_variable_len(resp: &Response) -> usize {
+    match resp {
+        Response::Data { bytes, .. } => bytes.len(),
+        Response::Parity {
+            bytes,
+            versions,
+            checks,
+        } => bytes.len() + 8 * (versions.len() + checks.len()),
+        Response::Versions(versions) => 8 * versions.len(),
+        Response::Pong | Response::Ack | Response::Version(_) => 0,
+    }
 }
 
 /// Encodes an [`Envelope`] into one complete frame (header + body).
 pub fn encode_envelope(env: &Envelope) -> Vec<u8> {
-    let mut body = Vec::new();
-    encode_request_body(&env.payload, &mut body);
+    let mut frame = start_frame(request_variable_len(&env.payload));
+    encode_request_body(&env.payload, &mut frame);
     let flags = match env.lane {
         Lane::Foreground => 0,
         Lane::Background => FLAG_BACKGROUND,
     };
-    finish_frame(FrameKind::Request, flags, env.op_id, env.round_epoch, body)
+    finish_frame(FrameKind::Request, flags, env.op_id, env.round_epoch, frame)
 }
 
 /// Encodes a [`Reply`] into one complete frame (header + body).
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
-    let mut body = Vec::new();
+    let mut frame = start_frame(reply.result.as_ref().map_or(0, response_variable_len));
     match &reply.result {
         Ok(resp) => {
-            body.push(tag::RESULT_OK);
-            encode_response_body(resp, &mut body);
+            frame.push(tag::RESULT_OK);
+            encode_response_body(resp, &mut frame);
         }
         Err(err) => {
-            body.push(tag::RESULT_ERR);
-            encode_error_body(err, &mut body);
+            frame.push(tag::RESULT_ERR);
+            encode_error_body(err, &mut frame);
         }
     }
-    finish_frame(FrameKind::Reply, 0, reply.op_id, reply.round_epoch, body)
+    finish_frame(FrameKind::Reply, 0, reply.op_id, reply.round_epoch, frame)
 }
 
 // ---------------------------------------------------------------------
@@ -1057,6 +1137,121 @@ mod tests {
     }
 
     #[test]
+    fn crc32_by_words_matches_the_bytewise_register() {
+        let data: Vec<u8> = (0..257u32 + 8).map(|i| (i * 7 + 3) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=257 {
+                let sub = &data[offset..offset + len];
+                let bytewise = !sub.iter().fold(0xFFFF_FFFF, |crc, &b| crc32_step(crc, b));
+                assert_eq!(crc32(sub), bytewise, "offset {offset} len {len}");
+            }
+        }
+        // Recorded with the byte-at-a-time loop, before slicing-by-8.
+        let data: Vec<u8> = (0..1000u32).map(|i| (i * 7 + 3) as u8).collect();
+        assert_eq!(crc32(&data), 0x17BC_2A46);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn frames_are_byte_identical_to_the_two_buffer_encoder() {
+        // Both recorded at the commit before header and body shared one
+        // buffer: peers on either side of it read each other's frames.
+        let env = Envelope {
+            op_id: OpId(0x0102_0304_0506_0708),
+            round_epoch: 9,
+            lane: Lane::Background,
+            payload: Request::WriteData {
+                id: 42,
+                bytes: Bytes::from(vec![0xA0, 0xA1, 0xA2, 0xA3, 0xA4]),
+                version: 7,
+            },
+        };
+        assert_eq!(
+            hex(&encode_envelope(&env)),
+            "5451574601010100080706050403020109000000000000001a00000051ee917f\
+             052a00000000000000070000000000000005000000a0a1a2a3a4"
+        );
+        let reply = Reply {
+            op_id: OpId(0x1112_1314_1516_1718),
+            round_epoch: 3,
+            result: Ok(Response::Parity {
+                bytes: Bytes::from(vec![1, 2, 3]),
+                versions: vec![4, 5],
+                checks: vec![6, 7],
+            }),
+        };
+        assert_eq!(
+            hex(&encode_reply(&reply)),
+            "54515746010200001817161514131211030000000000000036000000662509a4\
+             0004020000000400000000000000050000000000000003000000010203\
+             01140000000200000006000000000000000700000000000000"
+        );
+    }
+
+    #[test]
+    fn every_frame_fits_the_buffer_it_started_in() {
+        // A frame that outgrew `start_frame`'s reserve would be copied,
+        // payload and all, by the `Vec`'s regrowth. The variants below
+        // carry every variable-length field the format has.
+        let payload = Bytes::from(vec![0x5A; 4096]);
+        let words: Vec<u64> = (0..255).collect();
+        let requests = [
+            Request::InitParity {
+                id: 1,
+                bytes: payload.clone(),
+                k: 255,
+                checks: words.clone(),
+            },
+            Request::WriteData {
+                id: 2,
+                bytes: payload.clone(),
+                version: 3,
+            },
+            Request::WriteParity {
+                id: 4,
+                bytes: payload.clone(),
+                versions: words.clone(),
+                checks: words.clone(),
+            },
+            Request::AddParity {
+                id: 5,
+                block_index: 6,
+                delta: payload.clone(),
+                expected_version: 7,
+                new_version: 8,
+                coeff: 0x53,
+                new_check: Some(9),
+            },
+        ];
+        for req in requests {
+            let reserved = start_frame(request_variable_len(&req)).capacity();
+            let frame = encode_envelope(&Envelope::new(req));
+            assert_eq!(frame.capacity(), reserved, "{} bytes", frame.len());
+        }
+        let responses = [
+            Response::Data {
+                bytes: payload.clone(),
+                version: 1,
+                check: 2,
+            },
+            Response::Parity {
+                bytes: payload,
+                versions: words.clone(),
+                checks: words.clone(),
+            },
+            Response::Versions(words),
+        ];
+        for resp in responses {
+            let reserved = start_frame(response_variable_len(&resp)).capacity();
+            let frame = encode_reply(&Reply::to(&Envelope::new(Request::Ping), Ok(resp)));
+            assert_eq!(frame.capacity(), reserved, "{} bytes", frame.len());
+        }
+    }
+
+    #[test]
     fn envelope_roundtrips_and_payload_is_zero_copy() {
         let env = Envelope::in_epoch(
             Request::WriteData {
@@ -1322,7 +1517,9 @@ mod tests {
         body.extend_from_slice(&7u64.to_le_bytes());
         body.extend_from_slice(&3u32.to_le_bytes());
         body.extend_from_slice(&[1, 2, 3]);
-        let wire = Bytes::from(finish_frame(FrameKind::Reply, 0, OpId(11), 0, body));
+        let mut frame = start_frame(body.len());
+        frame.extend_from_slice(&body);
+        let wire = Bytes::from(finish_frame(FrameKind::Reply, 0, OpId(11), 0, frame));
         let (frame, _) = decode_frame(&wire).expect("legacy frame decodes");
         match frame {
             Frame::Reply(r) => assert_eq!(

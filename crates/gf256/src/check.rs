@@ -24,6 +24,8 @@
 //! ([`linear_check`]), so a reader holding only the *data*-block
 //! checksum vector can verify any fetched parity block before decoding.
 
+use std::sync::OnceLock;
+
 use crate::tables;
 use crate::Gf256;
 
@@ -53,23 +55,105 @@ fn weights(i: usize) -> [u8; 8] {
     w
 }
 
+/// [`weights`]`(i)` as one little-endian word: lane `m` is byte `m`.
+#[inline]
+fn packed_weights(i: usize) -> u64 {
+    u64::from_le_bytes(weights(i))
+}
+
+/// Positions per cached weight page, and how many pages are cached: the
+/// first 64 Ki positions (512 KiB of words, each page built on first
+/// use). Later positions compute their weights on the fly, so the cache
+/// is bounded whatever lengths are summed.
+const PAGE: usize = 4096;
+const CACHED_PAGES: usize = 16;
+
+static WEIGHT_PAGES: [OnceLock<Box<[u64]>>; CACHED_PAGES] =
+    [const { OnceLock::new() }; CACHED_PAGES];
+
+/// How many bucket tables a block is dealt over, round-robin. A run of
+/// equal bytes would otherwise make every `S[b] ^= W` wait for the store
+/// before it.
+const BUCKET_TABLES: usize = 4;
+
+/// Deals `S_j[b_i] ^= W(i)` over the bucket tables; `weights[i]` is the
+/// packed weight of `bytes[i]`'s position.
+#[inline]
+fn bucket(buckets: &mut [[u64; 256]; BUCKET_TABLES], bytes: &[u8], weights: &[u64]) {
+    let [s0, s1, s2, s3] = buckets;
+    let mut words = bytes.chunks_exact(8);
+    let mut groups = weights.chunks_exact(8);
+    // One load per 8 block bytes: the loop is bound by its loads (byte,
+    // weight, bucket), so the bytes come out of a register.
+    for (word, w) in (&mut words).zip(&mut groups) {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
+        s0[(word & 0xFF) as usize] ^= w[0];
+        s1[(word >> 8 & 0xFF) as usize] ^= w[1];
+        s2[(word >> 16 & 0xFF) as usize] ^= w[2];
+        s3[(word >> 24 & 0xFF) as usize] ^= w[3];
+        s0[(word >> 32 & 0xFF) as usize] ^= w[4];
+        s1[(word >> 40 & 0xFF) as usize] ^= w[5];
+        s2[(word >> 48 & 0xFF) as usize] ^= w[6];
+        s3[(word >> 56) as usize] ^= w[7];
+    }
+    for (&b, &w) in words.remainder().iter().zip(groups.remainder()) {
+        s0[b as usize] ^= w;
+    }
+}
+
 /// The 8-lane GF(2⁸) checksum of a block.
 ///
 /// Linear in the block bytes (see the [module docs](self)); the checksum
 /// of an all-zero block is 0.
+///
+/// Computed as a bucket sum: `S[v]` collects (by XOR, all 8 lanes at
+/// once) the weights of the positions holding byte value `v`, so lane
+/// `m` is `Σ_v v · S[v]_m` — one table update per block byte, and the
+/// 255 field multiplications per lane collapse, by the bits of `v`, to
+/// eight: `Σ_t α^t · ⊕{S[v] : bit t of v set}`.
 pub fn block_check(bytes: &[u8]) -> u64 {
-    let mut lanes = [0u8; 8];
-    for (i, &b) in bytes.iter().enumerate() {
-        if b == 0 {
-            continue; // 0 · w = 0 in every lane
-        }
-        let row = &tables::MUL[b as usize];
-        let w = weights(i);
-        for (lane, &wm) in lanes.iter_mut().zip(&w) {
-            *lane ^= row[wm as usize];
+    let mut buckets = [[0u64; 256]; BUCKET_TABLES];
+    for (page, chunk) in bytes.chunks(PAGE).enumerate() {
+        let base = page * PAGE;
+        match WEIGHT_PAGES.get(page) {
+            Some(cached) => {
+                let weights =
+                    cached.get_or_init(|| (base..base + PAGE).map(packed_weights).collect());
+                bucket(&mut buckets, chunk, &weights[..chunk.len()]);
+            }
+            None => {
+                let mut weights = [0u64; 256];
+                for (run, part) in chunk.chunks(weights.len()).enumerate() {
+                    let at = base + run * weights.len();
+                    for (i, w) in weights.iter_mut().enumerate() {
+                        *w = packed_weights(at + i);
+                    }
+                    bucket(&mut buckets, part, &weights[..part.len()]);
+                }
+            }
         }
     }
-    u64::from_le_bytes(lanes)
+    let [mut sums, rest @ ..] = buckets;
+    for table in &rest {
+        for (s, &t) in sums.iter_mut().zip(table) {
+            *s ^= t;
+        }
+    }
+    // Bit t of v splits the live prefix of `sums` in two: the upper
+    // half's XOR is that bit's reduction, and folding it onto the lower
+    // half leaves the same problem for the bits below.
+    let mut check = 0u64;
+    for bit in (0..8).rev() {
+        let half = 1usize << bit;
+        let (lower, upper) = sums[..2 * half].split_at_mut(half);
+        let mut reduced = 0u64;
+        for (l, &u) in lower.iter_mut().zip(upper.iter()) {
+            reduced ^= u;
+            *l ^= u;
+        }
+        check ^= combine(Gf256(1 << bit), reduced);
+    }
+    check
 }
 
 /// Scales a checksum by a field coefficient, lane-wise:
@@ -192,5 +276,111 @@ mod tests {
     #[should_panic(expected = "linear_check")]
     fn linear_check_rejects_ragged_input() {
         let _ = linear_check(&[Gf256::ONE], &[1, 2]);
+    }
+
+    /// The definition, one field multiplication per byte and lane: what
+    /// `block_check` computed before it became a bucket sum, kept as the
+    /// reference every sum it produces must still equal bit for bit
+    /// (sums are persisted in parity records and sent on the wire).
+    fn block_check_reference(bytes: &[u8]) -> u64 {
+        let mut lanes = [0u8; 8];
+        for (i, &b) in bytes.iter().enumerate() {
+            let row = &tables::MUL[b as usize];
+            for (lane, &wm) in lanes.iter_mut().zip(&weights(i)) {
+                *lane ^= row[wm as usize];
+            }
+        }
+        u64::from_le_bytes(lanes)
+    }
+
+    #[test]
+    fn matches_the_reference_at_every_short_length_and_alignment() {
+        let block = sample(257 + 8, 29);
+        for offset in 0..if cfg!(miri) { 2 } else { 8 } {
+            for len in 0..=257 {
+                let sub = &block[offset..offset + len];
+                assert_eq!(
+                    block_check(sub),
+                    block_check_reference(sub),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn matches_the_reference_on_degenerate_blocks() {
+        let len = if cfg!(miri) { 300 } else { 4096 + 3 };
+        assert_eq!(block_check(&vec![0u8; len]), 0);
+        // A run of one value lands every update on one bucket per table.
+        let ones = vec![0xFFu8; len];
+        assert_eq!(block_check(&ones), block_check_reference(&ones));
+        for pos in [0, 1, len / 2, len - 1] {
+            for value in [0x01u8, 0x80, 0xFF] {
+                let mut lone = vec![0u8; len];
+                lone[pos] = value;
+                assert_eq!(
+                    block_check(&lone),
+                    block_check_reference(&lone),
+                    "pos {pos} value {value:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn matches_the_reference_across_pages_and_past_the_cached_weights() {
+        let cached = PAGE * CACHED_PAGES;
+        let lens: &[usize] = if cfg!(miri) {
+            &[PAGE - 1, PAGE + 1]
+        } else {
+            &[
+                PAGE - 1,
+                PAGE,
+                PAGE + 1,
+                cached - 1,
+                cached,
+                cached + 1,
+                cached + 255,
+                cached + 256,
+                cached + PAGE + 257,
+            ]
+        };
+        for &len in lens {
+            let block = sample(len, 151);
+            assert_eq!(
+                block_check(&block),
+                block_check_reference(&block),
+                "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn sums_equal_the_values_recorded_before_the_bucket_sum() {
+        // Computed by the per-byte loop at the commit before this kernel.
+        assert_eq!(block_check(b"123456789"), 0x2c63_b4de_361c_ab7d);
+        assert_eq!(block_check(&[0xFFu8; 257]), 0xd346_7a1b_ea3d_cd66);
+        if !cfg!(miri) {
+            assert_eq!(block_check(&sample(4096, 7)), 0x787a_36d3_9ec3_2ee4);
+            assert_eq!(block_check(&sample(65536, 3)), 0x4529_95aa_145b_62a3);
+            assert_eq!(block_check(&sample(70000, 91)), 0xd990_8324_6457_a2ef);
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn bucket_sum_equals_reference(
+                block in proptest::collection::vec(any::<u8>(), 0..600),
+                skip in 0usize..8,
+            ) {
+                let sub = &block[skip.min(block.len())..];
+                prop_assert_eq!(block_check(sub), block_check_reference(sub));
+            }
+        }
     }
 }

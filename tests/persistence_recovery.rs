@@ -334,3 +334,97 @@ fn durable_acks_lose_no_acknowledged_write() {
 
     let _ = std::fs::remove_file(&path);
 }
+
+/// The log this script leaves behind, as written by the commit before
+/// `crc32` went slicing-by-8 and `block_check` became a bucket sum.
+const LOG_BEFORE_THE_TABLE_KERNELS: &str = concat!(
+    "210000000fc12e6501010000000000000000000000000000000c000000646174612d626c6f636b2d30",
+    "41000000f4c73792040200000000000000020000000000000000000000000000000000000002000000111100000000000022220000000000000c0000007061726974792d626c6b2d30",
+    "21000000be940c9301010000000000000001000000000000000c000000646174612d626c6f636b2d31",
+    "41000000ede1a5a1040200000000000000020000000100000000000000000000000000000002000000333300000000000022220000000000000c00000023c78738768e89c09d6f7ac3",
+);
+
+#[test]
+fn logs_replay_across_the_checksum_kernel_change() {
+    let script = |node: &StorageNode| {
+        ack(
+            node,
+            Request::InitData {
+                id: 1,
+                bytes: Bytes::from_static(b"data-block-0"),
+            },
+        );
+        ack(
+            node,
+            Request::InitParity {
+                id: 2,
+                bytes: Bytes::from_static(b"parity-blk-0"),
+                k: 2,
+                checks: vec![0x1111, 0x2222],
+            },
+        );
+        ack(
+            node,
+            Request::WriteData {
+                id: 1,
+                bytes: Bytes::from_static(b"data-block-1"),
+                version: 1,
+            },
+        );
+        ack(
+            node,
+            Request::AddParity {
+                id: 2,
+                block_index: 0,
+                delta: Bytes::from_static(b"\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c"),
+                expected_version: 0,
+                new_version: 1,
+                coeff: 0x53,
+                new_check: Some(0x3333),
+            },
+        );
+    };
+    let open = |path: &PathBuf| {
+        let backend = AppendLogBackend::open(path, FsyncPolicy::Always).expect("open log");
+        StorageNode::builder(NodeId(0))
+            .backend(Arc::new(backend))
+            .verify_reads(true)
+            .build()
+    };
+    let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+
+    // What this build writes is what the earlier build wrote: record
+    // CRCs and the persisted cross-checksum vector included, so the
+    // earlier build replays this build's logs.
+    let path = log_path("kernel-change-written");
+    let node = open(&path);
+    script(&node);
+    let served = (
+        read_block(&node, 1),
+        node.execute(Envelope::new(Request::ReadParity { id: 2 }))
+            .result,
+    );
+    drop(node);
+    let written = std::fs::read(&path).expect("read log");
+    assert_eq!(hex(&written), LOG_BEFORE_THE_TABLE_KERNELS);
+    let _ = std::fs::remove_file(&path);
+
+    // And the earlier build's log replays here to the same state, every
+    // record passing its CRC and every block its recomputed self-check.
+    let path = log_path("kernel-change-replayed");
+    let recorded: Vec<u8> = (0..LOG_BEFORE_THE_TABLE_KERNELS.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&LOG_BEFORE_THE_TABLE_KERNELS[i..i + 2], 16).expect("hex"))
+        .collect();
+    std::fs::write(&path, &recorded).expect("write recorded log");
+    let node = open(&path);
+    assert_eq!(read_block(&node, 1), served.0);
+    assert_eq!(read_block(&node, 1), Some((b"data-block-1".to_vec(), 1)));
+    assert_eq!(
+        node.execute(Envelope::new(Request::ReadParity { id: 2 }))
+            .result,
+        served.1
+    );
+    drop(node);
+    let _ = std::fs::remove_file(&path);
+}
