@@ -9,10 +9,14 @@
 //!   map. Zero durability, maximum speed; the default, and what the
 //!   simulation uses.
 //! * [`AppendLogBackend`] — a crash-safe append-only log. Every put and
-//!   delete is one checksummed record; recovery replays the log and
-//!   truncates a torn tail; an [`FsyncPolicy`] says whether each append
-//!   syncs or only an explicit flush does (the node flushes before every
-//!   ack either way); compaction rewrites the log once dead records
+//!   delete is one checksummed record, written into zero-filled 1 MiB
+//!   extents the file grows by ahead of time, so an acknowledged
+//!   append's sync commits data, not a new file size; recovery replays
+//!   the log up to the first zero header and truncates a torn tail; an
+//!   [`FsyncPolicy`] says whether each append syncs or only an explicit
+//!   flush does (the node flushes before every ack either way); reads
+//!   never wait on the disk; a failed write or sync poisons the log
+//!   (fail-stop); compaction rewrites the log once dead records
 //!   dominate.
 //! * [`FaultingBackend`] — a deterministic fault-injection wrapper for
 //!   the DST storage-fault axis: it models the *recovery-visible* state
@@ -29,7 +33,8 @@
 use std::collections::hash_map::Entry;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Read;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -340,13 +345,17 @@ impl StorageBackend for MemoryBackend {
 // Append-only log backend.
 // ---------------------------------------------------------------------
 
-/// When the append-only log forces data to stable storage. Either way,
-/// a [`StorageNode`](crate::node::StorageNode) flushes before every
-/// ack, so no acknowledged mutation is ever past the barrier.
+/// When the append-only log forces data to stable storage. Under both
+/// policies a [`StorageNode`](crate::node::StorageNode) flushes before
+/// every ack, so no acknowledged mutation is ever past the barrier; a
+/// sync is an `fdatasync` of bytes the file already has room for (the
+/// log grows in pre-zeroed extents, see [`AppendLogBackend`]); and a
+/// sync that fails poisons the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fsync` inside every append; the node's flush then finds
-    /// nothing left to sync.
+    /// `fsync` inside every append, before the record enters the index
+    /// (so a `get` never returns what a crash could still take back);
+    /// the node's flush then finds nothing left to sync.
     Always,
     /// Only [`StorageBackend::flush`] syncs — the OS decides otherwise.
     Manual,
@@ -373,19 +382,54 @@ const COMPACT_MIN_BYTES: u64 = 64 * 1024;
 /// Compaction triggers when the log is this many times the live size.
 const COMPACT_RATIO: u64 = 3;
 
-fn encode_record(id: BlockId, block: Option<&StoredBlock>) -> Vec<u8> {
-    let mut body = Vec::new();
+/// Compaction writes its snapshot in writes of about this many bytes
+/// (kept under the allocator's default mmap threshold of 128 KiB).
+const COMPACT_CHUNK: usize = 64 * 1024;
+
+/// The log file grows in zero-filled extents of this many bytes, ahead
+/// of its records. An append then overwrites space the file already
+/// has, so its `fdatasync` commits no new file size — only the data and
+/// the device cache — except on the one append per extent that grows it.
+const EXTENT: u64 = 1 << 20;
+
+/// What extents are written from: a static, so growing the log
+/// allocates nothing.
+static ZEROS: [u8; 64 * 1024] = [0; 64 * 1024];
+
+/// Writes zeros over `[from, to)` of `file`.
+fn write_zeros(file: &File, mut from: u64, to: u64) -> std::io::Result<()> {
+    while from < to {
+        let n = (to - from).min(ZEROS.len() as u64);
+        file.write_all_at(&ZEROS[..n as usize], from)?;
+        from += n;
+    }
+    Ok(())
+}
+
+/// Whether every byte of `bytes` is zero (compared a chunk at a time).
+fn is_zero(bytes: &[u8]) -> bool {
+    bytes
+        .chunks(ZEROS.len())
+        .all(|chunk| chunk == &ZEROS[..chunk.len()])
+}
+
+/// Appends the record for `id` — a put of `block`, or a delete — to
+/// `out`. Each byte is written once: the header is reserved, the body
+/// written after it, and the CRC taken over the body where it lies.
+fn encode_record_into(out: &mut Vec<u8>, id: BlockId, block: Option<&StoredBlock>) {
+    let start = out.len();
+    out.extend_from_slice(&[0; REC_HEADER]);
     match block {
         None => {
-            body.push(REC_DELETE);
-            body.extend_from_slice(&id.to_le_bytes());
+            out.push(REC_DELETE);
+            out.extend_from_slice(&id.to_le_bytes());
         }
         Some(StoredBlock::Data { version, bytes, .. }) => {
-            body.push(REC_PUT_DATA);
-            body.extend_from_slice(&id.to_le_bytes());
-            body.extend_from_slice(&version.to_le_bytes());
-            body.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            body.extend_from_slice(bytes);
+            out.push(REC_PUT_DATA);
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&version.to_le_bytes());
+            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            out.extend_from_slice(bytes);
         }
         Some(StoredBlock::Parity {
             versions,
@@ -393,25 +437,51 @@ fn encode_record(id: BlockId, block: Option<&StoredBlock>) -> Vec<u8> {
             checks,
             ..
         }) => {
-            body.push(REC_PUT_PARITY_V2);
-            body.extend_from_slice(&id.to_le_bytes());
-            body.extend_from_slice(&(versions.len() as u32).to_le_bytes());
+            out.push(REC_PUT_PARITY_V2);
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&(versions.len() as u32).to_le_bytes());
             for v in versions {
-                body.extend_from_slice(&v.to_le_bytes());
+                out.extend_from_slice(&v.to_le_bytes());
             }
-            body.extend_from_slice(&(checks.len() as u32).to_le_bytes());
+            out.extend_from_slice(&(checks.len() as u32).to_le_bytes());
             for c in checks {
-                body.extend_from_slice(&c.to_le_bytes());
+                out.extend_from_slice(&c.to_le_bytes());
             }
-            body.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            body.extend_from_slice(bytes);
+            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            out.extend_from_slice(bytes);
         }
     }
-    let mut rec = Vec::with_capacity(REC_HEADER + body.len());
-    rec.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&crc32(&body).to_le_bytes());
-    rec.extend_from_slice(&body);
+    let body = start + REC_HEADER;
+    let body_len = (out.len() - body) as u32;
+    let crc = crc32(&out[body..]);
+    out[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
+    out[start + 4..body].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// One record in a buffer of exactly its size.
+fn encode_record(id: BlockId, block: Option<&StoredBlock>) -> Vec<u8> {
+    // A delete is the header, its kind byte and the block id.
+    let len = block.map_or(REC_HEADER + 1 + 8, |b| record_len(b) as usize);
+    let mut rec = Vec::with_capacity(len);
+    encode_record_into(&mut rec, id, block);
     rec
+}
+
+/// Encodes `live` into `file` from offset 0, in writes of about
+/// [`COMPACT_CHUNK`] bytes, and returns the length written.
+fn write_snapshot(file: &File, live: &DetHashMap<BlockId, StoredBlock>) -> std::io::Result<u64> {
+    let mut chunk = Vec::with_capacity(COMPACT_CHUNK);
+    let mut len = 0u64;
+    for (id, block) in live {
+        if !chunk.is_empty() && chunk.len() + record_len(block) as usize > COMPACT_CHUNK {
+            file.write_all_at(&chunk, len)?;
+            len += chunk.len() as u64;
+            chunk.clear();
+        }
+        encode_record_into(&mut chunk, *id, Some(block));
+    }
+    file.write_all_at(&chunk, len)?;
+    Ok(len + chunk.len() as u64)
 }
 
 /// `encode_record(id, Some(block)).len()` without encoding anything: what
@@ -512,34 +582,128 @@ fn parse_record(body: &[u8]) -> Option<(BlockId, Option<StoredBlock>)> {
     }
 }
 
+/// The end of the log the appends write to. Its lock is held across
+/// every write, sync and compaction.
 #[derive(Debug)]
-struct LogInner {
+struct Tail {
     file: File,
-    index: DetHashMap<BlockId, StoredBlock>,
-    /// Current log file length.
+    /// End of the last record: the log's logical length.
     log_bytes: u64,
-    /// Encoded size of the live records (what compaction would shrink to).
-    live_bytes: u64,
     /// Log length at the last successful fsync — everything before this
     /// offset survives a crash.
     synced_len: u64,
+    /// File length; `[log_bytes, allocated)` holds only zeros.
+    allocated: u64,
+    /// The first failed write or sync of the live log. The file's state
+    /// past `synced_len` is unknown from then on, so every later
+    /// mutation and barrier returns this error.
+    failed: Option<StorageError>,
+}
+
+impl Tail {
+    /// `Err` once the log is poisoned.
+    fn usable(&self) -> Result<(), StorageError> {
+        self.failed.clone().map_or(Ok(()), Err)
+    }
+
+    /// Poisons the log with `e`, and returns it.
+    fn poison(&mut self, op: &'static str, e: std::io::Error) -> StorageError {
+        let err = io_err(op, e);
+        self.failed = Some(err.clone());
+        err
+    }
+
+    /// Writes `rec` at the end of the log. A record that would cross
+    /// `allocated` first grows the file by zeros up to the next extent
+    /// boundary; the sync that covers the record covers them too.
+    fn write(&mut self, rec: &[u8]) -> Result<(), StorageError> {
+        let end = self.log_bytes + rec.len() as u64;
+        if end > self.allocated {
+            let grown = end.next_multiple_of(EXTENT);
+            write_zeros(&self.file, end, grown).map_err(|e| self.poison("extend", e))?;
+            self.allocated = grown;
+        }
+        self.file
+            .write_all_at(rec, self.log_bytes)
+            .map_err(|e| self.poison("append", e))?;
+        self.log_bytes = end;
+        Ok(())
+    }
+
+    fn sync(&mut self) -> Result<(), StorageError> {
+        self.file.sync_data().map_err(|e| self.poison("fsync", e))?;
+        self.synced_len = self.log_bytes;
+        Ok(())
+    }
+}
+
+/// The fold of the log. Its lock is never held across I/O.
+#[derive(Debug, Default)]
+struct Index {
+    map: DetHashMap<BlockId, StoredBlock>,
+    /// Encoded size of the live records (what compaction would shrink to).
+    live_bytes: u64,
+}
+
+impl Index {
+    /// Folds one record in. `live_bytes` counts the *canonical*
+    /// (current-layout) record length, not the on-disk one: a replayed
+    /// legacy V1 record is shorter than its re-encoding, and live_bytes
+    /// must match what later overwrites subtract (and what compaction
+    /// would write).
+    fn apply(&mut self, id: BlockId, block: Option<StoredBlock>) {
+        self.live_bytes -= self.map.get(&id).map_or(0, record_len);
+        match block {
+            Some(b) => {
+                self.live_bytes += record_len(&b);
+                install_into(&mut self.map, id, b);
+            }
+            None => {
+                self.map.remove(&id);
+            }
+        }
+    }
 }
 
 /// Crash-safe append-only log storage.
 ///
-/// Layout: back-to-back records, each `body_len(u32) · crc32(u32) ·
-/// body`; the body is a tagged put (data or parity, full payload) or
-/// delete. Every mutation appends; the in-memory index holds the fold
-/// of the log. On open, the log is replayed and the first torn or
-/// corrupt record truncates the tail — recovered state is exactly the
-/// longest valid prefix, which the [`FsyncPolicy`] bounds below by the
-/// last barrier. When dead records dominate
-/// (log > 3× live and > 64 KiB), the log is compacted by atomically
-/// replacing it with a snapshot.
+/// **Layout.** Back-to-back records from offset 0, each `body_len(u32)
+/// · crc32(u32) · body`; the body is a tagged put (data or parity, full
+/// payload) or delete. The file grows in zero-filled 1 MiB extents
+/// ahead of the records, so an append overwrites space that is already
+/// allocated and its sync has no file size to commit; a zero `body_len`
+/// ends the log. [`log_len`](Self::log_len) and
+/// [`synced_len`](Self::synced_len) are offsets into the records and
+/// never count the zero tail. Every mutation appends; the in-memory
+/// index holds the fold of the log.
+///
+/// **Recovery.** On open the log is replayed up to the first zero
+/// header, torn record or corrupt record. If every byte after that
+/// point is zero it stays as room for appends; otherwise the file is
+/// truncated there and synced, so no stale byte is ever read as a record
+/// again. Recovered state is exactly the longest valid prefix, which the
+/// [`FsyncPolicy`] bounds below by the last barrier. A log written
+/// without extents (by an earlier build) replays the same way; an
+/// earlier build reads the zero header as a torn tail and truncates it.
+///
+/// **Locks.** Writes, syncs and compaction hold the tail's lock; the
+/// index has its own, taken after the tail's and never held across I/O,
+/// so `get` and `scan` never wait on the disk.
+///
+/// **Poison.** After a failed write or sync of the live log (including
+/// the directory sync that makes a compaction durable), every later
+/// `put`, `delete`, `flush` and `clear` returns that error, which the
+/// node answers as `Down` — fail-stop. Without this, a later sync that
+/// succeeded would vouch for pages the kernel may already have dropped.
+///
+/// **Compaction.** When dead records dominate (log > 3× live and >
+/// 64 KiB), the log is replaced atomically with a snapshot of the index,
+/// written together with its first zero extent before one sync.
 pub struct AppendLogBackend {
     path: PathBuf,
     policy: FsyncPolicy,
-    inner: Mutex<LogInner>,
+    tail: Mutex<Tail>,
+    index: Mutex<Index>,
     /// Delete the log file on drop (used by the `TQ_NODE_BACKEND`
     /// ephemeral default so test runs don't litter the temp dir).
     ephemeral: bool,
@@ -556,7 +720,7 @@ impl fmt::Debug for AppendLogBackend {
 
 impl AppendLogBackend {
     /// Opens (or creates) the log at `path`, replaying it into memory
-    /// and truncating any torn tail.
+    /// and truncating any torn or corrupt tail.
     pub fn open(path: impl Into<PathBuf>, policy: FsyncPolicy) -> Result<Self, StorageError> {
         let path = path.into();
         if let Some(parent) = path.parent() {
@@ -572,16 +736,18 @@ impl AppendLogBackend {
             .open(&path)
             .map_err(|e| io_err("open", e))?;
 
-        // Replay. A torn or corrupt record ends the valid prefix; the
-        // file is truncated there so the next append starts clean.
+        // Replay. A zero header, or a torn or corrupt record, ends the
+        // valid prefix.
         let mut raw = Vec::new();
         file.read_to_end(&mut raw).map_err(|e| io_err("read", e))?;
-        let mut index = DetHashMap::default();
-        let mut live_bytes = 0u64;
+        let mut index = Index::default();
         let mut valid = 0usize;
         while raw.len() - valid >= REC_HEADER {
             let body_len =
                 u32::from_le_bytes(raw[valid..valid + 4].try_into().expect("4 bytes")) as usize;
+            if body_len == 0 {
+                break; // the zero-filled rest of the last extent
+            }
             let Some(total) = body_len.checked_add(REC_HEADER) else {
                 break;
             };
@@ -597,39 +763,31 @@ impl AppendLogBackend {
             let Some((id, block)) = parse_record(body) else {
                 break;
             };
-            // Account the *canonical* (current-layout) record length, not
-            // the on-disk one: a legacy V1 record is shorter than its
-            // re-encoding, and live_bytes must match what later
-            // overwrites subtract (and what compaction would write).
-            live_bytes -= index.get(&id).map_or(0, record_len);
-            match block {
-                Some(b) => {
-                    live_bytes += record_len(&b);
-                    index.insert(id, b);
-                }
-                None => {
-                    index.remove(&id);
-                }
-            }
+            index.apply(id, block);
             valid += total;
         }
-        if valid < raw.len() {
+        // Past the prefix: either zeros, kept as room for appends, or
+        // the remains of a torn or corrupt append, truncated away so the
+        // next append starts clean and nothing stale can follow it.
+        let mut allocated = raw.len() as u64;
+        if !is_zero(&raw[valid..]) {
             file.set_len(valid as u64)
                 .map_err(|e| io_err("truncate", e))?;
             file.sync_data().map_err(|e| io_err("fsync", e))?;
+            allocated = valid as u64;
         }
-        file.seek(SeekFrom::End(0)).map_err(|e| io_err("seek", e))?;
 
         Ok(AppendLogBackend {
             path,
             policy,
-            inner: Mutex::new(LogInner {
+            tail: Mutex::new(Tail {
                 file,
-                index,
                 log_bytes: valid as u64,
-                live_bytes,
                 synced_len: valid as u64,
+                allocated,
+                failed: None,
             }),
+            index: Mutex::new(index),
             ephemeral: false,
         })
     }
@@ -654,84 +812,78 @@ impl AppendLogBackend {
     /// Crash-restart tests truncate the file to this offset to model
     /// the worst legal crash.
     pub fn synced_len(&self) -> u64 {
-        self.inner.lock().synced_len
+        self.tail.lock().synced_len
     }
 
-    /// Current log file length (diagnostics; compaction shrinks it).
+    /// End of the last record (diagnostics; compaction shrinks it). The
+    /// file is longer by its zero tail.
     pub fn log_len(&self) -> u64 {
-        self.inner.lock().log_bytes
+        self.tail.lock().log_bytes
     }
 
-    fn append_locked(
+    /// Appends the record for `id` — a put of `block`, or a delete —
+    /// then syncs under `Always`, folds the record into the index, and
+    /// compacts once dead records dominate.
+    fn append(
         &self,
-        inner: &mut LogInner,
+        tail: &mut Tail,
         id: BlockId,
         block: Option<StoredBlock>,
     ) -> Result<(), StorageError> {
-        let rec = encode_record(id, block.as_ref());
-        inner
-            .file
-            .write_all(&rec)
-            .map_err(|e| io_err("append", e))?;
-        inner.log_bytes += rec.len() as u64;
-
-        // Index + live-size accounting.
-        inner.live_bytes -= inner.index.get(&id).map_or(0, record_len);
-        match block {
-            Some(b) => {
-                inner.live_bytes += rec.len() as u64;
-                install_into(&mut inner.index, id, b);
-            }
-            None => {
-                inner.index.remove(&id);
-            }
-        }
-
+        tail.write(&encode_record(id, block.as_ref()))?;
         if self.policy == FsyncPolicy::Always {
-            self.sync_locked(inner)?;
+            tail.sync()?;
         }
-        if inner.log_bytes > COMPACT_MIN_BYTES
-            && inner.log_bytes > COMPACT_RATIO * inner.live_bytes.max(1)
-        {
-            self.compact_locked(inner)?;
+        let snapshot = {
+            let mut index = self.index.lock();
+            index.apply(id, block);
+            let dead_dominate = tail.log_bytes > COMPACT_MIN_BYTES
+                && tail.log_bytes > COMPACT_RATIO * index.live_bytes.max(1);
+            // Refcount bumps only: the snapshot is encoded and written
+            // after the index lock is released.
+            dead_dominate.then(|| index.map.clone())
+        };
+        match snapshot {
+            Some(live) => self.compact(tail, &live),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    fn sync_locked(&self, inner: &mut LogInner) -> Result<(), StorageError> {
-        inner.file.sync_data().map_err(|e| io_err("fsync", e))?;
-        inner.synced_len = inner.log_bytes;
-        Ok(())
-    }
-
-    /// Rewrites the log as a snapshot of the live index, atomically
-    /// replacing the old file (write temp → fsync → rename → fsync dir).
-    fn compact_locked(&self, inner: &mut LogInner) -> Result<(), StorageError> {
+    /// Replaces the log with `live`, a snapshot of the index: the temp
+    /// file gets the records and then zeros up to the next extent
+    /// boundary, one sync covers both, then rename → fsync dir. From the
+    /// rename on, the new file *is* the log, so the tail switches to it
+    /// before the directory sync, and a failed directory sync poisons.
+    fn compact(
+        &self,
+        tail: &mut Tail,
+        live: &DetHashMap<BlockId, StoredBlock>,
+    ) -> Result<(), StorageError> {
         let tmp_path = self.path.with_extension("compact");
-        let mut tmp = File::create(&tmp_path).map_err(|e| io_err("compact-create", e))?;
-        let mut new_len = 0u64;
-        for (id, block) in &inner.index {
-            let rec = encode_record(*id, Some(block));
-            tmp.write_all(&rec)
-                .map_err(|e| io_err("compact-write", e))?;
-            new_len += rec.len() as u64;
-        }
+        let tmp = File::create(&tmp_path).map_err(|e| io_err("compact-create", e))?;
+        let len = write_snapshot(&tmp, live).map_err(|e| io_err("compact-write", e))?;
+        let allocated = len.next_multiple_of(EXTENT);
+        write_zeros(&tmp, len, allocated).map_err(|e| io_err("compact-write", e))?;
         tmp.sync_data().map_err(|e| io_err("compact-fsync", e))?;
         std::fs::rename(&tmp_path, &self.path).map_err(|e| io_err("compact-rename", e))?;
+        *tail = Tail {
+            file: tmp,
+            log_bytes: len,
+            synced_len: len,
+            allocated,
+            failed: None,
+        };
+        self.index.lock().live_bytes = len;
         // Make the rename itself durable. Swallowing this error would
         // let an acknowledged-durable log vanish with the directory
-        // entry on power loss, so it propagates like any other fsync.
+        // entry on power loss.
         if let Some(parent) = self.path.parent() {
             if !parent.as_os_str().is_empty() {
-                let dir = File::open(parent).map_err(|e| io_err("compact-dir-open", e))?;
-                dir.sync_all().map_err(|e| io_err("compact-dir-fsync", e))?;
+                File::open(parent)
+                    .and_then(|dir| dir.sync_all())
+                    .map_err(|e| tail.poison("compact-dir-fsync", e))?;
             }
         }
-        tmp.seek(SeekFrom::End(0)).map_err(|e| io_err("seek", e))?;
-        inner.file = tmp;
-        inner.log_bytes = new_len;
-        inner.live_bytes = new_len;
-        inner.synced_len = new_len;
         Ok(())
     }
 }
@@ -746,53 +898,54 @@ impl Drop for AppendLogBackend {
 
 impl StorageBackend for AppendLogBackend {
     fn get(&self, id: BlockId) -> Result<Option<StoredBlock>, StorageError> {
-        Ok(self.inner.lock().index.get(&id).cloned())
+        Ok(self.index.lock().map.get(&id).cloned())
     }
 
     fn put(&self, id: BlockId, block: StoredBlock) -> Result<(), StorageError> {
-        let mut inner = self.inner.lock();
-        self.append_locked(&mut inner, id, Some(block))
+        let mut tail = self.tail.lock();
+        tail.usable()?;
+        self.append(&mut tail, id, Some(block))
     }
 
     fn delete(&self, id: BlockId) -> Result<(), StorageError> {
-        let mut inner = self.inner.lock();
-        if !inner.index.contains_key(&id) {
+        let mut tail = self.tail.lock();
+        tail.usable()?;
+        if !self.index.lock().map.contains_key(&id) {
             return Ok(()); // idempotent: no tombstone for a never-stored id
         }
-        self.append_locked(&mut inner, id, None)
+        self.append(&mut tail, id, None)
     }
 
     fn scan(&self, visit: &mut dyn FnMut(BlockId, &StoredBlock)) -> Result<(), StorageError> {
-        for (id, block) in &self.inner.lock().index {
+        for (id, block) in &self.index.lock().map {
             visit(*id, block);
         }
         Ok(())
     }
 
     fn flush(&self) -> Result<(), StorageError> {
-        let mut inner = self.inner.lock();
+        let mut tail = self.tail.lock();
+        tail.usable()?;
         // Nothing appended since the last successful fsync (the
         // acknowledged `put` of an `Always` log just paid it): the
         // barrier already holds, and a second fsync would only add its
         // latency to the ack.
-        if inner.synced_len == inner.log_bytes {
+        if tail.synced_len == tail.log_bytes {
             return Ok(());
         }
-        self.sync_locked(&mut inner)
+        tail.sync()
     }
 
     fn clear(&self) -> Result<(), StorageError> {
-        let mut inner = self.inner.lock();
-        inner.file.set_len(0).map_err(|e| io_err("truncate", e))?;
-        inner
-            .file
-            .seek(SeekFrom::Start(0))
-            .map_err(|e| io_err("seek", e))?;
-        inner.file.sync_data().map_err(|e| io_err("fsync", e))?;
-        inner.index.clear();
-        inner.log_bytes = 0;
-        inner.live_bytes = 0;
-        inner.synced_len = 0;
+        let mut tail = self.tail.lock();
+        tail.usable()?;
+        tail.file
+            .set_len(0)
+            .map_err(|e| tail.poison("truncate", e))?;
+        tail.log_bytes = 0;
+        tail.allocated = 0;
+        tail.sync()?;
+        *self.index.lock() = Index::default();
         Ok(())
     }
 
@@ -1165,6 +1318,9 @@ pub fn default_backend(node_index: usize) -> Arc<dyn StorageBackend> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::{NodeId, StorageNode};
+    use crate::rpc::{NodeError, Request};
+    use std::collections::BTreeMap;
 
     fn data(version: u64, payload: &[u8]) -> StoredBlock {
         StoredBlock::new_data(version, Bytes::copy_from_slice(payload))
@@ -1266,12 +1422,13 @@ mod tests {
             StoredBlock::new_parity(vec![4, 9, 2], payload, vec![1, 2, 3]),
         ];
         for block in &blocks {
-            assert_eq!(
-                record_len(block),
-                encode_record(5, Some(block)).len() as u64,
-                "{block:?}"
-            );
+            let rec = encode_record(5, Some(block));
+            assert_eq!(record_len(block), rec.len() as u64, "{block:?}");
+            assert_eq!(rec.capacity(), rec.len(), "pre-sized: {block:?}");
         }
+        let delete = encode_record(5, None);
+        assert_eq!(delete.capacity(), delete.len());
+        assert_eq!(parse_record(&delete[REC_HEADER..]), Some((5, None)));
     }
 
     #[test]
@@ -1279,7 +1436,7 @@ mod tests {
         let path = temp_log("live-bytes");
         let _ = std::fs::remove_file(&path);
         let b = AppendLogBackend::open(&path, FsyncPolicy::Manual).unwrap();
-        let live = |b: &AppendLogBackend| b.inner.lock().live_bytes;
+        let live = |b: &AppendLogBackend| b.index.lock().live_bytes;
         let parity = StoredBlock::new_parity(vec![1, 2], Bytes::copy_from_slice(b"pp"), vec![3, 4]);
         b.put(1, data(0, b"abcd")).unwrap();
         b.put(2, parity.clone()).unwrap();
@@ -1330,13 +1487,14 @@ mod tests {
     fn applog_truncates_torn_tail() {
         let path = temp_log("torn");
         let _ = std::fs::remove_file(&path);
-        {
+        let len = {
             let b = AppendLogBackend::open(&path, FsyncPolicy::Always).unwrap();
             b.put(1, data(0, b"keep")).unwrap();
             b.put(2, data(0, b"also")).unwrap();
-        }
-        // Tear the final record: chop a few bytes off the file.
-        let len = std::fs::metadata(&path).unwrap().len();
+            b.log_len()
+        };
+        // Tear the final record: chop a few bytes off its end (and the
+        // zero tail after it).
         let f = OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(len - 3).unwrap();
         drop(f);
@@ -1412,9 +1570,9 @@ mod tests {
             // (EINVAL), so with the log handle swapped for it a clean
             // flush succeeds only by not syncing — and a dirty one fails.
             let null = OpenOptions::new().write(true).open("/dev/null").unwrap();
-            b.inner.lock().file = null;
+            b.tail.lock().file = null;
             b.flush().expect("clean log: no fsync issued");
-            b.inner.lock().log_bytes += 1;
+            b.tail.lock().log_bytes += 1;
             assert!(b.flush().is_err(), "dirty log: the fsync is issued");
         }
         drop(b);
@@ -1472,6 +1630,338 @@ mod tests {
         }
         assert_eq!(b.get(2), Ok(Some(data(9, b"other"))));
         let _ = std::fs::remove_file(&path);
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
+    }
+
+    /// The block map of `b`, in id order.
+    fn state(b: &AppendLogBackend) -> BTreeMap<BlockId, StoredBlock> {
+        let mut map = BTreeMap::new();
+        b.scan(&mut |id, block| {
+            map.insert(id, block.clone());
+        })
+        .unwrap();
+        map
+    }
+
+    #[test]
+    fn applog_opens_appends_and_replays_a_log_without_a_zero_tail() {
+        // A log as written before extents: records up to the last byte.
+        let path = temp_log("no-tail");
+        let mut old = encode_record(1, Some(&data(0, b"old-one")));
+        old.extend(encode_record(2, Some(&data(3, b"old-two"))));
+        old.extend(encode_record(1, None));
+        std::fs::write(&path, &old).unwrap();
+
+        let b = AppendLogBackend::open(&path, FsyncPolicy::Always).unwrap();
+        assert_eq!(b.log_len(), old.len() as u64);
+        assert_eq!(file_len(&path), old.len() as u64, "nothing truncated");
+        assert_eq!(b.get(1), Ok(None));
+        assert_eq!(b.get(2), Ok(Some(data(3, b"old-two"))));
+        b.put(3, data(0, b"new")).unwrap();
+        assert_eq!(file_len(&path), EXTENT, "the first append grows an extent");
+        let end = b.log_len();
+        drop(b);
+
+        let raw = std::fs::read(&path).unwrap();
+        assert_eq!(&raw[..old.len()], &old[..], "old records untouched");
+        assert!(is_zero(&raw[end as usize..]));
+        let b = AppendLogBackend::open(&path, FsyncPolicy::Always).unwrap();
+        assert_eq!(b.log_len(), end);
+        assert_eq!(b.get(2), Ok(Some(data(3, b"old-two"))));
+        assert_eq!(b.get(3), Ok(Some(data(0, b"new"))));
+        drop(b);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn applog_appends_inside_an_extent_leave_the_file_length_alone() {
+        // The deterministic stand-in for "the fdatasync had no file size
+        // to commit": once an extent exists, appends that fit in it do
+        // not change the file's length. (`Manual` only to skip the
+        // fsyncs; the layout is the policy's either way.)
+        let path = temp_log("extent");
+        let _ = std::fs::remove_file(&path);
+        let b = AppendLogBackend::open(&path, FsyncPolicy::Manual).unwrap();
+        let block = || data(1, &[7; 4096]);
+        b.put(0, block()).unwrap();
+        assert_eq!(file_len(&path), EXTENT);
+        let fits = (EXTENT - b.log_len()) / record_len(&block());
+        for id in 1..=fits {
+            b.put(id, block()).unwrap();
+            assert_eq!(file_len(&path), EXTENT, "put {id} fits the extent");
+        }
+        b.put(fits + 1, block()).unwrap();
+        assert_eq!(file_len(&path), 2 * EXTENT, "crossing grows one extent");
+        b.flush().unwrap();
+        let raw = std::fs::read(&path).unwrap();
+        assert!(is_zero(&raw[b.log_len() as usize..]));
+
+        // A compaction writes the new log's first extent before its
+        // sync, so the appends after it find room too.
+        let mut compactions = 0;
+        for id in 0..=fits + 1 {
+            let before = b.log_len();
+            b.delete(id).unwrap();
+            if b.log_len() < before {
+                compactions += 1;
+                assert!(b.log_len() < EXTENT);
+            }
+            let extents = if compactions == 0 { 2 } else { 1 };
+            assert_eq!(file_len(&path), extents * EXTENT);
+        }
+        assert!(compactions > 0);
+        for id in 0..4 {
+            b.put(id, block()).unwrap();
+            assert_eq!(file_len(&path), EXTENT);
+        }
+        drop(b);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn applog_get_and_scan_return_while_the_tail_is_held() {
+        let path = temp_log("two-locks");
+        let _ = std::fs::remove_file(&path);
+        let b = Arc::new(AppendLogBackend::open_ephemeral(&path, FsyncPolicy::Always).unwrap());
+        b.put(1, data(0, b"resident")).unwrap();
+        // What a put holds across its write, its fsync and compaction.
+        let tail = b.tail.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = {
+            let b = Arc::clone(&b);
+            std::thread::spawn(move || {
+                let got = b.get(1).unwrap();
+                let mut seen = 0;
+                b.scan(&mut |_, _| seen += 1).unwrap();
+                tx.send((got, seen)).unwrap();
+            })
+        };
+        let answer = rx.recv_timeout(std::time::Duration::from_secs(10));
+        drop(tail);
+        reader.join().unwrap();
+        assert_eq!(answer, Ok((Some(data(0, b"resident")), 1)));
+    }
+
+    #[test]
+    fn applog_a_failed_sync_poisons_the_log() {
+        if !cfg!(target_os = "linux") {
+            return;
+        }
+        let path = temp_log("poison");
+        let _ = std::fs::remove_file(&path);
+        let b = Arc::new(AppendLogBackend::open(&path, FsyncPolicy::Always).unwrap());
+        b.put(1, data(0, b"durable")).unwrap();
+        // Linux refuses to sync /dev/null (EINVAL): with the log handle
+        // swapped for it, the next put's write lands nowhere and its
+        // sync fails.
+        let null = OpenOptions::new().write(true).open("/dev/null").unwrap();
+        let real = std::mem::replace(&mut b.tail.lock().file, null);
+        let failed = b.put(2, data(0, b"lost"));
+        assert!(
+            matches!(failed, Err(StorageError::Io { op: "fsync", .. })),
+            "{failed:?}"
+        );
+        assert_eq!(b.get(2), Ok(None), "never synced, never indexed");
+
+        // A working handle again: a later sync would succeed, and would
+        // vouch for a record the disk never got. The log stays failed.
+        b.tail.lock().file = real;
+        for result in [
+            b.put(3, data(0, b"after")),
+            b.delete(1),
+            b.delete(99),
+            b.flush(),
+            b.clear(),
+        ] {
+            assert_eq!(result, failed, "every mutation and barrier refuses");
+        }
+        assert_eq!(b.get(1), Ok(Some(data(0, b"durable"))), "reads still serve");
+        let node = StorageNode::builder(NodeId(0))
+            .backend(Arc::clone(&b) as Arc<dyn StorageBackend>)
+            .build();
+        assert_eq!(
+            node.handle(Request::WriteData {
+                id: 1,
+                bytes: Bytes::from_static(b"refused"),
+                version: 1,
+            }),
+            Err(NodeError::Down),
+            "the node fail-stops"
+        );
+        drop(node);
+        drop(b);
+
+        let b = AppendLogBackend::open(&path, FsyncPolicy::Always).unwrap();
+        assert_eq!(state(&b).len(), 1);
+        assert_eq!(b.get(1), Ok(Some(data(0, b"durable"))));
+        drop(b);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The records of the log image `raw`, identified by matching it
+    /// against the encodings of `history` (never by the replay code):
+    /// `(end offset, id, put block or delete)`, in file order.
+    fn records_of(
+        raw: &[u8],
+        history: &[(BlockId, Option<StoredBlock>)],
+    ) -> Vec<(u64, BlockId, Option<StoredBlock>)> {
+        let encoded: Vec<Vec<u8>> = history
+            .iter()
+            .map(|(id, block)| encode_record(*id, block.as_ref()))
+            .collect();
+        let mut records = Vec::new();
+        let mut at = 0;
+        while let Some(i) = encoded.iter().position(|rec| raw[at..].starts_with(rec)) {
+            at += encoded[i].len();
+            records.push((at as u64, history[i].0, history[i].1.clone()));
+        }
+        records
+    }
+
+    /// Cuts the log image `raw` at `cut` twice — the prefix followed by
+    /// zeros up to `raw`'s length, and the prefix followed by non-zero
+    /// garbage — and checks each reopened copy: it holds exactly the
+    /// fold of the records ending at or before the cut, its `log_len()`
+    /// is the last such record's end, and a fresh put survives another
+    /// reopen with nothing stale revived.
+    fn check_cut(
+        copy: &Path,
+        raw: &[u8],
+        records: &[(u64, BlockId, Option<StoredBlock>)],
+        cut: u64,
+    ) {
+        let mut want = BTreeMap::new();
+        let mut want_len = 0;
+        for (end, id, block) in records.iter().take_while(|(end, ..)| *end <= cut) {
+            match block {
+                Some(b) => want.insert(*id, b.clone()),
+                None => want.remove(id),
+            };
+            want_len = *end;
+        }
+        let cut = cut as usize;
+        let mut zeros = raw[..cut].to_vec();
+        zeros.resize(raw.len(), 0);
+        // 512 bytes that each differ from the byte they replace, then
+        // whatever the log held after them — later pages that landed
+        // while the one at the cut did not.
+        let mut garbage = raw.to_vec();
+        garbage.resize(raw.len().max(cut + 512), 0);
+        for byte in &mut garbage[cut..cut + 512] {
+            *byte = !*byte;
+        }
+        for (tail, image) in [("zeros", zeros), ("garbage", garbage)] {
+            std::fs::write(copy, image).unwrap();
+            let b = AppendLogBackend::open(copy, FsyncPolicy::Manual).unwrap();
+            assert_eq!(state(&b), want, "cut {cut} + {tail}: state");
+            assert_eq!(b.log_len(), want_len, "cut {cut} + {tail}: log_len");
+            let fresh = data(5, &[0xEE; 24]);
+            b.put(FRESH, fresh.clone()).unwrap();
+            drop(b);
+            let b = AppendLogBackend::open(copy, FsyncPolicy::Manual).unwrap();
+            let mut with_fresh = want.clone();
+            with_fresh.insert(FRESH, fresh.clone());
+            assert_eq!(state(&b), with_fresh, "cut {cut} + {tail}: after a put");
+            let end = want_len + record_len(&fresh);
+            assert_eq!(b.log_len(), end);
+            let on_disk = std::fs::read(copy).unwrap();
+            assert!(
+                is_zero(&on_disk[end as usize..]),
+                "cut {cut} + {tail}: no stale byte after the records"
+            );
+        }
+    }
+
+    /// Ids whose top byte is non-zero: with payloads that hold no zero
+    /// byte either, every record ends in a non-zero byte, so no cut
+    /// inside a record can be completed by the zeros after it.
+    const ID: BlockId = 0xA5A5_A5A5_A5A5_A500;
+    const FRESH: BlockId = ID + 0x40;
+
+    #[test]
+    fn applog_every_crash_prefix_recovers_the_fold_of_its_records() {
+        let path = temp_log("crash-prefix");
+        let copy = temp_log("crash-prefix-copy");
+        let _ = std::fs::remove_file(&path);
+        let fill = |version: u64, len: usize, byte: u8| {
+            StoredBlock::new_data(version, Bytes::from(vec![byte; len]))
+        };
+        let parity = |v: u64, byte: u8| {
+            StoredBlock::new_parity(vec![v, 1], Bytes::from(vec![byte; 40]), vec![0x11, 0x22])
+        };
+        let mut history: Vec<(BlockId, Option<StoredBlock>)> = Vec::new();
+        let b = AppendLogBackend::open(&path, FsyncPolicy::Always).unwrap();
+        let mut run = |b: &AppendLogBackend, id: BlockId, block: Option<StoredBlock>| {
+            match &block {
+                Some(block) => b.put(id, block.clone()).unwrap(),
+                None => b.delete(id).unwrap(),
+            }
+            history.push((id, block));
+        };
+
+        // Cross the first extent boundary. A third of the log stays
+        // live, so nothing compacts yet.
+        run(&b, ID + 1, Some(fill(0, 400 << 10, 0x11)));
+        run(&b, ID + 2, Some(fill(0, 400 << 10, 0x22)));
+        run(&b, ID + 2, None);
+        run(&b, ID + 3, Some(fill(0, 300 << 10, 0x33)));
+        run(&b, ID + 3, None);
+        run(&b, ID + 4, Some(fill(0, 30, 0x44)));
+        run(&b, ID + 5, Some(parity(0, 0x55)));
+        run(&b, ID + 4, Some(fill(1, 30, 0x45)));
+        assert!(b.log_len() > EXTENT);
+        assert_eq!(file_len(&path), 2 * EXTENT);
+        let before_compaction = std::fs::read(&path).unwrap();
+
+        // Deleting the one big live block leaves dead records dominant:
+        // the log compacts to a snapshot of blocks 4 and 5.
+        run(&b, ID + 1, None);
+        assert_eq!(
+            b.log_len(),
+            record_len(&fill(1, 30, 0x45)) + record_len(&parity(0, 0x55))
+        );
+        assert_eq!(file_len(&path), EXTENT);
+        run(&b, ID + 6, Some(fill(0, 20, 0x66)));
+        run(&b, ID + 5, Some(parity(1, 0x56)));
+        run(&b, ID + 4, None);
+        run(&b, ID + 7, Some(fill(2, 16, 0x77)));
+        assert_eq!(
+            file_len(&path),
+            EXTENT,
+            "no append after compaction grew it"
+        );
+        let log_len = b.log_len();
+        drop(b);
+
+        // The log that results: every cut through its records, then
+        // every page of its zero tail.
+        let raw = std::fs::read(&path).unwrap();
+        let records = records_of(&raw, &history);
+        assert_eq!(records.last().map(|r| r.0), Some(log_len), "{records:?}");
+        for cut in (0..=log_len)
+            .chain((log_len..=EXTENT).step_by(4096))
+            .chain([EXTENT])
+        {
+            check_cut(&copy, &raw, &records, cut);
+        }
+
+        // The log before compaction, cut through the record that crossed
+        // the extent boundary, at its end, and past its zero tail (each
+        // cut replays a MiB of records, so these are sampled).
+        let records = records_of(&before_compaction, &history);
+        let crossing = records
+            .iter()
+            .map(|r| r.0)
+            .find(|&end| end > EXTENT)
+            .expect("a record crosses the boundary");
+        for cut in [EXTENT, crossing - 1, crossing, 2 * EXTENT] {
+            check_cut(&copy, &before_compaction, &records, cut);
+        }
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&copy);
     }
 
     #[test]

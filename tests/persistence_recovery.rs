@@ -377,27 +377,37 @@ fn logs_replay_across_the_checksum_kernel_change() {
         );
     };
     let open = |path: &PathBuf| {
-        let backend = AppendLogBackend::open(path, FsyncPolicy::Always).expect("open log");
-        StorageNode::builder(NodeId(0))
-            .backend(Arc::new(backend))
-            .build()
+        let backend =
+            Arc::new(AppendLogBackend::open(path, FsyncPolicy::Always).expect("open log"));
+        let node = StorageNode::builder(NodeId(0))
+            .backend(backend.clone())
+            .build();
+        (node, backend)
     };
     let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
 
     // What this build writes is what the earlier build wrote: record
     // CRCs and the persisted cross-checksum vector included, so the
-    // earlier build replays this build's logs.
+    // earlier build replays this build's logs. The records now sit at
+    // the head of a zero-filled extent, which the earlier build reads
+    // as a torn tail and truncates.
     let path = log_path("kernel-change-written");
-    let node = open(&path);
+    let (node, backend) = open(&path);
     script(&node);
     let served = (
         read_block(&node, 1),
         node.execute(Envelope::new(Request::ReadParity { id: 2 }))
             .result,
     );
+    let records = backend.log_len() as usize;
     drop(node);
+    drop(backend);
     let written = std::fs::read(&path).expect("read log");
-    assert_eq!(hex(&written), LOG_BEFORE_THE_TABLE_KERNELS);
+    assert_eq!(hex(&written[..records]), LOG_BEFORE_THE_TABLE_KERNELS);
+    assert!(
+        written[records..].iter().all(|&b| b == 0),
+        "past the records, only the zero tail"
+    );
     let _ = std::fs::remove_file(&path);
 
     // And the earlier build's log replays here to the same state, every
@@ -408,7 +418,7 @@ fn logs_replay_across_the_checksum_kernel_change() {
         .map(|i| u8::from_str_radix(&LOG_BEFORE_THE_TABLE_KERNELS[i..i + 2], 16).expect("hex"))
         .collect();
     std::fs::write(&path, &recorded).expect("write recorded log");
-    let node = open(&path);
+    let (node, _) = open(&path);
     assert_eq!(read_block(&node, 1), served.0);
     assert_eq!(read_block(&node, 1), Some((b"data-block-1".to_vec(), 1)));
     assert_eq!(
