@@ -45,13 +45,16 @@
 //! ## Dispatch
 //!
 //! There is one rendering of each algorithm: the fused plan. A read
-//! ([`TrapErcClient::read_blocks`]) walks its stages — read-around
-//! poll, level checks, Case-2 decode — once for *all* addressed blocks,
+//! ([`TrapErcClient::read_blocks`]) walks its stages — level checks,
+//! the `k`-shard poll, Case-2 decode — once for *all* addressed blocks,
 //! each stage one [`tq_cluster::MultiRound`] scatter carrying every
 //! block still in it. The level check asks `N_i` for the block itself,
 //! not just its version, so a healthy read is that one round: `N_i`'s
 //! reply answers the version and the data question atomically (an `N_i`
-//! fetch follows only where first-quorum completion abandoned it);
+//! fetch follows only where first-quorum completion abandoned it). A
+//! block whose `N_i` refused opens Case 2 with one poll of `k` shards
+//! whose parity columns double as the level check, so a read with its
+//! home node down is two rounds;
 //! a write ([`TrapErcClient::write_blocks`]) is that read plus one fused
 //! scatter per trapezoid level. A single op is a plan of one
 //! ([`TrapErcClient::read_block`], [`TrapErcClient::write_block`]), a
@@ -66,11 +69,12 @@
 //! policy is armed, when they complete on the `w_l`-th ack — one rule,
 //! chosen in one place for every protocol. Read version checks
 //! complete on the `r_l`-th answer (Algorithm 2 line 30; stragglers are
-//! abandoned). Straggler read-around is not a second path but the
-//! plan's first stage: it only selects which members a flagged block
-//! polls first. On `LocalTransport` a plan reproduces the seed's
-//! sequential behaviour bit-for-bit; on `ChannelTransport` a stage
-//! costs roughly its slowest needed responder instead of the sum over
+//! abandoned). Straggler read-around is not a second path either: a
+//! block whose home node an armed registry flags takes the same poll
+//! before level 0, asking `N_i` only if the poll falls short. On
+//! `LocalTransport` a plan runs sequentially and its rounds and
+//! messages repeat bit-for-bit; on `ChannelTransport` a stage costs
+//! roughly its slowest needed responder instead of the sum over
 //! members.
 
 use bytes::Bytes;
@@ -133,9 +137,13 @@ fn record_corrupt(corrupt: &mut Vec<usize>, node: usize) {
 
 /// One block's state on its way through a read plan.
 struct ReadItem {
-    /// The health registry flagged the block's home node `N_i` a
-    /// straggler when the plan was drawn up: the read routes around it.
+    /// An armed health registry flagged the block's home node `N_i` a
+    /// straggler when the plan was drawn up: the read skips `N_i` and
+    /// opens with the `k`-shard poll.
     around: bool,
+    /// The `k`-shard poll has been considered for this block (it runs
+    /// at most once).
+    polled: bool,
     matrix: VersionMatrix,
     /// The version a completed check settled on (Algorithm 2 line 30).
     latest: Option<u64>,
@@ -537,50 +545,59 @@ impl<T: Transport> TrapErcClient<T> {
     }
 
     /// True when an armed health registry marks block `i`'s home node
-    /// `N_i` a straggler: the read plan then polls `k` healthy members
-    /// first and skips the separate `N_i` fetch, reconstructing
-    /// instead — the decode pool for block `i` never contains `N_i`, so
-    /// a gray home node stays off the read's critical path. A dormant or
-    /// absent registry never reroutes, keeping the default path
-    /// bit-identical to the unhedged protocol.
+    /// `N_i` a straggler: the read plan then opens with the `k`-shard
+    /// poll ([`read_around`]) before asking `N_i` anything and skips
+    /// the separate `N_i` fetch, so a gray home node stays off the
+    /// read's critical path. This skip is the only hedge-gated part of
+    /// the poll: every other read reaches it only once `N_i` has
+    /// refused, after its one level-0 message. A dormant or absent
+    /// registry never skips `N_i`.
+    ///
+    /// [`read_around`]: TrapErcClient::read_around
     fn avoid_home(&self, i: usize) -> bool {
         self.transport
             .health()
             .is_some_and(|h| h.hedging_enabled() && h.straggler(i))
     }
 
-    /// **Straggler read-around (extension)** — the plan-selection policy
-    /// for a block whose home node [`avoid_home`] flags: *which members
-    /// to poll first*. Instead of opening with the level-0 version check
-    /// (which would wait on `N_i`), the block's first round fetches `k`
-    /// shards from the healthiest members (ranked data blocks topped up
-    /// from parity) and lets the parity replies' version vectors stand
-    /// in for the level walk. The check is sound because every non-home
-    /// member of every level is a parity node (eq. 5 membership) and any
-    /// `r_l` members of a level intersect every completed write's `w_l`
-    /// set — so once some level has `r_l` accepted columns, the newest
-    /// block-`i` entry among all accepted columns is at least the last
-    /// committed version, and any version observed at all was installed
-    /// by a real write (the same residue visibility the walk admits).
-    /// When everything lands the read is that one round of `k`
+    /// **The `k`-shard poll** — Case 2's opening move, for a block the
+    /// plan knows must be decoded: `N_i` refused the `ReadData` a round
+    /// asked it for, or [`avoid_home`] skips it. One round fetches `k`
+    /// shards without `N_i` (data blocks topped up from parity) and lets
+    /// the parity replies' version vectors stand in for the level walk.
+    /// The check is sound because every non-home member of every level
+    /// is a parity node (eq. 5 membership) and any `r_l` members of a
+    /// level intersect every completed write's `w_l` set — so once some
+    /// level has `r_l` accepted columns, the newest block-`i` entry among
+    /// all accepted columns is at least the last committed version, and
+    /// any version observed at all was installed by a real write (the
+    /// same residue visibility the walk admits). When everything lands
+    /// the decode needs nothing more than this one round of `k`
     /// messages. Any shortfall only means the block carries on through
     /// the ordinary stages with the replies it has: no level quorum among
     /// the polled columns — the level walk runs; too few consistent,
     /// current, clean shards — Case 2 widens and fetches replacements.
-    /// `None` (too few healthy members) polls nothing. The policy may
-    /// only save messages, never weaken the read.
+    /// With a health registry the poll takes the healthiest members and
+    /// leaves stragglers out (a one-round poll cannot route around a
+    /// member that stalls it); without one every member is eligible, in
+    /// index order. `None` (too few eligible members) polls nothing. The
+    /// poll may only save messages, never weaken the read.
     ///
     /// [`avoid_home`]: TrapErcClient::avoid_home
     fn read_around(&self, id: u64, i: usize) -> Option<Vec<(NodeId, Request)>> {
-        let health = self.transport.health()?;
+        let health = self.transport.health();
         let (n, k) = (self.config.params().n(), self.config.params().k());
         let sys = &self.systems[i];
-        // Healthy members only, best first: a one-round poll cannot
-        // route around a member that stalls it.
-        let mut data: Vec<usize> = (0..k).filter(|&t| t != i && !health.straggler(t)).collect();
-        let mut parity: Vec<usize> = (k..n).filter(|&p| !health.straggler(p)).collect();
-        health.rank_nodes(&mut data);
-        health.rank_nodes(&mut parity);
+        let eligible = |node: &usize| !health.is_some_and(|h| h.straggler(*node));
+        let rank = |nodes: &mut Vec<usize>| {
+            if let Some(h) = health {
+                h.rank_nodes(nodes);
+            }
+        };
+        let mut data: Vec<usize> = (0..k).filter(|&t| t != i).filter(eligible).collect();
+        let mut parity: Vec<usize> = (k..n).filter(eligible).collect();
+        rank(&mut data);
+        rank(&mut parity);
         // The walk's check needs r_l members of some level, and with the
         // home node off-limits the candidates are the level's healthy
         // parity members (every non-home member is a parity node). Pick
@@ -598,7 +615,7 @@ impl<T: Transport> TrapErcClient<T> {
                 .filter(|m| parity.contains(m))
                 .collect();
             if have.len() >= need && need < best_cost {
-                health.rank_nodes(&mut have);
+                rank(&mut have);
                 have.truncate(need);
                 best_cost = need;
                 pinned = have;
@@ -703,6 +720,49 @@ impl<T: Transport> TrapErcClient<T> {
         (r_l, calls)
     }
 
+    /// Case 2's opening move for every block that now knows it must be
+    /// decoded — [`avoid_home`] skips its home node, or `N_i` was asked
+    /// and refused — and has not polled yet: one fused round of
+    /// [`read_around`] polls. Where the polled columns complete some
+    /// level's check, a block still without a version has it settled
+    /// from them; either way the shards join those in hand for Case 2.
+    ///
+    /// [`avoid_home`]: TrapErcClient::avoid_home
+    /// [`read_around`]: TrapErcClient::read_around
+    fn poll_stage(&self, addrs: &[BlockAddr], items: &mut [ReadItem], report: &mut OpReport) {
+        let k = self.config.params().k();
+        let (mut polled, mut ops) = (Vec::new(), Vec::new());
+        for (idx, (st, addr)) in items.iter_mut().zip(addrs).enumerate() {
+            let refused = st.asked.contains(&addr.block) && st.home.is_none();
+            if st.done.is_some() || st.polled || !(st.around || refused) {
+                continue;
+            }
+            st.polled = true;
+            if let Some(calls) = self.read_around(addr.stripe, addr.block) {
+                polled.push(idx);
+                let round = QuorumRound::await_all(0);
+                ops.push(PlanOp { round, calls });
+            }
+        }
+        let polls = run_fused(&self.transport, None, ops, report);
+        for (idx, outcome) in polled.into_iter().zip(polls) {
+            let (st, i) = (&mut items[idx], addrs[idx].block);
+            let sys = &self.systems[i];
+            self.absorb_shards(st, outcome);
+            let level_checked = (0..sys.shape().num_levels()).any(|l| {
+                let columns = sys
+                    .level_members(l)
+                    .iter()
+                    .filter(|&&m| m >= k && st.matrix.get(i, m).is_some())
+                    .count();
+                columns >= sys.thresholds().read_threshold(sys.shape(), l)
+            });
+            if st.latest.is_none() && level_checked {
+                st.latest = st.matrix.latest_version(i);
+            }
+        }
+    }
+
     /// The read plan: Algorithm 2 for every addressed block at once,
     /// stage by stage, each stage one fused round over the blocks still
     /// in it. Returns every block's final state (its result in `done`,
@@ -715,6 +775,7 @@ impl<T: Transport> TrapErcClient<T> {
             .iter()
             .map(|addr| ReadItem {
                 around: addr.block < k && self.avoid_home(addr.block),
+                polled: false,
                 matrix: VersionMatrix::new(n, k),
                 latest: None,
                 shards: Vec::new(),
@@ -735,41 +796,14 @@ impl<T: Transport> TrapErcClient<T> {
                 .collect::<Vec<usize>>()
         };
 
-        // Read-around, the first stage for blocks routing around a
-        // straggler home node: one fused poll of k healthy shards each.
-        // Where the polled columns complete some level's check the
-        // block's version is settled and it goes straight to Case 2 with
-        // its shards in hand.
-        let (polled, ops): (Vec<usize>, Vec<PlanOp>) = stage(&items, &|_, st| st.around)
-            .into_iter()
-            .filter_map(|idx| {
-                let calls = self.read_around(addrs[idx].stripe, addrs[idx].block)?;
-                let round = QuorumRound::await_all(0);
-                Some((idx, PlanOp { round, calls }))
-            })
-            .unzip();
-        let polls = run_fused(&self.transport, None, ops, &mut report);
-        for (idx, outcome) in polled.into_iter().zip(polls) {
-            let (st, i) = (&mut items[idx], addrs[idx].block);
-            let sys = &self.systems[i];
-            self.absorb_shards(st, outcome);
-            let level_checked = (0..sys.shape().num_levels()).any(|l| {
-                let columns = sys
-                    .level_members(l)
-                    .iter()
-                    .filter(|&&m| m >= k && st.matrix.get(i, m).is_some())
-                    .count();
-                columns >= sys.thresholds().read_threshold(sys.shape(), l)
-            });
-            if level_checked {
-                st.latest = st.matrix.latest_version(i);
-            }
-        }
-
         // Fused level checks; a block leaves the pending set once some
         // level completes its check (line 30). N_i's reply, the block
-        // itself, is its version answer here and waits in `home`.
+        // itself, is its version answer here and waits in `home`. Before
+        // each level, a block that now knows it must be decoded takes
+        // the k-shard poll instead (a flagged home node's block before
+        // level 0, a refused one's right after it).
         for l in 0..self.config.shape().num_levels() {
+            self.poll_stage(addrs, &mut items, &mut report);
             let pending = stage(&items, &|_, st| st.latest.is_none());
             if pending.is_empty() {
                 break;
@@ -836,6 +870,9 @@ impl<T: Transport> TrapErcClient<T> {
         for (idx, outcome) in direct.into_iter().zip(&fetched) {
             Self::absorb_home(&mut items[idx], addrs[idx].block, outcome);
         }
+        // A home node that refused that fetch (or the last level's
+        // check) sends its block to the poll here.
+        self.poll_stage(addrs, &mut items, &mut report);
 
         // Line 31 compares the latest version against N_i's current one —
         // on the reply that carries the block (Case 1): `ReadData` states
@@ -1004,8 +1041,8 @@ impl<T: Transport> TrapErcClient<T> {
     ///
     /// One loop serves every way a block gets here. Each pass picks the
     /// best decode basis from the versions known so far and tries the
-    /// shards in hand against it (a read-around poll may already hold
-    /// all `k`); while that falls short it buys one more round — first
+    /// shards in hand against it (the `k`-shard poll usually holds all
+    /// `k` already); while that falls short it buys one more round — first
     /// the widening version poll, then shard fetches from the basis,
     /// every fetch after the first a budgeted replacement.
     fn decode_block_at(
@@ -1018,7 +1055,6 @@ impl<T: Transport> TrapErcClient<T> {
     ) -> Result<ReadOutcome, ProtocolError> {
         let k = self.config.params().k();
         let health = self.transport.health();
-        let corrupt_before = st.corrupt.len();
         let (mut widened, mut fetches) = (false, 0usize);
         let mut basis: Option<(Vec<usize>, Vec<u64>, Vec<usize>)> = None;
         loop {
@@ -1120,8 +1156,10 @@ impl<T: Transport> TrapErcClient<T> {
             {
                 // Distinguish "nodes are missing/stale" from "nodes are
                 // provably lying": only the latter is an integrity
-                // verdict.
-                return Err(if st.corrupt.len() > corrupt_before {
+                // verdict — judged on every node this read proved
+                // corrupt, whichever round met it (the level check, the
+                // poll, or a fetch here).
+                return Err(if !st.corrupt.is_empty() {
                     ProtocolError::Integrity {
                         needed: k,
                         clean,
@@ -2204,6 +2242,57 @@ mod tests {
         // Other blocks still read directly — corruption of one shard's
         // worth of nodes is not an availability event for the rest.
         assert!(client.read_block(1, 3).is_ok());
+    }
+
+    #[test]
+    fn corruption_met_before_case_2_still_makes_an_integrity_verdict() {
+        // The same stripe under an armed hedge policy, with the home node
+        // and data nodes 4 and 5 flagged as stragglers: the poll that
+        // opens the read skips them, so it holds all three parity
+        // members. Stale parity refuses right there and N_0 in the level
+        // check — every liar is met before Case 2 runs, whose own
+        // fetches (data 4 and 5) are clean. The verdict still counts
+        // them all. Forged parity is served and caught by the decode;
+        // its columns settle the version, so N_0 is never asked.
+        use tq_cluster::{HedgePolicy, NetworkModel, SimTransport};
+        for (parity, named) in [
+            (Stamp::Stale, vec![0, 6, 7, 8]),
+            (Stamp::Forged, vec![6, 7, 8]),
+        ] {
+            let config = ProtocolConfig::with_uniform_w(9, 6, 2, 1, 1, 1).unwrap();
+            let cluster = Cluster::new(9);
+            let sim = SimTransport::with_model(cluster.clone(), 5, NetworkModel::reliable());
+            let client = TrapErcClient::new(config, sim).unwrap();
+            client.create_stripe(1, blocks(6, 32)).unwrap();
+            tamper(&cluster, 0, 1, Stamp::Stale);
+            for node in [6, 7, 8] {
+                tamper(&cluster, node, 1, parity);
+            }
+            let health = client.transport().health_registry();
+            for node in 0..9 {
+                let rtt = if [0, 4, 5].contains(&node) {
+                    100_000
+                } else {
+                    200
+                };
+                for _ in 0..5 {
+                    health.record_sample(node, rtt);
+                }
+            }
+            health.set_policy(HedgePolicy::P99);
+            match client.read_block(1, 0).unwrap_err() {
+                ProtocolError::Integrity {
+                    needed,
+                    clean,
+                    mut corrupt,
+                } => {
+                    assert_eq!((needed, clean), (6, 5), "{parity:?}");
+                    corrupt.sort_unstable();
+                    assert_eq!(corrupt, named, "{parity:?}");
+                }
+                other => panic!("{parity:?}: expected Integrity, got {other:?}"),
+            }
+        }
     }
 
     #[test]

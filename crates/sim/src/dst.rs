@@ -59,7 +59,7 @@ use tq_cluster::{
     SimStats, SimTransport, StorageFaults,
 };
 use tq_trapezoid::{
-    BatchWrite, BlockAddr, ProtocolError, QuorumStore, ShardMap, ShardedStore, Store,
+    BatchWrite, BlockAddr, ProtocolError, QuorumStore, ReadOutcome, ShardMap, ShardedStore, Store,
 };
 
 /// The first stripe id; stripe group `g` lives on `STRIPE + g`.
@@ -791,6 +791,9 @@ pub struct CaseStats {
     pub residues: u64,
     /// Successful reads.
     pub reads_ok: u64,
+    /// Successful reads served by Algorithm 2 Case 2 (decoded from `k`
+    /// shards rather than read from the home node).
+    pub reads_decoded: u64,
     /// Failed reads.
     pub reads_failed: u64,
     /// Scrubs that returned a report.
@@ -799,6 +802,13 @@ pub struct CaseStats {
     pub scrubs_failed: u64,
     /// Per-block version floors at the end of the run.
     pub final_floors: Vec<u64>,
+}
+
+impl CaseStats {
+    fn read_ok(&mut self, out: &ReadOutcome) {
+        self.reads_ok += 1;
+        self.reads_decoded += u64::from(out.decoded());
+    }
 }
 
 /// Everything one case produced; [`PartialEq`] so determinism is one
@@ -1001,7 +1011,7 @@ impl Runner<'_> {
             }
             WorkloadOp::Read { block } => match self.store.read(addr_of(*block)) {
                 Ok(out) => {
-                    stats.reads_ok += 1;
+                    stats.read_ok(&out);
                     checker.observe_read(*block, &out.bytes, out.version, op_index)?;
                 }
                 Err(_) => stats.reads_failed += 1,
@@ -1040,7 +1050,7 @@ impl Runner<'_> {
                 for (&block, outcome) in blocks.iter().zip(&batch.outcomes) {
                     match outcome {
                         Ok(out) => {
-                            stats.reads_ok += 1;
+                            stats.read_ok(out);
                             checker.observe_read(block, &out.bytes, out.version, op_index)?;
                         }
                         Err(_) => stats.reads_failed += 1,
@@ -1194,7 +1204,7 @@ impl Runner<'_> {
                         }
                         match self.store.read(BlockAddr::new(stripe, index)) {
                             Ok(out) => {
-                                stats.reads_ok += 1;
+                                stats.read_ok(&out);
                                 checker.observe_read(block, &out.bytes, out.version, op_index)?;
                                 if full {
                                     checker.settle(block, &out.bytes, out.version, op_index)?;

@@ -2,7 +2,8 @@
 //! operation, pinned for all four backends on the benchmark's shape —
 //! an (9, 6) stripe on the (2, 1, 1) trapezoid with `w_1 = 2`
 //! (`r_0 = 1`, `r_1 = 2`), the replication baselines on the `n − k + 1
-//! = 4` nodes TRAP-FR uses.
+//! = 4` nodes TRAP-FR uses — plus one TRAP-ERC degraded read on
+//! (15, 8) / (0, 4, 1), whose level 0 can complete without `N_i`.
 //!
 //! On `LocalTransport` these counts are exact and repeat bit for bit,
 //! so a plan change that adds a round or a message to any operation
@@ -122,16 +123,19 @@ fn batches_stay_flat_in_rounds() {
 
 #[test]
 fn degraded_reads_cost_what_the_plan_says() {
-    // TRAP-ERC with the home node down: the level-0 check is N_i's one
-    // refused message (never asked again), level 1 completes on 2 of its
-    // 3 members, the widening poll asks the third parity node and the 5
-    // other data nodes, and one fetch brings the k = 6 shards.
+    // TRAP-ERC with the home node down. Round 1, the level-0 check: N_i
+    // alone (s_0 = 1), its one refused message — N_i is never asked
+    // again. Round 2, Case 2's k-shard poll: level 1's r_1 = 2 pinned
+    // parity members, whose columns complete level 1's check and settle
+    // the version, plus k − 2 = 4 data shards; the 6 replies decode.
+    // The floor is one k-shard fan-out; N_i's refusal is the one extra
+    // round and message.
     let (store, cluster) = world("trap-erc");
     cluster.kill(2);
     let out = store.read(BlockAddr::new(STRIPE, 2)).unwrap();
     assert!(out.decoded());
     assert_eq!(out.bytes, payload(2, 0));
-    assert_eq!(cost(&out.report), (4, 15), "trap-erc: N_i down");
+    assert_eq!(cost(&out.report), (2, 1 + K), "trap-erc: N_i down");
 
     // The replication backends with their first-polled replica down.
     // TRAP-FR: level 0 is that replica alone, so level 1 polls — its
@@ -145,5 +149,63 @@ fn degraded_reads_cost_what_the_plan_says() {
         let out = store.read(BlockAddr::new(STRIPE, 2)).unwrap();
         assert_eq!(out.bytes, payload(2, 0), "{backend}");
         assert_eq!(cost(&out.report), pin, "{backend}: first replica down");
+    }
+}
+
+#[test]
+fn degraded_read_with_a_wide_level_zero_costs_what_the_plan_says() {
+    // (15, 8) on the (0, 4, 1) trapezoid: level 0 is N_i and parity
+    // 8, 9, 10 (s_0 = 4, r_0 = 2), so it completes without N_i. Round 1:
+    // parity 8, then N_0's refusal, then parity 9 — the check is met
+    // and the version settled. Round 2, the k-shard poll: the two
+    // pinned level-0 parity members and 6 data shards, which decode.
+    const K_WIDE: usize = 8;
+    let cluster = Cluster::new(15);
+    let store = Store::trap_erc(15, K_WIDE)
+        .shape(0, 4, 1)
+        .uniform_w(2)
+        .transport(LocalTransport::new(cluster.clone()))
+        .build()
+        .unwrap();
+    store
+        .create(STRIPE, (0..K_WIDE).map(|b| payload(b, 0)).collect())
+        .unwrap();
+    cluster.kill(0);
+    let out = store.read(BlockAddr::new(STRIPE, 0)).unwrap();
+    assert!(out.decoded());
+    assert_eq!(out.bytes, payload(0, 0));
+    assert_eq!(
+        cost(&out.report),
+        (2, 3 + K_WIDE),
+        "trap-erc (15, 8): N_0 down"
+    );
+}
+
+#[test]
+fn degraded_batches_stay_at_two_rounds() {
+    // An m-block read across stripes with node 0 down: one fused level-0
+    // round (one message per block; every block-0 home refuses), then
+    // one fused k-shard poll carrying every block-0 read. Two rounds
+    // for any m; k more messages per block the poll decodes.
+    let (store, cluster) = world("trap-erc");
+    for stripe in STRIPE + 1..STRIPE + 3 {
+        store
+            .create(stripe, (0..K).map(|b| payload(b, 0)).collect())
+            .unwrap();
+    }
+    cluster.kill(0);
+    for m in [1, 2, K, 2 * K + 1, 3 * K] {
+        let addrs: Vec<BlockAddr> = (0..m)
+            .map(|j| BlockAddr::new(STRIPE + (j / K) as u64, j % K))
+            .collect();
+        let reads = store.read_batch(&addrs);
+        assert!(reads.all_ok(), "m = {m}");
+        for (addr, out) in addrs.iter().zip(&reads.outcomes) {
+            let out = out.as_ref().unwrap();
+            assert_eq!(out.bytes, payload(addr.block, 0), "m = {m}");
+            assert_eq!(out.decoded(), addr.block == 0, "m = {m}");
+        }
+        let decoded = addrs.iter().filter(|a| a.block == 0).count();
+        assert_eq!(cost(&reads.report), (2, m + K * decoded), "m = {m}");
     }
 }

@@ -18,7 +18,9 @@
 //! per-node deadlines and retry-budget spends all execute under the
 //! checker. The matrices assert the hedge counters are non-vacuous: the
 //! clean verdict covers schedules where hedges genuinely fired and
-//! duplicate replies genuinely arrived.
+//! duplicate replies genuinely arrived. They assert the same of Case 2:
+//! enough reads were decoded (a refused or stale home node, the
+//! `k`-shard poll) under loss, crash and corruption schedules.
 //!
 //! `TQ_DST_SEED_BASE` offsets the seed range — the scheduled CI job sets
 //! it to a fresh random base on every run.
@@ -63,7 +65,7 @@ fn seed_matrix_stays_checker_clean_across_all_backends() {
     let base = seed_base();
     let mut failures = Vec::new();
     let (mut commits, mut reads_ok, mut corrupted) = (0u64, 0u64, 0u64);
-    let (mut hedges_fired, mut hedges_absorbed) = (0u64, 0u64);
+    let (mut hedges_fired, mut hedges_absorbed, mut decoded) = (0u64, 0u64, 0u64);
 
     for seed in 0..64u64 {
         let mut scenario = scenarios[(seed % scenarios.len() as u64) as usize].clone();
@@ -82,6 +84,7 @@ fn seed_matrix_stays_checker_clean_across_all_backends() {
             let report = run_case(&cfg);
             commits += report.stats.commits;
             reads_ok += report.stats.reads_ok;
+            decoded += report.stats.reads_decoded;
             corrupted += report.corrupted_reads;
             hedges_fired += report.hedges.fired;
             hedges_absorbed += report.hedges.won + report.hedges.dups;
@@ -135,6 +138,12 @@ fn seed_matrix_stays_checker_clean_across_all_backends() {
         hedges_absorbed > 20,
         "hedging vacuous: only {hedges_absorbed} hedge wins/dups absorbed"
     );
+    // Case 2 — the k-shard poll and the decode behind it — must have
+    // served reads under these schedules, not only healthy home nodes.
+    assert!(
+        decoded > 100,
+        "decode path vacuous: only {decoded} decoded reads across the matrix"
+    );
 }
 
 /// The at-least-once acceptance matrix: the same 64 seeds × 4 backends,
@@ -149,7 +158,7 @@ fn at_least_once_matrix_stays_checker_clean_across_all_backends() {
     let base = seed_base();
     let mut failures = Vec::new();
     let (mut commits, mut reads_ok, mut redelivered) = (0u64, 0u64, 0u64);
-    let mut hedges_fired = 0u64;
+    let (mut hedges_fired, mut decoded) = (0u64, 0u64);
 
     for seed in 0..64u64 {
         // The storage fault and corruption axes rotate through this
@@ -172,6 +181,7 @@ fn at_least_once_matrix_stays_checker_clean_across_all_backends() {
             let report = run_case(&cfg);
             commits += report.stats.commits;
             reads_ok += report.stats.reads_ok;
+            decoded += report.stats.reads_decoded;
             redelivered += report.sim.redelivered;
             hedges_fired += report.hedges.fired;
             if report.violation.is_some() {
@@ -217,6 +227,11 @@ fn at_least_once_matrix_stays_checker_clean_across_all_backends() {
     assert!(
         hedges_fired > 100,
         "hedging vacuous: only {hedges_fired} hedges fired under at-least-once"
+    );
+    // And Case 2 must have run under redelivered, duplicated traffic.
+    assert!(
+        decoded > 100,
+        "decode path vacuous: only {decoded} decoded reads under at-least-once"
     );
 }
 
