@@ -1,5 +1,6 @@
-//! Codec throughput: encode, single-block decode, full reconstruction
-//! and the delta path, for the paper's code shapes.
+//! Codec throughput: encode, single-block decode (bare, and checked
+//! against the stripe's cross-checksum vector as a degraded read does),
+//! full reconstruction and the delta path, for the paper's code shapes.
 //!
 //! `encode` runs at 4 KiB *and* 64 KiB blocks (the README's Performance
 //! table reads both sizes from `BENCH_erasure.json`), and the
@@ -10,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use tq_bench::payload;
-use tq_erasure::{delta, CodeParams, ReedSolomon};
+use tq_erasure::{data_checks, delta, verify_block, CodeParams, ReedSolomon};
 use tq_gf256::simd::Backend;
 use tq_gf256::Gf256;
 
@@ -103,6 +104,38 @@ fn bench_decode_block(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_decode_verified(c: &mut Criterion) {
+    // The client's whole Case 2 cost: a (9, 6) data block decoded from
+    // the 6 shards a degraded read polls, checked once against the
+    // stripe's cross-checksum vector.
+    let mut group = c.benchmark_group("erasure/decode_verified");
+    for block in [BLOCK, 65536] {
+        let (rs, data, parity) = setup_sized(9, 6, block);
+        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+        let checks = data_checks(&refs);
+        let available: Vec<(usize, &[u8])> = (1..4)
+            .map(|i| (i, refs[i]))
+            .chain(
+                parity
+                    .iter()
+                    .enumerate()
+                    .map(|(j, p)| (6 + j, p.as_slice())),
+            )
+            .collect();
+        group.throughput(Throughput::Bytes(block as u64));
+        group.bench_function(BenchmarkId::from_parameter(block), |b| {
+            b.iter(|| {
+                let out = rs
+                    .decode_block(0, black_box(&available))
+                    .expect("decodable");
+                assert!(verify_block(&rs, 0, &out, black_box(&checks)));
+                out
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_reconstruct(c: &mut Criterion) {
     let mut group = c.benchmark_group("erasure/reconstruct_max_loss");
     for (n, k) in [(9usize, 6usize), (15, 8)] {
@@ -155,6 +188,7 @@ criterion_group!(
     bench_encode,
     bench_encode_backends,
     bench_decode_block,
+    bench_decode_verified,
     bench_reconstruct,
     bench_parity_deltas
 );

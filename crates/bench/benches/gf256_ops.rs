@@ -117,7 +117,7 @@ fn bench_matrix_inverse(c: &mut Criterion) {
 
 fn bench_block_check(c: &mut Criterion) {
     // The integrity layer's pass over a payload: every install, every
-    // verified serve and every fetched shard pays one of these.
+    // verified serve and every decoded block pays one of these.
     let mut group = c.benchmark_group("gf256/block_check");
     for size in [256usize, 4096, 65536] {
         let block = payload(size, 17);

@@ -54,6 +54,17 @@ pub enum ProtocolError {
         /// [`NodeError::Corrupt`]).
         corrupt: Vec<usize>,
     },
+    /// Integrity mode: Case 2 decoded `block` from shards that each
+    /// matched the stripe's cross-checksum vector, yet the result did
+    /// not. The check is linear, so a correct codec cannot do that: the
+    /// fault is the decoder's, not a node's, and the read returns no
+    /// bytes rather than retry.
+    DecoderFault {
+        /// The data block decoded.
+        block: usize,
+        /// The nodes whose shards fed the decode.
+        nodes: Vec<usize>,
+    },
     /// The object was never created on the contacted nodes.
     StripeMissing,
     /// Block length differed from the stripe's.
@@ -183,6 +194,11 @@ impl fmt::Display for ProtocolError {
                 "read refused: corrupt shards detected on nodes {corrupt:?}, \
                  only {clean} clean shards remain of the {needed} needed"
             ),
+            ProtocolError::DecoderFault { block, nodes } => write!(
+                f,
+                "read refused: block {block} decoded from verified shards on nodes \
+                 {nodes:?} fails its cross-check"
+            ),
             ProtocolError::StripeMissing => write!(f, "stripe not present on nodes"),
             ProtocolError::SizeMismatch => write!(f, "block length differs from stripe"),
             ProtocolError::Params(e) => write!(f, "invalid code parameters: {e}"),
@@ -262,6 +278,11 @@ mod tests {
         };
         assert!(e.to_string().contains("corrupt shards detected"));
         assert!(e.to_string().contains("[2, 7]"));
+        let e = ProtocolError::DecoderFault {
+            block: 0,
+            nodes: vec![1, 2, 3, 4, 5, 6],
+        };
+        assert!(e.to_string().contains("fails its cross-check"));
     }
 
     #[test]

@@ -33,10 +33,11 @@
 //! data-block checksum vector on each parity node, and a delta write
 //! updates exactly one vector entry in the same `AddParity` message
 //! that folds the delta — checksums ride existing rounds, costing zero
-//! extra network trips. Reads verify every fetched shard *before* it
-//! reaches the decoder: a direct read is checked against the node's
-//! stamped self-check, a decode input against the group's vector. A
-//! mismatching shard counts as one more erasure — the read routes
+//! extra network trips. A direct read is checked against the node's
+//! stamped self-check; a decoded block is checked against the group's
+//! vector, which by linearity vouches for every shard that fed it. Only
+//! a mismatch sends the read through each shard's check to name the
+//! culprit: a bad shard counts as one more erasure — the read routes
 //! around it and proceeds — and only when too few clean shards remain
 //! does the read surface [`ProtocolError::Integrity`], never silently
 //! wrong bytes. [`TrapErcClient::scrub_stripe`] reports *which* nodes
@@ -76,6 +77,8 @@
 //! messages repeat bit-for-bit; on `ChannelTransport` a stage costs
 //! roughly its slowest needed responder instead of the sum over
 //! members.
+
+use std::cell::OnceCell;
 
 use bytes::Bytes;
 use tq_cluster::{
@@ -148,7 +151,7 @@ struct ReadItem {
     /// The version a completed check settled on (Algorithm 2 line 30).
     latest: Option<u64>,
     /// Shard replies in hand for Case 2, in fetch order.
-    shards: Vec<(usize, Response)>,
+    shards: Vec<Shard>,
     /// Every node already asked for a shard (`N_i` too), answered or not.
     asked: Vec<usize>,
     /// `N_i`'s answer to the `ReadData` a round asked it, held for line
@@ -159,6 +162,15 @@ struct ReadItem {
     saw_not_found: bool,
     saw_success: bool,
     done: Option<Result<ReadOutcome, ProtocolError>>,
+}
+
+/// One shard reply in hand for Case 2.
+struct Shard {
+    node: usize,
+    reply: Response,
+    /// The reply's `block_check`, computed at most once per read and only
+    /// if the per-shard pass runs (a clean decode never sums a shard).
+    sum: OnceCell<u64>,
 }
 
 /// What a write plan builds one block's level scatters from.
@@ -687,7 +699,11 @@ impl<T: Transport> TrapErcClient<T> {
                 _ => {}
             }
             st.asked.push(node);
-            st.shards.push((node, a.response));
+            st.shards.push(Shard {
+                node,
+                reply: a.response,
+                sum: OnceCell::new(),
+            });
         }
     }
 
@@ -931,120 +947,158 @@ impl<T: Transport> TrapErcClient<T> {
         (items, report)
     }
 
-    /// validate → cross-check → decode → verify: block `i` at `latest`
-    /// from the shards in hand that belong to the stripe state `column`.
-    /// A shard enters the decoder only if its version stamp matches the
-    /// column *and* its bytes match first its own check and then the
-    /// stripe's cross-checksum vector; a provably-bad shard is attributed
-    /// to its node and counts as one more erasure.
-    /// [`ProtocolError::NotEnoughForDecode`] reports how many clean
-    /// shards there were when that is fewer than `k`.
+    /// decode → verify, and attribute only on a mismatch: block `i` at
+    /// `latest` from the shards in hand that belong to the stripe state
+    /// `column` (version stamps matching it), minus nodes this read has
+    /// already proved corrupt.
+    ///
+    /// `block_check` is GF-linear, so it commutes with the decoder: the
+    /// decoded block's check is `Σ_j D_ij · check(shard_j)`. Holding the
+    /// *result* against the cross-checksum vector every consistent parity
+    /// reply agrees on therefore vouches for the whole decode basis: one
+    /// bad shard in it always fails the check (its error reaches all 8
+    /// lanes), several escape only if their errors cancel in all 8 lanes
+    /// (the 2⁻⁶⁴ class of a single shard's collision, and crafting it
+    /// takes forged stamps on two nodes), and a shard outside the basis
+    /// cannot change the answer. A clean decode costs one checksum pass.
+    ///
+    /// The per-shard pass runs only when that check fails, no vector is
+    /// agreed, or fewer than `k` shards are in hand (the replacement
+    /// fetch must know how many are clean). Each shard is summed at most
+    /// once per read ([`Shard::sum`]) and held against its own check and
+    /// then the reference vector; a mismatch is attributed to its node
+    /// and counts as one more erasure, and the decode is retried from the
+    /// clean shards. [`ProtocolError::NotEnoughForDecode`] reports how
+    /// many clean shards there were when that is fewer than `k`. A result
+    /// that fails the vector although every input matched it is the
+    /// decoder's fault: [`ProtocolError::DecoderFault`].
     fn decode_shards(
         &self,
         i: usize,
         latest: u64,
         column: &[u64],
-        shards: &[(usize, Response)],
+        shards: &[Shard],
         corrupt: &mut Vec<usize>,
     ) -> Result<ReadOutcome, ProtocolError> {
         let k = self.config.params().k();
-        // First pass: version re-validation plus each shard's *own*
-        // check (stamped by the serving node at install time). A parity
-        // reply also carries the stripe's cross-checksum vector; the
-        // first verified one becomes the reference vector for the
-        // uniform cross-check below. Each shard's bytes are summed once,
-        // here; both passes compare that sum.
-        let mut available: Vec<(usize, &[u8], u64)> = Vec::with_capacity(k);
-        let mut vector: Option<&Vec<u64>> = None;
-        for (node, response) in shards {
-            let node = *node;
-            match response {
-                Response::Data {
-                    bytes,
-                    version,
-                    check,
-                } if *version == column[node] => {
-                    let sum = block_check(bytes);
-                    if *check != 0 && sum != *check {
-                        record_corrupt(corrupt, node);
-                        continue;
-                    }
-                    available.push((node, &bytes[..], sum));
+        // The candidates, each with the cross-checksum vector a parity
+        // reply carries.
+        let consistent: Vec<_> = shards
+            .iter()
+            .filter(|shard| !corrupt.contains(&shard.node))
+            .filter_map(|shard| match &shard.reply {
+                Response::Data { bytes, version, .. } if *version == column[shard.node] => {
+                    Some((shard, &bytes[..], None))
                 }
                 Response::Parity {
                     bytes,
                     versions,
                     checks,
-                } if versions == column => {
-                    let sum = block_check(bytes);
-                    if checks.len() == k {
-                        // The parity block's expected check is a linear
-                        // combination of the data checks — derivable
-                        // from the vector the node itself served.
-                        if sum != expected_parity_check(&self.rs, node, checks) {
-                            record_corrupt(corrupt, node);
-                            continue;
-                        }
-                        vector = vector.or(Some(checks));
-                    }
-                    available.push((node, &bytes[..], sum));
-                }
-                _ => {}
+                } if versions == column => Some((shard, &bytes[..], Some(&checks[..]))),
+                _ => None,
+            })
+            .collect();
+        let basis = |inputs: &[(usize, &[u8])]| -> Vec<usize> {
+            inputs.iter().map(|&(node, _)| node).take(k).collect()
+        };
+        let decode = |inputs: &[(usize, &[u8])]| {
+            self.rs.decode_block(i, inputs).map(|bytes| ReadOutcome {
+                bytes,
+                version: latest,
+                path: ReadPath::Decoded {
+                    nodes: basis(inputs),
+                },
+                report: OpReport::default(),
+            })
+        };
+        let mut vectors = consistent
+            .iter()
+            .filter_map(|&(_, _, checks)| checks)
+            .filter(|checks| checks.len() == k);
+        let agreed = vectors.next().filter(|first| vectors.all(|c| c == *first));
+        if let Some(checks) = agreed.filter(|_| consistent.len() >= k) {
+            let inputs: Vec<(usize, &[u8])> = consistent[..k]
+                .iter()
+                .map(|&(shard, bytes, _)| (shard.node, bytes))
+                .collect();
+            if let Some(out) = decode(&inputs)
+                .ok()
+                .filter(|out| verify_block(&self.rs, i, &out.bytes, checks))
+            {
+                return Ok(out);
             }
         }
-        // Second pass: hold every candidate shard against the reference
-        // cross-checksum vector. This catches data blocks from nodes
-        // whose self-check was unknown (legacy/invalidated, check == 0)
-        // or whose stamp was tampered alongside the bytes. Idempotent
-        // across rounds.
+        // The per-shard pass. Each shard's own check first: a data
+        // shard's stamp from the serving node, a parity shard's derived
+        // from the vector it served itself — the first parity reply that
+        // passes becomes the reference vector every shard is then held
+        // against.
+        let mut clean: Vec<(usize, &[u8], u64)> = Vec::with_capacity(consistent.len());
+        let mut vector: Option<&[u64]> = None;
+        for &(shard, bytes, checks) in &consistent {
+            let sum = *shard.sum.get_or_init(|| block_check(bytes));
+            let own = match (&shard.reply, checks) {
+                (Response::Data { check, .. }, _) => *check == 0 || sum == *check,
+                (_, Some(checks)) if checks.len() == k => {
+                    let ok = sum == expected_parity_check(&self.rs, shard.node, checks);
+                    if ok {
+                        vector = vector.or(Some(checks));
+                    }
+                    ok
+                }
+                _ => true,
+            };
+            if own {
+                clean.push((shard.node, bytes, sum));
+            } else {
+                record_corrupt(corrupt, shard.node);
+            }
+        }
         if let Some(checks) = vector {
-            available.retain(|&(node, _, sum)| {
-                let clean = sum == expected_block_check(&self.rs, node, checks);
-                if !clean {
+            clean.retain(|&(node, _, sum)| {
+                let ok = sum == expected_block_check(&self.rs, node, checks);
+                if !ok {
                     record_corrupt(corrupt, node);
                 }
-                clean
+                ok
             });
         }
-        if available.len() < k {
+        if clean.len() < k {
             return Err(ProtocolError::NotEnoughForDecode {
                 needed: k,
-                found: available.len(),
+                found: clean.len(),
             });
         }
-        let inputs: Vec<(usize, &[u8])> = available.iter().map(|&(n, b, _)| (n, b)).collect();
-        let bytes = self.rs.decode_block(i, &inputs)?;
-        // Belt-and-suspenders: the decode of verified inputs is already
-        // consistent by linearity, but the 64-bit check is cheap and a
-        // collision on every input simultaneously is the only escape.
-        if vector.is_some_and(|checks| !verify_block(&self.rs, i, &bytes, checks)) {
-            return Err(ProtocolError::Integrity {
-                needed: k,
-                clean: 0,
-                corrupt: corrupt.clone(),
+        let inputs: Vec<(usize, &[u8])> = clean
+            .iter()
+            .map(|&(node, bytes, _)| (node, bytes))
+            .collect();
+        let out = decode(&inputs)?;
+        if vector.is_some_and(|checks| !verify_block(&self.rs, i, &out.bytes, checks)) {
+            return Err(ProtocolError::DecoderFault {
+                block: i,
+                nodes: basis(&inputs),
             });
         }
-        Ok(ReadOutcome {
-            bytes,
-            version: latest,
-            path: ReadPath::Decoded {
-                nodes: inputs.iter().map(|&(node, _)| node).take(k).collect(),
-            },
-            report: OpReport::default(),
-        })
+        Ok(out)
     }
 
     /// Case 2 of Algorithm 2: decode block `i` at version `latest` from
-    /// `k` mutually consistent live nodes, verifying every fetched shard
-    /// against the stripe's cross-checksum vector before it may enter
-    /// the decoder.
+    /// `k` mutually consistent live nodes, returning it only once the
+    /// decoded block matches the stripe's cross-checksum vector
+    /// ([`decode_shards`]).
     ///
     /// One loop serves every way a block gets here. Each pass picks the
     /// best decode basis from the versions known so far and tries the
     /// shards in hand against it (the `k`-shard poll usually holds all
-    /// `k` already); while that falls short it buys one more round — first
-    /// the widening version poll, then shard fetches from the basis,
-    /// every fetch after the first a budgeted replacement.
+    /// `k` already); while that falls short — too few consistent shards,
+    /// or a result mismatch whose per-shard pass left fewer than `k`
+    /// clean — it buys one more round: first the widening version poll,
+    /// then shard fetches from the basis, every fetch after the first a
+    /// budgeted replacement. A node proven corrupt never re-enters a
+    /// decode, and no shard is summed twice across passes.
+    ///
+    /// [`decode_shards`]: TrapErcClient::decode_shards
     fn decode_block_at(
         &self,
         id: u64,
@@ -2188,6 +2242,105 @@ mod tests {
             }
             ReadPath::Direct => unreachable!(),
         }
+    }
+
+    /// Reads block 0 of stripe 1 as a plan of one: its result, the
+    /// nodes its read proved corrupt, and the nodes whose shard the
+    /// client summed.
+    fn read_block_0(
+        client: &TrapErcClient<LocalTransport>,
+    ) -> (Result<ReadOutcome, ProtocolError>, Vec<usize>, Vec<usize>) {
+        let (mut items, _) = client.read_plan(&[BlockAddr::new(1, 0)]);
+        let st = items.remove(0);
+        let summed = st
+            .shards
+            .iter()
+            .filter(|shard| shard.sum.get().is_some())
+            .map(|shard| shard.node)
+            .collect();
+        (st.done.expect("resolved"), st.corrupt, summed)
+    }
+
+    #[test]
+    fn the_decoded_block_check_catches_a_forged_shard_in_the_basis() {
+        // N_0 is down, so block 0 opens Case 2 with the k-shard poll:
+        // data 1, 2, 3 and parity 6, 7, 8, all of them the decode basis.
+        // Data 1's bytes are forged with their stamp, so node 1 serves
+        // them; only the check of the decoded block can see it. The
+        // per-shard pass then names node 1, and a replacement fetch from
+        // the spare data node 4 completes the decode. The replacement
+        // shard is never summed: the decode it feeds checks clean.
+        let (client, cluster) = client_9_6();
+        let data = blocks(6, 64);
+        client.create_stripe(1, data.clone()).unwrap();
+        cluster.kill(0);
+        tamper(&cluster, 1, 1, Stamp::Forged);
+        let (out, corrupt, summed) = read_block_0(&client);
+        let out = out.unwrap();
+        assert_eq!(out.bytes, data[0]);
+        assert_eq!(
+            out.path,
+            ReadPath::Decoded {
+                nodes: vec![2, 3, 6, 7, 8, 4]
+            }
+        );
+        assert_eq!(corrupt, vec![1]);
+        assert_eq!(summed, vec![1, 2, 3, 6, 7, 8]);
+
+        // With data 4 and 5 down too there is no spare: the read refuses
+        // with the corruption verdict, naming node 1 alone.
+        cluster.kill(4);
+        cluster.kill(5);
+        let (out, corrupt, _) = read_block_0(&client);
+        assert_eq!(
+            out.unwrap_err(),
+            ProtocolError::Integrity {
+                needed: 6,
+                clean: 5,
+                corrupt: vec![1],
+            }
+        );
+        assert_eq!(corrupt, vec![1]);
+    }
+
+    #[test]
+    fn split_cross_check_vectors_take_the_per_shard_pass() {
+        // Parity 6 serves its genuine bytes under a tampered vector, so
+        // the poll's parity replies disagree on the reference: no
+        // decode is accepted on either vector. The per-shard pass holds
+        // 6's bytes against its own vector, names it, and the read
+        // completes from the spare data node 4 — on the vector 7 and 8
+        // agree on.
+        use tq_cluster::storage::StoredBlock;
+        let (client, cluster) = client_9_6();
+        let data = blocks(6, 64);
+        client.create_stripe(1, data.clone()).unwrap();
+        cluster.kill(0);
+        let backend = cluster.node(6).backend();
+        let Some(StoredBlock::Parity {
+            versions,
+            bytes,
+            mut checks,
+            ..
+        }) = backend.get(1).unwrap()
+        else {
+            panic!("node 6 holds parity")
+        };
+        checks[3] ^= 1;
+        backend
+            .put(1, StoredBlock::new_parity(versions, bytes, checks))
+            .unwrap();
+        let (out, corrupt, summed) = read_block_0(&client);
+        let out = out.unwrap();
+        assert_eq!(out.bytes, data[0]);
+        assert_eq!(
+            out.path,
+            ReadPath::Decoded {
+                nodes: vec![1, 2, 3, 7, 8, 4]
+            }
+        );
+        assert_eq!(corrupt, vec![6]);
+        assert_eq!(summed, vec![1, 2, 3, 6, 7, 8]);
     }
 
     #[test]
