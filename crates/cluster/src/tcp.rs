@@ -1,25 +1,41 @@
 //! Real-socket transport: [`TcpNodeServer`] hosts any [`NodeApi`] on a
-//! TCP listener, and [`TcpTransport`] implements [`Transport`] over a
-//! per-node connection pool speaking the [`wire`] format.
+//! TCP listener, and [`TcpTransport`] implements [`Transport`] over
+//! per-node connections speaking the [`wire`] format.
 //!
-//! The container this reproduction builds in is offline and carries no
-//! async runtime, so everything here is blocking `std::net`: the server
-//! runs an accept loop plus one thread per connection; the client runs
-//! one *reader* thread per pooled connection, and nothing else that
-//! lives longer than a send. A round is a *link* under the shared
-//! dispatch driver (`driver.rs`, the loop every concurrent transport
-//! waits in): the caller's own thread writes each frame on a pooled
-//! connection and then waits on the round's one reply channel, which the
-//! reader threads feed — replies are matched to waiters by
-//! [`OpId`], never by arrival order. Only a send that
-//! would *block* — the pool slot has no live connection (reconnect with
-//! backoff), or the peer's inflight window is full (`overload_wait`) —
-//! is handed to a short-lived helper thread, so a dead or saturated
-//! peer never delays the round's other members; the choice is made per
-//! send from what the pool can observe. Deadlines, hedged re-issue (the
-//! re-send round-robins onto the peer's *other* pooled connection and
+//! The workspace builds offline and carries no async runtime, so
+//! everything here is blocking `std::net`: the server blocks in `accept`
+//! and runs one thread per connection. A round is a *link* under the
+//! shared dispatch driver (`driver.rs`, the loop every concurrent
+//! transport waits in), and the client's thread model is:
+//!
+//! * **Callers write.** Every frame leaves from the thread whose round
+//!   it belongs to.
+//! * **A lone call's caller reads.** A round of exactly one call with no
+//!   hedge armed — every healthy read is one — checks a connection out
+//!   of the peer's idle list, writes its frame and reads the reply on its
+//!   own thread, the read timeout set to the driver's next wake-up. The
+//!   connection goes back to the list only once its reply was read and
+//!   its [`OpId`] checked: a call that timed out or was abandoned takes
+//!   its connection with it, so a late reply can never answer a later
+//!   call.
+//! * **Reader threads relay only for rounds of several calls.** With no
+//!   `poll` (unsafe code is denied), only a relay can hand a round its
+//!   replies in arrival order; reading members in issue order would let
+//!   a black-holed member listed first hold a first-quorum round until
+//!   its deadline. Each pooled connection's reader thread matches reply
+//!   frames to waiters by [`OpId`] and feeds the round's one channel. A
+//!   relayed send that would *block* — the pool slot has no live
+//!   connection (reconnect with backoff), or the peer's inflight window
+//!   is full (`overload_wait`) — is handed to a short-lived helper
+//!   thread, so a dead or saturated peer never delays the round's other
+//!   members.
+//!
+//! Which link a round gets is decided when it is built, from what it can
+//! observe then: its call count, and whether a hedge policy is armed. A
+//! hedge re-sends the call on the peer's *other* pooled connection and
 //! its other serving thread, which is where a re-issue to the same node
-//! can actually win) and late-reply absorption are the driver's, exactly
+//! can actually win, so an armed policy keeps the relay. Deadlines,
+//! hedged re-issue and late-reply absorption are the driver's, exactly
 //! as under the simulator.
 //!
 //! Failure surfacing keeps the vocabulary the protocol already speaks:
@@ -34,26 +50,27 @@
 //! * a connection dying mid-flight answers
 //!   [`NodeError::TransportClosed`].
 //!
-//! Per-node inflight limits provide backpressure: once `max_inflight`
-//! commands are outstanding against one node, further sends wait
-//! briefly (bounded by [`TcpConfig::overload_wait`]) and are then shed
-//! as [`NodeError::Overloaded`] — a typed signal that the request was
+//! Both kinds of connection obey one set of rules. Per-node inflight
+//! limits provide backpressure: once `max_inflight` commands are
+//! outstanding against one node, further sends wait briefly (bounded by
+//! [`TcpConfig::overload_wait`]) and are then shed as
+//! [`NodeError::Overloaded`] — a typed signal that the request was
 //! *never sent*, so the caller may retry elsewhere immediately instead
 //! of waiting out the full round-trip budget. A command holds its unit
 //! of the window until its reply arrives or its round closes, whichever
 //! is first.
 //!
-//! Reconnects back off exponentially with a cap and deterministic
-//! per-peer jitter (seeded from the address, not a global RNG — two
-//! transports to the same dead node desynchronise their retry storms
-//! identically on every run), and every reconnect attempt beyond the
-//! first draws on the shared [`NodeHealth`] retry budget: a dead node
-//! cannot soak unbounded connect attempts while live traffic pays for
-//! them.
+//! Reconnects go through one routine. They back off exponentially with
+//! a cap and deterministic per-peer jitter (seeded from the address, not
+//! a global RNG — two transports to the same dead node desynchronise
+//! their retry storms identically on every run), and every reconnect
+//! attempt beyond the first draws on the shared [`NodeHealth`] retry
+//! budget: a dead node cannot soak unbounded connect attempts while live
+//! traffic pays for them.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -63,12 +80,61 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
-use crate::driver::{drive, drive_one, Link};
+use crate::driver::{drive, drive_one, Link, NEVER};
 use crate::health::NodeHealth;
 use crate::node::NodeId;
 use crate::rpc::{Envelope, Lane, NodeApi, NodeError, OpId, Reply, Response};
 use crate::transport::{wall_nanos, RoundReply, Transport};
 use crate::wire::{self, Frame, Header, HEADER_LEN};
+
+// ---------------------------------------------------------------------
+// Frames.
+// ---------------------------------------------------------------------
+
+/// A read that gave up at its timeout (`WouldBlock` on Unix, `TimedOut`
+/// elsewhere).
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// Reads one frame off `stream`: its header, then its body into reserved
+/// capacity the socket fills directly (nothing zero-fills it first).
+/// `Ok(None)` is an orderly close between frames. A failed read is put to
+/// `resume`, which decides whether to keep reading — a server's poll
+/// tick, a lone call's early wake-up — with the bytes already read kept.
+fn read_frame(
+    mut stream: &TcpStream,
+    resume: impl Fn(&io::Error) -> bool,
+) -> io::Result<Option<(Header, Bytes)>> {
+    let mut header = [0u8; HEADER_LEN];
+    let mut filled = 0;
+    while filled < HEADER_LEN {
+        match stream.read(&mut header[filled..]) {
+            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted || resume(&e) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    let header =
+        Header::decode(&header).map_err(|_| io::Error::from(io::ErrorKind::InvalidData))?;
+    let len = header.body_len as usize;
+    let mut body = Vec::with_capacity(len);
+    while body.len() < len {
+        let want = (len - body.len()) as u64;
+        match stream.take(want).read_to_end(&mut body) {
+            Ok(n) if n as u64 == want => {}
+            Ok(_) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Err(e) if resume(&e) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(Some((header, Bytes::from(body))))
+}
 
 // ---------------------------------------------------------------------
 // Server.
@@ -79,7 +145,7 @@ use crate::wire::{self, Frame, Header, HEADER_LEN};
 /// One thread accepts; each connection gets a serving thread that reads
 /// request frames, executes them on the node, and writes reply frames
 /// back on the same connection (replies stay in request order per
-/// connection; concurrency comes from the client's connection pool).
+/// connection; concurrency comes from the client's connections).
 /// Dropping the server stops the accept loop and closes every serving
 /// connection.
 pub struct TcpNodeServer {
@@ -91,10 +157,9 @@ pub struct TcpNodeServer {
 impl TcpNodeServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
     /// serving `node`.
-    pub fn spawn(node: Arc<dyn NodeApi>, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
+    pub fn spawn(node: Arc<dyn NodeApi>, addr: impl ToSocketAddrs) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_thread = std::thread::Builder::new()
@@ -116,10 +181,25 @@ impl TcpNodeServer {
 }
 
 impl Drop for TcpNodeServer {
+    /// Raises the flag, wakes the acceptor — blocked in `accept` — with
+    /// one connection of our own, and joins it; it joins every serving
+    /// thread in turn.
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Release);
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let woke = TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok();
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            // An acceptor nothing could wake is left parked rather than
+            // hang the drop.
+            if woke || t.is_finished() {
+                let _ = t.join();
+            }
         }
     }
 }
@@ -134,23 +214,22 @@ impl std::fmt::Debug for TcpNodeServer {
 
 fn accept_loop(listener: TcpListener, node: Arc<dyn NodeApi>, shutdown: Arc<AtomicBool>) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let _ = stream.set_nodelay(true);
-                let node = Arc::clone(&node);
-                let conn_shutdown = Arc::clone(&shutdown);
-                if let Ok(handle) = std::thread::Builder::new()
-                    .name(format!("tq-tcp-serve-{peer}"))
-                    .spawn(move || serve_connection(stream, node, conn_shutdown))
-                {
-                    conns.push(handle);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
+    loop {
+        let accepted = listener.accept();
+        // Read after every accept: the connection that wakes a dropping
+        // server is never served.
+        if shutdown.load(Ordering::Acquire) {
+            break;
+        }
+        let Ok((stream, peer)) = accepted else { break };
+        let _ = stream.set_nodelay(true);
+        let node = Arc::clone(&node);
+        let conn_shutdown = Arc::clone(&shutdown);
+        if let Ok(handle) = std::thread::Builder::new()
+            .name(format!("tq-tcp-serve-{peer}"))
+            .spawn(move || serve_connection(stream, node, conn_shutdown))
+        {
+            conns.push(handle);
         }
         conns.retain(|h| !h.is_finished());
     }
@@ -159,60 +238,15 @@ fn accept_loop(listener: TcpListener, node: Arc<dyn NodeApi>, shutdown: Arc<Atom
     }
 }
 
-/// Reads exactly `buf.len()` bytes, polling `shutdown` between partial
-/// reads. Returns `Ok(false)` on orderly EOF at a frame boundary or on
-/// shutdown; `Err` on a mid-frame failure.
-fn read_exact_polling(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
-) -> std::io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if shutdown.load(Ordering::Acquire) {
-            return Ok(false);
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(false) // peer closed between frames
-                } else {
-                    Err(std::io::ErrorKind::UnexpectedEof.into())
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue; // poll tick: re-check shutdown, keep reading
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
 fn serve_connection(mut stream: TcpStream, node: Arc<dyn NodeApi>, shutdown: Arc<AtomicBool>) {
-    // A short read timeout turns the blocking read into a poll loop so
-    // the thread notices server shutdown promptly.
+    // A short read timeout turns every wait into a poll loop so the
+    // thread notices server shutdown promptly.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut header_buf = [0u8; HEADER_LEN];
-    loop {
-        match read_exact_polling(&mut stream, &mut header_buf, &shutdown) {
-            Ok(true) => {}
-            _ => return,
-        }
-        let Ok(header) = Header::decode(&header_buf) else {
-            return; // framing lost (or a stranger speaking); drop the link
+    let poll_tick = |e: &io::Error| is_timeout(e) && !shutdown.load(Ordering::Acquire);
+    while !shutdown.load(Ordering::Acquire) {
+        let Ok(Some((header, body))) = read_frame(&stream, poll_tick) else {
+            return; // closed, shut down, or framing lost: drop the link
         };
-        let mut body = vec![0u8; header.body_len as usize];
-        match read_exact_polling(&mut stream, &mut body, &shutdown) {
-            Ok(true) => {}
-            _ => return,
-        }
-        let body = Bytes::from(body);
         let Ok(Frame::Envelope(env)) = wire::decode_body(&header, &body) else {
             return; // replies or garbage on the request path: drop the link
         };
@@ -235,7 +269,8 @@ pub struct TcpConfig {
     /// Round-trip budget per dispatch: connect + write + wait for the
     /// reply. Exceeding it surfaces [`NodeError::TimedOut`].
     pub io_timeout: Duration,
-    /// Connections pooled per node (requests round-robin across them).
+    /// Connections pooled per node for relayed rounds (requests
+    /// round-robin across them).
     pub pool_size: usize,
     /// Maximum commands outstanding against one node before dispatch
     /// blocks (backpressure).
@@ -336,7 +371,7 @@ impl Waiter {
     }
 }
 
-/// A live client connection: shared writer, reader thread, and the
+/// A live pooled connection: shared writer, reader thread, and the
 /// dispatch table matching reply frames to waiting rounds by op id.
 struct Conn {
     writer: Mutex<TcpStream>,
@@ -438,38 +473,33 @@ impl Conn {
     }
 }
 
-fn reader_loop(mut stream: TcpStream, conn: Arc<Conn>) {
-    let mut header_buf = [0u8; HEADER_LEN];
-    loop {
-        let ok = (|| -> std::io::Result<()> {
-            stream.read_exact(&mut header_buf)?;
-            let header = Header::decode(&header_buf)
-                .map_err(|_| std::io::Error::from(std::io::ErrorKind::InvalidData))?;
-            let mut body = vec![0u8; header.body_len as usize];
-            stream.read_exact(&mut body)?;
-            let body = Bytes::from(body);
-            match wire::decode_body(&header, &body) {
-                Ok(Frame::Reply(reply)) => {
-                    conn.complete(reply.op_id.0, reply.result);
-                    Ok(())
-                }
-                // Requests on the reply path, or an undecodable body:
-                // the stream cannot be trusted any more.
-                _ => Err(std::io::ErrorKind::InvalidData.into()),
-            }
-        })();
-        if ok.is_err() {
-            conn.poison();
-            return;
-        }
+/// A pooled connection's reader thread: relays each reply frame to the
+/// waiter registered for its op id, until the stream fails.
+fn reader_loop(stream: TcpStream, conn: Arc<Conn>, relayed: Arc<AtomicU64>) {
+    while let Ok(Some((header, body))) = read_frame(&stream, |_| false) {
+        // A request on the reply path, or an undecodable body: the
+        // stream cannot be trusted any more.
+        let Ok(Frame::Reply(reply)) = wire::decode_body(&header, &body) else {
+            break;
+        };
+        relayed.fetch_add(1, Ordering::Relaxed);
+        conn.complete(reply.op_id.0, reply.result);
     }
+    conn.poison();
+}
+
+/// Reconnect backoff: one per pool slot, one for a peer's lone-call
+/// connections.
+#[derive(Clone, Copy)]
+struct Backoff {
+    consecutive_failures: u32,
+    next_attempt: Instant,
 }
 
 /// One pooled connection slot with its reconnect backoff state.
 struct Slot {
     conn: Option<Arc<Conn>>,
-    consecutive_failures: u32,
-    next_attempt: Instant,
+    backoff: Backoff,
 }
 
 /// A peer's inflight window: commands written and not yet answered.
@@ -493,9 +523,17 @@ impl Drop for InflightPermit {
 /// Everything the transport knows about one node.
 struct Peer {
     addr: SocketAddr,
+    /// Relayed rounds' connections, each with its reader thread.
     slots: Vec<Mutex<Slot>>,
     rr: AtomicUsize,
+    /// One window for both kinds of connection.
     inflight: Arc<Inflight>,
+    /// Lone-call connections no call is using — no reader thread, nothing
+    /// outstanding — most recently used last.
+    idle: Mutex<Vec<TcpStream>>,
+    /// The lone-call connections' reconnect backoff, held across a
+    /// connect as a slot is.
+    lone_backoff: Mutex<Backoff>,
 }
 
 struct TcpInner {
@@ -507,11 +545,14 @@ struct TcpInner {
     health: Arc<NodeHealth>,
     /// Sends handed to a helper thread because they would have blocked.
     helped: AtomicU64,
+    /// Reply frames reader threads relayed to a round's channel.
+    relayed: Arc<AtomicU64>,
 }
 
-/// [`Transport`] over real TCP connections, one pool per node.
+/// [`Transport`] over real TCP connections, per node a pool of relayed
+/// connections and a list of idle lone-call ones.
 ///
-/// Cloning is cheap (shared inner); drop closes the pooled connections.
+/// Cloning is cheap (shared inner); drop closes every connection.
 /// Connections are established lazily on first dispatch and re-created
 /// with exponential backoff after failures.
 #[derive(Clone)]
@@ -536,7 +577,10 @@ impl TcpTransport {
 
     /// Builds a transport with explicit tuning.
     pub fn with_config(addrs: Vec<SocketAddr>, cfg: TcpConfig) -> Self {
-        let now = Instant::now();
+        let fresh = Backoff {
+            consecutive_failures: 0,
+            next_attempt: Instant::now(),
+        };
         let peers = addrs
             .into_iter()
             .map(|addr| Peer {
@@ -545,13 +589,14 @@ impl TcpTransport {
                     .map(|_| {
                         Mutex::new(Slot {
                             conn: None,
-                            consecutive_failures: 0,
-                            next_attempt: now,
+                            backoff: fresh,
                         })
                     })
                     .collect(),
                 rr: AtomicUsize::new(0),
                 inflight: Arc::default(),
+                idle: Mutex::new(Vec::new()),
+                lone_backoff: Mutex::new(fresh),
             })
             .collect();
         TcpTransport {
@@ -560,6 +605,7 @@ impl TcpTransport {
                 cfg,
                 health: Arc::new(NodeHealth::real_scale()),
                 helped: AtomicU64::new(0),
+                relayed: Arc::default(),
             }),
         }
     }
@@ -572,20 +618,49 @@ impl TcpTransport {
         &self.inner.health
     }
 
-    /// A round's link, and the fabric's fixed round-trip budget.
-    fn link(&self) -> (TcpLink<'_>, Option<u64>) {
+    /// Whether a round of `calls` calls runs on a [`LoneLink`]: one call,
+    /// and no hedge policy that could ask for a second copy of it.
+    fn lone(&self, calls: usize) -> bool {
+        calls == 1 && !self.inner.health.hedging_enabled()
+    }
+
+    /// The fabric's fixed round-trip budget.
+    fn budget(&self) -> Option<u64> {
+        Some(self.inner.cfg.io_timeout.as_nanos() as u64)
+    }
+
+    /// A relayed round's link.
+    fn relay_link(&self) -> RelayLink<'_> {
         let (tx, rx) = unbounded();
         let round = Arc::new(Round {
             tx,
             open: Mutex::new(Some(Vec::new())),
         });
-        let link = TcpLink {
+        RelayLink {
             inner: &self.inner,
             round,
             rx,
-        };
-        (link, Some(self.inner.cfg.io_timeout.as_nanos() as u64))
+        }
     }
+}
+
+/// Why no connection reached a node: it is down, unless the clock ran
+/// out while we were still trying.
+fn unreachable(deadline: Instant) -> NodeError {
+    if Instant::now() >= deadline {
+        NodeError::TimedOut
+    } else {
+        NodeError::Down
+    }
+}
+
+/// Whether an idle connection can carry a call: the peer has not closed
+/// it (a restarted node has) nor sent anything unasked. One non-blocking
+/// peek.
+fn still_open(stream: &TcpStream) -> bool {
+    let quiet = stream.set_nonblocking(true).is_ok()
+        && matches!(stream.peek(&mut [0u8; 1]), Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+    quiet && stream.set_nonblocking(false).is_ok()
 }
 
 impl TcpInner {
@@ -603,12 +678,86 @@ impl TcpInner {
         Some(InflightPermit(Arc::clone(&peer.inflight)))
     }
 
-    /// Gets (or re-establishes, with capped jittered backoff) a live
-    /// connection in `peer`'s pool slot `slot_index`. `None` means the
-    /// node is unreachable within the attempt budget / deadline. Every
+    /// Backpressure first: a node already saturated with our own inflight
+    /// commands should not accumulate more. A command waits for its unit
+    /// of the window at most `overload_wait` (never past `deadline`) and
+    /// is then shed — typed: `Overloaded` means "never sent", so the
+    /// caller may re-route immediately.
+    fn admit(&self, peer: &Peer, deadline: Instant) -> Result<InflightPermit, NodeError> {
+        let overload_deadline = deadline.min(Instant::now() + self.cfg.overload_wait);
+        self.acquire_inflight(peer, Some(overload_deadline))
+            .ok_or(NodeError::Overloaded)
+    }
+
+    /// Opens a connection to `peer`, honouring and updating `backoff`:
+    /// the one reconnect routine, for pool slots and lone calls alike
+    /// (`jitter_key` tells their backoffs apart). `None` means the node
+    /// is unreachable within the attempt budget / deadline. Every
     /// attempt beyond the first must be paid for out of the retry budget
     /// (`lane`-aware: background reconnects leave the foreground reserve
-    /// untouched). Holds the slot for as long as it takes.
+    /// untouched).
+    fn connect(
+        &self,
+        peer: &Peer,
+        backoff: &mut Backoff,
+        jitter_key: u64,
+        deadline: Instant,
+        lane: Lane,
+    ) -> Option<TcpStream> {
+        for attempt in 0..self.cfg.connect_attempts {
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            // tq-lint: allow(bounded-retry) -- the budget consult IS here:
+            // first attempt free, every re-attempt spends a token.
+            if attempt > 0 && !self.health.try_spend(lane) {
+                return None;
+            }
+            // Honour the backoff window from previous failures.
+            if backoff.next_attempt > now {
+                let wait = (backoff.next_attempt - now).min(deadline - now);
+                std::thread::sleep(wait);
+                if Instant::now() >= deadline {
+                    return None;
+                }
+            }
+            let budget = self.cfg.connect_timeout.min(deadline - Instant::now());
+            match TcpStream::connect_timeout(&peer.addr, budget.max(Duration::from_millis(1))) {
+                Ok(stream) => {
+                    let _ = stream.set_nodelay(true);
+                    let _ = stream.set_write_timeout(Some(self.cfg.io_timeout));
+                    backoff.consecutive_failures = 0;
+                    return Some(stream);
+                }
+                Err(_) => {
+                    backoff.consecutive_failures = backoff.consecutive_failures.saturating_add(1);
+                    let shift = backoff.consecutive_failures.min(6);
+                    let delay = self
+                        .cfg
+                        .backoff_base
+                        .saturating_mul(1u32 << shift.saturating_sub(1))
+                        .min(self.cfg.backoff_max);
+                    // Deterministic ±50% jitter so many slots/processes
+                    // hammering one dead node spread out instead of
+                    // synchronising their retry storms.
+                    let seed = (u64::from(peer.addr.port()) << 32)
+                        ^ u64::from(backoff.consecutive_failures)
+                        ^ jitter_key << 16;
+                    let permille = 500 + splitmix64(seed) % 1001; // [0.5, 1.5]×
+                    let jittered = Duration::from_nanos(
+                        (delay.as_nanos() as u64).saturating_mul(permille) / 1000,
+                    );
+                    backoff.next_attempt = Instant::now() + jittered;
+                }
+            }
+        }
+        None
+    }
+
+    /// Gets (or re-establishes, starting its reader thread) a live
+    /// connection in `peer`'s pool slot `slot_index`. Holds the slot for
+    /// as long as it takes.
     fn get_conn(
         &self,
         peer: &Peer,
@@ -623,94 +772,69 @@ impl TcpInner {
             }
             slot.conn = None;
         }
-        for attempt in 0..self.cfg.connect_attempts {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            // tq-lint: allow(bounded-retry) -- the budget consult IS here:
-            // first attempt free, every re-attempt spends a token.
-            if attempt > 0 && !self.health.try_spend(lane) {
-                return None;
-            }
-            // Honour the backoff window from previous failures.
-            if slot.next_attempt > now {
-                let wait = (slot.next_attempt - now).min(deadline - now);
-                std::thread::sleep(wait);
-                if Instant::now() >= deadline {
-                    return None;
-                }
-            }
-            let budget = self.cfg.connect_timeout.min(deadline - Instant::now());
-            match TcpStream::connect_timeout(&peer.addr, budget.max(Duration::from_millis(1))) {
-                Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.set_write_timeout(Some(self.cfg.io_timeout));
-                    let reader_stream = match stream.try_clone() {
-                        Ok(s) => s,
-                        Err(_) => continue,
-                    };
-                    let conn = Arc::new(Conn::new(stream));
-                    let reader_conn = Arc::clone(&conn);
-                    if std::thread::Builder::new()
-                        .name(format!("tq-tcp-read-{}", peer.addr))
-                        .spawn(move || reader_loop(reader_stream, reader_conn))
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    slot.consecutive_failures = 0;
-                    slot.conn = Some(Arc::clone(&conn));
-                    return Some(conn);
-                }
-                Err(_) => {
-                    slot.consecutive_failures = slot.consecutive_failures.saturating_add(1);
-                    let shift = slot.consecutive_failures.min(6);
-                    let backoff = self
-                        .cfg
-                        .backoff_base
-                        .saturating_mul(1u32 << shift.saturating_sub(1))
-                        .min(self.cfg.backoff_max);
-                    // Deterministic ±50% jitter so many slots/processes
-                    // hammering one dead node spread out instead of
-                    // synchronising their retry storms.
-                    let seed = (u64::from(peer.addr.port()) << 32)
-                        ^ u64::from(slot.consecutive_failures)
-                        ^ (slot_index as u64) << 16;
-                    let permille = 500 + splitmix64(seed) % 1001; // [0.5, 1.5]×
-                    let jittered = Duration::from_nanos(
-                        (backoff.as_nanos() as u64).saturating_mul(permille) / 1000,
-                    );
-                    slot.next_attempt = Instant::now() + jittered;
-                }
-            }
-        }
-        None
+        let stream = self.connect(peer, &mut slot.backoff, slot_index as u64, deadline, lane)?;
+        let reader_stream = stream.try_clone().ok()?;
+        let conn = Arc::new(Conn::new(stream));
+        let (reader_conn, relayed) = (Arc::clone(&conn), Arc::clone(&self.relayed));
+        std::thread::Builder::new()
+            .name(format!("tq-tcp-read-{}", peer.addr))
+            .spawn(move || reader_loop(reader_stream, reader_conn, relayed))
+            .ok()?;
+        slot.conn = Some(Arc::clone(&conn));
+        Some(conn)
     }
 
-    /// The send that may block, run on a helper thread: waits out a
-    /// saturated inflight window (bounded, then shed), reconnects with
-    /// backoff, then writes the frame like any other send.
+    /// A connection for one lone call: the most recently used idle one
+    /// the peer has not closed, else a new one.
+    fn checkout(&self, peer: &Peer, deadline: Instant, lane: Lane) -> Option<TcpStream> {
+        loop {
+            let idle = peer.idle.lock().pop();
+            match idle {
+                Some(stream) if still_open(&stream) => return Some(stream),
+                Some(_) => {} // closed by the peer: dropped
+                None => break,
+            }
+        }
+        let mut backoff = peer.lone_backoff.lock();
+        let jitter_key = peer.slots.len() as u64;
+        self.connect(peer, &mut backoff, jitter_key, deadline, lane)
+    }
+
+    /// The relayed send that may block, run on a helper thread: waits
+    /// out a saturated inflight window, reconnects the pool slot with
+    /// backoff, then writes the frame like any other relayed send.
     fn send_blocking(&self, round: &Round, node: NodeId, slot_index: usize, env: &Envelope) {
         let peer = &self.peers[node.0];
-        let issued = Instant::now();
-        let deadline = issued + self.cfg.io_timeout;
-        // Backpressure first: a node already saturated with our own
-        // inflight commands should not accumulate more. Shedding is
-        // typed — Overloaded means "never sent", so the caller may
-        // re-route immediately.
-        let overload_deadline = deadline.min(issued + self.cfg.overload_wait);
-        let Some(permit) = self.acquire_inflight(peer, Some(overload_deadline)) else {
-            return round.fail(node, env, NodeError::Overloaded);
-        };
-        match self.get_conn(peer, slot_index, deadline, env.lane) {
-            Some(conn) => conn.transmit(round, permit, node, env),
-            // Unreachable within the bounded reconnect budget: for the
-            // protocol that is a down node, unless the clock ran out
-            // while we were still trying.
-            None if Instant::now() >= deadline => round.fail(node, env, NodeError::TimedOut),
-            None => round.fail(node, env, NodeError::Down),
+        let deadline = Instant::now() + self.cfg.io_timeout;
+        let sent = self.admit(peer, deadline).and_then(|permit| {
+            let conn = self
+                .get_conn(peer, slot_index, deadline, env.lane)
+                .ok_or_else(|| unreachable(deadline))?;
+            Ok((conn, permit))
+        });
+        match sent {
+            Ok((conn, permit)) => conn.transmit(round, permit, node, env),
+            Err(error) => round.fail(node, env, error),
         }
+    }
+
+    /// A lone call's send, on the caller's thread: the same admission and
+    /// reconnect rules, then the frame, on a connection checked out for
+    /// this call alone.
+    fn send_lone<'p>(&self, peer: &'p Peer, env: &Envelope) -> Result<Outstanding<'p>, NodeError> {
+        let deadline = Instant::now() + self.cfg.io_timeout;
+        let permit = self.admit(peer, deadline)?;
+        let mut stream = self
+            .checkout(peer, deadline, env.lane)
+            .ok_or_else(|| unreachable(deadline))?;
+        stream
+            .write_all(&wire::encode_envelope(env))
+            .map_err(|_| NodeError::TransportClosed)?;
+        Ok(Outstanding {
+            peer,
+            stream,
+            _permit: permit,
+        })
     }
 }
 
@@ -728,16 +852,16 @@ impl Drop for TcpInner {
     }
 }
 
-/// The socket fabric as the driver sees it: callers write frames on
+/// The relayed fabric as the driver sees it: callers write frames on
 /// pooled connections, reader threads feed the round's one channel, and
 /// the clock is monotonic wall time.
-struct TcpLink<'a> {
+struct RelayLink<'a> {
     inner: &'a Arc<TcpInner>,
     round: Arc<Round>,
     rx: Receiver<RoundReply>,
 }
 
-impl Link for TcpLink<'_> {
+impl Link for RelayLink<'_> {
     /// A peer with a live pooled connection and inflight headroom is
     /// written from the caller's thread. A send that would block —
     /// reconnect-with-backoff, a saturated peer's `overload_wait` — is
@@ -785,7 +909,7 @@ impl Link for TcpLink<'_> {
     }
 }
 
-impl Drop for TcpLink<'_> {
+impl Drop for RelayLink<'_> {
     /// Closing the round takes back every registration it left
     /// outstanding, which frees those commands' inflight units at once
     /// instead of when (or if) their replies arrive.
@@ -796,14 +920,129 @@ impl Drop for TcpLink<'_> {
     }
 }
 
+/// A lone call on the wire: the connection checked out for it, and its
+/// unit of the peer's inflight window. Dropped unanswered — timed out,
+/// or its round abandoned — the connection closes with it.
+struct Outstanding<'a> {
+    peer: &'a Peer,
+    stream: TcpStream,
+    _permit: InflightPermit,
+}
+
+/// Arms `stream`'s read timeout to expire at `until` on the link clock;
+/// a `TimedOut` error once `until` has passed.
+fn read_until(stream: &TcpStream, until: u64) -> io::Result<()> {
+    if until == NEVER {
+        return stream.set_read_timeout(None);
+    }
+    match until.saturating_sub(wall_nanos()) {
+        0 => Err(io::ErrorKind::TimedOut.into()),
+        left => stream.set_read_timeout(Some(Duration::from_nanos(left))),
+    }
+}
+
+impl Outstanding<'_> {
+    /// Reads the call's reply on the caller's thread, waiting until
+    /// `until`; `None` if it did not come by then. Only a reply to
+    /// `op_id` returns the connection to the peer's idle list — anything
+    /// else on it fails the call and closes it.
+    fn finish(self, op_id: OpId, until: u64) -> Option<Result<Response, NodeError>> {
+        let frame = read_until(&self.stream, until).and_then(|()| {
+            read_frame(&self.stream, |e| {
+                is_timeout(e) && read_until(&self.stream, until).is_ok()
+            })
+        });
+        let reply = match frame {
+            Err(e) if is_timeout(&e) => return None,
+            Ok(Some((header, body))) => wire::decode_body(&header, &body),
+            _ => return Some(Err(NodeError::TransportClosed)),
+        };
+        match reply {
+            Ok(Frame::Reply(reply)) if reply.op_id == op_id => {
+                self.peer.idle.lock().push(self.stream);
+                Some(reply.result)
+            }
+            _ => Some(Err(NodeError::TransportClosed)),
+        }
+    }
+}
+
+/// The link of a round with one call and no hedge armed: the caller
+/// writes the frame on a connection checked out for the call and reads
+/// the reply on its own thread — no channel, reader thread or helper.
+struct LoneLink<'a> {
+    inner: &'a TcpInner,
+    /// The call's identity, once sent.
+    sent: Option<(NodeId, OpId, u64)>,
+    /// The connection carrying the call, or why it has none, until
+    /// [`recv`](Link::recv) takes its outcome.
+    wire: Option<Result<Outstanding<'a>, NodeError>>,
+}
+
+impl<'a> LoneLink<'a> {
+    fn new(inner: &'a TcpInner) -> Self {
+        LoneLink {
+            inner,
+            sent: None,
+            wire: None,
+        }
+    }
+}
+
+impl Link for LoneLink<'_> {
+    /// The call is the whole round, so a send that would block — a
+    /// reconnect with backoff, a full window's `overload_wait` — blocks
+    /// only its own caller. A second copy (a hedge armed after the round
+    /// was built) is not sent: nothing here would read its reply.
+    fn send(&mut self, node: NodeId, env: &Envelope) {
+        if self.sent.is_some() {
+            return;
+        }
+        self.sent = Some((node, env.op_id, env.round_epoch));
+        self.wire = Some(match self.inner.peers.get(node.0) {
+            Some(peer) => self.inner.send_lone(peer, env),
+            None => Err(NodeError::TransportClosed),
+        });
+    }
+
+    fn recv(&mut self, until: u64) -> Option<RoundReply> {
+        let (Some((node, op_id, round_epoch)), Some(wire)) = (self.sent, self.wire.take()) else {
+            // Nothing more will arrive: wait out `until` as an empty
+            // channel would.
+            if until != NEVER {
+                std::thread::sleep(Duration::from_nanos(until.saturating_sub(self.now())));
+            }
+            return None;
+        };
+        let result = match wire {
+            Ok(outstanding) => outstanding.finish(op_id, until)?,
+            Err(error) => Err(error),
+        };
+        Some(RoundReply {
+            op_id,
+            round_epoch,
+            node,
+            result,
+        })
+    }
+
+    fn now(&self) -> u64 {
+        wall_nanos()
+    }
+}
+
 impl Transport for TcpTransport {
     fn node_count(&self) -> usize {
         self.inner.peers.len()
     }
 
     fn dispatch(&self, node: NodeId, env: Envelope) -> Reply {
-        let (link, budget) = self.link();
-        drive_one(link, &self.inner.health, budget, node, env)
+        let (health, budget) = (&self.inner.health, self.budget());
+        if self.lone(1) {
+            drive_one(LoneLink::new(&self.inner), health, budget, node, env)
+        } else {
+            drive_one(self.relay_link(), health, budget, node, env)
+        }
     }
 
     fn health(&self) -> Option<&NodeHealth> {
@@ -815,8 +1054,12 @@ impl Transport for TcpTransport {
     /// round only stops waiting — like any real fabric, requests already
     /// written will still execute.
     fn multicall(&self, calls: Vec<(NodeId, Envelope)>, sink: &mut dyn FnMut(RoundReply) -> bool) {
-        let (link, budget) = self.link();
-        drive(link, &self.inner.health, budget, calls, sink)
+        let (health, budget) = (&self.inner.health, self.budget());
+        if self.lone(calls.len()) {
+            drive(LoneLink::new(&self.inner), health, budget, calls, sink)
+        } else {
+            drive(self.relay_link(), health, budget, calls, sink)
+        }
     }
 }
 
@@ -1024,31 +1267,133 @@ mod tests {
     fn tcp_warm_round_is_written_from_the_callers_thread() {
         let (_cluster, _servers, addrs) = serve_cluster(3);
         let t = TcpTransport::connect(addrs);
-        // Two pings per peer connect both of its pooled connections
-        // (each through a helper: connecting may block).
-        for _ in 0..2 {
-            for i in 0..3 {
-                assert_eq!(t.call(NodeId(i), Request::Ping), Ok(Response::Pong));
-            }
-        }
-        let helped = t.inner.helped.load(Ordering::Relaxed);
-        assert_eq!(helped, 6, "one helper per connection made");
         let caller = std::thread::current().id();
-        let calls: Vec<(NodeId, Envelope)> = (0..3)
-            .map(|i| (NodeId(i), Envelope::new(Request::Ping)))
-            .collect();
-        let mut seen = 0;
-        t.multicall(calls, &mut |reply| {
-            assert_eq!(std::thread::current().id(), caller);
-            assert_eq!(reply.result, Ok(Response::Pong));
-            seen += 1;
-            true
-        });
-        assert_eq!(seen, 3);
+        let round = || {
+            let calls: Vec<(NodeId, Envelope)> = (0..3)
+                .map(|i| (NodeId(i), Envelope::new(Request::Ping)))
+                .collect();
+            let mut seen = 0;
+            t.multicall(calls, &mut |reply| {
+                assert_eq!(std::thread::current().id(), caller);
+                assert_eq!(reply.result, Ok(Response::Pong));
+                seen += 1;
+                true
+            });
+            assert_eq!(seen, 3);
+        };
+        let counters = || {
+            (
+                t.inner.helped.load(Ordering::Relaxed),
+                t.inner.relayed.load(Ordering::Relaxed),
+            )
+        };
+        // Two 3-call rounds connect both pooled connections of each peer
+        // (each through a helper: connecting may block). Lone calls would
+        // not: they never touch the pool.
+        round();
+        round();
+        assert_eq!(counters(), (6, 6), "one helper per connection made");
+        round();
         assert_eq!(
-            t.inner.helped.load(Ordering::Relaxed),
-            helped,
+            counters(),
+            (6, 9),
             "live connections with headroom: no thread was started"
+        );
+        // The mirror image: lone calls are written and read by their
+        // caller, on one idle connection per peer.
+        for i in 0..100 {
+            assert_eq!(t.call(NodeId(i % 3), Request::Ping), Ok(Response::Pong));
+        }
+        assert_eq!(
+            counters(),
+            (6, 9),
+            "lone calls start no thread and relay no frame"
+        );
+        for peer in &t.inner.peers {
+            assert_eq!(peer.idle.lock().len(), 1);
+        }
+    }
+
+    #[test]
+    fn tcp_lone_call_never_reuses_a_timed_out_connection() {
+        // Answers the first request it reads three budgets late and every
+        // later one at once, each connection on its own thread.
+        let io_timeout = Duration::from_millis(200);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let first = Arc::new(AtomicBool::new(true));
+        std::thread::spawn(move || {
+            for stream in listener.incoming().take(2) {
+                let (Ok(mut stream), first) = (stream, Arc::clone(&first)) else {
+                    return;
+                };
+                std::thread::spawn(move || {
+                    while let Ok(Some((header, body))) = read_frame(&stream, |_| false) {
+                        let Ok(Frame::Envelope(env)) = wire::decode_body(&header, &body) else {
+                            return;
+                        };
+                        if first.swap(false, Ordering::SeqCst) {
+                            std::thread::sleep(3 * io_timeout);
+                        }
+                        let reply = Reply {
+                            op_id: env.op_id,
+                            round_epoch: env.round_epoch,
+                            result: Ok(Response::Pong),
+                        };
+                        if stream.write_all(&wire::encode_reply(&reply)).is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        let t = TcpTransport::with_config(
+            vec![addr],
+            TcpConfig {
+                io_timeout,
+                ..TcpConfig::default()
+            },
+        );
+        let started = Instant::now();
+        assert_eq!(t.call(NodeId(0), Request::Ping), Err(NodeError::TimedOut));
+        let waited = started.elapsed();
+        assert!(
+            waited >= io_timeout && waited < 2 * io_timeout,
+            "TimedOut at the deadline: {waited:?}"
+        );
+        // Reusing the first connection would queue this call behind the
+        // stalled one and hand it the stale reply, or none in time.
+        let env = Envelope::new(Request::Ping);
+        let op_id = env.op_id;
+        let started = Instant::now();
+        let reply = t.dispatch(NodeId(0), env);
+        assert_eq!((reply.op_id, reply.result), (op_id, Ok(Response::Pong)));
+        assert!(started.elapsed() < io_timeout, "{:?}", started.elapsed());
+    }
+
+    #[test]
+    fn tcp_server_without_clients_drops_without_waiting_for_a_tick() {
+        // The acceptor used to poll every 2 ms, so an idle server's drop
+        // waited for the next tick: a median near 1 ms. Blocked in
+        // `accept` and woken by a connection of its own, it drops in a
+        // fraction of that.
+        let cluster = Cluster::new(1);
+        let node: Arc<dyn NodeApi> = Arc::clone(cluster.node(0)) as Arc<dyn NodeApi>;
+        let mut drops: Vec<Duration> = (0..41)
+            .map(|_| {
+                let server = TcpNodeServer::spawn(Arc::clone(&node), "127.0.0.1:0").unwrap();
+                // Past startup: the acceptor waits for clients.
+                std::thread::sleep(Duration::from_millis(5));
+                let started = Instant::now();
+                drop(server);
+                started.elapsed()
+            })
+            .collect();
+        drops.sort();
+        assert!(
+            drops[20] < Duration::from_micros(600),
+            "median drop {:?}",
+            drops[20]
         );
     }
 
