@@ -11,13 +11,17 @@
 //! * [`AppendLogBackend`] — a crash-safe append-only log. Every put and
 //!   delete is one checksummed record, written into zero-filled 1 MiB
 //!   extents the file grows by ahead of time, so an acknowledged
-//!   append's sync commits data, not a new file size; recovery replays
-//!   the log up to the first zero header and truncates a torn tail; an
-//!   [`FsyncPolicy`] says whether each append syncs or only an explicit
-//!   flush does (the node flushes before every ack either way); reads
-//!   never wait on the disk; a failed write or sync poisons the log
-//!   (fail-stop); compaction rewrites the log once dead records
-//!   dominate.
+//!   append's sync commits data, not a new file size; the in-memory
+//!   index keeps each live block's metadata and the place of its payload
+//!   in the log, never the payload, and a read fetches the payload with
+//!   one positional read (so a node's memory grows with its blocks, not
+//!   their bytes, and its self-check verifies bytes that came back from
+//!   storage); recovery streams the log up to the first zero header and
+//!   truncates a torn tail; an [`FsyncPolicy`] says whether each append
+//!   syncs or only an explicit flush does (the node flushes before every
+//!   ack either way); reads never wait behind an append or a sync; a
+//!   failed write or sync poisons the log (fail-stop); compaction copies
+//!   the live records into a fresh log once dead records dominate.
 //! * [`FaultingBackend`] — a deterministic fault-injection wrapper for
 //!   the DST storage-fault axis: it models the *recovery-visible* state
 //!   space of a real disk (an fsync barrier that may silently be
@@ -33,7 +37,6 @@
 use std::collections::hash_map::Entry;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::Read;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,15 +51,17 @@ use crate::wire::crc32;
 
 /// What one node stores for one object.
 ///
-/// Blocks are held as refcounted [`Bytes`], and a read hands out a clone
-/// of the stored allocation (an `Arc` bump). The first install of a
-/// block *moves* the request's payload into the store; a later one of
-/// the same length (`StoredBlock::install`) copies
-/// the payload once into the buffer already resident, unless a reader
-/// still holds a clone of it — then the payload replaces the buffer, and
-/// the reader keeps the bytes it was given. A store therefore keeps the
-/// allocations it was provisioned with instead of trading each one, on
-/// every write, for a buffer from whichever thread served that write.
+/// Payloads travel as refcounted [`Bytes`]. [`MemoryBackend`] holds them
+/// resident and a read hands out a clone of the stored allocation (an
+/// `Arc` bump). The first install of a block *moves* the request's
+/// payload into that store; a later one of the same length
+/// (`StoredBlock::install`) copies the payload once into the buffer
+/// already resident, unless a reader still holds a clone of it — then
+/// the payload replaces the buffer, and the reader keeps the bytes it
+/// was given. The store therefore keeps the allocations it was
+/// provisioned with instead of trading each one, on every write, for a
+/// buffer from whichever thread served that write. [`AppendLogBackend`]
+/// keeps no payload: each read fills a fresh buffer from the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoredBlock {
     /// A full data block `b_i` with its version (the paper's data nodes).
@@ -126,12 +131,20 @@ impl StoredBlock {
         }
     }
 
+    /// The payload, for a backend to swap: the log keeps its blocks with
+    /// the payload taken out, and puts a read's bytes back in.
+    fn payload_mut(&mut self) -> &mut Bytes {
+        match self {
+            StoredBlock::Data { bytes, .. } | StoredBlock::Parity { bytes, .. } => bytes,
+        }
+    }
+
     /// Makes this stored block equal `new`, keeping its payload buffer
     /// when it can. With equal lengths and the only handle on the
     /// resident allocation, the new bytes are copied into it and the
     /// incoming buffer is dropped here, by the thread that brought it;
     /// otherwise the incoming buffer takes its place and whoever else
-    /// holds the old one keeps what they have. Every backend's `put`
+    /// holds the old one keeps what they have. [`MemoryBackend`]'s `put`
     /// installs through here.
     pub(crate) fn install(&mut self, new: StoredBlock) {
         let displaced = std::mem::replace(self, new);
@@ -382,9 +395,10 @@ const COMPACT_MIN_BYTES: u64 = 64 * 1024;
 /// Compaction triggers when the log is this many times the live size.
 const COMPACT_RATIO: u64 = 3;
 
-/// Compaction writes its snapshot in writes of about this many bytes
-/// (kept under the allocator's default mmap threshold of 128 KiB).
-const COMPACT_CHUNK: usize = 64 * 1024;
+/// Replay and compaction move the log in reads and writes of about this
+/// many bytes (kept under the allocator's default mmap threshold of
+/// 128 KiB); a record longer than this moves whole.
+const IO_CHUNK: usize = 64 * 1024;
 
 /// The log file grows in zero-filled extents of this many bytes, ahead
 /// of its records. An append then overwrites space the file already
@@ -413,11 +427,14 @@ fn is_zero(bytes: &[u8]) -> bool {
         .all(|chunk| chunk == &ZEROS[..chunk.len()])
 }
 
-/// Appends the record for `id` — a put of `block`, or a delete — to
-/// `out`. Each byte is written once: the header is reserved, the body
-/// written after it, and the CRC taken over the body where it lies.
-fn encode_record_into(out: &mut Vec<u8>, id: BlockId, block: Option<&StoredBlock>) {
-    let start = out.len();
+/// The record for `id` — a put of `block`, or a delete — in a buffer of
+/// exactly its size. Each byte is written once: the header is reserved,
+/// the body written after it, and the CRC taken over the body where it
+/// lies.
+fn encode_record(id: BlockId, block: Option<&StoredBlock>) -> Vec<u8> {
+    // A delete is the header, its kind byte and the block id.
+    let len = block.map_or(REC_HEADER + 1 + 8, |b| record_len(b) as usize);
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&[0; REC_HEADER]);
     match block {
         None => {
@@ -451,42 +468,15 @@ fn encode_record_into(out: &mut Vec<u8>, id: BlockId, block: Option<&StoredBlock
             out.extend_from_slice(bytes);
         }
     }
-    let body = start + REC_HEADER;
-    let body_len = (out.len() - body) as u32;
-    let crc = crc32(&out[body..]);
-    out[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
-    out[start + 4..body].copy_from_slice(&crc.to_le_bytes());
+    let body_len = (out.len() - REC_HEADER) as u32;
+    let crc = crc32(&out[REC_HEADER..]);
+    out[..4].copy_from_slice(&body_len.to_le_bytes());
+    out[4..REC_HEADER].copy_from_slice(&crc.to_le_bytes());
+    out
 }
 
-/// One record in a buffer of exactly its size.
-fn encode_record(id: BlockId, block: Option<&StoredBlock>) -> Vec<u8> {
-    // A delete is the header, its kind byte and the block id.
-    let len = block.map_or(REC_HEADER + 1 + 8, |b| record_len(b) as usize);
-    let mut rec = Vec::with_capacity(len);
-    encode_record_into(&mut rec, id, block);
-    rec
-}
-
-/// Encodes `live` into `file` from offset 0, in writes of about
-/// [`COMPACT_CHUNK`] bytes, and returns the length written.
-fn write_snapshot(file: &File, live: &DetHashMap<BlockId, StoredBlock>) -> std::io::Result<u64> {
-    let mut chunk = Vec::with_capacity(COMPACT_CHUNK);
-    let mut len = 0u64;
-    for (id, block) in live {
-        if !chunk.is_empty() && chunk.len() + record_len(block) as usize > COMPACT_CHUNK {
-            file.write_all_at(&chunk, len)?;
-            len += chunk.len() as u64;
-            chunk.clear();
-        }
-        encode_record_into(&mut chunk, *id, Some(block));
-    }
-    file.write_all_at(&chunk, len)?;
-    Ok(len + chunk.len() as u64)
-}
-
-/// `encode_record(id, Some(block)).len()` without encoding anything: what
-/// the live-size accounting adds for an installed block and subtracts
-/// for a displaced or deleted one.
+/// `encode_record(id, Some(block)).len()` without encoding anything:
+/// what a put's record is sized to.
 fn record_len(block: &StoredBlock) -> u64 {
     // Header, kind byte, block id.
     let fixed = REC_HEADER + 1 + 8;
@@ -502,9 +492,19 @@ fn record_len(block: &StoredBlock) -> u64 {
     (fixed + body) as u64
 }
 
-/// Parses one record body. Returns `None` on any structural problem —
-/// recovery treats that exactly like a checksum failure (truncate here).
-fn parse_record(body: &[u8]) -> Option<(BlockId, Option<StoredBlock>)> {
+/// Whether the record `rec` (header and body) still matches its CRC.
+fn record_intact(rec: &[u8]) -> bool {
+    rec.len() >= REC_HEADER
+        && crc32(&rec[REC_HEADER..])
+            == u32::from_le_bytes(rec[4..REC_HEADER].try_into().expect("4 bytes"))
+}
+
+/// Parses one record body into its block id and, for a put, the block
+/// with its payload left out (its self-checksum stamped from the
+/// payload) and the payload's length: the payload is the body's last
+/// bytes. Returns `None` on any structural problem — recovery treats
+/// that exactly like a checksum failure (truncate here).
+fn parse_record(body: &[u8]) -> Option<(BlockId, Option<(StoredBlock, usize)>)> {
     let (&kind, rest) = body.split_first()?;
     if rest.len() < 8 {
         return None;
@@ -521,13 +521,12 @@ fn parse_record(body: &[u8]) -> Option<(BlockId, Option<StoredBlock>)> {
             let len = u32::from_le_bytes(rest[8..12].try_into().ok()?) as usize;
             let payload = &rest[12..];
             (payload.len() == len).then(|| {
-                (
-                    id,
-                    Some(StoredBlock::new_data(
-                        version,
-                        Bytes::copy_from_slice(payload),
-                    )),
-                )
+                let block = StoredBlock::Data {
+                    version,
+                    bytes: Bytes::new(),
+                    check: tq_gf256::check::block_check(payload),
+                };
+                (id, Some((block, len)))
             })
         }
         REC_PUT_PARITY | REC_PUT_PARITY_V2 => {
@@ -568,25 +567,133 @@ fn parse_record(body: &[u8]) -> Option<(BlockId, Option<StoredBlock>)> {
             let len = u32::from_le_bytes(rest[0..4].try_into().ok()?) as usize;
             let payload = &rest[4..];
             (payload.len() == len).then(|| {
-                (
-                    id,
-                    Some(StoredBlock::new_parity(
-                        versions,
-                        Bytes::copy_from_slice(payload),
-                        checks,
-                    )),
-                )
+                let block = StoredBlock::Parity {
+                    versions,
+                    bytes: Bytes::new(),
+                    check: tq_gf256::check::block_check(payload),
+                    checks,
+                };
+                (id, Some((block, len)))
             })
         }
         _ => None,
     }
 }
 
+/// A file read front to back through one buffer, refilled [`IO_CHUNK`]
+/// bytes (or one longer record) at a time: how replay reads a log
+/// without holding it.
+struct Window<'a> {
+    file: &'a File,
+    /// File length.
+    len: u64,
+    /// File offset of `buf[0]`.
+    at: u64,
+    buf: Vec<u8>,
+}
+
+impl Window<'_> {
+    /// Bytes `[from, from + n)` of the file, which must hold them.
+    fn read(&mut self, from: u64, n: usize) -> std::io::Result<&[u8]> {
+        if from < self.at || from + n as u64 > self.at + self.buf.len() as u64 {
+            let fill = (self.len - from).min(n.max(IO_CHUNK) as u64);
+            self.buf.resize(fill as usize, 0);
+            self.file.read_exact_at(&mut self.buf, from)?;
+            self.at = from;
+        }
+        let start = (from - self.at) as usize;
+        Ok(&self.buf[start..start + n])
+    }
+}
+
+/// Replays the `len` bytes of the log `file`: returns the fold of its
+/// valid prefix, the prefix's length, and whether every byte after the
+/// prefix is zero. A zero header, or a torn or corrupt record, ends the
+/// prefix. Each payload is read to check its record and stamp its block,
+/// and is not kept.
+fn replay(file: &Arc<File>, len: u64) -> std::io::Result<(Index, u64, bool)> {
+    let mut window = Window {
+        file,
+        len,
+        at: 0,
+        buf: Vec::new(),
+    };
+    let mut index = Index::default();
+    let mut valid = 0u64;
+    while len - valid >= REC_HEADER as u64 {
+        let header = window.read(valid, REC_HEADER)?;
+        let body_len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
+        if body_len == 0 {
+            break; // the zero-filled rest of the last extent
+        }
+        let total = REC_HEADER as u64 + u64::from(body_len);
+        if len - valid < total {
+            break; // torn tail: the final append did not land fully
+        }
+        let rec = window.read(valid, total as usize)?;
+        if !record_intact(rec) {
+            break; // corrupt record: nothing after it can be trusted
+        }
+        let Some((id, put)) = parse_record(&rec[REC_HEADER..]) else {
+            break;
+        };
+        let entry = put.map(|(block, payload)| Located {
+            block,
+            file: Arc::clone(file),
+            at: valid,
+            len: total,
+            payload,
+        });
+        index.apply(id, entry);
+        valid += total;
+    }
+    let mut zero_tail = true;
+    let mut from = valid;
+    while zero_tail && from < len {
+        let n = (len - from).min(IO_CHUNK as u64) as usize;
+        zero_tail = is_zero(window.read(from, n)?);
+        from += n as u64;
+    }
+    Ok((index, valid, zero_tail))
+}
+
+/// Copies the records `keep` (id, offset, length; in offset order) from
+/// `from` to the start of `to`, in writes of about [`IO_CHUNK`] bytes,
+/// leaving out any record whose CRC no longer matches its body. Returns
+/// the length written and, per record copied, its id and new offset.
+fn copy_records(
+    from: &File,
+    to: &File,
+    keep: &[(BlockId, u64, u64)],
+) -> std::io::Result<(u64, Vec<(BlockId, u64)>)> {
+    let mut chunk = Vec::with_capacity(IO_CHUNK);
+    let mut written = 0u64;
+    let mut moved = Vec::with_capacity(keep.len());
+    for &(id, at, len) in keep {
+        let len = len as usize;
+        if !chunk.is_empty() && chunk.len() + len > IO_CHUNK {
+            to.write_all_at(&chunk, written)?;
+            written += chunk.len() as u64;
+            chunk.clear();
+        }
+        let start = chunk.len();
+        chunk.resize(start + len, 0);
+        from.read_exact_at(&mut chunk[start..], at)?;
+        if record_intact(&chunk[start..]) {
+            moved.push((id, written + start as u64));
+        } else {
+            chunk.truncate(start);
+        }
+    }
+    to.write_all_at(&chunk, written)?;
+    Ok((written + chunk.len() as u64, moved))
+}
+
 /// The end of the log the appends write to. Its lock is held across
 /// every write, sync and compaction.
 #[derive(Debug)]
 struct Tail {
-    file: File,
+    file: Arc<File>,
     /// End of the last record: the log's logical length.
     log_bytes: u64,
     /// Log length at the last successful fsync — everything before this
@@ -637,31 +744,64 @@ impl Tail {
     }
 }
 
+/// What the index keeps for one live block: everything but the payload,
+/// and where the payload lies.
+#[derive(Debug, Clone)]
+struct Located {
+    /// The stored block with an empty payload: its version or version
+    /// vector, cross-checksum vector and self-checksum stamp.
+    block: StoredBlock,
+    /// The log file holding the record: the live log's, until a
+    /// compaction moves the record. A `Located` taken before that keeps
+    /// the replaced file open, and a record never changes once written,
+    /// so it still reads the bytes it was taken for.
+    file: Arc<File>,
+    /// Offset of the record in `file`.
+    at: u64,
+    /// Length of the record.
+    len: u64,
+    /// Length of the payload, which is the record's last bytes.
+    payload: usize,
+}
+
+impl Located {
+    /// The block, its payload read back from the log by one positional
+    /// read into a buffer of exactly its size.
+    fn read(self) -> Result<StoredBlock, StorageError> {
+        let Located {
+            mut block,
+            file,
+            at,
+            len,
+            payload,
+        } = self;
+        let mut bytes = vec![0; payload];
+        file.read_exact_at(&mut bytes, at + len - payload as u64)
+            .map_err(|e| io_err("read", e))?;
+        *block.payload_mut() = Bytes::from(bytes);
+        Ok(block)
+    }
+}
+
 /// The fold of the log. Its lock is never held across I/O.
 #[derive(Debug, Default)]
 struct Index {
-    map: DetHashMap<BlockId, StoredBlock>,
-    /// Encoded size of the live records (what compaction would shrink to).
+    map: DetHashMap<BlockId, Located>,
+    /// Length of the live records (what compaction would shrink to).
     live_bytes: u64,
 }
 
 impl Index {
-    /// Folds one record in. `live_bytes` counts the *canonical*
-    /// (current-layout) record length, not the on-disk one: a replayed
-    /// legacy V1 record is shorter than its re-encoding, and live_bytes
-    /// must match what later overwrites subtract (and what compaction
-    /// would write).
-    fn apply(&mut self, id: BlockId, block: Option<StoredBlock>) {
-        self.live_bytes -= self.map.get(&id).map_or(0, record_len);
-        match block {
-            Some(b) => {
-                self.live_bytes += record_len(&b);
-                install_into(&mut self.map, id, b);
+    /// Folds one record in: a put's entry, or `None` for a delete.
+    fn apply(&mut self, id: BlockId, entry: Option<Located>) {
+        let displaced = match entry {
+            Some(entry) => {
+                self.live_bytes += entry.len;
+                self.map.insert(id, entry)
             }
-            None => {
-                self.map.remove(&id);
-            }
-        }
+            None => self.map.remove(&id),
+        };
+        self.live_bytes -= displaced.map_or(0, |old| old.len);
     }
 }
 
@@ -674,21 +814,30 @@ impl Index {
 /// allocated and its sync has no file size to commit; a zero `body_len`
 /// ends the log. [`log_len`](Self::log_len) and
 /// [`synced_len`](Self::synced_len) are offsets into the records and
-/// never count the zero tail. Every mutation appends; the in-memory
-/// index holds the fold of the log.
+/// never count the zero tail. Every mutation appends.
 ///
-/// **Recovery.** On open the log is replayed up to the first zero
-/// header, torn record or corrupt record. If every byte after that
-/// point is zero it stays as room for appends; otherwise the file is
-/// truncated there and synced, so no stale byte is ever read as a record
-/// again. Recovered state is exactly the longest valid prefix, which the
-/// [`FsyncPolicy`] bounds below by the last barrier. A log written
-/// without extents (by an earlier build) replays the same way; an
-/// earlier build reads the zero header as a torn tail and truncates it.
+/// **Index.** The in-memory index is the fold of the log, and holds no
+/// payload: per live block, its version or version vector, cross-checksum
+/// vector and self-checksum stamp, and the file, offset and length of its
+/// record. Memory grows with the number of blocks, not their size; the
+/// payloads stay in the log and the page cache. A `get` reads the payload
+/// with one positional read into a buffer of its size, so the node's
+/// self-check runs on bytes that came back from storage and catches rot
+/// under a live node, not only at the next replay.
+///
+/// **Recovery.** On open the log is streamed, a bounded window at a time,
+/// up to the first zero header, torn record or corrupt record. If every
+/// byte after that point is zero it stays as room for appends; otherwise
+/// the file is truncated there and synced, so no stale byte is ever read
+/// as a record again. Recovered state is exactly the longest valid
+/// prefix, which the [`FsyncPolicy`] bounds below by the last barrier. A
+/// log written without extents (by an earlier build) replays the same
+/// way; an earlier build reads the zero header as a torn tail and
+/// truncates it.
 ///
 /// **Locks.** Writes, syncs and compaction hold the tail's lock; the
 /// index has its own, taken after the tail's and never held across I/O,
-/// so `get` and `scan` never wait on the disk.
+/// so `get` and `scan` never wait behind an append or a sync.
 ///
 /// **Poison.** After a failed write or sync of the live log (including
 /// the directory sync that makes a compaction durable), every later
@@ -697,8 +846,13 @@ impl Index {
 /// succeeded would vouch for pages the kernel may already have dropped.
 ///
 /// **Compaction.** When dead records dominate (log > 3× live and >
-/// 64 KiB), the log is replaced atomically with a snapshot of the index,
-/// written together with its first zero extent before one sync.
+/// 64 KiB), the live records are copied from the log into a new file,
+/// written together with its first zero extent before one sync, which
+/// then replaces the log atomically. A record whose CRC no longer
+/// matches has rotted since it was written: it is left out, and its block
+/// dropped, so the node reports the block missing instead of corrupt and
+/// scrub re-installs it. Copying it would launder nothing, but it would
+/// end the next replay there and cost every record after it.
 pub struct AppendLogBackend {
     path: PathBuf,
     policy: FsyncPolicy,
@@ -719,7 +873,7 @@ impl fmt::Debug for AppendLogBackend {
 }
 
 impl AppendLogBackend {
-    /// Opens (or creates) the log at `path`, replaying it into memory
+    /// Opens (or creates) the log at `path`, replaying it into the index
     /// and truncating any torn or corrupt tail.
     pub fn open(path: impl Into<PathBuf>, policy: FsyncPolicy) -> Result<Self, StorageError> {
         let path = path.into();
@@ -728,53 +882,24 @@ impl AppendLogBackend {
                 std::fs::create_dir_all(parent).map_err(|e| io_err("create-dir", e))?;
             }
         }
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(&path)
             .map_err(|e| io_err("open", e))?;
-
-        // Replay. A zero header, or a torn or corrupt record, ends the
-        // valid prefix.
-        let mut raw = Vec::new();
-        file.read_to_end(&mut raw).map_err(|e| io_err("read", e))?;
-        let mut index = Index::default();
-        let mut valid = 0usize;
-        while raw.len() - valid >= REC_HEADER {
-            let body_len =
-                u32::from_le_bytes(raw[valid..valid + 4].try_into().expect("4 bytes")) as usize;
-            if body_len == 0 {
-                break; // the zero-filled rest of the last extent
-            }
-            let Some(total) = body_len.checked_add(REC_HEADER) else {
-                break;
-            };
-            if raw.len() - valid < total {
-                break; // torn tail: the final append did not land fully
-            }
-            let stored_crc =
-                u32::from_le_bytes(raw[valid + 4..valid + 8].try_into().expect("4 bytes"));
-            let body = &raw[valid + REC_HEADER..valid + total];
-            if crc32(body) != stored_crc {
-                break; // corrupt record: nothing after it can be trusted
-            }
-            let Some((id, block)) = parse_record(body) else {
-                break;
-            };
-            index.apply(id, block);
-            valid += total;
-        }
+        let file = Arc::new(file);
+        let len = file.metadata().map_err(|e| io_err("read", e))?.len();
+        let (index, valid, zero_tail) = replay(&file, len).map_err(|e| io_err("read", e))?;
         // Past the prefix: either zeros, kept as room for appends, or
         // the remains of a torn or corrupt append, truncated away so the
         // next append starts clean and nothing stale can follow it.
-        let mut allocated = raw.len() as u64;
-        if !is_zero(&raw[valid..]) {
-            file.set_len(valid as u64)
-                .map_err(|e| io_err("truncate", e))?;
+        let mut allocated = len;
+        if !zero_tail {
+            file.set_len(valid).map_err(|e| io_err("truncate", e))?;
             file.sync_data().map_err(|e| io_err("fsync", e))?;
-            allocated = valid as u64;
+            allocated = valid;
         }
 
         Ok(AppendLogBackend {
@@ -782,8 +907,8 @@ impl AppendLogBackend {
             policy,
             tail: Mutex::new(Tail {
                 file,
-                log_bytes: valid as u64,
-                synced_len: valid as u64,
+                log_bytes: valid,
+                synced_len: valid,
                 allocated,
                 failed: None,
             }),
@@ -830,50 +955,89 @@ impl AppendLogBackend {
         id: BlockId,
         block: Option<StoredBlock>,
     ) -> Result<(), StorageError> {
+        let at = tail.log_bytes;
         tail.write(&encode_record(id, block.as_ref()))?;
         if self.policy == FsyncPolicy::Always {
             tail.sync()?;
         }
-        let snapshot = {
+        // The payload now lives in the log; the index keeps the rest.
+        let entry = block.map(|mut block| Located {
+            payload: std::mem::take(block.payload_mut()).len(),
+            block,
+            file: Arc::clone(&tail.file),
+            at,
+            len: tail.log_bytes - at,
+        });
+        let live = {
             let mut index = self.index.lock();
-            index.apply(id, block);
+            index.apply(id, entry);
             let dead_dominate = tail.log_bytes > COMPACT_MIN_BYTES
                 && tail.log_bytes > COMPACT_RATIO * index.live_bytes.max(1);
-            // Refcount bumps only: the snapshot is encoded and written
-            // after the index lock is released.
-            dead_dominate.then(|| index.map.clone())
+            dead_dominate.then(|| {
+                index
+                    .map
+                    .iter()
+                    .map(|(&id, entry)| (id, entry.at, entry.len))
+                    .collect()
+            })
         };
-        match snapshot {
-            Some(live) => self.compact(tail, &live),
+        match live {
+            Some(live) => self.rewrite(tail, live),
             None => Ok(()),
         }
     }
 
-    /// Replaces the log with `live`, a snapshot of the index: the temp
-    /// file gets the records and then zeros up to the next extent
-    /// boundary, one sync covers both, then rename → fsync dir. From the
-    /// rename on, the new file *is* the log, so the tail switches to it
+    /// Replaces the log with a new file holding the records `keep` (id,
+    /// offset and length in the log) and no others: compaction keeps
+    /// every live record, `clear` none. The records are copied in offset
+    /// order, leaving out any that rotted (see the type's doc); the new
+    /// file gets them and then zeros up to the next extent boundary, one
+    /// sync covers both, then rename → fsync dir. From the rename on,
+    /// the new file *is* the log, so the index and the tail switch to it
     /// before the directory sync, and a failed directory sync poisons.
-    fn compact(
+    fn rewrite(
         &self,
         tail: &mut Tail,
-        live: &DetHashMap<BlockId, StoredBlock>,
+        mut keep: Vec<(BlockId, u64, u64)>,
     ) -> Result<(), StorageError> {
+        keep.sort_unstable_by_key(|&(_, at, _)| at);
         let tmp_path = self.path.with_extension("compact");
-        let tmp = File::create(&tmp_path).map_err(|e| io_err("compact-create", e))?;
-        let len = write_snapshot(&tmp, live).map_err(|e| io_err("compact-write", e))?;
+        let tmp = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp_path)
+            .map_err(|e| io_err("compact-create", e))?;
+        let (len, moved) =
+            copy_records(&tail.file, &tmp, &keep).map_err(|e| io_err("compact-write", e))?;
         let allocated = len.next_multiple_of(EXTENT);
         write_zeros(&tmp, len, allocated).map_err(|e| io_err("compact-write", e))?;
         tmp.sync_data().map_err(|e| io_err("compact-fsync", e))?;
         std::fs::rename(&tmp_path, &self.path).map_err(|e| io_err("compact-rename", e))?;
+        let file = Arc::new(tmp);
+        {
+            let mut index = self.index.lock();
+            let mut map = DetHashMap::default();
+            for (id, at) in moved {
+                if let Some(mut entry) = index.map.remove(&id) {
+                    entry.file = Arc::clone(&file);
+                    entry.at = at;
+                    map.insert(id, entry);
+                }
+            }
+            *index = Index {
+                map,
+                live_bytes: len,
+            };
+        }
         *tail = Tail {
-            file: tmp,
+            file,
             log_bytes: len,
             synced_len: len,
             allocated,
             failed: None,
         };
-        self.index.lock().live_bytes = len;
         // Make the rename itself durable. Swallowing this error would
         // let an acknowledged-durable log vanish with the directory
         // entry on power loss.
@@ -898,7 +1062,8 @@ impl Drop for AppendLogBackend {
 
 impl StorageBackend for AppendLogBackend {
     fn get(&self, id: BlockId) -> Result<Option<StoredBlock>, StorageError> {
-        Ok(self.index.lock().map.get(&id).cloned())
+        let entry = self.index.lock().map.get(&id).cloned();
+        entry.map(Located::read).transpose()
     }
 
     fn put(&self, id: BlockId, block: StoredBlock) -> Result<(), StorageError> {
@@ -917,8 +1082,17 @@ impl StorageBackend for AppendLogBackend {
     }
 
     fn scan(&self, visit: &mut dyn FnMut(BlockId, &StoredBlock)) -> Result<(), StorageError> {
-        for (id, block) in &self.index.lock().map {
-            visit(*id, block);
+        // The entries first, then their payloads, one at a time and
+        // without the index lock.
+        let entries: Vec<(BlockId, Located)> = self
+            .index
+            .lock()
+            .map
+            .iter()
+            .map(|(&id, entry)| (id, entry.clone()))
+            .collect();
+        for (id, entry) in entries {
+            visit(id, &entry.read()?);
         }
         Ok(())
     }
@@ -939,14 +1113,9 @@ impl StorageBackend for AppendLogBackend {
     fn clear(&self) -> Result<(), StorageError> {
         let mut tail = self.tail.lock();
         tail.usable()?;
-        tail.file
-            .set_len(0)
-            .map_err(|e| tail.poison("truncate", e))?;
-        tail.log_bytes = 0;
-        tail.allocated = 0;
-        tail.sync()?;
-        *self.index.lock() = Index::default();
-        Ok(())
+        // An empty log replaces this one; whoever holds an entry of it
+        // still reads the old file, whose records never change.
+        self.rewrite(&mut tail, Vec::new())
     }
 
     fn label(&self) -> &'static str {
@@ -1147,24 +1316,9 @@ impl FaultingBackend {
     /// served reply *claims* to be the requested block at its recorded
     /// version, only the bytes lie.
     fn with_bytes(block: &StoredBlock, bytes: Bytes) -> StoredBlock {
-        match block {
-            StoredBlock::Data { version, check, .. } => StoredBlock::Data {
-                version: *version,
-                bytes,
-                check: *check,
-            },
-            StoredBlock::Parity {
-                versions,
-                check,
-                checks,
-                ..
-            } => StoredBlock::Parity {
-                versions: versions.clone(),
-                bytes,
-                check: *check,
-                checks: checks.clone(),
-            },
-        }
+        let mut block = block.clone();
+        *block.payload_mut() = bytes;
+        block
     }
 }
 
@@ -1319,7 +1473,7 @@ pub fn default_backend(node_index: usize) -> Arc<dyn StorageBackend> {
 mod tests {
     use super::*;
     use crate::node::{NodeId, StorageNode};
-    use crate::rpc::{NodeError, Request};
+    use crate::rpc::{NodeError, Request, Response};
     use std::collections::BTreeMap;
 
     fn data(version: u64, payload: &[u8]) -> StoredBlock {
@@ -1351,8 +1505,8 @@ mod tests {
         }
     }
 
-    /// The two stores whose `put` installs into a resident map.
-    fn installing_backends(name: &str) -> [Box<dyn StorageBackend>; 2] {
+    /// The two stores a reader's block must survive a `put` on.
+    fn both_backends(name: &str) -> [Box<dyn StorageBackend>; 2] {
         let path = temp_log(name);
         let _ = std::fs::remove_file(&path);
         let log = AppendLogBackend::open_ephemeral(path, FsyncPolicy::Manual).unwrap();
@@ -1361,46 +1515,40 @@ mod tests {
 
     #[test]
     fn put_overwrites_a_uniquely_held_block_in_place() {
-        for b in installing_backends("in-place") {
-            b.put(1, data(0, b"first-payload")).unwrap();
-            b.put(
-                2,
-                StoredBlock::new_parity(vec![0, 0], Bytes::copy_from_slice(b"par0"), vec![1, 2]),
-            )
-            .unwrap();
-            let resident_data = payload_ptr(&b.get(1).unwrap().unwrap());
-            let resident_parity = payload_ptr(&b.get(2).unwrap().unwrap());
+        // Only the memory backend keeps a resident buffer to reuse.
+        let b = MemoryBackend::new();
+        b.put(1, data(0, b"first-payload")).unwrap();
+        b.put(
+            2,
+            StoredBlock::new_parity(vec![0, 0], Bytes::copy_from_slice(b"par0"), vec![1, 2]),
+        )
+        .unwrap();
+        let resident_data = payload_ptr(&b.get(1).unwrap().unwrap());
+        let resident_parity = payload_ptr(&b.get(2).unwrap().unwrap());
 
-            b.put(1, data(1, b"other-payload")).unwrap();
-            let parity =
-                StoredBlock::new_parity(vec![3, 0], Bytes::copy_from_slice(b"par1"), vec![]);
-            b.put(2, parity.clone()).unwrap();
+        b.put(1, data(1, b"other-payload")).unwrap();
+        let parity = StoredBlock::new_parity(vec![3, 0], Bytes::copy_from_slice(b"par1"), vec![]);
+        b.put(2, parity.clone()).unwrap();
 
-            let got = b.get(1).unwrap().unwrap();
-            assert_eq!(got, data(1, b"other-payload"), "{}", b.label());
-            assert!(got.self_check_ok());
-            assert_eq!(
-                payload_ptr(&got),
-                resident_data,
-                "{}: same buffer",
-                b.label()
-            );
-            let got = b.get(2).unwrap().unwrap();
-            assert_eq!(got, parity, "{}: vectors and stamp follow", b.label());
-            assert_eq!(payload_ptr(&got), resident_parity, "{}", b.label());
+        let got = b.get(1).unwrap().unwrap();
+        assert_eq!(got, data(1, b"other-payload"));
+        assert!(got.self_check_ok());
+        assert_eq!(payload_ptr(&got), resident_data, "same buffer");
+        let got = b.get(2).unwrap().unwrap();
+        assert_eq!(got, parity, "vectors and stamp follow");
+        assert_eq!(payload_ptr(&got), resident_parity);
 
-            // A different length cannot reuse the buffer; a kind change
-            // carries its own stamps either way.
-            b.put(1, data(2, b"longer-than-before")).unwrap();
-            assert_eq!(b.get(1), Ok(Some(data(2, b"longer-than-before"))));
-            b.put(2, data(0, b"data")).unwrap();
-            assert_eq!(b.get(2), Ok(Some(data(0, b"data"))));
-        }
+        // A different length cannot reuse the buffer; a kind change
+        // carries its own stamps either way.
+        b.put(1, data(2, b"longer-than-before")).unwrap();
+        assert_eq!(b.get(1), Ok(Some(data(2, b"longer-than-before"))));
+        b.put(2, data(0, b"data")).unwrap();
+        assert_eq!(b.get(2), Ok(Some(data(0, b"data"))));
     }
 
     #[test]
     fn put_leaves_a_readers_clone_untouched() {
-        for b in installing_backends("cow") {
+        for b in both_backends("cow") {
             b.put(1, data(0, b"being-sent")).unwrap();
             let reader = b.get(1).unwrap().unwrap();
             b.put(1, data(1, b"new-bytes!")).unwrap();
@@ -1570,7 +1718,7 @@ mod tests {
             // (EINVAL), so with the log handle swapped for it a clean
             // flush succeeds only by not syncing — and a dirty one fails.
             let null = OpenOptions::new().write(true).open("/dev/null").unwrap();
-            b.tail.lock().file = null;
+            b.tail.lock().file = Arc::new(null);
             b.flush().expect("clean log: no fsync issued");
             b.tail.lock().log_bytes += 1;
             assert!(b.flush().is_err(), "dirty log: the fsync is issued");
@@ -1721,6 +1869,164 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Puts `next()` until a put compacts the log.
+    fn put_until_compacted(b: &AppendLogBackend, mut next: impl FnMut() -> (BlockId, StoredBlock)) {
+        loop {
+            let before = b.log_len();
+            let (id, block) = next();
+            b.put(id, block).unwrap();
+            if b.log_len() < before {
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn applog_compaction_under_readers_serves_the_last_acknowledged_bytes() {
+        const BLOCKS: u64 = 4;
+        let path = temp_log("compact-readers");
+        let _ = std::fs::remove_file(&path);
+        let b = AppendLogBackend::open_ephemeral(&path, FsyncPolicy::Manual).unwrap();
+        let block =
+            |id: u64, v: u64| data(v, &[(id as u8) ^ (v as u8).wrapping_mul(29) ^ 0x5A; 8192]);
+        for id in 0..BLOCKS {
+            b.put(id, block(id, 0)).unwrap();
+        }
+
+        // An entry taken before a compaction still reads the file it was
+        // taken from, though its record is dead and the file unlinked.
+        let taken = b.index.lock().map[&0].clone();
+        let mut v = 0;
+        put_until_compacted(&b, || {
+            v += 1;
+            (v % BLOCKS, block(v % BLOCKS, v))
+        });
+        assert!(!Arc::ptr_eq(&taken.file, &b.tail.lock().file));
+        assert_eq!(taken.read(), Ok(block(0, 0)));
+
+        // A reader loops over every block while puts compact the log
+        // again and again: each read is the block at a version no older
+        // than the last one acknowledged before it, byte for byte.
+        let acked: Vec<AtomicU64> = (0..BLOCKS).map(|_| AtomicU64::new(0)).collect();
+        for id in 0..BLOCKS {
+            v += 1;
+            b.put(id, block(id, v)).unwrap();
+            acked[id as usize].store(v, Ordering::SeqCst);
+        }
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(2);
+        let (compactions, reads) = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                start.wait();
+                let mut reads = 0u64;
+                loop {
+                    let finished = done.load(Ordering::SeqCst);
+                    for id in 0..BLOCKS {
+                        let floor = acked[id as usize].load(Ordering::SeqCst);
+                        let got = b.get(id).unwrap().expect("stored");
+                        let StoredBlock::Data { version, .. } = got else {
+                            panic!("{got:?}");
+                        };
+                        assert!(version >= floor, "block {id}: v{version} < acked v{floor}");
+                        assert_eq!(got, block(id, version), "block {id}");
+                        reads += 1;
+                    }
+                    if finished {
+                        return reads;
+                    }
+                }
+            });
+            start.wait();
+            let mut compactions = 0;
+            for _ in 0..40 {
+                v += 1;
+                let id = v % BLOCKS;
+                let before = b.log_len();
+                b.put(id, block(id, v)).unwrap();
+                acked[id as usize].store(v, Ordering::SeqCst);
+                compactions += u32::from(b.log_len() < before);
+            }
+            done.store(true, Ordering::SeqCst);
+            (compactions, reader.join().unwrap())
+        });
+        assert!(compactions >= 3, "{compactions} compactions");
+        assert!(reads > BLOCKS);
+    }
+
+    /// Flips the last byte of `id`'s stored payload through a second
+    /// handle on the log file, as media rot would, while `b` stays open.
+    fn rot(b: &AppendLogBackend, id: BlockId) {
+        let at = {
+            let index = b.index.lock();
+            let entry = &index.map[&id];
+            entry.at + entry.len - 1
+        };
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(b.log_path())
+            .unwrap();
+        let mut byte = [0];
+        file.read_exact_at(&mut byte, at).unwrap();
+        file.write_all_at(&[byte[0] ^ 0x20], at).unwrap();
+    }
+
+    #[test]
+    fn applog_compaction_drops_a_rotten_record_instead_of_copying_it() {
+        let path = temp_log("rot-compact");
+        let _ = std::fs::remove_file(&path);
+        let payload = |id: u64| Bytes::from(vec![0x30 + id as u8; 4096]);
+        let open = || {
+            let b = Arc::new(AppendLogBackend::open(&path, FsyncPolicy::Manual).unwrap());
+            let node = StorageNode::builder(NodeId(0))
+                .backend(Arc::clone(&b) as Arc<dyn StorageBackend>)
+                .build();
+            (b, node)
+        };
+        let (b, node) = open();
+        for id in 1..=4 {
+            let init = Request::InitData {
+                id,
+                bytes: payload(id),
+            };
+            assert_eq!(node.handle(init), Ok(Response::Ack));
+        }
+        rot(&b, 2);
+        let read = |node: &StorageNode, id| node.handle(Request::ReadData { id });
+        assert_eq!(
+            read(&node, 2),
+            Err(NodeError::Corrupt),
+            "refused while live"
+        );
+
+        let mut v = 0;
+        put_until_compacted(&b, || {
+            v += 1;
+            (9, data(v, &[0x39; 4096]))
+        });
+        // Left out of the new log, the block is gone rather than rotten —
+        // for scrub to re-install — and every other block is intact, in
+        // the compacted log and after a replay of it.
+        let check = |node: &StorageNode, when: &str| {
+            assert_eq!(read(node, 2), Err(NodeError::NotFound), "{when}");
+            for id in [1, 3, 4] {
+                let want = Response::Data {
+                    bytes: payload(id),
+                    version: 0,
+                    check: tq_gf256::check::block_check(&payload(id)),
+                };
+                assert_eq!(read(node, id), Ok(want), "{when}: block {id}");
+            }
+        };
+        check(&node, "compacted");
+        drop(node);
+        drop(b);
+        let (_b, node) = open();
+        check(&node, "reopened");
+        drop(node);
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn applog_get_and_scan_return_while_the_tail_is_held() {
         let path = temp_log("two-locks");
@@ -1758,7 +2064,7 @@ mod tests {
         // swapped for it, the next put's write lands nowhere and its
         // sync fails.
         let null = OpenOptions::new().write(true).open("/dev/null").unwrap();
-        let real = std::mem::replace(&mut b.tail.lock().file, null);
+        let real = std::mem::replace(&mut b.tail.lock().file, Arc::new(null));
         let failed = b.put(2, data(0, b"lost"));
         assert!(
             matches!(failed, Err(StorageError::Io { op: "fsync", .. })),

@@ -69,7 +69,7 @@
 //! traffic pays for them.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -251,10 +251,32 @@ fn serve_connection(mut stream: TcpStream, node: Arc<dyn NodeApi>, shutdown: Arc
             return; // replies or garbage on the request path: drop the link
         };
         let reply = node.execute(env);
-        if stream.write_all(&wire::encode_reply(&reply)).is_err() {
+        if write_reply(&mut stream, &reply).is_err() {
             return;
         }
     }
+}
+
+/// Writes `reply` as its `wire::ReplyParts` in vectored writes, so a
+/// served payload goes to the socket from the buffer the node served it
+/// in: the kernel's copy is the only one.
+fn write_reply(stream: &mut TcpStream, reply: &Reply) -> io::Result<()> {
+    let parts = wire::encode_reply_parts(reply);
+    let mut slices = [
+        IoSlice::new(&parts.head),
+        IoSlice::new(parts.payload),
+        IoSlice::new(&parts.tail),
+    ];
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match stream.write_vectored(unsent) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------

@@ -27,7 +27,10 @@
 //! field in the returned [`Request`]/[`Response`] is a
 //! [`Bytes::slice`] sharing that allocation. The PR 5 zero-copy
 //! contract — one allocation per block payload, refcounted everywhere —
-//! survives serialization.
+//! survives serialization. Encoding a reply copies no payload either:
+//! `encode_reply_parts` splits the frame around the payload, which
+//! stays in the reply's own buffer, and the TCP server writes the parts
+//! with one vectored write.
 //!
 //! # Trailing extensions
 //!
@@ -556,39 +559,50 @@ fn encode_request_body(req: &Request, out: &mut Vec<u8>) {
     }
 }
 
-fn encode_response_body(resp: &Response, out: &mut Vec<u8>) {
+/// Encodes a response's fields around its payload: those before it into
+/// `head`, ending with the payload's length, and those after it into
+/// `tail`. Returns the payload, which is empty for a response without
+/// one.
+fn encode_response_body<'a>(
+    resp: &'a Response,
+    head: &mut Vec<u8>,
+    tail: &mut Vec<u8>,
+) -> &'a [u8] {
     match resp {
-        Response::Pong => out.push(tag::PONG),
-        Response::Ack => out.push(tag::ACK),
+        Response::Pong => head.push(tag::PONG),
+        Response::Ack => head.push(tag::ACK),
         Response::Data {
             bytes,
             version,
             check,
         } => {
-            out.push(tag::DATA);
-            put_u64(out, *version);
-            put_bytes(out, bytes);
-            put_ext_u64(out, tag::EXT_CHECK, *check);
+            head.push(tag::DATA);
+            put_u64(head, *version);
+            put_u32(head, bytes.len() as u32);
+            put_ext_u64(tail, tag::EXT_CHECK, *check);
+            return bytes;
         }
         Response::Parity {
             bytes,
             versions,
             checks,
         } => {
-            out.push(tag::PARITY);
-            put_versions(out, versions);
-            put_bytes(out, bytes);
-            put_ext_checks(out, checks);
+            head.push(tag::PARITY);
+            put_versions(head, versions);
+            put_u32(head, bytes.len() as u32);
+            put_ext_checks(tail, checks);
+            return bytes;
         }
         Response::Version(v) => {
-            out.push(tag::VERSION);
-            put_u64(out, *v);
+            head.push(tag::VERSION);
+            put_u64(head, *v);
         }
         Response::Versions(vs) => {
-            out.push(tag::VERSIONS);
-            put_versions(out, vs);
+            head.push(tag::VERSIONS);
+            put_versions(head, vs);
         }
     }
+    &[]
 }
 
 fn encode_error_body(err: &NodeError, out: &mut Vec<u8>) {
@@ -638,16 +652,16 @@ fn start_frame(variable: usize) -> Vec<u8> {
     frame
 }
 
-/// Writes the header over the room [`start_frame`] left, now that the
-/// body's length is known.
+/// Writes the header over the room [`start_frame`] left at the front of
+/// `frame`, now that the body's length is known.
 fn finish_frame(
     kind: FrameKind,
     flags: u16,
     op_id: OpId,
     round_epoch: u64,
-    mut frame: Vec<u8>,
-) -> Vec<u8> {
-    let body_len = frame.len() - HEADER_LEN;
+    frame: &mut [u8],
+    body_len: usize,
+) {
     debug_assert!(body_len <= MAX_BODY_LEN as usize, "body exceeds wire max");
     let header = Header {
         kind,
@@ -657,7 +671,6 @@ fn finish_frame(
         body_len: body_len as u32,
     };
     frame[..HEADER_LEN].copy_from_slice(&header.encode());
-    frame
 }
 
 /// Bytes of a request's variable-length fields, for [`start_frame`].
@@ -680,17 +693,15 @@ fn request_variable_len(req: &Request) -> usize {
     }
 }
 
-/// Bytes of a response's variable-length fields, for [`start_frame`].
+/// Bytes of a response's vector fields, for the [`start_frame`] of a
+/// reply's head (the payload travels apart from it).
 fn response_variable_len(resp: &Response) -> usize {
     match resp {
-        Response::Data { bytes, .. } => bytes.len(),
         Response::Parity {
-            bytes,
-            versions,
-            checks,
-        } => bytes.len() + 8 * (versions.len() + checks.len()),
+            versions, checks, ..
+        } => 8 * (versions.len() + checks.len()),
         Response::Versions(versions) => 8 * versions.len(),
-        Response::Pong | Response::Ack | Response::Version(_) => 0,
+        Response::Pong | Response::Ack | Response::Version(_) | Response::Data { .. } => 0,
     }
 }
 
@@ -702,23 +713,70 @@ pub fn encode_envelope(env: &Envelope) -> Vec<u8> {
         Lane::Foreground => 0,
         Lane::Background => FLAG_BACKGROUND,
     };
-    finish_frame(FrameKind::Request, flags, env.op_id, env.round_epoch, frame)
+    let body_len = frame.len() - HEADER_LEN;
+    finish_frame(
+        FrameKind::Request,
+        flags,
+        env.op_id,
+        env.round_epoch,
+        &mut frame,
+        body_len,
+    );
+    frame
 }
 
-/// Encodes a [`Reply`] into one complete frame (header + body).
-pub fn encode_reply(reply: &Reply) -> Vec<u8> {
-    let mut frame = start_frame(reply.result.as_ref().map_or(0, response_variable_len));
-    match &reply.result {
+/// A reply frame in the three parts a server writes with one vectored
+/// write, so that a served payload reaches the socket from the buffer
+/// it was served in: the header and the fields before the payload, the
+/// payload (empty for a reply without one), and the fields after it.
+/// [`encode_reply`] is their concatenation.
+#[derive(Debug)]
+pub(crate) struct ReplyParts<'a> {
+    /// Header, result tag and the fields up to the payload's length.
+    pub(crate) head: Vec<u8>,
+    /// The payload, borrowed from the reply.
+    pub(crate) payload: &'a [u8],
+    /// The trailing extension fields.
+    pub(crate) tail: Vec<u8>,
+}
+
+/// Encodes a [`Reply`] into its [`ReplyParts`], copying no payload byte.
+pub(crate) fn encode_reply_parts(reply: &Reply) -> ReplyParts<'_> {
+    let mut head = start_frame(reply.result.as_ref().map_or(0, response_variable_len));
+    let mut tail = Vec::new();
+    let payload = match &reply.result {
         Ok(resp) => {
-            frame.push(tag::RESULT_OK);
-            encode_response_body(resp, &mut frame);
+            head.push(tag::RESULT_OK);
+            encode_response_body(resp, &mut head, &mut tail)
         }
         Err(err) => {
-            frame.push(tag::RESULT_ERR);
-            encode_error_body(err, &mut frame);
+            head.push(tag::RESULT_ERR);
+            encode_error_body(err, &mut head);
+            &[]
         }
+    };
+    let body_len = head.len() - HEADER_LEN + payload.len() + tail.len();
+    finish_frame(
+        FrameKind::Reply,
+        0,
+        reply.op_id,
+        reply.round_epoch,
+        &mut head,
+        body_len,
+    );
+    ReplyParts {
+        head,
+        payload,
+        tail,
     }
-    finish_frame(FrameKind::Reply, 0, reply.op_id, reply.round_epoch, frame)
+}
+
+/// Encodes a [`Reply`] into one complete frame (header + body): the
+/// three parts the TCP server writes, concatenated into one buffer of
+/// the frame's size.
+pub fn encode_reply(reply: &Reply) -> Vec<u8> {
+    let parts = encode_reply_parts(reply);
+    [&parts.head[..], parts.payload, &parts.tail[..]].concat()
 }
 
 // ---------------------------------------------------------------------
@@ -1244,10 +1302,114 @@ mod tests {
             },
             Response::Versions(words),
         ];
+        // A reply's payload travels apart from its head, and the whole
+        // frame is one buffer of its exact size.
         for resp in responses {
             let reserved = start_frame(response_variable_len(&resp)).capacity();
-            let frame = encode_reply(&Reply::to(&Envelope::new(Request::Ping), Ok(resp)));
-            assert_eq!(frame.capacity(), reserved, "{} bytes", frame.len());
+            let reply = Reply::to(&Envelope::new(Request::Ping), Ok(resp));
+            let head = encode_reply_parts(&reply).head;
+            assert_eq!(head.capacity(), reserved, "{} bytes", head.len());
+            let frame = encode_reply(&reply);
+            assert_eq!(frame.capacity(), frame.len());
+        }
+    }
+
+    #[test]
+    fn reply_parts_concatenate_to_the_frame_for_every_variant() {
+        let payload = Bytes::from(vec![0xC3; 100]);
+        let responses = [
+            Response::Pong,
+            Response::Ack,
+            Response::Data {
+                bytes: payload.clone(),
+                version: 1,
+                check: 2,
+            },
+            Response::Parity {
+                bytes: payload.clone(),
+                versions: vec![3, 4],
+                checks: vec![5, 6],
+            },
+            Response::Parity {
+                bytes: payload.clone(),
+                versions: vec![3, 4],
+                checks: vec![],
+            },
+            Response::Version(7),
+            Response::Versions(vec![8, 9]),
+        ];
+        let errors = [
+            NodeError::Down,
+            NodeError::NotFound,
+            NodeError::WrongKind,
+            NodeError::VersionConflict {
+                expected: 1,
+                actual: 2,
+            },
+            NodeError::VectorConflict {
+                index: 0,
+                got: 1,
+                stored: 2,
+            },
+            NodeError::SizeMismatch { stored: 3, got: 4 },
+            NodeError::BadBlockIndex { index: 5, k: 6 },
+            NodeError::TimedOut,
+            NodeError::Corrupt,
+            NodeError::TransportClosed,
+            NodeError::Overloaded,
+        ];
+        // Exhaustive matches: a new variant does not compile until it is
+        // listed above.
+        for resp in &responses {
+            match resp {
+                Response::Pong
+                | Response::Ack
+                | Response::Data { .. }
+                | Response::Parity { .. }
+                | Response::Version(_)
+                | Response::Versions(_) => {}
+            }
+        }
+        for err in &errors {
+            match err {
+                NodeError::Down
+                | NodeError::NotFound
+                | NodeError::WrongKind
+                | NodeError::VersionConflict { .. }
+                | NodeError::VectorConflict { .. }
+                | NodeError::SizeMismatch { .. }
+                | NodeError::BadBlockIndex { .. }
+                | NodeError::TimedOut
+                | NodeError::Corrupt
+                | NodeError::TransportClosed
+                | NodeError::Overloaded => {}
+            }
+        }
+        let results = responses
+            .into_iter()
+            .map(Ok)
+            .chain(errors.into_iter().map(Err));
+        for result in results {
+            let reply = Reply {
+                op_id: OpId(0x0A0B_0C0D),
+                round_epoch: 4,
+                result,
+            };
+            let parts = encode_reply_parts(&reply);
+            let joined = [&parts.head[..], parts.payload, &parts.tail[..]].concat();
+            assert_eq!(joined, encode_reply(&reply), "{reply:?}");
+            match &reply.result {
+                // The payload part is the reply's own buffer, not a copy.
+                Ok(Response::Data { bytes, .. } | Response::Parity { bytes, .. }) => {
+                    assert_eq!(parts.payload.as_ptr(), bytes.as_ptr());
+                    assert_eq!(parts.payload.len(), bytes.len());
+                }
+                _ => assert!(parts.payload.is_empty() && parts.tail.is_empty()),
+            }
+            match decode_frame(&Bytes::from(joined)).expect("decodes") {
+                (Frame::Reply(r), _) => assert_eq!(r, reply),
+                (other, _) => panic!("{other:?}"),
+            }
         }
     }
 
@@ -1519,7 +1681,8 @@ mod tests {
         body.extend_from_slice(&[1, 2, 3]);
         let mut frame = start_frame(body.len());
         frame.extend_from_slice(&body);
-        let wire = Bytes::from(finish_frame(FrameKind::Reply, 0, OpId(11), 0, frame));
+        finish_frame(FrameKind::Reply, 0, OpId(11), 0, &mut frame, body.len());
+        let wire = Bytes::from(frame);
         let (frame, _) = decode_frame(&wire).expect("legacy frame decodes");
         match frame {
             Frame::Reply(r) => assert_eq!(

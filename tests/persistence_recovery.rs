@@ -21,13 +21,14 @@
 
 use std::fs::OpenOptions;
 use std::io::Write as _;
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use trapezoid_quorum::cluster::{
-    AppendLogBackend, Envelope, FsyncPolicy, NodeApi, NodeId, Request, Response, StorageBackend,
-    StorageNode, StoredBlock,
+    AppendLogBackend, Envelope, FsyncPolicy, NodeApi, NodeError, NodeId, Request, Response,
+    StorageBackend, StorageNode, StoredBlock,
 };
 use trapezoid_quorum::sim::dst::HistoryChecker;
 
@@ -249,6 +250,81 @@ fn on_disk_bit_flip_is_caught_by_record_checksums() {
         "block 2 heals by rewrite"
     );
 
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Silent media rot under a *live* node: flip one payload byte through a
+/// second handle on the log file while the backend stays open. The node
+/// reads each payload back from the log, so its self-check sees the rot
+/// at once — no restart, no replay — and neither serves the block nor
+/// folds a delta into it.
+#[test]
+fn rot_under_a_live_node_is_refused() {
+    let path = log_path("live-rot");
+    let backend =
+        Arc::new(AppendLogBackend::open(&path, FsyncPolicy::Always).expect("open log backend"));
+    let node = StorageNode::builder(NodeId(0))
+        .backend(backend.clone())
+        .build();
+    // A payload is the last bytes of its record.
+    let mut last_payload_byte = Vec::new();
+    ack(
+        &node,
+        Request::InitData {
+            id: 1,
+            bytes: Bytes::from(vec![0x11; 64]),
+        },
+    );
+    last_payload_byte.push(backend.log_len() - 1);
+    ack(
+        &node,
+        Request::InitParity {
+            id: 2,
+            bytes: Bytes::from(vec![0x22; 64]),
+            k: 2,
+            checks: vec![0x1111, 0x2222],
+        },
+    );
+    last_payload_byte.push(backend.log_len() - 1);
+
+    let disk = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(&path)
+        .expect("second handle on the log");
+    for at in last_payload_byte {
+        let mut byte = [0];
+        disk.read_exact_at(&mut byte, at)
+            .expect("read payload byte");
+        disk.write_all_at(&[byte[0] ^ 0x40], at)
+            .expect("flip payload byte");
+    }
+
+    let result = |req| node.execute(Envelope::new(req)).result;
+    assert_eq!(result(Request::ReadData { id: 1 }), Err(NodeError::Corrupt));
+    assert_eq!(
+        result(Request::ReadParity { id: 2 }),
+        Err(NodeError::Corrupt)
+    );
+    let log_len = backend.log_len();
+    let fold = Request::AddParity {
+        id: 2,
+        block_index: 0,
+        delta: Bytes::from(vec![0x05; 64]),
+        expected_version: 0,
+        new_version: 1,
+        coeff: 0x53,
+        new_check: Some(0x3333),
+    };
+    assert_eq!(result(fold), Err(NodeError::Corrupt));
+    assert_eq!(
+        backend.log_len(),
+        log_len,
+        "nothing folded, nothing appended"
+    );
+
+    drop(node);
+    drop(backend);
     let _ = std::fs::remove_file(&path);
 }
 
