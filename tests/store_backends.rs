@@ -314,3 +314,74 @@ fn batch_failures_are_per_item() {
         }
     }
 }
+
+/// What `node` stores for `addr`, read straight off the node: a replica
+/// may hold the block as data or as a parity block of a one-block stripe
+/// (whose every version vector has one entry).
+fn stored_on(cluster: &Cluster, node: usize, addr: BlockAddr) -> (Vec<u8>, u64) {
+    use trapezoid_quorum::cluster::{Envelope, NodeApi, Request, Response};
+    use trapezoid_quorum::protocol::store::OBJECTS_PER_STRIPE;
+    let id = addr.stripe * OBJECTS_PER_STRIPE + addr.block as u64;
+    let ask = |req| cluster.node(node).execute(Envelope::new(req)).result;
+    match ask(Request::ReadData { id }) {
+        Ok(Response::Data { bytes, version, .. }) => (bytes.to_vec(), version),
+        _ => match ask(Request::ReadParity { id }) {
+            Ok(Response::Parity {
+                bytes, versions, ..
+            }) if versions.len() == 1 => (bytes.to_vec(), versions[0]),
+            other => panic!("node {node} holds no replica of {addr:?}: {other:?}"),
+        },
+    }
+}
+
+/// History across writes: a replica that is down for one write and up
+/// for the next takes the next one — bytes and version — on every
+/// replication backend. (A TRAP-ERC parity node that missed a write
+/// refuses later deltas until a scrub; replicas must not.)
+#[test]
+fn a_replica_that_missed_a_write_takes_the_next() {
+    const REPLICA: usize = 5;
+    for (name, store, cluster) in backends() {
+        if name == "trap-erc" {
+            continue;
+        }
+        let addr = BlockAddr::new(STRIPE, 2);
+        let initial: Vec<Vec<u8>> = (0..K).map(|b| payload(b, 0)).collect();
+        store.create(STRIPE, initial).unwrap();
+        cluster.kill(REPLICA);
+        let first = store.write(addr, &payload(2, 1));
+        // ROWA needs every replica, so its first write fails (leaving
+        // residue on the live ones); the quorum backends commit.
+        assert_eq!(first.is_ok(), name != "rowa", "{name}: {first:?}");
+        cluster.revive(REPLICA);
+        let second = store
+            .write(addr, &payload(2, 2))
+            .unwrap_or_else(|e| panic!("{name}: second write failed: {e}"));
+        assert!(second.validated.contains(&REPLICA), "{name}: {second:?}");
+        assert_eq!(
+            stored_on(&cluster, REPLICA, addr),
+            (payload(2, 2), second.version),
+            "{name}: the replica holds the second write"
+        );
+    }
+}
+
+/// Majority on an even replica count reads from ⌊m/2⌋ + 1 replicas, not
+/// from the m − w + 1 a trapezoid level would ask.
+#[test]
+fn majority_on_four_replicas_reads_with_a_quorum_of_three() {
+    use trapezoid_quorum::LocalTransport;
+    let cluster = Cluster::new(4);
+    let store = Store::majority(4)
+        .transport(LocalTransport::new(cluster.clone()))
+        .build()
+        .unwrap();
+    store.create(STRIPE, vec![payload(0, 0)]).unwrap();
+    let addr = BlockAddr::new(STRIPE, 0);
+    let out = store.read(addr).unwrap();
+    assert_eq!(out.report.messages(), 3, "a healthy read asks three");
+    cluster.kill(2);
+    assert!(store.read(addr).is_ok(), "three of four answer");
+    cluster.kill(3);
+    assert!(store.read(addr).is_err(), "two of four are no quorum");
+}
