@@ -13,7 +13,6 @@
 //! | `fig5_storage_space` | Fig. 5 rows | stripe provisioning + storage accounting |
 //! | `gf256_ops` | — | GF(2⁸) slice kernels |
 //! | `erasure_coding` | — | encode / decode / reconstruct / delta |
-//! | `protocol_ops` | — | read/write latency: TRAP-ERC vs TRAP-FR vs Majority vs ROWA |
 //! | `ablation_delta_update` | §I update-cost claim | delta update vs naive re-encode |
 
 use tq_cluster::{Cluster, LocalTransport};

@@ -1,609 +1,300 @@
-//! Replication-control baselines from §II: ROWA and Majority quorum.
+//! The replication baselines — TRAP-FR (§IV), ROWA and Majority (§II) —
+//! as TRAP-ERC over an `(m, 1)` code.
 //!
-//! Both manage fully-replicated objects over `n` nodes; they exist so
-//! the benches can place the trapezoid protocols on the availability
-//! spectrum the paper sketches (ROWA: perfect reads / fragile writes;
-//! Majority: balanced; trapezoid: tunable between them).
+//! With `k = 1` every parity block is a scaled copy of the one data block
+//! and a decode reads one shard, so full replication on `m` nodes *is*
+//! [`TrapErcClient`] over an `(m, 1)` stripe ("Monotone Erasure Codes":
+//! replication is the `k = 1` point of the same access structure). Each
+//! baseline is only a configuration of that client:
 //!
-//! Every replication protocol here is a list of *levels* — a node range
-//! with a read threshold and a write threshold — walked by the one read
-//! walk and the one write walk of the crate-internal `ReplicaSet`: ROWA
-//! is the single level `(r, w) = (1, n)` whose poll asks for the data
-//! itself, Majority the single level `(⌊n/2⌋+1, ⌊n/2⌋+1)`, and TRAP-FR
-//! ([`crate::TrapFrClient`]) the trapezoid's `h + 1` levels. A single
-//! op is a batch of one. All populate the unified [`ReadOutcome`] fully
-//! (quorum-time version, path, round accounting), so cross-protocol
-//! assertions through [`QuorumStore`](crate::store::QuorumStore) are
-//! possible.
+//! * **TRAP-FR** — the paper's trapezoid over `m = n − k + 1` full
+//!   replicas, with the same shape and thresholds as the `(n, k)` TRAP-ERC
+//!   deployment it is compared against;
+//! * **ROWA** — one level of `m` nodes with `w_0 = m`, so `r_0 = 1`;
+//! * **Majority** — one level of `m` nodes with `w_0 = ⌊m/2⌋ + 1` and a
+//!   read floor of `⌊m/2⌋ + 1` (on an even `m` the level's own
+//!   `m − w_0 + 1` would read one replica short of a majority).
+//!
+//! Every baseline therefore has TRAP-ERC's read plan, write walk,
+//! cross-check integrity, scrub and node rebuild. [`Replicated`] keeps the
+//! replication backends' flattened object namespace on top: each
+//! [`BlockAddr`] is an object of its own, stored as a one-block stripe
+//! whose id is [`replicated_object_id`].
 
 use std::collections::BTreeSet;
-use std::ops::Range;
 
-use bytes::Bytes;
-use tq_cluster::{NodeError, NodeId, PlanOp, QuorumRound, Request, Response, Transport};
+use tq_cluster::{NodeError, Transport};
+use tq_erasure::CodeParams;
+use tq_quorum::trapezoid::{TrapezoidShape, WriteThresholds};
 
+use crate::config::ProtocolConfig;
 use crate::errors::ProtocolError;
-use crate::rounds::{self, run_fused, run_recorded, Writing};
-use crate::store::{BatchReads, BatchWrites, OpReport, OBJECTS_PER_STRIPE};
-use crate::trap_erc::{ReadOutcome, ReadPath, ScrubReport, WriteOutcome};
+use crate::recovery::RebuildReport;
+use crate::store::{
+    replicated_object_id, BatchReads, BatchWrite, BatchWrites, BlockAddr, OpReport, QuorumStore,
+    StoreInfo, OBJECTS_PER_STRIPE,
+};
+use crate::trap_erc::{ReadOutcome, ScrubReport, TrapErcClient, WriteOutcome};
 
-/// One level of a replicated layout: the nodes holding a full copy and
-/// how many of them a version check (`r`) and a write (`w`) need.
-#[derive(Debug, Clone)]
-pub(crate) struct ReplicaLevel {
-    pub members: Range<usize>,
-    pub r: usize,
-    pub w: usize,
+/// TRAP-FR for an `(n, k)` comparison: the trapezoid over
+/// `m = n − k + 1` replicas (eq. 5), storing `m` blocks per data block
+/// (eq. 14).
+pub(crate) fn trap_fr(
+    n: usize,
+    k: usize,
+    shape: TrapezoidShape,
+    thresholds: WriteThresholds,
+) -> Result<(ProtocolConfig, StoreInfo), ProtocolError> {
+    let m = (n + 1)
+        .checked_sub(k)
+        .filter(|&m| m >= 1)
+        .ok_or(ProtocolError::Misconfigured(
+            "stripe k exceeds n (no trapezoid of n - k + 1 nodes exists)",
+        ))?;
+    let params = CodeParams::new(m, 1).map_err(ProtocolError::Params)?;
+    let info = StoreInfo {
+        protocol: "trap-fr",
+        nodes: m,
+        n,
+        k,
+        stripe_width: None,
+        shape: Some((shape.a(), shape.b(), shape.h())),
+        storage_overhead: m as f64,
+        erasure_coded: false,
+    };
+    Ok((ProtocolConfig::new(params, shape, thresholds)?, info))
 }
 
-/// The replica scaffolding ROWA, Majority and TRAP-FR share: `n` full
-/// replicas on one transport organised in levels, provisioning, the
-/// read walk, the write walk and the anti-entropy pass.
+/// Read One, Write All over `m` replicas.
+pub(crate) fn rowa(m: usize) -> Result<(ProtocolConfig, StoreInfo), ProtocolError> {
+    one_level("rowa", m, m, 1)
+}
+
+/// Majority quorum consensus (Thomas 1979) over `m` replicas.
+pub(crate) fn majority(m: usize) -> Result<(ProtocolConfig, StoreInfo), ProtocolError> {
+    one_level("majority", m, m / 2 + 1, m / 2 + 1)
+}
+
+/// One level of `m` replicas writing to `w` and reading from at least
+/// `read_floor`.
+fn one_level(
+    protocol: &'static str,
+    m: usize,
+    w: usize,
+    read_floor: usize,
+) -> Result<(ProtocolConfig, StoreInfo), ProtocolError> {
+    if m == 0 {
+        // No replica to bind a transport to.
+        return Err(ProtocolError::Node(NodeError::TransportClosed));
+    }
+    let params = CodeParams::new(m, 1).map_err(ProtocolError::Params)?;
+    let shape = TrapezoidShape::new(0, m, 0).map_err(ProtocolError::Shape)?;
+    let thresholds = WriteThresholds::new(&shape, vec![w]).map_err(ProtocolError::Shape)?;
+    let config = ProtocolConfig::new(params, shape, thresholds)?.with_read_floor(read_floor);
+    let info = StoreInfo {
+        protocol,
+        nodes: m,
+        n: m,
+        k: 1,
+        stripe_width: None,
+        shape: None,
+        storage_overhead: m as f64,
+        erasure_coded: false,
+    };
+    Ok((config, info))
+}
+
+/// A replication backend: the `(m, 1)` client behind the flattened
+/// object namespace, labelled as the baseline it configures.
 #[derive(Debug)]
-pub(crate) struct ReplicaSet<T: Transport> {
-    pub n: usize,
-    levels: Vec<ReplicaLevel>,
-    /// What a level's version check asks each member but the first,
-    /// which is always asked for the data (`ReadData` states the
-    /// version too). `VersionData` for the quorum protocols; ROWA asks
-    /// everyone `ReadData`, whose answer already *is* the read (its
-    /// defining one-RPC cost).
-    poll: fn(u64) -> Request,
-    pub transport: T,
+pub(crate) struct Replicated<T: Transport> {
+    client: TrapErcClient<T>,
+    info: StoreInfo,
 }
 
-pub(crate) fn poll_version(id: u64) -> Request {
-    Request::VersionData { id }
-}
-
-fn poll_data(id: u64) -> Request {
-    Request::ReadData { id }
-}
-
-impl<T: Transport> ReplicaSet<T> {
+impl<T: Transport> Replicated<T> {
     pub(crate) fn new(
-        n: usize,
-        levels: Vec<ReplicaLevel>,
-        poll: fn(u64) -> Request,
+        (config, info): (ProtocolConfig, StoreInfo),
         transport: T,
     ) -> Result<Self, ProtocolError> {
-        if transport.node_count() < n || n == 0 {
-            return Err(ProtocolError::Node(NodeError::TransportClosed));
-        }
-        Ok(ReplicaSet {
-            n,
-            levels,
-            poll,
-            transport,
+        Ok(Replicated {
+            client: TrapErcClient::new(config, transport)?,
+            info,
         })
     }
 
-    /// Installs many objects everywhere in one fused fan-out round (one
-    /// object is a batch of one).
-    pub(crate) fn create_many(&self, items: &[(u64, &[u8])]) -> Result<OpReport, ProtocolError> {
-        let mut report = OpReport::default();
-        rounds::provision_many(&self.transport, self.n, items, &mut report)?;
-        Ok(report)
-    }
-
-    /// **The read walk.** Per level, one fused first-quorum poll carries
-    /// every unresolved object's version check, asking the level's first
-    /// member for the data and the rest what the protocol polls; an
-    /// object whose check completes is served from a polled replica
-    /// holding the latest version ("any node giving the adequate latest
-    /// version ... can be used") — straight from the poll when a holder
-    /// was asked for the data (the healthy read: one round), otherwise
-    /// by fused fetch rounds, one per holder rank, until a holder
-    /// delivers. If every latest holder died between the poll
-    /// and the fetch, the level counts as failed and the object moves on
-    /// to the next one — restarting from level 0 would only re-poll
-    /// levels already known to be short or holderless.
-    pub(crate) fn read_many(&self, ids: &[u64]) -> BatchReads {
-        let mut report = OpReport::default();
-        let mut served: Vec<Option<ReadOutcome>> = vec![None; ids.len()];
-        let mut saw_not_found = vec![false; ids.len()];
-        let mut saw_success = vec![false; ids.len()];
-        for (l, level) in self.levels.iter().enumerate() {
-            let pending: Vec<usize> = (0..ids.len()).filter(|&x| served[x].is_none()).collect();
-            if pending.is_empty() {
-                break;
-            }
-            let ops: Vec<PlanOp> = pending
-                .iter()
-                .map(|&x| PlanOp {
-                    round: QuorumRound::first_quorum(level.r),
-                    calls: level
-                        .members
-                        .clone()
-                        .map(|pos| {
-                            let req = if pos == level.members.start {
-                                Request::ReadData { id: ids[x] }
-                            } else {
-                                (self.poll)(ids[x])
-                            };
-                            (NodeId(pos), req)
-                        })
-                        .collect(),
-                })
-                .collect();
-            let polls = run_fused(&self.transport, Some(l), ops, &mut report);
-            // (object, quorum-time latest, replicas known to hold it)
-            let mut fetch: Vec<(usize, u64, Vec<usize>)> = Vec::new();
-            for (&x, poll) in pending.iter().zip(&polls) {
-                saw_not_found[x] |= poll.saw_error(|e| matches!(e, NodeError::NotFound));
-                saw_success[x] |= !poll.accepted.is_empty();
-                if !poll.quorum_met() {
-                    continue;
-                }
-                let version_of = |r: &Response| match r {
-                    Response::Version(v) | Response::Data { version: v, .. } => Some(*v),
-                    _ => None,
-                };
-                let Some(latest) = poll
-                    .accepted
-                    .iter()
-                    .filter_map(|a| version_of(&a.response))
-                    .max()
-                else {
-                    continue;
-                };
-                let holders = poll
-                    .accepted
-                    .iter()
-                    .filter(|a| version_of(&a.response) == Some(latest));
-                served[x] = holders.clone().find_map(|a| direct(&a.response, latest));
-                if served[x].is_none() {
-                    fetch.push((x, latest, holders.map(|a| a.node.0).collect()));
-                }
-            }
-            for rank in 0..level.members.len() {
-                fetch.retain(|(x, _, holders)| served[*x].is_none() && rank < holders.len());
-                if fetch.is_empty() {
-                    break;
-                }
-                let ops: Vec<PlanOp> = fetch
-                    .iter()
-                    .map(|(x, _, holders)| PlanOp {
-                        round: QuorumRound::await_all(0),
-                        calls: vec![(NodeId(holders[rank]), Request::ReadData { id: ids[*x] })],
-                    })
-                    .collect();
-                let fetched = run_fused(&self.transport, None, ops, &mut report);
-                for ((x, latest, _), outcome) in fetch.iter().zip(&fetched) {
-                    served[*x] = outcome
-                        .accepted
-                        .first()
-                        .and_then(|a| direct(&a.response, *latest));
-                }
-            }
-        }
-        BatchReads {
-            outcomes: served
-                .into_iter()
-                .enumerate()
-                .map(|(x, out)| {
-                    // A stripe no contacted node knows is missing;
-                    // anything else is a failed version check.
-                    out.ok_or(if saw_not_found[x] && !saw_success[x] {
-                        ProtocolError::StripeMissing
-                    } else {
-                        ProtocolError::VersionCheckFailed
-                    })
-                })
-                .collect(),
-            report,
-        }
-    }
-
-    /// **The write walk.** One fused version-discovery pass through the
-    /// read walk, then every object's `WriteData` scatter fused into one
-    /// graded round per level. Ids must be distinct.
-    ///
-    /// The per-replica `WriteData` is monotone (compare-and-advance on
-    /// version), so the write is safe under at-least-once delivery: a
-    /// duplicated or cross-round-stale copy of any level's install acks
-    /// idempotently on a replica that has since moved on, instead of
-    /// rolling it back.
-    pub(crate) fn write_many(&self, items: &[(u64, &[u8])]) -> BatchWrites {
-        let mut results: Vec<Option<Result<WriteOutcome, ProtocolError>>> = vec![None; items.len()];
-        rounds::flag_duplicates(items.iter().map(|&(id, _)| id), &mut results);
-        let read_idx: Vec<usize> = (0..items.len())
-            .filter(|&idx| results[idx].is_none())
-            .collect();
-        let ids: Vec<u64> = read_idx.iter().map(|&idx| items[idx].0).collect();
-        let reads = self.read_many(&ids);
-        let mut olds: Vec<(usize, u64)> = Vec::with_capacity(read_idx.len());
-        for (&idx, old) in read_idx.iter().zip(reads.outcomes) {
-            match old {
-                Ok(old) => olds.push((idx, old.version)),
-                Err(e) => results[idx] = Some(Err(ProtocolError::OldValueUnreadable(Box::new(e)))),
-            }
-        }
-        self.write_levels(items, &olds, results, reads.report)
-    }
-
-    /// The write walk with the current versions in hand: `olds` pairs a
-    /// position in `items` with that object's old version.
-    pub(crate) fn write_levels(
+    /// The objects of `stripe` in block order, up to the first that was
+    /// never created (`StripeMissing`), each through `op`.
+    fn each_object<R>(
         &self,
-        items: &[(u64, &[u8])],
-        olds: &[(usize, u64)],
-        results: Vec<Option<Result<WriteOutcome, ProtocolError>>>,
-        report: OpReport,
-    ) -> BatchWrites {
-        let alive: Vec<Writing<Bytes>> = olds
+        stripe: u64,
+        mut op: impl FnMut(u64) -> Result<R, ProtocolError>,
+    ) -> Result<Vec<R>, ProtocolError> {
+        let mut done = Vec::new();
+        for block in 0..OBJECTS_PER_STRIPE as usize {
+            match op(replicated_object_id(BlockAddr::new(stripe, block))?) {
+                Ok(r) => done.push(r),
+                Err(ProtocolError::StripeMissing) => break,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(done)
+    }
+}
+
+/// The object's one-block stripe.
+fn object(addr: BlockAddr) -> Result<BlockAddr, ProtocolError> {
+    Ok(BlockAddr::new(replicated_object_id(addr)?, 0))
+}
+
+impl<T: Transport> QuorumStore for Replicated<T> {
+    fn info(&self) -> StoreInfo {
+        self.info.clone()
+    }
+
+    fn create(&self, stripe: u64, blocks: Vec<Vec<u8>>) -> Result<OpReport, ProtocolError> {
+        let stripes = blocks
+            .into_iter()
+            .enumerate()
+            .map(|(block, bytes)| Ok((object(BlockAddr::new(stripe, block))?.stripe, vec![bytes])))
+            .collect::<Result<_, ProtocolError>>()?;
+        self.client.create_stripes(stripes)
+    }
+
+    fn read(&self, addr: BlockAddr) -> Result<ReadOutcome, ProtocolError> {
+        self.client.read_blocks(&[object(addr)?]).into_single()
+    }
+
+    fn write(&self, addr: BlockAddr, new: &[u8]) -> Result<WriteOutcome, ProtocolError> {
+        self.client
+            .write_blocks(&[BatchWrite::new(object(addr)?, new)])
+            .into_single()
+    }
+
+    /// Invalid addresses fail *per item*, as on the erasure backend; the
+    /// valid remainder runs as one fused batch.
+    fn read_batch(&self, addrs: &[BlockAddr]) -> BatchReads {
+        let mapped: Vec<_> = addrs.iter().map(|&a| object(a)).collect();
+        let valid: Vec<BlockAddr> = mapped.iter().filter_map(|r| r.clone().ok()).collect();
+        let batch = self.client.read_blocks(&valid);
+        BatchReads {
+            outcomes: per_item(mapped, batch.outcomes),
+            report: batch.report,
+        }
+    }
+
+    /// See [`Replicated::read_batch`] for the per-item error convention.
+    fn write_batch(&self, items: &[BatchWrite<'_>]) -> BatchWrites {
+        let mapped: Vec<_> = items.iter().map(|it| object(it.addr)).collect();
+        let valid: Vec<BatchWrite<'_>> = mapped
             .iter()
-            .map(|&(idx, old_version)| Writing {
-                idx,
-                version: old_version + 1,
-                // One shared allocation per object; per-replica clones
-                // are O(1) Arc bumps.
-                payload: Bytes::copy_from_slice(items[idx].1),
-                validated: Vec::new(),
-            })
+            .zip(items)
+            .filter_map(|(r, it)| r.clone().ok().map(|addr| BatchWrite::new(addr, it.bytes)))
             .collect();
-        rounds::write_levels(
-            &self.transport,
-            self.levels.len(),
-            alive,
-            |w, l| {
-                let level = &self.levels[l];
-                let calls = rounds::write_calls(
-                    level.members.clone(),
-                    items[w.idx].0,
-                    &w.payload,
-                    w.version,
-                );
-                (level.w, calls)
-            },
-            results,
+        let batch = self.client.write_blocks(&valid);
+        BatchWrites {
+            outcomes: per_item(mapped, batch.outcomes),
+            report: batch.report,
+        }
+    }
+
+    /// The TRAP-ERC scrub of every object of the stripe: `refreshed`
+    /// lists the nodes every object's push reached, `salvaged` the
+    /// objects (by block index) whose settle superseded residue.
+    fn scrub(&self, stripe: u64) -> Result<ScrubReport, ProtocolError> {
+        let scrubs = self.each_object(stripe, |id| self.client.scrub_stripe(id))?;
+        let mut refreshed: Option<BTreeSet<usize>> = None;
+        let (mut salvaged, mut corrupt, mut report) = (Vec::new(), Vec::new(), OpReport::default());
+        for (block, scrub) in scrubs.into_iter().enumerate() {
+            let acked: BTreeSet<usize> = scrub.refreshed.into_iter().collect();
+            refreshed = Some(match refreshed {
+                None => acked,
+                Some(prev) => prev.intersection(&acked).copied().collect(),
+            });
+            if !scrub.salvaged.is_empty() {
+                salvaged.push(block);
+            }
+            corrupt.extend(scrub.corrupt);
+            report.merge_from(scrub.report);
+        }
+        corrupt.sort_unstable();
+        corrupt.dedup();
+        Ok(ScrubReport {
+            refreshed: refreshed.unwrap_or_default().into_iter().collect(),
+            salvaged,
+            corrupt,
             report,
-        )
-    }
-}
-
-/// A `ReadData` answer at (or past) the quorum-time latest version, as
-/// the read's outcome.
-fn direct(response: &Response, latest: u64) -> Option<ReadOutcome> {
-    match response {
-        Response::Data { bytes, version, .. } if *version >= latest => Some(ReadOutcome {
-            bytes: bytes.to_vec(),
-            version: *version,
-            path: ReadPath::Direct,
-            report: OpReport::default(),
-        }),
-        _ => None,
-    }
-}
-
-/// Anti-entropy pass shared by every replication backend (ROWA,
-/// Majority, TRAP-FR): for each object of the stripe's contiguous block
-/// prefix, read the latest state with the protocol's own quorum read and
-/// push it back to all `n` replicas — stale replicas catch up, wiped
-/// replacements are re-initialised. `refreshed` reports the replicas
-/// that acked every push.
-pub(crate) fn repair_contiguous_objects<T: Transport>(
-    replicas: &ReplicaSet<T>,
-    stripe: u64,
-) -> Result<ScrubReport, ProtocolError> {
-    let (transport, n) = (&replicas.transport, replicas.n);
-    let mut report = OpReport::default();
-    let mut refreshed: Option<BTreeSet<usize>> = None;
-    for block in 0..OBJECTS_PER_STRIPE {
-        let id = stripe * OBJECTS_PER_STRIPE + block;
-        let mut read = replicas.read_many(&[id]);
-        report.merge_from(std::mem::take(&mut read.report));
-        let out = match read.into_single() {
-            Ok(out) => out,
-            Err(ProtocolError::StripeMissing) => break,
-            Err(e) => return Err(e),
-        };
-        // Residue guard: a failed write may have stamped a *higher*
-        // version on some replicas than the quorum read served, and a
-        // client may have observed it. Versions must never regress —
-        // and the node-side `WriteData` guard enforces that, acking a
-        // stale push without applying it — so poll every live replica
-        // and, like the TRAP-ERC scrub, install the settled value at a
-        // version superseding any residue: that is what makes the push
-        // dominate (and therefore actually land on) every live replica.
-        let calls: Vec<(NodeId, Request)> = (0..n)
-            .map(|node| (NodeId(node), Request::VersionData { id }))
-            .collect();
-        let poll = run_recorded(
-            transport,
-            QuorumRound::await_all(0),
-            None,
-            calls,
-            &mut report,
-        );
-        let vmax = rounds::version_responders(&poll)
-            .iter()
-            .map(|&(_, v)| v)
-            .max()
-            .map_or(out.version, |v| v.max(out.version));
-        let install = if out.version < vmax {
-            vmax + 1
-        } else {
-            out.version
-        };
-        let acked = push_state(transport, n, id, &out.bytes, install, &mut report);
-        refreshed = Some(match refreshed {
-            None => acked,
-            Some(prev) => prev.intersection(&acked).copied().collect(),
-        });
-    }
-    Ok(ScrubReport {
-        refreshed: refreshed.unwrap_or_default().into_iter().collect(),
-        salvaged: Vec::new(),
-        // Replication repair heals corrupt replicas by re-pushing full
-        // state; attribution needs the erasure cross-checksum machinery
-        // and is reported only by the TRAP-ERC scrub.
-        corrupt: Vec::new(),
-        report,
-    })
-}
-
-/// Pushes `(bytes, version)` to all `n` replicas; replicas that lost the
-/// object entirely (wiped replacements answer `NotFound`) get an
-/// init-then-write follow-up. Returns the replicas holding the state.
-fn push_state<T: Transport>(
-    transport: &T,
-    n: usize,
-    id: u64,
-    bytes: &[u8],
-    version: u64,
-    report: &mut OpReport,
-) -> BTreeSet<usize> {
-    let payload = Bytes::copy_from_slice(bytes);
-    let calls = rounds::write_calls(0..n, id, &payload, version);
-    let outcome = run_recorded(transport, QuorumRound::await_all(0), None, calls, report);
-    let mut acked: BTreeSet<usize> = outcome.accepted.iter().map(|a| a.node.0).collect();
-    let missing: Vec<usize> = outcome
-        .rejected
-        .iter()
-        .filter(|r| matches!(r.error, NodeError::NotFound))
-        .map(|r| r.node.0)
-        .collect();
-    if !missing.is_empty() {
-        let init: Vec<(NodeId, Request)> = missing
-            .iter()
-            .map(|&node| {
-                (
-                    NodeId(node),
-                    Request::InitData {
-                        id,
-                        bytes: payload.clone(),
-                    },
-                )
-            })
-            .collect();
-        run_recorded(transport, QuorumRound::await_all(0), None, init, report);
-        let stamp: Vec<(NodeId, Request)> = missing
-            .iter()
-            .map(|&node| {
-                (
-                    NodeId(node),
-                    Request::WriteData {
-                        id,
-                        bytes: payload.clone(),
-                        version,
-                    },
-                )
-            })
-            .collect();
-        let outcome = run_recorded(transport, QuorumRound::await_all(0), None, stamp, report);
-        acked.extend(outcome.accepted.iter().map(|a| a.node.0));
-    }
-    acked
-}
-
-/// Read One, Write All.
-#[derive(Debug)]
-pub struct RowaClient<T: Transport> {
-    replicas: ReplicaSet<T>,
-}
-
-impl<T: Transport> RowaClient<T> {
-    /// Binds `n` replicas to a transport.
-    ///
-    /// # Errors
-    /// [`ProtocolError::Node`] if the transport is too small.
-    pub fn new(n: usize, transport: T) -> Result<Self, ProtocolError> {
-        let level = ReplicaLevel {
-            members: 0..n,
-            r: 1,
-            w: n,
-        };
-        Ok(RowaClient {
-            replicas: ReplicaSet::new(n, vec![level], poll_data, transport)?,
         })
     }
 
-    /// The replica count n.
-    pub fn replicas(&self) -> usize {
-        self.replicas.n
-    }
-
-    /// Installs the object everywhere (provisioning).
-    ///
-    /// # Errors
-    /// [`ProtocolError::Node`] with the lowest-indexed failing node's
-    /// error.
-    pub fn create(&self, id: u64, bytes: &[u8]) -> Result<OpReport, ProtocolError> {
-        self.replicas.create_many(&[(id, bytes)])
-    }
-
-    /// Installs many objects in one fused provisioning round.
-    ///
-    /// # Errors
-    /// See [`RowaClient::create`].
-    pub fn create_many(&self, items: &[(u64, &[u8])]) -> Result<OpReport, ProtocolError> {
-        self.replicas.create_many(items)
-    }
-
-    /// Reads from the first live replica — "any single block read will
-    /// give the latest value" because writes reach all replicas. A
-    /// first-quorum round with threshold 1 over `ReadData`: on the
-    /// sequential transport this is exactly the seed's one-RPC walk
-    /// (ROWA's defining read cost); on a concurrent transport the
-    /// fastest replica serves. The outcome carries the serving replica's
-    /// version — under ROWA's invariant that *is* the quorum-time latest.
-    ///
-    /// # Errors
-    /// [`ProtocolError::StripeMissing`] if replicas answer but none
-    /// stores the object; [`ProtocolError::VersionCheckFailed`] if every
-    /// replica is down.
-    pub fn read(&self, id: u64) -> Result<ReadOutcome, ProtocolError> {
-        self.read_many(&[id]).into_single()
-    }
-
-    /// Batched ROWA read: one fused round carrying every object's
-    /// first-live-replica poll.
-    pub fn read_many(&self, ids: &[u64]) -> BatchReads {
-        self.replicas.read_many(ids)
-    }
-
-    /// Writes to *all* replicas; a single failure fails the operation
-    /// (the paper's "any failure prevent\[s\] these operations").
-    ///
-    /// # Errors
-    /// [`ProtocolError::WriteQuorumNotMet`] with `needed = n` on any
-    /// replica failure; [`ProtocolError::OldValueUnreadable`] if no
-    /// replica serves the current version.
-    pub fn write(&self, id: u64, new: &[u8]) -> Result<WriteOutcome, ProtocolError> {
-        self.write_many(&[(id, new)]).into_single()
-    }
-
-    /// Batched ROWA write: one fused read round for current versions,
-    /// one fused all-replica write round.
-    pub fn write_many(&self, items: &[(u64, &[u8])]) -> BatchWrites {
-        self.replicas.write_many(items)
-    }
-
-    /// Anti-entropy for the store facade (see
-    /// [`repair_contiguous_objects`]).
-    pub(crate) fn repair_stripe_objects(&self, stripe: u64) -> Result<ScrubReport, ProtocolError> {
-        repair_contiguous_objects(&self.replicas, stripe)
+    /// Rebuilds `node`'s replica of every object of each stripe in `ids`
+    /// (one report per object).
+    fn rebuild_node_stripes(
+        &self,
+        ids: &[u64],
+        node: usize,
+    ) -> Result<Vec<RebuildReport>, ProtocolError> {
+        let mut reports = Vec::new();
+        for &stripe in ids {
+            reports.extend(self.each_object(stripe, |id| self.client.rebuild_node(id, node))?);
+        }
+        Ok(reports)
     }
 }
 
-/// Majority quorum consensus (Thomas 1979).
-#[derive(Debug)]
-pub struct MajorityClient<T: Transport> {
-    replicas: ReplicaSet<T>,
-}
-
-impl<T: Transport> MajorityClient<T> {
-    /// Binds `n` replicas to a transport.
-    ///
-    /// # Errors
-    /// [`ProtocolError::Node`] if the transport is too small.
-    pub fn new(n: usize, transport: T) -> Result<Self, ProtocolError> {
-        let level = ReplicaLevel {
-            members: 0..n,
-            r: n / 2 + 1,
-            w: n / 2 + 1,
-        };
-        Ok(MajorityClient {
-            replicas: ReplicaSet::new(n, vec![level], poll_version, transport)?,
+/// Re-interleaves a batch's outcomes for the valid items with the
+/// address errors of the invalid ones, in request order.
+fn per_item<R>(
+    mapped: Vec<Result<BlockAddr, ProtocolError>>,
+    served: Vec<Result<R, ProtocolError>>,
+) -> Vec<Result<R, ProtocolError>> {
+    let mut served = served.into_iter();
+    mapped
+        .into_iter()
+        .map(|r| match r {
+            Ok(_) => served.next().expect("one outcome per valid item"),
+            Err(e) => Err(e),
         })
-    }
-
-    /// The replica count n.
-    pub fn replicas(&self) -> usize {
-        self.replicas.n
-    }
-
-    /// The quorum size `⌊n/2⌋ + 1`.
-    pub fn quorum(&self) -> usize {
-        self.replicas.n / 2 + 1
-    }
-
-    /// Installs the object everywhere (provisioning).
-    ///
-    /// # Errors
-    /// [`ProtocolError::Node`] with the lowest-indexed failing node's
-    /// error.
-    pub fn create(&self, id: u64, bytes: &[u8]) -> Result<OpReport, ProtocolError> {
-        self.replicas.create_many(&[(id, bytes)])
-    }
-
-    /// Installs many objects in one fused provisioning round.
-    ///
-    /// # Errors
-    /// See [`MajorityClient::create`].
-    pub fn create_many(&self, items: &[(u64, &[u8])]) -> Result<OpReport, ProtocolError> {
-        self.replicas.create_many(items)
-    }
-
-    /// Polls a first-quorum round until a majority answers — the first
-    /// replica with its data, the rest with their versions — then serves
-    /// the bytes from a replica holding the maximum version seen: from
-    /// the poll itself when the first replica does (the healthy read),
-    /// else by a fetch. The outcome's `version` is that quorum-time
-    /// maximum (or newer, if the replica advanced before the fetch),
-    /// never a stale replica's private version.
-    ///
-    /// # Errors
-    /// [`ProtocolError::StripeMissing`] if replicas answer but none
-    /// stores the object; [`ProtocolError::VersionCheckFailed`] without
-    /// a live majority.
-    pub fn read(&self, id: u64) -> Result<ReadOutcome, ProtocolError> {
-        self.read_many(&[id]).into_single()
-    }
-
-    /// Batched Majority read: one fused poll round, then — only for
-    /// objects whose first replica was stale, dead or abandoned — fused
-    /// fetch rounds from each object's latest holders.
-    pub fn read_many(&self, ids: &[u64]) -> BatchReads {
-        self.replicas.read_many(ids)
-    }
-
-    /// Reads the current version from a majority, then writes
-    /// `version + 1` to every replica, requiring a majority of acks.
-    ///
-    /// # Errors
-    /// [`ProtocolError::OldValueUnreadable`] /
-    /// [`ProtocolError::WriteQuorumNotMet`].
-    pub fn write(&self, id: u64, new: &[u8]) -> Result<WriteOutcome, ProtocolError> {
-        self.write_many(&[(id, new)]).into_single()
-    }
-
-    /// Batched Majority write: one fused version-discovery pass, one
-    /// fused all-replica write round graded against the majority.
-    pub fn write_many(&self, items: &[(u64, &[u8])]) -> BatchWrites {
-        self.replicas.write_many(items)
-    }
-
-    /// Anti-entropy for the store facade (see
-    /// [`repair_contiguous_objects`]).
-    pub(crate) fn repair_stripe_objects(&self, stripe: u64) -> Result<ScrubReport, ProtocolError> {
-        repair_contiguous_objects(&self.replicas, stripe)
-    }
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::Store;
+    use crate::trap_erc::ReadPath;
     use tq_cluster::{Cluster, LocalTransport};
+
+    fn store(builder: crate::StoreBuilder, cluster: &Cluster) -> Box<dyn QuorumStore> {
+        builder
+            .transport(LocalTransport::new(cluster.clone()))
+            .build()
+            .unwrap()
+    }
+
+    /// Object `block` of stripe 0.
+    fn obj(block: usize) -> BlockAddr {
+        BlockAddr::new(0, block)
+    }
 
     #[test]
     fn rowa_read_one_write_all() {
         let cluster = Cluster::new(5);
-        let c = RowaClient::new(5, LocalTransport::new(cluster.clone())).unwrap();
-        c.create(1, b"init").unwrap();
-        c.write(1, b"next").unwrap();
+        let c = store(Store::rowa(5), &cluster);
+        c.create(0, vec![b"none".to_vec(), b"init".to_vec()])
+            .unwrap();
+        c.write(obj(1), b"next").unwrap();
         // Any single live node serves reads.
         for dead in 0..4 {
             cluster.kill(dead);
         }
-        assert_eq!(c.read(1).unwrap().bytes, b"next");
+        assert_eq!(c.read(obj(1)).unwrap().bytes, b"next");
         // A single dead node fails writes.
         for node in 0..5 {
             cluster.revive(node);
         }
         cluster.kill(3);
-        let err = c.write(1, b"nope").unwrap_err();
+        let err = c.write(obj(1), b"nope").unwrap_err();
         assert!(matches!(
             err,
             ProtocolError::WriteQuorumNotMet {
@@ -619,92 +310,97 @@ mod tests {
         // The classic ROWA anomaly the paper alludes to: a failed write
         // already reached the live replicas.
         let cluster = Cluster::new(3);
-        let c = RowaClient::new(3, LocalTransport::new(cluster.clone())).unwrap();
-        c.create(1, b"old").unwrap();
+        let c = store(Store::rowa(3), &cluster);
+        c.create(0, vec![b"old".to_vec()]).unwrap();
         cluster.kill(2);
-        let _ = c.write(1, b"new").unwrap_err();
+        let _ = c.write(obj(0), b"new").unwrap_err();
         cluster.revive(2);
-        assert_eq!(c.read(1).unwrap().bytes, b"new");
+        assert_eq!(c.read(obj(0)).unwrap().bytes, b"new");
     }
 
     #[test]
     fn majority_survives_minority_failures() {
         let cluster = Cluster::new(5);
-        let c = MajorityClient::new(5, LocalTransport::new(cluster.clone())).unwrap();
-        assert_eq!(c.quorum(), 3);
-        c.create(1, b"m0").unwrap();
+        let c = store(Store::majority(5), &cluster);
+        c.create(0, vec![b"m0".to_vec()]).unwrap();
         cluster.kill(0);
         cluster.kill(4);
-        let w = c.write(1, b"m1").unwrap();
+        let w = c.write(obj(0), b"m1").unwrap();
         assert_eq!(w.version, 1);
         assert_eq!(w.validated, vec![1, 2, 3]);
-        assert_eq!(c.read(1).unwrap().bytes, b"m1");
+        assert_eq!(c.read(obj(0)).unwrap().bytes, b"m1");
         // One more failure: no majority.
         cluster.kill(1);
-        assert!(c.write(1, b"m2").is_err());
-        assert!(c.read(1).is_err());
+        assert!(c.write(obj(0), b"m2").is_err());
+        assert!(c.read(obj(0)).is_err());
     }
 
     #[test]
     fn majority_reads_see_latest_despite_stale_minority() {
         let cluster = Cluster::new(5);
-        let c = MajorityClient::new(5, LocalTransport::new(cluster.clone())).unwrap();
-        c.create(1, b"v0").unwrap();
+        let c = store(Store::majority(5), &cluster);
+        c.create(0, vec![b"v0".to_vec()]).unwrap();
         // Nodes 0 and 1 miss the write.
         cluster.kill(0);
         cluster.kill(1);
-        c.write(1, b"v1").unwrap();
+        c.write(obj(0), b"v1").unwrap();
         cluster.revive(0);
         cluster.revive(1);
-        // Reads poll nodes in index order, so the majority {0, 1, 2}
-        // contains two stale replicas — the max-version rule must still
-        // surface v1 from node 2.
-        let out = c.read(1).unwrap();
+        // The check asks nodes 1, 2 and then 0: two stale replicas of
+        // three — the max-version rule must still surface v1 from node 2.
+        let out = c.read(obj(0)).unwrap();
         assert_eq!(out.bytes, b"v1");
         assert_eq!(out.version, 1);
-        // Node 0 answered the poll with its stale block: not served, and
-        // the fetch goes to the holder.
-        assert_eq!(out.report.network_rounds(), 2, "poll + fetch from node 2");
+        // Node 0 answered with its stale block: not served. Node 2's
+        // reply in the same quorum is a whole copy at v1, so no fetch.
+        assert_eq!(out.path, ReadPath::Decoded { nodes: vec![2] });
+        assert_eq!(out.report.network_rounds(), 1, "the check serves");
     }
 
     #[test]
     fn reads_report_quorum_time_version_and_accounting() {
         let cluster = Cluster::new(5);
-        let rowa = RowaClient::new(5, LocalTransport::new(cluster.clone())).unwrap();
-        rowa.create(7, b"r0").unwrap();
-        let out = rowa.read(7).unwrap();
+        let rowa = store(Store::rowa(5), &cluster);
+        rowa.create(7, vec![b"r0".to_vec()]).unwrap();
+        let out = rowa.read(BlockAddr::new(7, 0)).unwrap();
         assert_eq!(out.version, 0);
         assert_eq!(out.path, ReadPath::Direct);
         assert_eq!(out.report.network_rounds(), 1, "one first-quorum round");
         assert_eq!(out.report.messages(), 1, "ROWA's defining one-RPC read");
 
-        let majority = MajorityClient::new(5, LocalTransport::new(cluster)).unwrap();
-        majority.create(8, b"m0").unwrap();
-        majority.write(8, b"m1").unwrap();
-        let out = majority.read(8).unwrap();
+        let majority = store(Store::majority(5), &cluster);
+        majority.create(8, vec![b"m0".to_vec()]).unwrap();
+        majority.write(BlockAddr::new(8, 0), b"m1").unwrap();
+        let out = majority.read(BlockAddr::new(8, 0)).unwrap();
         assert_eq!(out.version, 1, "quorum-time latest, not first responder");
-        // One round: the poll asked its first member for the data, and
-        // that member holds the latest version.
+        // One round: the check asked the home replica for the data, and
+        // it holds the latest version.
         assert_eq!(out.report.network_rounds(), 1);
-        assert_eq!(out.report.messages(), majority.quorum());
+        assert_eq!(out.report.messages(), 3, "a majority of five");
     }
 
     #[test]
     fn missing_objects_are_distinguished_from_dead_clusters() {
         let cluster = Cluster::new(3);
-        let rowa = RowaClient::new(3, LocalTransport::new(cluster.clone())).unwrap();
-        let majority = MajorityClient::new(3, LocalTransport::new(cluster.clone())).unwrap();
-        assert_eq!(rowa.read(99).unwrap_err(), ProtocolError::StripeMissing);
-        assert_eq!(majority.read(99).unwrap_err(), ProtocolError::StripeMissing);
+        let rowa = store(Store::rowa(3), &cluster);
+        let majority = store(Store::majority(3), &cluster);
+        assert_eq!(
+            rowa.read(obj(99)).unwrap_err(),
+            ProtocolError::StripeMissing
+        );
+        assert_eq!(
+            majority.read(obj(99)).unwrap_err(),
+            ProtocolError::StripeMissing
+        );
         for n in 0..3 {
             cluster.kill(n);
         }
         assert_eq!(
-            rowa.read(99).unwrap_err(),
+            rowa.read(obj(99)).unwrap_err(),
             ProtocolError::VersionCheckFailed
         );
         assert_eq!(
-            majority.read(99).unwrap_err(),
+            majority.read(obj(99)).unwrap_err(),
             ProtocolError::VersionCheckFailed
         );
     }
@@ -712,36 +408,34 @@ mod tests {
     #[test]
     fn batched_ops_fuse_rounds() {
         let cluster = Cluster::new(5);
-        let c = MajorityClient::new(5, LocalTransport::new(cluster.clone())).unwrap();
+        let c = store(Store::majority(5), &cluster);
         let initial: Vec<Vec<u8>> = (0..6).map(|i| vec![i as u8; 16]).collect();
-        let items: Vec<(u64, &[u8])> = (0..6u64)
-            .map(|i| (i, initial[i as usize].as_slice()))
-            .collect();
-        let report = c.create_many(&items).unwrap();
+        let report = c.create(0, initial.clone()).unwrap();
         assert_eq!(report.network_rounds(), 1, "fused provisioning");
 
         let payloads: Vec<Vec<u8>> = (0..6).map(|i| vec![0x40 + i as u8; 16]).collect();
-        let write_items: Vec<(u64, &[u8])> = (0..6u64)
-            .map(|i| (i, payloads[i as usize].as_slice()))
+        let items: Vec<BatchWrite> = (0..6)
+            .map(|i| BatchWrite::new(obj(i), &payloads[i]))
             .collect();
-        let batch = c.write_many(&write_items);
+        let batch = c.write_batch(&items);
         assert!(batch.all_ok());
-        // One fused poll (serving the old versions) + one fused write —
+        // One fused check (serving the old versions) + one fused write —
         // not 6×2.
         assert_eq!(batch.report.network_rounds(), 2);
 
-        let ids: Vec<u64> = (0..6).collect();
-        let reads = c.read_many(&ids);
+        let addrs: Vec<BlockAddr> = (0..6).map(obj).collect();
+        let reads = c.read_batch(&addrs);
         assert!(reads.all_ok());
-        assert_eq!(reads.report.network_rounds(), 1, "one fused poll");
+        assert_eq!(reads.report.network_rounds(), 1, "one fused check");
         for (i, out) in reads.outcomes.iter().enumerate() {
             assert_eq!(out.as_ref().unwrap().bytes, payloads[i]);
             assert_eq!(out.as_ref().unwrap().version, 1);
         }
 
-        let rowa = RowaClient::new(5, LocalTransport::new(cluster)).unwrap();
-        rowa.create_many(&items).unwrap();
-        let reads = rowa.read_many(&ids);
+        let rowa = store(Store::rowa(5), &cluster);
+        rowa.create(1, initial).unwrap();
+        let addrs: Vec<BlockAddr> = (0..6).map(|i| BlockAddr::new(1, i)).collect();
+        let reads = rowa.read_batch(&addrs);
         assert!(reads.all_ok());
         assert_eq!(reads.report.network_rounds(), 1, "one fused ROWA round");
     }
@@ -749,22 +443,23 @@ mod tests {
     #[test]
     fn repair_supersedes_residue_instead_of_regressing_versions() {
         // A failed ROWA write leaves residue v1 on the live replicas;
-        // with the writer's replica down, clients can observe v1. The
-        // repair pass must never re-stamp a version below anything
-        // observable — like the TRAP-ERC salvage, it installs the
-        // settled value at a version superseding the residue.
+        // with the home replica down, clients can observe v1. The scrub
+        // must never re-stamp a version below anything observable — it
+        // installs the settled value at a version superseding the
+        // residue.
         let cluster = Cluster::new(3);
-        let c = RowaClient::new(3, LocalTransport::new(cluster.clone())).unwrap();
-        c.create(0, b"old").unwrap(); // object 0 = (stripe 0, block 0)
+        let c = store(Store::rowa(3), &cluster);
+        c.create(0, vec![b"old".to_vec()]).unwrap();
         cluster.kill(0);
-        let _ = c.write(0, b"new").unwrap_err(); // residue v1 on nodes 1, 2
-        let observed = c.read(0).unwrap();
+        let _ = c.write(obj(0), b"new").unwrap_err(); // residue v1 on nodes 1, 2
+        let observed = c.read(obj(0)).unwrap();
         assert_eq!(observed.version, 1, "residue is client-visible");
         cluster.revive(0);
-        // The repair's own read serves stale node 0 (v0) — the settled
+        // The scrub's own read serves stale node 0 (v0) — the settled
         // value — but must install it above the v1 residue.
-        c.repair_stripe_objects(0).unwrap();
-        let out = c.read(0).unwrap();
+        let scrub = c.scrub(0).unwrap();
+        assert_eq!(scrub.salvaged, vec![0]);
+        let out = c.read(obj(0)).unwrap();
         assert_eq!(out.bytes, b"old", "settled on the quorum-read value");
         assert_eq!(out.version, 2, "residue superseded, never regressed");
     }
@@ -772,9 +467,12 @@ mod tests {
     #[test]
     fn duplicate_batch_addresses_rejected() {
         let cluster = Cluster::new(3);
-        let c = RowaClient::new(3, LocalTransport::new(cluster)).unwrap();
-        c.create(1, b"x").unwrap();
-        let batch = c.write_many(&[(1, b"a".as_slice()), (1, b"b".as_slice())]);
+        let c = store(Store::rowa(3), &cluster);
+        c.create(0, vec![b"x".to_vec(), b"x".to_vec()]).unwrap();
+        let batch = c.write_batch(&[
+            BatchWrite::new(obj(1), b"a".as_slice()),
+            BatchWrite::new(obj(1), b"b".as_slice()),
+        ]);
         assert!(batch.outcomes[0].is_ok());
         assert!(matches!(
             batch.outcomes[1],
@@ -785,8 +483,150 @@ mod tests {
     #[test]
     fn constructor_bounds() {
         let t = LocalTransport::new(Cluster::new(2));
-        assert!(RowaClient::new(3, t.clone()).is_err());
-        assert!(MajorityClient::new(0, t.clone()).is_err());
-        assert!(MajorityClient::new(2, t).is_ok());
+        assert!(Store::rowa(3).transport(t.clone()).build().is_err());
+        assert!(Store::majority(0).transport(t.clone()).build().is_err());
+        assert!(Store::majority(2).transport(t).build().is_ok());
+    }
+
+    /// TRAP-FR on the Fig. 1 trapezoid: 15 replicas in levels of 3, 5, 7
+    /// (a (15, 1) comparison, so n − k + 1 = 15).
+    fn trap_fr_store() -> (Box<dyn QuorumStore>, Cluster) {
+        let cluster = Cluster::new(15);
+        let c = store(Store::trap_fr(15, 1).shape(2, 3, 2).uniform_w(2), &cluster);
+        (c, cluster)
+    }
+
+    #[test]
+    fn create_write_read_cycle() {
+        let (c, _cluster) = trap_fr_store();
+        c.create(0, vec![b"genesis".to_vec()]).unwrap();
+        let out = c.read(obj(0)).unwrap();
+        assert_eq!(out.bytes, b"genesis");
+        assert_eq!(out.version, 0);
+        let w = c.write(obj(0), b"updated").unwrap();
+        assert_eq!(w.version, 1);
+        assert_eq!(w.validated.len(), 15, "all replicas live");
+        assert_eq!(c.read(obj(0)).unwrap().bytes, b"updated");
+    }
+
+    #[test]
+    fn read_survives_heavy_failures() {
+        let (c, cluster) = trap_fr_store();
+        c.create(0, vec![b"payload".to_vec()]).unwrap();
+        c.write(obj(0), b"v1-data").unwrap();
+        // Kill levels 0 and 1 entirely; level 2 (positions 8..15) has
+        // r_2 = 6 — keep 6 alive.
+        for pos in 0..9 {
+            cluster.kill(pos);
+        }
+        let out = c.read(obj(0)).unwrap();
+        assert_eq!(out.bytes, b"v1-data");
+        assert_eq!(out.version, 1);
+    }
+
+    #[test]
+    fn stale_replicas_never_served() {
+        let (c, cluster) = trap_fr_store();
+        c.create(0, vec![b"aaaa".to_vec()]).unwrap();
+        // Node 2 (level 0) misses the write.
+        cluster.kill(2);
+        c.write(obj(0), b"bbbb").unwrap();
+        cluster.revive(2);
+        // Node 2 is among the level-0 check's members, yet the check
+        // must surface version 1 and serve "bbbb".
+        for _ in 0..4 {
+            let out = c.read(obj(0)).unwrap();
+            assert_eq!(out.bytes, b"bbbb");
+            assert_eq!(out.version, 1);
+        }
+    }
+
+    #[test]
+    fn write_fails_when_a_level_lacks_quorum() {
+        let (c, cluster) = trap_fr_store();
+        c.create(0, vec![b"zz".to_vec()]).unwrap();
+        // Level 1 = positions 3..8, w_1 = 2: leave only one alive.
+        for pos in 4..8 {
+            cluster.kill(pos);
+        }
+        let err = c.write(obj(0), b"yy").unwrap_err();
+        assert_eq!(
+            err,
+            ProtocolError::WriteQuorumNotMet {
+                level: 1,
+                needed: 2,
+                achieved: 1
+            }
+        );
+    }
+
+    #[test]
+    fn fr_version_discovery_never_blocks_a_feasible_write() {
+        // Structural theorem: w_0 = ⌊b/2⌋ + 1 ≥ r_0 = s_0 − w_0 + 1, so
+        // any failure pattern admitting a level-0 write quorum also
+        // completes the level-0 version check, and at k = 1 a completed
+        // check always holds a current replica to serve. For TRAP-FR the
+        // embedded read of Algorithm 1 can never be the reason a write
+        // fails. (For TRAP-ERC this is false: the read additionally needs
+        // N_i or k shards, which is what tq-sim quantifies against eq. 9.)
+        let cluster = Cluster::new(15);
+        let shape = TrapezoidShape::new(2, 3, 2).unwrap();
+        let thresholds = WriteThresholds::paper_default(&shape, 2).unwrap();
+        let (config, _) = trap_fr(15, 1, shape, thresholds).unwrap();
+        let c = TrapErcClient::new(config, LocalTransport::new(cluster.clone())).unwrap();
+        c.create_stripe(1, vec![b"zz".to_vec()]).unwrap();
+        let mut rng = 0x12345678u64;
+        let mut next = move || {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            rng
+        };
+        let mut ground_version = 0u64;
+        for _ in 0..200 {
+            let mask = next();
+            let up: Vec<bool> = (0..15).map(|i| mask >> i & 1 == 1).collect();
+            cluster.apply_availability(&up);
+            // The write fan-out alone, at a version far above any other.
+            let hinted = c.write_block_with_hint(1, 0, b"yy", b"zz", ground_version + 1000);
+            match c.write_block(1, 0, b"yy") {
+                Ok(w) => ground_version = w.version,
+                Err(ProtocolError::OldValueUnreadable(_)) => {
+                    // Version discovery failed ⇒ fewer than r_0 ≤ w_0 live
+                    // at level 0 ⇒ the write fan-out must be infeasible
+                    // too. A pattern where only the read fails would
+                    // break the theorem.
+                    assert!(
+                        hinted.is_err(),
+                        "embedded read failed on a write-feasible pattern: {up:?}"
+                    );
+                }
+                Err(ProtocolError::WriteQuorumNotMet { .. }) => {
+                    assert!(
+                        hinted.is_err(),
+                        "hinted write succeeded where fan-out failed: {up:?}"
+                    );
+                }
+                Err(other) => panic!("unexpected error {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn missing_object_reported() {
+        let (c, _cluster) = trap_fr_store();
+        assert_eq!(c.read(obj(77)).unwrap_err(), ProtocolError::StripeMissing);
+    }
+
+    #[test]
+    fn rejects_small_transport() {
+        let err = Store::trap_fr(15, 1)
+            .shape(2, 3, 2)
+            .uniform_w(2)
+            .transport(LocalTransport::new(Cluster::new(3)))
+            .build()
+            .err()
+            .unwrap();
+        assert!(matches!(err, ProtocolError::Node(_)));
     }
 }

@@ -21,6 +21,10 @@ pub struct ProtocolConfig {
     shape: TrapezoidShape,
     thresholds: WriteThresholds,
     generator: GeneratorKind,
+    /// A floor under every level's read threshold `s_l − w_l + 1`. Only
+    /// Majority sets it: on an even replica count its read quorum
+    /// `⌊m/2⌋ + 1` exceeds the `m − w_0 + 1` a single level would ask.
+    read_floor: usize,
 }
 
 impl ProtocolConfig {
@@ -42,6 +46,7 @@ impl ProtocolConfig {
             shape,
             thresholds,
             generator: GeneratorKind::default(),
+            read_floor: 0,
         })
     }
 
@@ -89,6 +94,20 @@ impl ProtocolConfig {
     pub fn with_generator(mut self, kind: GeneratorKind) -> Self {
         self.generator = kind;
         self
+    }
+
+    /// Raises every level's read threshold to at least `floor`.
+    pub(crate) fn with_read_floor(mut self, floor: usize) -> Self {
+        self.read_floor = floor;
+        self
+    }
+
+    /// Level `l`'s read threshold: `r_l = s_l − w_l + 1` (Algorithm 2
+    /// line 30), or the read floor where that is higher.
+    pub(crate) fn read_threshold(&self, l: usize) -> usize {
+        self.thresholds
+            .read_threshold(&self.shape, l)
+            .max(self.read_floor)
     }
 
     /// The (n, k) code parameters.

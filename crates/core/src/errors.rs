@@ -116,15 +116,6 @@ pub enum VolumeError {
         /// The largest representable width.
         max: usize,
     },
-    /// The backend has no node-targeted rebuild workflow. Only TRAP-ERC
-    /// reconstructs a replaced node's blocks from the surviving stripe
-    /// (`k`-of-`n` decode); the replication backends re-install stale or
-    /// wiped replicas through `scrub` instead, and a sharded store
-    /// rebuilds per shard (`Volume::rebuild_shard_node`).
-    RebuildUnsupported {
-        /// The backend's protocol label ([`crate::store::StoreInfo::protocol`]).
-        protocol: &'static str,
-    },
 }
 
 impl fmt::Display for VolumeError {
@@ -147,10 +138,6 @@ impl fmt::Display for VolumeError {
             VolumeError::WidthOutOfRange { configured, max } => write!(
                 f,
                 "blocks_per_stripe {configured} exceeds the {max}-slot object namespace"
-            ),
-            VolumeError::RebuildUnsupported { protocol } => write!(
-                f,
-                "{protocol} has no node-targeted rebuild; heal replicas through scrub"
             ),
         }
     }

@@ -22,9 +22,10 @@
 //!   versions from `r_l = s_l − w_l + 1` members; once a level completes,
 //!   serve from `N_i` if it holds the latest version, otherwise decode
 //!   from `k` mutually-consistent stripe nodes.
-//! * [`TrapFrClient`] — the same trapezoid over full replication
-//!   (TRAP-FR), the paper's §IV comparison baseline.
-//! * [`baselines`] — ROWA and Majority replication clients (§II).
+//! * the replication baselines — TRAP-FR (the same trapezoid over full
+//!   replicas, the paper's §IV comparison), ROWA and Majority (§II) —
+//!   as configurations of the same client over an `(m, 1)` code, built by
+//!   [`Store::trap_fr`], [`Store::rowa`] and [`Store::majority`].
 //!
 //! Every level loop dispatches through the scatter-gather round engine
 //! ([`tq_cluster::QuorumRound`]): a level's requests go out in one
@@ -61,7 +62,7 @@
 // Cargo.toml); tq-lint's `unsafe-allow` pass guards the allow sites.
 #![warn(missing_docs)]
 
-pub mod baselines;
+mod baselines;
 pub mod config;
 pub mod errors;
 pub mod locking;
@@ -70,11 +71,9 @@ mod rounds;
 pub mod shard;
 pub mod store;
 pub mod trap_erc;
-pub mod trap_fr;
 pub mod version_matrix;
 pub mod volume;
 
-pub use baselines::{MajorityClient, RowaClient};
 pub use config::ProtocolConfig;
 pub use errors::{ProtocolError, VolumeError};
 pub use locking::StripeLockManager;
@@ -85,6 +84,5 @@ pub use store::{
     StoreBuilder, StoreInfo,
 };
 pub use trap_erc::{ReadOutcome, ReadPath, ScrubReport, TrapErcClient, WriteOutcome};
-pub use trap_fr::TrapFrClient;
 pub use version_matrix::VersionMatrix;
 pub use volume::{Volume, VolumeConfig};

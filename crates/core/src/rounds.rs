@@ -1,11 +1,10 @@
-//! Crate-internal helpers for the fan-out shapes every client shares.
+//! Crate-internal helpers for the client's fan-out shapes.
 //!
 //! Every round runs through [`run_fused`] so that [`OpReport`]
-//! accounting is uniform across protocols; a single-op round
+//! accounting is uniform across stages; a single-op round
 //! ([`run_recorded`]) is a fused plan of one. [`write_levels`] is the
-//! one write walk all four protocols share.
+//! one write walk.
 
-use bytes::Bytes;
 use tq_cluster::{MultiRound, NodeId, PlanOp, QuorumRound, Request, RoundOutcome, Transport};
 
 use crate::errors::ProtocolError;
@@ -44,19 +43,6 @@ pub(crate) fn run_fused<T: Transport>(
     outcomes
 }
 
-/// Extracts the `(node, version)` pairs from a version-poll round's
-/// successes, in arrival order.
-pub(crate) fn version_responders(outcome: &RoundOutcome) -> Vec<(usize, u64)> {
-    outcome
-        .accepted
-        .iter()
-        .filter_map(|a| match a.response {
-            tq_cluster::Response::Version(v) => Some((a.node.0, v)),
-            _ => None,
-        })
-        .collect()
-}
-
 /// Grades a round that required every member: `Ok` iff nothing was
 /// rejected, otherwise the lowest-indexed rejection's error — the one a
 /// sequential walk would have tripped on first.
@@ -84,41 +70,7 @@ pub(crate) fn flag_duplicates<K: Eq + std::hash::Hash, T>(
     }
 }
 
-/// Fused provisioning for many objects: one [`MultiRound`] scatter of
-/// all-replica `InitData` fan-outs, every op requiring all `n` acks.
-pub(crate) fn provision_many<T: Transport>(
-    transport: &T,
-    n: usize,
-    items: &[(u64, &[u8])],
-    report: &mut OpReport,
-) -> Result<(), ProtocolError> {
-    let ops: Vec<PlanOp> = items
-        .iter()
-        .map(|(id, bytes)| {
-            let payload = Bytes::copy_from_slice(bytes);
-            PlanOp {
-                round: QuorumRound::await_all(n),
-                calls: (0..n)
-                    .map(|node| {
-                        (
-                            NodeId(node),
-                            Request::InitData {
-                                id: *id,
-                                bytes: payload.clone(),
-                            },
-                        )
-                    })
-                    .collect(),
-            }
-        })
-        .collect();
-    for outcome in run_fused(transport, None, ops, report) {
-        require_all(&outcome)?;
-    }
-    Ok(())
-}
-
-/// One block (or replicated object) on its way through the write levels
+/// One block on its way through the write levels
 /// of a fused plan.
 pub(crate) struct Writing<P> {
     /// Position in the caller's batch (and its result table).
@@ -205,26 +157,4 @@ pub(crate) fn write_levels<T: Transport, P>(
             .collect(),
         report,
     }
-}
-
-/// One object's write scatter: `WriteData` to every node of `members`,
-/// sharing the payload allocation by refcount.
-pub(crate) fn write_calls(
-    members: std::ops::Range<usize>,
-    id: u64,
-    payload: &Bytes,
-    version: u64,
-) -> Vec<(NodeId, Request)> {
-    members
-        .map(|node| {
-            (
-                NodeId(node),
-                Request::WriteData {
-                    id,
-                    bytes: payload.clone(),
-                    version,
-                },
-            )
-        })
-        .collect()
 }

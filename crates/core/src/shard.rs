@@ -38,6 +38,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use parking_lot::Mutex;
 
 use crate::errors::ProtocolError;
+use crate::recovery::RebuildReport;
 use crate::store::{
     BatchReads, BatchWrite, BatchWrites, BlockAddr, OpReport, QuorumStore, StoreInfo,
 };
@@ -452,6 +453,20 @@ impl<S: QuorumStore> QuorumStore for ShardedStore<S> {
 
     fn stripe_nodes(&self, stripe: u64) -> usize {
         self.shards[self.map.shard_of(stripe)].stripe_nodes(stripe)
+    }
+
+    /// Rebuilds `node` of the group each stripe routes to (`node` is a
+    /// position within a group, as every shard's store numbers it).
+    fn rebuild_node_stripes(
+        &self,
+        ids: &[u64],
+        node: usize,
+    ) -> Result<Vec<RebuildReport>, ProtocolError> {
+        let mut reports = Vec::new();
+        for &id in ids {
+            reports.extend(self.shards[self.map.shard_of(id)].rebuild_node_stripes(&[id], node)?);
+        }
+        Ok(reports)
     }
 }
 

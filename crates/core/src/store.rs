@@ -5,18 +5,20 @@
 //! surface that every protocol serves. This module supplies it:
 //!
 //! * [`QuorumStore`] — the facade trait: `create` / `read` / `write` /
-//!   `read_batch` / `write_batch` / `scrub`, implemented by all four
-//!   clients and usable as `Box<dyn QuorumStore>`;
+//!   `read_batch` / `write_batch` / `scrub` / `rebuild_node_stripes`,
+//!   served by all four protocols and usable as `Box<dyn QuorumStore>`;
 //! * [`StoreInfo`] — a static descriptor (n, k, trapezoid shape, storage
 //!   overhead) so experiments can label results without downcasting;
 //! * [`OpReport`] — per-operation round/message/straggler accounting
 //!   sourced from the [`tq_cluster::QuorumRound`] engine, carried by
 //!   [`ReadOutcome`]/[`WriteOutcome`] and by the batch results;
-//! * [`Store`] + [`StoreBuilder`] — one builder replacing the four
-//!   ad-hoc client constructors.
+//! * [`Store`] + [`StoreBuilder`] — one builder for the four protocols.
 //!
-//! There is one protocol path per backend: the fused plan. Each backend
-//! fuses the per-level fan-outs of all addressed blocks into one
+//! There is one quorum client, [`TrapErcClient`]: TRAP-FR, ROWA and
+//! Majority are configurations of it over an `(m, 1)` code
+//! ([`Store::trap_fr`], [`Store::rowa`], [`Store::majority`]). There is
+//! one protocol path: the fused plan. It fuses the per-level fan-outs
+//! of all addressed blocks into one
 //! [`tq_cluster::MultiRound`] scatter per level, and a single `read` /
 //! `write` is that plan with one item — same rounds, same messages,
 //! same error for the same cluster state. A `write_batch` of `m` blocks
@@ -70,20 +72,20 @@ use tq_cluster::{RoundOutcome, Transport};
 use tq_erasure::CodeParams;
 use tq_quorum::trapezoid::{TrapezoidShape, WriteThresholds};
 
-use crate::baselines::{MajorityClient, RowaClient};
+use crate::baselines::{self, Replicated};
 use crate::config::ProtocolConfig;
-use crate::errors::{ProtocolError, VolumeError};
+use crate::errors::ProtocolError;
 use crate::recovery::RebuildReport;
 use crate::trap_erc::{ReadOutcome, ScrubReport, TrapErcClient, WriteOutcome};
-use crate::trap_fr::TrapFrClient;
 
 /// Address of one logical block: a stripe and a block index within it.
 ///
 /// For the erasure-coded backend the stripe is a real (n, k) stripe and
-/// `block` indexes its data blocks (`0..k`). Replication backends have
-/// no stripes; they map each address onto an independent replicated
-/// object (`block` must stay below [`OBJECTS_PER_STRIPE`]), which gives
-/// all four protocols one namespace for cross-protocol assertions.
+/// `block` indexes its data blocks (`0..k`). Replication backends map
+/// each address onto an independent replicated object — a one-block
+/// stripe of their `(m, 1)` code (`block` must stay below
+/// [`OBJECTS_PER_STRIPE`]) — which gives all four protocols one
+/// namespace for cross-protocol assertions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockAddr {
     /// Stripe identifier.
@@ -335,10 +337,11 @@ impl BatchWrites {
 
 /// The protocol-agnostic store facade.
 ///
-/// One trait served by all four protocol clients ([`TrapErcClient`],
-/// [`TrapFrClient`], [`RowaClient`], [`MajorityClient`]), object-safe so
-/// experiments can fan over `Vec<Box<dyn QuorumStore>>`. Construct
-/// implementations through [`Store`].
+/// One trait served by all four protocols (TRAP-ERC directly by
+/// [`TrapErcClient`], the replication baselines by that client over an
+/// `(m, 1)` code), object-safe so experiments can fan over
+/// `Vec<Box<dyn QuorumStore>>`. Construct implementations through
+/// [`Store`].
 pub trait QuorumStore: Send + Sync {
     /// Static descriptor of this store.
     fn info(&self) -> StoreInfo;
@@ -403,26 +406,16 @@ pub trait QuorumStore: Send + Sync {
 
     /// Rebuilds a replaced node's blocks across the given stripes — the
     /// TRAP-ERC recovery workflow (decode from `k` survivors, re-install
-    /// on the blank node). Only the erasure-coded backend can target a
-    /// single node this way; the default returns a typed
-    /// [`VolumeError::RebuildUnsupported`] so callers on replication
-    /// backends (which heal through [`QuorumStore::scrub`]) get an
-    /// in-band error instead of needing to know the concrete store type.
+    /// on the blank node); on a replication backend the node's replica
+    /// of every object of each stripe.
     ///
     /// # Errors
-    /// [`VolumeError::RebuildUnsupported`] on backends without a
-    /// node-targeted rebuild; otherwise the first stripe that cannot be
-    /// rebuilt.
+    /// The first stripe that cannot be rebuilt.
     fn rebuild_node_stripes(
         &self,
         ids: &[u64],
         node: usize,
-    ) -> Result<Vec<RebuildReport>, ProtocolError> {
-        let _ = (ids, node);
-        Err(ProtocolError::Volume(VolumeError::RebuildUnsupported {
-            protocol: self.info().protocol,
-        }))
-    }
+    ) -> Result<Vec<RebuildReport>, ProtocolError>;
 }
 
 impl<S: QuorumStore + ?Sized> QuorumStore for Box<S> {
@@ -494,7 +487,8 @@ impl<S: QuorumStore + ?Sized> QuorumStore for std::sync::Arc<S> {
 }
 
 // ---------------------------------------------------------------------
-// Trait implementations for the four protocol clients.
+// TRAP-ERC serves the trait directly; the replication backends through
+// `baselines::Replicated`.
 // ---------------------------------------------------------------------
 
 impl<T: Transport> QuorumStore for TrapErcClient<T> {
@@ -541,151 +535,6 @@ impl<T: Transport> QuorumStore for TrapErcClient<T> {
     }
 }
 
-/// Implements [`QuorumStore`] for a replication client: every method
-/// except `info` delegates identically through the flattened object
-/// namespace (`replicated_object_id` and the `replicated_*_batch`
-/// adapters); the per-protocol `info` body is supplied at expansion.
-macro_rules! replicated_quorum_store {
-    ($client:ident, |$store:ident| $info:expr) => {
-        impl<T: Transport> QuorumStore for $client<T> {
-            fn info(&self) -> StoreInfo {
-                let $store = self;
-                $info
-            }
-            fn create(&self, stripe: u64, blocks: Vec<Vec<u8>>) -> Result<OpReport, ProtocolError> {
-                let items = replicated_create_items(stripe, &blocks)?;
-                self.create_many(&items)
-            }
-            fn read(&self, addr: BlockAddr) -> Result<ReadOutcome, ProtocolError> {
-                self.read(replicated_object_id(addr)?)
-            }
-            fn write(&self, addr: BlockAddr, new: &[u8]) -> Result<WriteOutcome, ProtocolError> {
-                self.write(replicated_object_id(addr)?, new)
-            }
-            fn read_batch(&self, addrs: &[BlockAddr]) -> BatchReads {
-                replicated_read_batch(addrs, |ids| self.read_many(ids))
-            }
-            fn write_batch(&self, items: &[BatchWrite<'_>]) -> BatchWrites {
-                replicated_write_batch(items, |pairs| self.write_many(pairs))
-            }
-            fn scrub(&self, stripe: u64) -> Result<ScrubReport, ProtocolError> {
-                self.repair_stripe_objects(stripe)
-            }
-        }
-    };
-}
-
-replicated_quorum_store!(TrapFrClient, |store| {
-    let shape = store.shape();
-    StoreInfo {
-        protocol: "trap-fr",
-        nodes: shape.node_count(),
-        n: store.stripe_n(),
-        k: store.stripe_k(),
-        stripe_width: None,
-        shape: Some((shape.a(), shape.b(), shape.h())),
-        storage_overhead: shape.node_count() as f64,
-        erasure_coded: false,
-    }
-});
-
-replicated_quorum_store!(RowaClient, |store| StoreInfo {
-    protocol: "rowa",
-    nodes: store.replicas(),
-    n: store.replicas(),
-    k: 1,
-    stripe_width: None,
-    shape: None,
-    storage_overhead: store.replicas() as f64,
-    erasure_coded: false,
-});
-
-replicated_quorum_store!(MajorityClient, |store| StoreInfo {
-    protocol: "majority",
-    nodes: store.replicas(),
-    n: store.replicas(),
-    k: 1,
-    stripe_width: None,
-    shape: None,
-    storage_overhead: store.replicas() as f64,
-    erasure_coded: false,
-});
-
-/// Maps stripe-relative creation input to the flattened object
-/// namespace, borrowing the payloads (the fused provisioning copies
-/// each block into shared [`bytes::Bytes`] exactly once).
-fn replicated_create_items(
-    stripe: u64,
-    blocks: &[Vec<u8>],
-) -> Result<Vec<(u64, &[u8])>, ProtocolError> {
-    blocks
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            Ok((
-                replicated_object_id(BlockAddr::new(stripe, i))?,
-                b.as_slice(),
-            ))
-        })
-        .collect()
-}
-
-/// Batched read through a flattened-namespace backend: invalid
-/// addresses fail *per item* (matching the erasure backend); the valid
-/// remainder runs as one fused batch.
-fn replicated_read_batch(
-    addrs: &[BlockAddr],
-    read_many: impl FnOnce(&[u64]) -> BatchReads,
-) -> BatchReads {
-    let mapped: Vec<Result<u64, ProtocolError>> =
-        addrs.iter().map(|&a| replicated_object_id(a)).collect();
-    let valid: Vec<u64> = mapped
-        .iter()
-        .filter_map(|r| r.as_ref().ok().copied())
-        .collect();
-    let batch = read_many(&valid);
-    let mut served = batch.outcomes.into_iter();
-    BatchReads {
-        outcomes: mapped
-            .into_iter()
-            .map(|r| match r {
-                Ok(_) => served.next().expect("one outcome per valid item"),
-                Err(e) => Err(e),
-            })
-            .collect(),
-        report: batch.report,
-    }
-}
-
-/// Batched write through a flattened-namespace backend; see
-/// [`replicated_read_batch`] for the per-item error convention.
-fn replicated_write_batch(
-    items: &[BatchWrite<'_>],
-    write_many: impl FnOnce(&[(u64, &[u8])]) -> BatchWrites,
-) -> BatchWrites {
-    let mapped: Vec<Result<u64, ProtocolError>> = items
-        .iter()
-        .map(|it| replicated_object_id(it.addr))
-        .collect();
-    let valid: Vec<(u64, &[u8])> = mapped
-        .iter()
-        .zip(items)
-        .filter_map(|(r, it)| r.as_ref().ok().map(|&id| (id, it.bytes)))
-        .collect();
-    let batch = write_many(&valid);
-    let mut served = batch.outcomes.into_iter();
-    BatchWrites {
-        outcomes: mapped
-            .into_iter()
-            .map(|r| match r {
-                Ok(_) => served.next().expect("one outcome per valid item"),
-                Err(e) => Err(e),
-            })
-            .collect(),
-        report: batch.report,
-    }
-}
-
 // ---------------------------------------------------------------------
 // The builder.
 // ---------------------------------------------------------------------
@@ -726,17 +575,20 @@ impl Store {
     }
 
     /// A TRAP-FR store: the same trapezoid over `n − k + 1` full
-    /// replicas (the paper's §IV comparison baseline).
+    /// replicas (the paper's §IV comparison baseline) — TRAP-ERC over an
+    /// `(n − k + 1, 1)` code.
     pub fn trap_fr(n: usize, k: usize) -> StoreBuilder {
         StoreBuilder::new(StoreKind::TrapFr, n, k)
     }
 
-    /// A Read-One-Write-All store over `n` replicas.
+    /// A Read-One-Write-All store over `n` replicas: one level with
+    /// `w = n` over an `(n, 1)` code.
     pub fn rowa(n: usize) -> StoreBuilder {
         StoreBuilder::new(StoreKind::Rowa, n, 1)
     }
 
-    /// A Majority-quorum store over `n` replicas.
+    /// A Majority-quorum store over `n` replicas: one level with
+    /// `w = ⌊n/2⌋ + 1` over an `(n, 1)` code, reading from as many.
     pub fn majority(n: usize) -> StoreBuilder {
         StoreBuilder::new(StoreKind::Majority, n, 1)
     }
@@ -804,7 +656,8 @@ impl StoreBuilder {
         }
     }
 
-    /// Resolves the trapezoid configuration for the trapezoid protocols.
+    /// Resolves the trapezoid shape and thresholds (ignored by ROWA and
+    /// Majority, whose one level is fixed by `n`).
     fn resolve_trapezoid(&self) -> Result<(TrapezoidShape, WriteThresholds), ProtocolError> {
         let shape = match self.shape {
             Some((a, b, h)) => TrapezoidShape::new(a, b, h).map_err(ProtocolError::Shape)?,
@@ -857,12 +710,17 @@ impl<T: Transport + 'static> BoundStoreBuilder<T> {
     /// Parameter/shape validation failures; a transport smaller than the
     /// protocol needs.
     pub fn build(self) -> Result<Box<dyn QuorumStore>, ProtocolError> {
-        match self.spec.kind {
-            StoreKind::TrapErc => Ok(Box::new(self.build_trap_erc()?)),
-            StoreKind::TrapFr => Ok(Box::new(self.build_trap_fr()?)),
-            StoreKind::Rowa => Ok(Box::new(self.build_rowa()?)),
-            StoreKind::Majority => Ok(Box::new(self.build_majority()?)),
-        }
+        let StoreBuilder { kind, n, k, .. } = self.spec;
+        let replicated = match kind {
+            StoreKind::TrapErc => return Ok(Box::new(self.build_trap_erc()?)),
+            StoreKind::TrapFr => {
+                let (shape, thresholds) = self.spec.resolve_trapezoid()?;
+                baselines::trap_fr(n, k, shape, thresholds)?
+            }
+            StoreKind::Rowa => baselines::rowa(n)?,
+            StoreKind::Majority => baselines::majority(n)?,
+        };
+        Ok(Box::new(Replicated::new(replicated, self.transport)?))
     }
 }
 
@@ -881,46 +739,6 @@ impl<T: Transport> BoundStoreBuilder<T> {
             ));
         }
         TrapErcClient::new(self.spec.resolve_config()?, self.transport)
-    }
-
-    /// Builds the concrete TRAP-FR client.
-    ///
-    /// # Errors
-    /// See [`BoundStoreBuilder::build_trap_erc`].
-    pub fn build_trap_fr(self) -> Result<TrapFrClient<T>, ProtocolError> {
-        if self.spec.kind != StoreKind::TrapFr {
-            return Err(ProtocolError::Misconfigured(
-                "builder was configured for a different protocol",
-            ));
-        }
-        let (shape, thresholds) = self.spec.resolve_trapezoid()?;
-        TrapFrClient::with_stripe(shape, thresholds, self.spec.n, self.spec.k, self.transport)
-    }
-
-    /// Builds the concrete ROWA client.
-    ///
-    /// # Errors
-    /// See [`BoundStoreBuilder::build_trap_erc`].
-    pub fn build_rowa(self) -> Result<RowaClient<T>, ProtocolError> {
-        if self.spec.kind != StoreKind::Rowa {
-            return Err(ProtocolError::Misconfigured(
-                "builder was configured for a different protocol",
-            ));
-        }
-        RowaClient::new(self.spec.n, self.transport)
-    }
-
-    /// Builds the concrete Majority client.
-    ///
-    /// # Errors
-    /// See [`BoundStoreBuilder::build_trap_erc`].
-    pub fn build_majority(self) -> Result<MajorityClient<T>, ProtocolError> {
-        if self.spec.kind != StoreKind::Majority {
-            return Err(ProtocolError::Misconfigured(
-                "builder was configured for a different protocol",
-            ));
-        }
-        MajorityClient::new(self.spec.n, self.transport)
     }
 }
 

@@ -351,47 +351,57 @@ impl<T: Transport> TrapErcClient<T> {
     /// [`ProtocolError::Node`] with the lowest-indexed failing node's
     /// error; [`ProtocolError::SizeMismatch`] on ragged input.
     pub fn create_stripe(&self, id: u64, data: Vec<Vec<u8>>) -> Result<OpReport, ProtocolError> {
-        let k = self.config.params().k();
-        if data.len() != k {
-            return Err(ProtocolError::SizeMismatch);
+        self.create_stripes(vec![(id, data)])
+    }
+
+    /// Provisions many stripes in one fused fan-out round (one stripe
+    /// is a batch of one; see [`TrapErcClient::create_stripe`]).
+    pub(crate) fn create_stripes(
+        &self,
+        stripes: Vec<(u64, Vec<Vec<u8>>)>,
+    ) -> Result<OpReport, ProtocolError> {
+        let (n, k) = (self.config.params().n(), self.config.params().k());
+        let mut ops = Vec::with_capacity(stripes.len());
+        for (id, data) in stripes {
+            if data.len() != k {
+                return Err(ProtocolError::SizeMismatch);
+            }
+            let len = data[0].len();
+            if data.iter().any(|d| d.len() != len) {
+                return Err(ProtocolError::SizeMismatch);
+            }
+            let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+            // The stripe's cross-checksum vector rides the install round.
+            let checks = data_checks(&refs);
+            // Parity into pooled scratch (one fused pass per parity block).
+            let parity_calls = self.encode_parity_calls(&refs, |_, bytes| Request::InitParity {
+                id,
+                bytes,
+                k,
+                checks: checks.clone(),
+            });
+            let mut calls: Vec<(NodeId, Request)> = Vec::with_capacity(n);
+            for (i, block) in data.into_iter().enumerate() {
+                // The caller's block becomes the wire payload (and, on the
+                // node, the stored allocation) without a copy.
+                calls.push((
+                    NodeId(i),
+                    Request::InitData {
+                        id,
+                        bytes: Bytes::from(block),
+                    },
+                ));
+            }
+            calls.extend(parity_calls);
+            ops.push(PlanOp {
+                round: QuorumRound::await_all(n),
+                calls,
+            });
         }
-        let len = data[0].len();
-        if data.iter().any(|d| d.len() != len) {
-            return Err(ProtocolError::SizeMismatch);
-        }
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        // The stripe's cross-checksum vector rides the install round.
-        let checks = data_checks(&refs);
-        // Parity into pooled scratch (one fused pass per parity block).
-        let parity_calls = self.encode_parity_calls(&refs, |_, bytes| Request::InitParity {
-            id,
-            bytes,
-            k,
-            checks: checks.clone(),
-        });
-        let mut calls: Vec<(NodeId, Request)> = Vec::with_capacity(self.config.params().n());
-        for (i, block) in data.into_iter().enumerate() {
-            // The caller's block becomes the wire payload (and, on the
-            // node, the stored allocation) without a copy.
-            calls.push((
-                NodeId(i),
-                Request::InitData {
-                    id,
-                    bytes: Bytes::from(block),
-                },
-            ));
-        }
-        calls.extend(parity_calls);
-        let needed = calls.len();
         let mut report = OpReport::default();
-        let outcome = run_recorded(
-            &self.transport,
-            QuorumRound::await_all(needed),
-            None,
-            calls,
-            &mut report,
-        );
-        crate::rounds::require_all(&outcome)?;
+        for outcome in run_fused(&self.transport, None, ops, &mut report) {
+            crate::rounds::require_all(&outcome)?;
+        }
         Ok(report)
     }
 
@@ -495,6 +505,12 @@ impl<T: Transport> TrapErcClient<T> {
     /// Builds level `l`'s scatter for a write of block `addr`: `write(x)`
     /// to `N_i`, a guarded delta fold to every other member (Algorithm 1
     /// lines 20 and 25–28).
+    ///
+    /// At `k = 1` the new parity block is `α_j·x` whatever the old one
+    /// was, so it is installed whole with the monotone `WriteParity`
+    /// instead of folded: a replica that missed earlier writes takes
+    /// this one, where a delta's version guard would refuse it until a
+    /// scrub.
     fn write_level_calls(
         &self,
         addr: BlockAddr,
@@ -514,6 +530,21 @@ impl<T: Transport> TrapErcClient<T> {
                         id,
                         bytes: delta.new.clone(),
                         version: new_version,
+                    }
+                } else if self.config.params().k() == 1 {
+                    let alpha = self.rs.coefficient(member, i);
+                    let bytes = if alpha.0 == 1 {
+                        delta.new.clone()
+                    } else {
+                        let mut scaled = vec![0u8; delta.new.len()];
+                        tq_gf256::slice_ops::mul_slice(alpha, &delta.new, &mut scaled);
+                        Bytes::from(scaled)
+                    };
+                    Request::WriteParity {
+                        id,
+                        bytes,
+                        versions: vec![new_version],
+                        checks: vec![delta.new_check],
                     }
                 } else {
                     // Lines 25–28: guarded parity fold of α_{j,i}·(x − c).
@@ -619,7 +650,7 @@ impl<T: Transport> TrapErcClient<T> {
         let mut pinned: Vec<usize> = Vec::new();
         let mut best_cost = usize::MAX;
         for l in 0..sys.shape().num_levels() {
-            let need = sys.thresholds().read_threshold(sys.shape(), l);
+            let need = self.config.read_threshold(l);
             let mut have: Vec<usize> = sys
                 .level_members(l)
                 .iter()
@@ -715,15 +746,22 @@ impl<T: Transport> TrapErcClient<T> {
     /// parity member, so an answer gathered after theirs is never behind
     /// them because of a write in flight (which would send the read off
     /// to decode a stripe in mid-update).
+    ///
+    /// At `k = 1` (replication) a parity block is a whole scaled copy,
+    /// so the check asks for it instead of its version vector: the
+    /// quorum that settles `latest` then also holds the one shard a
+    /// decode needs, and a read whose `N_i` is down costs no poll.
     fn version_level_calls(&self, id: u64, i: usize, l: usize) -> (usize, Vec<(NodeId, Request)>) {
-        let sys = &self.systems[i];
-        let r_l = sys.thresholds().read_threshold(sys.shape(), l);
-        let mut calls: Vec<(NodeId, Request)> = sys
+        let replicated = self.config.params().k() == 1;
+        let r_l = self.config.read_threshold(l);
+        let mut calls: Vec<(NodeId, Request)> = self.systems[i]
             .level_members(l)
             .iter()
             .map(|&member| {
                 let req = if member == i {
                     Request::ReadData { id }
+                } else if replicated {
+                    Request::ReadParity { id }
                 } else {
                     Request::VersionVector { id }
                 };
@@ -750,7 +788,9 @@ impl<T: Transport> TrapErcClient<T> {
         let (mut polled, mut ops) = (Vec::new(), Vec::new());
         for (idx, (st, addr)) in items.iter_mut().zip(addrs).enumerate() {
             let refused = st.asked.contains(&addr.block) && st.home.is_none();
-            if st.done.is_some() || st.polled || !(st.around || refused) {
+            // A block already holding k shards has what the poll fetches.
+            let stocked = st.shards.len() >= k;
+            if st.done.is_some() || st.polled || stocked || !(st.around || refused) {
                 continue;
             }
             st.polled = true;
@@ -771,7 +811,7 @@ impl<T: Transport> TrapErcClient<T> {
                     .iter()
                     .filter(|&&m| m >= k && st.matrix.get(i, m).is_some())
                     .count();
-                columns >= sys.thresholds().read_threshold(sys.shape(), l)
+                columns >= self.config.read_threshold(l)
             });
             if st.latest.is_none() && level_checked {
                 st.latest = st.matrix.latest_version(i);
@@ -839,13 +879,20 @@ impl<T: Transport> TrapErcClient<T> {
                 })
                 .collect();
             let outcomes = run_fused(&self.transport, Some(l), ops, &mut report);
-            for (&idx, outcome) in pending.iter().zip(&outcomes) {
+            for (&idx, outcome) in pending.iter().zip(outcomes) {
                 let st = &mut items[idx];
-                Self::fold_versions_into(&mut st.matrix, outcome);
-                Self::absorb_home(st, addrs[idx].block, outcome);
+                Self::absorb_home(st, addrs[idx].block, &outcome);
                 st.saw_not_found |= outcome.saw_error(|e| matches!(e, NodeError::NotFound));
                 st.saw_success |= !outcome.accepted.is_empty();
-                if outcome.quorum_met() {
+                let quorum_met = outcome.quorum_met();
+                // The check's replies are version answers; at k = 1 they
+                // are whole shards as well, kept for Case 2.
+                if k == 1 {
+                    self.absorb_shards(st, outcome);
+                } else {
+                    Self::fold_versions_into(&mut st.matrix, &outcome);
+                }
+                if quorum_met {
                     st.latest = Some(
                         st.matrix
                             .latest_version(addrs[idx].block)

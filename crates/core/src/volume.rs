@@ -12,10 +12,9 @@
 //! * writes serialised per block through a sharded
 //!   [`StripeLockManager`], so writers on different lock shards never
 //!   touch the same mutex;
-//! * maintenance entry points (`scrub`; `rebuild_node` on TRAP-ERC
-//!   backends; shard-parallel `scrub_sharded` / per-shard
-//!   `rebuild_shard_node` on [`ShardedStore`] backends) wrapping the
-//!   recovery workflows.
+//! * maintenance entry points (`scrub`, `rebuild_node`; shard-parallel
+//!   `scrub_sharded` / per-shard `rebuild_shard_node` on
+//!   [`ShardedStore`] backends) wrapping the recovery workflows.
 //!
 //! The volume is generic over `S: QuorumStore`, so the same virtual disk
 //! runs on TRAP-ERC, TRAP-FR, ROWA or Majority — including over
@@ -312,19 +311,12 @@ impl<S: QuorumStore> Volume<S> {
         Ok(refreshed)
     }
 
-    /// Rebuilds a replaced node across every stripe of this volume.
-    ///
-    /// Only TRAP-ERC backends have a node-targeted rebuild (decode from
-    /// `k` survivors); on any other backend this returns the typed
-    /// [`VolumeError::RebuildUnsupported`](crate::errors::VolumeError)
-    /// rather than requiring callers to know the concrete store type —
-    /// replication backends heal through [`Volume::scrub`], and sharded
-    /// stores rebuild one group at a time via
-    /// [`Volume::rebuild_shard_node`].
+    /// Rebuilds a replaced node across every stripe of this volume
+    /// (through [`QuorumStore::rebuild_node_stripes`]; a sharded store
+    /// rebuilds one group at a time via [`Volume::rebuild_shard_node`]).
     ///
     /// # Errors
-    /// `RebuildUnsupported` on non-ERC backends; otherwise stops at the
-    /// first stripe that cannot be rebuilt.
+    /// Stops at the first stripe that cannot be rebuilt.
     pub fn rebuild_node(&self, node: usize) -> Result<Vec<RebuildReport>, ProtocolError> {
         let ids: Vec<u64> = (0..self.stripe_count).map(|s| self.base_id + s).collect();
         self.store.rebuild_node_stripes(&ids, node)
@@ -391,13 +383,10 @@ impl<S: QuorumStore> Volume<ShardedStore<S>> {
 impl<S: QuorumStore> Volume<ShardedStore<S>> {
     /// Rebuilds a replaced node of **one shard's** group across this
     /// volume's stripes on that shard — per-shard maintenance; the other
-    /// shards keep serving untouched. As with [`Volume::rebuild_node`],
-    /// a non-ERC shard backend returns the typed
-    /// [`VolumeError::RebuildUnsupported`](crate::errors::VolumeError).
+    /// shards keep serving untouched.
     ///
     /// # Errors
-    /// `RebuildUnsupported` on non-ERC shard backends; otherwise stops
-    /// at the first stripe that cannot be rebuilt.
+    /// Stops at the first stripe that cannot be rebuilt.
     ///
     /// # Panics
     /// Panics if `shard` is out of range.
@@ -530,41 +519,30 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_on_non_erc_backend_is_a_typed_error() {
-        // A replication-backed volume has no node-targeted rebuild: the
-        // caller gets the typed error in-band (no downcasting, no
-        // TrapErc-only method), and heals through scrub instead.
-        let cluster = Cluster::new(5);
-        let store = Store::majority(5)
+    fn rowa_volume_rebuilds_a_wiped_replica() {
+        // Every backend has a node-targeted rebuild: a ROWA volume
+        // re-installs a blank replica from the survivors, and reads from
+        // it alone come back byte-exact.
+        let cluster = Cluster::new(4);
+        let store = Store::rowa(4)
             .transport(LocalTransport::new(cluster.clone()))
             .build()
             .unwrap();
         let vol =
-            Volume::with_config(store, VolumeConfig::new(0, 64, 8).blocks_per_stripe(8)).unwrap();
-        let err = vol.rebuild_node(2).unwrap_err();
-        assert!(matches!(
-            err,
-            ProtocolError::Volume(VolumeError::RebuildUnsupported {
-                protocol: "majority"
-            })
-        ));
-        assert!(err.to_string().contains("no node-targeted rebuild"));
-        // The sharded per-shard entry point types the same way.
-        let shards: Vec<_> = (0..2)
-            .map(|_| {
-                Store::rowa(3)
-                    .transport(LocalTransport::new(Cluster::new(3)))
-                    .build_rowa()
-                    .unwrap()
-            })
-            .collect();
-        let store = ShardedStore::new(shards, ShardMap::hashed(2).unwrap()).unwrap();
-        let vol =
             Volume::with_config(store, VolumeConfig::new(0, 64, 8).blocks_per_stripe(4)).unwrap();
-        assert!(matches!(
-            vol.rebuild_shard_node(1, 0).unwrap_err(),
-            ProtocolError::Volume(VolumeError::RebuildUnsupported { protocol: "rowa" })
-        ));
+        for lba in 0..8 {
+            vol.write_block(lba, &[lba as u8 ^ 0x3C; 64]).unwrap();
+        }
+        cluster.replace(2);
+        let reports = vol.rebuild_node(2).unwrap();
+        assert_eq!(reports.len(), 8, "one report per object");
+        assert!(reports.iter().all(|r| r.node == 2 && r.bytes_written == 64));
+        for other in [0, 1, 3] {
+            cluster.kill(other);
+        }
+        for lba in 0..8 {
+            assert_eq!(vol.read_block(lba).unwrap(), vec![lba as u8 ^ 0x3C; 64]);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! * [`MonteCarlo::estimate_predicate`] samples availability patterns and
 //!   evaluates a structural [`tq_quorum::system::QuorumSystem`]-style
 //!   predicate — cheap, for wide sweeps.
-//! * The `protocol_*` functions run the actual `tq-trapezoid` clients
+//! * The `protocol_*` functions run the actual `tq-trapezoid` client
 //!   against a real cluster per sample — the ground truth for what the
 //!   executable protocol delivers, including every behaviour the paper's
 //!   closed forms abstract away (embedded reads, version guards,
@@ -13,9 +13,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use tq_cluster::{Cluster, FaultInjector, LocalTransport};
+use tq_erasure::CodeParams;
 use tq_quorum::trapezoid::{TrapezoidShape, WriteThresholds};
 use tq_quorum::NodeSet;
-use tq_trapezoid::{ProtocolConfig, Store, TrapErcClient, TrapFrClient};
+use tq_trapezoid::{ProtocolConfig, Store, TrapErcClient};
 
 /// A Bernoulli estimate with its sampling error.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,23 +116,20 @@ fn erc_client(config: &ProtocolConfig, cluster: &Cluster) -> TrapErcClient<Local
         .expect("transport sized to n")
 }
 
-/// The TRAP-FR deployment for a (shape, thresholds) pair. The typed
-/// constructor is used (not the builder's `.thresholds(..)`, which
-/// re-derives the eq. 6 majority `w_0`) so a caller-supplied custom
-/// `w_0` reaches the simulated protocol verbatim.
+/// The TRAP-FR deployment for a (shape, thresholds) pair: TRAP-ERC over
+/// an `(m, 1)` code on the trapezoid's `m` nodes, the configuration
+/// `Store::trap_fr` builds. The typed config is used (not the builder's
+/// `.thresholds(..)`, which re-derives the eq. 6 majority `w_0`) so a
+/// caller-supplied custom `w_0` reaches the simulated protocol verbatim.
 fn fr_client(
     shape: &TrapezoidShape,
     thresholds: &WriteThresholds,
     cluster: &Cluster,
-) -> TrapFrClient<LocalTransport> {
-    TrapFrClient::with_stripe(
-        *shape,
-        thresholds.clone(),
-        shape.node_count(),
-        1,
-        LocalTransport::new(cluster.clone()),
-    )
-    .expect("transport sized to shape")
+) -> TrapErcClient<LocalTransport> {
+    let params = CodeParams::new(shape.node_count(), 1).expect("a trapezoid has 1..=255 nodes");
+    let config =
+        ProtocolConfig::new(params, *shape, thresholds.clone()).expect("validated thresholds");
+    erc_client(&config, cluster)
 }
 
 fn all_up(cluster: &Cluster) {
@@ -226,12 +224,16 @@ pub fn protocol_fr_read_availability(
     let cluster = Cluster::new(shape.node_count());
     let client = fr_client(shape, thresholds, &cluster);
     let mut injector = FaultInjector::new(seed);
-    client.create(1, &[0u8; MC_BLOCK_LEN]).expect("all up");
-    client.write(1, &[0x42u8; MC_BLOCK_LEN]).expect("all up");
+    client
+        .create_stripe(1, vec![vec![0u8; MC_BLOCK_LEN]])
+        .expect("all up");
+    client
+        .write_block(1, 0, &[0x42u8; MC_BLOCK_LEN])
+        .expect("all up");
     let mut successes = 0;
     for _ in 0..trials {
         injector.sample_bernoulli(&cluster, p);
-        if client.read(1).is_ok() {
+        if client.read_block(1, 0).is_ok() {
             successes += 1;
         }
     }
@@ -240,7 +242,7 @@ pub fn protocol_fr_read_availability(
 
 /// Protocol-level TRAP-FR write availability (hinted version supply, so
 /// the estimate matches the eq. 8 predicate; the FR embedded read is
-/// provably never the limiting factor — see `trap_fr` tests).
+/// provably never the limiting factor — see the `baselines` tests).
 pub fn protocol_fr_write_availability(
     shape: &TrapezoidShape,
     thresholds: &WriteThresholds,
@@ -251,12 +253,15 @@ pub fn protocol_fr_write_availability(
     let cluster = Cluster::new(shape.node_count());
     let client = fr_client(shape, thresholds, &cluster);
     let mut injector = FaultInjector::new(seed);
-    client.create(1, &[0u8; MC_BLOCK_LEN]).expect("all up");
+    let old = [0u8; MC_BLOCK_LEN];
+    client.create_stripe(1, vec![old.to_vec()]).expect("all up");
     let mut successes = 0;
     for trial in 0..trials {
         injector.sample_bernoulli(&cluster, p);
+        // At k = 1 the write installs whole copies, so the old chunk is
+        // only its length.
         if client
-            .write_with_version(1, &[0x42u8; MC_BLOCK_LEN], trial as u64 + 1)
+            .write_block_with_hint(1, 0, &[0x42u8; MC_BLOCK_LEN], &old, trial as u64 + 1)
             .is_ok()
         {
             successes += 1;

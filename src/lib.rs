@@ -48,5 +48,5 @@ pub use tq_quorum::trapezoid::{TrapezoidShape, WriteThresholds};
 pub use tq_trapezoid::{
     BatchReads, BatchWrite, BatchWrites, BlockAddr, OpReport, ProtocolConfig, ProtocolError,
     QuorumStore, ShardMap, ShardedStore, Store, StoreBuilder, StoreInfo, StripeLockManager,
-    TrapErcClient, TrapFrClient, Volume, VolumeConfig, VolumeError,
+    TrapErcClient, Volume, VolumeConfig, VolumeError,
 };

@@ -137,13 +137,14 @@ fn degraded_reads_cost_what_the_plan_says() {
     assert_eq!(out.bytes, payload(2, 0));
     assert_eq!(cost(&out.report), (2, 1 + K), "trap-erc: N_i down");
 
-    // The replication backends with their first-polled replica down.
-    // TRAP-FR: level 0 is that replica alone, so level 1 polls — its
-    // first member for the data: 2 rounds, 1 + 2 messages. ROWA: the
-    // next replica serves in the same round. Majority: the poll runs on
-    // to a fourth member, whose version answer names a holder to fetch
-    // from.
-    for (backend, pin) in [("trap-fr", (2, 3)), ("rowa", (1, 2)), ("majority", (2, 5))] {
+    // The replication backends with their home replica down. At k = 1
+    // every check reply from a non-home replica is a whole copy, so a
+    // completed check holds what the read serves. TRAP-FR: level 0 is
+    // the home replica alone, so the k-shard poll takes r_1 = 2 level-1
+    // replicas: 2 rounds, 1 + 2 messages. ROWA: the next replica serves
+    // in the same round. Majority: the check runs on to a fourth
+    // replica, and its three copies settle and serve the read.
+    for (backend, pin) in [("trap-fr", (2, 3)), ("rowa", (1, 2)), ("majority", (1, 4))] {
         let (store, cluster) = world(backend);
         cluster.kill(0);
         let out = store.read(BlockAddr::new(STRIPE, 2)).unwrap();

@@ -28,8 +28,8 @@
 use std::sync::Arc;
 
 use trapezoid_quorum::protocol::{
-    BatchReads, BatchWrite, BatchWrites, OpReport, ProtocolError, ReadOutcome, ScrubReport,
-    StoreInfo, WriteOutcome,
+    BatchReads, BatchWrite, BatchWrites, OpReport, ProtocolError, ReadOutcome, RebuildReport,
+    ScrubReport, StoreInfo, WriteOutcome,
 };
 use trapezoid_quorum::sim::dst::{
     self, minimize, run_case, Backend, CaseConfig, HistoryChecker, Scenario, ViolationKind,
@@ -296,6 +296,13 @@ impl QuorumStore for VersionRegressingStore {
     }
     fn scrub(&self, stripe: u64) -> Result<ScrubReport, ProtocolError> {
         self.inner.scrub(stripe)
+    }
+    fn rebuild_node_stripes(
+        &self,
+        ids: &[u64],
+        node: usize,
+    ) -> Result<Vec<RebuildReport>, ProtocolError> {
+        self.inner.rebuild_node_stripes(ids, node)
     }
 }
 
