@@ -705,9 +705,26 @@ struct Tail {
     /// past `synced_len` is unknown from then on, so every later
     /// mutation and barrier returns this error.
     failed: Option<StorageError>,
+    /// Compaction waits until the log is longer than this:
+    /// [`COMPACT_MIN_BYTES`], or twice the log's length when a compaction
+    /// last failed, so a lasting failure (a full disk) is retried as the
+    /// log doubles rather than on every put.
+    compact_at: u64,
 }
 
 impl Tail {
+    /// A healthy tail over `file`, whose records end at `len`, all synced.
+    fn new(file: Arc<File>, len: u64, allocated: u64) -> Self {
+        Tail {
+            file,
+            log_bytes: len,
+            synced_len: len,
+            allocated,
+            failed: None,
+            compact_at: COMPACT_MIN_BYTES,
+        }
+    }
+
     /// `Err` once the log is poisoned.
     fn usable(&self) -> Result<(), StorageError> {
         self.failed.clone().map_or(Ok(()), Err)
@@ -846,13 +863,18 @@ impl Index {
 /// succeeded would vouch for pages the kernel may already have dropped.
 ///
 /// **Compaction.** When dead records dominate (log > 3× live and >
-/// 64 KiB), the live records are copied from the log into a new file,
-/// written together with its first zero extent before one sync, which
-/// then replaces the log atomically. A record whose CRC no longer
-/// matches has rotted since it was written: it is left out, and its block
-/// dropped, so the node reports the block missing instead of corrupt and
-/// scrub re-installs it. Copying it would launder nothing, but it would
-/// end the next replay there and cost every record after it.
+/// 64 KiB), the put or delete that crossed the line copies the live
+/// records from the log into a new file, written together with its first
+/// zero extent before one sync, which then replaces the log atomically.
+/// The index is re-pointed in place: each copied entry gets the new file
+/// and offset, and no second table is built. A record whose CRC no
+/// longer matches has rotted since it was written: it is left out, and
+/// its block dropped, so the node reports the block missing instead of
+/// corrupt and scrub re-installs it. Copying it would launder nothing,
+/// but it would end the next replay there and cost every record after
+/// it. A compaction that fails before its rename (a full disk, say)
+/// removes its new file and leaves the log and the triggering mutation's
+/// result alone; the next attempt waits until the log has doubled.
 pub struct AppendLogBackend {
     path: PathBuf,
     policy: FsyncPolicy,
@@ -905,13 +927,7 @@ impl AppendLogBackend {
         Ok(AppendLogBackend {
             path,
             policy,
-            tail: Mutex::new(Tail {
-                file,
-                log_bytes: valid,
-                synced_len: valid,
-                allocated,
-                failed: None,
-            }),
+            tail: Mutex::new(Tail::new(file, valid, allocated)),
             index: Mutex::new(index),
             ephemeral: false,
         })
@@ -948,7 +964,10 @@ impl AppendLogBackend {
 
     /// Appends the record for `id` — a put of `block`, or a delete —
     /// then syncs under `Always`, folds the record into the index, and
-    /// compacts once dead records dominate.
+    /// compacts once dead records dominate. The result is the record's:
+    /// a compaction that fails before its rename leaves the log as it
+    /// was, and one that fails after it has poisoned the log for the
+    /// next mutation or barrier to report.
     fn append(
         &self,
         tail: &mut Tail,
@@ -971,20 +990,17 @@ impl AppendLogBackend {
         let live = {
             let mut index = self.index.lock();
             index.apply(id, entry);
-            let dead_dominate = tail.log_bytes > COMPACT_MIN_BYTES
+            let dead_dominate = tail.log_bytes > tail.compact_at
                 && tail.log_bytes > COMPACT_RATIO * index.live_bytes.max(1);
-            dead_dominate.then(|| {
-                index
-                    .map
-                    .iter()
-                    .map(|(&id, entry)| (id, entry.at, entry.len))
-                    .collect()
-            })
+            let keep = |(&id, entry): (&BlockId, &Located)| (id, entry.at, entry.len);
+            dead_dominate.then(|| index.map.iter().map(keep).collect())
         };
-        match live {
-            Some(live) => self.rewrite(tail, live),
-            None => Ok(()),
+        if let Some(live) = live {
+            if self.rewrite(tail, live).is_err() {
+                tail.compact_at = 2 * tail.log_bytes;
+            }
         }
+        Ok(())
     }
 
     /// Replaces the log with a new file holding the records `keep` (id,
@@ -992,9 +1008,12 @@ impl AppendLogBackend {
     /// every live record, `clear` none. The records are copied in offset
     /// order, leaving out any that rotted (see the type's doc); the new
     /// file gets them and then zeros up to the next extent boundary, one
-    /// sync covers both, then rename → fsync dir. From the rename on,
-    /// the new file *is* the log, so the index and the tail switch to it
-    /// before the directory sync, and a failed directory sync poisons.
+    /// sync covers both, then rename → fsync dir. Up to the rename the
+    /// log is untouched, and a failure removes the new file. From the
+    /// rename on, the new file *is* the log: each copied entry of the
+    /// index is re-pointed at it in place, the others dropped, and the
+    /// tail switched to it, all before the directory sync; a failed
+    /// directory sync poisons.
     fn rewrite(
         &self,
         tail: &mut Tail,
@@ -1009,35 +1028,33 @@ impl AppendLogBackend {
             .truncate(true)
             .open(&tmp_path)
             .map_err(|e| io_err("compact-create", e))?;
-        let (len, moved) =
-            copy_records(&tail.file, &tmp, &keep).map_err(|e| io_err("compact-write", e))?;
-        let allocated = len.next_multiple_of(EXTENT);
-        write_zeros(&tmp, len, allocated).map_err(|e| io_err("compact-write", e))?;
-        tmp.sync_data().map_err(|e| io_err("compact-fsync", e))?;
-        std::fs::rename(&tmp_path, &self.path).map_err(|e| io_err("compact-rename", e))?;
+        let (len, allocated, moved) = (|| {
+            let (len, moved) =
+                copy_records(&tail.file, &tmp, &keep).map_err(|e| io_err("compact-write", e))?;
+            let allocated = len.next_multiple_of(EXTENT);
+            write_zeros(&tmp, len, allocated).map_err(|e| io_err("compact-write", e))?;
+            tmp.sync_data().map_err(|e| io_err("compact-fsync", e))?;
+            std::fs::rename(&tmp_path, &self.path).map_err(|e| io_err("compact-rename", e))?;
+            Ok((len, allocated, moved))
+        })()
+        .inspect_err(|_| {
+            let _ = std::fs::remove_file(&tmp_path);
+        })?;
         let file = Arc::new(tmp);
         {
             let mut index = self.index.lock();
-            let mut map = DetHashMap::default();
             for (id, at) in moved {
-                if let Some(mut entry) = index.map.remove(&id) {
+                if let Some(entry) = index.map.get_mut(&id) {
                     entry.file = Arc::clone(&file);
                     entry.at = at;
-                    map.insert(id, entry);
                 }
             }
-            *index = Index {
-                map,
-                live_bytes: len,
-            };
+            // What still points at the old file was not copied: a rotten
+            // record, or every record under `clear`.
+            index.map.retain(|_, entry| Arc::ptr_eq(&entry.file, &file));
+            index.live_bytes = len;
         }
-        *tail = Tail {
-            file,
-            log_bytes: len,
-            synced_len: len,
-            allocated,
-            failed: None,
-        };
+        *tail = Tail::new(file, len, allocated);
         // Make the rename itself durable. Swallowing this error would
         // let an acknowledged-durable log vanish with the directory
         // entry on power loss.
@@ -2024,6 +2041,152 @@ mod tests {
         let (_b, node) = open();
         check(&node, "reopened");
         drop(node);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// How many entries the index's table holds without growing.
+    fn index_capacity(b: &AppendLogBackend) -> usize {
+        b.index.lock().map.capacity()
+    }
+
+    /// Where the index keeps `id`'s entry: moves only if the table does.
+    fn entry_addr(b: &AppendLogBackend, id: BlockId) -> *const Located {
+        std::ptr::from_ref(&b.index.lock().map[&id])
+    }
+
+    #[test]
+    fn applog_compaction_repoints_the_index_in_place() {
+        const BLOCKS: u64 = 200;
+        let path = temp_log("repoint");
+        let _ = std::fs::remove_file(&path);
+        let b = AppendLogBackend::open_ephemeral(&path, FsyncPolicy::Manual).unwrap();
+        let block = |id: u64| data(id, &[id as u8; 1024]);
+        for id in 0..BLOCKS {
+            b.put(id, block(id)).unwrap();
+        }
+        rot(&b, BLOCKS - 1);
+        let capacity = index_capacity(&b);
+        let addr = entry_addr(&b, BLOCKS - 2);
+
+        // Deletes from the front until one compacts: by then a table
+        // built for what is left would be a fraction of this one.
+        let mut deleted = 0;
+        while deleted < BLOCKS {
+            let before = b.log_len();
+            b.delete(deleted).unwrap();
+            deleted += 1;
+            if b.log_len() < before {
+                break;
+            }
+        }
+        let live = (deleted..BLOCKS - 1).count();
+        assert!(live < capacity / 2, "{live} live of {capacity}");
+        assert_eq!(index_capacity(&b), capacity, "the table is the old one");
+        assert_eq!(entry_addr(&b, BLOCKS - 2), addr, "entries stay put");
+
+        // Every surviving entry reads from the compacted file; the rotten
+        // record's block was not copied and is gone.
+        let file = Arc::clone(&b.tail.lock().file);
+        let index = b.index.lock();
+        assert_eq!(index.map.len(), live);
+        assert!(index.map.values().all(|e| Arc::ptr_eq(&e.file, &file)));
+        assert_eq!(index.live_bytes, b.log_len());
+        drop(index);
+        assert_eq!(b.get(BLOCKS - 1), Ok(None), "rotten block dropped");
+        let want: BTreeMap<_, _> = (deleted..BLOCKS - 1).map(|id| (id, block(id))).collect();
+        assert_eq!(state(&b), want);
+    }
+
+    /// Overwrites four blocks in turn, each put checked acknowledged,
+    /// and remembers what was acknowledged.
+    #[derive(Default)]
+    struct Writer {
+        v: u64,
+        acked: BTreeMap<BlockId, StoredBlock>,
+    }
+
+    impl Writer {
+        /// One put; whether it compacted the log.
+        fn put(&mut self, b: &AppendLogBackend) -> bool {
+            self.v += 1;
+            let (id, block) = (self.v % 4, data(self.v, &[self.v as u8; 4096]));
+            let before = b.log_len();
+            assert_eq!(b.put(id, block.clone()), Ok(()), "put v{}", self.v);
+            self.acked.insert(id, block);
+            b.log_len() < before
+        }
+
+        /// Puts until one attempts a compaction that fails: the log is
+        /// left exactly as it was, and the next attempt waits for it to
+        /// double.
+        fn fail_one(&mut self, b: &AppendLogBackend) {
+            // Bounded, so a retry on every put cannot fill the disk.
+            for _ in 0..64 {
+                if b.tail.lock().compact_at > COMPACT_MIN_BYTES {
+                    break;
+                }
+                assert!(!self.put(b), "compacted through the obstacle");
+            }
+            let compact_at = b.tail.lock().compact_at;
+            assert_eq!(compact_at, 2 * b.log_len(), "a failure backs off");
+            assert_eq!(state(b), self.acked, "get and scan serve every ack");
+        }
+    }
+
+    #[test]
+    fn applog_a_failed_compaction_leaves_the_log_and_the_put_alone() {
+        let path = temp_log("compact-fails");
+        let tmp = path.with_extension("compact");
+        let kept = path.with_extension("kept");
+        for p in [&path, &kept] {
+            let _ = std::fs::remove_file(p);
+        }
+        let _ = std::fs::remove_dir(&tmp);
+        let open = || AppendLogBackend::open(&path, FsyncPolicy::Always).unwrap();
+        let mut w = Writer::default();
+
+        // Before the temp file exists: a directory squats on its name.
+        std::fs::create_dir(&tmp).unwrap();
+        let b = open();
+        w.fail_one(&b);
+        assert!(
+            tmp.is_dir(),
+            "the obstacle is not the compaction's to remove"
+        );
+        drop(b);
+        let b = open();
+        assert_eq!(state(&b), w.acked, "reopened");
+        w.fail_one(&b);
+        std::fs::remove_dir(&tmp).unwrap();
+        // The obstacle is gone; the next attempt, once the log has
+        // doubled, compacts.
+        let retry_at = b.tail.lock().compact_at;
+        let mut last = b.log_len();
+        for _ in 0..128 {
+            if w.put(&b) {
+                break;
+            }
+            last = b.log_len();
+        }
+        let rec = record_len(&data(0, &[0; 4096]));
+        assert!(last + rec > retry_at, "compacted before the log doubled");
+        assert_eq!(b.tail.lock().compact_at, COMPACT_MIN_BYTES, "compacted");
+        assert_eq!(state(&b), w.acked, "compacted");
+
+        // After the temp file is written and synced: the rename fails,
+        // for a directory stands at the log's path (the log lives on
+        // under a second name).
+        std::fs::hard_link(&path, &kept).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        std::fs::create_dir(&path).unwrap();
+        w.fail_one(&b);
+        assert!(!tmp.exists(), "the temp file is removed");
+        std::fs::remove_dir(&path).unwrap();
+        std::fs::rename(&kept, &path).unwrap();
+        drop(b);
+        let b = open();
+        assert_eq!(state(&b), w.acked, "reopened");
+        drop(b);
         let _ = std::fs::remove_file(&path);
     }
 

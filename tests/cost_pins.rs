@@ -3,16 +3,23 @@
 //! an (9, 6) stripe on the (2, 1, 1) trapezoid with `w_1 = 2`
 //! (`r_0 = 1`, `r_1 = 2`), the replication baselines on the `n − k + 1
 //! = 4` nodes TRAP-FR uses — plus one TRAP-ERC degraded read on
-//! (15, 8) / (0, 4, 1), whose level 0 can complete without `N_i`.
+//! (15, 8) / (0, 4, 1), whose level 0 can complete without `N_i`. A
+//! healthy read's and write's storage puts and flushes (each flush an
+//! `fdatasync` on the log) are pinned beside them, with their floors.
 //!
 //! On `LocalTransport` these counts are exact and repeat bit for bit,
-//! so a plan change that adds a round or a message to any operation
-//! fails here, loudly, instead of drifting into the wall-clock numbers
-//! (ROADMAP's standing gate). CI runs this file by name before the
-//! benchmark smoke.
+//! so a plan change that adds a round, a message or a durable install
+//! to any operation fails here, loudly, instead of drifting into the
+//! wall-clock numbers (ROADMAP's standing gate). CI runs this file by
+//! name before the benchmark smoke.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use trapezoid_quorum::cluster::storage::default_backend;
+use trapezoid_quorum::cluster::{BlockId, StorageError, StoredBlock};
 use trapezoid_quorum::{
-    BatchWrite, BlockAddr, Cluster, LocalTransport, OpReport, QuorumStore, Store,
+    BatchWrite, BlockAddr, Cluster, LocalTransport, OpReport, QuorumStore, StorageBackend, Store,
 };
 
 const N: usize = 9;
@@ -24,8 +31,66 @@ fn payload(block: usize, round: u8) -> Vec<u8> {
     vec![(round << 4) | block as u8; BLOCK_LEN]
 }
 
-/// A provisioned backend on a fresh all-live cluster.
-fn world(backend: &str) -> (Box<dyn QuorumStore>, Cluster) {
+/// The storage calls a cluster's nodes made, summed over the nodes.
+#[derive(Debug, Default)]
+struct Meter {
+    puts: AtomicUsize,
+    flushes: AtomicUsize,
+}
+
+impl Meter {
+    /// `(puts, flushes)` since the last call.
+    fn take(&self) -> (usize, usize) {
+        let puts = self.puts.swap(0, Ordering::Relaxed);
+        (puts, self.flushes.swap(0, Ordering::Relaxed))
+    }
+}
+
+/// A node's default backend (`MemoryBackend` unless `TQ_NODE_BACKEND`
+/// picks the log), its puts and flushes counted on the cluster's
+/// [`Meter`]. A flush is the durable-install barrier: on the log it is
+/// the `fdatasync`.
+#[derive(Debug)]
+struct Counted {
+    inner: Arc<dyn StorageBackend>,
+    meter: Arc<Meter>,
+}
+
+impl StorageBackend for Counted {
+    fn get(&self, id: BlockId) -> Result<Option<StoredBlock>, StorageError> {
+        self.inner.get(id)
+    }
+
+    fn put(&self, id: BlockId, block: StoredBlock) -> Result<(), StorageError> {
+        self.meter.puts.fetch_add(1, Ordering::Relaxed);
+        self.inner.put(id, block)
+    }
+
+    fn delete(&self, id: BlockId) -> Result<(), StorageError> {
+        self.inner.delete(id)
+    }
+
+    fn scan(&self, visit: &mut dyn FnMut(BlockId, &StoredBlock)) -> Result<(), StorageError> {
+        self.inner.scan(visit)
+    }
+
+    fn flush(&self) -> Result<(), StorageError> {
+        self.meter.flushes.fetch_add(1, Ordering::Relaxed);
+        self.inner.flush()
+    }
+
+    fn clear(&self) -> Result<(), StorageError> {
+        self.inner.clear()
+    }
+
+    fn label(&self) -> &'static str {
+        "counted"
+    }
+}
+
+/// A provisioned backend on a fresh all-live cluster, and the meter on
+/// its nodes' storage (zeroed after provisioning).
+fn world(backend: &str) -> (Box<dyn QuorumStore>, Cluster, Arc<Meter>) {
     let replicas = N - K + 1;
     let (nodes, builder) = match backend {
         "trap-erc" => (N, Store::trap_erc(N, K).shape(2, 1, 1).uniform_w(2)),
@@ -34,7 +99,13 @@ fn world(backend: &str) -> (Box<dyn QuorumStore>, Cluster) {
         "majority" => (replicas, Store::majority(replicas)),
         other => unreachable!("unknown backend {other}"),
     };
-    let cluster = Cluster::new(nodes);
+    let meter = Arc::new(Meter::default());
+    let cluster = Cluster::with_backends(nodes, |i| {
+        Arc::new(Counted {
+            inner: default_backend(i),
+            meter: Arc::clone(&meter),
+        })
+    });
     let store = builder
         .transport(LocalTransport::new(cluster.clone()))
         .build()
@@ -42,7 +113,8 @@ fn world(backend: &str) -> (Box<dyn QuorumStore>, Cluster) {
     store
         .create(STRIPE, (0..K).map(|b| payload(b, 0)).collect())
         .unwrap();
-    (store, cluster)
+    meter.take();
+    (store, cluster, meter)
 }
 
 /// `(network rounds, messages)` of one operation's report.
@@ -52,31 +124,41 @@ fn cost(report: &OpReport) -> (usize, usize) {
 
 #[test]
 fn healthy_ops_cost_what_the_plan_says() {
-    // backend, read, write — each `(rounds, messages)`.
+    // backend, read, write — each `(rounds, messages)` — and the
+    // write's storage calls, `(puts, flushes)`. A read stores nothing.
     let pins = [
         // One round: N_i's reply to the level-0 check is the block.
-        // A write is that read plus one scatter per level (1 + 3).
-        ("trap-erc", (1, 1), (3, 5)),
-        // The same trapezoid over full replicas, the same bill.
-        ("trap-fr", (1, 1), (3, 5)),
-        // Read one; the embedded read plus write all four.
-        ("rowa", (1, 1), (2, 5)),
+        // A write is that read plus one scatter per level (1 + 3). It
+        // installs on N_i and every parity member, 1 + (n − k) = 4 puts,
+        // each flushed before its ack. The floor is Σ w_l = 1 + 2 = 3
+        // durable installs, a write quorum; the fourth keeps every
+        // parity member current.
+        ("trap-erc", (1, 1), (3, 5), (4, 4)),
+        // The same trapezoid over full replicas, the same bill; floor 3.
+        ("trap-fr", (1, 1), (3, 5), (4, 4)),
+        // Read one; the embedded read plus write all four, which is
+        // also the floor.
+        ("rowa", (1, 1), (2, 5), (4, 4)),
         // A majority of 4 is 3 — the first of them asked for the data.
-        ("majority", (1, 3), (2, 7)),
+        // The write installs on all four; the floor is a majority, 3.
+        ("majority", (1, 3), (2, 7), (4, 4)),
     ];
-    for (backend, read, write) in pins {
-        let (store, _cluster) = world(backend);
+    for (backend, read, write, stores) in pins {
+        let (store, _cluster, meter) = world(backend);
         let addr = BlockAddr::new(STRIPE, 2);
         let out = store.read(addr).unwrap();
         assert_eq!(out.bytes, payload(2, 0), "{backend}");
         assert_eq!(cost(&out.report), read, "{backend}: healthy read");
+        assert_eq!(meter.take(), (0, 0), "{backend}: healthy read stores");
         let out = store.write(addr, &payload(2, 1)).unwrap();
         assert_eq!(out.version, 1, "{backend}");
         assert_eq!(cost(&out.report), write, "{backend}: healthy write");
+        assert_eq!(meter.take(), stores, "{backend}: healthy write stores");
         // The write left nothing behind that a read pays for.
         let out = store.read(addr).unwrap();
         assert_eq!(out.bytes, payload(2, 1), "{backend}");
         assert_eq!(cost(&out.report), read, "{backend}: read after write");
+        assert_eq!(meter.take(), (0, 0), "{backend}: read after write stores");
     }
 }
 
@@ -90,7 +172,7 @@ fn batches_stay_flat_in_rounds() {
         ("majority", 1, 2),
     ];
     for (backend, read_rounds, write_rounds) in pins {
-        let (store, _cluster) = world(backend);
+        let (store, _cluster, _) = world(backend);
         let addrs: Vec<BlockAddr> = (0..K).map(|b| BlockAddr::new(STRIPE, b)).collect();
         let reads = store.read_batch(&addrs);
         assert!(reads.all_ok(), "{backend}");
@@ -130,7 +212,7 @@ fn degraded_reads_cost_what_the_plan_says() {
     // the version, plus k − 2 = 4 data shards; the 6 replies decode.
     // The floor is one k-shard fan-out; N_i's refusal is the one extra
     // round and message.
-    let (store, cluster) = world("trap-erc");
+    let (store, cluster, _) = world("trap-erc");
     cluster.kill(2);
     let out = store.read(BlockAddr::new(STRIPE, 2)).unwrap();
     assert!(out.decoded());
@@ -145,7 +227,7 @@ fn degraded_reads_cost_what_the_plan_says() {
     // in the same round. Majority: the check runs on to a fourth
     // replica, and its three copies settle and serve the read.
     for (backend, pin) in [("trap-fr", (2, 3)), ("rowa", (1, 2)), ("majority", (1, 4))] {
-        let (store, cluster) = world(backend);
+        let (store, cluster, _) = world(backend);
         cluster.kill(0);
         let out = store.read(BlockAddr::new(STRIPE, 2)).unwrap();
         assert_eq!(out.bytes, payload(2, 0), "{backend}");
@@ -188,7 +270,7 @@ fn degraded_batches_stay_at_two_rounds() {
     // round (one message per block; every block-0 home refuses), then
     // one fused k-shard poll carrying every block-0 read. Two rounds
     // for any m; k more messages per block the poll decodes.
-    let (store, cluster) = world("trap-erc");
+    let (store, cluster, _) = world("trap-erc");
     for stripe in STRIPE + 1..STRIPE + 3 {
         store
             .create(stripe, (0..K).map(|b| payload(b, 0)).collect())
