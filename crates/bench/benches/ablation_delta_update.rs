@@ -43,6 +43,7 @@ fn naive_reencode_update(
     versions[target] += 1;
     let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
     let parity = client.codec().encode(&refs);
+    let checks = tq_erasure::data_checks(&refs);
     transport
         .call(
             NodeId(target),
@@ -61,7 +62,7 @@ fn naive_reencode_update(
                     id,
                     bytes: Bytes::copy_from_slice(p),
                     versions: versions.clone(),
-                    checks: vec![],
+                    checks: checks.clone(),
                 },
             )
             .expect("up");

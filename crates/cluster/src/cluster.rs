@@ -172,7 +172,7 @@ mod tests {
                 id: 1,
                 bytes: Bytes::from(vec![0; 16]),
                 k: 4,
-                checks: vec![],
+                checks: vec![0; 4],
             })
             .unwrap();
         assert_eq!(c.stored_bytes(), 80);

@@ -317,6 +317,14 @@ impl StorageNode {
                 k,
                 checks,
             } => {
+                // The stored vector covers every data block, always.
+                if checks.len() != k {
+                    self.stats.record_rejected();
+                    return Err(NodeError::BadBlockIndex {
+                        index: checks.len(),
+                        k,
+                    });
+                }
                 let _guard = self.op_lock(id);
                 match self.backend.get(id).map_err(|e| self.storage_fail(e))? {
                     Some(StoredBlock::Parity { .. }) => Ok(Response::Ack),
@@ -326,14 +334,6 @@ impl StorageNode {
                     }
                     None => {
                         self.stats.record_write(bytes.len());
-                        // A malformed vector is stored as "unknown"
-                        // rather than rejected: the block itself is fine,
-                        // only the integrity metadata is missing.
-                        let checks = if checks.len() == k {
-                            checks
-                        } else {
-                            Vec::new()
-                        };
                         self.put_acked(id, StoredBlock::new_parity(vec![0; k], bytes, checks))?;
                         Ok(Response::Ack)
                     }
@@ -472,6 +472,13 @@ impl StorageNode {
                 versions,
                 checks,
             } => {
+                if checks.len() != versions.len() {
+                    self.stats.record_rejected();
+                    return Err(NodeError::BadBlockIndex {
+                        index: checks.len(),
+                        k: versions.len(),
+                    });
+                }
                 let _guard = self.op_lock(id);
                 match self.backend.get(id).map_err(|e| self.storage_fail(e))? {
                     Some(StoredBlock::Parity {
@@ -523,11 +530,6 @@ impl StorageNode {
                             _ => {}
                         }
                         self.stats.record_write(bytes.len());
-                        let checks = if checks.len() == versions.len() {
-                            checks
-                        } else {
-                            Vec::new()
-                        };
                         drop(stored); // as for `WriteData`
                         self.put_acked(id, StoredBlock::new_parity(versions, bytes, checks))?;
                         Ok(Response::Ack)
@@ -551,6 +553,15 @@ impl StorageNode {
                 new_version,
                 new_check,
             } => {
+                // A fold without the block's new check would leave the
+                // stored vector stale at `block_index`.
+                let Some(new_check) = new_check else {
+                    self.stats.record_rejected();
+                    return Err(NodeError::BadBlockIndex {
+                        index: block_index,
+                        k: 0,
+                    });
+                };
                 let _guard = self.op_lock(id);
                 // Verified load: folding a rotten parity block would
                 // launder transient read corruption into durable state.
@@ -619,16 +630,9 @@ impl StorageNode {
                         }
                         // Carry the cross-checksum vector forward: the
                         // folded block's entry becomes the writer's
-                        // post-write checksum. An unchecksummed delta
-                        // invalidates the vector — better unknown than
-                        // stale.
-                        match new_check {
-                            Some(nc) if checks.len() == versions.len() => {
-                                if let Some(slot) = checks.get_mut(block_index) {
-                                    *slot = nc;
-                                }
-                            }
-                            _ => checks = Vec::new(),
+                        // post-write checksum.
+                        if let Some(slot) = checks.get_mut(block_index) {
+                            *slot = new_check;
                         }
                         self.put_acked(
                             id,
@@ -769,7 +773,7 @@ mod tests {
             id: 2,
             bytes: Bytes::from(vec![0u8; 4]),
             k: 2,
-            checks: vec![],
+            checks: vec![0; 2],
         })
         .unwrap();
         n.handle(Request::AddParity {
@@ -779,7 +783,7 @@ mod tests {
             expected_version: 0,
             new_version: 1,
             coeff: 1,
-            new_check: None,
+            new_check: Some(0),
         })
         .unwrap();
         assert_eq!(
@@ -787,7 +791,7 @@ mod tests {
                 id: 2,
                 bytes: Bytes::from(vec![0u8; 4]),
                 k: 2,
-                checks: vec![],
+                checks: vec![0; 2],
             }),
             Ok(Response::Ack)
         );
@@ -888,7 +892,7 @@ mod tests {
             id: 2,
             bytes: Bytes::from_static(b"par!"),
             k: 3,
-            checks: vec![],
+            checks: vec![0; 3],
         })
         .unwrap();
         assert_eq!(
@@ -919,7 +923,7 @@ mod tests {
                 id: 1,
                 bytes: Bytes::from_static(b"par!"),
                 k: 3,
-                checks: vec![],
+                checks: vec![0; 3],
             }),
             Err(NodeError::WrongKind)
         );
@@ -932,7 +936,7 @@ mod tests {
             id: 3,
             bytes: Bytes::from(vec![0u8; 4]),
             k: 2,
-            checks: vec![],
+            checks: vec![0; 2],
         })
         .unwrap();
         // Fold a delta for block 1 at expected version 0.
@@ -943,7 +947,7 @@ mod tests {
             expected_version: 0,
             new_version: 1,
             coeff: 1,
-            new_check: None,
+            new_check: Some(0),
         })
         .unwrap();
         match n.handle(Request::ReadParity { id: 3 }).unwrap() {
@@ -966,7 +970,7 @@ mod tests {
                 expected_version: 0,
                 new_version: 1,
                 coeff: 1,
-                new_check: None,
+                new_check: Some(0),
             }),
             Err(NodeError::VersionConflict {
                 expected: 0,
@@ -982,7 +986,7 @@ mod tests {
                 expected_version: 0,
                 new_version: 1,
                 coeff: 1,
-                new_check: None,
+                new_check: Some(0),
             }),
             Err(NodeError::BadBlockIndex { index: 5, k: 2 })
         );
@@ -994,7 +998,7 @@ mod tests {
                 expected_version: 0,
                 new_version: 1,
                 coeff: 1,
-                new_check: None,
+                new_check: Some(0),
             }),
             Err(NodeError::SizeMismatch { stored: 4, got: 2 })
         );
@@ -1015,7 +1019,7 @@ mod tests {
             id: 2,
             bytes: Bytes::from(vec![0u8; 64]),
             k: 2,
-            checks: vec![],
+            checks: vec![0; 2],
         })
         .unwrap();
         let served = |req| match n.handle(req).unwrap() {
@@ -1038,14 +1042,14 @@ mod tests {
             expected_version: 0,
             new_version: 1,
             coeff: 1,
-            new_check: None,
+            new_check: Some(0),
         })
         .unwrap();
         n.handle(Request::WriteParity {
             id: 2,
             bytes: Bytes::from(vec![4u8; 64]),
             versions: vec![2, 0],
-            checks: vec![],
+            checks: vec![0; 2],
         })
         .unwrap();
 
@@ -1064,14 +1068,14 @@ mod tests {
             id: 4,
             bytes: Bytes::from(vec![0u8; 4]),
             k: 3,
-            checks: vec![],
+            checks: vec![0; 3],
         })
         .unwrap();
         n.handle(Request::WriteParity {
             id: 4,
             bytes: Bytes::from(vec![9u8; 4]),
             versions: vec![5, 6, 7],
-            checks: vec![],
+            checks: vec![0; 3],
         })
         .unwrap();
         match n.handle(Request::ReadParity { id: 4 }).unwrap() {
@@ -1089,7 +1093,7 @@ mod tests {
                 id: 4,
                 bytes: Bytes::from(vec![1u8; 4]),
                 versions: vec![4, 6, 7],
-                checks: vec![],
+                checks: vec![0; 3],
             }),
             Ok(Response::Ack)
         );
@@ -1108,7 +1112,7 @@ mod tests {
                 id: 4,
                 bytes: Bytes::from(vec![2u8; 4]),
                 versions: vec![6, 5, 7],
-                checks: vec![],
+                checks: vec![0; 3],
             }),
             Err(NodeError::VectorConflict {
                 index: 1,
@@ -1121,7 +1125,7 @@ mod tests {
             id: 4,
             bytes: Bytes::from(vec![3u8; 4]),
             versions: vec![6, 6, 8],
-            checks: vec![],
+            checks: vec![0; 3],
         })
         .unwrap();
         match n.handle(Request::ReadParity { id: 4 }).unwrap() {
@@ -1139,7 +1143,7 @@ mod tests {
                 id: 4,
                 bytes: Bytes::from(vec![0u8; 2]),
                 versions: vec![9, 9, 9],
-                checks: vec![],
+                checks: vec![0; 3],
             }),
             Err(NodeError::SizeMismatch { stored: 4, got: 2 })
         );
@@ -1148,7 +1152,7 @@ mod tests {
                 id: 4,
                 bytes: Bytes::from(vec![0u8; 4]),
                 versions: vec![9, 9],
-                checks: vec![],
+                checks: vec![0; 2],
             }),
             Err(NodeError::BadBlockIndex { index: 2, k: 3 })
         );
@@ -1163,7 +1167,7 @@ mod tests {
                 id: 5,
                 bytes: Bytes::from(vec![0u8; 4]),
                 versions: vec![0],
-                checks: vec![],
+                checks: vec![0; 1],
             }),
             Err(NodeError::WrongKind)
         );
@@ -1176,7 +1180,7 @@ mod tests {
             id: 1,
             bytes: Bytes::from(vec![0u8; 4]),
             k: 2,
-            checks: vec![],
+            checks: vec![0; 2],
         }));
         let fold = Envelope::new(Request::AddParity {
             id: 1,
@@ -1185,7 +1189,7 @@ mod tests {
             expected_version: 0,
             new_version: 1,
             coeff: 1,
-            new_check: None,
+            new_check: Some(0),
         });
         assert_eq!(n.execute(fold.clone()).result, Ok(Response::Ack));
         // Redelivering the same envelope: recorded ack, no second fold
@@ -1212,7 +1216,7 @@ mod tests {
             expected_version: 0,
             new_version: 1,
             coeff: 1,
-            new_check: None,
+            new_check: Some(0),
         });
         assert_eq!(
             n.execute(competing).result,
@@ -1287,7 +1291,7 @@ mod tests {
             id: 2,
             bytes: Bytes::from(vec![0u8; 25]),
             k: 4,
-            checks: vec![],
+            checks: vec![0; 4],
         })
         .unwrap();
         assert_eq!(n.object_count(), 2);
@@ -1343,7 +1347,7 @@ mod tests {
             id: 1,
             bytes: Bytes::from(vec![0u8; 4]),
             k: 1,
-            checks: vec![],
+            checks: vec![0; 1],
         });
         n.execute(fold_setup);
         let fold = Envelope::new(Request::AddParity {
@@ -1353,7 +1357,7 @@ mod tests {
             expected_version: 0,
             new_version: 1,
             coeff: 1,
-            new_check: None,
+            new_check: Some(0),
         });
         assert_eq!(n.execute(fold.clone()).result, Ok(Response::Ack));
         n.crash_restart();
@@ -1425,7 +1429,7 @@ mod tests {
             id: 2,
             bytes: Bytes::from(vec![0u8; 4]),
             k: 1,
-            checks: vec![],
+            checks: vec![0; 1],
         })
         .unwrap();
         let block = match n.backend().get(2).unwrap().unwrap() {
@@ -1453,7 +1457,7 @@ mod tests {
                 expected_version: 0,
                 new_version: 1,
                 coeff: 1,
-                new_check: None,
+                new_check: Some(0),
             }),
             Err(NodeError::Corrupt)
         );
@@ -1472,7 +1476,7 @@ mod tests {
                 id: 3,
                 bytes: Bytes::from(vec![0u8; 4]),
                 k: 2,
-                checks: vec![],
+                checks: vec![0; 2],
             })
             .unwrap();
             n.handle(Request::AddParity {
@@ -1482,7 +1486,7 @@ mod tests {
                 expected_version: 0,
                 new_version: 1,
                 coeff,
-                new_check: None,
+                new_check: Some(0),
             })
             .unwrap();
             match n.handle(Request::ReadParity { id: 3 }).unwrap() {
@@ -1491,9 +1495,9 @@ mod tests {
             }
         };
 
-        let legacy = run(Bytes::from(prescaled), 1);
+        let unscaled = run(Bytes::from(prescaled), 1);
         let fused = run(Bytes::copy_from_slice(&raw), coeff);
-        assert_eq!(legacy, fused, "node-side scaling must equal client-side");
+        assert_eq!(unscaled, fused, "node-side scaling must equal client-side");
     }
 
     #[test]
@@ -1516,25 +1520,77 @@ mod tests {
             new_check: Some(99),
         })
         .unwrap();
-        match n.handle(Request::ReadParity { id: 4 }).unwrap() {
-            Response::Parity { checks, .. } => assert_eq!(checks, vec![11, 99]),
+        let stored = || match n.handle(Request::ReadParity { id: 4 }).unwrap() {
+            Response::Parity {
+                bytes,
+                versions,
+                checks,
+            } => (bytes, versions, checks),
             other => panic!("{other:?}"),
+        };
+        let after_fold = stored();
+        assert_eq!(after_fold.2, vec![11, 99]);
+        // A request without a whole vector is refused and changes
+        // nothing: the stored vector is always exactly k long.
+        let refused = [
+            (
+                Request::AddParity {
+                    id: 4,
+                    block_index: 0,
+                    delta: Bytes::from(vec![2u8; 4]),
+                    expected_version: 0,
+                    new_version: 1,
+                    coeff: 1,
+                    new_check: None,
+                },
+                NodeError::BadBlockIndex { index: 0, k: 0 },
+            ),
+            (
+                Request::InitParity {
+                    id: 4,
+                    bytes: Bytes::from(vec![3u8; 4]),
+                    k: 2,
+                    checks: vec![33],
+                },
+                NodeError::BadBlockIndex { index: 1, k: 2 },
+            ),
+            (
+                Request::WriteParity {
+                    id: 4,
+                    bytes: Bytes::from(vec![4u8; 4]),
+                    versions: vec![5, 5],
+                    checks: vec![44, 55, 66],
+                },
+                NodeError::BadBlockIndex { index: 3, k: 2 },
+            ),
+            (
+                Request::WriteParity {
+                    id: 4,
+                    bytes: Bytes::from(vec![4u8; 4]),
+                    versions: vec![5, 5],
+                    checks: vec![],
+                },
+                NodeError::BadBlockIndex { index: 0, k: 2 },
+            ),
+        ];
+        for (req, err) in refused {
+            let label = req.to_string();
+            assert_eq!(n.handle(req), Err(err), "{label}");
+            assert_eq!(stored(), after_fold, "{label}");
         }
-        // An unchecksummed writer invalidates the vector rather than
-        // letting it go silently stale.
-        n.handle(Request::AddParity {
-            id: 4,
-            block_index: 0,
-            delta: Bytes::from(vec![2u8; 4]),
-            expected_version: 0,
-            new_version: 1,
-            coeff: 1,
-            new_check: None,
-        })
-        .unwrap();
-        match n.handle(Request::ReadParity { id: 4 }).unwrap() {
-            Response::Parity { checks, .. } => assert!(checks.is_empty()),
-            other => panic!("{other:?}"),
-        }
+        // Nor does a refused create install anything.
+        assert_eq!(
+            n.handle(Request::InitParity {
+                id: 5,
+                bytes: Bytes::from(vec![0u8; 4]),
+                k: 2,
+                checks: vec![],
+            }),
+            Err(NodeError::BadBlockIndex { index: 0, k: 2 })
+        );
+        assert_eq!(
+            n.handle(Request::VersionVector { id: 5 }),
+            Err(NodeError::NotFound)
+        );
     }
 }

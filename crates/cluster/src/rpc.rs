@@ -254,10 +254,11 @@ pub enum Request {
         bytes: Bytes,
         /// Number of data blocks the version vector tracks.
         k: usize,
-        /// Cross-checksum vector of the stripe's data blocks at creation
-        /// (one entry per data block; empty = writer did not supply one).
-        /// Stored alongside the version vector and served back on reads
-        /// so clients can verify any fetched shard before decoding.
+        /// Cross-checksum vector of the stripe's data blocks at creation,
+        /// exactly `k` entries (any other length is refused with
+        /// [`NodeError::BadBlockIndex`]). Stored alongside the version
+        /// vector and served back on reads so clients can verify any
+        /// fetched shard before decoding.
         checks: Vec<u64>,
     },
     /// `N_i.read(id)` — full data block with its version.
@@ -316,8 +317,10 @@ pub enum Request {
         bytes: Bytes,
         /// Version vector matching the reconstructed stripe state.
         versions: Vec<u64>,
-        /// Cross-checksum vector matching the reconstructed stripe state
-        /// (empty = unknown; replaces the stored vector on apply).
+        /// Cross-checksum vector matching the reconstructed stripe state,
+        /// one entry per version (any other length is refused with
+        /// [`NodeError::BadBlockIndex`]); replaces the stored vector on
+        /// apply.
         checks: Vec<u64>,
     },
     /// `u.add(αj,i·(x − chunk))` — fold a delta into the parity block,
@@ -331,23 +334,22 @@ pub enum Request {
         id: BlockId,
         /// Which data block this delta belongs to (`0 ≤ i < k`).
         block_index: usize,
-        /// The delta bytes: the raw `(x − c)` when `coeff != 1` (the node
-        /// folds `coeff·delta` in place), or a pre-scaled
-        /// `α_{j,i}·(x − c)` with `coeff == 1` (the legacy form old peers
-        /// send). Either way the fold is
+        /// The raw delta `(x − c)`; the fold is
         /// `parity ← parity + coeff·delta`.
         delta: Bytes,
-        /// The coefficient `α_{j,i}` to scale `delta` by during the fold.
-        /// `1` means "delta is already scaled" — the backward-compatible
-        /// default, and what pre-coefficient peers decode to.
+        /// The coefficient `α_{j,i}` to scale `delta` by during the fold
+        /// (`1` folds the delta as it is).
         coeff: u8,
         /// Version the node must currently hold for `block_index`.
         expected_version: u64,
         /// Version to advance to on success.
         new_version: u64,
         /// The data block's cross-checksum after the write this delta
-        /// belongs to. `None` (an unchecksummed writer) invalidates the
-        /// stored vector — better no vector than a stale one.
+        /// belongs to, which replaces entry `block_index` of the stored
+        /// vector. Always required: `None` is refused with
+        /// [`NodeError::BadBlockIndex`] and changes nothing. It is an
+        /// `Option` only to keep the variant's shape for existing
+        /// callers that build it field by field.
         new_check: Option<u64>,
     },
 }
@@ -454,10 +456,11 @@ pub enum Response {
         bytes: Bytes,
         /// Version per data block.
         versions: Vec<u64>,
-        /// The stripe's cross-checksum vector as this replica knows it
-        /// (one entry per data block; empty = unknown). Lets the client
-        /// verify `bytes` against `Σ combine(α_{j,i}, checks[i])` and
-        /// verify fetched data shards against their entries.
+        /// The stripe's cross-checksum vector as this replica knows it,
+        /// one entry per data block. Lets the client verify `bytes`
+        /// against `Σ combine(α_{j,i}, checks[i])` and verify fetched
+        /// data shards against their entries; a reply whose vector is
+        /// not `k` long is treated as corrupt.
         checks: Vec<u64>,
     },
     /// A single version number.
@@ -522,9 +525,13 @@ pub enum NodeError {
         /// Request payload length.
         got: usize,
     },
-    /// `block_index` outside the version vector.
+    /// A request does not fit the stripe's `k` data blocks:
+    /// `block_index` outside the version vector, a `checks` vector that
+    /// is not `k` long (`index` is its length), or an `AddParity`
+    /// without its `new_check` (`index` is the block, `k` is 0). The
+    /// node changes nothing.
     BadBlockIndex {
-        /// Requested index.
+        /// Requested index, or the length of a refused vector.
         index: usize,
         /// Vector length (k).
         k: usize,

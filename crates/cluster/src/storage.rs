@@ -86,11 +86,11 @@ pub enum StoredBlock {
         bytes: Bytes,
         /// Node-computed self-checksum of `bytes`, as for `Data`.
         check: u64,
-        /// Writer-supplied cross-checksum vector: entry `i` is the
-        /// checksum of data block `i`'s contribution currently folded
-        /// into `bytes`. Empty means unknown (legacy record or an
-        /// uncheckummed delta landed) — readers skip cross-verification
-        /// for this replica, the self-`check` still applies.
+        /// Writer-supplied cross-checksum vector, one entry per tracked
+        /// data block: entry `i` is the checksum of data block `i`'s
+        /// contribution currently folded into `bytes`. A node stores
+        /// only whole vectors (it refuses a request whose vector is not
+        /// `versions.len()` long).
         checks: Vec<u64>,
     },
 }
@@ -374,16 +374,15 @@ pub enum FsyncPolicy {
     Manual,
 }
 
-/// Record kinds in the log. `REC_PUT_PARITY` is the legacy parity
-/// layout without a cross-checksum vector; new appends write
-/// `REC_PUT_PARITY_V2`, old records still replay (with `checks` empty,
-/// meaning "vector unknown"). Self-checksums are never persisted — they
-/// are recomputed from the payload at parse time, under the same CRC
-/// that guards the payload itself.
+/// Record kinds in the log. A parity record carries its version and
+/// cross-checksum vectors. Kind 2, a parity record without the check
+/// vector, is retired and never reused: an intact record of it fails
+/// `open` like any record that does not parse. Self-checksums are never
+/// persisted — they are recomputed from the payload at parse time,
+/// under the same CRC that guards the payload itself.
 const REC_PUT_DATA: u8 = 1;
-const REC_PUT_PARITY: u8 = 2;
 const REC_DELETE: u8 = 3;
-const REC_PUT_PARITY_V2: u8 = 4;
+const REC_PUT_PARITY: u8 = 4;
 
 /// Per-record framing overhead: body length (u32) + body CRC-32 (u32).
 const REC_HEADER: usize = 8;
@@ -454,7 +453,7 @@ fn encode_record(id: BlockId, block: Option<&StoredBlock>) -> Vec<u8> {
             checks,
             ..
         }) => {
-            out.push(REC_PUT_PARITY_V2);
+            out.push(REC_PUT_PARITY);
             out.extend_from_slice(&id.to_le_bytes());
             out.extend_from_slice(&(versions.len() as u32).to_le_bytes());
             for v in versions {
@@ -502,8 +501,9 @@ fn record_intact(rec: &[u8]) -> bool {
 /// Parses one record body into its block id and, for a put, the block
 /// with its payload left out (its self-checksum stamped from the
 /// payload) and the payload's length: the payload is the body's last
-/// bytes. Returns `None` on any structural problem — recovery treats
-/// that exactly like a checksum failure (truncate here).
+/// bytes. Returns `None` on any structural problem, an unknown kind
+/// included. The body has passed its CRC by then, so replay fails
+/// rather than truncate an acknowledged record away.
 fn parse_record(body: &[u8]) -> Option<(BlockId, Option<(StoredBlock, usize)>)> {
     let (&kind, rest) = body.split_first()?;
     if rest.len() < 8 {
@@ -529,38 +529,9 @@ fn parse_record(body: &[u8]) -> Option<(BlockId, Option<(StoredBlock, usize)>)> 
                 (id, Some((block, len)))
             })
         }
-        REC_PUT_PARITY | REC_PUT_PARITY_V2 => {
-            if rest.len() < 4 {
-                return None;
-            }
-            let count = u32::from_le_bytes(rest[0..4].try_into().ok()?) as usize;
-            let mut rest = &rest[4..];
-            if rest.len() < count.checked_mul(8)? {
-                return None;
-            }
-            let versions: Vec<u64> = (0..count)
-                .map(|i| u64::from_le_bytes(rest[i * 8..i * 8 + 8].try_into().unwrap()))
-                .collect();
-            rest = &rest[count * 8..];
-            // V2 carries the cross-checksum vector; V1 replays with it
-            // empty (= unknown).
-            let checks: Vec<u64> = if kind == REC_PUT_PARITY_V2 {
-                if rest.len() < 4 {
-                    return None;
-                }
-                let ccount = u32::from_le_bytes(rest[0..4].try_into().ok()?) as usize;
-                rest = &rest[4..];
-                if rest.len() < ccount.checked_mul(8)? {
-                    return None;
-                }
-                let checks = (0..ccount)
-                    .map(|i| u64::from_le_bytes(rest[i * 8..i * 8 + 8].try_into().unwrap()))
-                    .collect();
-                rest = &rest[ccount * 8..];
-                checks
-            } else {
-                Vec::new()
-            };
+        REC_PUT_PARITY => {
+            let (versions, rest) = parse_words(rest)?;
+            let (checks, rest) = parse_words(rest)?;
             if rest.len() < 4 {
                 return None;
             }
@@ -578,6 +549,22 @@ fn parse_record(body: &[u8]) -> Option<(BlockId, Option<(StoredBlock, usize)>)> 
         }
         _ => None,
     }
+}
+
+/// A `u32` count and that many `u64`s off the front of `bytes`, and
+/// what follows them.
+fn parse_words(bytes: &[u8]) -> Option<(Vec<u64>, &[u8])> {
+    let (count, rest) = bytes.split_first_chunk::<4>()?;
+    let count = u32::from_le_bytes(*count) as usize;
+    if rest.len() < count.checked_mul(8)? {
+        return None;
+    }
+    let (words, rest) = rest.split_at(count * 8);
+    let words = words
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
+        .collect();
+    Some((words, rest))
 }
 
 /// A file read front to back through one buffer, refilled [`IO_CHUNK`]
@@ -609,9 +596,12 @@ impl Window<'_> {
 /// Replays the `len` bytes of the log `file`: returns the fold of its
 /// valid prefix, the prefix's length, and whether every byte after the
 /// prefix is zero. A zero header, or a torn or corrupt record, ends the
-/// prefix. Each payload is read to check its record and stamp its block,
-/// and is not kept.
-fn replay(file: &Arc<File>, len: u64) -> std::io::Result<(Index, u64, bool)> {
+/// prefix. A record that matches its CRC but does not parse is an
+/// error: it was written whole, so it and every record after it may
+/// have been acknowledged. Each payload is read to check its record and
+/// stamp its block, and is not kept.
+fn replay(file: &Arc<File>, len: u64) -> Result<(Index, u64, bool), StorageError> {
+    let read = |e| io_err("read", e);
     let mut window = Window {
         file,
         len,
@@ -621,7 +611,7 @@ fn replay(file: &Arc<File>, len: u64) -> std::io::Result<(Index, u64, bool)> {
     let mut index = Index::default();
     let mut valid = 0u64;
     while len - valid >= REC_HEADER as u64 {
-        let header = window.read(valid, REC_HEADER)?;
+        let header = window.read(valid, REC_HEADER).map_err(read)?;
         let body_len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
         if body_len == 0 {
             break; // the zero-filled rest of the last extent
@@ -630,13 +620,13 @@ fn replay(file: &Arc<File>, len: u64) -> std::io::Result<(Index, u64, bool)> {
         if len - valid < total {
             break; // torn tail: the final append did not land fully
         }
-        let rec = window.read(valid, total as usize)?;
+        let rec = window.read(valid, total as usize).map_err(read)?;
         if !record_intact(rec) {
             break; // corrupt record: nothing after it can be trusted
         }
-        let Some((id, put)) = parse_record(&rec[REC_HEADER..]) else {
-            break;
-        };
+        let (id, put) = parse_record(&rec[REC_HEADER..]).ok_or(StorageError::Corrupt {
+            detail: "an intact log record does not parse",
+        })?;
         let entry = put.map(|(block, payload)| Located {
             block,
             file: Arc::clone(file),
@@ -651,7 +641,7 @@ fn replay(file: &Arc<File>, len: u64) -> std::io::Result<(Index, u64, bool)> {
     let mut from = valid;
     while zero_tail && from < len {
         let n = (len - from).min(IO_CHUNK as u64) as usize;
-        zero_tail = is_zero(window.read(from, n)?);
+        zero_tail = is_zero(window.read(from, n).map_err(read)?);
         from += n as u64;
     }
     Ok((index, valid, zero_tail))
@@ -896,7 +886,9 @@ impl fmt::Debug for AppendLogBackend {
 
 impl AppendLogBackend {
     /// Opens (or creates) the log at `path`, replaying it into the index
-    /// and truncating any torn or corrupt tail.
+    /// and truncating any torn or corrupt tail. A record that passes its
+    /// CRC but does not parse fails the open with
+    /// [`StorageError::Corrupt`] and leaves the file as it was.
     pub fn open(path: impl Into<PathBuf>, policy: FsyncPolicy) -> Result<Self, StorageError> {
         let path = path.into();
         if let Some(parent) = path.parent() {
@@ -913,7 +905,7 @@ impl AppendLogBackend {
             .map_err(|e| io_err("open", e))?;
         let file = Arc::new(file);
         let len = file.metadata().map_err(|e| io_err("read", e))?.len();
-        let (index, valid, zero_tail) = replay(&file, len).map_err(|e| io_err("read", e))?;
+        let (index, valid, zero_tail) = replay(&file, len)?;
         // Past the prefix: either zeros, kept as room for appends, or
         // the remains of a torn or corrupt append, truncated away so the
         // next append starts clean and nothing stale can follow it.
@@ -1544,7 +1536,8 @@ mod tests {
         let resident_parity = payload_ptr(&b.get(2).unwrap().unwrap());
 
         b.put(1, data(1, b"other-payload")).unwrap();
-        let parity = StoredBlock::new_parity(vec![3, 0], Bytes::copy_from_slice(b"par1"), vec![]);
+        let parity =
+            StoredBlock::new_parity(vec![3, 0], Bytes::copy_from_slice(b"par1"), vec![3, 2]);
         b.put(2, parity.clone()).unwrap();
 
         let got = b.get(1).unwrap().unwrap();
@@ -1582,8 +1575,7 @@ mod tests {
         let blocks = [
             data(7, b""),
             data(7, &payload),
-            // What a legacy V1 parity record replays as: no vector.
-            StoredBlock::new_parity(vec![4, 9], payload.clone(), vec![]),
+            StoredBlock::new_parity(vec![4, 9], payload.clone(), vec![5, 6]),
             StoredBlock::new_parity(vec![4, 9, 2], payload, vec![1, 2, 3]),
         ];
         for block in &blocks {
@@ -2538,52 +2530,44 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_parity_records_replay_with_empty_checks() {
-        let path = temp_log("v1-parity");
-        let _ = std::fs::remove_file(&path);
-        // Hand-craft a V1 parity record (the pre-checksum layout):
+    fn applog_an_intact_record_that_does_not_parse_fails_the_open() {
+        // A record framed with its length and CRC, around `body`.
+        let framed = |body: &[u8]| {
+            let mut rec = Vec::new();
+            rec.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            rec.extend_from_slice(&crc32(body).to_le_bytes());
+            rec.extend_from_slice(body);
+            rec
+        };
+        // Kind 2, the parity record without a cross-checksum vector:
         // kind · id · count · versions · len · payload.
-        let mut body = vec![REC_PUT_PARITY];
-        body.extend_from_slice(&7u64.to_le_bytes());
-        body.extend_from_slice(&2u32.to_le_bytes());
-        body.extend_from_slice(&4u64.to_le_bytes());
-        body.extend_from_slice(&9u64.to_le_bytes());
-        body.extend_from_slice(&(3u32).to_le_bytes());
-        body.extend_from_slice(b"old");
-        let mut rec = Vec::new();
-        rec.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&crc32(&body).to_le_bytes());
-        rec.extend_from_slice(&body);
-        std::fs::write(&path, &rec).unwrap();
-
-        let b = AppendLogBackend::open(&path, FsyncPolicy::Always).unwrap();
-        match b.get(7).unwrap() {
-            Some(StoredBlock::Parity {
-                versions,
-                bytes,
-                check,
-                checks,
-            }) => {
-                assert_eq!(versions, vec![4, 9]);
-                assert_eq!(&bytes[..], b"old");
-                assert_eq!(check, tq_gf256::check::block_check(b"old"));
-                assert!(checks.is_empty(), "V1 record: vector unknown");
-            }
-            other => panic!("{other:?}"),
+        let mut without_vector = vec![2u8];
+        without_vector.extend_from_slice(&7u64.to_le_bytes());
+        without_vector.extend_from_slice(&2u32.to_le_bytes());
+        without_vector.extend_from_slice(&4u64.to_le_bytes());
+        without_vector.extend_from_slice(&9u64.to_le_bytes());
+        without_vector.extend_from_slice(&3u32.to_le_bytes());
+        without_vector.extend_from_slice(b"old");
+        // A kind no build writes, then an acknowledged put after it.
+        let mut unknown_kind = vec![0x7Fu8];
+        unknown_kind.extend_from_slice(&8u64.to_le_bytes());
+        let mut then_a_put = framed(&unknown_kind);
+        then_a_put.extend_from_slice(&encode_record(9, Some(&data(3, b"acked"))));
+        let logs = [
+            ("no-vector", framed(&without_vector)),
+            ("unknown-kind", then_a_put),
+        ];
+        for (name, log) in logs {
+            let path = temp_log(name);
+            std::fs::write(&path, &log).unwrap();
+            let err = AppendLogBackend::open(&path, FsyncPolicy::Always).unwrap_err();
+            assert!(
+                matches!(err, StorageError::Corrupt { .. }),
+                "{name}: {err:?}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), log, "{name}: file untouched");
+            let _ = std::fs::remove_file(&path);
         }
-        // Rewriting it persists the vector in the V2 layout.
-        b.put(
-            7,
-            StoredBlock::new_parity(vec![5, 9], Bytes::copy_from_slice(b"new"), vec![1, 2]),
-        )
-        .unwrap();
-        drop(b);
-        let b = AppendLogBackend::open(&path, FsyncPolicy::Always).unwrap();
-        match b.get(7).unwrap() {
-            Some(StoredBlock::Parity { checks, .. }) => assert_eq!(checks, vec![1, 2]),
-            other => panic!("{other:?}"),
-        }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

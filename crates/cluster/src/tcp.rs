@@ -262,11 +262,7 @@ fn serve_connection(mut stream: TcpStream, node: Arc<dyn NodeApi>, shutdown: Arc
 /// in: the kernel's copy is the only one.
 fn write_reply(stream: &mut TcpStream, reply: &Reply) -> io::Result<()> {
     let parts = wire::encode_reply_parts(reply);
-    let mut slices = [
-        IoSlice::new(&parts.head),
-        IoSlice::new(parts.payload),
-        IoSlice::new(&parts.tail),
-    ];
+    let mut slices = [IoSlice::new(&parts.head), IoSlice::new(parts.payload)];
     let mut unsent = &mut slices[..];
     while !unsent.is_empty() {
         match stream.write_vectored(unsent) {

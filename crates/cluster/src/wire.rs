@@ -11,7 +11,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic        "TQWF"
-//!      4     1  version      WIRE_VERSION (1)
+//!      4     1  version      WIRE_VERSION (2)
 //!      5     1  kind         0x01 request frame / 0x02 reply frame
 //!      6     2  flags        bit 0 = background lane; rest reserved (LE)
 //!      8     8  op id        Envelope/Reply op identity, little-endian
@@ -20,29 +20,58 @@
 //!     28     4  header CRC   CRC-32 (IEEE) over bytes 0..28
 //! ```
 //!
+//! # Bodies
+//!
+//! A body is a tag byte and then its fields, in this order and nothing
+//! else: every field has one meaning and is always present. Integers
+//! are little-endian; `vec` is a `u32` count and that many `u64`s;
+//! `bytes` is a `u32` length and the payload, always the last field.
+//! A reply body leads with a result byte (0x00 Ok, 0x01 Err) and then
+//! the response's or error's tag.
+//!
+//! ```text
+//! request         tag   fields                                          bytes
+//! ping            0x01  —                                               1
+//! init-data       0x02  id u64 · bytes                                  13 + B
+//! init-parity     0x03  id u64 · k u64 · checks vec · bytes             25 + 8k + B
+//! read-data       0x04  id u64                                          9
+//! write-data      0x05  id u64 · version u64 · bytes                    21 + B
+//! version-data    0x06  id u64                                          9
+//! version-vector  0x07  id u64                                          9
+//! read-parity     0x08  id u64                                          9
+//! write-parity    0x09  id u64 · versions vec · checks vec · bytes      21 + 16k + B
+//! add-parity      0x0A  id u64 · block index u64 · expected version u64
+//!                       · new version u64 · coeff u8 · has new check u8
+//!                       (0 or 1) · new check u64 (0 when absent) · bytes 47 + B
+//!
+//! response        tag   fields (after the result byte)
+//! pong            0x01  —                                               2
+//! ack             0x02  —                                               2
+//! data            0x03  version u64 · check u64 · bytes                 22 + B
+//! parity          0x04  versions vec · checks vec · bytes               14 + 16k + B
+//! version         0x05  version u64                                     10
+//! versions        0x06  versions vec                                    6 + 8k
+//! ```
+//!
+//! Error bodies are the error's tag and its fields as `u64`s. A frame's
+//! size is therefore the header's 32 bytes plus the body column: a
+//! healthy direct read, read-data out and data back, moves
+//! `(32 + 9) + (32 + 22 + B)` bytes. A byte after a body's last field is
+//! [`DecodeError::TrailingBytes`], an unknown tag
+//! [`DecodeError::UnknownTag`], and a frame of any other version
+//! [`DecodeError::UnsupportedVersion`].
+//!
 //! # Zero-copy bodies
 //!
 //! Decoding borrows block payloads straight out of the receive buffer:
 //! [`decode_frame`] takes the buffer as a [`Bytes`] and every payload
 //! field in the returned [`Request`]/[`Response`] is a
-//! [`Bytes::slice`] sharing that allocation. The PR 5 zero-copy
-//! contract — one allocation per block payload, refcounted everywhere —
-//! survives serialization. Encoding a reply copies no payload either:
-//! `encode_reply_parts` splits the frame around the payload, which
-//! stays in the reply's own buffer, and the TCP server writes the parts
-//! with one vectored write.
-//!
-//! # Trailing extensions
-//!
-//! The integrity-mode fields (cross-checksum vectors, the add-parity
-//! fold coefficient, per-block self-checks) ride as *trailing
-//! extensions* — `tag(u8) · len(u32) · payload` triples appended after
-//! the fixed fields of exactly the five extended body variants
-//! (init-parity / write-parity / add-parity requests; data / parity
-//! responses). A decoder skips unknown extension tags and defaults
-//! absent ones, so old frames decode on new peers and vice versa with
-//! no wire-version bump; every other variant still rejects trailing
-//! bytes outright.
+//! [`Bytes::slice`] sharing that allocation. The zero-copy contract —
+//! one allocation per block payload, refcounted everywhere — survives
+//! serialization. Encoding a reply copies no payload either:
+//! the payload is a body's last field, so `encode_reply_parts` returns
+//! the frame up to it and the payload, which stays in the reply's own
+//! buffer, and the TCP server writes the two with one vectored write.
 //!
 //! # Robustness
 //!
@@ -61,14 +90,11 @@ use crate::rpc::{Envelope, Lane, NodeError, OpId, Reply, Request, Response};
 pub const MAGIC: [u8; 4] = *b"TQWF";
 
 /// Header flag bit: the command travels in the background/maintenance
-/// lane ([`Lane::Background`]). Foreground encodes as 0, so frames from
-/// pre-lane peers decode as foreground and foreground frames stay
-/// byte-identical to pre-lane encodings; peers that predate the bit
-/// ignore it (flags have always been "must decode, may be any value").
+/// lane ([`Lane::Background`]); foreground encodes as 0.
 pub const FLAG_BACKGROUND: u16 = 0x0001;
 
 /// Current wire protocol version. Bump on any incompatible layout change.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Fixed frame header length in bytes.
 pub const HEADER_LEN: usize = 32;
@@ -419,17 +445,6 @@ mod tag {
     pub const ERR_TIMED_OUT: u8 = 0x09;
     pub const ERR_CORRUPT: u8 = 0x0A;
     pub const ERR_OVERLOADED: u8 = 0x0B;
-
-    // Trailing extension fields (`tag(u8) · len(u32) · payload`) appended
-    // after the fixed fields of the *extended* body variants only
-    // (init-parity / write-parity / add-parity requests; data / parity
-    // responses). Decoders skip unknown tags, so new fields can ride on
-    // existing frames without a wire-version bump; absent extensions
-    // decode to their documented defaults.
-    pub const EXT_CHECKS: u8 = 0x01;
-    pub const EXT_COEFF: u8 = 0x02;
-    pub const EXT_NEW_CHECK: u8 = 0x03;
-    pub const EXT_CHECK: u8 = 0x04;
 }
 
 // ---------------------------------------------------------------------
@@ -456,25 +471,6 @@ fn put_versions(out: &mut Vec<u8>, vs: &[u64]) {
     }
 }
 
-/// Appends one `tag · len · payload` extension holding a `u64`.
-fn put_ext_u64(out: &mut Vec<u8>, tag: u8, v: u64) {
-    out.push(tag);
-    put_u32(out, 8);
-    put_u64(out, v);
-}
-
-/// Appends the cross-checksum vector as an extension — skipped entirely
-/// when the vector is empty (empty and absent are the same state:
-/// "no checksums known").
-fn put_ext_checks(out: &mut Vec<u8>, checks: &[u64]) {
-    if checks.is_empty() {
-        return;
-    }
-    out.push(tag::EXT_CHECKS);
-    put_u32(out, 4 + 8 * checks.len() as u32);
-    put_versions(out, checks);
-}
-
 fn encode_request_body(req: &Request, out: &mut Vec<u8>) {
     match req {
         Request::Ping => out.push(tag::PING),
@@ -492,8 +488,8 @@ fn encode_request_body(req: &Request, out: &mut Vec<u8>) {
             out.push(tag::INIT_PARITY);
             put_u64(out, *id);
             put_u64(out, *k as u64);
+            put_versions(out, checks);
             put_bytes(out, bytes);
-            put_ext_checks(out, checks);
         }
         Request::ReadData { id } => {
             out.push(tag::READ_DATA);
@@ -526,8 +522,8 @@ fn encode_request_body(req: &Request, out: &mut Vec<u8>) {
             out.push(tag::WRITE_PARITY);
             put_u64(out, *id);
             put_versions(out, versions);
+            put_versions(out, checks);
             put_bytes(out, bytes);
-            put_ext_checks(out, checks);
         }
         Request::AddParity {
             id,
@@ -543,31 +539,18 @@ fn encode_request_body(req: &Request, out: &mut Vec<u8>) {
             put_u64(out, *block_index as u64);
             put_u64(out, *expected_version);
             put_u64(out, *new_version);
+            out.push(*coeff);
+            out.push(u8::from(new_check.is_some()));
+            put_u64(out, new_check.unwrap_or(0));
             put_bytes(out, delta);
-            // coeff = 1 is the pre-extension meaning of the frame (delta
-            // already scaled), so it is encoded only when it carries
-            // information — old peers fold these frames correctly.
-            if *coeff != 1 {
-                out.push(tag::EXT_COEFF);
-                put_u32(out, 1);
-                out.push(*coeff);
-            }
-            if let Some(nc) = new_check {
-                put_ext_u64(out, tag::EXT_NEW_CHECK, *nc);
-            }
         }
     }
 }
 
-/// Encodes a response's fields around its payload: those before it into
-/// `head`, ending with the payload's length, and those after it into
-/// `tail`. Returns the payload, which is empty for a response without
-/// one.
-fn encode_response_body<'a>(
-    resp: &'a Response,
-    head: &mut Vec<u8>,
-    tail: &mut Vec<u8>,
-) -> &'a [u8] {
+/// Encodes a response's fields into `head`, ending with the payload's
+/// length, and returns the payload, which is empty for a response
+/// without one.
+fn encode_response_body<'a>(resp: &'a Response, head: &mut Vec<u8>) -> &'a [u8] {
     match resp {
         Response::Pong => head.push(tag::PONG),
         Response::Ack => head.push(tag::ACK),
@@ -578,8 +561,8 @@ fn encode_response_body<'a>(
         } => {
             head.push(tag::DATA);
             put_u64(head, *version);
+            put_u64(head, *check);
             put_u32(head, bytes.len() as u32);
-            put_ext_u64(tail, tag::EXT_CHECK, *check);
             return bytes;
         }
         Response::Parity {
@@ -589,8 +572,8 @@ fn encode_response_body<'a>(
         } => {
             head.push(tag::PARITY);
             put_versions(head, versions);
+            put_versions(head, checks);
             put_u32(head, bytes.len() as u32);
-            put_ext_checks(tail, checks);
             return bytes;
         }
         Response::Version(v) => {
@@ -644,9 +627,9 @@ fn encode_error_body(err: &NodeError, out: &mut Vec<u8>) {
 /// straight behind it and [`finish_frame`] fills the header in, so a
 /// payload is copied once, into a buffer that never regrows.
 fn start_frame(variable: usize) -> Vec<u8> {
-    // Tags, ids, versions, lengths and extension headers of the largest
-    // variant (add-parity) come to 60 bytes.
-    const FIXED_FIELDS: usize = 64;
+    // The fixed fields of the largest variant (add-parity) come to 47
+    // bytes.
+    const FIXED_FIELDS: usize = 48;
     let mut frame = Vec::with_capacity(HEADER_LEN + FIXED_FIELDS + variable);
     frame.resize(HEADER_LEN, 0);
     frame
@@ -725,29 +708,26 @@ pub fn encode_envelope(env: &Envelope) -> Vec<u8> {
     frame
 }
 
-/// A reply frame in the three parts a server writes with one vectored
+/// A reply frame in the two parts a server writes with one vectored
 /// write, so that a served payload reaches the socket from the buffer
-/// it was served in: the header and the fields before the payload, the
-/// payload (empty for a reply without one), and the fields after it.
-/// [`encode_reply`] is their concatenation.
+/// it was served in: the header and every field up to the payload's
+/// length, and the payload (empty for a reply without one), which is
+/// always a body's last field. [`encode_reply`] is their concatenation.
 #[derive(Debug)]
 pub(crate) struct ReplyParts<'a> {
     /// Header, result tag and the fields up to the payload's length.
     pub(crate) head: Vec<u8>,
     /// The payload, borrowed from the reply.
     pub(crate) payload: &'a [u8],
-    /// The trailing extension fields.
-    pub(crate) tail: Vec<u8>,
 }
 
 /// Encodes a [`Reply`] into its [`ReplyParts`], copying no payload byte.
 pub(crate) fn encode_reply_parts(reply: &Reply) -> ReplyParts<'_> {
     let mut head = start_frame(reply.result.as_ref().map_or(0, response_variable_len));
-    let mut tail = Vec::new();
     let payload = match &reply.result {
         Ok(resp) => {
             head.push(tag::RESULT_OK);
-            encode_response_body(resp, &mut head, &mut tail)
+            encode_response_body(resp, &mut head)
         }
         Err(err) => {
             head.push(tag::RESULT_ERR);
@@ -755,7 +735,7 @@ pub(crate) fn encode_reply_parts(reply: &Reply) -> ReplyParts<'_> {
             &[]
         }
     };
-    let body_len = head.len() - HEADER_LEN + payload.len() + tail.len();
+    let body_len = head.len() - HEADER_LEN + payload.len();
     finish_frame(
         FrameKind::Reply,
         0,
@@ -764,19 +744,15 @@ pub(crate) fn encode_reply_parts(reply: &Reply) -> ReplyParts<'_> {
         &mut head,
         body_len,
     );
-    ReplyParts {
-        head,
-        payload,
-        tail,
-    }
+    ReplyParts { head, payload }
 }
 
 /// Encodes a [`Reply`] into one complete frame (header + body): the
-/// three parts the TCP server writes, concatenated into one buffer of
-/// the frame's size.
+/// two parts the TCP server writes, concatenated into one buffer of the
+/// frame's size.
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
     let parts = encode_reply_parts(reply);
-    [&parts.head[..], parts.payload, &parts.tail[..]].concat()
+    [&parts.head[..], parts.payload].concat()
 }
 
 // ---------------------------------------------------------------------
@@ -889,80 +865,15 @@ impl<'a> Cursor<'a> {
         Ok(())
     }
 
-    /// Consumes every remaining body byte as `tag · len · payload`
-    /// extension fields. Known tags are parsed (with their payload length
-    /// validated); unknown tags are skipped, so frames from newer peers
-    /// carrying extensions this decoder does not know still decode.
-    /// Absent extensions leave the documented defaults: empty checks
-    /// vector, `coeff = 1`, `new_check = None`, `check = 0`.
-    fn extensions(&mut self) -> Result<Extensions, DecodeError> {
-        let mut ext = Extensions::default();
-        while self.remaining() > 0 {
-            let tag = self.u8()?;
-            let len = self.u32()? as usize;
-            if len > self.remaining() {
-                return Err(DecodeError::LengthOverflow {
-                    field: "extension payload",
-                    claimed: len as u64,
-                    remaining: self.remaining(),
-                });
-            }
-            let end = self.pos + len;
-            match tag {
-                tag::EXT_CHECKS => {
-                    let count = self.u32()? as usize;
-                    if len != 4 + count.saturating_mul(8) {
-                        return Err(DecodeError::BadValue("checks extension length"));
-                    }
-                    let mut checks = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        checks.push(self.u64()?);
-                    }
-                    ext.checks = checks;
-                }
-                tag::EXT_COEFF => {
-                    if len != 1 {
-                        return Err(DecodeError::BadValue("coeff extension length"));
-                    }
-                    ext.coeff = self.u8()?;
-                }
-                tag::EXT_NEW_CHECK => {
-                    if len != 8 {
-                        return Err(DecodeError::BadValue("new-check extension length"));
-                    }
-                    ext.new_check = Some(self.u64()?);
-                }
-                tag::EXT_CHECK => {
-                    if len != 8 {
-                        return Err(DecodeError::BadValue("check extension length"));
-                    }
-                    ext.check = self.u64()?;
-                }
-                // Unknown extension: forward compatibility — skip it.
-                _ => self.pos = end,
-            }
-            debug_assert_eq!(self.pos, end, "extension parser must consume its payload");
-        }
-        Ok(ext)
-    }
-}
-
-/// Extension fields decoded off the tail of an extended body variant,
-/// pre-loaded with the defaults an extension-free (legacy) frame means.
-struct Extensions {
-    checks: Vec<u64>,
-    coeff: u8,
-    new_check: Option<u64>,
-    check: u64,
-}
-
-impl Default for Extensions {
-    fn default() -> Self {
-        Extensions {
-            checks: Vec::new(),
-            coeff: 1,
-            new_check: None,
-            check: 0,
+    /// The add-parity `new_check`: a presence byte (0 or 1), then the
+    /// `u64`, which is 0 when absent.
+    fn new_check(&mut self) -> Result<Option<u64>, DecodeError> {
+        let present = self.u8()?;
+        let value = self.u64()?;
+        match present {
+            0 => Ok(None),
+            1 => Ok(Some(value)),
+            _ => Err(DecodeError::BadValue("add-parity new-check presence")),
         }
     }
 }
@@ -975,18 +886,12 @@ fn decode_request_body(cur: &mut Cursor<'_>) -> Result<Request, DecodeError> {
             id: cur.u64()?,
             bytes: cur.bytes_field("init-data payload")?,
         },
-        tag::INIT_PARITY => {
-            let id = cur.u64()?;
-            let k = cur.usize_field("init-parity k")?;
-            let bytes = cur.bytes_field("init-parity payload")?;
-            let ext = cur.extensions()?;
-            Request::InitParity {
-                id,
-                k,
-                bytes,
-                checks: ext.checks,
-            }
-        }
+        tag::INIT_PARITY => Request::InitParity {
+            id: cur.u64()?,
+            k: cur.usize_field("init-parity k")?,
+            checks: cur.versions_field("init-parity checks")?,
+            bytes: cur.bytes_field("init-parity payload")?,
+        },
         tag::READ_DATA => Request::ReadData { id: cur.u64()? },
         tag::WRITE_DATA => Request::WriteData {
             id: cur.u64()?,
@@ -996,35 +901,21 @@ fn decode_request_body(cur: &mut Cursor<'_>) -> Result<Request, DecodeError> {
         tag::VERSION_DATA => Request::VersionData { id: cur.u64()? },
         tag::VERSION_VECTOR => Request::VersionVector { id: cur.u64()? },
         tag::READ_PARITY => Request::ReadParity { id: cur.u64()? },
-        tag::WRITE_PARITY => {
-            let id = cur.u64()?;
-            let versions = cur.versions_field("write-parity versions")?;
-            let bytes = cur.bytes_field("write-parity payload")?;
-            let ext = cur.extensions()?;
-            Request::WriteParity {
-                id,
-                versions,
-                bytes,
-                checks: ext.checks,
-            }
-        }
-        tag::ADD_PARITY => {
-            let id = cur.u64()?;
-            let block_index = cur.usize_field("add-parity block index")?;
-            let expected_version = cur.u64()?;
-            let new_version = cur.u64()?;
-            let delta = cur.bytes_field("add-parity delta")?;
-            let ext = cur.extensions()?;
-            Request::AddParity {
-                id,
-                block_index,
-                expected_version,
-                new_version,
-                delta,
-                coeff: ext.coeff,
-                new_check: ext.new_check,
-            }
-        }
+        tag::WRITE_PARITY => Request::WriteParity {
+            id: cur.u64()?,
+            versions: cur.versions_field("write-parity versions")?,
+            checks: cur.versions_field("write-parity checks")?,
+            bytes: cur.bytes_field("write-parity payload")?,
+        },
+        tag::ADD_PARITY => Request::AddParity {
+            id: cur.u64()?,
+            block_index: cur.usize_field("add-parity block index")?,
+            expected_version: cur.u64()?,
+            new_version: cur.u64()?,
+            coeff: cur.u8()?,
+            new_check: cur.new_check()?,
+            delta: cur.bytes_field("add-parity delta")?,
+        },
         other => {
             return Err(DecodeError::UnknownTag {
                 what: "request",
@@ -1039,26 +930,16 @@ fn decode_response_body(cur: &mut Cursor<'_>) -> Result<Response, DecodeError> {
     Ok(match t {
         tag::PONG => Response::Pong,
         tag::ACK => Response::Ack,
-        tag::DATA => {
-            let version = cur.u64()?;
-            let bytes = cur.bytes_field("data payload")?;
-            let ext = cur.extensions()?;
-            Response::Data {
-                version,
-                bytes,
-                check: ext.check,
-            }
-        }
-        tag::PARITY => {
-            let versions = cur.versions_field("parity versions")?;
-            let bytes = cur.bytes_field("parity payload")?;
-            let ext = cur.extensions()?;
-            Response::Parity {
-                versions,
-                bytes,
-                checks: ext.checks,
-            }
-        }
+        tag::DATA => Response::Data {
+            version: cur.u64()?,
+            check: cur.u64()?,
+            bytes: cur.bytes_field("data payload")?,
+        },
+        tag::PARITY => Response::Parity {
+            versions: cur.versions_field("parity versions")?,
+            checks: cur.versions_field("parity checks")?,
+            bytes: cur.bytes_field("parity payload")?,
+        },
         tag::VERSION => Response::Version(cur.u64()?),
         tag::VERSIONS => Response::Versions(cur.versions_field("versions")?),
         other => {
@@ -1214,9 +1095,13 @@ mod tests {
     }
 
     #[test]
-    fn frames_are_byte_identical_to_the_two_buffer_encoder() {
-        // Both recorded at the commit before header and body shared one
-        // buffer: peers on either side of it read each other's frames.
+    fn frames_match_the_v2_layout_table() {
+        // Each expected frame is spelled out field by field from the
+        // module doc's tables, a space between fields: the header
+        // (magic, version 2, kind, flags, op id, epoch, body length,
+        // CRC-32 of the 28 bytes before it) on the first line, then the
+        // body.
+        let expect = |fields: &str| fields.split_whitespace().collect::<String>();
         let env = Envelope {
             op_id: OpId(0x0102_0304_0506_0708),
             round_epoch: 9,
@@ -1227,11 +1112,59 @@ mod tests {
                 version: 7,
             },
         };
+        // Body 21 + 5: write-data, id, version, len, payload.
         assert_eq!(
             hex(&encode_envelope(&env)),
-            "5451574601010100080706050403020109000000000000001a00000051ee917f\
-             052a00000000000000070000000000000005000000a0a1a2a3a4"
+            expect(
+                "54515746 02 01 0100 0807060504030201 0900000000000000 1a000000 79478f27
+                 05 2a00000000000000 0700000000000000 05000000 a0a1a2a3a4"
+            )
         );
+
+        let env = Envelope {
+            op_id: OpId(0x21),
+            round_epoch: 0,
+            lane: Lane::Foreground,
+            payload: Request::AddParity {
+                id: 9,
+                block_index: 2,
+                delta: Bytes::from(vec![5, 6]),
+                expected_version: 3,
+                new_version: 4,
+                coeff: 0x53,
+                new_check: Some(0xDEAD_BEEF_0BAD_F00D),
+            },
+        };
+        // Body 47 + 2: add-parity, id, block index, expected version,
+        // new version; coeff, has new check, new check; len, delta.
+        assert_eq!(
+            hex(&encode_envelope(&env)),
+            expect(
+                "54515746 02 01 0000 2100000000000000 0000000000000000 31000000 7c6c2571
+                 0a 0900000000000000 0200000000000000 0300000000000000 0400000000000000
+                 53 01 0df0ad0befbeadde
+                 02000000 0506"
+            )
+        );
+
+        let reply = Reply {
+            op_id: OpId(0x22),
+            round_epoch: 5,
+            result: Ok(Response::Data {
+                bytes: Bytes::from(vec![1, 2]),
+                version: 7,
+                check: 0x0123_4567_89AB_CDEF,
+            }),
+        };
+        // Body 22 + 2: ok, data, version, check, len, payload.
+        assert_eq!(
+            hex(&encode_reply(&reply)),
+            expect(
+                "54515746 02 02 0000 2200000000000000 0500000000000000 18000000 2f8ff0ed
+                 00 03 0700000000000000 efcdab8967452301 02000000 0102"
+            )
+        );
+
         let reply = Reply {
             op_id: OpId(0x1112_1314_1516_1718),
             round_epoch: 3,
@@ -1241,11 +1174,16 @@ mod tests {
                 checks: vec![6, 7],
             }),
         };
+        // Body 14 + 16·2 + 3: ok, parity; versions; checks; len, payload.
         assert_eq!(
             hex(&encode_reply(&reply)),
-            "54515746010200001817161514131211030000000000000036000000662509a4\
-             0004020000000400000000000000050000000000000003000000010203\
-             01140000000200000006000000000000000700000000000000"
+            expect(
+                "54515746 02 02 0000 1817161514131211 0300000000000000 31000000 f7b4c061
+                 00 04
+                 02000000 0400000000000000 0500000000000000
+                 02000000 0600000000000000 0700000000000000
+                 03000000 010203"
+            )
         );
     }
 
@@ -1396,7 +1334,7 @@ mod tests {
                 result,
             };
             let parts = encode_reply_parts(&reply);
-            let joined = [&parts.head[..], parts.payload, &parts.tail[..]].concat();
+            let joined = [&parts.head[..], parts.payload].concat();
             assert_eq!(joined, encode_reply(&reply), "{reply:?}");
             match &reply.result {
                 // The payload part is the reply's own buffer, not a copy.
@@ -1404,7 +1342,7 @@ mod tests {
                     assert_eq!(parts.payload.as_ptr(), bytes.as_ptr());
                     assert_eq!(parts.payload.len(), bytes.len());
                 }
-                _ => assert!(parts.payload.is_empty() && parts.tail.is_empty()),
+                _ => assert!(parts.payload.is_empty()),
             }
             match decode_frame(&Bytes::from(joined)).expect("decodes") {
                 (Frame::Reply(r), _) => assert_eq!(r, reply),
@@ -1638,121 +1576,26 @@ mod tests {
         ));
     }
 
-    /// Appends raw bytes to a frame's body and re-seals the header
-    /// (body length + CRC), simulating a peer that emitted extra
-    /// trailing content.
-    fn extend_body(mut wire: Vec<u8>, extra: &[u8]) -> Bytes {
-        wire.extend_from_slice(extra);
-        let body_len = (wire.len() - HEADER_LEN) as u32;
-        wire[24..28].copy_from_slice(&body_len.to_le_bytes());
-        let crc = crc32(&wire[0..28]);
-        wire[28..32].copy_from_slice(&crc.to_le_bytes());
-        Bytes::from(wire)
-    }
-
     #[test]
-    fn default_valued_extensions_are_not_encoded() {
-        // coeff = 1, no new-check, no checks vector: the frame must be
-        // byte-identical to the pre-extension layout so old peers still
-        // fold it correctly.
-        let delta = Bytes::from(vec![5u8; 24]);
+    fn a_new_check_presence_byte_is_0_or_1() {
         let env = Envelope::new(Request::AddParity {
             id: 9,
             block_index: 2,
-            delta: delta.clone(),
+            delta: Bytes::from(vec![5u8; 3]),
             expected_version: 3,
             new_version: 4,
             coeff: 1,
             new_check: None,
         });
-        let wire = encode_envelope(&env);
-        let fixed = 1 + 8 * 4 + 4 + delta.len(); // tag + 4 u64s + len + payload
-        assert_eq!(wire.len(), HEADER_LEN + fixed, "legacy layout changed");
-        assert_eq!(roundtrip_env(&env), env);
-    }
-
-    #[test]
-    fn legacy_extension_free_data_reply_decodes_with_default_check() {
-        // Hand-build a data reply body with no trailing extensions, as a
-        // pre-integrity peer would emit it.
-        let mut body = vec![tag::RESULT_OK, tag::DATA];
-        body.extend_from_slice(&7u64.to_le_bytes());
-        body.extend_from_slice(&3u32.to_le_bytes());
-        body.extend_from_slice(&[1, 2, 3]);
-        let mut frame = start_frame(body.len());
-        frame.extend_from_slice(&body);
-        finish_frame(FrameKind::Reply, 0, OpId(11), 0, &mut frame, body.len());
-        let wire = Bytes::from(frame);
-        let (frame, _) = decode_frame(&wire).expect("legacy frame decodes");
-        match frame {
-            Frame::Reply(r) => assert_eq!(
-                r.result,
-                Ok(Response::Data {
-                    version: 7,
-                    bytes: Bytes::from(vec![1u8, 2, 3]),
-                    check: 0,
-                })
-            ),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn unknown_trailing_extensions_are_skipped_on_extended_variants() {
-        let env = Envelope::new(Request::InitParity {
-            id: 2,
-            bytes: Bytes::from(vec![9u8; 8]),
-            k: 3,
-            checks: vec![10, 20, 30],
-        });
-        // tag 0x7F (unknown) · len 3 · payload — a field from the future.
-        let wire = extend_body(encode_envelope(&env), &[0x7F, 3, 0, 0, 0, 0xA, 0xB, 0xC]);
-        match decode_frame(&wire).expect("unknown extension must be skipped") {
-            (Frame::Envelope(e), _) => assert_eq!(e, env),
-            (other, _) => panic!("{other:?}"),
-        }
-
-        // Same on the reply side.
-        let reply = Reply::to(
-            &env,
-            Ok(Response::Parity {
-                bytes: Bytes::from(vec![1, 2]),
-                versions: vec![3, 4],
-                checks: vec![5, 6],
-            }),
+        let mut wire = encode_envelope(&env);
+        // tag, id, block index, expected and new version, coeff.
+        let presence = HEADER_LEN + 1 + 4 * 8 + 1;
+        assert_eq!(wire[presence], 0);
+        wire[presence] = 2;
+        assert_eq!(
+            decode_frame(&Bytes::from(wire)),
+            Err(DecodeError::BadValue("add-parity new-check presence"))
         );
-        let wire = extend_body(encode_reply(&reply), &[0xEE, 1, 0, 0, 0, 0xFF]);
-        match decode_frame(&wire).expect("unknown reply extension must be skipped") {
-            (Frame::Reply(r), _) => assert_eq!(r, reply),
-            (other, _) => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn malformed_extensions_are_typed_errors() {
-        let env = Envelope::new(Request::ReadParity { id: 1 });
-        let parity_reply = Reply::to(
-            &env,
-            Ok(Response::Parity {
-                bytes: Bytes::from(vec![1, 2]),
-                versions: vec![3],
-                checks: vec![],
-            }),
-        );
-
-        // Extension length pointing past the body.
-        let wire = extend_body(encode_reply(&parity_reply), &[0x7F, 200, 0, 0, 0]);
-        assert!(matches!(
-            decode_frame(&wire),
-            Err(DecodeError::LengthOverflow { .. })
-        ));
-
-        // Known extension with the wrong payload size.
-        let wire = extend_body(
-            encode_reply(&parity_reply),
-            &[tag::EXT_CHECK, 4, 0, 0, 0, 1, 2, 3, 4],
-        );
-        assert!(matches!(decode_frame(&wire), Err(DecodeError::BadValue(_))));
     }
 
     #[test]

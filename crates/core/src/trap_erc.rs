@@ -964,7 +964,7 @@ impl<T: Transport> TrapErcClient<T> {
             if st.done.is_some() || Some(version) < st.latest {
                 continue;
             }
-            if check == 0 || block_check(&bytes) == check {
+            if block_check(&bytes) == check {
                 st.done = Some(Ok(ReadOutcome {
                     bytes: bytes.to_vec(),
                     version,
@@ -1077,15 +1077,16 @@ impl<T: Transport> TrapErcClient<T> {
         }
         // The per-shard pass. Each shard's own check first: a data
         // shard's stamp from the serving node, a parity shard's derived
-        // from the vector it served itself — the first parity reply that
-        // passes becomes the reference vector every shard is then held
-        // against.
+        // from the vector it served itself (a vector that is not k long
+        // vouches for nothing, so its shard is not clean) — the first
+        // parity reply that passes becomes the reference vector every
+        // shard is then held against.
         let mut clean: Vec<(usize, &[u8], u64)> = Vec::with_capacity(consistent.len());
         let mut vector: Option<&[u64]> = None;
         for &(shard, bytes, checks) in &consistent {
             let sum = *shard.sum.get_or_init(|| block_check(bytes));
             let own = match (&shard.reply, checks) {
-                (Response::Data { check, .. }, _) => *check == 0 || sum == *check,
+                (Response::Data { check, .. }, _) => sum == *check,
                 (_, Some(checks)) if checks.len() == k => {
                     let ok = sum == expected_parity_check(&self.rs, shard.node, checks);
                     if ok {
@@ -1093,7 +1094,7 @@ impl<T: Transport> TrapErcClient<T> {
                     }
                     ok
                 }
-                _ => true,
+                _ => false,
             };
             if own {
                 clean.push((shard.node, bytes, sum));
@@ -1518,7 +1519,7 @@ impl<T: Transport> TrapErcClient<T> {
                 // A self-check mismatch disqualifies N_i's copy from the
                 // salvage shortcut but its version still counts — the
                 // decode path below can rebuild that version cleanly.
-                if *check == 0 || block_check(bytes) == *check {
+                if block_check(bytes) == *check {
                     ni = Some((bytes.to_vec(), *version));
                 } else {
                     record_corrupt(&mut st.corrupt, i);
@@ -2294,8 +2295,8 @@ mod tests {
     /// Reads block 0 of stripe 1 as a plan of one: its result, the
     /// nodes its read proved corrupt, and the nodes whose shard the
     /// client summed.
-    fn read_block_0(
-        client: &TrapErcClient<LocalTransport>,
+    fn read_block_0<T: Transport>(
+        client: &TrapErcClient<T>,
     ) -> (Result<ReadOutcome, ProtocolError>, Vec<usize>, Vec<usize>) {
         let (mut items, _) = client.read_plan(&[BlockAddr::new(1, 0)]);
         let st = items.remove(0);
@@ -2306,6 +2307,69 @@ mod tests {
             .map(|shard| shard.node)
             .collect();
         (st.done.expect("resolved"), st.corrupt, summed)
+    }
+
+    /// A node whose `Data` replies arrive with one payload byte flipped
+    /// on the way.
+    struct FlipsData(std::sync::Arc<tq_cluster::StorageNode>);
+
+    impl tq_cluster::NodeApi for FlipsData {
+        fn execute(&self, env: tq_cluster::Envelope) -> tq_cluster::Reply {
+            let mut reply = self.0.execute(env);
+            if let Ok(Response::Data { bytes, .. }) = &mut reply.result {
+                let mut flipped = bytes.to_vec();
+                flipped[0] ^= 0x01;
+                *bytes = Bytes::from(flipped);
+            }
+            reply
+        }
+    }
+
+    /// A cluster's nodes, with node 0 reached through [`FlipsData`].
+    struct FlipsNode0 {
+        cluster: Cluster,
+        node0: FlipsData,
+    }
+
+    impl Transport for FlipsNode0 {
+        fn node_count(&self) -> usize {
+            self.cluster.len()
+        }
+
+        fn dispatch(&self, node: NodeId, env: tq_cluster::Envelope) -> tq_cluster::Reply {
+            use tq_cluster::NodeApi;
+            match node.0 {
+                0 => self.node0.execute(env),
+                i => self.cluster.node(i).execute(env),
+            }
+        }
+    }
+
+    #[test]
+    fn a_flipped_reply_of_an_all_zero_block_is_caught() {
+        // `block_check` is linear, so an all-zero block, which is what
+        // `Volume` and `provision_striped` create, is stamped 0. A byte
+        // flipped in N_0's reply must still fail that stamp: N_0 is
+        // attributed corrupt and the read decodes the zeros.
+        let config = ProtocolConfig::with_uniform_w(9, 6, 2, 1, 1, 1).unwrap();
+        let cluster = Cluster::new(9);
+        let link = FlipsNode0 {
+            node0: FlipsData(std::sync::Arc::clone(cluster.node(0))),
+            cluster,
+        };
+        let client = TrapErcClient::new(config, link).unwrap();
+        let zeros = vec![0u8; 64];
+        assert_eq!(block_check(&zeros), 0);
+        client.create_stripe(1, vec![zeros.clone(); 6]).unwrap();
+        let (out, corrupt, _) = read_block_0(&client);
+        let out = out.unwrap();
+        assert_eq!(out.bytes, zeros);
+        assert!(
+            matches!(out.path, ReadPath::Decoded { .. }),
+            "{:?}",
+            out.path
+        );
+        assert_eq!(corrupt, vec![0]);
     }
 
     #[test]

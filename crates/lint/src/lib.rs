@@ -926,16 +926,16 @@ fn l3_wire_tag_coverage(f: &FileCtx, out: &mut Vec<Diagnostic>) {
         }
     }
 
-    // 3c. Every locally defined tag needs an explicit arm: the
-    //     forward-compat skip path only excuses tags we did NOT define.
+    // 3c. Every locally defined tag needs an explicit arm: a decoder
+    //     refuses any tag it has no arm for with a typed error.
     for (name, _, idx) in &consts {
         if !has_arm(name) {
             out.push(f.diag(
                 L_WIRETAG,
                 *idx,
                 format!(
-                    "`tag::{name}` is defined but no decoder arm matches it; the \
-                     forward-compat skip path only covers foreign tags"
+                    "`tag::{name}` is defined but no decoder arm matches it; a frame \
+                     carrying it would be refused as an unknown tag"
                 ),
             ));
         }

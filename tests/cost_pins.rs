@@ -5,7 +5,8 @@
 //! = 4` nodes TRAP-FR uses — plus one TRAP-ERC degraded read on
 //! (15, 8) / (0, 4, 1), whose level 0 can complete without `N_i`. A
 //! healthy read's and write's storage puts and flushes (each flush an
-//! `fdatasync` on the log) are pinned beside them, with their floors.
+//! `fdatasync` on the log) and wire bytes are pinned beside them, with
+//! their floors.
 //!
 //! On `LocalTransport` these counts are exact and repeat bit for bit,
 //! so a plan change that adds a round, a message or a durable install
@@ -17,7 +18,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use trapezoid_quorum::cluster::storage::default_backend;
-use trapezoid_quorum::cluster::{BlockId, StorageError, StoredBlock};
+use trapezoid_quorum::cluster::{
+    wire, BlockId, Envelope, NodeId, Reply, StorageError, StoredBlock, Transport,
+};
 use trapezoid_quorum::{
     BatchWrite, BlockAddr, Cluster, LocalTransport, OpReport, QuorumStore, StorageBackend, Store,
 };
@@ -31,11 +34,13 @@ fn payload(block: usize, round: u8) -> Vec<u8> {
     vec![(round << 4) | block as u8; BLOCK_LEN]
 }
 
-/// The storage calls a cluster's nodes made, summed over the nodes.
+/// The storage calls a cluster's nodes made, summed over the nodes,
+/// and the wire bytes its client's messages took.
 #[derive(Debug, Default)]
 struct Meter {
     puts: AtomicUsize,
     flushes: AtomicUsize,
+    wire: AtomicUsize,
 }
 
 impl Meter {
@@ -43,6 +48,32 @@ impl Meter {
     fn take(&self) -> (usize, usize) {
         let puts = self.puts.swap(0, Ordering::Relaxed);
         (puts, self.flushes.swap(0, Ordering::Relaxed))
+    }
+
+    /// Wire bytes since the last call.
+    fn take_wire(&self) -> usize {
+        self.wire.swap(0, Ordering::Relaxed)
+    }
+}
+
+/// `LocalTransport`, each message counted on the [`Meter`] as the
+/// request and reply frames a socket would carry.
+struct Framed {
+    inner: LocalTransport,
+    meter: Arc<Meter>,
+}
+
+impl Transport for Framed {
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+
+    fn dispatch(&self, node: NodeId, env: Envelope) -> Reply {
+        let request = wire::encode_envelope(&env).len();
+        let reply = self.inner.dispatch(node, env);
+        let bytes = request + wire::encode_reply(&reply).len();
+        self.meter.wire.fetch_add(bytes, Ordering::Relaxed);
+        reply
     }
 }
 
@@ -107,14 +138,47 @@ fn world(backend: &str) -> (Box<dyn QuorumStore>, Cluster, Arc<Meter>) {
         })
     });
     let store = builder
-        .transport(LocalTransport::new(cluster.clone()))
+        .transport(Framed {
+            inner: LocalTransport::new(cluster.clone()),
+            meter: Arc::clone(&meter),
+        })
         .build()
         .unwrap();
     store
         .create(STRIPE, (0..K).map(|b| payload(b, 0)).collect())
         .unwrap();
     meter.take();
+    meter.take_wire();
     (store, cluster, meter)
+}
+
+/// Frame sizes from the layout table in `wire.rs`'s module doc: the
+/// 32-byte header and the body, for a `b`-byte payload and `k`-entry
+/// version and check vectors.
+const HEADER: usize = 32;
+/// Read-data, read-parity, version-data, version-vector: tag and id.
+const ASK: usize = HEADER + 9;
+/// Result byte and ack tag.
+const ACK: usize = HEADER + 2;
+
+fn data(b: usize) -> usize {
+    HEADER + 22 + b
+}
+
+fn parity(k: usize, b: usize) -> usize {
+    HEADER + 14 + 16 * k + b
+}
+
+fn write_data(b: usize) -> usize {
+    HEADER + 21 + b
+}
+
+fn write_parity(k: usize, b: usize) -> usize {
+    HEADER + 21 + 16 * k + b
+}
+
+fn add_parity(b: usize) -> usize {
+    HEADER + 47 + b
 }
 
 /// `(network rounds, messages)` of one operation's report.
@@ -124,41 +188,101 @@ fn cost(report: &OpReport) -> (usize, usize) {
 
 #[test]
 fn healthy_ops_cost_what_the_plan_says() {
-    // backend, read, write — each `(rounds, messages)` — and the
-    // write's storage calls, `(puts, flushes)`. A read stores nothing.
+    // backend, read, write — each `(rounds, messages)` — the write's
+    // storage calls, `(puts, flushes)`, and the read's and write's wire
+    // bytes. A read stores nothing. Each byte pin is a sum of frames;
+    // its floor, the payload bytes alone, is B = 64 per message that
+    // carries a block.
+    let b = BLOCK_LEN;
+    // Every backend's healthy read asks N_i, which answers with the
+    // block: 41 + 118 = 159 bytes, floor B = 64.
+    let direct = ASK + data(b);
+    // An install on N_i, a delta folded into a parity block of the
+    // (9, 6) stripe, and a copy written to a replica (k = 1), each
+    // with its ack: 151, 177 and 167 bytes.
+    let on_home = write_data(b) + ACK;
+    let fold = add_parity(b) + ACK;
+    let copy = write_parity(1, b) + ACK;
     let pins = [
         // One round: N_i's reply to the level-0 check is the block.
         // A write is that read plus one scatter per level (1 + 3). It
         // installs on N_i and every parity member, 1 + (n − k) = 4 puts,
         // each flushed before its ack. The floor is Σ w_l = 1 + 2 = 3
         // durable installs, a write quorum; the fourth keeps every
-        // parity member current.
-        ("trap-erc", (1, 1), (3, 5), (4, 4)),
+        // parity member current. Write bytes 841, floor 5B = 320.
+        (
+            "trap-erc",
+            (1, 1),
+            (3, 5),
+            (4, 4),
+            direct,
+            direct + on_home + 3 * fold,
+        ),
         // The same trapezoid over full replicas, the same bill; floor 3.
-        ("trap-fr", (1, 1), (3, 5), (4, 4)),
+        // Write bytes 811, floor 5B = 320.
+        (
+            "trap-fr",
+            (1, 1),
+            (3, 5),
+            (4, 4),
+            direct,
+            direct + on_home + 3 * copy,
+        ),
         // Read one; the embedded read plus write all four, which is
-        // also the floor.
-        ("rowa", (1, 1), (2, 5), (4, 4)),
+        // also the floor. Write bytes 811, floor 5B = 320.
+        (
+            "rowa",
+            (1, 1),
+            (2, 5),
+            (4, 4),
+            direct,
+            direct + on_home + 3 * copy,
+        ),
         // A majority of 4 is 3 — the first of them asked for the data.
         // The write installs on all four; the floor is a majority, 3.
-        ("majority", (1, 3), (2, 7), (4, 4)),
+        // The two other replicas answer with their copies: read bytes
+        // 159 + 2 × 167 = 493, floor 3B = 192; write bytes 1145, floor
+        // 7B = 448.
+        (
+            "majority",
+            (1, 3),
+            (2, 7),
+            (4, 4),
+            direct + 2 * (ASK + parity(1, b)),
+            direct + 2 * (ASK + parity(1, b)) + on_home + 3 * copy,
+        ),
     ];
-    for (backend, read, write, stores) in pins {
+    for (backend, read, write, stores, read_bytes, write_bytes) in pins {
         let (store, _cluster, meter) = world(backend);
         let addr = BlockAddr::new(STRIPE, 2);
         let out = store.read(addr).unwrap();
         assert_eq!(out.bytes, payload(2, 0), "{backend}");
         assert_eq!(cost(&out.report), read, "{backend}: healthy read");
         assert_eq!(meter.take(), (0, 0), "{backend}: healthy read stores");
+        assert_eq!(
+            meter.take_wire(),
+            read_bytes,
+            "{backend}: healthy read bytes"
+        );
         let out = store.write(addr, &payload(2, 1)).unwrap();
         assert_eq!(out.version, 1, "{backend}");
         assert_eq!(cost(&out.report), write, "{backend}: healthy write");
         assert_eq!(meter.take(), stores, "{backend}: healthy write stores");
+        assert_eq!(
+            meter.take_wire(),
+            write_bytes,
+            "{backend}: healthy write bytes"
+        );
         // The write left nothing behind that a read pays for.
         let out = store.read(addr).unwrap();
         assert_eq!(out.bytes, payload(2, 1), "{backend}");
         assert_eq!(cost(&out.report), read, "{backend}: read after write");
         assert_eq!(meter.take(), (0, 0), "{backend}: read after write stores");
+        assert_eq!(
+            meter.take_wire(),
+            read_bytes,
+            "{backend}: read after write bytes"
+        );
     }
 }
 

@@ -59,7 +59,7 @@ fn history(writes: u64, folds: [u64; K], mix: u64) -> Vec<Envelope> {
             id: PARITY_ID,
             bytes: pattern(100),
             k: K,
-            checks: vec![],
+            checks: vec![0; K],
         }),
     ];
     let mut next_write = 1u64;
@@ -97,7 +97,7 @@ fn history(writes: u64, folds: [u64; K], mix: u64) -> Vec<Envelope> {
                     expected_version: v - 1,
                     new_version: v,
                     coeff: 1,
-                    new_check: None,
+                    new_check: Some(v),
                 }));
                 next_fold[i] += 1;
             }

@@ -131,7 +131,7 @@ fn script() -> Vec<(usize, Envelope)> {
                     expected_version: 1,
                     new_version: 2,
                     coeff: 1,
-                    new_check: None,
+                    new_check: Some(2),
                 },
             ),
         ),
@@ -146,7 +146,7 @@ fn script() -> Vec<(usize, Envelope)> {
                     expected_version: 7,
                     new_version: 8,
                     coeff: 1,
-                    new_check: None,
+                    new_check: Some(2),
                 },
             ),
         ),
@@ -158,7 +158,7 @@ fn script() -> Vec<(usize, Envelope)> {
                     id: 11,
                     bytes: data(0xB3),
                     versions: vec![0, 3, 0],
-                    checks: vec![],
+                    checks: vec![7, 9, 9],
                 },
             ),
         ),

@@ -15,7 +15,10 @@
 //!   interior length prefixes) come back as typed
 //!   `BodyTooLarge` / `Truncated` / `LengthOverflow` errors;
 //! * fully random buffers decode to `Err` or a bounded `Ok` — the
-//!   decoder never consumes more bytes than it was given.
+//!   decoder never consumes more bytes than it was given;
+//! * every field sits at a fixed place, so one or more bytes after any
+//!   variant's last field is `TrailingBytes`, never skipped;
+//! * a frame of the previous wire version is `UnsupportedVersion`.
 //!
 //! None of these properties may ever observe a panic: the decoder's
 //! contract is that hostile bytes produce typed [`DecodeError`]s.
@@ -340,8 +343,7 @@ proptest! {
 }
 
 /// Appends raw bytes to a sealed frame's body and restamps `body_len`
-/// plus the header CRC — forging the frame a *newer* peer would send,
-/// with trailing fields today's encoder does not know about.
+/// plus the header CRC, so only the body's content is wrong.
 fn append_to_body(frame: &mut Vec<u8>, extra: &[u8]) {
     frame.extend_from_slice(extra);
     let body_len = (frame.len() - HEADER_LEN) as u32;
@@ -350,71 +352,40 @@ fn append_to_body(frame: &mut Vec<u8>, extra: &[u8]) {
     frame[28..32].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Version skew, future-to-past: a frame carrying an *unknown* trailing
-/// extension (the tag·len·payload shape every extensible variant
-/// reserves) must decode on today's decoder to exactly the value the
-/// known fields describe — unknown trailers are skipped, not errors.
-/// This is the compatibility contract that lets checksum-aware peers
-/// talk to older nodes, and future peers talk to these.
+proptest! {
+    /// One or more bytes after the last field of any request or reply
+    /// variant are `TrailingBytes` counting them: no variant has an
+    /// optional tail to absorb them.
+    #[test]
+    fn trailing_bytes_after_any_variant_are_typed(
+        env in envelope(),
+        rep in reply(),
+        extra in vec(any::<u8>(), 1..16),
+    ) {
+        for mut frame in [encode_envelope(&env), encode_reply(&rep)] {
+            append_to_body(&mut frame, &extra);
+            match decode_frame(&Bytes::from(frame)) {
+                Err(DecodeError::TrailingBytes { extra: n }) => prop_assert_eq!(n, extra.len()),
+                other => prop_assert!(false, "{} trailing bytes gave {:?}", extra.len(), other),
+            }
+        }
+    }
+}
+
+/// A frame of wire version 1, as that encoder wrote a background-lane
+/// write-data request, is refused by its header alone.
 #[test]
-fn unknown_trailing_extensions_from_newer_peers_are_skipped() {
-    // A request-side extensible variant...
-    // Background lane: the flag bit must round-trip alongside the
-    // trailing extensions it shares the header with.
-    let env = Envelope {
-        op_id: OpId(41),
-        round_epoch: 2,
-        lane: Lane::Background,
-        payload: Request::WriteParity {
-            id: 13,
-            bytes: Bytes::from_static(b"parity-bytes"),
-            versions: vec![3, 1, 4],
-            checks: vec![0xAA, 0xBB, 0xCC],
-        },
-    };
-    let mut frame = encode_envelope(&env);
-    // Unknown tag 0x6F with an 11-byte payload.
-    let mut ext = vec![0x6F];
-    ext.extend_from_slice(&11u32.to_le_bytes());
-    ext.extend_from_slice(b"from-future");
-    append_to_body(&mut frame, &ext);
-    match decode_frame(&Bytes::from(frame)).expect("extended frame decodes") {
-        (Frame::Envelope(got), _) => assert_eq!(got, env),
-        other => panic!("unexpected {other:?}"),
-    }
-
-    // ...and a reply-side one, with two unknown trailers back to back.
-    let rep = Reply {
-        op_id: OpId(42),
-        round_epoch: 9,
-        result: Ok(Response::Data {
-            bytes: Bytes::from_static(b"data-bytes"),
-            version: 7,
-            check: 0x0123_4567_89AB_CDEF,
-        }),
-    };
-    let mut frame = encode_reply(&rep);
-    let mut ext = vec![0xE1];
-    ext.extend_from_slice(&0u32.to_le_bytes());
-    ext.push(0xE2);
-    ext.extend_from_slice(&3u32.to_le_bytes());
-    ext.extend_from_slice(&[1, 2, 3]);
-    append_to_body(&mut frame, &ext);
-    match decode_frame(&Bytes::from(frame)).expect("extended frame decodes") {
-        (Frame::Reply(got), _) => assert_eq!(got, rep),
-        other => panic!("unexpected {other:?}"),
-    }
-
-    // A *truncated* unknown extension (length claims past the body) is
-    // still a typed error, not a skip.
-    let mut frame = encode_reply(&rep);
-    let mut ext = vec![0xE3];
-    ext.extend_from_slice(&200u32.to_le_bytes());
-    append_to_body(&mut frame, &ext);
-    assert!(matches!(
+fn a_version_1_frame_is_unsupported() {
+    let v1 = "5451574601010100080706050403020109000000000000001a00000051ee917f\
+              052a00000000000000070000000000000005000000a0a1a2a3a4";
+    let frame: Vec<u8> = (0..v1.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&v1[i..i + 2], 16).unwrap())
+        .collect();
+    assert_eq!(
         decode_frame(&Bytes::from(frame)),
-        Err(DecodeError::LengthOverflow { .. })
-    ));
+        Err(DecodeError::UnsupportedVersion(1))
+    );
 }
 
 /// Byte-level corruption sweep outside proptest: flip every single bit
