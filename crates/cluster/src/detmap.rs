@@ -65,11 +65,17 @@ impl Hasher for DetHasher {
 }
 
 /// `HashMap` with run-to-run deterministic layout.
-// tq-lint: allow(sim-determinism) -- the whole point of this alias: std's table with a fixed-key FNV hasher, layout is a pure function of insertion order.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the whole point of this alias: std's table with a fixed-key FNV hasher, layout is a pure function of insertion order"
+)]
 pub type DetHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<DetHasher>>;
 
 /// `HashSet` with run-to-run deterministic layout.
-// tq-lint: allow(sim-determinism) -- same fixed-key hasher as DetHashMap; no OS entropy involved.
+#[expect(
+    clippy::disallowed_types,
+    reason = "same fixed-key hasher as DetHashMap; no OS entropy involved"
+)]
 pub type DetHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<DetHasher>>;
 
 #[cfg(test)]

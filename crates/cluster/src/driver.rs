@@ -15,8 +15,8 @@
 //! The driver reads no clock and never blocks on its own: time is
 //! whatever [`Link::now`] says (virtual nanoseconds under
 //! [`SimTransport`](crate::sim::SimTransport), monotonic wall
-//! nanoseconds otherwise), and waiting is [`Link::recv`]'s business. The
-//! `sim-determinism` lint covers this file.
+//! nanoseconds otherwise), and waiting is [`Link::recv`]'s business.
+//! clippy's determinism ban (see this crate's `lib.rs`) covers this file.
 //!
 //! [`LocalTransport`](crate::transport::LocalTransport) stays outside:
 //! it has no link to wait on — a call *is* its reply — and its lazy

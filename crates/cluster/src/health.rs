@@ -23,7 +23,8 @@
 //! `u64` supplied by the caller (virtual nanoseconds under
 //! [`crate::sim::SimTransport`], monotonic wall nanoseconds under the
 //! real transports), state lives in [`DetHashMap`]s, and no wall clock or
-//! OS entropy is read — the `sim-determinism` lint covers this file.
+//! OS entropy is read — clippy's determinism ban (see this crate's
+//! `lib.rs`) covers this file.
 
 use crate::detmap::DetHashMap;
 use crate::rpc::{Lane, NodeError};

@@ -67,23 +67,40 @@
 //! composes this substrate with `tq-erasure` and `tq-quorum` into the
 //! paper's Algorithms 1 and 2.
 
-// unsafe_code is denied workspace-wide (see [workspace.lints] in the root
-// Cargo.toml); tq-lint's `unsafe-allow` pass guards the allow sites.
+// unsafe_code is forbidden workspace-wide (see [workspace.lints] in the
+// root Cargo.toml), so no module of this crate can re-allow it.
 #![warn(missing_docs)]
 
+// Determinism: the modules below that deny the two `disallowed_*` lints
+// are the ones the simulator reaches. They read no wall clock, sleep no
+// thread, draw no OS entropy and hash with no random seed (clippy.toml
+// names each), so a DST case replays bit-for-bit. The dispatch driver is
+// among them: it runs on its link's clock, virtual under the simulator.
+// `tcp` is real-clock by nature and unreachable from the simulator. Test
+// code is exempt.
 pub mod cluster;
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 pub mod detmap;
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 mod driver;
 pub mod fault;
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 pub mod health;
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 pub mod node;
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 pub mod quorum_round;
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 pub mod rpc;
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 pub mod sim;
 pub mod stats;
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 pub mod storage;
 pub mod tcp;
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 pub mod transport;
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 pub mod wire;
 
 pub use cluster::Cluster;

@@ -14,8 +14,25 @@
 //! a backend with [`StorageNode::builder`]; plain [`StorageNode::new`]
 //! uses the process default (the `TQ_NODE_BACKEND` environment
 //! variable, memory if unset).
+//!
+//! The serve path is total as the decoder is: a node answers every
+//! request with a reply, never a panic. The module denies every clippy
+//! lint for a construct that could panic.
 
-use std::collections::VecDeque;
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )
+)]
+
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -23,8 +40,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use crate::detmap::DetHashSet;
-use crate::rpc::{BlockId, Envelope, NodeApi, NodeError, OpId, Reply, Request, Response};
+use crate::rpc::{BlockId, Envelope, NodeApi, NodeError, Reply, Request, Response};
 use crate::stats::{IoSnapshot, IoStats};
 use crate::storage::{self, StorageBackend, StorageError, StoredBlock};
 
@@ -38,35 +54,49 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// How many applied mutation [`OpId`]s a node remembers for exact-
-/// duplicate absorption. Far beyond any redelivery horizon the
-/// simulation (or a sane fabric) produces; beyond the window, the
-/// monotone version guards still keep redeliveries harmless.
-const APPLIED_WINDOW: usize = 4096;
+mod applied {
+    //! The applied-op window, in a module of its own so that its set is
+    //! private: [`AppliedWindow::contains`] and the monotone
+    //! [`AppliedWindow::remember`] are the only ways in, and a serve path
+    //! that inserted or removed an op id directly would not compile.
 
-/// Bounded FIFO set of recently applied mutation op ids.
-#[derive(Debug, Default)]
-struct AppliedWindow {
-    set: DetHashSet<OpId>,
-    order: VecDeque<OpId>,
-}
+    use std::collections::VecDeque;
 
-impl AppliedWindow {
-    fn contains(&self, id: OpId) -> bool {
-        self.set.contains(&id)
+    use crate::detmap::DetHashSet;
+    use crate::rpc::OpId;
+
+    /// How many applied mutation [`OpId`]s a node remembers for exact-
+    /// duplicate absorption. Far beyond any redelivery horizon the
+    /// simulation (or a sane fabric) produces; beyond the window, the
+    /// monotone version guards still keep redeliveries harmless.
+    const APPLIED_WINDOW: usize = 4096;
+
+    /// Bounded FIFO set of recently applied mutation op ids.
+    #[derive(Debug, Default)]
+    pub(super) struct AppliedWindow {
+        set: DetHashSet<OpId>,
+        order: VecDeque<OpId>,
     }
 
-    fn remember(&mut self, id: OpId) {
-        if self.set.insert(id) {
-            self.order.push_back(id);
-            if self.order.len() > APPLIED_WINDOW {
-                if let Some(evicted) = self.order.pop_front() {
-                    self.set.remove(&evicted);
+    impl AppliedWindow {
+        pub(super) fn contains(&self, id: OpId) -> bool {
+            self.set.contains(&id)
+        }
+
+        pub(super) fn remember(&mut self, id: OpId) {
+            if self.set.insert(id) {
+                self.order.push_back(id);
+                if self.order.len() > APPLIED_WINDOW {
+                    if let Some(evicted) = self.order.pop_front() {
+                        self.set.remove(&evicted);
+                    }
                 }
             }
         }
     }
 }
+
+use applied::AppliedWindow;
 
 /// How many independent per-block serialisation locks the node stripes
 /// its request handling over. Each request touches exactly one block, so
@@ -229,6 +259,10 @@ impl StorageNode {
         total
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the stripe is reduced modulo OP_LOCK_STRIPES, the length of `op_locks`"
+    )]
     fn op_lock(&self, id: BlockId) -> parking_lot::MutexGuard<'_, ()> {
         self.op_locks[storage::stripe_of(id) % OP_LOCK_STRIPES].lock()
     }
@@ -656,9 +690,10 @@ impl StorageNode {
 
 impl NodeApi for StorageNode {
     /// Executes one enveloped command with exact-duplicate absorption:
-    /// a mutation whose [`OpId`] was already applied acknowledges from
-    /// the window without re-executing (vital for the non-idempotent
-    /// parity fold), everything else runs through [`StorageNode::handle`].
+    /// a mutation whose [`OpId`](crate::rpc::OpId) was already applied
+    /// acknowledges from the window without re-executing (vital for the
+    /// non-idempotent parity fold), everything else runs through
+    /// [`StorageNode::handle`].
     fn execute(&self, env: Envelope) -> Reply {
         let Envelope {
             op_id,

@@ -19,7 +19,7 @@
 //!   its connection with it, so a late reply can never answer a later
 //!   call.
 //! * **Reader threads relay only for rounds of several calls.** With no
-//!   `poll` (unsafe code is denied), only a relay can hand a round its
+//!   `poll` (unsafe code is forbidden), only a relay can hand a round its
 //!   replies in arrival order; reading members in issue order would let
 //!   a black-holed member listed first hold a first-quorum round until
 //!   its deadline. Each pooled connection's reader thread matches reply
@@ -727,8 +727,7 @@ impl TcpInner {
             if now >= deadline {
                 return None;
             }
-            // tq-lint: allow(bounded-retry) -- the budget consult IS here:
-            // first attempt free, every re-attempt spends a token.
+            // The first attempt is free; every re-attempt spends a token.
             if attempt > 0 && !self.health.try_spend(lane) {
                 return None;
             }

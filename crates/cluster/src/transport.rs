@@ -225,7 +225,10 @@ impl ChannelTransport {
                     {
                         let nanos = worker_delay.load(Ordering::Relaxed);
                         if nanos > 0 {
-                            // tq-lint: allow(sim-determinism) -- ChannelTransport is the real-threads fabric; DST runs use SimTransport, which injects latency on the virtual clock instead.
+                            #[expect(
+                                clippy::disallowed_methods,
+                                reason = "ChannelTransport is the real-threads fabric; DST runs use SimTransport, which injects latency on the virtual clock instead"
+                            )]
                             std::thread::sleep(Duration::from_nanos(nanos));
                         }
                         let _ = reply.send(RoundReply::from_reply(id, node.execute(env)));
@@ -338,9 +341,12 @@ impl Link for ChannelLink<'_> {
 
 /// The real fabrics' link clock: monotonic wall nanoseconds since the
 /// process first asked.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the real-threads fabrics' clock; DST runs the same driver over SimTransport's virtual one"
+)]
 pub(crate) fn wall_nanos() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    // tq-lint: allow(sim-determinism) -- the real-threads fabrics' clock; DST runs the same driver over SimTransport's virtual one.
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 

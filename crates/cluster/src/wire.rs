@@ -104,30 +104,48 @@ pub const HEADER_LEN: usize = 32;
 /// multi-gigabyte read.
 pub const MAX_BODY_LEN: u32 = 64 << 20;
 
-/// What a frame carries: the direction of the message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameKind {
-    /// The frame body is a [`Request`] (an [`Envelope`] on the wire).
-    Request,
-    /// The frame body is a `Result<Response, NodeError>` (a [`Reply`]).
-    Reply,
+/// Declares a `#[repr(u8)]` enum of wire codes and its one
+/// `TryFrom<u8>`, both from a single list, so the two cannot drift: a
+/// code given twice is a rustc error (E0081), and a byte the list does
+/// not name is refused with `unknown`. Decoders `match` the enum
+/// exhaustively, so a variant without a decoder arm does not compile.
+macro_rules! wire_codes {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $($(#[$vmeta:meta])* $variant:ident = $code:literal,)+
+        }
+        unknown => $unknown:expr
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        $vis enum $name {
+            $($(#[$vmeta])* $variant = $code,)+
+        }
+
+        impl TryFrom<u8> for $name {
+            type Error = DecodeError;
+
+            fn try_from(code: u8) -> Result<Self, DecodeError> {
+                $(if code == $name::$variant as u8 {
+                    return Ok($name::$variant);
+                })+
+                Err(($unknown)(code))
+            }
+        }
+    };
 }
 
-impl FrameKind {
-    fn code(self) -> u8 {
-        match self {
-            FrameKind::Request => 0x01,
-            FrameKind::Reply => 0x02,
-        }
+wire_codes! {
+    /// What a frame carries: the direction of the message.
+    pub enum FrameKind {
+        /// The frame body is a [`Request`] (an [`Envelope`] on the wire).
+        Request = 0x01,
+        /// The frame body is a `Result<Response, NodeError>` (a [`Reply`]).
+        Reply = 0x02,
     }
-
-    fn from_code(code: u8) -> Result<Self, DecodeError> {
-        match code {
-            0x01 => Ok(FrameKind::Request),
-            0x02 => Ok(FrameKind::Reply),
-            other => Err(DecodeError::UnknownKind(other)),
-        }
-    }
+    unknown => DecodeError::UnknownKind
 }
 
 /// The decoded fixed header of one frame.
@@ -154,7 +172,7 @@ impl Header {
         let mut buf = [0u8; HEADER_LEN];
         buf[0..4].copy_from_slice(&MAGIC);
         buf[4] = WIRE_VERSION;
-        buf[5] = self.kind.code();
+        buf[5] = self.kind as u8;
         buf[6..8].copy_from_slice(&self.flags.to_le_bytes());
         buf[8..16].copy_from_slice(&self.op_id.0.to_le_bytes());
         buf[16..24].copy_from_slice(&self.round_epoch.to_le_bytes());
@@ -163,71 +181,6 @@ impl Header {
         buf[28..32].copy_from_slice(&crc.to_le_bytes());
         buf
     }
-
-    /// Decodes and validates a header from the front of `buf`.
-    ///
-    /// Checks, in order: enough bytes, magic, header checksum, version,
-    /// kind, body length bound. Never panics, never reads past `buf`.
-    pub fn decode(buf: &[u8]) -> Result<Header, DecodeError> {
-        if buf.len() < HEADER_LEN {
-            return Err(DecodeError::Truncated {
-                needed: HEADER_LEN,
-                got: buf.len(),
-            });
-        }
-        let magic: [u8; 4] = fixed(buf, 0)?;
-        if magic != MAGIC {
-            return Err(DecodeError::BadMagic(magic));
-        }
-        // Checksum before semantic fields: a corrupt header must not be
-        // interpreted, even partially.
-        let stored_crc = u32::from_le_bytes(fixed(buf, 28)?);
-        let covered = buf.get(0..28).ok_or(DecodeError::Truncated {
-            needed: 28,
-            got: buf.len(),
-        })?;
-        let actual_crc = crc32(covered);
-        if stored_crc != actual_crc {
-            return Err(DecodeError::HeaderChecksum {
-                stored: stored_crc,
-                computed: actual_crc,
-            });
-        }
-        let [version] = fixed(buf, 4)?;
-        if version != WIRE_VERSION {
-            return Err(DecodeError::UnsupportedVersion(version));
-        }
-        let [kind_code] = fixed(buf, 5)?;
-        let kind = FrameKind::from_code(kind_code)?;
-        let flags = u16::from_le_bytes(fixed(buf, 6)?);
-        let op_id = OpId(u64::from_le_bytes(fixed(buf, 8)?));
-        let round_epoch = u64::from_le_bytes(fixed(buf, 16)?);
-        let body_len = u32::from_le_bytes(fixed(buf, 24)?);
-        if body_len > MAX_BODY_LEN {
-            return Err(DecodeError::BodyTooLarge {
-                len: body_len,
-                max: MAX_BODY_LEN,
-            });
-        }
-        Ok(Header {
-            kind,
-            flags,
-            op_id,
-            round_epoch,
-            body_len,
-        })
-    }
-}
-
-/// Borrows `N` bytes at offset `at` as a fixed array, or reports
-/// truncation. The index-free workhorse of [`Header::decode`].
-fn fixed<const N: usize>(buf: &[u8], at: usize) -> Result<[u8; N], DecodeError> {
-    buf.get(at..at + N)
-        .and_then(|s| <[u8; N]>::try_from(s).ok())
-        .ok_or(DecodeError::Truncated {
-            needed: at + N,
-            got: buf.len(),
-        })
 }
 
 /// Why a frame failed to decode. Every variant is a *detected* problem:
@@ -340,111 +293,64 @@ pub enum Frame {
 }
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), slicing-by-8; the tables are built at compile time.
-// ---------------------------------------------------------------------
-
-/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[j][b]`
-/// is the CRC of byte `b` followed by `j` zero bytes, which is what lets
-/// eight table reads advance the register over eight input bytes at once.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    let mut j = 1;
-    while j < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[j - 1][i];
-            tables[j][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        j += 1;
-    }
-    tables
-};
-
-/// One byte into the CRC register.
-#[inline]
-fn crc32_step(crc: u32, b: u8) -> u32 {
-    (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize]
-}
-
-/// CRC-32 (IEEE) over `bytes` — the header and record checksum used
-/// across the wire format and the append-only storage log.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut words = bytes.chunks_exact(8);
-    for word in &mut words {
-        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)")) ^ crc as u64;
-        crc = CRC_TABLES[7][(word & 0xFF) as usize]
-            ^ CRC_TABLES[6][(word >> 8 & 0xFF) as usize]
-            ^ CRC_TABLES[5][(word >> 16 & 0xFF) as usize]
-            ^ CRC_TABLES[4][(word >> 24 & 0xFF) as usize]
-            ^ CRC_TABLES[3][(word >> 32 & 0xFF) as usize]
-            ^ CRC_TABLES[2][(word >> 40 & 0xFF) as usize]
-            ^ CRC_TABLES[1][(word >> 48 & 0xFF) as usize]
-            ^ CRC_TABLES[0][(word >> 56) as usize];
-    }
-    for &b in words.remainder() {
-        crc = crc32_step(crc, b);
-    }
-    !crc
-}
-
-// ---------------------------------------------------------------------
 // Body tags.
 // ---------------------------------------------------------------------
 
-mod tag {
-    // Request body.
-    pub const PING: u8 = 0x01;
-    pub const INIT_DATA: u8 = 0x02;
-    pub const INIT_PARITY: u8 = 0x03;
-    pub const READ_DATA: u8 = 0x04;
-    pub const WRITE_DATA: u8 = 0x05;
-    pub const VERSION_DATA: u8 = 0x06;
-    pub const VERSION_VECTOR: u8 = 0x07;
-    pub const READ_PARITY: u8 = 0x08;
-    pub const WRITE_PARITY: u8 = 0x09;
-    pub const ADD_PARITY: u8 = 0x0A;
+wire_codes! {
+    /// A request body's leading tag.
+    enum RequestTag {
+        Ping = 0x01,
+        InitData = 0x02,
+        InitParity = 0x03,
+        ReadData = 0x04,
+        WriteData = 0x05,
+        VersionData = 0x06,
+        VersionVector = 0x07,
+        ReadParity = 0x08,
+        WriteParity = 0x09,
+        AddParity = 0x0A,
+    }
+    unknown => |tag| DecodeError::UnknownTag { what: "request", tag }
+}
 
-    // Reply body leads with a result discriminant.
-    pub const RESULT_OK: u8 = 0x00;
-    pub const RESULT_ERR: u8 = 0x01;
+wire_codes! {
+    /// A reply body's leading byte: the result discriminant.
+    enum ResultTag {
+        Ok = 0x00,
+        Err = 0x01,
+    }
+    unknown => |tag| DecodeError::UnknownTag { what: "result", tag }
+}
 
-    // Response body.
-    pub const PONG: u8 = 0x01;
-    pub const ACK: u8 = 0x02;
-    pub const DATA: u8 = 0x03;
-    pub const PARITY: u8 = 0x04;
-    pub const VERSION: u8 = 0x05;
-    pub const VERSIONS: u8 = 0x06;
+wire_codes! {
+    /// A response body's tag, after the result byte.
+    enum ResponseTag {
+        Pong = 0x01,
+        Ack = 0x02,
+        Data = 0x03,
+        Parity = 0x04,
+        Version = 0x05,
+        Versions = 0x06,
+    }
+    unknown => |tag| DecodeError::UnknownTag { what: "response", tag }
+}
 
-    // NodeError body.
-    pub const ERR_DOWN: u8 = 0x01;
-    pub const ERR_NOT_FOUND: u8 = 0x02;
-    pub const ERR_WRONG_KIND: u8 = 0x03;
-    pub const ERR_VERSION_CONFLICT: u8 = 0x04;
-    pub const ERR_VECTOR_CONFLICT: u8 = 0x05;
-    pub const ERR_SIZE_MISMATCH: u8 = 0x06;
-    pub const ERR_BAD_BLOCK_INDEX: u8 = 0x07;
-    pub const ERR_TRANSPORT_CLOSED: u8 = 0x08;
-    pub const ERR_TIMED_OUT: u8 = 0x09;
-    pub const ERR_CORRUPT: u8 = 0x0A;
-    pub const ERR_OVERLOADED: u8 = 0x0B;
+wire_codes! {
+    /// A [`NodeError`] body's tag, after the result byte.
+    enum ErrorTag {
+        Down = 0x01,
+        NotFound = 0x02,
+        WrongKind = 0x03,
+        VersionConflict = 0x04,
+        VectorConflict = 0x05,
+        SizeMismatch = 0x06,
+        BadBlockIndex = 0x07,
+        TransportClosed = 0x08,
+        TimedOut = 0x09,
+        Corrupt = 0x0A,
+        Overloaded = 0x0B,
+    }
+    unknown => |tag| DecodeError::UnknownTag { what: "error", tag }
 }
 
 // ---------------------------------------------------------------------
@@ -473,9 +379,9 @@ fn put_versions(out: &mut Vec<u8>, vs: &[u64]) {
 
 fn encode_request_body(req: &Request, out: &mut Vec<u8>) {
     match req {
-        Request::Ping => out.push(tag::PING),
+        Request::Ping => out.push(RequestTag::Ping as u8),
         Request::InitData { id, bytes } => {
-            out.push(tag::INIT_DATA);
+            out.push(RequestTag::InitData as u8);
             put_u64(out, *id);
             put_bytes(out, bytes);
         }
@@ -485,32 +391,32 @@ fn encode_request_body(req: &Request, out: &mut Vec<u8>) {
             k,
             checks,
         } => {
-            out.push(tag::INIT_PARITY);
+            out.push(RequestTag::InitParity as u8);
             put_u64(out, *id);
             put_u64(out, *k as u64);
             put_versions(out, checks);
             put_bytes(out, bytes);
         }
         Request::ReadData { id } => {
-            out.push(tag::READ_DATA);
+            out.push(RequestTag::ReadData as u8);
             put_u64(out, *id);
         }
         Request::WriteData { id, bytes, version } => {
-            out.push(tag::WRITE_DATA);
+            out.push(RequestTag::WriteData as u8);
             put_u64(out, *id);
             put_u64(out, *version);
             put_bytes(out, bytes);
         }
         Request::VersionData { id } => {
-            out.push(tag::VERSION_DATA);
+            out.push(RequestTag::VersionData as u8);
             put_u64(out, *id);
         }
         Request::VersionVector { id } => {
-            out.push(tag::VERSION_VECTOR);
+            out.push(RequestTag::VersionVector as u8);
             put_u64(out, *id);
         }
         Request::ReadParity { id } => {
-            out.push(tag::READ_PARITY);
+            out.push(RequestTag::ReadParity as u8);
             put_u64(out, *id);
         }
         Request::WriteParity {
@@ -519,7 +425,7 @@ fn encode_request_body(req: &Request, out: &mut Vec<u8>) {
             versions,
             checks,
         } => {
-            out.push(tag::WRITE_PARITY);
+            out.push(RequestTag::WriteParity as u8);
             put_u64(out, *id);
             put_versions(out, versions);
             put_versions(out, checks);
@@ -534,7 +440,7 @@ fn encode_request_body(req: &Request, out: &mut Vec<u8>) {
             coeff,
             new_check,
         } => {
-            out.push(tag::ADD_PARITY);
+            out.push(RequestTag::AddParity as u8);
             put_u64(out, *id);
             put_u64(out, *block_index as u64);
             put_u64(out, *expected_version);
@@ -552,14 +458,14 @@ fn encode_request_body(req: &Request, out: &mut Vec<u8>) {
 /// without one.
 fn encode_response_body<'a>(resp: &'a Response, head: &mut Vec<u8>) -> &'a [u8] {
     match resp {
-        Response::Pong => head.push(tag::PONG),
-        Response::Ack => head.push(tag::ACK),
+        Response::Pong => head.push(ResponseTag::Pong as u8),
+        Response::Ack => head.push(ResponseTag::Ack as u8),
         Response::Data {
             bytes,
             version,
             check,
         } => {
-            head.push(tag::DATA);
+            head.push(ResponseTag::Data as u8);
             put_u64(head, *version);
             put_u64(head, *check);
             put_u32(head, bytes.len() as u32);
@@ -570,18 +476,18 @@ fn encode_response_body<'a>(resp: &'a Response, head: &mut Vec<u8>) -> &'a [u8] 
             versions,
             checks,
         } => {
-            head.push(tag::PARITY);
+            head.push(ResponseTag::Parity as u8);
             put_versions(head, versions);
             put_versions(head, checks);
             put_u32(head, bytes.len() as u32);
             return bytes;
         }
         Response::Version(v) => {
-            head.push(tag::VERSION);
+            head.push(ResponseTag::Version as u8);
             put_u64(head, *v);
         }
         Response::Versions(vs) => {
-            head.push(tag::VERSIONS);
+            head.push(ResponseTag::Versions as u8);
             put_versions(head, vs);
         }
     }
@@ -590,34 +496,34 @@ fn encode_response_body<'a>(resp: &'a Response, head: &mut Vec<u8>) -> &'a [u8] 
 
 fn encode_error_body(err: &NodeError, out: &mut Vec<u8>) {
     match err {
-        NodeError::Down => out.push(tag::ERR_DOWN),
-        NodeError::NotFound => out.push(tag::ERR_NOT_FOUND),
-        NodeError::WrongKind => out.push(tag::ERR_WRONG_KIND),
+        NodeError::Down => out.push(ErrorTag::Down as u8),
+        NodeError::NotFound => out.push(ErrorTag::NotFound as u8),
+        NodeError::WrongKind => out.push(ErrorTag::WrongKind as u8),
         NodeError::VersionConflict { expected, actual } => {
-            out.push(tag::ERR_VERSION_CONFLICT);
+            out.push(ErrorTag::VersionConflict as u8);
             put_u64(out, *expected);
             put_u64(out, *actual);
         }
         NodeError::VectorConflict { index, got, stored } => {
-            out.push(tag::ERR_VECTOR_CONFLICT);
+            out.push(ErrorTag::VectorConflict as u8);
             put_u64(out, *index as u64);
             put_u64(out, *got);
             put_u64(out, *stored);
         }
         NodeError::SizeMismatch { stored, got } => {
-            out.push(tag::ERR_SIZE_MISMATCH);
+            out.push(ErrorTag::SizeMismatch as u8);
             put_u64(out, *stored as u64);
             put_u64(out, *got as u64);
         }
         NodeError::BadBlockIndex { index, k } => {
-            out.push(tag::ERR_BAD_BLOCK_INDEX);
+            out.push(ErrorTag::BadBlockIndex as u8);
             put_u64(out, *index as u64);
             put_u64(out, *k as u64);
         }
-        NodeError::TransportClosed => out.push(tag::ERR_TRANSPORT_CLOSED),
-        NodeError::TimedOut => out.push(tag::ERR_TIMED_OUT),
-        NodeError::Corrupt => out.push(tag::ERR_CORRUPT),
-        NodeError::Overloaded => out.push(tag::ERR_OVERLOADED),
+        NodeError::TransportClosed => out.push(ErrorTag::TransportClosed as u8),
+        NodeError::TimedOut => out.push(ErrorTag::TimedOut as u8),
+        NodeError::Corrupt => out.push(ErrorTag::Corrupt as u8),
+        NodeError::Overloaded => out.push(ErrorTag::Overloaded as u8),
     }
 }
 
@@ -726,11 +632,11 @@ pub(crate) fn encode_reply_parts(reply: &Reply) -> ReplyParts<'_> {
     let mut head = start_frame(reply.result.as_ref().map_or(0, response_variable_len));
     let payload = match &reply.result {
         Ok(resp) => {
-            head.push(tag::RESULT_OK);
+            head.push(ResultTag::Ok as u8);
             encode_response_body(resp, &mut head)
         }
         Err(err) => {
-            head.push(tag::RESULT_ERR);
+            head.push(ResultTag::Err as u8);
             encode_error_body(err, &mut head);
             &[]
         }
@@ -759,299 +665,9 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
 // Decoding.
 // ---------------------------------------------------------------------
 
-/// Bounds-checked cursor over a frame body held as [`Bytes`], so payload
-/// reads can hand out zero-copy sub-views of the receive buffer.
-struct Cursor<'a> {
-    buf: &'a Bytes,
-    pos: usize,
-    end: usize,
-}
+mod decode;
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a Bytes, start: usize, end: usize) -> Self {
-        Cursor {
-            buf,
-            pos: start,
-            end,
-        }
-    }
-
-    fn remaining(&self) -> usize {
-        self.end - self.pos
-    }
-
-    fn need(&self, n: usize) -> Result<(), DecodeError> {
-        if self.remaining() < n {
-            return Err(DecodeError::Truncated {
-                needed: n,
-                got: self.remaining(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Takes the next `N` bytes as a fixed array, advancing the cursor.
-    /// Total: out-of-range is `Truncated`, never a panic.
-    fn chunk<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
-        self.need(N)?;
-        let arr = self
-            .buf
-            .get(self.pos..self.pos + N)
-            .and_then(|s| <[u8; N]>::try_from(s).ok())
-            .ok_or(DecodeError::Truncated {
-                needed: N,
-                got: self.remaining(),
-            })?;
-        self.pos += N;
-        Ok(arr)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        let [v] = self.chunk::<1>()?;
-        Ok(v)
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.chunk()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.chunk()?))
-    }
-
-    fn usize_field(&mut self, what: &'static str) -> Result<usize, DecodeError> {
-        usize::try_from(self.u64()?).map_err(|_| DecodeError::BadValue(what))
-    }
-
-    /// Length-prefixed payload as a zero-copy sub-view of the buffer.
-    fn bytes_field(&mut self, field: &'static str) -> Result<Bytes, DecodeError> {
-        let len = self.u32()? as usize;
-        if len > self.remaining() {
-            return Err(DecodeError::LengthOverflow {
-                field,
-                claimed: len as u64,
-                remaining: self.remaining(),
-            });
-        }
-        let b = self.buf.slice(self.pos..self.pos + len);
-        self.pos += len;
-        Ok(b)
-    }
-
-    /// Length-prefixed `Vec<u64>`; the count is validated against the
-    /// bytes present before any allocation.
-    fn versions_field(&mut self, field: &'static str) -> Result<Vec<u64>, DecodeError> {
-        let count = self.u32()? as usize;
-        if count.saturating_mul(8) > self.remaining() {
-            return Err(DecodeError::LengthOverflow {
-                field,
-                claimed: count as u64,
-                remaining: self.remaining(),
-            });
-        }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.remaining() != 0 {
-            return Err(DecodeError::TrailingBytes {
-                extra: self.remaining(),
-            });
-        }
-        Ok(())
-    }
-
-    /// The add-parity `new_check`: a presence byte (0 or 1), then the
-    /// `u64`, which is 0 when absent.
-    fn new_check(&mut self) -> Result<Option<u64>, DecodeError> {
-        let present = self.u8()?;
-        let value = self.u64()?;
-        match present {
-            0 => Ok(None),
-            1 => Ok(Some(value)),
-            _ => Err(DecodeError::BadValue("add-parity new-check presence")),
-        }
-    }
-}
-
-fn decode_request_body(cur: &mut Cursor<'_>) -> Result<Request, DecodeError> {
-    let t = cur.u8()?;
-    Ok(match t {
-        tag::PING => Request::Ping,
-        tag::INIT_DATA => Request::InitData {
-            id: cur.u64()?,
-            bytes: cur.bytes_field("init-data payload")?,
-        },
-        tag::INIT_PARITY => Request::InitParity {
-            id: cur.u64()?,
-            k: cur.usize_field("init-parity k")?,
-            checks: cur.versions_field("init-parity checks")?,
-            bytes: cur.bytes_field("init-parity payload")?,
-        },
-        tag::READ_DATA => Request::ReadData { id: cur.u64()? },
-        tag::WRITE_DATA => Request::WriteData {
-            id: cur.u64()?,
-            version: cur.u64()?,
-            bytes: cur.bytes_field("write-data payload")?,
-        },
-        tag::VERSION_DATA => Request::VersionData { id: cur.u64()? },
-        tag::VERSION_VECTOR => Request::VersionVector { id: cur.u64()? },
-        tag::READ_PARITY => Request::ReadParity { id: cur.u64()? },
-        tag::WRITE_PARITY => Request::WriteParity {
-            id: cur.u64()?,
-            versions: cur.versions_field("write-parity versions")?,
-            checks: cur.versions_field("write-parity checks")?,
-            bytes: cur.bytes_field("write-parity payload")?,
-        },
-        tag::ADD_PARITY => Request::AddParity {
-            id: cur.u64()?,
-            block_index: cur.usize_field("add-parity block index")?,
-            expected_version: cur.u64()?,
-            new_version: cur.u64()?,
-            coeff: cur.u8()?,
-            new_check: cur.new_check()?,
-            delta: cur.bytes_field("add-parity delta")?,
-        },
-        other => {
-            return Err(DecodeError::UnknownTag {
-                what: "request",
-                tag: other,
-            })
-        }
-    })
-}
-
-fn decode_response_body(cur: &mut Cursor<'_>) -> Result<Response, DecodeError> {
-    let t = cur.u8()?;
-    Ok(match t {
-        tag::PONG => Response::Pong,
-        tag::ACK => Response::Ack,
-        tag::DATA => Response::Data {
-            version: cur.u64()?,
-            check: cur.u64()?,
-            bytes: cur.bytes_field("data payload")?,
-        },
-        tag::PARITY => Response::Parity {
-            versions: cur.versions_field("parity versions")?,
-            checks: cur.versions_field("parity checks")?,
-            bytes: cur.bytes_field("parity payload")?,
-        },
-        tag::VERSION => Response::Version(cur.u64()?),
-        tag::VERSIONS => Response::Versions(cur.versions_field("versions")?),
-        other => {
-            return Err(DecodeError::UnknownTag {
-                what: "response",
-                tag: other,
-            })
-        }
-    })
-}
-
-fn decode_error_body(cur: &mut Cursor<'_>) -> Result<NodeError, DecodeError> {
-    let t = cur.u8()?;
-    Ok(match t {
-        tag::ERR_DOWN => NodeError::Down,
-        tag::ERR_NOT_FOUND => NodeError::NotFound,
-        tag::ERR_WRONG_KIND => NodeError::WrongKind,
-        tag::ERR_VERSION_CONFLICT => NodeError::VersionConflict {
-            expected: cur.u64()?,
-            actual: cur.u64()?,
-        },
-        tag::ERR_VECTOR_CONFLICT => NodeError::VectorConflict {
-            index: cur.usize_field("vector-conflict index")?,
-            got: cur.u64()?,
-            stored: cur.u64()?,
-        },
-        tag::ERR_SIZE_MISMATCH => NodeError::SizeMismatch {
-            stored: cur.usize_field("size-mismatch stored")?,
-            got: cur.usize_field("size-mismatch got")?,
-        },
-        tag::ERR_BAD_BLOCK_INDEX => NodeError::BadBlockIndex {
-            index: cur.usize_field("bad-block-index index")?,
-            k: cur.usize_field("bad-block-index k")?,
-        },
-        tag::ERR_TRANSPORT_CLOSED => NodeError::TransportClosed,
-        tag::ERR_TIMED_OUT => NodeError::TimedOut,
-        tag::ERR_CORRUPT => NodeError::Corrupt,
-        tag::ERR_OVERLOADED => NodeError::Overloaded,
-        other => {
-            return Err(DecodeError::UnknownTag {
-                what: "error",
-                tag: other,
-            })
-        }
-    })
-}
-
-/// Decodes the body of a frame whose [`Header`] has already been read,
-/// taking the body as a [`Bytes`] so payloads decode zero-copy.
-///
-/// `body` must hold exactly `header.body_len` bytes (a streaming reader
-/// reads exactly that many after the header).
-pub fn decode_body(header: &Header, body: &Bytes) -> Result<Frame, DecodeError> {
-    if body.len() != header.body_len as usize {
-        return Err(DecodeError::Truncated {
-            needed: header.body_len as usize,
-            got: body.len(),
-        });
-    }
-    let mut cur = Cursor::new(body, 0, body.len());
-    let frame = match header.kind {
-        FrameKind::Request => Frame::Envelope(Envelope {
-            op_id: header.op_id,
-            round_epoch: header.round_epoch,
-            lane: if header.flags & FLAG_BACKGROUND != 0 {
-                Lane::Background
-            } else {
-                Lane::Foreground
-            },
-            payload: decode_request_body(&mut cur)?,
-        }),
-        FrameKind::Reply => {
-            let result = match cur.u8()? {
-                tag::RESULT_OK => Ok(decode_response_body(&mut cur)?),
-                tag::RESULT_ERR => Err(decode_error_body(&mut cur)?),
-                other => {
-                    return Err(DecodeError::UnknownTag {
-                        what: "result",
-                        tag: other,
-                    })
-                }
-            };
-            Frame::Reply(Reply {
-                op_id: header.op_id,
-                round_epoch: header.round_epoch,
-                result,
-            })
-        }
-    };
-    cur.finish()?;
-    Ok(frame)
-}
-
-/// Decodes one complete frame from the front of `buf`, returning the
-/// frame and the total bytes consumed (header + body), so a buffer
-/// holding several back-to-back frames can be drained in a loop.
-///
-/// Payload fields in the returned message are zero-copy
-/// [`Bytes::slice`]s of `buf`.
-pub fn decode_frame(buf: &Bytes) -> Result<(Frame, usize), DecodeError> {
-    let header = Header::decode(buf)?;
-    let total = HEADER_LEN + header.body_len as usize;
-    if buf.len() < total {
-        return Err(DecodeError::Truncated {
-            needed: total,
-            got: buf.len(),
-        });
-    }
-    let body = buf.slice(HEADER_LEN..total);
-    let frame = decode_body(&header, &body)?;
-    Ok((frame, total))
-}
+pub use decode::{crc32, decode_body, decode_frame};
 
 #[cfg(test)]
 mod tests {
@@ -1081,7 +697,9 @@ mod tests {
         for offset in 0..8 {
             for len in 0..=257 {
                 let sub = &data[offset..offset + len];
-                let bytewise = !sub.iter().fold(0xFFFF_FFFF, |crc, &b| crc32_step(crc, b));
+                let bytewise = !sub
+                    .iter()
+                    .fold(0xFFFF_FFFF, |crc, &b| decode::crc32_step(crc, b));
                 assert_eq!(crc32(sub), bytewise, "offset {offset} len {len}");
             }
         }

@@ -58,9 +58,14 @@
 //! assert!(out.decoded());
 //! ```
 
-// unsafe_code is denied workspace-wide (see [workspace.lints] in the root
-// Cargo.toml); tq-lint's `unsafe-allow` pass guards the allow sites.
+// unsafe_code is forbidden workspace-wide (see [workspace.lints] in the
+// root Cargo.toml), so no module of this crate can re-allow it.
 #![warn(missing_docs)]
+// Determinism: DST drives this crate's clients (the write batch through
+// `rounds::flag_duplicates` included), so its code reads no wall clock,
+// sleeps no thread, draws no OS entropy and hashes with no random seed
+// (clippy.toml names each). Test code is exempt.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 mod baselines;
 pub mod config;

@@ -23,11 +23,11 @@
 //! found their key still held; the regression test pins it at zero for
 //! cross-shard churn.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
+use tq_cluster::detmap::DetHashSet;
 use tq_cluster::Transport;
 
 use crate::errors::ProtocolError;
@@ -40,7 +40,7 @@ const DEFAULT_LOCK_SHARDS: usize = 64;
 /// One independent slice of the lock table.
 #[derive(Debug, Default)]
 struct LockShard {
-    held: Mutex<HashSet<(u64, usize)>>,
+    held: Mutex<DetHashSet<(u64, usize)>>,
     released: Condvar,
 }
 

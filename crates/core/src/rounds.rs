@@ -5,6 +5,7 @@
 //! ([`run_recorded`]) is a fused plan of one. [`write_levels`] is the
 //! one write walk.
 
+use tq_cluster::detmap::DetHashSet;
 use tq_cluster::{MultiRound, NodeId, PlanOp, QuorumRound, Request, RoundOutcome, Transport};
 
 use crate::errors::ProtocolError;
@@ -60,7 +61,7 @@ pub(crate) fn flag_duplicates<K: Eq + std::hash::Hash, T>(
     keys: impl Iterator<Item = K>,
     results: &mut [Option<Result<T, ProtocolError>>],
 ) {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = DetHashSet::default();
     for (idx, key) in keys.enumerate() {
         if !seen.insert(key) {
             results[idx] = Some(Err(ProtocolError::Misconfigured(

@@ -49,8 +49,8 @@
 //! assert_eq!(shards[0].as_deref(), Some(&data[0][..]));
 //! ```
 
-// unsafe_code is denied workspace-wide (see [workspace.lints] in the root
-// Cargo.toml); tq-lint's `unsafe-allow` pass guards the allow sites.
+// unsafe_code is forbidden workspace-wide (see [workspace.lints] in the
+// root Cargo.toml), so no module of this crate can re-allow it.
 #![warn(missing_docs)]
 
 pub mod check;

@@ -51,9 +51,10 @@
 
 // `unsafe` is denied crate-wide and re-allowed in exactly one place: the
 // `#[target_feature]` SIMD kernels in `simd`, which are guarded by
-// runtime feature detection (see that module's Safety section).
-// unsafe_code is denied workspace-wide (see [workspace.lints] in the root
-// Cargo.toml); tq-lint's `unsafe-allow` pass guards the allow sites.
+// runtime feature detection (see that module's Safety section). Every
+// other crate forbids unsafe_code (see [workspace.lints] in the root
+// Cargo.toml); this one denies it, in its own Cargo.toml, so that `simd`
+// can re-allow it.
 #![warn(missing_docs)]
 
 pub mod check;

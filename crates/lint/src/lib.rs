@@ -1,27 +1,20 @@
 //! Workspace invariant linter for the TRAP-ERC reproduction.
 //!
 //! `tq-lint` tokenizes every first-party source file with a hand-rolled
-//! lexer (the container is offline; no syn/proc-macro2) and runs a catalog
-//! of project-specific lints, each enforcing a contract a past PR
-//! established dynamically:
+//! lexer (the workspace builds from vendored stand-ins; no
+//! syn/proc-macro2) and runs the project-specific rules that neither
+//! rustc nor clippy can express. Every other contract lives in the
+//! compiler: privacy keeps the applied-op window's set behind its
+//! monotone helpers, exhaustive `match`es over the `#[repr(u8)]` wire
+//! tags keep every decoder total, `clippy.toml` plus a scoped `deny` bans
+//! wall clocks, entropy and panics where they would break determinism or
+//! totality, and the workspace forbids `unsafe_code` outside `tq-gf256`.
+//! What is left here:
 //!
-//! * `idempotent-mutation` — node-state mutations in
-//!   `crates/cluster/src/node.rs` must go through the monotone helpers
-//!   (PR 4's idempotency contract).
 //! * `opid-echo` — every `Reply`/`RoundReply` literal must thread the
 //!   incoming envelope's `op_id` (PR 4's echo contract).
-//! * `wire-tag-coverage` — every wire tag constant is unique within its
-//!   decoder's namespace, every emitted tag has a decoder arm, and the
-//!   `FrameKind` code tables stay symmetric (PR 7's total-decoding
-//!   contract at the catalog level).
-//! * `sim-determinism` — no wall clocks, OS entropy, or default-hashed
-//!   maps in sim-reachable modules (PR 3's DST determinism contract).
-//! * `panic-freedom` — no `unwrap`/`expect`/`panic!`/slice-indexing in
-//!   wire decode paths or `NodeApi::execute` serve paths (PR 7).
 //! * `lock-across-transport` — a lock guard's scope may not enclose a
 //!   `transport.` call.
-//! * `unsafe-allow` — no new `allow(unsafe_code)` beyond the documented
-//!   `crates/gf256/src/simd.rs` site.
 //! * `bounded-retry` — a loop in a client dispatch surface that puts
 //!   envelopes on the wire must consult `RetryBudget::try_spend` or
 //!   carry a waiver naming why it is bounded (PR 10's retry-storm
@@ -33,51 +26,28 @@
 //! (spelled out in [`WAIVER_MARKER`]; written indirectly here so this very
 //! doc comment does not parse as a waiver). The justification is mandatory.
 //! A trailing waiver covers its own line; a waiver on a line of its own
-//! covers the next code line. Malformed or unknown waivers are themselves
-//! diagnostics (`waiver-syntax`) and are never waivable.
+//! covers the next code line. Malformed or unknown waivers, and a waiver
+//! that excuses no finding of its lint (the rule `#[expect]` keeps for
+//! rustc's lints), are themselves diagnostics (`waiver-syntax`) and are
+//! never waivable.
 
 use std::path::Path;
 
-pub const L_IDEMPOTENT: &str = "idempotent-mutation";
 pub const L_OPID: &str = "opid-echo";
-pub const L_WIRETAG: &str = "wire-tag-coverage";
-pub const L_SIMDET: &str = "sim-determinism";
-pub const L_PANIC: &str = "panic-freedom";
 pub const L_LOCK: &str = "lock-across-transport";
-pub const L_UNSAFE: &str = "unsafe-allow";
 pub const L_RETRY: &str = "bounded-retry";
 pub const L_WAIVER: &str = "waiver-syntax";
 
 /// The lint catalog: `(name, what it enforces)`. `waiver-syntax` is the
-/// meta-lint for malformed waivers and cannot itself be waived.
+/// meta-lint for malformed or stale waivers and cannot itself be waived.
 pub const LINTS: &[(&str, &str)] = &[
-    (
-        L_IDEMPOTENT,
-        "node.rs: .insert()/.remove() only inside the monotone helpers (idempotency, PR 4)",
-    ),
     (
         L_OPID,
         "Reply/RoundReply literals must thread the incoming op_id (echo contract, PR 4)",
     ),
     (
-        L_WIRETAG,
-        "wire.rs: tag values unique per decoder, every emitted/defined tag has a decoder arm",
-    ),
-    (
-        L_SIMDET,
-        "sim-reachable code: no Instant/SystemTime::now, thread::sleep, thread_rng, or default-hashed HashMap/HashSet",
-    ),
-    (
-        L_PANIC,
-        "wire decode + node serve paths: no unwrap/expect/panic!/slice indexing (totality, PR 7)",
-    ),
-    (
         L_LOCK,
         "a lock guard scope may not enclose a transport. call",
-    ),
-    (
-        L_UNSAFE,
-        "no allow(unsafe_code) outside crates/gf256/src/simd.rs",
     ),
     (
         L_RETRY,
@@ -85,7 +55,7 @@ pub const LINTS: &[(&str, &str)] = &[
     ),
     (
         L_WAIVER,
-        "waivers must parse as allow(<lint>) -- <justification> (not waivable)",
+        "waivers must parse as allow(<lint>) -- <justification> and excuse a finding (not waivable)",
     ),
 ];
 
@@ -253,7 +223,7 @@ fn lex(src: &str) -> (Vec<Tok>, Vec<Comment>) {
             i = j;
             continue;
         }
-        // Number literal (keep text: tag/kind values are needed).
+        // Number literal.
         if ch.is_ascii_digit() {
             let tline = line;
             let mut j = i + 1;
@@ -268,7 +238,7 @@ fn lex(src: &str) -> (Vec<Tok>, Vec<Comment>) {
             }
             toks.push(Tok {
                 kind: Kind::Lit,
-                text: c[i..j].iter().collect(),
+                text: String::new(),
                 line: tline,
             });
             last_tok_line = tline;
@@ -342,24 +312,12 @@ fn lex(src: &str) -> (Vec<Tok>, Vec<Comment>) {
 }
 
 // ---------------------------------------------------------------------------
-// Context pass: test regions, enum bodies, enclosing functions
+// Context pass: test regions and enum bodies
 // ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct FnInfo {
-    name: String,
-    /// Token range `[start, end)` covering `fn` keyword through the body `{`.
-    sig: (usize, usize),
-    /// Token indices of the body's opening and closing braces (inclusive).
-    body: (usize, usize),
-    is_test: bool,
-}
 
 struct Ctx {
     in_test: Vec<bool>,
     in_enum: Vec<bool>,
-    fn_of: Vec<Option<usize>>,
-    fns: Vec<FnInfo>,
 }
 
 fn build_ctx(toks: &[Tok]) -> Ctx {
@@ -367,20 +325,15 @@ fn build_ctx(toks: &[Tok]) -> Ctx {
     let mut ctx = Ctx {
         in_test: vec![false; n],
         in_enum: vec![false; n],
-        fn_of: vec![None; n],
-        fns: Vec::new(),
     };
     let mut depth: i32 = 0;
     let mut paren: i32 = 0;
     let mut brack: i32 = 0;
     let mut test_stack: Vec<i32> = Vec::new();
     let mut enum_stack: Vec<i32> = Vec::new();
-    let mut fn_stack: Vec<(usize, i32)> = Vec::new();
     let mut pending_attr_test = false;
     let mut pending_test_item = false;
     let mut pending_enum = false;
-    // (name, sig_start): a fn header seen, waiting for its body `{`.
-    let mut awaiting: Option<(String, usize)> = None;
 
     let is_p = |i: usize, ch: char| matches!(toks.get(i), Some(t) if t.kind == Kind::Punct(ch));
 
@@ -388,7 +341,6 @@ fn build_ctx(toks: &[Tok]) -> Ctx {
     while i < n {
         ctx.in_test[i] = !test_stack.is_empty();
         ctx.in_enum[i] = !enum_stack.is_empty();
-        ctx.fn_of[i] = fn_stack.last().map(|&(f, _)| f);
 
         // Attributes: scan `#[..]` / `#![..]` wholesale so their contents
         // (derive lists, cfg predicates) never reach keyword handling.
@@ -417,7 +369,6 @@ fn build_ctx(toks: &[Tok]) -> Ctx {
                     }
                     ctx.in_test[j] = !test_stack.is_empty();
                     ctx.in_enum[j] = !enum_stack.is_empty();
-                    ctx.fn_of[j] = fn_stack.last().map(|&(f, _)| f);
                     j += 1;
                 }
                 if saw_test && !saw_not {
@@ -430,20 +381,8 @@ fn build_ctx(toks: &[Tok]) -> Ctx {
 
         match &toks[i].kind {
             Kind::Ident => match toks[i].text.as_str() {
-                "fn" => {
-                    if pending_attr_test {
-                        pending_test_item = true;
-                        pending_attr_test = false;
-                    }
-                    // Only a named fn item (not a fn-pointer type) opens a
-                    // new function frame.
-                    if let Some(t) = toks.get(i + 1) {
-                        if t.kind == Kind::Ident {
-                            awaiting = Some((t.text.clone(), i));
-                        }
-                    }
-                }
-                "mod" | "struct" | "impl" | "trait" | "union" | "type" | "static" | "use"
+                "fn" | "mod" | "struct" | "impl" | "trait" | "union" | "type" | "static"
+                | "use"
                     if pending_attr_test =>
                 {
                     pending_test_item = true;
@@ -464,23 +403,12 @@ fn build_ctx(toks: &[Tok]) -> Ctx {
             Kind::Punct(']') => brack -= 1,
             Kind::Punct(';') if paren == 0 && brack == 0 => {
                 // Bodyless items: trait method decls, `mod x;`, uses.
-                awaiting = None;
                 pending_enum = false;
                 pending_test_item = false;
                 pending_attr_test = false;
             }
             Kind::Punct('{') => {
                 depth += 1;
-                if let Some((name, sig_start)) = awaiting.take() {
-                    let idx = ctx.fns.len();
-                    ctx.fns.push(FnInfo {
-                        name,
-                        sig: (sig_start, i),
-                        body: (i, n.saturating_sub(1)),
-                        is_test: pending_test_item || !test_stack.is_empty(),
-                    });
-                    fn_stack.push((idx, depth));
-                }
                 if pending_test_item {
                     test_stack.push(depth);
                     pending_test_item = false;
@@ -491,10 +419,6 @@ fn build_ctx(toks: &[Tok]) -> Ctx {
                 }
             }
             Kind::Punct('}') => {
-                while fn_stack.last().is_some_and(|&(_, d)| d == depth) {
-                    let (f, _) = fn_stack.pop().unwrap_or((0, 0));
-                    ctx.fns[f].body.1 = i;
-                }
                 while test_stack.last() == Some(&depth) {
                     test_stack.pop();
                 }
@@ -520,6 +444,10 @@ pub const WAIVER_MARKER: &str = "tq-lint:";
 #[derive(Debug)]
 struct Waiver {
     lint: String,
+    /// The waiver comment's own line, where a stale waiver is reported.
+    line: u32,
+    /// The lines it covers: its own, and the next code line when the
+    /// comment stands alone.
     lines: Vec<u32>,
 }
 
@@ -580,12 +508,12 @@ fn parse_waivers(comments: &[Comment], toks: &[Tok], file: &str) -> (Vec<Waiver>
         }
         waivers.push(Waiver {
             lint: name.to_string(),
+            line: cm.line,
             lines,
         });
     }
     (waivers, diags)
 }
-
 // ---------------------------------------------------------------------------
 // Shared pass scaffolding
 // ---------------------------------------------------------------------------
@@ -608,12 +536,6 @@ impl FileCtx<'_> {
     }
     fn p(&self, i: usize, ch: char) -> bool {
         matches!(self.toks.get(i), Some(t) if t.kind == Kind::Punct(ch))
-    }
-    fn lit(&self, i: usize) -> Option<&str> {
-        match self.toks.get(i) {
-            Some(t) if t.kind == Kind::Lit => Some(&t.text),
-            _ => None,
-        }
     }
     fn line(&self, i: usize) -> u32 {
         self.toks.get(i).map_or(0, |t| t.line)
@@ -645,54 +567,6 @@ impl FileCtx<'_> {
         self.toks.len().saturating_sub(1)
     }
 }
-
-fn parse_u8(text: &str) -> Option<u8> {
-    let t = text.replace('_', "");
-    let t = t.strip_suffix("u8").unwrap_or(&t);
-    if let Some(hex) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        u8::from_str_radix(hex, 16).ok()
-    } else if let Some(bin) = t.strip_prefix("0b") {
-        u8::from_str_radix(bin, 2).ok()
-    } else {
-        t.parse().ok()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L1: idempotent-mutation
-// ---------------------------------------------------------------------------
-
-/// Monotone helpers that are allowed to touch node-state maps directly.
-const L1_ALLOWED_FNS: &[&str] = &["remember"];
-
-fn l1_idempotent_mutation(f: &FileCtx, out: &mut Vec<Diagnostic>) {
-    if !f.path.ends_with("crates/cluster/src/node.rs") {
-        return;
-    }
-    for i in 1..f.toks.len() {
-        if f.ctx.in_test[i] {
-            continue;
-        }
-        let Some(m) = f.ident(i) else { continue };
-        if (m == "insert" || m == "remove") && f.p(i - 1, '.') && f.p(i + 1, '(') {
-            let fname = f.ctx.fn_of[i]
-                .map(|x| f.ctx.fns[x].name.as_str())
-                .unwrap_or("");
-            if !L1_ALLOWED_FNS.contains(&fname) {
-                out.push(f.diag(
-                    L_IDEMPOTENT,
-                    i,
-                    format!(
-                        "direct `.{m}(` on node state in `{fname}`; mutations must go through \
-                         a monotone-conditional helper ({L1_ALLOWED_FNS:?}) so redelivered \
-                         ops stay idempotent"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // L2: opid-echo
 // ---------------------------------------------------------------------------
@@ -801,376 +675,6 @@ fn l2_opid_echo(f: &FileCtx, out: &mut Vec<Diagnostic>) {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// L3: wire-tag-coverage
-// ---------------------------------------------------------------------------
-
-fn l3_wire_tag_coverage(f: &FileCtx, out: &mut Vec<Diagnostic>) {
-    if !f.path.ends_with("wire.rs") {
-        return;
-    }
-    let n = f.toks.len();
-
-    // 1. Collect `pub const NAME: u8 = <lit>;` inside `mod tag { .. }`.
-    let mut tag_mod: Option<(usize, usize)> = None;
-    for i in 0..n {
-        if f.id(i, "mod") && f.id(i + 1, "tag") && f.p(i + 2, '{') {
-            tag_mod = Some((i + 2, f.match_brace(i + 2)));
-            break;
-        }
-    }
-    let mut consts: Vec<(String, u8, usize)> = Vec::new(); // (name, value, tok idx)
-    if let Some((o, c)) = tag_mod {
-        let mut j = o + 1;
-        while j < c {
-            if f.id(j, "const") {
-                if let Some(name) = f.ident(j + 1) {
-                    let cname = name.to_string();
-                    let mut k = j + 2;
-                    let mut val = None;
-                    while k < c && !f.p(k, ';') {
-                        if f.p(k, '=') {
-                            if let Some(v) = f.lit(k + 1).and_then(parse_u8) {
-                                val = Some(v);
-                            }
-                        }
-                        k += 1;
-                    }
-                    if let Some(v) = val {
-                        consts.push((cname, v, j + 1));
-                    }
-                    j = k;
-                }
-            }
-            j += 1;
-        }
-    }
-
-    // 2. Classify every `tag::NAME` use outside the module as a decoder arm
-    //    (`tag::NAME =>`, or an alternation limb) or an emission.
-    let (mod_o, mod_c) = tag_mod.unwrap_or((usize::MAX, 0));
-    let mut arms: Vec<(String, Option<usize>)> = Vec::new();
-    let mut emits: Vec<(String, usize)> = Vec::new();
-    for i in 0..n {
-        if f.ctx.in_test[i] || (i >= mod_o && i <= mod_c) {
-            continue;
-        }
-        if !(f.id(i, "tag") && f.p(i + 1, ':') && f.p(i + 2, ':')) {
-            continue;
-        }
-        let Some(name) = f.ident(i + 3) else { continue };
-        if !consts.iter().any(|(c, _, _)| c == name) {
-            continue;
-        }
-        let after = i + 4;
-        let is_arm = (f.p(after, '=') && f.p(after + 1, '>'))
-            || f.p(after, '|')
-            || (i > 0 && f.p(i - 1, '|'));
-        if is_arm {
-            arms.push((name.to_string(), f.ctx.fn_of[i]));
-        } else {
-            emits.push((name.to_string(), i));
-        }
-    }
-
-    // 3a. Within one decoder fn, two tag names must not share a value.
-    let mut fns_with_arms: Vec<Option<usize>> = arms.iter().map(|&(_, fx)| fx).collect();
-    fns_with_arms.sort_unstable();
-    fns_with_arms.dedup();
-    for fx in fns_with_arms {
-        let names: Vec<&str> = arms
-            .iter()
-            .filter(|&&(_, a)| a == fx)
-            .map(|(nm, _)| nm.as_str())
-            .collect();
-        for (ai, a) in names.iter().enumerate() {
-            for b in names.iter().skip(ai + 1) {
-                if a == b {
-                    continue;
-                }
-                let va = consts.iter().find(|(c, _, _)| c == a).map(|&(_, v, _)| v);
-                let vb = consts.iter().find(|(c, _, _)| c == b).map(|&(_, v, _)| v);
-                if va.is_some() && va == vb {
-                    let idx = consts
-                        .iter()
-                        .find(|(c, _, _)| c == b)
-                        .map(|&(_, _, k)| k)
-                        .unwrap_or(0);
-                    let fname = fx.map(|x| f.ctx.fns[x].name.as_str()).unwrap_or("?");
-                    out.push(f.diag(
-                        L_WIRETAG,
-                        idx,
-                        format!(
-                            "`tag::{a}` and `tag::{b}` share value {:#04x} but are matched \
-                             by the same decoder `{fname}`; one arm is unreachable",
-                            va.unwrap_or(0)
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
-    // 3b. Every emitted tag needs a decoder arm somewhere.
-    let has_arm = |name: &str| arms.iter().any(|(a, _)| a == name);
-    let mut reported: Vec<&str> = Vec::new();
-    for (name, i) in &emits {
-        if !has_arm(name) && !reported.contains(&name.as_str()) {
-            reported.push(name);
-            out.push(f.diag(
-                L_WIRETAG,
-                *i,
-                format!("`tag::{name}` is emitted by an encoder but no decoder arm matches it"),
-            ));
-        }
-    }
-
-    // 3c. Every locally defined tag needs an explicit arm: a decoder
-    //     refuses any tag it has no arm for with a typed error.
-    for (name, _, idx) in &consts {
-        if !has_arm(name) {
-            out.push(f.diag(
-                L_WIRETAG,
-                *idx,
-                format!(
-                    "`tag::{name}` is defined but no decoder arm matches it; a frame \
-                     carrying it would be refused as an unknown tag"
-                ),
-            ));
-        }
-    }
-
-    // 4. FrameKind code tables must stay symmetric and collision-free.
-    let mut enc: Vec<(String, u8, usize)> = Vec::new();
-    let mut dec: Vec<(String, u8)> = Vec::new();
-    for i in 0..n {
-        if f.ctx.in_test[i] {
-            continue;
-        }
-        if !(f.id(i, "FrameKind") && f.p(i + 1, ':') && f.p(i + 2, ':')) {
-            continue;
-        }
-        let Some(name) = f.ident(i + 3) else { continue };
-        if f.p(i + 4, '=') && f.p(i + 5, '>') {
-            if let Some(v) = f.lit(i + 6).and_then(parse_u8) {
-                enc.push((name.to_string(), v, i));
-                continue;
-            }
-        }
-        // Decode arm: `<lit> => .. FrameKind::Name ..` a few tokens back.
-        let lo = i.saturating_sub(8);
-        for j in (lo..i).rev() {
-            if f.p(j, '>') && j > 0 && f.p(j - 1, '=') {
-                if let Some(v) = f.lit(j.saturating_sub(2)).and_then(parse_u8) {
-                    dec.push((name.to_string(), v));
-                }
-                break;
-            }
-        }
-    }
-    for (name, v, i) in &enc {
-        if !dec.iter().any(|(dn, dv)| dn == name && dv == v) {
-            out.push(f.diag(
-                L_WIRETAG,
-                *i,
-                format!(
-                    "`FrameKind::{name}` encodes as {v:#04x} but `from_code` has no \
-                     matching arm"
-                ),
-            ));
-        }
-        if enc.iter().any(|(on, ov, _)| on != name && ov == v) {
-            out.push(f.diag(
-                L_WIRETAG,
-                *i,
-                format!("`FrameKind::{name}` shares code {v:#04x} with another kind"),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L4: sim-determinism
-// ---------------------------------------------------------------------------
-
-/// Modules that must stay deterministic: the sim crate itself plus every
-/// node-logic module reachable from `SimTransport` — the dispatch driver
-/// included: it runs under the simulator's virtual clock, so a wall
-/// clock or a sleep in it is an error. `tcp.rs` is excluded — it is
-/// real-clock by nature and unreachable from the simulator.
-fn l4_in_scope(path: &str) -> bool {
-    path.contains("crates/sim/")
-        || [
-            "crates/cluster/src/sim.rs",
-            "crates/cluster/src/driver.rs",
-            "crates/cluster/src/node.rs",
-            "crates/cluster/src/storage.rs",
-            "crates/cluster/src/rpc.rs",
-            "crates/cluster/src/wire.rs",
-            "crates/cluster/src/quorum_round.rs",
-            "crates/cluster/src/transport.rs",
-            "crates/cluster/src/detmap.rs",
-            "crates/cluster/src/health.rs",
-        ]
-        .iter()
-        .any(|s| path.ends_with(s))
-}
-
-fn l4_sim_determinism(f: &FileCtx, out: &mut Vec<Diagnostic>) {
-    if !l4_in_scope(f.path) {
-        return;
-    }
-    for i in 0..f.toks.len() {
-        if f.ctx.in_test[i] {
-            continue;
-        }
-        let Some(name) = f.ident(i) else { continue };
-        let path_head =
-            |head: &str| i >= 3 && f.p(i - 1, ':') && f.p(i - 2, ':') && f.id(i - 3, head);
-        match name {
-            "now" if path_head("Instant") || path_head("SystemTime") => {
-                out.push(f.diag(
-                    L_SIMDET,
-                    i,
-                    "wall-clock read in sim-reachable code; use the virtual clock".to_string(),
-                ));
-            }
-            "sleep" if path_head("thread") => {
-                out.push(
-                    f.diag(
-                        L_SIMDET,
-                        i,
-                        "`thread::sleep` in sim-reachable code; schedule on the virtual clock"
-                            .to_string(),
-                    ),
-                );
-            }
-            "thread_rng" => {
-                out.push(f.diag(
-                    L_SIMDET,
-                    i,
-                    "OS entropy in sim-reachable code; thread the seeded DST rng".to_string(),
-                ));
-            }
-            "HashMap" | "HashSet" | "RandomState" => {
-                out.push(f.diag(
-                    L_SIMDET,
-                    i,
-                    format!(
-                        "`{name}` uses per-process random hashing (nondeterministic iteration \
-                         order); use `detmap::Det{}`",
-                        if name == "HashSet" {
-                            "HashSet"
-                        } else {
-                            "HashMap"
-                        }
-                    ),
-                ));
-            }
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L5: panic-freedom
-// ---------------------------------------------------------------------------
-
-fn l5_panic_freedom(f: &FileCtx, out: &mut Vec<Diagnostic>) {
-    let is_wire = f.path.ends_with("wire.rs");
-    let is_node = f.path.ends_with("crates/cluster/src/node.rs");
-    if !is_wire && !is_node {
-        return;
-    }
-    let sig_mentions = |fx: &FnInfo, names: &[&str]| {
-        f.toks[fx.sig.0..fx.sig.1]
-            .iter()
-            .any(|t| t.kind == Kind::Ident && names.contains(&t.text.as_str()))
-    };
-    for fx in &f.ctx.fns {
-        if fx.is_test {
-            continue;
-        }
-        // Decode paths return DecodeError; serve paths return Reply or
-        // NodeError. Everything else (encoders, lock plumbing) is free to
-        // use infallible idioms.
-        let scoped = if is_wire {
-            sig_mentions(fx, &["DecodeError"])
-        } else {
-            sig_mentions(fx, &["NodeError", "Reply"])
-        };
-        if !scoped {
-            continue;
-        }
-        let (open, close) = fx.body;
-        for i in open..=close.min(f.toks.len().saturating_sub(1)) {
-            if f.ctx.in_test[i] {
-                continue;
-            }
-            match &f.toks[i].kind {
-                Kind::Ident => {
-                    let t = f.toks[i].text.as_str();
-                    if (t == "unwrap" || t == "expect") && i > 0 && f.p(i - 1, '.') {
-                        out.push(f.diag(
-                            L_PANIC,
-                            i,
-                            format!(
-                                "`.{t}()` in the total path `{}`; decode/serve paths must \
-                                 return errors, never panic",
-                                fx.name
-                            ),
-                        ));
-                    } else if matches!(
-                        t,
-                        "panic"
-                            | "unreachable"
-                            | "todo"
-                            | "unimplemented"
-                            | "assert"
-                            | "assert_eq"
-                            | "assert_ne"
-                    ) && f.p(i + 1, '!')
-                    {
-                        out.push(f.diag(
-                            L_PANIC,
-                            i,
-                            format!("`{t}!` in the total path `{}`", fx.name),
-                        ));
-                    }
-                }
-                Kind::Punct('[') if i > 0 => {
-                    // Indexing: `expr[..]`. Array types/literals and
-                    // attributes are preceded by punctuation, never by an
-                    // ident/`)`/`]`.
-                    let indexing = match &f.toks[i - 1].kind {
-                        Kind::Ident => !matches!(
-                            f.toks[i - 1].text.as_str(),
-                            // keywords that can directly precede `[`
-                            // (`let [v] = ..` destructures, no panic)
-                            "let" | "mut" | "return" | "in" | "as" | "else" | "match" | "if"
-                        ),
-                        Kind::Punct(')') | Kind::Punct(']') => true,
-                        _ => false,
-                    };
-                    if indexing {
-                        out.push(f.diag(
-                            L_PANIC,
-                            i,
-                            format!(
-                                "slice indexing can panic in the total path `{}`; use \
-                                 `.get(..)` and return an error",
-                                fx.name
-                            ),
-                        ));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // L6: lock-across-transport
 // ---------------------------------------------------------------------------
@@ -1287,48 +791,6 @@ fn l6_lock_across_transport(f: &FileCtx, out: &mut Vec<Diagnostic>) {
         i += 1;
     }
 }
-
-// ---------------------------------------------------------------------------
-// L7: unsafe-allow
-// ---------------------------------------------------------------------------
-
-/// The single sanctioned `allow(unsafe_code)` site: runtime-detected SIMD
-/// intrinsics.
-const L7_EXEMPT: &str = "crates/gf256/src/simd.rs";
-
-fn l7_unsafe_allow(f: &FileCtx, out: &mut Vec<Diagnostic>) {
-    if f.path.ends_with(L7_EXEMPT) {
-        return;
-    }
-    let n = f.toks.len();
-    for i in 0..n {
-        if !(f.id(i, "allow") && f.p(i + 1, '(')) {
-            continue;
-        }
-        let mut d = 1i32;
-        let mut j = i + 2;
-        while j < n && d > 0 {
-            match &f.toks[j].kind {
-                Kind::Punct('(') => d += 1,
-                Kind::Punct(')') => d -= 1,
-                Kind::Ident if f.toks[j].text == "unsafe_code" => {
-                    out.push(f.diag(
-                        L_UNSAFE,
-                        j,
-                        format!(
-                            "`allow(unsafe_code)` outside the sanctioned site \
-                             ({L7_EXEMPT}); the workspace bans unsafe code"
-                        ),
-                    ));
-                    break;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // L8: bounded-retry
 // ---------------------------------------------------------------------------
@@ -1461,21 +923,24 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
         ctx: &ctx,
     };
     let (waivers, mut diags) = parse_waivers(&comments, &toks, path);
-    l1_idempotent_mutation(&f, &mut diags);
     l2_opid_echo(&f, &mut diags);
-    l3_wire_tag_coverage(&f, &mut diags);
-    l4_sim_determinism(&f, &mut diags);
-    l5_panic_freedom(&f, &mut diags);
     l6_lock_across_transport(&f, &mut diags);
-    l7_unsafe_allow(&f, &mut diags);
     l8_bounded_retry(&f, &mut diags);
+    let excuses = |w: &Waiver, d: &Diagnostic| w.lint == d.lint && w.lines.contains(&d.line);
     for d in &mut diags {
-        if d.lint != L_WAIVER
-            && waivers
-                .iter()
-                .any(|w| w.lint == d.lint && w.lines.contains(&d.line))
-        {
-            d.waived = true;
+        d.waived = waivers.iter().any(|w| excuses(w, d));
+    }
+    // A waiver whose finding is gone would silently excuse the next one
+    // written on its line: like an unfulfilled `#[expect]`, it is an error.
+    for w in &waivers {
+        if !diags.iter().any(|d| excuses(w, d)) {
+            diags.push(Diagnostic {
+                lint: L_WAIVER,
+                file: path.to_string(),
+                line: w.line,
+                message: format!("waiver for `{}` excuses no finding; delete it", w.lint),
+                waived: false,
+            });
         }
     }
     diags.sort_by(|a, b| (a.line, a.lint).cmp(&(b.line, b.lint)));

@@ -41,9 +41,26 @@ fn waiver_does_not_leak_past_the_next_line() {
 #[test]
 fn waiver_for_a_different_lint_does_not_apply() {
     let src = format!(
-        "fn f(r: R) -> Reply {{\n    {BAD_REPLY} // tq-lint: allow(panic-freedom) -- wrong lint on purpose\n}}\n"
+        "fn f(r: R) -> Reply {{\n    {BAD_REPLY} // tq-lint: allow(bounded-retry) -- wrong lint on purpose\n}}\n"
     );
     assert!(!one_opid_diag(&src).waived);
+}
+
+#[test]
+fn a_waiver_that_excuses_nothing_is_an_error() {
+    // The loop consults the budget, so `bounded-retry` has nothing to
+    // excuse on the line the waiver covers.
+    let src = "fn f(b: &RetryBudget) {\n    loop {\n        // tq-lint: allow(bounded-retry) -- stale: the loop spends a token\n        if !b.try_spend() { break; }\n        dispatch(env);\n    }\n}\n";
+    let diags = lint_source("crates/core/src/x.rs", src);
+    let stale: Vec<_> = diags.iter().filter(|d| d.lint == L_WAIVER).collect();
+    assert_eq!(stale.len(), 1, "{diags:?}");
+    assert_eq!(stale[0].line, 3);
+    assert!(
+        stale[0].message.contains("excuses no finding"),
+        "{}",
+        stale[0]
+    );
+    assert!(!stale[0].waived);
 }
 
 #[test]
@@ -99,7 +116,7 @@ fn workspace_is_clean_under_deny_all() {
         errors.join("\n")
     );
     assert!(
-        report.waived() >= 4,
+        report.waived() >= 1,
         "the documented in-tree waivers should be visible to the walk"
     );
 }

@@ -8,6 +8,9 @@
 //! Markdown goes to stdout; CSV + markdown files land in `--out`
 //! (default `figures/`).
 
+// Replays bit-for-bit from its seeds, as the library does.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -26,9 +26,14 @@
 //! The `figures` binary (`cargo run -p tq-sim --bin figures -- all`)
 //! renders every figure as markdown + CSV.
 
-// unsafe_code is denied workspace-wide (see [workspace.lints] in the root
-// Cargo.toml); tq-lint's `unsafe-allow` pass guards the allow sites.
+// unsafe_code is forbidden workspace-wide (see [workspace.lints] in the
+// root Cargo.toml), so no module of this crate can re-allow it.
 #![warn(missing_docs)]
+// Determinism: a DST case and a figure replay bit-for-bit from their
+// seed, so nothing here reads a wall clock, sleeps a thread, draws OS
+// entropy or hashes with a random seed (clippy.toml names each). Test
+// code is exempt.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod dst;
 pub mod experiments;

@@ -28,8 +28,8 @@
 //!   when writes fail and how reads survive via decode.
 //! * `node_replacement` — rebuild a replaced node under live traffic.
 
-// unsafe_code is denied workspace-wide (see [workspace.lints] in the root
-// Cargo.toml); tq-lint's `unsafe-allow` pass guards the allow sites.
+// unsafe_code is forbidden workspace-wide (see [workspace.lints] in the
+// root Cargo.toml), so no module of this crate can re-allow it.
 #![warn(missing_docs)]
 
 pub use tq_cluster as cluster;

@@ -18,7 +18,9 @@
 //!   decoder never consumes more bytes than it was given;
 //! * every field sits at a fixed place, so one or more bytes after any
 //!   variant's last field is `TrailingBytes`, never skipped;
-//! * a frame of the previous wire version is `UnsupportedVersion`.
+//! * a frame of the previous wire version is `UnsupportedVersion`;
+//! * every byte 0..=255 in each tag namespace (frame kind, request,
+//!   result, response, error) is one variant's tag or a typed refusal.
 //!
 //! None of these properties may ever observe a panic: the decoder's
 //! contract is that hostile bytes produce typed [`DecodeError`]s.
@@ -27,8 +29,8 @@ use bytes::Bytes;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use trapezoid_quorum::cluster::wire::{
-    crc32, decode_frame, encode_envelope, encode_reply, DecodeError, Frame, HEADER_LEN,
-    MAX_BODY_LEN,
+    crc32, decode_frame, encode_envelope, encode_reply, DecodeError, Frame, FrameKind, Header,
+    HEADER_LEN, MAX_BODY_LEN,
 };
 use trapezoid_quorum::cluster::{Envelope, Lane, NodeError, OpId, Reply, Request, Response};
 
@@ -415,4 +417,181 @@ fn every_header_bit_flip_is_rejected() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Tag bytes.
+// ---------------------------------------------------------------------
+
+/// A frame of `kind` whose body is exactly `body`.
+fn frame_with_body(kind: FrameKind, body: &[u8]) -> Bytes {
+    let header = Header {
+        kind,
+        flags: 0,
+        op_id: OpId(7),
+        round_epoch: 0,
+        body_len: body.len() as u32,
+    };
+    Bytes::from([&header.encode()[..], body].concat())
+}
+
+/// Runs every byte through one tag namespace, whose tag follows
+/// `prefix` in a `kind` frame's body. `samples` holds one message of
+/// each of the namespace's variants: each must round-trip and carry a
+/// tag of its own. A byte no sample carries must be refused as
+/// `UnknownTag { what, tag }`; a byte one does must not be.
+fn sweep_tags(what: &'static str, kind: FrameKind, prefix: &[u8], samples: &[Frame]) {
+    let at = HEADER_LEN + prefix.len();
+    let mut defined = std::collections::BTreeSet::new();
+    for sample in samples {
+        let frame = match sample {
+            Frame::Envelope(env) => encode_envelope(env),
+            Frame::Reply(rep) => encode_reply(rep),
+        };
+        assert_eq!(frame[HEADER_LEN..at], *prefix, "{what}: {sample:?}");
+        assert!(
+            defined.insert(frame[at]),
+            "{what}: two variants share tag {:#04x}",
+            frame[at]
+        );
+        let (decoded, _) = decode_frame(&Bytes::from(frame)).expect("a sample decodes");
+        assert_eq!(decoded, *sample);
+    }
+    for tag in 0..=u8::MAX {
+        let got = decode_frame(&frame_with_body(kind, &[prefix, &[tag]].concat()));
+        if defined.contains(&tag) {
+            assert!(
+                !matches!(got, Err(DecodeError::UnknownTag { .. })),
+                "{what} tag {tag:#04x} is defined but refused"
+            );
+        } else {
+            assert_eq!(got, Err(DecodeError::UnknownTag { what, tag }));
+        }
+    }
+}
+
+/// The behavioural form of "every tag has exactly one decoder arm": all
+/// 256 bytes in each body namespace (request, result, response, error)
+/// either decode as the one variant that encodes to them or are refused
+/// with a typed error.
+#[test]
+fn every_body_tag_byte_is_one_variant_or_refused() {
+    let bytes = Bytes::from_static(b"tag");
+    let requests = [
+        Request::Ping,
+        Request::InitData {
+            id: 1,
+            bytes: bytes.clone(),
+        },
+        Request::InitParity {
+            id: 2,
+            bytes: bytes.clone(),
+            k: 1,
+            checks: vec![3],
+        },
+        Request::ReadData { id: 4 },
+        Request::WriteData {
+            id: 5,
+            bytes: bytes.clone(),
+            version: 6,
+        },
+        Request::VersionData { id: 7 },
+        Request::VersionVector { id: 8 },
+        Request::ReadParity { id: 9 },
+        Request::WriteParity {
+            id: 10,
+            bytes: bytes.clone(),
+            versions: vec![11],
+            checks: vec![12],
+        },
+        Request::AddParity {
+            id: 13,
+            block_index: 0,
+            delta: bytes.clone(),
+            expected_version: 14,
+            new_version: 15,
+            coeff: 16,
+            new_check: Some(17),
+        },
+    ];
+    let responses = [
+        Response::Pong,
+        Response::Ack,
+        Response::Data {
+            bytes: bytes.clone(),
+            version: 1,
+            check: 2,
+        },
+        Response::Parity {
+            bytes,
+            versions: vec![3],
+            checks: vec![4],
+        },
+        Response::Version(5),
+        Response::Versions(vec![6, 7]),
+    ];
+    let errors = [
+        NodeError::Down,
+        NodeError::NotFound,
+        NodeError::WrongKind,
+        NodeError::VersionConflict {
+            expected: 1,
+            actual: 2,
+        },
+        NodeError::VectorConflict {
+            index: 3,
+            got: 4,
+            stored: 5,
+        },
+        NodeError::SizeMismatch { stored: 6, got: 7 },
+        NodeError::BadBlockIndex { index: 8, k: 9 },
+        NodeError::TransportClosed,
+        NodeError::TimedOut,
+        NodeError::Corrupt,
+        NodeError::Overloaded,
+    ];
+    let to_ping = Envelope::new(Request::Ping);
+    let reply = |result| Frame::Reply(Reply::to(&to_ping, result));
+
+    let envelopes: Vec<Frame> = requests
+        .into_iter()
+        .map(|req| Frame::Envelope(Envelope::new(req)))
+        .collect();
+    sweep_tags("request", FrameKind::Request, &[], &envelopes);
+    let results = [reply(Ok(Response::Ack)), reply(Err(NodeError::Down))];
+    sweep_tags("result", FrameKind::Reply, &[], &results);
+    let oks: Vec<Frame> = responses.into_iter().map(|r| reply(Ok(r))).collect();
+    sweep_tags("response", FrameKind::Reply, &[0x00], &oks);
+    let errs: Vec<Frame> = errors.into_iter().map(|e| reply(Err(e))).collect();
+    sweep_tags("error", FrameKind::Reply, &[0x01], &errs);
+}
+
+/// All 256 kind bytes: a defined one round-trips through `FrameKind`
+/// and `as u8`, any other is `UnknownKind`, from `TryFrom` and from a
+/// whole frame's header alike.
+#[test]
+fn every_frame_kind_byte_round_trips_or_is_refused() {
+    let mut frame = frame_with_body(FrameKind::Request, &[0x01]).to_vec();
+    let mut defined = Vec::new();
+    for code in 0..=u8::MAX {
+        frame[5] = code;
+        let crc = crc32(&frame[0..28]);
+        frame[28..32].copy_from_slice(&crc.to_le_bytes());
+        let decoded = decode_frame(&Bytes::from(frame.clone()));
+        match FrameKind::try_from(code) {
+            Ok(kind) => {
+                assert_eq!(kind as u8, code);
+                defined.push(kind);
+                assert!(
+                    !matches!(decoded, Err(DecodeError::UnknownKind(_))),
+                    "{kind:?}"
+                );
+            }
+            Err(err) => {
+                assert_eq!(err, DecodeError::UnknownKind(code));
+                assert_eq!(decoded, Err(DecodeError::UnknownKind(code)));
+            }
+        }
+    }
+    assert_eq!(defined, [FrameKind::Request, FrameKind::Reply]);
 }
