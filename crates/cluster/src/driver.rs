@@ -8,9 +8,8 @@
 //! loser, hand strangers on uncounted, feed the latency estimator.
 //! [`drive`] is the only place those rules live. A fabric contributes a
 //! [`Link`] — put an envelope on the wire, hand back what arrives, tell
-//! the time — and nothing else: the in-process channels, the seeded
-//! simulator and the TCP pool each run exactly this loop, so what DST
-//! exercises is what ships.
+//! the time — and nothing else: the seeded simulator and the TCP pool
+//! each run exactly this loop, so what DST exercises is what ships.
 //!
 //! The driver reads no clock and never blocks on its own: time is
 //! whatever [`Link::now`] says (virtual nanoseconds under
@@ -104,9 +103,8 @@ pub(crate) fn drive(
     // The estimate shapes deadlines and hedges. A fabric that keeps no
     // deadline, under a policy that arms no hedge, has no reader for it:
     // its replies are not sampled, and an estimator taught directly stays
-    // exactly as taught. (In-process latencies are scheduler noise — one
-    // late worker wake-up would flag a healthy node a straggler.) A
-    // budgeted fabric samples always, so arming starts warm.
+    // exactly as taught. Both shipped fabrics keep a budget, so they
+    // sample always and arming starts warm.
     let sampling = armed || budget.is_some();
     let mut by_op: DetHashMap<OpId, usize> = DetHashMap::default();
     let mut slots: Vec<Slot> = Vec::with_capacity(calls.len());

@@ -115,8 +115,8 @@ impl HealthConfig {
         }
     }
 
-    /// Magnitudes for real wall-clock nanoseconds (channel/TCP
-    /// transports): microseconds to seconds.
+    /// Magnitudes for real wall-clock nanoseconds (the TCP
+    /// transport): microseconds to seconds.
     pub fn real_scale() -> HealthConfig {
         HealthConfig {
             k: 4,

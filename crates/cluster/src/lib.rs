@@ -24,13 +24,12 @@
 //! * [`cluster::Cluster`] — a set of nodes with fail-stop switches and
 //!   per-node IO accounting.
 //! * [`transport`] — how protocol code reaches nodes: [`transport::LocalTransport`]
-//!   invokes nodes synchronously (deterministic, fast — the default for
-//!   experiments), [`transport::ChannelTransport`] runs a thread per node behind
-//!   crossbeam channels (the concurrent configuration integration tests
-//!   exercise). Under every concurrent transport — channels, simulator,
-//!   TCP — sits one private dispatch driver (`driver.rs`): deadlines,
-//!   hedged re-issue and late-reply absorption are written once, and
-//!   each fabric contributes only a link (send, receive, tell the time).
+//!   invokes nodes synchronously, the zero-latency sequential reference
+//!   experiments and cost pins replay against. Under both concurrent
+//!   transports — the simulator and TCP — sits one private dispatch
+//!   driver (`driver.rs`): deadlines, hedged re-issue and late-reply
+//!   absorption are written once, and each fabric contributes only a
+//!   link (send, receive, tell the time).
 //! * [`quorum_round`] — the scatter-gather round engine: one trapezoid
 //!   level's requests issued at once through [`transport::Transport::multicall`],
 //!   completed on the paper's `w_l`/`r_l` quorum condition, stragglers
@@ -121,5 +120,5 @@ pub use storage::{
     StorageFaults, StoredBlock,
 };
 pub use tcp::{TcpConfig, TcpNodeServer, TcpTransport};
-pub use transport::{ChannelTransport, LocalTransport, RoundReply, Transport};
+pub use transport::{LocalTransport, RoundReply, Transport};
 pub use wire::{DecodeError, Frame, FrameKind, Header};

@@ -365,7 +365,8 @@ impl MultiRound {
 mod tests {
     use super::*;
     use crate::cluster::Cluster;
-    use crate::transport::{ChannelTransport, LocalTransport, RoundReply};
+    use crate::sim::SimTransport;
+    use crate::transport::{LocalTransport, RoundReply};
 
     fn pings(n: usize) -> Vec<(NodeId, Request)> {
         (0..n).map(|i| (NodeId(i), Request::Ping)).collect()
@@ -433,19 +434,28 @@ mod tests {
 
     #[test]
     fn concurrent_round_meets_quorum_despite_dead_member() {
-        let t = ChannelTransport::new(Cluster::new(5));
+        // Member i's link is slower the earlier it is issued, so replies
+        // arrive in reverse issue order.
+        let t = SimTransport::new(Cluster::new(5), 7);
+        for i in 0..5 {
+            let d = 1_000 * (5 - i as u64);
+            t.set_link_delay(i, Some((d, d)));
+        }
         t.cluster().kill(3);
         let out = QuorumRound::await_all(4).run(&t, pings(5));
         assert!(out.quorum_met());
         assert_eq!(out.validations(), 4);
         assert_eq!(out.rejected[0].node, NodeId(3));
-        // Arrival order is nondeterministic; issue order is not.
+        let arrival: Vec<usize> = out.accepted.iter().map(|a| a.index).collect();
+        assert_eq!(arrival, vec![4, 2, 1, 0]);
         let order: Vec<usize> = out
             .accepted_in_issue_order()
             .iter()
             .map(|a| a.index)
             .collect();
         assert_eq!(order, vec![0, 1, 2, 4]);
+        // The dead member answered like any other: no timeout was waited.
+        assert_eq!(t.now(), 2 * 5_000, "one round trip of the slowest link");
     }
 
     #[test]
@@ -743,7 +753,11 @@ mod tests {
 
     #[test]
     fn fused_plan_on_concurrent_transport_delivers_everything() {
-        let t = ChannelTransport::new(Cluster::new(8));
+        let t = SimTransport::new(Cluster::new(8), 11);
+        for i in 0..8 {
+            let d = 1_000 * (8 - i as u64);
+            t.set_link_delay(i, Some((d, d)));
+        }
         t.cluster().kill(6);
         let ops: Vec<PlanOp> = (0..4)
             .map(|op| PlanOp {
@@ -760,5 +774,7 @@ mod tests {
             assert_eq!(out.validations(), 2 - expect_rejects, "op {op}");
             assert!(out.abandoned.is_empty(), "op {op}");
         }
+        assert_eq!(t.stats().rounds, 1, "four ops, one fused round");
+        assert_eq!(t.now(), 2 * 8_000, "one round trip of the slowest link");
     }
 }

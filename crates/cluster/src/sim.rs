@@ -43,7 +43,7 @@
 //! * **The waiting code under test is the waiting code that ships.**
 //!   The simulator is a *link* — the seeded event heap with loss,
 //!   duplication, FIFO, limbo and scheduled faults — under the same
-//!   dispatch driver (`driver.rs`) the channel and TCP transports run:
+//!   dispatch driver (`driver.rs`) the TCP transport runs:
 //!   deadlines (the model's `timeout`, tightened per node once a policy
 //!   is armed), hedge timers, the straggler-skip rule, late-reply
 //!   absorption and timeout synthesis are the driver's, on this
@@ -1456,6 +1456,34 @@ mod tests {
         t.apply(SimFault::Degrade { node: 0, factor: 1 });
         let replies = collect(&t, pings(2));
         assert!(replies.iter().all(|r| r.result == Ok(Response::Pong)));
+    }
+
+    #[test]
+    fn await_all_round_costs_one_round_trip_at_any_width() {
+        // Every request of a round leaves at once, so a level of s
+        // members costs one round trip of link delay d whatever s is; the
+        // same calls one at a time cost s of them.
+        use crate::quorum_round::QuorumRound;
+        const D: u64 = 1_000;
+        for s in [4, 8, 15] {
+            let t = SimTransport::with_model(
+                Cluster::new(s),
+                61,
+                NetworkModel {
+                    min_delay: D,
+                    max_delay: D,
+                    ..NetworkModel::reliable()
+                },
+            );
+            let out = QuorumRound::await_all(s).run(&t, pings(s));
+            assert_eq!(out.validations(), s);
+            assert_eq!(t.now(), 2 * D, "fan-out over {s} members");
+            assert_eq!(t.stats().requests, s as u64);
+            for (node, req) in pings(s) {
+                assert_eq!(t.call(node, req), Ok(Response::Pong));
+            }
+            assert_eq!(t.now(), 2 * D * (1 + s as u64), "{s} sequential calls");
+        }
     }
 
     #[test]

@@ -72,7 +72,7 @@ use std::collections::HashMap;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -84,7 +84,7 @@ use crate::driver::{drive, drive_one, Link, NEVER};
 use crate::health::NodeHealth;
 use crate::node::NodeId;
 use crate::rpc::{Envelope, Lane, NodeApi, NodeError, OpId, Reply, Response};
-use crate::transport::{wall_nanos, RoundReply, Transport};
+use crate::transport::{RoundReply, Transport};
 use crate::wire::{self, Frame, Header, HEADER_LEN};
 
 // ---------------------------------------------------------------------
@@ -152,6 +152,9 @@ pub struct TcpNodeServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
+    /// Times `accept` returned: once per client connection, and once
+    /// for the drop's wake-up. Nothing else wakes the acceptor.
+    wakes: Arc<AtomicU64>,
 }
 
 impl TcpNodeServer {
@@ -161,16 +164,18 @@ impl TcpNodeServer {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let accept_shutdown = Arc::clone(&shutdown);
+        let wakes = Arc::new(AtomicU64::new(0));
+        let (accept_shutdown, accept_wakes) = (Arc::clone(&shutdown), Arc::clone(&wakes));
         let accept_thread = std::thread::Builder::new()
             .name(format!("tq-tcp-accept-{local_addr}"))
             .spawn(move || {
-                accept_loop(listener, node, accept_shutdown);
+                accept_loop(listener, node, accept_shutdown, accept_wakes);
             })?;
         Ok(TcpNodeServer {
             local_addr,
             shutdown,
             accept_thread: Some(accept_thread),
+            wakes,
         })
     }
 
@@ -208,14 +213,21 @@ impl std::fmt::Debug for TcpNodeServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpNodeServer")
             .field("local_addr", &self.local_addr)
+            .field("wakes", &self.wakes.load(Ordering::Relaxed))
             .finish()
     }
 }
 
-fn accept_loop(listener: TcpListener, node: Arc<dyn NodeApi>, shutdown: Arc<AtomicBool>) {
+fn accept_loop(
+    listener: TcpListener,
+    node: Arc<dyn NodeApi>,
+    shutdown: Arc<AtomicBool>,
+    wakes: Arc<AtomicU64>,
+) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let accepted = listener.accept();
+        wakes.fetch_add(1, Ordering::Relaxed);
         // Read after every accept: the connection that wakes a dropping
         // server is never served.
         if shutdown.load(Ordering::Acquire) {
@@ -662,6 +674,17 @@ impl TcpTransport {
     }
 }
 
+/// The link clock: monotonic wall nanoseconds since the process first
+/// asked.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the socket fabric's clock; DST runs the same driver over SimTransport's virtual one"
+)]
+fn wall_nanos() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
+
 /// Why no connection reached a node: it is down, unless the clock ran
 /// out while we were still trying.
 fn unreachable(deadline: Instant) -> NodeError {
@@ -1081,14 +1104,15 @@ impl Transport for TcpTransport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cluster::Cluster;
     use crate::node::StorageNode;
     use crate::rpc::Request;
     use crate::storage::MemoryBackend;
 
-    fn serve_cluster(n: usize) -> (Cluster, Vec<TcpNodeServer>, Vec<SocketAddr>) {
+    /// A cluster of `n` nodes, each served on its own loopback port.
+    pub(crate) fn serve_cluster(n: usize) -> (Cluster, Vec<TcpNodeServer>, Vec<SocketAddr>) {
         let cluster = Cluster::new(n);
         let mut servers = Vec::new();
         let mut addrs = Vec::new();
@@ -1391,27 +1415,19 @@ mod tests {
     #[test]
     fn tcp_server_without_clients_drops_without_waiting_for_a_tick() {
         // The acceptor used to poll every 2 ms, so an idle server's drop
-        // waited for the next tick: a median near 1 ms. Blocked in
-        // `accept` and woken by a connection of its own, it drops in a
-        // fraction of that.
+        // waited for the next tick. Blocked in `accept`, it wakes exactly
+        // once: for the connection its own drop makes.
         let cluster = Cluster::new(1);
         let node: Arc<dyn NodeApi> = Arc::clone(cluster.node(0)) as Arc<dyn NodeApi>;
-        let mut drops: Vec<Duration> = (0..41)
-            .map(|_| {
-                let server = TcpNodeServer::spawn(Arc::clone(&node), "127.0.0.1:0").unwrap();
-                // Past startup: the acceptor waits for clients.
-                std::thread::sleep(Duration::from_millis(5));
-                let started = Instant::now();
-                drop(server);
-                started.elapsed()
-            })
-            .collect();
-        drops.sort();
-        assert!(
-            drops[20] < Duration::from_micros(600),
-            "median drop {:?}",
-            drops[20]
-        );
+        for _ in 0..5 {
+            let server = TcpNodeServer::spawn(Arc::clone(&node), "127.0.0.1:0").unwrap();
+            let wakes = Arc::clone(&server.wakes);
+            // Idle long enough for a ticking acceptor to show its ticks.
+            std::thread::sleep(Duration::from_millis(5));
+            // The drop joins the acceptor, so its count is final here.
+            drop(server);
+            assert_eq!(wakes.load(Ordering::Relaxed), 1, "one wake-up: the drop's");
+        }
     }
 
     #[test]
@@ -1421,32 +1437,35 @@ mod tests {
         let throwaway = TcpListener::bind("127.0.0.1:0").unwrap();
         addrs.insert(0, throwaway.local_addr().unwrap());
         drop(throwaway);
-        let backoff_base = Duration::from_millis(50);
+        // A backoff far past the round-trip budget: a send to the
+        // refusing peer cannot end before the budget does.
+        let backoff_base = Duration::from_secs(60);
         let t = TcpTransport::with_config(
             addrs,
             TcpConfig {
+                pool_size: 1,
+                connect_attempts: 1,
                 backoff_base,
+                backoff_max: backoff_base,
                 ..TcpConfig::default()
             },
         );
-        // Warm the live peer; put the refusing one into its backoff
-        // window, where the next connect attempt sleeps first.
-        for _ in 0..2 {
-            assert_eq!(t.call(NodeId(1), Request::Ping), Ok(Response::Pong));
-            assert_eq!(t.call(NodeId(0), Request::Ping), Err(NodeError::Down));
-        }
+        // Connect the live peer's pooled connection; put the refusing
+        // one's into its backoff window, where the next connect attempt
+        // sleeps first.
+        let pings = || vec![(NodeId(0), Request::Ping), (NodeId(1), Request::Ping)];
+        let warm = QuorumRound::await_all(1).run(&t, pings());
+        assert_eq!(warm.rejected[0].error, NodeError::Down);
         let started = Instant::now();
-        let outcome = QuorumRound::first_quorum(1).run(
-            &t,
-            vec![(NodeId(0), Request::Ping), (NodeId(1), Request::Ping)],
-        );
+        let outcome = QuorumRound::first_quorum(1).run(&t, pings());
         let elapsed = started.elapsed();
         assert!(outcome.quorum_met());
         assert_eq!(outcome.accepted[0].node, NodeId(1));
         assert!(
-            elapsed < backoff_base / 2,
-            "the refusing peer, listed first, held the round up: {elapsed:?}"
+            outcome.rejected.is_empty() && outcome.abandoned == vec![NodeId(0)],
+            "the refusing peer, listed first, held the round up: {outcome:?}"
         );
+        assert!(elapsed < backoff_base / 2, "{elapsed:?}");
     }
 
     /// Counts every envelope and parks the first one to arrive after
@@ -1583,27 +1602,27 @@ mod tests {
 
     #[test]
     fn tcp_pool_exhaustion_sheds_typed_overloaded() {
-        // A listener that accepts and never answers: the first dispatch
-        // occupies the single inflight slot for its whole budget, so a
-        // second dispatch must be shed — quickly, and as Overloaded,
-        // not as a slow TimedOut.
+        // A listener that accepts and answers nothing until released: the
+        // first dispatch occupies the single inflight slot for its whole
+        // budget, so a second dispatch must be shed — while the first is
+        // still outstanding, and as Overloaded, not as a slow TimedOut.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
+        let (accepted_tx, accepted) = unbounded();
+        let (release, released) = unbounded::<()>();
         let hold = std::thread::spawn(move || {
-            let mut held = Vec::new();
-            listener.set_nonblocking(false).unwrap();
             if let Ok((s, _)) = listener.accept() {
-                held.push(s);
+                accepted_tx.send(()).unwrap();
+                let _ = released.recv();
+                drop(s);
             }
-            std::thread::sleep(Duration::from_millis(900));
-            drop(held);
         });
         let t = Arc::new(TcpTransport::with_config(
             vec![addr],
             TcpConfig {
                 max_inflight: 1,
                 pool_size: 1,
-                io_timeout: Duration::from_millis(600),
+                io_timeout: Duration::from_secs(2),
                 overload_wait: Duration::from_millis(30),
                 ..TcpConfig::default()
             },
@@ -1612,17 +1631,18 @@ mod tests {
             let t = Arc::clone(&t);
             std::thread::spawn(move || t.call(NodeId(0), Request::Ping))
         };
-        // Let the blocker occupy the inflight window first.
-        std::thread::sleep(Duration::from_millis(100));
+        // The blocker connects only once it holds the inflight slot.
+        accepted.recv().unwrap();
         let started = Instant::now();
         let shed = t.call(NodeId(0), Request::Ping);
         assert_eq!(shed, Err(NodeError::Overloaded));
         assert!(
-            started.elapsed() < Duration::from_millis(400),
+            !blocker.is_finished(),
             "shedding is fast, not a timeout: {:?}",
             started.elapsed()
         );
         assert_eq!(blocker.join().unwrap(), Err(NodeError::TimedOut));
+        release.send(()).unwrap();
         hold.join().unwrap();
     }
 

@@ -1,27 +1,22 @@
 //! How protocol code reaches storage nodes.
 //!
-//! One [`Transport`] trait, and the two in-process implementations of it
-//! (the simulated and the socket ones live in [`crate::sim`] and
-//! [`crate::tcp`]):
+//! One [`Transport`] trait, and two kinds of implementation:
 //!
-//! * [`LocalTransport`] — synchronous in-process dispatch. Deterministic
-//!   and allocation-light; the default for availability experiments,
-//!   where per-operation outcomes must be exactly replayable. It has no
-//!   link to wait on, so it keeps the trait's lazy sequential
-//!   `multicall` and stays outside the dispatch driver.
-//! * [`ChannelTransport`] — one worker thread per node behind crossbeam
-//!   channels, a faithful stand-in for an RPC fabric. Requests from many
-//!   protocol threads interleave on the node's mailbox exactly as they
-//!   would on a socket. Links are reliable and FIFO, matching the
-//!   paper's "no failure on communication links" assumption. Per-node
-//!   latency injection ([`ChannelTransport::set_node_latency`]) makes
-//!   dispatch strategies measurable: a level fanned out over slow nodes
-//!   costs one round trip, a sequential walk costs their sum. All it
-//!   contributes to a round is a link — a mailbox send and one reply
-//!   channel on the wall clock; how the round waits (hedging when a
-//!   policy is armed, late-reply absorption, the health clock) is the
-//!   shared dispatch driver's (`driver.rs`). The fabric has no
-//!   round-trip budget: a call here never times out.
+//! * **The sequential reference.** [`LocalTransport`] runs a call on the
+//!   caller's thread: a call *is* its reply, and `multicall` is the
+//!   trait's lazy sequential default, so an abandoned suffix is never
+//!   issued. It is deterministic and zero-latency, and it is what the
+//!   cost pins, the availability oracle, the `figures` experiments and
+//!   the benchmark's `local_mixed_4k` baseline replay against.
+//! * **Concurrent links.** [`SimTransport`](crate::sim::SimTransport)
+//!   (seeded virtual time, adversarial links) and
+//!   [`TcpTransport`](crate::tcp::TcpTransport) (real sockets, the
+//!   stack that ships) send a round's calls up front and hand replies
+//!   back in arrival order. Each contributes only a link — send,
+//!   receive, tell the time — to the shared dispatch driver
+//!   (`driver.rs`), where deadlines, hedging and late-reply absorption
+//!   live. A latency claim is checked on the simulator's clock, a claim
+//!   that must hold under every thread schedule on loopback TCP.
 //!
 //! Everything a transport carries is an [`Envelope`] (command identity +
 //! payload) answered by a [`Reply`] echoing that identity; transports
@@ -33,15 +28,9 @@
 //! completions in arrival order, match them by [`OpId`], stop early once
 //! a quorum is satisfied.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::Arc;
 
 use crate::cluster::Cluster;
-use crate::driver::{drive, drive_one, Link, NEVER};
 use crate::health::NodeHealth;
 use crate::node::NodeId;
 use crate::rpc::{Envelope, NodeApi, NodeError, OpId, Reply, Request, Response};
@@ -98,17 +87,17 @@ pub trait Transport: Send + Sync {
     ///
     /// Dispatch semantics differ by transport and both are load-bearing:
     ///
-    /// * The default implementation (used by [`LocalTransport`]) issues
-    ///   calls **lazily and sequentially** in batch order — fully
-    ///   deterministic, and an abandoned suffix is *never issued*, so
-    ///   experiment replays and IO accounting are bit-for-bit stable.
-    /// * [`ChannelTransport`] **sends every request up front** and
-    ///   forwards completions as they arrive, so a round costs roughly
-    ///   the latency of the slowest *needed* responder instead of the
-    ///   sum over members. Abandoning a round only stops waiting: every
-    ///   request has already been delivered and will still execute on
-    ///   its node (exactly how a real fabric behaves — a write you stop
-    ///   waiting for may still land).
+    /// * The sequential reference (this default, used by
+    ///   [`LocalTransport`]) issues calls **lazily and in batch order** —
+    ///   fully deterministic, and an abandoned suffix is *never issued*,
+    ///   so experiment replays and IO accounting are bit-for-bit stable.
+    /// * The concurrent links ([`SimTransport`](crate::sim::SimTransport),
+    ///   [`TcpTransport`](crate::tcp::TcpTransport)) **send every request
+    ///   up front** and forward completions as they arrive, so a round
+    ///   costs one round trip to the slowest *needed* responder instead
+    ///   of the sum over members. Abandoning a round only stops waiting:
+    ///   a request already on the wire may still execute on its node (a
+    ///   write you stop waiting for may still land).
     ///
     /// At-least-once transports may additionally deliver **duplicate or
     /// foreign** replies (op ids the caller never issued in this batch);
@@ -133,9 +122,11 @@ pub trait Transport: Send + Sync {
     }
 }
 
-/// Synchronous in-process transport: `dispatch` runs the node's
+/// The zero-latency sequential reference: `dispatch` runs the node's
 /// [`NodeApi`] on the caller's thread, and `multicall` is the lazy
-/// sequential default.
+/// sequential default. `tests/cost_pins.rs`, the availability oracle,
+/// `figures` and the benchmark's `local_mixed_4k` workload run on it,
+/// because every count it reports replays exactly.
 #[derive(Debug, Clone)]
 pub struct LocalTransport {
     cluster: Cluster,
@@ -164,227 +155,6 @@ impl Transport for LocalTransport {
     }
 }
 
-/// One in-flight request parcel on a node's mailbox: the command, and
-/// the round channel its answer goes to, tagged with the serving node.
-struct Parcel {
-    env: Envelope,
-    node: NodeId,
-    reply: Sender<RoundReply>,
-}
-
-/// Thread-per-node transport over crossbeam channels.
-///
-/// Dropping the transport closes every mailbox and joins the workers.
-pub struct ChannelTransport {
-    cluster: Cluster,
-    mailboxes: Vec<Sender<Parcel>>,
-    /// Injected service delay per node, in nanoseconds (0 = none).
-    latencies: Vec<Arc<AtomicU64>>,
-    /// Per-node health registry (hedging off by default, so the
-    /// transport behaves exactly as before until a caller enables it).
-    health: Arc<NodeHealth>,
-    /// Wire messages put on a mailbox: single dispatches, fan-out sends,
-    /// and hedge re-issues. Benchmarks use this to price hedging.
-    messages: AtomicU64,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ChannelTransport {
-    /// Spawns one worker thread per node of `cluster`, with no injected
-    /// latency.
-    pub fn new(cluster: Cluster) -> Self {
-        Self::with_latency(cluster, &[])
-    }
-
-    /// Spawns workers with an initial per-node service delay: node `i`
-    /// sleeps `latency[i]` before handling each request (nodes beyond
-    /// the slice get zero). Use this to model heterogeneous or uniformly
-    /// slow fabrics; [`set_node_latency`](Self::set_node_latency)
-    /// adjusts it live.
-    pub fn with_latency(cluster: Cluster, latency: &[Duration]) -> Self {
-        let mut mailboxes = Vec::with_capacity(cluster.len());
-        let mut latencies = Vec::with_capacity(cluster.len());
-        let mut workers = Vec::with_capacity(cluster.len());
-        for i in 0..cluster.len() {
-            let (tx, rx) = unbounded::<Parcel>();
-            let node = Arc::clone(cluster.node(i));
-            let initial = latency.get(i).map_or(0, |d| d.as_nanos() as u64);
-            let delay = Arc::new(AtomicU64::new(initial));
-            let worker_delay = Arc::clone(&delay);
-            let handle = std::thread::Builder::new()
-                .name(format!("tq-node-{i}"))
-                .spawn(move || {
-                    // Serve until the mailbox closes. A reply failing to
-                    // send means the caller gave up; that is its problem,
-                    // not the node's.
-                    while let Ok(Parcel {
-                        env,
-                        node: id,
-                        reply,
-                    }) = rx.recv()
-                    {
-                        let nanos = worker_delay.load(Ordering::Relaxed);
-                        if nanos > 0 {
-                            #[expect(
-                                clippy::disallowed_methods,
-                                reason = "ChannelTransport is the real-threads fabric; DST runs use SimTransport, which injects latency on the virtual clock instead"
-                            )]
-                            std::thread::sleep(Duration::from_nanos(nanos));
-                        }
-                        let _ = reply.send(RoundReply::from_reply(id, node.execute(env)));
-                    }
-                })
-                .expect("spawn node worker");
-            mailboxes.push(tx);
-            latencies.push(delay);
-            workers.push(handle);
-        }
-        ChannelTransport {
-            cluster,
-            mailboxes,
-            latencies,
-            health: Arc::new(NodeHealth::real_scale()),
-            messages: AtomicU64::new(0),
-            workers,
-        }
-    }
-
-    /// Borrow the underlying cluster (fault injection, accounting).
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
-    /// Sets node `i`'s injected service delay (applies to requests the
-    /// worker picks up from now on).
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    pub fn set_node_latency(&self, i: usize, latency: Duration) {
-        self.latencies[i].store(latency.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Node `i`'s current injected service delay.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    pub fn node_latency(&self, i: usize) -> Duration {
-        Duration::from_nanos(self.latencies[i].load(Ordering::Relaxed))
-    }
-
-    /// The transport's health registry — enable hedging via
-    /// [`NodeHealth::set_policy`].
-    pub fn health_registry(&self) -> &NodeHealth {
-        &self.health
-    }
-
-    /// Total wire messages sent so far (single dispatches, fan-out
-    /// sends, and hedge re-issues). Hedging's message overhead is
-    /// `hedge_counters().fired / (messages_sent() - fired)`.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
-    }
-
-    /// A round's link: every answer of the round funnels into one
-    /// channel.
-    fn link(&self) -> ChannelLink<'_> {
-        let (tx, rx) = unbounded();
-        ChannelLink {
-            transport: self,
-            tx,
-            rx,
-        }
-    }
-}
-
-/// The in-process fabric as the driver sees it: mailbox sends and one
-/// reply channel, reliable and FIFO, on the wall clock. The link keeps a
-/// sender of its own for hedge re-sends, so the channel never reports
-/// disconnection; every send is answered instead — by the worker, or
-/// in-band below when its mailbox is gone.
-struct ChannelLink<'a> {
-    transport: &'a ChannelTransport,
-    tx: Sender<RoundReply>,
-    rx: Receiver<RoundReply>,
-}
-
-impl Link for ChannelLink<'_> {
-    fn send(&mut self, node: NodeId, env: &Envelope) {
-        self.transport.messages.fetch_add(1, Ordering::Relaxed);
-        let parcel = Parcel {
-            env: env.clone(),
-            node,
-            reply: self.tx.clone(),
-        };
-        let mailbox = self.transport.mailboxes.get(node.0);
-        if mailbox.and_then(|m| m.send(parcel).ok()).is_none() {
-            let _ = self.tx.send(RoundReply {
-                op_id: env.op_id,
-                round_epoch: env.round_epoch,
-                node,
-                result: Err(NodeError::TransportClosed),
-            });
-        }
-    }
-
-    fn recv(&mut self, until: u64) -> Option<RoundReply> {
-        if until == NEVER {
-            return self.rx.recv().ok();
-        }
-        let wait = Duration::from_nanos(until.saturating_sub(self.now()));
-        self.rx.recv_timeout(wait).ok()
-    }
-
-    fn now(&self) -> u64 {
-        wall_nanos()
-    }
-}
-
-/// The real fabrics' link clock: monotonic wall nanoseconds since the
-/// process first asked.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the real-threads fabrics' clock; DST runs the same driver over SimTransport's virtual one"
-)]
-pub(crate) fn wall_nanos() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-impl Transport for ChannelTransport {
-    fn node_count(&self) -> usize {
-        self.cluster.len()
-    }
-
-    fn dispatch(&self, node: NodeId, env: Envelope) -> Reply {
-        drive_one(self.link(), &self.health, None, node, env)
-    }
-
-    fn health(&self) -> Option<&NodeHealth> {
-        Some(&self.health)
-    }
-
-    fn multicall(&self, calls: Vec<(NodeId, Envelope)>, sink: &mut dyn FnMut(RoundReply) -> bool) {
-        drive(self.link(), &self.health, None, calls, sink)
-    }
-}
-
-impl Drop for ChannelTransport {
-    fn drop(&mut self) {
-        self.mailboxes.clear(); // close every mailbox
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for ChannelTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChannelTransport")
-            .field("nodes", &self.cluster.len())
-            .finish()
-    }
-}
-
 /// Blanket impl so `Arc<T>` transports can be shared across protocol
 /// threads. Forwards `multicall` so concurrent fan-out survives the
 /// indirection.
@@ -403,26 +173,19 @@ impl<T: Transport + ?Sized> Transport for Arc<T> {
     }
 }
 
-impl<T: Transport + ?Sized> Transport for &T {
-    fn node_count(&self) -> usize {
-        (**self).node_count()
-    }
-    fn dispatch(&self, node: NodeId, env: Envelope) -> Reply {
-        (**self).dispatch(node, env)
-    }
-    fn multicall(&self, calls: Vec<(NodeId, Envelope)>, sink: &mut dyn FnMut(RoundReply) -> bool) {
-        (**self).multicall(calls, sink)
-    }
-    fn health(&self) -> Option<&NodeHealth> {
-        (**self).health()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tcp::tests::serve_cluster;
+    use crate::tcp::{TcpConfig, TcpNodeServer, TcpTransport};
     use bytes::Bytes;
-    use std::time::Instant;
+
+    /// A loopback TCP transport over a fresh `n`-node cluster, with the
+    /// servers that must outlive it.
+    fn loopback(n: usize) -> (Vec<TcpNodeServer>, TcpTransport, Cluster) {
+        let (cluster, servers, addrs) = serve_cluster(n);
+        (servers, TcpTransport::connect(addrs), cluster)
+    }
 
     fn exercise(transport: &dyn Transport) {
         assert_eq!(transport.node_count(), 3);
@@ -458,23 +221,9 @@ mod tests {
     }
 
     #[test]
-    fn channel_transport_basics() {
-        let t = ChannelTransport::new(Cluster::new(3));
-        exercise(&t);
-    }
-
-    #[test]
     fn dispatch_echoes_envelope_identity() {
         let t = LocalTransport::new(Cluster::new(1));
         let env = Envelope::in_epoch(Request::Ping, 7);
-        let (op_id, epoch) = (env.op_id, env.round_epoch);
-        let reply = t.dispatch(NodeId(0), env);
-        assert_eq!(reply.op_id, op_id);
-        assert_eq!(reply.round_epoch, epoch);
-        assert_eq!(reply.result, Ok(Response::Pong));
-
-        let t = ChannelTransport::new(Cluster::new(1));
-        let env = Envelope::in_epoch(Request::Ping, 9);
         let (op_id, epoch) = (env.op_id, env.round_epoch);
         let reply = t.dispatch(NodeId(0), env);
         assert_eq!(reply.op_id, op_id);
@@ -489,15 +238,16 @@ mod tests {
         assert_eq!(local.call(NodeId(0), Request::Ping), Err(NodeError::Down));
         assert_eq!(local.call(NodeId(1), Request::Ping), Ok(Response::Pong));
 
-        let chan = ChannelTransport::new(Cluster::new(2));
-        chan.cluster().kill(1);
-        assert_eq!(chan.call(NodeId(0), Request::Ping), Ok(Response::Pong));
-        assert_eq!(chan.call(NodeId(1), Request::Ping), Err(NodeError::Down));
+        let (_servers, tcp, cluster) = loopback(2);
+        cluster.kill(1);
+        assert_eq!(tcp.call(NodeId(0), Request::Ping), Ok(Response::Pong));
+        assert_eq!(tcp.call(NodeId(1), Request::Ping), Err(NodeError::Down));
     }
 
     #[test]
-    fn channel_transport_concurrent_callers() {
-        let t = Arc::new(ChannelTransport::new(Cluster::new(4)));
+    fn concurrent_callers_share_one_transport() {
+        let (_servers, t, cluster) = loopback(4);
+        let t = Arc::new(t);
         for i in 0..4 {
             t.call(
                 NodeId(i),
@@ -527,16 +277,15 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(t.cluster().io_totals().reads, 400);
+        assert_eq!(cluster.io_totals().reads, 400);
     }
 
     #[test]
     fn shared_cluster_between_transports() {
         // The same nodes can be reached through both transports; state is
         // shared because the cluster holds Arc'd nodes.
-        let cluster = Cluster::new(2);
-        let local = LocalTransport::new(cluster.clone());
-        let chan = ChannelTransport::new(cluster);
+        let (_servers, tcp, cluster) = loopback(2);
+        let local = LocalTransport::new(cluster);
         local
             .call(
                 NodeId(0),
@@ -546,7 +295,7 @@ mod tests {
                 },
             )
             .unwrap();
-        match chan.call(NodeId(0), Request::ReadData { id: 5 }).unwrap() {
+        match tcp.call(NodeId(0), Request::ReadData { id: 5 }).unwrap() {
             Response::Data { bytes, .. } => assert_eq!(&bytes[..], b"shared"),
             other => panic!("unexpected {other:?}"),
         }
@@ -591,8 +340,8 @@ mod tests {
 
     #[test]
     fn concurrent_multicall_delivers_every_reply() {
-        let t = ChannelTransport::new(Cluster::new(8));
-        t.cluster().kill(5);
+        let (_servers, t, cluster) = loopback(8);
+        cluster.kill(5);
         let mut ok = 0;
         let mut down = 0;
         t.multicall(ping_batch(8), &mut |reply| {
@@ -607,105 +356,67 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_multicall_overlaps_injected_latency() {
-        // 6 nodes, 40ms each: sequential costs ≥ 240ms, fan-out ≈ 40ms.
-        // The margin is generous (4× the ideal, well under sequential) so
-        // scheduler noise on a loaded CI runner cannot flake the test.
-        let delay = Duration::from_millis(40);
-        let t = ChannelTransport::with_latency(Cluster::new(6), &[delay; 6]);
-        let start = Instant::now();
-        let mut count = 0;
-        t.multicall(ping_batch(6), &mut |reply| {
-            assert_eq!(reply.result, Ok(Response::Pong));
-            count += 1;
+    fn abandoned_round_still_executes_stragglers() {
+        // First-quorum abandon over sockets: the write we stop waiting
+        // for still lands on the node. One pooled connection per peer,
+        // already connected, so every frame of a round is written before
+        // the round waits, and a later round's frames queue behind it.
+        let (cluster, _servers, addrs) = serve_cluster(3);
+        let t = TcpTransport::with_config(
+            addrs,
+            TcpConfig {
+                pool_size: 1,
+                ..TcpConfig::default()
+            },
+        );
+        let round = |req: Request| -> Vec<(NodeId, Envelope)> {
+            (0..3)
+                .map(|i| (NodeId(i), Envelope::new(req.clone())))
+                .collect()
+        };
+        let init = Request::InitData {
+            id: 9,
+            bytes: Bytes::from_static(b"old"),
+        };
+        let mut acks = 0;
+        t.multicall(round(init), &mut |reply| {
+            assert_eq!(reply.result, Ok(Response::Ack));
+            acks += 1;
             true
         });
-        let elapsed = start.elapsed();
-        assert_eq!(count, 6);
-        assert!(
-            elapsed < delay * 4,
-            "fan-out took {elapsed:?}, expected ~1 round trip of {delay:?}"
-        );
-    }
-
-    #[test]
-    fn abandoned_round_still_executes_stragglers() {
-        // First-quorum abandon over the channel transport: the write we
-        // stop waiting for still lands on the node.
-        let t = ChannelTransport::new(Cluster::new(3));
-        for i in 0..3 {
-            t.call(
-                NodeId(i),
-                Request::InitData {
-                    id: 9,
-                    bytes: Bytes::from_static(b"old"),
-                },
-            )
-            .unwrap();
-        }
-        let calls: Vec<(NodeId, Envelope)> = (0..3)
-            .map(|i| {
-                (
-                    NodeId(i),
-                    Envelope::new(Request::WriteData {
-                        id: 9,
-                        bytes: Bytes::from_static(b"new"),
-                        version: 1,
-                    }),
-                )
-            })
-            .collect();
+        assert_eq!(acks, 3);
+        let write = Request::WriteData {
+            id: 9,
+            bytes: Bytes::from_static(b"new"),
+            version: 1,
+        };
         let mut first = None;
-        t.multicall(calls, &mut |reply| {
+        t.multicall(round(write), &mut |reply| {
             first = Some(reply.result.clone());
             false // abandon after the first ack
         });
         assert_eq!(first, Some(Ok(Response::Ack)));
-        // Every node eventually applied the write (drain via fresh calls,
-        // which queue behind the straggling writes on each mailbox).
-        for i in 0..3 {
-            match t.call(NodeId(i), Request::ReadData { id: 9 }).unwrap() {
-                Response::Data { bytes, version, .. } => {
+        // Every node applied the write: the reads share each write's
+        // connection, and a serving thread answers in order.
+        let mut reads = 0;
+        t.multicall(round(Request::ReadData { id: 9 }), &mut |reply| {
+            match reply.result {
+                Ok(Response::Data { bytes, version, .. }) => {
                     assert_eq!(&bytes[..], b"new");
                     assert_eq!(version, 1);
                 }
                 other => panic!("unexpected {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn hedged_multicall_reissues_to_stragglers() {
-        use crate::health::HedgePolicy;
-        let t = ChannelTransport::new(Cluster::new(4));
-        t.health_registry().set_policy(HedgePolicy::P99);
-        // Warm the estimator (and earn retry budget) with fast rounds.
-        for _ in 0..8 {
-            let mut n = 0;
-            t.multicall(ping_batch(4), &mut |_| {
-                n += 1;
-                true
-            });
-            assert_eq!(n, 4);
-        }
-        // Turn node 3 gray: far past any hedge delay the estimator
-        // derives from the fast warm-up samples.
-        t.set_node_latency(3, Duration::from_millis(50));
-        let mut n = 0;
-        t.multicall(ping_batch(4), &mut |r| {
-            assert!(r.result.is_ok());
-            n += 1;
+            reads += 1;
             true
         });
-        assert_eq!(n, 4, "every slot still completes exactly once");
-        let c = t.health_registry().hedge_counters();
-        assert!(c.fired >= 1, "expected a hedge to fire: {c:?}");
-        assert!(c.retries >= 1, "hedges spend retry budget: {c:?}");
+        assert_eq!(reads, 3);
+        assert_eq!(cluster.io_totals().reads, 3);
     }
 
     #[test]
     fn hedging_off_keeps_the_plain_path() {
-        let t = ChannelTransport::new(Cluster::new(3));
+        let (_servers, t, _cluster) = loopback(3);
         assert!(!t.health_registry().hedging_enabled());
         let mut n = 0;
         t.multicall(ping_batch(3), &mut |_| {
@@ -717,18 +428,5 @@ mod tests {
             t.health_registry().hedge_counters(),
             crate::health::HedgeCounters::default()
         );
-    }
-
-    #[test]
-    fn latency_can_be_adjusted_live() {
-        let t = ChannelTransport::new(Cluster::new(2));
-        assert_eq!(t.node_latency(0), Duration::ZERO);
-        t.set_node_latency(0, Duration::from_millis(5));
-        assert_eq!(t.node_latency(0), Duration::from_millis(5));
-        let start = Instant::now();
-        t.call(NodeId(0), Request::Ping).unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(5));
-        t.set_node_latency(0, Duration::ZERO);
-        assert_eq!(t.node_latency(0), Duration::ZERO);
     }
 }

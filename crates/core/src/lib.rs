@@ -33,7 +33,7 @@
 //! the paper's `w_l`/`r_l` quorum condition — sequential and
 //! deterministic on [`tq_cluster::LocalTransport`], concurrent (one
 //! round trip per level instead of one per member) on
-//! [`tq_cluster::ChannelTransport`].
+//! [`tq_cluster::SimTransport`] and [`tq_cluster::TcpTransport`].
 //!
 //! ## Quickstart
 //!

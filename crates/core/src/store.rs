@@ -24,7 +24,8 @@
 //! same error for the same cluster state. A `write_batch` of `m` blocks
 //! therefore costs roughly one network round per trapezoid level
 //! instead of `m` — compare [`OpReport::network_rounds`] of a batch
-//! against a loop, or run `cargo bench --bench batch_ops`.
+//! against a loop, as `tests/cost_pins.rs`'s
+//! `batches_stay_flat_in_rounds` does.
 //!
 //! # Example
 //!
@@ -190,7 +191,8 @@ pub struct OpReport {
 impl OpReport {
     /// Number of scatter-gather rounds the operation cost — the
     /// latency-side figure of merit (each round is one concurrent
-    /// fan-out on [`tq_cluster::ChannelTransport`]).
+    /// fan-out on [`tq_cluster::SimTransport`] and
+    /// [`tq_cluster::TcpTransport`]).
     pub fn network_rounds(&self) -> usize {
         self.rounds.len()
     }

@@ -74,9 +74,9 @@
 //! block whose home node an armed registry flags takes the same poll
 //! before level 0, asking `N_i` only if the poll falls short. On
 //! `LocalTransport` a plan runs sequentially and its rounds and
-//! messages repeat bit-for-bit; on `ChannelTransport` a stage costs
-//! roughly its slowest needed responder instead of the sum over
-//! members.
+//! messages repeat bit-for-bit; on `SimTransport` and `TcpTransport` a
+//! stage costs one round trip to its slowest needed responder instead
+//! of the sum over members.
 
 use std::cell::OnceCell;
 

@@ -1,16 +1,21 @@
 //! Engine-level concurrency tests: the scatter-gather quorum rounds
-//! under a truly concurrent transport, with fault injection.
+//! under concurrent transports, with fault injection.
 //!
 //! The unit tests pin the engine's semantics on `LocalTransport` (where
-//! dispatch is deterministic); these tests close the remaining gap —
-//! many protocol threads interleaving on one `ChannelTransport`, nodes
-//! crashing and reviving mid-traffic, and rounds that must complete
-//! despite dead or slow members.
+//! dispatch is deterministic); these tests close the remaining gap.
+//! Claims that must hold under every thread schedule — many protocol
+//! threads interleaving, nodes crashing and reviving mid-traffic — run
+//! on loopback TCP, through the wire codec, the connection pool and the
+//! reader threads. Claims about latency — rounds that must complete
+//! despite dead or slow members — run on `SimTransport`, where a round's
+//! cost is exact virtual time.
+
+mod common;
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use trapezoid_quorum::cluster::ChannelTransport;
+use trapezoid_quorum::cluster::{NetworkModel, SimTransport};
 use trapezoid_quorum::protocol::StripeLockManager;
 use trapezoid_quorum::{Cluster, ProtocolConfig, TrapErcClient};
 
@@ -31,7 +36,7 @@ fn blocks(k: usize, len: usize, seed: u8) -> Vec<Vec<u8>> {
 }
 
 /// Concurrent interleaved writes to *different blocks of one stripe*
-/// through the concurrent transport: every write fans out over the
+/// over loopback TCP: every write fans out over the
 /// block's trapezoid, parity nodes serve folds for all blocks at once,
 /// and per-block version guards keep the stripe consistent.
 #[test]
@@ -40,7 +45,7 @@ fn concurrent_interleaved_writes_to_one_stripe() {
     const ROUNDS: u64 = 12;
 
     let cluster = Cluster::new(15);
-    let transport = Arc::new(ChannelTransport::new(cluster.clone()));
+    let (_servers, transport) = common::serve(&cluster);
     let client = Arc::new(TrapErcClient::new(config_15_8(), transport).unwrap());
     client.create_stripe(1, blocks(8, BLOCK_LEN, 1)).unwrap();
 
@@ -84,12 +89,11 @@ fn concurrent_interleaved_writes_to_one_stripe() {
 /// (§I defers to "classical ways"); under the lock manager the engine's
 /// concurrent rounds must still serialise cleanly.
 #[test]
-fn locked_same_block_writers_serialise_over_channel_transport() {
+fn locked_same_block_writers_serialise_over_tcp() {
     const WRITERS: usize = 6;
     const PER_WRITER: usize = 8;
 
-    let cluster = Cluster::new(15);
-    let transport = Arc::new(ChannelTransport::new(cluster));
+    let (_servers, transport) = common::serve(&Cluster::new(15));
     let client = Arc::new(TrapErcClient::new(config_15_8(), transport).unwrap());
     client.create_stripe(1, blocks(8, BLOCK_LEN, 2)).unwrap();
     let locks = StripeLockManager::new();
@@ -124,55 +128,51 @@ fn locked_same_block_writers_serialise_over_channel_transport() {
 }
 
 /// A crashed node inside a level must not stall a round that can still
-/// reach `w_l`: every member (the dead one included — workers apply the
-/// injected service delay before answering `Down`) costs one delay, so
-/// both the version-check round (first-quorum) and the write round
-/// (await-all) complete on the fan-out timescale of ~one delay per
-/// level, far under the sequential sum over members.
+/// reach `w_l`: with every link at one-way delay `D`, every member (the
+/// dead one included — a fail-stopped node answers `Down` over its link
+/// like any reply) answers one round trip after the round starts, so
+/// both the version-check round (first-quorum) and the write rounds
+/// (await-all) each cost exactly `2D` of virtual time — not the
+/// sequential sum over members, and not a timeout on the dead node.
 #[test]
 fn crashed_node_does_not_stall_reachable_quorum() {
-    // Generous margins against the *sequential* cost so a loaded CI
-    // runner cannot flake the test: a sequential walk of the write costs
-    // 8 member-delays (200ms) and the structural asserts are primary.
-    let delay = Duration::from_millis(25);
+    const D: u64 = 1_000;
     let cluster = Cluster::new(15);
-    let transport = Arc::new(ChannelTransport::with_latency(
-        cluster.clone(),
-        &vec![delay; 15],
-    ));
-    let client = TrapErcClient::new(config_15_8(), Arc::clone(&transport)).unwrap();
+    let model = NetworkModel {
+        min_delay: D,
+        max_delay: D,
+        ..NetworkModel::reliable()
+    };
+    let client = TrapErcClient::new(
+        config_15_8(),
+        SimTransport::with_model(cluster.clone(), 3, model),
+    )
+    .unwrap();
     client.create_stripe(1, blocks(8, BLOCK_LEN, 3)).unwrap();
 
     // Parity node 9 sits in level 0 of block 0's trapezoid ({0, 8, 9,
     // 10}) and in every other block's level 0 too. Kill it.
     cluster.kill(9);
 
-    // Writes still reach w_0 = 3 of {0, 8, 10} and w_1 = 2 of {11..14};
-    // await-all costs ~1 round trip per level, NOT the sum over members
-    // and NOT a timeout on the dead node.
-    let start = Instant::now();
+    // Writes still reach w_0 = 3 of {0, 8, 10} and w_1 = 2 of {11..14}.
+    let start = client.transport().now();
     let w = client.write_block_with_hint(1, 0, &[7u8; BLOCK_LEN], &blocks(8, BLOCK_LEN, 3)[0], 0);
-    let write_elapsed = start.elapsed();
+    let write_elapsed = client.transport().now() - start;
     let w = w.unwrap();
     assert!(!w.validated.contains(&9));
     assert_eq!(w.validated.len(), 7, "all live members validated");
-    assert!(
-        write_elapsed < delay * 6,
-        "write stalled: {write_elapsed:?} for 2 levels of {delay:?} nodes"
-    );
+    assert_eq!(w.report.network_rounds(), 2, "one round per level");
+    assert_eq!(write_elapsed, 2 * 2 * D, "one round trip per level");
 
     // Reads: the version check needs r_0 = 2 answers; the dead node's
-    // `Down` (after its one service delay, like any member) must not
-    // block completion either.
-    let start = Instant::now();
+    // `Down` must not block completion either.
+    let start = client.transport().now();
     let r = client.read_block(1, 0).unwrap();
-    let read_elapsed = start.elapsed();
+    let read_elapsed = client.transport().now() - start;
     assert_eq!(r.version, 1);
     assert_eq!(r.bytes, vec![7u8; BLOCK_LEN]);
-    assert!(
-        read_elapsed < delay * 8,
-        "read stalled: {read_elapsed:?} with one dead level-0 member"
-    );
+    assert_eq!(r.report.network_rounds(), 1);
+    assert_eq!(read_elapsed, 2 * D, "one round trip");
 }
 
 /// Fault churn during concurrent traffic: parity nodes crash and revive
@@ -185,7 +185,7 @@ fn fault_churn_under_concurrent_writes_settles_clean() {
     const ROUNDS: usize = 10;
 
     let cluster = Cluster::new(15);
-    let transport = Arc::new(ChannelTransport::new(cluster.clone()));
+    let (_servers, transport) = common::serve(&cluster);
     let client = Arc::new(TrapErcClient::new(config_15_8(), transport).unwrap());
     let initial = blocks(8, BLOCK_LEN, 4);
     client.create_stripe(1, initial.clone()).unwrap();
@@ -262,21 +262,29 @@ fn hedged_batch_write_abandons_the_straggler_like_a_single_write() {
 
     // Node 14 sits in level 1 = {11, 12, 13, 14} (w_1 = 2) of every
     // block's trapezoid and is on no read path of a healthy stripe.
-    let base = Duration::from_millis(2);
-    let mut latency = vec![base; 15];
-    latency[14] = base * 30;
-    let transport = ChannelTransport::with_latency(Cluster::new(15), &latency);
+    const D: u64 = 1_000;
+    let model = NetworkModel {
+        min_delay: D,
+        max_delay: D,
+        ..NetworkModel::reliable()
+    };
+    let transport = SimTransport::with_model(Cluster::new(15), 5, model);
+    transport.set_link_delay(14, Some((30 * D, 30 * D)));
     transport.health_registry().set_policy(HedgePolicy::P99);
     let client = TrapErcClient::new(config_15_8(), transport).unwrap();
     client.create_stripe(1, blocks(8, BLOCK_LEN, 5)).unwrap();
 
+    let start = client.transport().now();
     let single = client.write_block(1, 0, &[0x51; BLOCK_LEN]).unwrap();
+    let single_elapsed = client.transport().now() - start;
     let payload = [0x52; BLOCK_LEN];
+    let start = client.transport().now();
     let mut batch = client.write_blocks(&[BatchWrite::new(BlockAddr::new(1, 1), &payload)]);
+    let batch_elapsed = client.transport().now() - start;
     let batched = batch.outcomes.remove(0).unwrap();
-    for (path, out, report) in [
-        ("write", &single, &single.report),
-        ("write_batch", &batched, &batch.report),
+    for (path, out, report, elapsed) in [
+        ("write", &single, &single.report, single_elapsed),
+        ("write_batch", &batched, &batch.report, batch_elapsed),
     ] {
         assert_eq!(out.version, 1, "{path}");
         assert!(
@@ -287,5 +295,9 @@ fn hedged_batch_write_abandons_the_straggler_like_a_single_write() {
         let level1 = report.rounds.last().expect("write levels recorded");
         assert_eq!(level1.level, Some(1), "{path}");
         assert!(level1.abandoned >= 1, "{path}: {level1:?}");
+        // Every round ended at its fast members' round trip; awaiting the
+        // straggler would have cost 60·D.
+        assert_eq!(report.network_rounds(), 3, "{path}");
+        assert_eq!(elapsed, 3 * 2 * D, "{path}: one round trip per round");
     }
 }

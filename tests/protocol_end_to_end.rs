@@ -1,8 +1,10 @@
 //! Cross-crate integration: the full stack (GF(2⁸) → erasure codec →
 //! quorum geometry → cluster substrate → TRAP-ERC protocol) exercised
-//! end-to-end through both transports.
+//! end-to-end through every transport.
 
-use trapezoid_quorum::cluster::{ChannelTransport, Transport};
+mod common;
+
+use trapezoid_quorum::cluster::{SimFault, SimTransport, Transport};
 use trapezoid_quorum::protocol::ReadPath;
 use trapezoid_quorum::{Cluster, LocalTransport, ProtocolConfig, ProtocolError, TrapErcClient};
 
@@ -21,7 +23,7 @@ fn blocks(k: usize, len: usize, seed: u8) -> Vec<Vec<u8>> {
 }
 
 /// The same scenario must behave identically through the synchronous
-/// transport and the thread-per-node channel transport.
+/// transport and over loopback TCP.
 #[test]
 fn transports_agree_on_protocol_behaviour() {
     fn run(transport: impl Transport, cluster: &Cluster) -> Vec<String> {
@@ -50,19 +52,20 @@ fn transports_agree_on_protocol_behaviour() {
     let c1 = Cluster::new(15);
     let local_log = run(LocalTransport::new(c1.clone()), &c1);
     let c2 = Cluster::new(15);
-    let channel_log = run(ChannelTransport::new(c2.clone()), &c2);
-    assert_eq!(local_log, channel_log);
+    let (_servers, tcp) = common::serve(&c2);
+    let tcp_log = run(tcp, &c2);
+    assert_eq!(local_log, tcp_log);
 }
 
-/// Concurrent writers to *different* blocks of one stripe, through the
-/// channel transport: parity columns are independent, so all writes must
-/// commit and the stripe must stay consistent.
+/// Concurrent writers to *different* blocks of one stripe, over loopback
+/// TCP: parity columns are independent, so all writes must commit and
+/// the stripe must stay consistent.
 #[test]
 fn concurrent_writers_different_blocks() {
     use std::sync::Arc;
     let cluster = Cluster::new(15);
-    let transport = Arc::new(ChannelTransport::new(cluster.clone()));
-    let client = Arc::new(TrapErcClient::new(config_15_8(), Arc::clone(&transport)).unwrap());
+    let (_servers, transport) = common::serve(&cluster);
+    let client = Arc::new(TrapErcClient::new(config_15_8(), transport).unwrap());
     client.create_stripe(1, blocks(8, 128, 9)).unwrap();
 
     let handles: Vec<_> = (0..8)
@@ -104,8 +107,8 @@ fn concurrent_writers_different_blocks() {
 fn concurrent_writers_same_block_stay_safe() {
     use std::sync::Arc;
     let cluster = Cluster::new(15);
-    let transport = Arc::new(ChannelTransport::new(cluster.clone()));
-    let client = Arc::new(TrapErcClient::new(config_15_8(), Arc::clone(&transport)).unwrap());
+    let (_servers, transport) = common::serve(&cluster);
+    let client = Arc::new(TrapErcClient::new(config_15_8(), transport).unwrap());
     client.create_stripe(1, blocks(8, 32, 2)).unwrap();
 
     let handles: Vec<_> = (0..4)
@@ -236,44 +239,45 @@ fn scrub_restores_eq1_invariant_across_cluster() {
 }
 
 /// A health-flagged home node stays entirely off a read's critical
-/// path: with the registry armed and `N_0` marked gray, reading block 0
+/// path: with the registry armed and `N_0` grayed out, reading block 0
 /// skips the level walk and the `N_i` fetch and decodes from `k` healthy
 /// members in a *single* round — the read costs exactly `k` wire
 /// messages (plus any hedges the transport fires independently).
 #[test]
 fn straggler_home_node_is_read_around_in_one_round() {
     use trapezoid_quorum::cluster::HedgePolicy;
+    use trapezoid_quorum::cluster::{NodeId, Request, Response};
 
     let config = ProtocolConfig::with_uniform_w(9, 6, 2, 1, 1, 1).unwrap();
     let cluster = Cluster::new(9);
-    let client = TrapErcClient::new(config, ChannelTransport::new(cluster.clone())).unwrap();
+    let client = TrapErcClient::new(config, SimTransport::new(cluster.clone(), 9)).unwrap();
     client.create_stripe(1, blocks(6, 64, 9)).unwrap();
     let w = client.write_block(1, 0, &[0xC4; 64]).unwrap();
 
-    // Teach the estimator a gray home node directly (deterministic —
-    // no real sleeps): node 0 far past the straggler multiple of the
-    // fleet median, everyone else warmed at a healthy baseline.
-    let health = client.transport().health_registry();
-    for node in 1..9 {
-        for _ in 0..5 {
-            health.record_sample(node, 100_000); // 100µs
+    // Gray the home node 30× out and let the estimator see it: every
+    // reply feeds it a virtual-time sample.
+    let sim = client.transport();
+    sim.apply(SimFault::Degrade {
+        node: 0,
+        factor: 30,
+    });
+    for _ in 0..10 {
+        for node in 0..9 {
+            assert_eq!(sim.call(NodeId(node), Request::Ping), Ok(Response::Pong));
         }
     }
-    for _ in 0..10 {
-        health.record_sample(0, 30_000_000); // 30ms
-    }
+    let health = sim.health_registry();
     assert!(health.straggler(0), "gray node must be flagged");
     assert!(!health.straggler(1), "healthy node must not be flagged");
 
     // Dormant registry: the read still takes the seed's direct path.
-    let before = client.transport().messages_sent();
     let read = client.read_block(1, 0).unwrap();
     assert_eq!(read.path, ReadPath::Direct);
     assert_eq!(read.bytes, vec![0xC4; 64]);
 
     // Armed: one salvage round of k shards, none of them from node 0.
     health.set_policy(HedgePolicy::P99);
-    let before_msgs = client.transport().messages_sent();
+    let before_msgs = sim.stats().requests;
     let before_hedges = health.hedge_counters().fired;
     let read = client.read_block(1, 0).unwrap();
     assert_eq!(read.bytes, vec![0xC4; 64]);
@@ -285,13 +289,13 @@ fn straggler_home_node_is_read_around_in_one_round() {
         }
         other => panic!("expected a decode-around, got {other:?}"),
     }
+    assert_eq!(read.report.network_rounds(), 1, "a single round");
     let hedges = health.hedge_counters().fired - before_hedges;
     assert_eq!(
-        client.transport().messages_sent() - before_msgs,
+        sim.stats().requests - before_msgs,
         6 + hedges,
         "salvage must cost exactly k messages (+ hedges)"
     );
-    let _ = before;
 
     // The batch path reroutes identically.
     use trapezoid_quorum::protocol::BlockAddr;

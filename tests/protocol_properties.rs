@@ -521,28 +521,37 @@ mod single_is_batch_of_one {
 /// returns in a single round.
 #[test]
 fn abandoned_home_reply_falls_back_to_the_fetch_stage() {
-    use std::time::Duration;
-    use trapezoid_quorum::cluster::ChannelTransport;
+    use trapezoid_quorum::cluster::{NetworkModel, SimTransport};
     use trapezoid_quorum::protocol::ReadPath;
 
+    const D: u64 = 1_000;
     let config = || ProtocolConfig::with_uniform_w(15, 8, 0, 4, 1, 2).unwrap();
     let data: Vec<Vec<u8>> = (0..8).map(|i| vec![0x30 | i as u8; BLOCK_LEN]).collect();
     let new = vec![0xE7; BLOCK_LEN];
 
     let local = TrapErcClient::new(config(), LocalTransport::new(Cluster::new(15))).unwrap();
     let cluster = Cluster::new(15);
-    let transport = ChannelTransport::new(cluster.clone());
-    let slow = TrapErcClient::new(config(), transport).unwrap();
+    let model = NetworkModel {
+        min_delay: D,
+        max_delay: D,
+        ..NetworkModel::reliable()
+    };
+    let slow = TrapErcClient::new(
+        config(),
+        SimTransport::with_model(cluster.clone(), 1, model),
+    )
+    .unwrap();
     local.create_stripe(1, data.clone()).unwrap();
     slow.create_stripe(1, data).unwrap();
     local.write_block(1, 0, &new).unwrap();
     slow.write_block(1, 0, &new).unwrap();
     // N_0 now answers long after every parity member has.
-    slow.transport()
-        .set_node_latency(0, Duration::from_millis(40));
+    slow.transport().set_link_delay(0, Some((20 * D, 20 * D)));
 
     let before = cluster.node(0).io_snapshot();
+    let start = slow.transport().now();
     let fell_back = slow.read_block(1, 0).unwrap();
+    let elapsed = slow.transport().now() - start;
     let direct = local.read_block(1, 0).unwrap();
     assert_eq!(direct.report.network_rounds(), 1);
     assert_eq!(
@@ -556,7 +565,11 @@ fn abandoned_home_reply_falls_back_to_the_fetch_stage() {
         (&direct.bytes, direct.version, &direct.path)
     );
     assert_eq!(fell_back.bytes, new);
-    // The abandoned request still reaches N_0 (a concurrent transport
-    // delivers it); the fetch is the second and last.
-    assert!(cluster.node(0).io_snapshot().since(&before).reads <= 2);
+    // The check ended at the parity members' round trip; the fetch
+    // waited out N_0's.
+    assert_eq!(elapsed, 2 * D + 2 * 20 * D);
+    // The abandoned request died in flight with its round (the
+    // simulator's links deliver within the round or not at all), so the
+    // fetch is the one read N_0 served.
+    assert_eq!(cluster.node(0).io_snapshot().since(&before).reads, 1);
 }

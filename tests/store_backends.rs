@@ -1,60 +1,74 @@
 //! The unified-store contract, enforced across all four protocols: the
 //! same create → write_batch → fail-nodes → read_batch → scrub scenario
-//! runs over every `Box<dyn QuorumStore>` backend on the concurrent
-//! `ChannelTransport`, and the observable outcomes (bytes, versions,
-//! success patterns) must agree — that is what makes the paper's
-//! cross-protocol comparison meaningful.
+//! runs over every `Box<dyn QuorumStore>` backend on loopback TCP, and
+//! the observable outcomes (bytes, versions, success patterns) must
+//! agree — that is what makes the paper's cross-protocol comparison
+//! meaningful.
 //!
 //! The batching acceptance criterion is asserted here too: a batch of m
 //! blocks reports *fused* per-level rounds (flat in m), not m
 //! independent per-op round sequences.
 
-use trapezoid_quorum::cluster::ChannelTransport;
+mod common;
+
+use trapezoid_quorum::cluster::TcpNodeServer;
 use trapezoid_quorum::{BatchWrite, BlockAddr, Cluster, QuorumStore, Store};
 
 const K: usize = 8;
 const BLOCK_LEN: usize = 64;
 const STRIPE: u64 = 1;
 
-/// One backend under test: its name, the store as a trait object, and
-/// the cluster handle for fault injection.
-fn backends() -> Vec<(&'static str, Box<dyn QuorumStore>, Cluster)> {
-    let mut out: Vec<(&'static str, Box<dyn QuorumStore>, Cluster)> = Vec::new();
+/// One backend under test: the servers its transport reaches (first, so
+/// they drop last), its name, the store as a trait object, and the
+/// cluster handle for fault injection.
+type Backend = (
+    Vec<TcpNodeServer>,
+    &'static str,
+    Box<dyn QuorumStore>,
+    Cluster,
+);
+
+fn backends() -> Vec<Backend> {
+    let mut out: Vec<Backend> = Vec::new();
     {
         let cluster = Cluster::new(15);
+        let (servers, transport) = common::serve(&cluster);
         let store = Store::trap_erc(15, K)
             .shape(0, 4, 1)
             .uniform_w(2)
-            .transport(ChannelTransport::new(cluster.clone()))
+            .transport(transport)
             .build()
             .expect("valid trap-erc parameters");
-        out.push(("trap-erc", store, cluster));
+        out.push((servers, "trap-erc", store, cluster));
     }
     {
         let cluster = Cluster::new(15);
+        let (servers, transport) = common::serve(&cluster);
         let store = Store::trap_fr(15, K)
             .shape(0, 4, 1)
             .uniform_w(2)
-            .transport(ChannelTransport::new(cluster.clone()))
+            .transport(transport)
             .build()
             .expect("valid trap-fr parameters");
-        out.push(("trap-fr", store, cluster));
+        out.push((servers, "trap-fr", store, cluster));
     }
     {
         let cluster = Cluster::new(15);
+        let (servers, transport) = common::serve(&cluster);
         let store = Store::rowa(15)
-            .transport(ChannelTransport::new(cluster.clone()))
+            .transport(transport)
             .build()
             .expect("valid rowa parameters");
-        out.push(("rowa", store, cluster));
+        out.push((servers, "rowa", store, cluster));
     }
     {
         let cluster = Cluster::new(15);
+        let (servers, transport) = common::serve(&cluster);
         let store = Store::majority(15)
-            .transport(ChannelTransport::new(cluster.clone()))
+            .transport(transport)
             .build()
             .expect("valid majority parameters");
-        out.push(("majority", store, cluster));
+        out.push((servers, "majority", store, cluster));
     }
     out
 }
@@ -187,7 +201,7 @@ fn run_scenario(name: &str, store: &dyn QuorumStore, cluster: &Cluster) -> Obser
 #[test]
 fn all_backends_agree_on_the_scenario() {
     let mut results: Vec<(&'static str, Observations)> = Vec::new();
-    for (name, store, cluster) in backends() {
+    for (_servers, name, store, cluster) in backends() {
         results.push((name, run_scenario(name, store.as_ref(), &cluster)));
     }
     let (reference_name, reference) = &results[0];
@@ -203,7 +217,7 @@ fn all_backends_agree_on_the_scenario() {
 /// StoreInfo descriptors and storage-overhead ordering (eq. 14 vs 15).
 #[test]
 fn store_info_descriptors_are_coherent() {
-    for (name, store, _cluster) in backends() {
+    for (_servers, name, store, _cluster) in backends() {
         let info = store.info();
         assert_eq!(info.protocol, name);
         assert!(info.nodes >= 1);
@@ -228,7 +242,7 @@ fn store_info_descriptors_are_coherent() {
     // ERC < FR < full replication.
     let overheads: Vec<f64> = backends()
         .iter()
-        .map(|(_, s, _)| s.info().storage_overhead)
+        .map(|(_, _, s, _)| s.info().storage_overhead)
         .collect();
     assert!(overheads[0] < overheads[1]);
     assert!(overheads[1] < overheads[2]);
@@ -240,7 +254,7 @@ fn store_info_descriptors_are_coherent() {
 #[test]
 fn out_of_range_blocks_error_per_item() {
     use trapezoid_quorum::ProtocolError;
-    for (name, store, _cluster) in backends() {
+    for (_servers, name, store, _cluster) in backends() {
         let initial: Vec<Vec<u8>> = (0..K).map(|b| payload(b, 0)).collect();
         store.create(STRIPE, initial).unwrap();
         // Out of range for every backend: past k for TRAP-ERC, past the
@@ -284,7 +298,7 @@ fn out_of_range_blocks_error_per_item() {
 /// fused batch commits.
 #[test]
 fn batch_failures_are_per_item() {
-    for (name, store, cluster) in backends() {
+    for (_servers, name, store, cluster) in backends() {
         let initial: Vec<Vec<u8>> = (0..K).map(|b| payload(b, 0)).collect();
         store.create(STRIPE, initial).unwrap();
         cluster.kill(0);
@@ -341,7 +355,7 @@ fn stored_on(cluster: &Cluster, node: usize, addr: BlockAddr) -> (Vec<u8>, u64) 
 #[test]
 fn a_replica_that_missed_a_write_takes_the_next() {
     const REPLICA: usize = 5;
-    for (name, store, cluster) in backends() {
+    for (_servers, name, store, cluster) in backends() {
         if name == "trap-erc" {
             continue;
         }

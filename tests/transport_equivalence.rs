@@ -1,33 +1,31 @@
 //! Transport equivalence: the same [`NodeApi`] instances answer an
 //! identical command sequence identically under every transport —
-//! [`LocalTransport`] (the sequential reference), [`ChannelTransport`]
-//! (in-process threads), [`SimTransport`] (the simulation seam, reliable
-//! links) and [`TcpTransport`] (real loopback sockets through the
-//! versioned wire format).
+//! [`LocalTransport`] (the sequential reference), [`SimTransport`] (the
+//! simulation seam, reliable links) and [`TcpTransport`] (real loopback
+//! sockets through the versioned wire format).
 //!
 //! This is the seam contract the whole test strategy leans on: every
 //! protocol property proven under the deterministic simulator transfers
 //! to the real transport *because* the transport is invisible to the
-//! node — same envelopes in, same replies out, byte for byte. The three
+//! node — same envelopes in, same replies out, byte for byte. The two
 //! concurrent transports share one dispatch driver and differ only in
-//! their link, so a divergence here means a link (the mailbox hand-off,
-//! the event heap, the wire encode/decode or the TCP framing) changed
-//! observable behaviour, which no amount of simulation coverage would
-//! catch.
+//! their link, so a divergence here means a link (the event heap, the
+//! wire encode/decode or the TCP framing) changed observable behaviour,
+//! which no amount of simulation coverage would catch.
 
-use std::sync::Arc;
+mod common;
 
 use bytes::Bytes;
 use trapezoid_quorum::cluster::transport::Transport;
 use trapezoid_quorum::cluster::{
-    ChannelTransport, Cluster, Envelope, Lane, LocalTransport, NetworkModel, NodeApi, NodeId, OpId,
-    Reply, Request, SimTransport, TcpNodeServer, TcpTransport,
+    Cluster, Envelope, Lane, LocalTransport, NetworkModel, NodeId, OpId, Reply, Request,
+    SimTransport,
 };
 
 /// A deterministic script touching every request variant, the absorbed
 /// duplicate/stale paths, and every node-level error the wire must
 /// carry faithfully. Envelope identities are fixed (not `fresh()`) so
-/// the four runs are bit-identical.
+/// the three runs are bit-identical.
 fn script() -> Vec<(usize, Envelope)> {
     let env = |n: u64, payload: Request| Envelope {
         op_id: OpId(0x5000 + n),
@@ -199,7 +197,7 @@ fn run(transport: &dyn Transport, script: &[(usize, Envelope)]) -> Vec<Reply> {
 }
 
 #[test]
-fn all_four_transports_are_observationally_identical() {
+fn all_three_transports_are_observationally_identical() {
     let cluster = Cluster::new(5);
     let script = script();
     // Every run starts from the *same* node instances, wiped (blocks
@@ -211,28 +209,19 @@ fn all_four_transports_are_observationally_identical() {
         cluster.clone()
     };
 
-    // The sequential reference, then the two in-process fabrics.
+    // The sequential reference, then the simulated fabric.
     let local = run(&LocalTransport::new(fresh(&cluster)), &script);
-    let channel = run(&ChannelTransport::new(fresh(&cluster)), &script);
     let sim = run(
         &SimTransport::with_model(fresh(&cluster), 42, NetworkModel::reliable()),
         &script,
     );
 
     // The same NodeApi objects behind real loopback TCP.
-    fresh(&cluster);
-    let servers: Vec<TcpNodeServer> = cluster
-        .nodes()
-        .map(|n| {
-            let api: Arc<dyn NodeApi> = n.clone();
-            TcpNodeServer::spawn(api, "127.0.0.1:0").expect("bind loopback server")
-        })
-        .collect();
-    let addrs = servers.iter().map(|s| s.local_addr()).collect();
-    let tcp = run(&TcpTransport::connect(addrs), &script);
+    let (_servers, tcp) = common::serve(&fresh(&cluster));
+    let tcp = run(&tcp, &script);
 
     assert_eq!(local.len(), script.len());
-    for (name, replies) in [("Channel", &channel), ("Sim", &sim), ("Tcp", &tcp)] {
+    for (name, replies) in [("Sim", &sim), ("Tcp", &tcp)] {
         assert_eq!(replies.len(), local.len());
         for (i, (l, r)) in local.iter().zip(replies).enumerate() {
             assert_eq!(
