@@ -1,19 +1,17 @@
 //! Figure 2 — write availability of TRAP-ERC vs node availability p.
 //!
 //! On start-up the figure's rows are printed to stderr (same series as
-//! `figures -- fig2`); the measured benchmarks cover the eq. 9 closed
-//! form and one hinted protocol write per sampled availability pattern.
+//! `figures -- fig2`); the measured benchmark covers the eq. 9 closed
+//! form.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use tq_bench::paper_config;
 use tq_quorum::availability;
 use tq_quorum::trapezoid::{TrapezoidShape, WriteThresholds};
-use tq_sim::monte_carlo::protocol_write_availability;
 use tq_sim::{experiments, report};
 
 fn print_figure() {
-    let fig = experiments::fig2_write_availability(10, 400, 0xF16);
+    let fig = experiments::fig2_write_availability(10);
     eprintln!("{}", report::to_markdown(&fig));
 }
 
@@ -38,21 +36,5 @@ fn bench_eq9_evaluation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_protocol_write_trials(c: &mut Criterion) {
-    let config = paper_config();
-    let mut group = c.benchmark_group("fig2/protocol_write_100_trials");
-    group.sample_size(10);
-    for p in [0.5f64, 0.9] {
-        group.bench_with_input(BenchmarkId::new("p", format!("{p}")), &p, |b, &p| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                protocol_write_availability(black_box(&config), p, 100, seed, true)
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_eq9_evaluation, bench_protocol_write_trials);
+criterion_group!(benches, bench_eq9_evaluation);
 criterion_main!(benches);

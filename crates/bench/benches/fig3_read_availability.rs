@@ -14,7 +14,7 @@ use tq_quorum::trapezoid::{TrapezoidShape, WriteThresholds};
 use tq_sim::{experiments, report};
 
 fn print_figure() {
-    let fig = experiments::fig3_read_availability(10, 400, 0xF17);
+    let fig = experiments::fig3_read_availability(10);
     eprintln!("{}", report::to_markdown(&fig));
 }
 

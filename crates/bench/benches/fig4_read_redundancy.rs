@@ -13,7 +13,7 @@ use tq_sim::{experiments, report};
 use tq_trapezoid::TrapErcClient;
 
 fn print_figure() {
-    let fig = experiments::fig4_read_redundancy(10, 400, 0xF18);
+    let fig = experiments::fig4_read_redundancy(10);
     eprintln!("{}", report::to_markdown(&fig));
 }
 

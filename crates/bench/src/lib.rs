@@ -7,7 +7,7 @@
 //!
 //! | target | regenerates | measures |
 //! |---|---|---|
-//! | `fig2_write_availability` | Fig. 2 rows | eq. 9 evaluation, hinted protocol writes |
+//! | `fig2_write_availability` | Fig. 2 rows | eq. 9 evaluation |
 //! | `fig3_read_availability` | Fig. 3 rows | eq. 10/13 evaluation, protocol reads FR vs ERC |
 //! | `fig4_read_redundancy` | Fig. 4 rows | eq. 13 across redundancy levels |
 //! | `fig5_storage_space` | Fig. 5 rows | stripe provisioning + storage accounting |

@@ -1,11 +1,11 @@
-//! Seeded fault injection — the paper's failure model, replayable.
+//! Fault injection — the paper's fail-stop failures, replayable.
 //!
 //! §IV assumes: (1) every node has the same availability `p`, (2) nodes
 //! fail independently, (3) failures are fail-stop, (4) links are perfect.
-//! [`FaultInjector`] realises (1)–(3) with a seeded RNG: each call to
-//! [`FaultInjector::sample_bernoulli`] draws a fresh i.i.d. availability
-//! pattern — the "state of the system at the moment an operation arrives"
-//! that the closed forms integrate over. [`FaultSchedule`] supports
+//! The availability figures integrate over every up-set exactly
+//! (`tq_quorum::exact`), so nothing here samples patterns by `p`.
+//! [`FaultInjector`] kills a seeded random set of exactly `f` nodes (the
+//! "exactly f failures" workloads), and [`FaultSchedule`] runs
 //! deterministic kill/revive scripts for failure-injection tests.
 
 use rand::rngs::StdRng;
@@ -13,36 +13,19 @@ use rand::{Rng, SeedableRng};
 
 use crate::cluster::Cluster;
 
-/// Seeded source of availability patterns for a cluster.
+/// Seeded source of failure sets for a cluster.
 #[derive(Debug)]
 pub struct FaultInjector {
     rng: StdRng,
 }
 
 impl FaultInjector {
-    /// Creates an injector with a fixed seed (same seed ⇒ same pattern
-    /// sequence ⇒ bit-for-bit reproducible experiments).
+    /// Creates an injector with a fixed seed (same seed ⇒ same failure
+    /// sets ⇒ bit-for-bit reproducible experiments).
     pub fn new(seed: u64) -> Self {
         FaultInjector {
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Draws an i.i.d. Bernoulli(`p`) availability pattern for `n` nodes.
-    ///
-    /// # Panics
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn bernoulli_pattern(&mut self, n: usize, p: f64) -> Vec<bool> {
-        assert!((0.0..=1.0).contains(&p), "p = {p} outside [0, 1]");
-        (0..n).map(|_| self.rng.random_bool(p)).collect()
-    }
-
-    /// Samples a pattern and applies it to the cluster; returns the
-    /// pattern for bookkeeping.
-    pub fn sample_bernoulli(&mut self, cluster: &Cluster, p: f64) -> Vec<bool> {
-        let pattern = self.bernoulli_pattern(cluster.len(), p);
-        cluster.apply_availability(&pattern);
-        pattern
     }
 
     /// Draws a uniformly random set of exactly `failures` distinct nodes
@@ -117,52 +100,31 @@ mod tests {
 
     #[test]
     fn same_seed_same_patterns() {
+        let (ca, cb) = (Cluster::new(20), Cluster::new(20));
         let mut a = FaultInjector::new(42);
         let mut b = FaultInjector::new(42);
-        for _ in 0..10 {
-            assert_eq!(a.bernoulli_pattern(20, 0.7), b.bernoulli_pattern(20, 0.7));
+        for f in 0..10 {
+            assert_eq!(a.kill_exactly(&ca, f), b.kill_exactly(&cb, f));
         }
     }
 
     #[test]
     fn different_seeds_diverge() {
+        let c = Cluster::new(30);
         let mut a = FaultInjector::new(1);
         let mut b = FaultInjector::new(2);
-        let pa: Vec<Vec<bool>> = (0..5).map(|_| a.bernoulli_pattern(30, 0.5)).collect();
-        let pb: Vec<Vec<bool>> = (0..5).map(|_| b.bernoulli_pattern(30, 0.5)).collect();
+        let pa: Vec<Vec<usize>> = (0..5).map(|_| a.kill_exactly(&c, 15)).collect();
+        let pb: Vec<Vec<usize>> = (0..5).map(|_| b.kill_exactly(&c, 15)).collect();
         assert_ne!(pa, pb);
-    }
-
-    #[test]
-    fn bernoulli_edge_probabilities() {
-        let mut inj = FaultInjector::new(7);
-        assert!(inj.bernoulli_pattern(50, 1.0).iter().all(|&b| b));
-        assert!(inj.bernoulli_pattern(50, 0.0).iter().all(|&b| !b));
-    }
-
-    #[test]
-    fn bernoulli_frequency_sane() {
-        let mut inj = FaultInjector::new(99);
-        let mut live = 0usize;
-        let trials = 2000;
-        for _ in 0..trials {
-            live += inj
-                .bernoulli_pattern(10, 0.8)
-                .iter()
-                .filter(|&&b| b)
-                .count();
-        }
-        let freq = live as f64 / (trials * 10) as f64;
-        assert!((freq - 0.8).abs() < 0.02, "empirical p = {freq}");
     }
 
     #[test]
     fn sample_applies_to_cluster() {
         let c = Cluster::new(10);
         let mut inj = FaultInjector::new(3);
-        let pattern = inj.sample_bernoulli(&c, 0.5);
-        for (i, &up) in pattern.iter().enumerate() {
-            assert_eq!(c.node(i).is_up(), up);
+        let killed = inj.kill_exactly(&c, 4);
+        for i in 0..10 {
+            assert_eq!(c.node(i).is_up(), !killed.contains(&i));
         }
     }
 

@@ -1357,15 +1357,19 @@ pub(crate) mod tests {
 
     #[test]
     fn tcp_lone_call_never_reuses_a_timed_out_connection() {
-        // Answers the first request it reads three budgets late and every
-        // later one at once, each connection on its own thread.
+        // Holds the first request it reads until the test releases it,
+        // after the second call has returned, and answers every later
+        // one at once, each connection on its own thread. A second call
+        // that reused the first connection would queue behind the held
+        // request and time out, whatever the schedule.
         let io_timeout = Duration::from_millis(200);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let first = Arc::new(AtomicBool::new(true));
+        let (release, released) = unbounded::<()>();
+        let gate = Arc::new(Mutex::new(Some(released)));
         std::thread::spawn(move || {
             for stream in listener.incoming().take(2) {
-                let (Ok(mut stream), first) = (stream, Arc::clone(&first)) else {
+                let (Ok(mut stream), gate) = (stream, Arc::clone(&gate)) else {
                     return;
                 };
                 std::thread::spawn(move || {
@@ -1373,8 +1377,9 @@ pub(crate) mod tests {
                         let Ok(Frame::Envelope(env)) = wire::decode_body(&header, &body) else {
                             return;
                         };
-                        if first.swap(false, Ordering::SeqCst) {
-                            std::thread::sleep(3 * io_timeout);
+                        let held = gate.lock().take();
+                        if let Some(released) = held {
+                            let _ = released.recv();
                         }
                         let reply = Reply {
                             op_id: env.op_id,
@@ -1399,17 +1404,14 @@ pub(crate) mod tests {
         assert_eq!(t.call(NodeId(0), Request::Ping), Err(NodeError::TimedOut));
         let waited = started.elapsed();
         assert!(
-            waited >= io_timeout && waited < 2 * io_timeout,
-            "TimedOut at the deadline: {waited:?}"
+            waited >= io_timeout,
+            "TimedOut before the deadline: {waited:?}"
         );
-        // Reusing the first connection would queue this call behind the
-        // stalled one and hand it the stale reply, or none in time.
         let env = Envelope::new(Request::Ping);
         let op_id = env.op_id;
-        let started = Instant::now();
         let reply = t.dispatch(NodeId(0), env);
+        release.send(()).unwrap();
         assert_eq!((reply.op_id, reply.result), (op_id, Ok(Response::Pong)));
-        assert!(started.elapsed() < io_timeout, "{:?}", started.elapsed());
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! The FR formulas are *exact* for the structural predicates in
 //! [`crate::trapezoid`] (levels are disjoint, hence independent); the ERC
 //! read formula is exact in its P1 term but approximates P2 by dropping
-//! the version check when `N_i` is down — `tq-sim` and
-//! [`crate::exact`] quantify that gap (see EXPERIMENTS.md).
+//! the version check when `N_i` is down — [`crate::exact`] quantifies
+//! that gap (the committed `figures/fig3.md` and `figures/validate.md`).
 //!
 //! Closed forms for the related-work baselines (majority, ROWA, grid,
 //! tree) are included for the comparison benches.

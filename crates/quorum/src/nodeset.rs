@@ -8,8 +8,7 @@ pub const MAX_NODES: usize = 128;
 /// A set of node indices `0..MAX_NODES` backed by a `u128` bitmask.
 ///
 /// Quorum predicates are pure functions `NodeSet → bool`; keeping the set
-/// in one word makes exhaustive 2^N enumeration and Monte-Carlo sampling
-/// allocation-free.
+/// in one word makes exhaustive 2^N enumeration allocation-free.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct NodeSet(u128);
 

@@ -2,13 +2,16 @@
 //!
 //! ```text
 //! cargo run --release -p tq-sim --bin figures -- all
-//! cargo run --release -p tq-sim --bin figures -- fig3 --steps 20 --trials 4000
+//! cargo run --release -p tq-sim --bin figures -- fig3 --steps 40
 //! ```
 //!
 //! Markdown goes to stdout; CSV + markdown files land in `--out`
-//! (default `figures/`).
+//! (default `figures/`). Every value is a closed form, an exact
+//! enumeration or a measurement of a provisioned cluster, so the output
+//! is the same on every run: `figures all` regenerates the committed
+//! `figures/` byte for byte.
 
-// Replays bit-for-bit from its seeds, as the library does.
+// Deterministic, as the library is.
 #![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 use std::path::PathBuf;
@@ -21,16 +24,12 @@ struct Args {
     targets: Vec<String>,
     out: PathBuf,
     steps: usize,
-    trials: usize,
-    seed: u64,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut targets = Vec::new();
     let mut out = PathBuf::from("figures");
     let mut steps = 20usize;
-    let mut trials = 2000usize;
-    let mut seed = 0xE5C0DEu64;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -41,20 +40,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--steps needs a value")?
                     .parse()
                     .map_err(|e| format!("--steps: {e}"))?
-            }
-            "--trials" => {
-                trials = it
-                    .next()
-                    .ok_or("--trials needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--trials: {e}"))?
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
             }
             t @ ("fig1" | "fig2" | "fig3" | "fig4" | "fig5" | "validate" | "baselines" | "all") => {
                 targets.push(t.to_string())
@@ -69,8 +54,6 @@ fn parse_args() -> Result<Args, String> {
         targets,
         out,
         steps,
-        trials,
-        seed,
     })
 }
 
@@ -81,7 +64,7 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: figures [fig1|fig2|fig3|fig4|fig5|baselines|validate|all]... \
-                 [--out DIR] [--steps N] [--trials N] [--seed N]"
+                 [--out DIR] [--steps N]"
             );
             return ExitCode::FAILURE;
         }
@@ -95,27 +78,15 @@ fn main() -> ExitCode {
     }
     if wants("fig2") {
         eprintln!("[figures] fig2: write availability sweep...");
-        figures.push(experiments::fig2_write_availability(
-            args.steps,
-            args.trials,
-            args.seed,
-        ));
+        figures.push(experiments::fig2_write_availability(args.steps));
     }
     if wants("fig3") {
         eprintln!("[figures] fig3: read availability FR vs ERC...");
-        figures.push(experiments::fig3_read_availability(
-            args.steps,
-            args.trials,
-            args.seed + 1,
-        ));
+        figures.push(experiments::fig3_read_availability(args.steps));
     }
     if wants("fig4") {
         eprintln!("[figures] fig4: redundancy sweep...");
-        figures.push(experiments::fig4_read_redundancy(
-            args.steps,
-            args.trials,
-            args.seed + 2,
-        ));
+        figures.push(experiments::fig4_read_redundancy(args.steps));
     }
     if wants("fig5") {
         eprintln!("[figures] fig5: storage accounting...");
@@ -127,7 +98,7 @@ fn main() -> ExitCode {
     }
     if wants("validate") {
         eprintln!("[figures] validate: closed forms vs exact vs protocol...");
-        figures.push(experiments::validation_table(args.trials, args.seed + 3));
+        figures.push(experiments::validation_table());
     }
 
     for fig in &figures {

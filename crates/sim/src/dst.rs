@@ -1,6 +1,6 @@
 //! Deterministic simulation testing (DST) for the store protocols.
 //!
-//! The Monte-Carlo layers of this crate measure *availability* under the
+//! The figures of this crate compute *availability* exactly under the
 //! paper's i.i.d. fail-stop model. This module attacks *consistency*
 //! under schedules that model never produces: message loss, duplication
 //! and reordering, asymmetric partitions, crash-restart with durable or

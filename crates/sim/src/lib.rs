@@ -1,20 +1,17 @@
-//! # tq-sim — Monte-Carlo validation and figure regeneration
+//! # tq-sim — exact figure regeneration and deterministic simulation
 //!
 //! The paper's §IV-D evaluates the closed forms of §IV-A/B/C numerically
-//! (Figs. 2–5). This crate regenerates every one of those figures and
-//! goes two steps further, cross-validating each closed form against:
+//! (Figs. 2–5). [`experiments`] regenerates every one of those figures
+//! and sets each closed form beside the exact availability it models:
+//! the count of successful up-sets by size (`tq_quorum::exact`), over
+//! all 2ⁿ up-sets, of the structural predicate — which the availability
+//! oracle (`tests/availability_oracle.rs`) proves is also where the
+//! *shipped* client succeeds: a read ⇔ the read predicate, a hinted
+//! write ⇔ the write predicate, a faithful write ⇔ both.
 //!
-//! 1. **exact enumeration** (`tq_quorum::exact`) of the structural
-//!    predicates — feasible for the paper's n = 15;
-//! 2. **protocol-level Monte-Carlo** — the *real* Algorithms 1/2 from
-//!    `tq-trapezoid` executed against a `tq-cluster` whose availability
-//!    pattern is re-sampled i.i.d. Bernoulli(p) per trial, exactly the
-//!    model the formulas integrate over.
-//!
-//! Layer 2 is where the paper's approximations become visible: eq. 13's
+//! That is where the paper's approximations become visible: eq. 13's
 //! P2 term drops the version check, and eq. 9 ignores Algorithm 1's
-//! embedded READBLOCK. [`monte_carlo`] measures both gaps;
-//! EXPERIMENTS.md records them.
+//! embedded READBLOCK. The committed `figures/*.md` record both gaps.
 //!
 //! Beyond the paper's evaluation, [`dst`] adds deterministic simulation
 //! testing: seeded adversarial network schedules (loss, duplication,
@@ -29,17 +26,15 @@
 // unsafe_code is forbidden workspace-wide (see [workspace.lints] in the
 // root Cargo.toml), so no module of this crate can re-allow it.
 #![warn(missing_docs)]
-// Determinism: a DST case and a figure replay bit-for-bit from their
-// seed, so nothing here reads a wall clock, sleeps a thread, draws OS
-// entropy or hashes with a random seed (clippy.toml names each). Test
-// code is exempt.
+// Determinism: a DST case replays bit-for-bit from its seed and a
+// figure regenerates byte for byte, so nothing here reads a wall clock,
+// sleeps a thread, draws OS entropy or hashes with a random seed
+// (clippy.toml names each). Test code is exempt.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod dst;
 pub mod experiments;
-pub mod monte_carlo;
 pub mod report;
 
 pub use dst::{CaseConfig, CaseReport, HistoryChecker, Scenario, Violation};
 pub use experiments::FigureData;
-pub use monte_carlo::{Estimate, MonteCarlo};

@@ -1,24 +1,19 @@
 //! Availability study: the paper's Fig. 3 comparison, live at your
-//! terminal — closed forms (eqs. 10 and 13) against the *executed*
-//! protocols under sampled fail-stop faults.
+//! terminal — closed forms (eqs. 9, 10 and 13) against the exact read
+//! availability of the TRAP-ERC client, counted over all 2^15 up-sets.
 //!
 //! ```text
-//! cargo run --release --example availability_study [trials]
+//! cargo run --release --example availability_study
 //! ```
 
-use trapezoid_quorum::quorum::availability;
-use trapezoid_quorum::sim::monte_carlo;
+use trapezoid_quorum::quorum::exact::{availability_from_counts, exact_counts};
+use trapezoid_quorum::quorum::{availability, QuorumSystem};
 use trapezoid_quorum::{Cluster, LocalTransport, QuorumStore, Store};
 
 fn main() {
-    let trials: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2000);
-
     // The reconstructed Fig. 3 configuration: (15, 8) stripe, trapezoid
     // a=0, b=4, h=1 (levels of 4 and 4), w = 2. The builder is the one
-    // place the deployment is described; the simulator reuses the
+    // place the deployment is described; the exact count reuses the
     // resulting validated config.
     let client = Store::trap_erc(15, 8)
         .shape(0, 4, 1)
@@ -28,31 +23,35 @@ fn main() {
         .expect("valid parameters");
     let config = client.config().clone();
     let (shape, th) = (*config.shape(), config.thresholds().clone());
-    println!("configuration: {config}");
-    println!("trials per point: {trials}\n");
+    println!("configuration: {config}\n");
+
+    // The client's read succeeds on exactly the up-sets where block 0's
+    // read predicate holds (tests/availability_oracle.rs), so counting
+    // those up-sets once by size gives its availability at every p.
+    let sys = config.system_for_block(0);
+    let erc_counts = exact_counts(15, |up| sys.is_read_available(up));
+    println!("successful ERC read up-sets by live-node count: {erc_counts:?}\n");
 
     println!(
-        "{:>5} | {:>9} {:>9} | {:>9} {:>9} | {:>9} {:>9}",
-        "p", "eq10 FR", "sim FR", "eq13 ERC", "sim ERC", "eq9 write", "sim write"
+        "{:>5} | {:>9} | {:>9} {:>9} | {:>9}",
+        "p", "eq10 FR", "eq13 ERC", "exact ERC", "eq9 write"
     );
-    println!("{}", "-".repeat(72));
+    println!("{}", "-".repeat(52));
     for i in 1..10 {
         let p = i as f64 / 10.0;
-        let fr_analytic = availability::read_availability_fr(&shape, &th, p);
-        let fr_sim = monte_carlo::protocol_fr_read_availability(&shape, &th, p, trials, 100 + i);
         let erc_analytic = availability::read_availability_erc(&shape, &th, 15, 8, p);
-        let erc_sim = monte_carlo::protocol_read_availability(&config, p, trials, 200 + i);
-        let w_analytic = availability::write_availability(&shape, &th, p);
-        let w_sim = monte_carlo::protocol_write_availability(&config, p, trials, 300 + i, true);
+        let erc_exact = availability_from_counts(&erc_counts, p);
+        assert!(
+            erc_exact <= erc_analytic + 1e-12,
+            "eq. 13 upper-bounds the client"
+        );
         println!(
-            "{:>5.2} | {:>9.4} {:>9.4} | {:>9.4} {:>9.4} | {:>9.4} {:>9.4}",
+            "{:>5.2} | {:>9.4} | {:>9.4} {:>9.4} | {:>9.4}",
             p,
-            fr_analytic,
-            fr_sim.mean(),
+            availability::read_availability_fr(&shape, &th, p),
             erc_analytic,
-            erc_sim.mean(),
-            w_analytic,
-            w_sim.mean()
+            erc_exact,
+            availability::write_availability(&shape, &th, p),
         );
     }
 

@@ -11,7 +11,7 @@
 //! | quorum systems + availability analysis | `tq-quorum` | [`quorum`] |
 //! | simulated storage substrate | `tq-cluster` | [`cluster`] |
 //! | TRAP-ERC / TRAP-FR protocols | `tq-trapezoid` | [`protocol`] |
-//! | Monte-Carlo + figure regeneration | `tq-sim` | [`sim`] |
+//! | exact figure regeneration + DST | `tq-sim` | [`sim`] |
 //!
 //! The most common types are also lifted to the crate root — above all
 //! the unified store API ([`Store`], [`QuorumStore`], [`BlockAddr`]),
@@ -23,7 +23,7 @@
 //! * `virtual_disk` — the paper's motivating scenario: a VM disk image
 //!   with strict consistency over erasure-coded storage.
 //! * `availability_study` — regenerate the Fig. 3 comparison at the
-//!   terminal, analytic vs simulated.
+//!   terminal, closed forms vs the client's exact availability.
 //! * `failure_injection` — scripted fail-stop scenarios showing exactly
 //!   when writes fail and how reads survive via decode.
 //! * `node_replacement` — rebuild a replaced node under live traffic.
