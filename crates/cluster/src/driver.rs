@@ -54,8 +54,7 @@ pub(crate) trait Link {
 struct Slot {
     node: NodeId,
     env: Envelope,
-    /// When the call is declared dead ([`NEVER`] on a fabric without a
-    /// budget).
+    /// When the call is declared dead.
     deadline: u64,
     /// When the same envelope is re-issued ([`NEVER`]: not armed, or
     /// already decided).
@@ -69,8 +68,7 @@ struct Slot {
 /// completed or the sink returns `false`. Either way the link is closed
 /// on return.
 ///
-/// `budget` is the fabric's fixed round-trip allowance per call (`None`:
-/// the fabric never times a call out). With a
+/// `budget` is the fabric's fixed round-trip allowance per call. With a
 /// [`HedgePolicy`](crate::health::HedgePolicy) armed the per-node
 /// estimate tightens it — never loosens it — and a foreground call to a
 /// node not flagged as a straggler is re-issued once, same envelope,
@@ -82,38 +80,29 @@ struct Slot {
 /// from the budget.
 ///
 /// Replies are matched by [`OpId`]. A call completes on its first reply
-/// (an `Ok` feeds the latency estimator — unless the fabric has no
-/// budget and the policy is `Off`, when nothing would read it; outcomes
-/// are fed once, by the quorum engine); a call that completes after its hedge fired counts as
-/// a hedge win — both copies carry one identity, so that is the one
-/// rule — and the loser of the pair is absorbed as a duplicate. A reply
+/// (an `Ok` feeds the latency estimator under every policy, so arming one
+/// starts warm; outcomes are fed once, by the quorum engine); a call
+/// that completes after its hedge fired counts as a hedge win — both
+/// copies carry one identity, so that is the one rule — and the loser of
+/// the pair is absorbed as a duplicate. A reply
 /// to an op id this round never issued is forwarded uncounted: the sink
 /// ignores strangers by identity. A call that outlives its deadline
 /// yields [`NodeError::TimedOut`] under the envelope's identity.
 pub(crate) fn drive(
     mut link: impl Link,
     health: &NodeHealth,
-    budget: Option<u64>,
+    budget: u64,
     calls: Vec<(NodeId, Envelope)>,
     sink: &mut dyn FnMut(RoundReply) -> bool,
 ) {
     let start = link.now();
-    health.advance_now(start);
     let armed = health.hedging_enabled();
-    // The estimate shapes deadlines and hedges. A fabric that keeps no
-    // deadline, under a policy that arms no hedge, has no reader for it:
-    // its replies are not sampled, and an estimator taught directly stays
-    // exactly as taught. Both shipped fabrics keep a budget, so they
-    // sample always and arming starts warm.
-    let sampling = armed || budget.is_some();
     let mut by_op: DetHashMap<OpId, usize> = DetHashMap::default();
     let mut slots: Vec<Slot> = Vec::with_capacity(calls.len());
     for (node, env) in calls {
         link.send(node, &env);
-        let deadline = budget.map_or(NEVER, |fixed| {
-            let adaptive = armed.then(|| health.timeout_for(node.0)).flatten();
-            start.saturating_add(adaptive.map_or(fixed, |t| t.min(fixed)))
-        });
+        let adaptive = armed.then(|| health.timeout_for(node.0)).flatten();
+        let deadline = start.saturating_add(adaptive.map_or(budget, |t| t.min(budget)));
         let hedge_at = (armed && env.lane == Lane::Foreground && !health.straggler(node.0))
             .then(|| health.hedge_delay(node.0))
             .flatten()
@@ -145,7 +134,6 @@ pub(crate) fn drive(
     while open > 0 {
         let received = link.recv(wake);
         let now = link.now();
-        health.advance_now(now);
         let Some(reply) = received else {
             if wake == NEVER {
                 return; // nothing in flight and nothing to wait out
@@ -185,7 +173,7 @@ pub(crate) fn drive(
             Some(s) => {
                 s.done = true;
                 open -= 1;
-                if sampling && reply.result.is_ok() {
+                if reply.result.is_ok() {
                     health.record_sample(s.node.0, now.saturating_sub(start).max(1));
                 }
                 if s.hedged {
@@ -205,7 +193,7 @@ pub(crate) fn drive(
 pub(crate) fn drive_one(
     link: impl Link,
     health: &NodeHealth,
-    budget: Option<u64>,
+    budget: u64,
     node: NodeId,
     env: Envelope,
 ) -> Reply {
@@ -231,7 +219,7 @@ mod tests {
     //! clock: no threads, no sockets, no RNG.
 
     use super::*;
-    use crate::health::{HedgeCounters, HedgePolicy, Outcome};
+    use crate::health::{HedgeCounters, HedgePolicy};
     use crate::rpc::{Request, Response};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -324,11 +312,18 @@ mod tests {
         health
     }
 
+    /// An answer delay for a node warmed at 100: past its hedge delay,
+    /// inside its adaptive deadline.
+    fn late(health: &NodeHealth) -> Option<u64> {
+        let (delay, timeout) = (health.hedge_delay(0), health.timeout_for(0));
+        Some((delay.expect("warm") + timeout.expect("warm")) / 2)
+    }
+
     /// Drives `calls` to the end, collecting what the sink saw.
     fn run(
         s: &Rc<RefCell<Script>>,
         health: &NodeHealth,
-        budget: Option<u64>,
+        budget: u64,
         calls: Vec<(NodeId, Envelope)>,
     ) -> Vec<RoundReply> {
         let mut seen = Vec::new();
@@ -345,29 +340,12 @@ mod tests {
     fn off_policy_arms_nothing_and_draws_nothing() {
         let health = warmed(HedgePolicy::Off, &[0], 100);
         let s = script(&[&[Some(50_000)]]);
-        let seen = run(&s, &health, Some(BUDGET), pings(&[0]));
+        let seen = run(&s, &health, BUDGET, pings(&[0]));
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0].result, Ok(Response::Pong));
         assert_eq!(s.borrow().sent, vec![(0, 0)], "one send, no re-issue");
         assert_eq!(s.borrow().now, 50_000, "the fixed budget, not the estimate");
         assert_eq!(health.hedge_counters(), HedgeCounters::default());
-    }
-
-    #[test]
-    fn replies_are_sampled_only_where_the_estimate_has_a_reader() {
-        let sampled = |policy, budget| {
-            let health = NodeHealth::sim_scale();
-            health.set_policy(policy);
-            run(&script(&[&[Some(100)]]), &health, budget, pings(&[0]));
-            health.snapshot().len()
-        };
-        assert_eq!(
-            sampled(HedgePolicy::Off, Some(BUDGET)),
-            1,
-            "arming starts warm"
-        );
-        assert_eq!(sampled(HedgePolicy::P99, None), 1);
-        assert_eq!(sampled(HedgePolicy::Off, None), 0, "taught only directly");
     }
 
     #[test]
@@ -381,14 +359,14 @@ mod tests {
         // Both copies are lost: the hedge goes out at exactly the hedge
         // delay and the call dies at the adaptive deadline.
         let s = script(&[&[]]);
-        let seen = run(&s, &health, Some(BUDGET), pings(&[0]));
+        let seen = run(&s, &health, BUDGET, pings(&[0]));
         assert_eq!(s.borrow().sent, vec![(0, 0), (delay, 0)]);
         assert_eq!(seen[0].result, Err(NodeError::TimedOut));
         assert_eq!(s.borrow().now, timeout);
         assert_eq!(health.hedge_counters().fired, 1);
         // A fabric budget that expires with the hedge delay: no hedge.
         let s = script(&[&[]]);
-        run(&s, &health, Some(delay), pings(&[0]));
+        run(&s, &health, delay, pings(&[0]));
         assert_eq!(s.borrow().sent, vec![(0, 0)]);
         assert_eq!(s.borrow().now, delay);
         assert_eq!(health.hedge_counters().fired, 1);
@@ -399,8 +377,8 @@ mod tests {
         let health = warmed(HedgePolicy::P99, &[0], 100);
         while health.try_spend(Lane::Foreground) {}
         let spent = health.hedge_counters().retries;
-        let s = script(&[&[Some(50_000)]]);
-        let seen = run(&s, &health, None, pings(&[0]));
+        let s = script(&[&[late(&health)]]);
+        let seen = run(&s, &health, NEVER, pings(&[0]));
         assert_eq!(seen[0].result, Ok(Response::Pong));
         assert_eq!(s.borrow().sent.len(), 1);
         let after = health.hedge_counters();
@@ -415,11 +393,11 @@ mod tests {
             health.record_sample(3, 1_000);
         }
         assert!(health.straggler(3) && !health.straggler(0));
-        let slow: &[Option<u64>] = &[Some(50_000), Some(50_000)];
+        let slow: &[Option<u64>] = &[late(&health), late(&health)];
         let s = script(&[slow, slow, slow, slow]);
         let mut calls = pings(&[0, 3]);
         calls.push((NodeId(1), Envelope::new(Request::Ping).background()));
-        let seen = run(&s, &health, None, calls);
+        let seen = run(&s, &health, NEVER, calls);
         assert_eq!(seen.len(), 3);
         let resent: Vec<usize> = s.borrow().sent[3..].iter().map(|&(_, n)| n).collect();
         assert_eq!(resent, vec![0], "only the unflagged foreground call");
@@ -432,7 +410,7 @@ mod tests {
         // Node 0's first copy crawls, its hedge copy answers at once;
         // cold node 1 keeps the round open until the loser has landed.
         let s = script(&[&[Some(5_000), Some(50)], &[Some(6_000)]]);
-        let seen = run(&s, &health, None, pings(&[0, 1]));
+        let seen = run(&s, &health, NEVER, pings(&[0, 1]));
         let nodes: Vec<usize> = seen.iter().map(|r| r.node.0).collect();
         assert_eq!(nodes, vec![0, 1], "each call completes exactly once");
         let c = health.hedge_counters();
@@ -452,15 +430,11 @@ mod tests {
         s.borrow_mut().inflight.push((10, stranger.clone()));
         let calls = pings(&[0]);
         let own = calls[0].1.op_id;
-        let seen = run(&s, &health, Some(BUDGET), calls);
+        let seen = run(&s, &health, BUDGET, calls);
         assert_eq!(seen.len(), 2);
         assert_eq!(seen[0], stranger, "forwarded as it came");
         assert_eq!(seen[1].op_id, own, "and the round went on waiting");
-        assert_eq!(
-            health.snapshot().len(),
-            1,
-            "one sample: the round's own call"
-        );
+        assert_eq!(health.samples(0), 1, "one sample: the round's own call");
     }
 
     #[test]
@@ -469,7 +443,7 @@ mod tests {
         let s = script(&[&[], &[Some(10)]]);
         let calls = pings(&[0, 1]);
         let lost = calls[0].1.clone();
-        let seen = run(&s, &health, Some(1_000), calls);
+        let seen = run(&s, &health, 1_000, calls);
         assert_eq!(seen.len(), 2);
         assert_eq!(
             seen[1],
@@ -484,15 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn a_fabric_without_a_budget_never_times_out() {
-        let health = warmed(HedgePolicy::P99, &[0], 100);
-        let s = script(&[&[Some(1 << 50), None]]);
-        let seen = run(&s, &health, None, pings(&[0]));
-        assert_eq!(seen.len(), 1);
-        assert_eq!(seen[0].result, Ok(Response::Pong), "armed or not");
-    }
-
-    #[test]
     fn the_sink_returning_false_ends_the_round_and_closes_the_link() {
         let health = NodeHealth::sim_scale();
         let s = script(&[&[Some(10)], &[Some(20)], &[Some(30)]]);
@@ -500,7 +465,7 @@ mod tests {
         drive(
             ScriptLink(Rc::clone(&s)),
             &health,
-            Some(BUDGET),
+            BUDGET,
             pings(&[0, 1, 2]),
             &mut |_| {
                 seen += 1;
@@ -518,23 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn the_health_clock_follows_the_links_clock() {
-        let health = NodeHealth::sim_scale();
-        let threshold = crate::health::HealthConfig::sim_scale().circuit_threshold;
-        let cooldown = crate::health::HealthConfig::sim_scale().circuit_cooldown;
-        for _ in 0..threshold {
-            health.record_outcome(0, Outcome::Unavailable { timed_out: false });
-        }
-        assert!(!health.allow(0), "tripped at instant 0");
-        // A round on some other node, during which the link's clock
-        // passes the cooldown.
-        let s = script(&[&[], &[Some(cooldown)]]);
-        run(&s, &health, None, pings(&[1]));
-        assert!(health.allow(0), "cooled down: one canary");
-        assert!(!health.allow(0), "and only one");
-    }
-
-    #[test]
     fn drive_one_keeps_its_own_reply_and_lets_strangers_pass() {
         let health = NodeHealth::sim_scale();
         let s = script(&[&[Some(100)]]);
@@ -547,13 +495,7 @@ mod tests {
         s.borrow_mut().inflight.push((10, stranger));
         let env = Envelope::in_epoch(Request::Ping, 9);
         let (op_id, round_epoch) = (env.op_id, env.round_epoch);
-        let reply = drive_one(
-            ScriptLink(Rc::clone(&s)),
-            &health,
-            Some(BUDGET),
-            NodeId(0),
-            env,
-        );
+        let reply = drive_one(ScriptLink(Rc::clone(&s)), &health, BUDGET, NodeId(0), env);
         assert_eq!(
             reply,
             Reply {

@@ -34,13 +34,13 @@
 //!   level's requests issued at once through [`transport::Transport::multicall`],
 //!   completed on the paper's `w_l`/`r_l` quorum condition, stragglers
 //!   and failures reported for accounting.
-//! * [`fault`] — seeded Bernoulli availability sampling and fault
-//!   schedules, so every experiment is replayable bit-for-bit.
+//! * [`fault`] — seeded fail-stop fault patterns and schedules, so every
+//!   experiment is replayable bit-for-bit.
 //! * [`health`] — the adaptive straggler-tolerance layer: per-node
 //!   latency/variance estimation ([`health::NodeHealth`]) driving
-//!   adaptive timeouts and hedged sends, circuit breaking for gray
-//!   nodes, and the token-bucket [`health::RetryBudget`] capping all
-//!   client-side re-issue traffic.
+//!   adaptive timeouts and hedged sends, a consecutive-failure circuit
+//!   that routes reads around unreachable nodes, and a token-bucket
+//!   retry budget capping all client-side re-issue traffic.
 //! * [`sim`] — the deterministic simulation transport
 //!   ([`sim::SimTransport`]): a seeded virtual-time event scheduler that
 //!   drives the same fan-outs through an adversarial [`sim::NetworkModel`]
@@ -104,10 +104,7 @@ pub mod wire;
 
 pub use cluster::Cluster;
 pub use fault::FaultInjector;
-pub use health::{
-    CircuitState, HealthConfig, HedgeCounters, HedgePolicy, NodeHealth, NodeSnapshot, Outcome,
-    RetryBudget,
-};
+pub use health::{HedgeCounters, HedgePolicy, NodeHealth};
 pub use node::{NodeBuilder, NodeId, StorageNode};
 pub use quorum_round::{
     Accepted, Completion, MultiRound, PlanOp, QuorumRound, Rejected, RoundOutcome,

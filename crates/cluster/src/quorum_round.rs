@@ -33,7 +33,7 @@
 //!   reported as [`RoundOutcome::abandoned`] stragglers.
 
 use crate::detmap::DetHashMap;
-use crate::health::{HedgeCounters, NodeHealth};
+use crate::health::NodeHealth;
 use crate::node::NodeId;
 use crate::rpc::{next_round_epoch, Envelope, Lane, NodeError, OpId, Request, Response};
 use crate::transport::Transport;
@@ -83,12 +83,6 @@ pub struct RoundOutcome {
     /// delivered and executed; on the sequential transport they were
     /// never issued.
     pub abandoned: Vec<NodeId>,
-    /// Hedge activity the transport attributed to this round (zero on
-    /// transports without a health registry, and whenever hedging is
-    /// off). For a fused plan ([`MultiRound::run`]) the plan-level
-    /// totals land on the *first* op's outcome — the transport cannot
-    /// split concurrent hedge activity per fused op.
-    pub hedges: HedgeCounters,
 }
 
 impl RoundOutcome {
@@ -194,16 +188,16 @@ impl QuorumRound {
 }
 
 /// Feed a completed round's per-node outcomes into the health registry:
-/// every accept is a success, every reject is classified (availability
-/// failures drive the circuit breaker; app-level refusals count as a
-/// live node). Abandoned members are *not* failures — their answers
-/// were simply not needed.
+/// every accept is a success, every reject is classified there
+/// (availability failures extend the node's failure run; app-level
+/// refusals count as a live node). Abandoned members are *not*
+/// failures — their answers were simply not needed.
 fn feed_health(health: &NodeHealth, outcome: &RoundOutcome) {
     for a in &outcome.accepted {
-        health.record_outcome(a.node.0, crate::health::Outcome::Ok);
+        health.record(a.node.0, Ok(()));
     }
     for r in &outcome.rejected {
-        health.record_error(r.node.0, &r.error);
+        health.record(r.node.0, Err(&r.error));
     }
 }
 
@@ -257,7 +251,6 @@ impl MultiRound {
                 accepted: Vec::new(),
                 rejected: Vec::new(),
                 abandoned: Vec::new(),
-                hedges: HedgeCounters::default(),
             })
             .collect();
         let completions: Vec<Completion> = ops.iter().map(|op| op.round.completion()).collect();
@@ -280,7 +273,6 @@ impl MultiRound {
                 flat.push((node, env));
             }
         }
-        let hedges_before = transport.health().map(|h| h.hedge_counters());
 
         // An op with nothing left to prove is complete up front: a
         // zero-threshold first-quorum op, or any op with no calls.
@@ -349,10 +341,6 @@ impl MultiRound {
             }
         }
         if let Some(health) = transport.health() {
-            if let (Some(before), Some(first)) = (hedges_before, outcomes.first_mut()) {
-                // Plan-level attribution: see `RoundOutcome::hedges`.
-                first.hedges = health.hedge_counters().since(&before);
-            }
             for outcome in &outcomes {
                 feed_health(health, outcome);
             }

@@ -78,12 +78,13 @@ pub fn next_round_epoch() -> u64 {
 
 /// Priority lane a command travels in.
 ///
-/// Foreground is client-visible work; Background is maintenance (scrub,
-/// rebuild, replacement fetches). Transports and the retry budget use
+/// Foreground is client-visible work, reads' replacement fetches
+/// included; Background is maintenance (scrub's salvage gather, residue
+/// poll, parity audit and push). Transports and the retry budget use
 /// the lane to make maintenance traffic yield to foreground ops: hedges
 /// are only fired for foreground sends, and background retries must
 /// leave a foreground token reserve (see
-/// [`RetryBudget`](crate::health::RetryBudget)). On the wire the lane
+/// [`NodeHealth::try_spend`](crate::health::NodeHealth::try_spend)). On the wire the lane
 /// travels as header flag bit `0x0001`; foreground (the default)
 /// encodes as 0, so frames from pre-lane peers decode as foreground and
 /// foreground frames are byte-identical to pre-lane encodings.

@@ -854,13 +854,13 @@ impl Transport for SimTransport {
     fn dispatch(&self, node: NodeId, env: Envelope) -> Reply {
         let link = self.link();
         let budget = link.st.model.timeout;
-        drive_one(link, &self.health, Some(budget), node, env)
+        drive_one(link, &self.health, budget, node, env)
     }
 
     fn multicall(&self, calls: Vec<(NodeId, Envelope)>, sink: &mut dyn FnMut(RoundReply) -> bool) {
         let link = self.link();
         let budget = link.st.model.timeout;
-        drive(link, &self.health, Some(budget), calls, sink)
+        drive(link, &self.health, budget, calls, sink)
     }
 
     fn health(&self) -> Option<&NodeHealth> {
@@ -1538,11 +1538,12 @@ mod tests {
             t.health_registry().hedge_counters(),
             crate::health::HedgeCounters::default()
         );
-        let snap = t.health_registry().snapshot();
-        assert!(
-            snap.iter().any(|s| s.timeout.is_some()),
-            "RTT samples warmed the estimator even while dormant: {snap:?}"
-        );
+        for node in 0..2 {
+            assert!(
+                t.health_registry().timeout_for(node).is_some(),
+                "RTT samples warmed node {node}'s estimator even while dormant"
+            );
+        }
     }
 
     #[test]

@@ -641,9 +641,8 @@ impl TcpTransport {
     }
 
     /// The health registry behind this transport — arm a hedge policy
-    /// for hedged re-issue and adaptive per-node deadlines, inspect
-    /// snapshots, or share the retry budget with other clients of the
-    /// same cluster.
+    /// for hedged re-issue and adaptive per-node deadlines, or read its
+    /// hedge counters.
     pub fn health_registry(&self) -> &Arc<NodeHealth> {
         &self.inner.health
     }
@@ -655,8 +654,8 @@ impl TcpTransport {
     }
 
     /// The fabric's fixed round-trip budget.
-    fn budget(&self) -> Option<u64> {
-        Some(self.inner.cfg.io_timeout.as_nanos() as u64)
+    fn budget(&self) -> u64 {
+        self.inner.cfg.io_timeout.as_nanos() as u64
     }
 
     /// A relayed round's link.

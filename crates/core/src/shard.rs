@@ -236,10 +236,11 @@ impl<S: QuorumStore> ShardedStore<S> {
     /// serving untouched. Must run quiesced like [`QuorumStore::scrub`].
     ///
     /// The per-stripe scrubs inherit the underlying store's maintenance
-    /// behaviour: their rounds travel the background lane and, with an
-    /// armed health registry on the shard's transport, route repair
-    /// fetches toward healthy members — so scrubbing one shard steals
-    /// as little as possible from foreground traffic on the others.
+    /// behaviour: their salvage, audit and push rounds travel the
+    /// background lane, and with a health registry on the shard's
+    /// transport their read plan's replacement fetches prefer healthy
+    /// members — so scrubbing one shard steals as little as possible
+    /// from foreground traffic on the others.
     ///
     /// # Errors
     /// Stops at the first stripe that cannot be read back.

@@ -165,14 +165,6 @@ pub struct RoundStats {
     pub rejected: usize,
     /// Members whose replies were never awaited (stragglers).
     pub abandoned: usize,
-    /// Speculative hedge re-issues the transport fired for this round
-    /// (zero without an armed health registry).
-    pub hedges_fired: usize,
-    /// Completions won by the hedge copy arriving first.
-    pub hedges_won: usize,
-    /// Budgeted retries the round's traffic spent (hedges and other
-    /// re-dispatches drawing on the shared [`tq_cluster::RetryBudget`]).
-    pub retries_spent: usize,
 }
 
 /// Per-operation network accounting: one entry per scatter-gather round
@@ -223,21 +215,6 @@ impl OpReport {
         self.rounds.iter().filter(|r| r.level == Some(l)).count()
     }
 
-    /// Total hedge re-issues the operation's rounds fired.
-    pub fn hedges_fired(&self) -> usize {
-        self.rounds.iter().map(|r| r.hedges_fired).sum()
-    }
-
-    /// Total completions won by a hedge copy.
-    pub fn hedges_won(&self) -> usize {
-        self.rounds.iter().map(|r| r.hedges_won).sum()
-    }
-
-    /// Total budgeted retries the operation spent.
-    pub fn retries_spent(&self) -> usize {
-        self.rounds.iter().map(|r| r.retries_spent).sum()
-    }
-
     /// Records one fused round covering `outcomes.len()` logical ops (a
     /// single-op round is a plan of one).
     pub(crate) fn absorb_fused(&mut self, level: Option<usize>, outcomes: &[RoundOutcome]) {
@@ -248,19 +225,12 @@ impl OpReport {
             accepted: 0,
             rejected: 0,
             abandoned: 0,
-            hedges_fired: 0,
-            hedges_won: 0,
-            retries_spent: 0,
         };
         for o in outcomes {
             stats.sent += o.accepted.len() + o.rejected.len();
             stats.accepted += o.accepted.len();
             stats.rejected += o.rejected.len();
             stats.abandoned += o.abandoned.len();
-            // Plan-level hedge totals land on the first op's outcome.
-            stats.hedges_fired += o.hedges.fired as usize;
-            stats.hedges_won += o.hedges.won as usize;
-            stats.retries_spent += o.hedges.retries as usize;
         }
         self.rounds.push(stats);
     }

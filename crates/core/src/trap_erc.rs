@@ -1223,10 +1223,10 @@ impl<T: Transport> TrapErcClient<T> {
             };
             // Members of the chosen group in fetch-preference order:
             // data blocks first (they feed the decode verbatim), then
-            // parity. Within each segment an armed health registry ranks
-            // members — circuit-open and slow nodes sink to the spare
-            // end of the pool, so the first fetch round lands on the
-            // healthiest k. With no registry (or a cold one) the rank is
+            // parity. Within each segment a health registry ranks members
+            // under any hedge policy — circuit-open and slow nodes sink to
+            // the spare end of the pool, so the first fetch round lands on
+            // the healthiest k. With no registry (or a cold one) the rank is
             // the identity and the fetch order is the seed's.
             if let Some(health) = health {
                 health.rank_nodes(data_members);
@@ -1309,11 +1309,14 @@ impl<T: Transport> TrapErcClient<T> {
     /// Must run quiesced (no concurrent writers to this stripe), like an
     /// offline fsck; concurrent writes could be clobbered.
     ///
-    /// Scrub traffic is maintenance traffic: its fan-out rounds travel
-    /// the background lane (the wire frames carry the background flag,
-    /// and the retry budget keeps a reserve that background spends may
-    /// not touch), and with an armed health registry its replacement
-    /// fetches prefer healthy members over slow or circuit-open ones.
+    /// Step 1 is an ordinary read: its `k`-item plan, Case 2 replacement
+    /// fetches included, runs in the foreground lane, and with a health
+    /// registry those fetches prefer healthy members over slow or
+    /// circuit-open ones. The rest is maintenance traffic in the
+    /// background lane — the salvage gather, the residue poll, the parity
+    /// audit and the push: their wire frames carry the background flag,
+    /// they are never hedged, and a retry they cause must leave the
+    /// budget's foreground reserve.
     ///
     /// # Errors
     /// Propagates a block whose *every* version is unrecoverable (more

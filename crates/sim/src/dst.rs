@@ -876,9 +876,8 @@ pub fn run_case(cfg: &CaseConfig) -> CaseReport {
     }
     // Hedging arms *after* provisioning (whose require-every-ack rounds
     // would turn any adaptively-timed-out slow disk into a provisioning
-    // failure) and is pinned ON (P99) rather than inherited from
-    // `TQ_HEDGE`: a `CaseConfig` replay must be bit-for-bit identical
-    // in any environment. The dormant registry sampled RTTs throughout
+    // failure) and is pinned ON (P99), so a `CaseConfig` replay is
+    // bit-for-bit identical whatever the caller's policy. The dormant registry sampled RTTs throughout
     // provisioning, so the estimator starts the workload warm. The
     // matrices thereby double as the adaptive-robustness soak — hedge
     // re-issues, adaptive deadlines and retry-budget spends all run
