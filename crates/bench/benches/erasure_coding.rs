@@ -1,6 +1,8 @@
 //! Codec throughput: encode, single-block decode (bare, and checked
 //! against the stripe's cross-checksum vector as a degraded read does),
-//! full reconstruction and the delta path, for the paper's code shapes.
+//! and full reconstruction, for the paper's code shapes. The delta fold a
+//! parity node runs is one `mul_add_slice`, benched as
+//! `gf256/mul_add_slice/*`.
 //!
 //! `encode` runs at 4 KiB *and* 64 KiB blocks (the README's Performance
 //! table reads both sizes from `BENCH_erasure.json`), and the
@@ -11,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use tq_bench::payload;
-use tq_erasure::{data_checks, delta, verify_block, CodeParams, ReedSolomon};
+use tq_erasure::{data_checks, verify_block, CodeParams, ReedSolomon};
 use tq_gf256::simd::Backend;
 use tq_gf256::Gf256;
 
@@ -163,33 +165,12 @@ fn bench_reconstruct(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parity_deltas(c: &mut Criterion) {
-    let mut group = c.benchmark_group("erasure/parity_deltas");
-    for (n, k) in [(9usize, 6usize), (15, 8)] {
-        let (rs, data, _) = setup(n, k);
-        let new_block = payload(BLOCK, 0xEE);
-        group.throughput(Throughput::Bytes(((n - k) * BLOCK) as u64));
-        group.bench_with_input(
-            BenchmarkId::new("stripe", format!("{n}_{k}")),
-            &k,
-            |b, _| {
-                b.iter(|| {
-                    delta::parity_deltas(&rs, 0, black_box(&data[0]), black_box(&new_block))
-                        .expect("valid update")
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_encode,
     bench_encode_backends,
     bench_decode_block,
     bench_decode_verified,
-    bench_reconstruct,
-    bench_parity_deltas
+    bench_reconstruct
 );
 criterion_main!(benches);

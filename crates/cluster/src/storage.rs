@@ -124,13 +124,6 @@ impl StoredBlock {
         }
     }
 
-    /// The stamped self-checksum.
-    pub fn self_check(&self) -> u64 {
-        match self {
-            StoredBlock::Data { check, .. } | StoredBlock::Parity { check, .. } => *check,
-        }
-    }
-
     /// The payload, for a backend to swap: the log keeps its blocks with
     /// the payload taken out, and puts a read's bytes back in.
     fn payload_mut(&mut self) -> &mut Bytes {

@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use tq_erasure::{CodeParams, GeneratorKind, ParamError, ReedSolomon};
+use tq_erasure::{CodeParams, ParamError, ReedSolomon};
 use tq_quorum::trapezoid::{ShapeError, TrapErcSystem, TrapezoidShape, WriteThresholds};
 
 use crate::errors::ProtocolError;
@@ -20,7 +20,6 @@ pub struct ProtocolConfig {
     params: CodeParams,
     shape: TrapezoidShape,
     thresholds: WriteThresholds,
-    generator: GeneratorKind,
     /// A floor under every level's read threshold `s_l − w_l + 1`. Only
     /// Majority sets it: on an even replica count its read quorum
     /// `⌊m/2⌋ + 1` exceeds the `m − w_0 + 1` a single level would ask.
@@ -45,7 +44,6 @@ impl ProtocolConfig {
             params,
             shape,
             thresholds,
-            generator: GeneratorKind::default(),
             read_floor: 0,
         })
     }
@@ -90,12 +88,6 @@ impl ProtocolConfig {
         ProtocolConfig::new(params, shape, thresholds)
     }
 
-    /// Selects the generator construction (default Vandermonde).
-    pub fn with_generator(mut self, kind: GeneratorKind) -> Self {
-        self.generator = kind;
-        self
-    }
-
     /// Raises every level's read threshold to at least `floor`.
     pub(crate) fn with_read_floor(mut self, floor: usize) -> Self {
         self.read_floor = floor;
@@ -127,7 +119,7 @@ impl ProtocolConfig {
 
     /// Instantiates the codec for this configuration.
     pub fn codec(&self) -> ReedSolomon {
-        ReedSolomon::with_generator(self.params, self.generator)
+        ReedSolomon::new(self.params)
     }
 
     /// The per-block trapezoid membership/availability view.

@@ -4,17 +4,15 @@
 //! reconstructed … this process may be very compute-intensive and may
 //! have a significant impact on the storage system performances." The
 //! paper measures availability, not recovery; this module supplies the
-//! recovery workflow a deployment needs (and the `repair_cost` bench
-//! quantifies the IO the paper's introduction talks about):
+//! recovery workflow a deployment needs:
 //!
 //! * data node `i` → **exact repair**: Algorithm 2's decode rebuilds
 //!   `b_i` bit-identically from k survivors (k block reads);
-//! * parity node `j` → exact re-encode of its row from the k data blocks
-//!   (the trapezoid protocol pins the coefficients `α_{j,·}`, so
-//!   functional repair — see `tq_erasure::repair` — would change the
-//!   version-guard bookkeeping on every client; we keep the code
-//!   systematic and exact here, which is also what the paper assumes in
-//!   its hybrid taxonomy for data blocks).
+//! * parity node `j` → exact re-encode of its row from the k data blocks.
+//!   The trapezoid protocol pins the coefficients `α_{j,·}`, so a repair
+//!   that drew a fresh parity row (the paper's *functional* repair) would
+//!   change the codec every client holds; the code stays systematic and
+//!   exact, which is what the paper assumes for data blocks too.
 
 use bytes::Bytes;
 use tq_cluster::{Request, Transport};

@@ -73,7 +73,7 @@ pub fn verify_block(rs: &ReedSolomon, j: usize, bytes: &[u8], checks: &[u64]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CodeParams, GeneratorKind};
+    use crate::CodeParams;
 
     fn stripe(rs: &ReedSolomon, len: usize, seed: u8) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
         let k = rs.params().k();
@@ -91,23 +91,21 @@ mod tests {
 
     #[test]
     fn every_parity_check_is_derivable_from_the_data_vector() {
-        for kind in [GeneratorKind::Vandermonde, GeneratorKind::Cauchy] {
-            let rs = ReedSolomon::with_generator(CodeParams::new(9, 6).unwrap(), kind);
-            let (data, parity) = stripe(&rs, 96, 17);
-            let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-            let checks = data_checks(&refs);
-            for (j, p) in parity.iter().enumerate() {
-                let j = 6 + j;
-                assert_eq!(
-                    block_check(p),
-                    expected_parity_check(&rs, j, &checks),
-                    "parity {j} ({kind:?})"
-                );
-                assert!(verify_block(&rs, j, p, &checks));
-            }
-            for (i, d) in data.iter().enumerate() {
-                assert!(verify_block(&rs, i, d, &checks));
-            }
+        let rs = ReedSolomon::new(CodeParams::new(9, 6).unwrap());
+        let (data, parity) = stripe(&rs, 96, 17);
+        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+        let checks = data_checks(&refs);
+        for (j, p) in parity.iter().enumerate() {
+            let j = 6 + j;
+            assert_eq!(
+                block_check(p),
+                expected_parity_check(&rs, j, &checks),
+                "parity {j}"
+            );
+            assert!(verify_block(&rs, j, p, &checks));
+        }
+        for (i, d) in data.iter().enumerate() {
+            assert!(verify_block(&rs, i, d, &checks));
         }
     }
 

@@ -14,121 +14,40 @@ use tq_gf256::Gf256;
 use crate::params::CodeParams;
 use crate::CodeError;
 
-/// Which MDS construction the systematic generator is derived from.
-///
-/// Both satisfy eq. 1 with "carefully chosen constants"; they differ only
-/// in which constants come out. Vandermonde is the classical choice;
-/// Cauchy gives the super-regularity property directly without the
-/// normalisation step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GeneratorKind {
-    /// `G = V · V_top⁻¹` for an `n × k` Vandermonde matrix `V`.
-    #[default]
-    Vandermonde,
-    /// Identity stacked on an `(n−k) × k` Cauchy matrix.
-    Cauchy,
-}
-
 /// A systematic (n, k) MDS Reed–Solomon codec over GF(2⁸).
 ///
-/// Construction cost is one `k × k` inversion (Vandermonde) or nothing
-/// beyond table lookups (Cauchy); clone is cheap relative to block work.
+/// Construction cost is one `k × k` inversion; clone is cheap relative to
+/// block work.
 #[derive(Debug, Clone)]
 pub struct ReedSolomon {
     params: CodeParams,
-    kind: GeneratorKind,
     /// Full `n × k` generator; rows `0..k` are the identity.
     generator: Matrix,
 }
 
 impl ReedSolomon {
-    /// Builds the codec with the default (Vandermonde-derived) generator.
+    /// Builds the codec: `G = V · V_top⁻¹` for an `n × k` Vandermonde
+    /// matrix `V`, so the top `k × k` block is the identity and any `k`
+    /// rows stay independent.
     pub fn new(params: CodeParams) -> Self {
-        Self::with_generator(params, GeneratorKind::default())
-    }
-
-    /// Builds a codec from an explicit `(n−k) × k` parity coefficient
-    /// matrix (rows are the `α_{j,·}` vectors). Used by *functional
-    /// repair*, which replaces a lost parity row with a fresh one rather
-    /// than recomputing the original.
-    ///
-    /// # Errors
-    /// Returns `None` if the stacked identity-over-parity generator is
-    /// not MDS (some k rows dependent) — the caller should draw another
-    /// candidate row.
-    pub fn with_parity_matrix(params: CodeParams, parity: &Matrix) -> Option<Self> {
         let (n, k) = (params.n(), params.k());
-        assert_eq!(parity.rows(), n - k, "parity matrix must have n-k rows");
-        assert_eq!(parity.cols(), k, "parity matrix must have k columns");
-        let mut generator = Matrix::zero(n.max(1), k);
-        for i in 0..k {
-            generator[(i, i)] = Gf256::ONE;
-        }
-        for r in 0..n - k {
-            for c in 0..k {
-                generator[(k + r, c)] = parity[(r, c)];
-            }
-        }
-        if !generator.is_mds_generator() {
-            return None;
-        }
-        Some(ReedSolomon {
-            params,
-            kind: GeneratorKind::Vandermonde, // kind is informational here
-            generator,
-        })
-    }
-
-    /// Builds the codec with an explicit generator construction.
-    pub fn with_generator(params: CodeParams, kind: GeneratorKind) -> Self {
-        let k = params.k();
-        let n = params.n();
-        let generator = match kind {
-            GeneratorKind::Vandermonde => {
-                let v = Matrix::vandermonde(n, k);
-                let top = v.select_rows(&(0..k).collect::<Vec<_>>());
-                let top_inv = top
-                    .inverse()
-                    .expect("Vandermonde top block is always invertible");
-                v.mul(&top_inv)
-            }
-            GeneratorKind::Cauchy => {
-                let mut g = Matrix::zero(n.max(1), k);
-                for i in 0..k {
-                    g[(i, i)] = Gf256::ONE;
-                }
-                if n > k {
-                    let c = Matrix::cauchy(n - k, k);
-                    for r in 0..n - k {
-                        for col in 0..k {
-                            g[(k + r, col)] = c[(r, col)];
-                        }
-                    }
-                }
-                g
-            }
-        };
+        let v = Matrix::vandermonde(n, k);
+        let top = v.select_rows(&(0..k).collect::<Vec<_>>());
+        let top_inv = top
+            .inverse()
+            .expect("Vandermonde top block is always invertible");
+        let generator = v.mul(&top_inv);
         debug_assert!({
             let id = generator.select_rows(&(0..k).collect::<Vec<_>>());
             id == Matrix::identity(k)
         });
-        ReedSolomon {
-            params,
-            kind,
-            generator,
-        }
+        ReedSolomon { params, generator }
     }
 
     /// The (n, k) parameters.
     #[inline]
     pub fn params(&self) -> CodeParams {
         self.params
-    }
-
-    /// Which construction the generator came from.
-    #[inline]
-    pub fn generator_kind(&self) -> GeneratorKind {
-        self.kind
     }
 
     /// The coefficient `α_{j,i}` of eq. 1: the weight of data block `i`
@@ -386,13 +305,11 @@ mod tests {
 
     #[test]
     fn systematic_top_block_is_identity() {
-        for kind in [GeneratorKind::Vandermonde, GeneratorKind::Cauchy] {
-            let rs = ReedSolomon::with_generator(CodeParams::new(9, 6).unwrap(), kind);
-            for i in 0..6 {
-                for c in 0..6 {
-                    let expect = if i == c { Gf256::ONE } else { Gf256::ZERO };
-                    assert_eq!(rs.generator_row(i)[c], expect, "kind {kind:?}");
-                }
+        let rs = ReedSolomon::new(CodeParams::new(9, 6).unwrap());
+        for i in 0..6 {
+            for c in 0..6 {
+                let expect = if i == c { Gf256::ONE } else { Gf256::ZERO };
+                assert_eq!(rs.generator_row(i)[c], expect);
             }
         }
     }
@@ -401,12 +318,10 @@ mod tests {
     fn coefficients_are_nonzero() {
         // A zero α_{j,i} would mean parity j ignores data block i, breaking
         // the delta-update path for that pair.
-        for kind in [GeneratorKind::Vandermonde, GeneratorKind::Cauchy] {
-            let rs = ReedSolomon::with_generator(CodeParams::new(15, 8).unwrap(), kind);
-            for j in 8..15 {
-                for i in 0..8 {
-                    assert!(!rs.coefficient(j, i).is_zero(), "α_{j},{i} = 0 ({kind:?})");
-                }
+        let rs = ReedSolomon::new(CodeParams::new(15, 8).unwrap());
+        for j in 8..15 {
+            for i in 0..8 {
+                assert!(!rs.coefficient(j, i).is_zero(), "α_{j},{i} = 0");
             }
         }
     }
@@ -434,20 +349,18 @@ mod tests {
     fn reconstruct_all_loss_patterns_exhaustively() {
         // (6, 4): C(6,2) = 15 double-loss patterns plus all single losses.
         let params = CodeParams::new(6, 4).unwrap();
-        for kind in [GeneratorKind::Vandermonde, GeneratorKind::Cauchy] {
-            let rs = ReedSolomon::with_generator(params, kind);
-            let data = make_data(4, 64, 11);
-            let parity = rs.encode(&refs(&data));
-            let full: Vec<Vec<u8>> = data.iter().cloned().chain(parity.iter().cloned()).collect();
-            for a in 0..6 {
-                for b in a..6 {
-                    let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-                    shards[a] = None;
-                    shards[b] = None;
-                    rs.reconstruct(&mut shards).unwrap();
-                    for (i, s) in shards.iter().enumerate() {
-                        assert_eq!(s.as_deref(), Some(full[i].as_slice()), "loss {a},{b}");
-                    }
+        let rs = ReedSolomon::new(params);
+        let data = make_data(4, 64, 11);
+        let parity = rs.encode(&refs(&data));
+        let full: Vec<Vec<u8>> = data.iter().cloned().chain(parity.iter().cloned()).collect();
+        for a in 0..6 {
+            for b in a..6 {
+                let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
+                shards[a] = None;
+                shards[b] = None;
+                rs.reconstruct(&mut shards).unwrap();
+                for (i, s) in shards.iter().enumerate() {
+                    assert_eq!(s.as_deref(), Some(full[i].as_slice()), "loss {a},{b}");
                 }
             }
         }
@@ -604,18 +517,11 @@ mod tests {
             k: usize,
             block_len: usize,
             data: Vec<Vec<u8>>,
-            kind: GeneratorKind,
         }
 
         fn case() -> impl Strategy<Value = Case> {
-            (
-                2usize..10,
-                1usize..6,
-                1usize..64,
-                any::<u8>(),
-                any::<bool>(),
-            )
-                .prop_map(|(extra, k, block_len, seed, cauchy)| {
+            (2usize..10, 1usize..6, 1usize..64, any::<u8>()).prop_map(
+                |(extra, k, block_len, seed)| {
                     let n = k + extra.min(10 - k);
                     let data = (0..k)
                         .map(|i| {
@@ -629,20 +535,16 @@ mod tests {
                         k,
                         block_len,
                         data,
-                        kind: if cauchy {
-                            GeneratorKind::Cauchy
-                        } else {
-                            GeneratorKind::Vandermonde
-                        },
                     }
-                })
+                },
+            )
         }
 
         proptest! {
             #[test]
             fn round_trip_under_random_loss(case in case(), loss_seed in any::<u64>()) {
                 let params = CodeParams::new(case.n, case.k).unwrap();
-                let rs = ReedSolomon::with_generator(params, case.kind);
+                let rs = ReedSolomon::new(params);
                 let data_refs: Vec<&[u8]> = case.data.iter().map(|d| d.as_slice()).collect();
                 let parity = rs.encode(&data_refs);
                 let full: Vec<Vec<u8>> = case
@@ -672,16 +574,14 @@ mod tests {
             #[test]
             fn parity_rows_mds(k in 1usize..8, extra in 1usize..8) {
                 let params = CodeParams::new(k + extra, k).unwrap();
-                for kind in [GeneratorKind::Vandermonde, GeneratorKind::Cauchy] {
-                    let rs = ReedSolomon::with_generator(params, kind);
-                    let mut g = Matrix::zero(params.n(), k);
-                    for r in 0..params.n() {
-                        for c in 0..k {
-                            g[(r, c)] = rs.generator_row(r)[c];
-                        }
+                let rs = ReedSolomon::new(params);
+                let mut g = Matrix::zero(params.n(), k);
+                for r in 0..params.n() {
+                    for c in 0..k {
+                        g[(r, c)] = rs.generator_row(r)[c];
                     }
-                    prop_assert!(g.is_mds_generator(), "{:?}", kind);
                 }
+                prop_assert!(g.is_mds_generator());
             }
         }
     }

@@ -3,42 +3,20 @@
 //!
 //! When data block `b_i` changes from `c` to `x`, every parity block
 //! `b_j = Σ α_{j,t}·b_t` changes by exactly `α_{j,i}·(x − c)`, because
-//! addition commutes and no other term involves `b_i`. The paper's write
-//! algorithm sends each parity node `add(α_{j,i}·(x − chunk))` (line 27),
-//! so a single-block update costs `1 + (n−k)` block writes instead of a
-//! full re-encode — this is the "(9,6)-MDS needs 8 read+write operations"
-//! arithmetic of the paper's introduction.
+//! addition commutes and no other term involves `b_i`. So a single-block
+//! update costs `1 + (n−k)` block writes instead of a full re-encode —
+//! this is the "(9,6)-MDS needs 8 read+write operations" arithmetic of
+//! the paper's introduction.
 //!
-//! The diff and the per-parity scaling both run on the dispatched
-//! [`tq_gf256::slice_ops`] kernels, so a delta update moves at the same
-//! SIMD throughput as a full encode — just over `1 + (n−k)` blocks
-//! instead of `n` of them.
+//! The paper's write algorithm sends each parity node the scaled
+//! `α_{j,i}·(x − chunk)` (line 27). Here the client computes the raw
+//! delta `x − c` once with [`block_delta`] and sends the same bytes to
+//! every parity node; each node scales it by its own `α_{j,i}` while
+//! folding it into the stored block (one dispatched
+//! [`mul_add_slice`](tq_gf256::slice_ops::mul_add_slice), or
+//! [`add_assign`](tq_gf256::slice_ops::add_assign) when `α_{j,i} = 1`).
 
-use tq_gf256::slice_ops;
-use tq_gf256::Gf256;
-
-use crate::code::ReedSolomon;
 use crate::CodeError;
-
-/// The delta a single parity node must fold into its block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParityDelta {
-    /// 0-based stripe index of the parity block (`k ≤ index < n`).
-    pub index: usize,
-    /// The bytes to XOR into the parity block: `α_{j,i}·(x − c)`.
-    pub delta: Vec<u8>,
-}
-
-impl ParityDelta {
-    /// Applies this delta to a parity block in place (the `Nj.add(buf)`
-    /// of the paper: `b_j ← b_j + buf`).
-    ///
-    /// # Panics
-    /// Panics if lengths disagree.
-    pub fn apply(&self, parity_block: &mut [u8]) {
-        slice_ops::add_assign(parity_block, &self.delta);
-    }
-}
 
 /// Computes the raw block delta `x − c` (XOR in characteristic 2).
 ///
@@ -51,81 +29,12 @@ pub fn block_delta(old: &[u8], new: &[u8]) -> Result<Vec<u8>, CodeError> {
     Ok(old.iter().zip(new).map(|(&o, &n)| o ^ n).collect())
 }
 
-/// Computes all parity deltas for an update of data block `i` from `old`
-/// to `new`: one [`ParityDelta`] per parity index `j ∈ k..n`, carrying
-/// `α_{j,i}·(new − old)`.
-///
-/// # Errors
-/// [`CodeError::IndexOutOfRange`] if `i` is not a data index,
-/// [`CodeError::ShardSizeMismatch`] if lengths differ.
-pub fn parity_deltas(
-    rs: &ReedSolomon,
-    i: usize,
-    old: &[u8],
-    new: &[u8],
-) -> Result<Vec<ParityDelta>, CodeError> {
-    if !rs.params().is_data_index(i) {
-        return Err(CodeError::IndexOutOfRange {
-            index: i,
-            n: rs.params().k(),
-        });
-    }
-    let raw = block_delta(old, new)?;
-    Ok(rs
-        .params()
-        .parity_indices()
-        .map(|j| {
-            let mut delta = vec![0u8; raw.len()];
-            slice_ops::mul_slice(rs.coefficient(j, i), &raw, &mut delta);
-            ParityDelta { index: j, delta }
-        })
-        .collect())
-}
-
-/// Computes the single parity delta `α_{j,i}·(new − old)` for one parity
-/// index `j` — what Algorithm 1 sends to one node.
-///
-/// # Errors
-/// [`CodeError::IndexOutOfRange`] on a non-data `i` or non-parity `j`,
-/// [`CodeError::ShardSizeMismatch`] on length mismatch.
-pub fn parity_delta_for(
-    rs: &ReedSolomon,
-    j: usize,
-    i: usize,
-    old: &[u8],
-    new: &[u8],
-) -> Result<ParityDelta, CodeError> {
-    if !rs.params().is_data_index(i) {
-        return Err(CodeError::IndexOutOfRange {
-            index: i,
-            n: rs.params().k(),
-        });
-    }
-    if !rs.params().is_parity_index(j) {
-        return Err(CodeError::IndexOutOfRange {
-            index: j,
-            n: rs.params().n(),
-        });
-    }
-    let raw = block_delta(old, new)?;
-    let mut delta = vec![0u8; raw.len()];
-    slice_ops::mul_slice(rs.coefficient(j, i), &raw, &mut delta);
-    Ok(ParityDelta { index: j, delta })
-}
-
-/// Scales an already-computed raw delta by `α_{j,i}` without re-diffing —
-/// used when one write fans out to many parity nodes.
-pub fn scale_delta(rs: &ReedSolomon, j: usize, i: usize, raw_delta: &[u8]) -> ParityDelta {
-    let c: Gf256 = rs.coefficient(j, i);
-    let mut delta = vec![0u8; raw_delta.len()];
-    slice_ops::mul_slice(c, raw_delta, &mut delta);
-    ParityDelta { index: j, delta }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::code::ReedSolomon;
     use crate::params::CodeParams;
+    use tq_gf256::{slice_ops, Gf256};
 
     fn setup(n: usize, k: usize) -> (ReedSolomon, Vec<Vec<u8>>, Vec<Vec<u8>>) {
         let rs = ReedSolomon::new(CodeParams::new(n, k).unwrap());
@@ -137,88 +46,72 @@ mod tests {
         (rs, data, parity)
     }
 
+    /// What every parity node runs on `AddParity`: scale the one raw
+    /// delta by its own `α_{j,i}` while folding it in.
+    fn fold(rs: &ReedSolomon, i: usize, raw: &[u8], parity: &mut [Vec<u8>]) {
+        for (p, j) in parity.iter_mut().zip(rs.params().parity_indices()) {
+            let coeff = rs.coefficient(j, i);
+            if coeff == Gf256::ONE {
+                slice_ops::add_assign(p, raw);
+            } else {
+                slice_ops::mul_add_slice(coeff, raw, p);
+            }
+        }
+    }
+
+    fn encode(rs: &ReedSolomon, data: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+        rs.encode(&refs)
+    }
+
     #[test]
     fn delta_update_equals_full_reencode() {
-        let (rs, mut data, mut parity) = setup(9, 6);
-        // Update block 2 via deltas.
-        let new_block: Vec<u8> = (0..32).map(|b| (b * 7 + 3) as u8).collect();
-        let deltas = parity_deltas(&rs, 2, &data[2], &new_block).unwrap();
-        assert_eq!(deltas.len(), 3);
-        for d in &deltas {
-            d.apply(&mut parity[d.index - 6]);
+        for (n, k) in [(9, 6), (15, 8)] {
+            let (rs, mut data, mut parity) = setup(n, k);
+            for target in 0..k {
+                let new_block: Vec<u8> = (0..32).map(|b| (b * 7 + target + 3) as u8).collect();
+                let raw = block_delta(&data[target], &new_block).unwrap();
+                fold(&rs, target, &raw, &mut parity);
+                data[target] = new_block;
+                assert_eq!(parity, encode(&rs, &data), "({n}, {k}) block {target}");
+            }
         }
-        data[2] = new_block;
-        // Full re-encode must agree.
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let expect = rs.encode(&refs);
-        assert_eq!(parity, expect);
     }
 
     #[test]
     fn repeated_deltas_compose() {
-        let (rs, mut data, mut parity) = setup(6, 4);
-        for round in 0..5u8 {
-            let target = (round as usize) % 4;
-            let new_block: Vec<u8> = (0..32)
-                .map(|b| round.wrapping_mul(b as u8 ^ 0x5A))
-                .collect();
-            for d in parity_deltas(&rs, target, &data[target], &new_block).unwrap() {
-                d.apply(&mut parity[d.index - 4]);
+        for (n, k) in [(9, 6), (15, 8)] {
+            let (rs, mut data, mut parity) = setup(n, k);
+            for round in 0..12u8 {
+                let target = (round as usize * 5) % k;
+                let new_block: Vec<u8> = (0..32)
+                    .map(|b| round.wrapping_mul(b as u8 ^ 0x5A))
+                    .collect();
+                let raw = block_delta(&data[target], &new_block).unwrap();
+                fold(&rs, target, &raw, &mut parity);
+                data[target] = new_block;
             }
-            data[target] = new_block;
+            assert_eq!(parity, encode(&rs, &data), "({n}, {k})");
         }
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        assert_eq!(parity, rs.encode(&refs));
     }
 
     #[test]
     fn identity_update_produces_zero_deltas() {
-        let (rs, data, _) = setup(5, 3);
-        let deltas = parity_deltas(&rs, 1, &data[1], &data[1]).unwrap();
-        for d in deltas {
-            assert!(d.delta.iter().all(|&b| b == 0));
-        }
-    }
-
-    #[test]
-    fn single_delta_matches_bulk() {
-        let (rs, data, _) = setup(8, 5);
-        let new_block = vec![0xFFu8; 32];
-        let bulk = parity_deltas(&rs, 0, &data[0], &new_block).unwrap();
-        for j in 5..8 {
-            let single = parity_delta_for(&rs, j, 0, &data[0], &new_block).unwrap();
-            assert_eq!(single, bulk[j - 5]);
-        }
-    }
-
-    #[test]
-    fn scale_delta_matches() {
-        let (rs, data, _) = setup(8, 5);
-        let new_block = vec![0x11u8; 32];
-        let raw = block_delta(&data[3], &new_block).unwrap();
-        for j in 5..8 {
-            assert_eq!(
-                scale_delta(&rs, j, 3, &raw),
-                parity_delta_for(&rs, j, 3, &data[3], &new_block).unwrap()
-            );
-        }
+        let (rs, data, parity) = setup(9, 6);
+        let raw = block_delta(&data[1], &data[1]).unwrap();
+        assert!(raw.iter().all(|&b| b == 0));
+        let mut folded = parity.clone();
+        fold(&rs, 1, &raw, &mut folded);
+        assert_eq!(folded, parity);
     }
 
     #[test]
     fn error_cases() {
-        let (rs, data, _) = setup(5, 3);
-        assert!(matches!(
-            parity_deltas(&rs, 4, &data[0], &data[0]),
-            Err(CodeError::IndexOutOfRange { .. })
-        ));
-        assert!(matches!(
-            parity_deltas(&rs, 0, &data[0], &data[0][..8]),
+        let (_, data, _) = setup(5, 3);
+        assert_eq!(
+            block_delta(&data[0], &data[0][..8]),
             Err(CodeError::ShardSizeMismatch)
-        ));
-        assert!(matches!(
-            parity_delta_for(&rs, 2, 0, &data[0], &data[0]),
-            Err(CodeError::IndexOutOfRange { .. })
-        ));
+        );
     }
 
     mod properties {
@@ -228,8 +121,8 @@ mod tests {
         proptest! {
             #[test]
             fn delta_path_always_matches_reencode(
-                k in 1usize..6,
-                extra in 1usize..5,
+                k in 1usize..9,
+                extra in 1usize..8,
                 target_raw in any::<usize>(),
                 old_seed in any::<u8>(),
                 new_seed in any::<u8>(),
@@ -241,15 +134,12 @@ mod tests {
                 let mut data: Vec<Vec<u8>> = (0..k)
                     .map(|i| (0..len).map(|b| old_seed.wrapping_add((i * 13 + b * 7) as u8)).collect())
                     .collect();
-                let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-                let mut parity = rs.encode(&refs);
+                let mut parity = encode(&rs, &data);
                 let new_block: Vec<u8> = (0..len).map(|b| new_seed.wrapping_mul(b as u8 | 1)).collect();
-                for d in parity_deltas(&rs, target, &data[target], &new_block).unwrap() {
-                    d.apply(&mut parity[d.index - k]);
-                }
+                let raw = block_delta(&data[target], &new_block).unwrap();
+                fold(&rs, target, &raw, &mut parity);
                 data[target] = new_block;
-                let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-                prop_assert_eq!(parity, rs.encode(&refs));
+                prop_assert_eq!(parity, encode(&rs, &data));
             }
         }
     }

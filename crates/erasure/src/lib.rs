@@ -12,17 +12,14 @@
 //!
 //! * [`CodeParams`] — validated (n, k) pair.
 //! * [`ReedSolomon`] — the codec. Systematic generator derived from a
-//!   Vandermonde matrix (or, optionally, the identity-over-Cauchy
-//!   construction); exposes the coefficients `α_{j,i}` that Algorithm 1 of
-//!   the paper multiplies deltas by, encodes parity blocks, reconstructs
-//!   any subset of lost blocks from any k survivors, and recovers a single
-//!   data block without decoding the whole stripe.
-//! * [`delta`] — the in-place update path: `Δ_j = α_{j,i}·(x − c)` per
-//!   parity block, the GF-commutativity trick the paper's write algorithm
-//!   relies on (Algorithm 1 line 27).
-//! * [`Stripe`] — an owned (data, parity) pair that maintains the eq. 1
-//!   invariant under full writes and delta updates; the unit the storage
-//!   nodes of `tq-cluster` ultimately hold slices of.
+//!   Vandermonde matrix; exposes the coefficients `α_{j,i}` that
+//!   Algorithm 1 of the paper multiplies deltas by, encodes parity blocks,
+//!   reconstructs any subset of lost blocks from any k survivors, and
+//!   recovers a single data block without decoding the whole stripe.
+//! * [`delta`] — the in-place update path: the raw delta `x − c` a client
+//!   sends once, which each parity node scales by its `α_{j,i}` while
+//!   folding it in — the GF-commutativity trick the paper's write
+//!   algorithm relies on (Algorithm 1 line 27).
 //! * [`check`] — stripe cross-checksum vectors: per-data-block GF-linear
 //!   checksums from which a reader derives the expected checksum of *any*
 //!   shard (data or parity) and verifies it before decoding — the
@@ -57,15 +54,10 @@ pub mod check;
 pub mod code;
 pub mod delta;
 pub mod params;
-pub mod repair;
-pub mod stripe;
 
 pub use check::{data_checks, expected_block_check, expected_parity_check, verify_block};
-pub use code::{GeneratorKind, ReedSolomon};
-pub use delta::ParityDelta;
+pub use code::ReedSolomon;
 pub use params::{CodeParams, ParamError};
-pub use repair::{plan_exact_repair, RepairPlan};
-pub use stripe::Stripe;
 
 /// Errors produced by encode/decode operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -87,26 +87,6 @@ impl CodeParams {
         self.n - self.k
     }
 
-    /// Maximum number of simultaneous block losses the code tolerates.
-    #[inline]
-    pub const fn fault_tolerance(&self) -> usize {
-        self.parity_count()
-    }
-
-    /// Storage expansion factor n/k — eq. 15 of the paper divides through
-    /// by blocksize: `D_used = (n/k)·blocksize`.
-    #[inline]
-    pub fn expansion_factor(&self) -> f64 {
-        self.n as f64 / self.k as f64
-    }
-
-    /// Storage used by the *full replication* equivalent of this code
-    /// (eq. 14): each data block replicated on n−k+1 nodes.
-    #[inline]
-    pub const fn replication_factor(&self) -> usize {
-        self.n - self.k + 1
-    }
-
     /// `true` if index `i` (0-based) refers to a data block.
     #[inline]
     pub const fn is_data_index(&self, i: usize) -> bool {
@@ -117,11 +97,6 @@ impl CodeParams {
     #[inline]
     pub const fn is_parity_index(&self, i: usize) -> bool {
         i >= self.k && i < self.n
-    }
-
-    /// Iterator over data block indices `0..k`.
-    pub fn data_indices(&self) -> impl Iterator<Item = usize> {
-        0..self.k
     }
 
     /// Iterator over parity block indices `k..n`.
@@ -146,16 +121,13 @@ mod tests {
         assert_eq!(p.n(), 9);
         assert_eq!(p.k(), 6);
         assert_eq!(p.parity_count(), 3);
-        assert_eq!(p.fault_tolerance(), 3);
-        assert_eq!(p.replication_factor(), 4);
-        assert!((p.expansion_factor() - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn degenerate_k_equals_n() {
         let p = CodeParams::new(4, 4).unwrap();
         assert_eq!(p.parity_count(), 0);
-        assert_eq!(p.replication_factor(), 1);
+        assert_eq!(p.parity_indices().count(), 0);
     }
 
     #[test]
@@ -163,7 +135,7 @@ mod tests {
         // (n, 1) MDS is n-way replication of a single block.
         let p = CodeParams::new(5, 1).unwrap();
         assert_eq!(p.parity_count(), 4);
-        assert!((p.expansion_factor() - 5.0).abs() < 1e-12);
+        assert_eq!(p.parity_indices().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -188,7 +160,6 @@ mod tests {
         assert!(p.is_parity_index(4));
         assert!(p.is_parity_index(5));
         assert!(!p.is_parity_index(6));
-        assert_eq!(p.data_indices().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         assert_eq!(p.parity_indices().collect::<Vec<_>>(), vec![4, 5]);
     }
 

@@ -27,7 +27,7 @@
 //!   stripe cross-checksum integrity mode: linearity lets a reader derive
 //!   a parity block's expected checksum from the data-block checksums.
 //! * [`matrix`] — dense matrices over GF(2⁸) with Gauss–Jordan inversion and
-//!   Vandermonde / Cauchy constructors, from which the systematic MDS
+//!   a Vandermonde constructor, from which the systematic MDS
 //!   generator of `tq-erasure` is derived.
 //! * [`poly`] — polynomials over GF(2⁸) (evaluation, interpolation); used by
 //!   tests to cross-check the matrix-based codec against Lagrange

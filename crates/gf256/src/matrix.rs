@@ -1,7 +1,7 @@
 //! Dense matrices over GF(2⁸).
 //!
 //! The systematic (n, k) MDS generator used by `tq-erasure` is derived here:
-//! a Vandermonde (or Cauchy) matrix is reduced so its top k×k block becomes
+//! a Vandermonde matrix is reduced so its top k×k block becomes
 //! the identity; the remaining (n−k)×k block then holds exactly the
 //! coefficients `α_{j,i}` of the paper's eq. 1. Decoding inverts the k×k
 //! submatrix picked by whichever k blocks survived.
@@ -100,23 +100,6 @@ impl Matrix {
         Matrix::from_fn(rows, cols, |r, c| Gf256::alpha_pow(r as u32).pow(c as u32))
     }
 
-    /// `rows × cols` Cauchy matrix: entry `(r, c) = 1 / (x_r + y_c)` with
-    /// `x_r = r` and `y_c = rows + c` (all distinct, so every denominator is
-    /// non-zero). Every square submatrix of a Cauchy matrix is invertible,
-    /// making it directly usable as the parity block of an MDS generator.
-    ///
-    /// # Panics
-    /// Panics if `rows + cols > 256` (point sets would collide).
-    pub fn cauchy(rows: usize, cols: usize) -> Self {
-        assert!(
-            rows + cols <= 256,
-            "GF(256) Cauchy needs rows + cols <= 256, got {rows}+{cols}"
-        );
-        Matrix::from_fn(rows, cols, |r, c| {
-            (Gf256(r as u8) + Gf256((rows + c) as u8)).inv()
-        })
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -139,12 +122,6 @@ impl Matrix {
     #[inline]
     pub fn row(&self, r: usize) -> &[Gf256] {
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Mutable row access.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [Gf256] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Matrix product `self × rhs`.
@@ -408,16 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn cauchy_every_submatrix_invertible() {
-        let c = Matrix::cauchy(6, 4);
-        // Cauchy matrices are "super-regular": all square submatrices are
-        // invertible, in particular any 4 rows are independent.
-        for quad in [[0, 1, 2, 3], [2, 3, 4, 5], [0, 2, 4, 5], [1, 2, 3, 5]] {
-            assert_eq!(c.select_rows(&quad).rank(), 4);
-        }
-    }
-
-    #[test]
     fn mul_vec_matches_mul() {
         let m = Matrix::vandermonde(5, 3);
         let v = [Gf256(7), Gf256(11), Gf256(13)];
@@ -495,30 +462,6 @@ mod tests {
             ) {
                 let v = Matrix::vandermonde(k + extra, k);
                 prop_assert!(v.is_mds_generator());
-            }
-
-            #[test]
-            fn cauchy_is_mds(
-                k in 1usize..6,
-                extra in 1usize..5,
-            ) {
-                // Identity stacked on Cauchy is the classic systematic MDS
-                // construction; here we check the Cauchy block alone has
-                // all rows independent.
-                let c = Matrix::cauchy(extra, k);
-                let stacked = {
-                    let mut m = Matrix::zero(k + extra, k);
-                    for i in 0..k {
-                        m[(i, i)] = Gf256::ONE;
-                    }
-                    for r in 0..extra {
-                        for col in 0..k {
-                            m[(k + r, col)] = c[(r, col)];
-                        }
-                    }
-                    m
-                };
-                prop_assert!(stacked.is_mds_generator());
             }
         }
     }
