@@ -108,15 +108,8 @@ pub enum Lane {
 /// use bytes::Bytes;
 ///
 /// let node = StorageNode::new(NodeId(0));
-/// node.execute(Envelope::new(Request::InitData {
-///     id: 7,
-///     bytes: Bytes::from_static(b"v0"),
-/// }));
-/// let write = Envelope::new(Request::WriteData {
-///     id: 7,
-///     bytes: Bytes::from_static(b"v1"),
-///     version: 1,
-/// });
+/// node.execute(Envelope::new(Request::init_data(7, Bytes::from_static(b"v0"))));
+/// let write = Envelope::new(Request::write_data(7, Bytes::from_static(b"v1"), 1));
 /// let first = node.execute(write.clone());
 /// let replay = node.execute(write); // an at-least-once fabric did this
 /// assert_eq!(first.result, Ok(Response::Ack));
@@ -356,6 +349,64 @@ pub enum Request {
 }
 
 impl Request {
+    // Constructors for the mutating variants, so that callers do not
+    // depend on each variant's field layout.
+
+    /// [`Request::InitData`]: install `bytes` as data block `id`.
+    pub fn init_data(id: BlockId, bytes: Bytes) -> Self {
+        Request::InitData { id, bytes }
+    }
+
+    /// [`Request::InitParity`]: install `bytes` as a parity block of `k`
+    /// data blocks whose cross-checksums are `checks`.
+    pub fn init_parity(id: BlockId, bytes: Bytes, k: usize, checks: Vec<u64>) -> Self {
+        Request::InitParity {
+            id,
+            bytes,
+            k,
+            checks,
+        }
+    }
+
+    /// [`Request::WriteData`]: write `bytes` to data block `id` at `version`.
+    pub fn write_data(id: BlockId, bytes: Bytes, version: u64) -> Self {
+        Request::WriteData { id, bytes, version }
+    }
+
+    /// [`Request::WriteParity`]: replace parity block `id` with `bytes`,
+    /// its version vector with `versions` and its checks with `checks`.
+    pub fn write_parity(id: BlockId, bytes: Bytes, versions: Vec<u64>, checks: Vec<u64>) -> Self {
+        Request::WriteParity {
+            id,
+            bytes,
+            versions,
+            checks,
+        }
+    }
+
+    /// [`Request::AddParity`]: fold `coeff · delta` into parity block `id`
+    /// if it holds `expected_version` for data block `block_index`, then
+    /// advance that entry to `new_version` and its check to `new_check`.
+    pub fn add_parity(
+        id: BlockId,
+        block_index: usize,
+        delta: Bytes,
+        coeff: u8,
+        expected_version: u64,
+        new_version: u64,
+        new_check: u64,
+    ) -> Self {
+        Request::AddParity {
+            id,
+            block_index,
+            delta,
+            coeff,
+            expected_version,
+            new_version,
+            new_check: Some(new_check),
+        }
+    }
+
     /// `true` for requests that (conditionally) mutate node state — the
     /// ones the node's applied-op idempotency window tracks.
     pub fn is_mutation(&self) -> bool {
@@ -681,6 +732,56 @@ mod tests {
             }
             .kind(),
             "write-parity"
+        );
+    }
+
+    #[test]
+    fn constructors_build_the_named_variant() {
+        let b = Bytes::from_static(b"blk");
+        assert_eq!(
+            Request::init_data(1, b.clone()),
+            Request::InitData {
+                id: 1,
+                bytes: b.clone()
+            }
+        );
+        assert_eq!(
+            Request::init_parity(1, b.clone(), 2, vec![3, 4]),
+            Request::InitParity {
+                id: 1,
+                bytes: b.clone(),
+                k: 2,
+                checks: vec![3, 4]
+            }
+        );
+        assert_eq!(
+            Request::write_data(1, b.clone(), 5),
+            Request::WriteData {
+                id: 1,
+                bytes: b.clone(),
+                version: 5
+            }
+        );
+        assert_eq!(
+            Request::write_parity(1, b.clone(), vec![6, 7], vec![8, 9]),
+            Request::WriteParity {
+                id: 1,
+                bytes: b.clone(),
+                versions: vec![6, 7],
+                checks: vec![8, 9]
+            }
+        );
+        assert_eq!(
+            Request::add_parity(1, 2, b.clone(), 0x57, 10, 11, 12),
+            Request::AddParity {
+                id: 1,
+                block_index: 2,
+                delta: b,
+                coeff: 0x57,
+                expected_version: 10,
+                new_version: 11,
+                new_check: Some(12),
+            }
         );
     }
 

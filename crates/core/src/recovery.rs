@@ -59,23 +59,10 @@ impl<T: Transport> TrapErcClient<T> {
             // payload of both the install and the version stamp.
             let bytes_written = out.bytes.len();
             let payload = Bytes::from(out.bytes);
-            self.raw_call(
-                node,
-                Request::InitData {
-                    id,
-                    bytes: payload.clone(),
-                },
-            )
-            .map_err(ProtocolError::Node)?;
-            self.raw_call(
-                node,
-                Request::WriteData {
-                    id,
-                    bytes: payload,
-                    version: out.version,
-                },
-            )
-            .map_err(ProtocolError::Node)?;
+            self.raw_call(node, Request::init_data(id, payload.clone()))
+                .map_err(ProtocolError::Node)?;
+            self.raw_call(node, Request::write_data(id, payload, out.version))
+                .map_err(ProtocolError::Node)?;
             Ok(RebuildReport {
                 node,
                 sources,
@@ -108,24 +95,11 @@ impl<T: Transport> TrapErcClient<T> {
             let payload = Bytes::from(block);
             self.raw_call(
                 node,
-                Request::InitParity {
-                    id,
-                    bytes: payload.clone(),
-                    k,
-                    checks: checks.clone(),
-                },
+                Request::init_parity(id, payload.clone(), k, checks.clone()),
             )
             .map_err(ProtocolError::Node)?;
-            self.raw_call(
-                node,
-                Request::WriteParity {
-                    id,
-                    bytes: payload,
-                    versions,
-                    checks,
-                },
-            )
-            .map_err(ProtocolError::Node)?;
+            self.raw_call(node, Request::write_parity(id, payload, versions, checks))
+                .map_err(ProtocolError::Node)?;
             Ok(RebuildReport {
                 node,
                 sources,

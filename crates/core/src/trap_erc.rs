@@ -374,23 +374,14 @@ impl<T: Transport> TrapErcClient<T> {
             // The stripe's cross-checksum vector rides the install round.
             let checks = data_checks(&refs);
             // Parity into pooled scratch (one fused pass per parity block).
-            let parity_calls = self.encode_parity_calls(&refs, |_, bytes| Request::InitParity {
-                id,
-                bytes,
-                k,
-                checks: checks.clone(),
+            let parity_calls = self.encode_parity_calls(&refs, |_, bytes| {
+                Request::init_parity(id, bytes, k, checks.clone())
             });
             let mut calls: Vec<(NodeId, Request)> = Vec::with_capacity(n);
             for (i, block) in data.into_iter().enumerate() {
                 // The caller's block becomes the wire payload (and, on the
                 // node, the stored allocation) without a copy.
-                calls.push((
-                    NodeId(i),
-                    Request::InitData {
-                        id,
-                        bytes: Bytes::from(block),
-                    },
-                ));
+                calls.push((NodeId(i), Request::init_data(id, Bytes::from(block))));
             }
             calls.extend(parity_calls);
             ops.push(PlanOp {
@@ -526,11 +517,7 @@ impl<T: Transport> TrapErcClient<T> {
                 let req = if member == i {
                     // Line 20: write x into N_i (refcounted clone of the
                     // write's single payload allocation).
-                    Request::WriteData {
-                        id,
-                        bytes: delta.new.clone(),
-                        version: new_version,
-                    }
+                    Request::write_data(id, delta.new.clone(), new_version)
                 } else if self.config.params().k() == 1 {
                     let alpha = self.rs.coefficient(member, i);
                     let bytes = if alpha.0 == 1 {
@@ -540,27 +527,22 @@ impl<T: Transport> TrapErcClient<T> {
                         tq_gf256::slice_ops::mul_slice(alpha, &delta.new, &mut scaled);
                         Bytes::from(scaled)
                     };
-                    Request::WriteParity {
-                        id,
-                        bytes,
-                        versions: vec![new_version],
-                        checks: vec![delta.new_check],
-                    }
+                    Request::write_parity(id, bytes, vec![new_version], vec![delta.new_check])
                 } else {
                     // Lines 25–28: guarded parity fold of α_{j,i}·(x − c).
                     // The raw delta is shared by refcount across every
                     // member and level; each node folds its own
                     // α_{j,i}·delta in place through the dispatched
                     // mul_add kernel — no per-member scaled copy here.
-                    Request::AddParity {
+                    Request::add_parity(
                         id,
-                        block_index: i,
-                        delta: delta.raw_delta.clone(),
-                        expected_version: delta.old_version,
+                        i,
+                        delta.raw_delta.clone(),
+                        self.rs.coefficient(member, i).0,
+                        delta.old_version,
                         new_version,
-                        coeff: self.rs.coefficient(member, i).0,
-                        new_check: Some(delta.new_check),
-                    }
+                        delta.new_check,
+                    )
                 };
                 (NodeId(member), req)
             })
@@ -1438,11 +1420,8 @@ impl<T: Transport> TrapErcClient<T> {
         }
         // Re-encode into the pooled scratch set — scrubbing a volume is
         // one of these per stripe, and the pool keeps it allocation-flat.
-        let parity_calls = self.encode_parity_calls(&refs, |_, bytes| Request::WriteParity {
-            id,
-            bytes,
-            versions: versions.clone(),
-            checks: stripe_checks.clone(),
+        let parity_calls = self.encode_parity_calls(&refs, |_, bytes| {
+            Request::write_parity(id, bytes, versions.clone(), stripe_checks.clone())
         });
         // Push the reconstructed state to every node in one round; only
         // live nodes ack and are reported refreshed.
@@ -1450,11 +1429,7 @@ impl<T: Transport> TrapErcClient<T> {
         for (i, block) in data.into_iter().enumerate() {
             calls.push((
                 NodeId(i),
-                Request::WriteData {
-                    id,
-                    bytes: Bytes::from(block),
-                    version: versions[i],
-                },
+                Request::write_data(id, Bytes::from(block), versions[i]),
             ));
         }
         calls.extend(parity_calls);

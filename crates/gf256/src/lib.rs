@@ -15,23 +15,22 @@
 //! * [`Gf256`] — a field element with full operator overloading. Addition is
 //!   XOR (characteristic 2, so subtraction ≡ addition), multiplication uses
 //!   compile-time exp/log tables over the AES-adjacent polynomial `0x11D`.
-//! * [`slice_ops`] — bulk kernels (`mul_slice`, `mul_add_slice`,
-//!   `mul_add_multi`, …) used on whole storage blocks; these are the hot
-//!   path of encode and delta-update.
+//! * [`slice_ops`] — bulk kernels (`add_assign`, `mul_slice`,
+//!   `mul_add_slice`, `mul_add_multi`) used on whole storage blocks;
+//!   these are the hot path of encode and delta-update.
 //! * [`simd`] — the dispatching backend suite under `slice_ops`:
-//!   split-nibble `pshufb` (SSSE3/AVX2) and `vqtbl1q_u8` (NEON) kernels, a
-//!   portable u64 SWAR fallback, and the scalar reference, selected once
-//!   per process by runtime feature detection (`TQ_GF256_FORCE` overrides).
+//!   split-nibble `pshufb` (SSSE3/AVX2) and `vqtbl1q_u8` (NEON) tiers
+//!   over the scalar table-walk floor, selected once per process by
+//!   runtime feature detection (`TQ_GF256_FORCE` overrides).
 //! * [`check`] — 8-lane GF(2⁸)-linear block checksums
 //!   (`block_check`/`combine`/`linear_check`), the primitive under the
 //!   stripe cross-checksum integrity mode: linearity lets a reader derive
 //!   a parity block's expected checksum from the data-block checksums.
 //! * [`matrix`] — dense matrices over GF(2⁸) with Gauss–Jordan inversion and
 //!   a Vandermonde constructor, from which the systematic MDS
-//!   generator of `tq-erasure` is derived.
-//! * [`poly`] — polynomials over GF(2⁸) (evaluation, interpolation); used by
-//!   tests to cross-check the matrix-based codec against Lagrange
-//!   interpolation.
+//!   generator of `tq-erasure` is derived. `tq-erasure`'s
+//!   `tests/lagrange_oracle.rs` checks every generator coefficient
+//!   against the Lagrange basis value at the Vandermonde points.
 //!
 //! The field is fixed to `h = 8` (GF(256)): the paper itself notes GF(2^h)
 //! "usually" in byte-sized fields, and byte granularity is what storage
@@ -60,11 +59,9 @@
 pub mod check;
 pub mod field;
 pub mod matrix;
-pub mod poly;
 pub mod simd;
 pub mod slice_ops;
 pub mod tables;
 
 pub use field::Gf256;
 pub use matrix::Matrix;
-pub use poly::Poly;

@@ -68,21 +68,6 @@ impl Matrix {
         m
     }
 
-    /// Builds a matrix from nested slices of raw bytes (test convenience).
-    ///
-    /// # Panics
-    /// Panics if rows are empty or ragged.
-    pub fn from_rows(rows: &[&[u8]]) -> Self {
-        assert!(!rows.is_empty(), "matrix needs at least one row");
-        let cols = rows[0].len();
-        assert!(cols > 0, "matrix needs at least one column");
-        assert!(
-            rows.iter().all(|r| r.len() == cols),
-            "ragged rows in matrix literal"
-        );
-        Matrix::from_fn(rows.len(), cols, |r, c| Gf256(rows[r][c]))
-    }
-
     /// `rows × cols` Vandermonde matrix: entry `(r, c) = α_r^c` where
     /// `α_r` is the r-th distinct non-zero evaluation point (`α^r` for the
     /// group generator α).
@@ -110,12 +95,6 @@ impl Matrix {
     #[inline]
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// `true` iff the matrix is square.
-    #[inline]
-    pub fn is_square(&self) -> bool {
-        self.rows == self.cols
     }
 
     /// Borrow row `r` as a slice.
@@ -149,22 +128,6 @@ impl Matrix {
         out
     }
 
-    /// Matrix–vector product.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != self.cols`.
-    pub fn mul_vec(&self, v: &[Gf256]) -> Vec<Gf256> {
-        assert_eq!(v.len(), self.cols, "matrix-vector dimension mismatch");
-        (0..self.rows)
-            .map(|r| {
-                self.row(r)
-                    .iter()
-                    .zip(v)
-                    .fold(Gf256::ZERO, |acc, (&a, &x)| acc + a * x)
-            })
-            .collect()
-    }
-
     /// Extracts the submatrix formed by the given rows (all columns).
     ///
     /// # Panics
@@ -181,7 +144,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if row counts differ.
-    pub fn augment(&self, rhs: &Matrix) -> Matrix {
+    fn augment(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.rows, rhs.rows, "augment: row count mismatch");
         Matrix::from_fn(self.rows, self.cols + rhs.cols, |r, c| {
             if c < self.cols {
@@ -200,7 +163,7 @@ impl Matrix {
     /// # Panics
     /// Panics if the matrix is not square.
     pub fn inverse(&self) -> Result<Matrix, SingularMatrix> {
-        assert!(self.is_square(), "inverse of a non-square matrix");
+        assert_eq!(self.rows, self.cols, "inverse of a non-square matrix");
         let n = self.rows;
         let mut work = self.augment(&Matrix::identity(n));
         work.gauss_jordan()?;
@@ -241,7 +204,7 @@ impl Matrix {
     }
 
     /// Swaps two rows in place.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
+    fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {
             return;
         }
@@ -347,6 +310,11 @@ impl fmt::Debug for Matrix {
 mod tests {
     use super::*;
 
+    /// A matrix literal from rows of raw bytes.
+    fn from_rows(rows: &[&[u8]]) -> Matrix {
+        Matrix::from_fn(rows.len(), rows[0].len(), |r, c| Gf256(rows[r][c]))
+    }
+
     #[test]
     fn identity_is_multiplicative_identity() {
         let m = Matrix::vandermonde(4, 4);
@@ -357,7 +325,7 @@ mod tests {
 
     #[test]
     fn inverse_round_trip_small() {
-        let m = Matrix::from_rows(&[&[1, 2], &[3, 4]]);
+        let m = from_rows(&[&[1, 2], &[3, 4]]);
         let inv = m.inverse().expect("invertible");
         assert_eq!(m.mul(&inv), Matrix::identity(2));
         assert_eq!(inv.mul(&m), Matrix::identity(2));
@@ -366,7 +334,7 @@ mod tests {
     #[test]
     fn singular_matrix_detected() {
         // Two identical rows.
-        let m = Matrix::from_rows(&[&[1, 2], &[1, 2]]);
+        let m = from_rows(&[&[1, 2], &[1, 2]]);
         assert_eq!(m.inverse(), Err(SingularMatrix));
         assert_eq!(m.rank(), 1);
     }
@@ -385,21 +353,10 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_matches_mul() {
-        let m = Matrix::vandermonde(5, 3);
-        let v = [Gf256(7), Gf256(11), Gf256(13)];
-        let as_vec = m.mul_vec(&v);
-        let as_matrix = m.mul(&Matrix::from_fn(3, 1, |r, _| v[r]));
-        for r in 0..5 {
-            assert_eq!(as_vec[r], as_matrix[(r, 0)]);
-        }
-    }
-
-    #[test]
     fn select_rows_and_augment() {
-        let m = Matrix::from_rows(&[&[1, 2], &[3, 4], &[5, 6]]);
+        let m = from_rows(&[&[1, 2], &[3, 4], &[5, 6]]);
         let s = m.select_rows(&[2, 0]);
-        assert_eq!(s, Matrix::from_rows(&[&[5, 6], &[1, 2]]));
+        assert_eq!(s, from_rows(&[&[5, 6], &[1, 2]]));
         let a = s.augment(&Matrix::identity(2));
         assert_eq!(a.cols(), 4);
         assert_eq!(a[(0, 2)], Gf256::ONE);
@@ -408,11 +365,11 @@ mod tests {
 
     #[test]
     fn swap_rows_works() {
-        let mut m = Matrix::from_rows(&[&[1, 2], &[3, 4]]);
+        let mut m = from_rows(&[&[1, 2], &[3, 4]]);
         m.swap_rows(0, 1);
-        assert_eq!(m, Matrix::from_rows(&[&[3, 4], &[1, 2]]));
+        assert_eq!(m, from_rows(&[&[3, 4], &[1, 2]]));
         m.swap_rows(1, 1); // no-op
-        assert_eq!(m, Matrix::from_rows(&[&[3, 4], &[1, 2]]));
+        assert_eq!(m, from_rows(&[&[3, 4], &[1, 2]]));
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Storage blocks are `[u8]`, and both erasure encoding (eq. 1 of the paper)
 //! and the trapezoid write algorithm's delta update
-//! (`b_j ← b_j + α_{j,i}·(x − c)`, Algorithm 1 line 27) reduce to three
+//! (`b_j ← b_j + α_{j,i}·(x − c)`, Algorithm 1 line 27) reduce to a few
 //! primitive kernels applied across whole blocks:
 //!
 //! * [`add_assign`] — `dst ^= src` (field addition/subtraction per byte);
-//! * [`mul_assign_scalar`] / [`mul_slice`] — multiply a block by a constant;
+//! * [`mul_slice`] — `dst = c · src`, a block times a constant;
 //! * [`mul_add_slice`] — fused `dst ^= c · src`, the single hottest kernel:
 //!   one call per (parity block × data block) pair during encode and one
 //!   call per parity block during a delta update;
@@ -14,9 +14,9 @@
 //!   linear combination in one fused, register-blocked pass.
 //!
 //! Every kernel dispatches through [`crate::simd`]: split-nibble
-//! `pshufb`/`vqtbl1q_u8` SIMD where the CPU has it, a portable u64 SWAR
-//! ladder otherwise, with the scalar `MUL[c]` table walk kept as the
-//! differential reference (and forcible via `TQ_GF256_FORCE=scalar`).
+//! `pshufb`/`vqtbl1q_u8` SIMD where the CPU has it, the scalar `MUL[c]`
+//! table walk otherwise. The scalar walk is also the differential
+//! reference, forcible via `TQ_GF256_FORCE=scalar`.
 //! The backend is detected once per process; see [`crate::simd::active`].
 
 use crate::field::Gf256;
@@ -36,20 +36,6 @@ pub fn add_assign(dst: &mut [u8], src: &[u8]) {
         src.len()
     );
     simd::active().add_assign(dst, src);
-}
-
-/// Element-wise field subtraction; identical to [`add_assign`] in
-/// characteristic 2, provided so call sites can mirror the paper's
-/// `(x − chunk)` notation literally.
-#[inline]
-pub fn sub_assign(dst: &mut [u8], src: &[u8]) {
-    add_assign(dst, src);
-}
-
-/// Multiply every byte of `data` by the constant `c`, in place.
-#[inline]
-pub fn mul_assign_scalar(data: &mut [u8], c: Gf256) {
-    simd::active().mul_assign_scalar(data, c);
 }
 
 /// `dst[i] = c · src[i]` — out-of-place constant multiply.
@@ -140,18 +126,6 @@ pub fn linear_combination(coeffs: &[Gf256], blocks: &[&[u8]], out: &mut [u8]) {
     mul_add_multi(coeffs, blocks, out);
 }
 
-/// Dot product of two coefficient vectors: `Σ_i a[i]·b[i]`.
-///
-/// # Panics
-/// Panics on length mismatch.
-#[inline]
-pub fn dot(a: &[Gf256], b: &[Gf256]) -> Gf256 {
-    assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    a.iter()
-        .zip(b)
-        .fold(Gf256::ZERO, |acc, (&x, &y)| acc + x * y)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,18 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_assign_scalar_matches_mul_slice() {
-        let src: Vec<u8> = (0..=255).rev().collect();
-        for c in [0u8, 1, 2, 0x53, 0xCA] {
-            let mut a = src.clone();
-            let mut b = vec![0u8; src.len()];
-            mul_assign_scalar(&mut a, Gf256(c));
-            mul_slice(Gf256(c), &src, &mut b);
-            assert_eq!(a, b, "c = {c:#x}");
-        }
-    }
-
-    #[test]
     fn mul_add_slice_accumulates() {
         let src = vec![5u8, 6, 7];
         let mut dst = vec![1u8, 2, 3];
@@ -232,14 +194,6 @@ mod tests {
         for i in 0..4 {
             assert_eq!(out[i], mul_byte(3, b0[i]) ^ mul_byte(5, b1[i]));
         }
-    }
-
-    #[test]
-    fn dot_product() {
-        let a = [Gf256(1), Gf256(2), Gf256(3)];
-        let b = [Gf256(4), Gf256(5), Gf256(6)];
-        let expect = Gf256(4) + Gf256(2) * Gf256(5) + Gf256(3) * Gf256(6);
-        assert_eq!(dot(&a, &b), expect);
     }
 
     #[test]

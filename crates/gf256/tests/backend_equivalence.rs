@@ -1,7 +1,7 @@
 //! Differential backend equivalence: every kernel tier this machine can
 //! run must produce byte-identical output to the scalar reference, for
 //! every kernel, across all block lengths 0..=257 (covering empty
-//! blocks, sub-register tails, and multi-strip bodies for the 8/16/32/64
+//! blocks, sub-register tails, and multi-strip bodies for the 16/32/64
 //! byte inner loops) and across misaligned sub-slices (SIMD loads are
 //! unaligned by construction; these tests pin that down).
 //!
@@ -36,10 +36,7 @@ const COEFFS: [u8; 8] = [0, 1, 2, 3, 0x1D, 0x53, 0x8E, 0xFF];
 /// backend name in panic messages.
 fn for_each_backend(check: impl Fn(Backend)) {
     let available = Backend::available();
-    assert!(
-        available.contains(&Backend::Scalar) && available.contains(&Backend::Swar),
-        "portable tiers must always be available"
-    );
+    assert!(available.contains(&Backend::Scalar), "scalar always runs");
     for backend in available {
         check(backend);
     }
@@ -71,21 +68,6 @@ fn mul_slice_matches_scalar_for_all_lengths() {
                 let mut got = vec![0x5Au8; len];
                 Backend::Scalar.mul_slice(Gf256(c), &src, &mut expect);
                 backend.mul_slice(Gf256(c), &src, &mut got);
-                assert_eq!(got, expect, "{backend:?} len={len} c={c:#04x}");
-            }
-        }
-    });
-}
-
-#[test]
-fn mul_assign_scalar_matches_scalar_for_all_lengths() {
-    for_each_backend(|backend| {
-        for len in 0..=257usize {
-            for c in COEFFS {
-                let mut expect = pattern(len, 4);
-                let mut got = expect.clone();
-                Backend::Scalar.mul_assign_scalar(&mut expect, Gf256(c));
-                backend.mul_assign_scalar(&mut got, Gf256(c));
                 assert_eq!(got, expect, "{backend:?} len={len} c={c:#04x}");
             }
         }
@@ -202,7 +184,7 @@ fn detection_picks_the_expected_x86_tier() {
     } else if std::arch::is_x86_feature_detected!("ssse3") {
         assert_eq!(best, Backend::Ssse3, "SSSE3-only machines must pick ssse3");
     } else {
-        assert_eq!(best, Backend::Swar, "pre-SSSE3 machines fall back to swar");
+        assert_eq!(best, Backend::Scalar, "pre-SSSE3 machines run scalar");
     }
 }
 
@@ -214,8 +196,8 @@ fn detection_picks_neon_on_aarch64() {
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
 #[test]
-fn detection_falls_back_to_swar_on_other_arches() {
-    assert_eq!(Backend::detect(), Backend::Swar);
+fn detection_falls_back_to_scalar_on_other_arches() {
+    assert_eq!(Backend::detect(), Backend::Scalar);
 }
 
 #[test]
@@ -224,8 +206,6 @@ fn active_backend_honours_a_force_override() {
     // TQ_GF256_FORCE this asserts the override took effect, and without
     // the variable it asserts detection picked the best available tier.
     match std::env::var("TQ_GF256_FORCE").ok().as_deref() {
-        Some("scalar") => assert_eq!(tq_gf256::simd::active(), Backend::Scalar),
-        Some("swar") => assert_eq!(tq_gf256::simd::active(), Backend::Swar),
         Some("simd") | None => assert_eq!(tq_gf256::simd::active(), Backend::detect()),
         Some(other) => {
             let tier = Backend::ALL
