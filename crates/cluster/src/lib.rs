@@ -27,7 +27,7 @@
 //!   invokes nodes synchronously, the zero-latency sequential reference
 //!   experiments and cost pins replay against. Under both concurrent
 //!   transports — the simulator and TCP — sits one private dispatch
-//!   driver (`driver.rs`): deadlines, hedged re-issue and late-reply
+//!   driver (`driver.rs`): the round deadline and late-reply
 //!   absorption are written once, and each fabric contributes only a
 //!   link (send, receive, tell the time).
 //! * [`quorum_round`] — the scatter-gather round engine: one trapezoid
@@ -36,11 +36,11 @@
 //!   and failures reported for accounting.
 //! * [`fault`] — seeded fail-stop fault patterns and schedules, so every
 //!   experiment is replayable bit-for-bit.
-//! * [`health`] — the adaptive straggler-tolerance layer: per-node
-//!   latency/variance estimation ([`health::NodeHealth`]) driving
-//!   adaptive timeouts and hedged sends, a consecutive-failure circuit
-//!   that routes reads around unreachable nodes, and a token-bucket
-//!   retry budget capping all client-side re-issue traffic.
+//! * [`health`] — per-node health ([`health::NodeHealth`]): a latency
+//!   estimate that flags stragglers and ranks members, a
+//!   consecutive-failure circuit that routes reads around unreachable
+//!   nodes, and a token-bucket retry budget capping client-side
+//!   re-issue traffic.
 //! * [`sim`] — the deterministic simulation transport
 //!   ([`sim::SimTransport`]): a seeded virtual-time event scheduler that
 //!   drives the same fan-outs through an adversarial [`sim::NetworkModel`]
@@ -104,7 +104,7 @@ pub mod wire;
 
 pub use cluster::Cluster;
 pub use fault::FaultInjector;
-pub use health::{HedgeCounters, HedgePolicy, NodeHealth};
+pub use health::NodeHealth;
 pub use node::{NodeBuilder, NodeId, StorageNode};
 pub use quorum_round::{
     Accepted, Completion, MultiRound, PlanOp, QuorumRound, Rejected, RoundOutcome,

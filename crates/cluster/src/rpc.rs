@@ -81,9 +81,8 @@ pub fn next_round_epoch() -> u64 {
 /// Foreground is client-visible work, reads' replacement fetches
 /// included; Background is maintenance (scrub's salvage gather, residue
 /// poll, parity audit and push). Transports and the retry budget use
-/// the lane to make maintenance traffic yield to foreground ops: hedges
-/// are only fired for foreground sends, and background retries must
-/// leave a foreground token reserve (see
+/// the lane to make maintenance traffic yield to foreground ops:
+/// background retries must leave a foreground token reserve (see
 /// [`NodeHealth::try_spend`](crate::health::NodeHealth::try_spend)). On the wire the lane
 /// travels as header flag bit `0x0001`; foreground (the default)
 /// encodes as 0, so frames from pre-lane peers decode as foreground and
@@ -93,7 +92,7 @@ pub enum Lane {
     /// Client-visible request path. The default.
     #[default]
     Foreground,
-    /// Maintenance traffic: yields hedge/retry budget to foreground.
+    /// Maintenance traffic: yields retry budget to foreground.
     Background,
 }
 

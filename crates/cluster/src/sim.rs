@@ -39,20 +39,16 @@
 //!   reinstalls it). Partitions block the request or the reply direction
 //!   of a set of links, independently. [`SimFault::Degrade`] grays a
 //!   node out — up and correct, just 10–100× slower — the straggler
-//!   regime the adaptive layer exists for.
+//!   regime the health registry's straggler flag exists for.
 //! * **The waiting code under test is the waiting code that ships.**
 //!   The simulator is a *link* — the seeded event heap with loss,
 //!   duplication, FIFO, limbo and scheduled faults — under the same
-//!   dispatch driver (`driver.rs`) the TCP transport runs:
-//!   deadlines (the model's `timeout`, tightened per node once a policy
-//!   is armed), hedge timers, the straggler-skip rule, late-reply
-//!   absorption and timeout synthesis are the driver's, on this
-//!   transport's virtual clock. The transport owns a [`NodeHealth`]
-//!   registry (exposed via [`SimTransport::health_registry`]); arming a
-//!   [`HedgePolicy`](crate::health::HedgePolicy) turns on adaptive
-//!   deadlines and speculative re-issue of slow calls — same `OpId`, so
-//!   the existing duplicate-absorption hardening makes the losing copy
-//!   invisible. With the default policy (`Off`) the driver wakes only at
+//!   dispatch driver (`driver.rs`) the TCP transport runs: the round
+//!   deadline (the model's `timeout`), late-reply absorption and
+//!   timeout synthesis are the driver's, on this transport's virtual
+//!   clock. The transport owns a [`NodeHealth`] registry (exposed via
+//!   [`SimTransport::health_registry`]) that the driver feeds latency
+//!   samples and the read path consults; the driver wakes only at
 //!   deadlines and draws nothing from the RNG or the retry budget.
 
 use std::cmp::Ordering as CmpOrdering;
@@ -113,8 +109,8 @@ pub struct NetworkModel {
     pub redelivery: bool,
     /// Probability that a sampled delay grows a heavy (lognormal-ish)
     /// tail: the draw is multiplied by a power of two in `[2, 32]`.
-    /// The body of the distribution stays put; rare stragglers appear —
-    /// exactly what hedged requests exist to absorb. At `0.0` nothing
+    /// The body of the distribution stays put; rare stragglers appear.
+    /// At `0.0` nothing
     /// is drawn from the RNG, so legacy schedules stay bit-identical.
     pub heavy_tail: f64,
 }
@@ -213,8 +209,7 @@ pub enum SimFault {
     /// Gray the node out: every message to or from it takes `factor`×
     /// the sampled delay. The node stays up and answers correctly —
     /// it is merely slow, the failure mode fail-stop detectors never
-    /// see and hedged requests are built to route around. `factor: 1`
-    /// restores full speed.
+    /// see. `factor: 1` restores full speed.
     Degrade {
         /// Which node.
         node: usize,
@@ -269,7 +264,7 @@ enum LimboMsg {
 }
 
 /// What travels through the event heap: messages, and nothing else —
-/// deadlines and hedge timers are the driver's, not the fabric's.
+/// the round deadline is the driver's, not the fabric's.
 #[derive(Debug)]
 enum EventKind {
     /// A request reaches its node (and executes there). `foreign` marks
@@ -419,8 +414,8 @@ impl SimState {
 
     /// Schedules one request delivery toward `node` (plus a sampled
     /// duplicate), honouring request-partitions, loss, FIFO and the
-    /// duplication knob — the single path fresh sends, hedge re-issues
-    /// and limbo re-injections all go through.
+    /// duplication knob — the single path fresh sends and limbo
+    /// re-injections both go through.
     fn schedule_request(
         &mut self,
         heap: &mut BinaryHeap<Event>,
@@ -579,8 +574,8 @@ pub struct SimTransport {
     cluster: Cluster,
     state: Mutex<SimState>,
     /// Per-node health, fed from virtual time: RTT samples on delivery,
-    /// outcomes by the quorum engine via [`Transport::health`]. Dormant
-    /// (and schedule-invisible) until a hedge policy is armed.
+    /// outcomes by the quorum engine via [`Transport::health`]. The
+    /// registry draws nothing from the schedule's RNG.
     health: Arc<NodeHealth>,
 }
 
@@ -610,16 +605,12 @@ impl SimTransport {
                 degrade: vec![1; n],
                 stats: SimStats::default(),
             }),
-            health: Arc::new(NodeHealth::sim_scale()),
+            health: Arc::new(NodeHealth::new()),
         }
     }
 
     /// The health registry this simulation feeds, driven entirely by
-    /// virtual time. Arm a policy with
-    /// [`set_policy`](NodeHealth::set_policy) to turn on adaptive
-    /// per-node deadlines and hedged re-issue; the default
-    /// ([`HedgePolicy::Off`](crate::health::HedgePolicy::Off)) keeps
-    /// every schedule bit-identical to the pre-hedging transport.
+    /// virtual time.
     pub fn health_registry(&self) -> &Arc<NodeHealth> {
         &self.health
     }
@@ -1487,91 +1478,18 @@ mod tests {
     }
 
     #[test]
-    fn armed_policy_hedges_stragglers_and_keeps_replay_exact() {
-        use crate::health::HedgePolicy;
-        let run = |seed| {
-            let t = SimTransport::with_model(
-                Cluster::new(4),
-                seed,
-                NetworkModel {
-                    heavy_tail: 0.2,
-                    ..NetworkModel::reliable()
-                },
-            );
-            t.health_registry().set_policy(HedgePolicy::P99);
-            let mut order = Vec::new();
-            for _ in 0..50 {
-                let replies = collect(&t, pings(4));
-                assert_eq!(replies.len(), 4, "every call completes");
-                order.extend(replies.into_iter().map(|r| (r.node, r.result.is_ok())));
-            }
-            let hedges = t.health_registry().hedge_counters();
-            (order, t.stats(), hedges, t.now())
-        };
-        let (order, stats, hedges, now) = run(51);
-        assert!(
-            hedges.fired >= 1,
-            "heavy-tail stragglers trip the hedge quantile: {hedges:?}"
-        );
-        assert!(
-            hedges.won + hedges.dups >= 1,
-            "a hedged pair resolved one way or the other: {hedges:?}"
-        );
-        assert_eq!(
-            run(51),
-            (order, stats, hedges, now),
-            "hedged replay is bit-for-bit"
-        );
-    }
-
-    #[test]
-    fn off_policy_leaves_health_dormant_but_fed() {
-        // With no policy armed the schedule carries zero hedge events,
-        // yet RTT samples still accumulate — so flipping a policy on
-        // later starts from a warm estimator.
+    fn every_round_feeds_the_estimator() {
+        // Each completed call is one RTT sample for its node, so the
+        // registry's straggler flag has evidence to work from.
         let t = SimTransport::new(Cluster::new(2), 53);
         for _ in 0..5 {
             let replies = collect(&t, pings(2));
             assert_eq!(replies.len(), 2);
         }
-        assert_eq!(
-            t.health_registry().hedge_counters(),
-            crate::health::HedgeCounters::default()
-        );
         for node in 0..2 {
-            assert!(
-                t.health_registry().timeout_for(node).is_some(),
-                "RTT samples warmed node {node}'s estimator even while dormant"
-            );
+            assert_eq!(t.health_registry().samples(node), 5, "node {node}");
         }
-    }
-
-    #[test]
-    fn adaptive_deadline_times_a_gray_node_out_early() {
-        use crate::health::HedgePolicy;
-        // Warm the estimator on a healthy cluster, then gray node 0 far
-        // past the model timeout. The adaptive deadline (srtt + 4·dev,
-        // clamped) fires long before the fixed 100k budget would.
-        let t = SimTransport::new(Cluster::new(2), 59);
-        t.health_registry().set_policy(HedgePolicy::P99);
-        for _ in 0..10 {
-            let replies = collect(&t, pings(2));
-            assert_eq!(replies.len(), 2);
-        }
-        let before = t.now();
-        t.apply(SimFault::Degrade {
-            node: 0,
-            factor: 10_000,
-        });
-        let replies = collect(&t, pings(2));
-        let gray = replies.iter().find(|r| r.node == NodeId(0)).unwrap();
-        assert_eq!(gray.result, Err(NodeError::TimedOut));
-        let elapsed = t.now() - before;
-        assert!(
-            elapsed < t.model().timeout,
-            "adaptive deadline cut the wait: {elapsed} vs fixed {}",
-            t.model().timeout
-        );
+        assert_eq!(t.health_registry().retries(), 0, "nothing re-sent");
     }
 
     #[test]

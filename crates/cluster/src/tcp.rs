@@ -10,8 +10,8 @@
 //!
 //! * **Callers write.** Every frame leaves from the thread whose round
 //!   it belongs to.
-//! * **A lone call's caller reads.** A round of exactly one call with no
-//!   hedge armed — every healthy read is one — checks a connection out
+//! * **A lone call's caller reads.** A round of exactly one call —
+//!   every healthy read is one — checks a connection out
 //!   of the peer's idle list, writes its frame and reads the reply on its
 //!   own thread, the read timeout set to the driver's next wake-up. The
 //!   connection goes back to the list only once its reply was read and
@@ -30,20 +30,15 @@
 //!   thread, so a dead or saturated peer never delays the round's other
 //!   members.
 //!
-//! Which link a round gets is decided when it is built, from what it can
-//! observe then: its call count, and whether a hedge policy is armed. A
-//! hedge re-sends the call on the peer's *other* pooled connection and
-//! its other serving thread, which is where a re-issue to the same node
-//! can actually win, so an armed policy keeps the relay. Deadlines,
-//! hedged re-issue and late-reply absorption are the driver's, exactly
-//! as under the simulator.
+//! Which link a round gets is decided by its call count alone. The
+//! deadline and late-reply absorption are the driver's, exactly as
+//! under the simulator.
 //!
 //! Failure surfacing keeps the vocabulary the protocol already speaks:
 //!
 //! * a node that cannot be reached after bounded reconnect-with-backoff
 //!   answers [`NodeError::Down`];
-//! * an exceeded round-trip budget ([`TcpConfig::io_timeout`], tightened
-//!   per node once a hedge policy is armed) answers
+//! * an exceeded round-trip budget ([`TcpConfig::io_timeout`]) answers
 //!   [`NodeError::TimedOut`] (and, as everywhere else, the request *may
 //!   still execute* — a timed-out write is a partial write, not a
 //!   no-op);
@@ -378,9 +373,9 @@ impl Round {
 /// command's unit of the peer's inflight window, released when the
 /// waiter goes — answered, failed, or taken back by its round.
 struct Waiter {
-    /// The registration's own identity: an at-least-once caller (a
-    /// hedge, most often) may legally have one op id in flight twice,
-    /// and each copy is removed as itself.
+    /// The registration's own identity: an at-least-once caller may
+    /// legally have one op id in flight twice, and each copy is removed
+    /// as itself.
     id: u64,
     node: NodeId,
     round_epoch: u64,
@@ -633,24 +628,17 @@ impl TcpTransport {
             inner: Arc::new(TcpInner {
                 peers,
                 cfg,
-                health: Arc::new(NodeHealth::real_scale()),
+                health: Arc::new(NodeHealth::new()),
                 helped: AtomicU64::new(0),
                 relayed: Arc::default(),
             }),
         }
     }
 
-    /// The health registry behind this transport — arm a hedge policy
-    /// for hedged re-issue and adaptive per-node deadlines, or read its
-    /// hedge counters.
+    /// The health registry behind this transport: the driver's latency
+    /// samples, the quorum engine's outcomes and the retry budget.
     pub fn health_registry(&self) -> &Arc<NodeHealth> {
         &self.inner.health
-    }
-
-    /// Whether a round of `calls` calls runs on a [`LoneLink`]: one call,
-    /// and no hedge policy that could ask for a second copy of it.
-    fn lone(&self, calls: usize) -> bool {
-        calls == 1 && !self.inner.health.hedging_enabled()
     }
 
     /// The fabric's fixed round-trip budget.
@@ -911,8 +899,7 @@ impl Link for RelayLink<'_> {
         let Some(peer) = self.inner.peers.get(node.0) else {
             return self.round.fail(node, env, NodeError::TransportClosed);
         };
-        // Requests round-robin over the pool, so a hedge re-issue lands
-        // on the peer's other connection and its other serving thread.
+        // Requests round-robin over the pool's connections.
         let slot_index = peer.rr.fetch_add(1, Ordering::Relaxed) % peer.slots.len();
         let live = peer.slots[slot_index]
             .try_lock()
@@ -1006,7 +993,7 @@ impl Outstanding<'_> {
     }
 }
 
-/// The link of a round with one call and no hedge armed: the caller
+/// The link of a round with one call: the caller
 /// writes the frame on a connection checked out for the call and reads
 /// the reply on its own thread — no channel, reader thread or helper.
 struct LoneLink<'a> {
@@ -1031,8 +1018,8 @@ impl<'a> LoneLink<'a> {
 impl Link for LoneLink<'_> {
     /// The call is the whole round, so a send that would block — a
     /// reconnect with backoff, a full window's `overload_wait` — blocks
-    /// only its own caller. A second copy (a hedge armed after the round
-    /// was built) is not sent: nothing here would read its reply.
+    /// only its own caller. The driver sends a call once; a second copy
+    /// would not be sent, since nothing here would read its reply.
     fn send(&mut self, node: NodeId, env: &Envelope) {
         if self.sent.is_some() {
             return;
@@ -1077,11 +1064,7 @@ impl Transport for TcpTransport {
 
     fn dispatch(&self, node: NodeId, env: Envelope) -> Reply {
         let (health, budget) = (&self.inner.health, self.budget());
-        if self.lone(1) {
-            drive_one(LoneLink::new(&self.inner), health, budget, node, env)
-        } else {
-            drive_one(self.relay_link(), health, budget, node, env)
-        }
+        drive_one(LoneLink::new(&self.inner), health, budget, node, env)
     }
 
     fn health(&self) -> Option<&NodeHealth> {
@@ -1094,7 +1077,7 @@ impl Transport for TcpTransport {
     /// written will still execute.
     fn multicall(&self, calls: Vec<(NodeId, Envelope)>, sink: &mut dyn FnMut(RoundReply) -> bool) {
         let (health, budget) = (&self.inner.health, self.budget());
-        if self.lone(calls.len()) {
+        if calls.len() == 1 {
             drive(LoneLink::new(&self.inner), health, budget, calls, sink)
         } else {
             drive(self.relay_link(), health, budget, calls, sink)
@@ -1469,70 +1452,9 @@ pub(crate) mod tests {
         assert!(elapsed < backoff_base / 2, "{elapsed:?}");
     }
 
-    /// Counts every envelope and parks the first one to arrive after
-    /// arming until released — on a [`TcpNodeServer`] that stalls one
-    /// connection's serving thread and leaves the node's others free.
-    struct StallFirst {
-        inner: Arc<dyn NodeApi>,
-        seen: AtomicUsize,
-        gate: Mutex<Option<Receiver<()>>>,
-    }
-
-    impl NodeApi for StallFirst {
-        fn execute(&self, env: Envelope) -> Reply {
-            self.seen.fetch_add(1, Ordering::SeqCst);
-            let gate = self.gate.lock().take();
-            if let Some(gate) = gate {
-                let _ = gate.recv();
-            }
-            self.inner.execute(env)
-        }
-    }
-
-    #[test]
-    fn tcp_hedge_wins_on_the_peers_other_connection() {
-        use crate::health::HedgePolicy;
-        let cluster = Cluster::new(1);
-        let node = Arc::new(StallFirst {
-            inner: Arc::clone(cluster.node(0)) as Arc<dyn NodeApi>,
-            seen: AtomicUsize::new(0),
-            gate: Mutex::new(None),
-        });
-        let server =
-            TcpNodeServer::spawn(Arc::clone(&node) as Arc<dyn NodeApi>, "127.0.0.1:0").unwrap();
-        let t = TcpTransport::connect(vec![server.local_addr()]);
-        for _ in 0..2 {
-            assert_eq!(t.call(NodeId(0), Request::Ping), Ok(Response::Pong));
-        }
-        // A warm estimator far above loopback latency, so the hedge
-        // (≈ 2·srtt) and the adaptive deadline (≈ 4·srtt) leave scheduler
-        // noise no say in the outcome.
-        let health = t.health_registry();
-        health.set_policy(HedgePolicy::P99);
-        for _ in 0..16 {
-            health.record_sample(0, 20_000_000);
-        }
-        let (release, gate) = unbounded();
-        *node.gate.lock() = Some(gate);
-        let before = node.seen.load(Ordering::SeqCst);
-        let env = Envelope::new(Request::Ping);
-        let op_id = env.op_id;
-        let reply = t.dispatch(NodeId(0), env);
-        assert_eq!(reply.op_id, op_id);
-        assert_eq!(reply.result, Ok(Response::Pong), "the hedge copy answered");
-        assert_eq!(
-            node.seen.load(Ordering::SeqCst) - before,
-            2,
-            "the node saw the same envelope twice"
-        );
-        let c = health.hedge_counters();
-        assert!(c.fired >= 1 && c.won >= 1, "{c:?}");
-        release.send(()).unwrap();
-    }
-
     #[test]
     fn tcp_deregister_removes_its_own_registration() {
-        // One op id in flight twice (a call and its hedge) on one
+        // One op id in flight twice (an at-least-once caller) on one
         // connection: the first registration is taken back, and the
         // reply must still reach the second.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1666,7 +1588,7 @@ pub(crate) mod tests {
             },
         );
         assert_eq!(t.call(NodeId(0), Request::Ping), Err(NodeError::Down));
-        let spent_once = t.health_registry().hedge_counters().retries;
+        let spent_once = t.health_registry().retries();
         assert!(
             (1..10).contains(&spent_once),
             "retries are budget-bounded below the attempt count: {spent_once}"
@@ -1674,7 +1596,7 @@ pub(crate) mod tests {
         // Budget exhausted: further dispatches stop at the free attempt.
         assert_eq!(t.call(NodeId(0), Request::Ping), Err(NodeError::Down));
         assert_eq!(t.call(NodeId(0), Request::Ping), Err(NodeError::Down));
-        let spent_after = t.health_registry().hedge_counters().retries;
+        let spent_after = t.health_registry().retries();
         assert_eq!(
             spent_after, spent_once,
             "an empty budget stops paid reconnect attempts"

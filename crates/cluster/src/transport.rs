@@ -413,20 +413,4 @@ mod tests {
         assert_eq!(reads, 3);
         assert_eq!(cluster.io_totals().reads, 3);
     }
-
-    #[test]
-    fn hedging_off_keeps_the_plain_path() {
-        let (_servers, t, _cluster) = loopback(3);
-        assert!(!t.health_registry().hedging_enabled());
-        let mut n = 0;
-        t.multicall(ping_batch(3), &mut |_| {
-            n += 1;
-            true
-        });
-        assert_eq!(n, 3);
-        assert_eq!(
-            t.health_registry().hedge_counters(),
-            crate::health::HedgeCounters::default()
-        );
-    }
 }

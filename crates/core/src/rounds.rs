@@ -93,15 +93,8 @@ pub(crate) struct Writing<P> {
 /// `results` arrives holding the items that failed before the walk and
 /// leaves, fully resolved, as the batch's outcomes.
 ///
-/// This is also the one place a write level's completion rule is
-/// chosen. By default a level awaits every member: the validated write
-/// *set* is the durability statement. When the transport carries an
-/// armed health registry (hedging on), the level completes on the first
-/// `w_l` acks instead — stragglers are hedged by the transport and
-/// their requests still execute, but the level's tail is the quorum's
-/// tail, not the slowest member's. The validated set then underreports
-/// the stragglers that applied the write after abandonment, which is
-/// the safe direction: version polls rediscover them.
+/// A level awaits every member: the validated write *set* is the
+/// durability statement, so every member must still be attempted.
 pub(crate) fn write_levels<T: Transport, P>(
     transport: &T,
     levels: usize,
@@ -110,7 +103,6 @@ pub(crate) fn write_levels<T: Transport, P>(
     mut results: Vec<Option<Result<WriteOutcome, ProtocolError>>>,
     mut report: OpReport,
 ) -> BatchWrites {
-    let first_quorum = transport.health().is_some_and(|h| h.hedging_enabled());
     for l in 0..levels {
         if alive.is_empty() {
             break;
@@ -119,12 +111,10 @@ pub(crate) fn write_levels<T: Transport, P>(
             .iter()
             .map(|w| {
                 let (needed, calls) = level_op(w, l);
-                let round = if first_quorum {
-                    QuorumRound::first_quorum(needed)
-                } else {
-                    QuorumRound::await_all(needed)
-                };
-                PlanOp { round, calls }
+                PlanOp {
+                    round: QuorumRound::await_all(needed),
+                    calls,
+                }
             })
             .collect();
         let outcomes = run_fused(transport, Some(l), ops, &mut report);

@@ -66,13 +66,9 @@
 //!
 //! Each scatter is gathered under the paper's quorum condition. Write
 //! levels await every member (the validated *set* is the durability
-//! statement; every member must still be attempted) unless a hedge
-//! policy is armed, when they complete on the `w_l`-th ack — one rule,
-//! chosen in one place for every protocol. Read version checks
-//! complete on the `r_l`-th answer (Algorithm 2 line 30; stragglers are
-//! abandoned). Straggler read-around is not a second path either: a
-//! block whose home node an armed registry flags takes the same poll
-//! before level 0, asking `N_i` only if the poll falls short. On
+//! statement; every member must still be attempted) — one rule, in one
+//! place for every protocol. Read version checks complete on the
+//! `r_l`-th answer (Algorithm 2 line 30; stragglers are abandoned). On
 //! `LocalTransport` a plan runs sequentially and its rounds and
 //! messages repeat bit-for-bit; on `SimTransport` and `TcpTransport` a
 //! stage costs one round trip to its slowest needed responder instead
@@ -140,10 +136,6 @@ fn record_corrupt(corrupt: &mut Vec<usize>, node: usize) {
 
 /// One block's state on its way through a read plan.
 struct ReadItem {
-    /// An armed health registry flagged the block's home node `N_i` a
-    /// straggler when the plan was drawn up: the read skips `N_i` and
-    /// opens with the `k`-shard poll.
-    around: bool,
     /// The `k`-shard poll has been considered for this block (it runs
     /// at most once).
     polled: bool,
@@ -569,25 +561,9 @@ impl<T: Transport> TrapErcClient<T> {
         self.read_blocks(&[BlockAddr::new(id, i)]).into_single()
     }
 
-    /// True when an armed health registry marks block `i`'s home node
-    /// `N_i` a straggler: the read plan then opens with the `k`-shard
-    /// poll ([`read_around`]) before asking `N_i` anything and skips
-    /// the separate `N_i` fetch, so a gray home node stays off the
-    /// read's critical path. This skip is the only hedge-gated part of
-    /// the poll: every other read reaches it only once `N_i` has
-    /// refused, after its one level-0 message. A dormant or absent
-    /// registry never skips `N_i`.
-    ///
-    /// [`read_around`]: TrapErcClient::read_around
-    fn avoid_home(&self, i: usize) -> bool {
-        self.transport
-            .health()
-            .is_some_and(|h| h.hedging_enabled() && h.straggler(i))
-    }
-
     /// **The `k`-shard poll** — Case 2's opening move, for a block the
     /// plan knows must be decoded: `N_i` refused the `ReadData` a round
-    /// asked it for, or [`avoid_home`] skips it. One round fetches `k`
+    /// asked it for. One round fetches `k`
     /// shards without `N_i` (data blocks topped up from parity) and lets
     /// the parity replies' version vectors stand in for the level walk.
     /// The check is sound because every non-home member of every level
@@ -607,8 +583,6 @@ impl<T: Transport> TrapErcClient<T> {
     /// member that stalls it); without one every member is eligible, in
     /// index order. `None` (too few eligible members) polls nothing. The
     /// poll may only save messages, never weaken the read.
-    ///
-    /// [`avoid_home`]: TrapErcClient::avoid_home
     fn read_around(&self, id: u64, i: usize) -> Option<Vec<(NodeId, Request)>> {
         let health = self.transport.health();
         let (n, k) = (self.config.params().n(), self.config.params().k());
@@ -757,13 +731,12 @@ impl<T: Transport> TrapErcClient<T> {
     }
 
     /// Case 2's opening move for every block that now knows it must be
-    /// decoded — [`avoid_home`] skips its home node, or `N_i` was asked
-    /// and refused — and has not polled yet: one fused round of
+    /// decoded — `N_i` was asked and refused — and has not polled yet:
+    /// one fused round of
     /// [`read_around`] polls. Where the polled columns complete some
     /// level's check, a block still without a version has it settled
     /// from them; either way the shards join those in hand for Case 2.
     ///
-    /// [`avoid_home`]: TrapErcClient::avoid_home
     /// [`read_around`]: TrapErcClient::read_around
     fn poll_stage(&self, addrs: &[BlockAddr], items: &mut [ReadItem], report: &mut OpReport) {
         let k = self.config.params().k();
@@ -772,7 +745,7 @@ impl<T: Transport> TrapErcClient<T> {
             let refused = st.asked.contains(&addr.block) && st.home.is_none();
             // A block already holding k shards has what the poll fetches.
             let stocked = st.shards.len() >= k;
-            if st.done.is_some() || st.polled || stocked || !(st.around || refused) {
+            if st.done.is_some() || st.polled || stocked || !refused {
                 continue;
             }
             st.polled = true;
@@ -812,7 +785,6 @@ impl<T: Transport> TrapErcClient<T> {
         let mut items: Vec<ReadItem> = addrs
             .iter()
             .map(|addr| ReadItem {
-                around: addr.block < k && self.avoid_home(addr.block),
                 polled: false,
                 matrix: VersionMatrix::new(n, k),
                 latest: None,
@@ -837,9 +809,8 @@ impl<T: Transport> TrapErcClient<T> {
         // Fused level checks; a block leaves the pending set once some
         // level completes its check (line 30). N_i's reply, the block
         // itself, is its version answer here and waits in `home`. Before
-        // each level, a block that now knows it must be decoded takes
-        // the k-shard poll instead (a flagged home node's block before
-        // level 0, a refused one's right after it).
+        // each level, a block whose N_i refused takes the k-shard poll
+        // instead.
         for l in 0..self.config.shape().num_levels() {
             self.poll_stage(addrs, &mut items, &mut report);
             let pending = stage(&items, &|_, st| st.latest.is_none());
@@ -899,11 +870,8 @@ impl<T: Transport> TrapErcClient<T> {
 
         // A level's first-quorum completion may have abandoned N_i's reply
         // (s_0 > 1 and r_0 other members answered first): only then is
-        // N_i still to be asked, in one fused fetch. A block routing
-        // around a straggler home node is headed for Case 2 regardless.
-        let direct = stage(&items, &|idx, st| {
-            !st.around && !st.asked.contains(&addrs[idx].block)
-        });
+        // N_i still to be asked, in one fused fetch.
+        let direct = stage(&items, &|idx, st| !st.asked.contains(&addrs[idx].block));
         let ops = direct
             .iter()
             .map(|&idx| PlanOp {
@@ -2488,19 +2456,16 @@ mod tests {
 
     #[test]
     fn corruption_met_before_case_2_still_makes_an_integrity_verdict() {
-        // The same stripe under an armed hedge policy, with the home node
-        // and data nodes 4 and 5 flagged as stragglers: the poll that
-        // opens the read skips them, so it holds all three parity
-        // members. Stale parity refuses right there and N_0 in the level
-        // check — every liar is met before Case 2 runs, whose own
+        // The same stripe, with data nodes 4 and 5 flagged as
+        // stragglers. N_0's stale stamp refuses level 0's `ReadData`,
+        // which sends the read to the k-shard poll; the poll leaves the
+        // flagged pair out, so it holds all three parity members. Stale
+        // parity refuses right there, forged parity is served and caught
+        // by the decode — every liar is met before Case 2 runs, whose own
         // fetches (data 4 and 5) are clean. The verdict still counts
-        // them all. Forged parity is served and caught by the decode;
-        // its columns settle the version, so N_0 is never asked.
-        use tq_cluster::{HedgePolicy, NetworkModel, SimTransport};
-        for (parity, named) in [
-            (Stamp::Stale, vec![0, 6, 7, 8]),
-            (Stamp::Forged, vec![6, 7, 8]),
-        ] {
+        // them all.
+        use tq_cluster::{NetworkModel, SimTransport};
+        for parity in [Stamp::Stale, Stamp::Forged] {
             let config = ProtocolConfig::with_uniform_w(9, 6, 2, 1, 1, 1).unwrap();
             let cluster = Cluster::new(9);
             let sim = SimTransport::with_model(cluster.clone(), 5, NetworkModel::reliable());
@@ -2512,16 +2477,12 @@ mod tests {
             }
             let health = client.transport().health_registry();
             for node in 0..9 {
-                let rtt = if [0, 4, 5].contains(&node) {
-                    100_000
-                } else {
-                    200
-                };
+                let rtt = if [4, 5].contains(&node) { 100_000 } else { 200 };
                 for _ in 0..5 {
                     health.record_sample(node, rtt);
                 }
             }
-            health.set_policy(HedgePolicy::P99);
+            assert!(health.straggler(4) && health.straggler(5));
             match client.read_block(1, 0).unwrap_err() {
                 ProtocolError::Integrity {
                     needed,
@@ -2530,7 +2491,7 @@ mod tests {
                 } => {
                     assert_eq!((needed, clean), (6, 5), "{parity:?}");
                     corrupt.sort_unstable();
-                    assert_eq!(corrupt, named, "{parity:?}");
+                    assert_eq!(corrupt, vec![0, 6, 7, 8], "{parity:?}");
                 }
                 other => panic!("{parity:?}: expected Integrity, got {other:?}"),
             }

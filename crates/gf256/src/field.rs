@@ -60,16 +60,6 @@ impl Gf256 {
         Gf256(tables::inv(self.0))
     }
 
-    /// Checked multiplicative inverse (`None` for zero).
-    #[inline]
-    pub const fn checked_inv(self) -> Option<Self> {
-        if self.0 == 0 {
-            None
-        } else {
-            Some(self.inv())
-        }
-    }
-
     /// Exponentiation `self^e`, with the conventions `x^0 = 1`, `0^e = 0`
     /// for `e > 0`.
     #[inline]
@@ -81,26 +71,6 @@ impl Gf256 {
     #[inline]
     pub const fn alpha_pow(e: u32) -> Self {
         Gf256(tables::pow(2, e))
-    }
-
-    /// Discrete logarithm base α. `None` for zero.
-    #[inline]
-    pub const fn log(self) -> Option<u8> {
-        if self.0 == 0 {
-            None
-        } else {
-            Some(tables::LOG[self.0 as usize])
-        }
-    }
-
-    /// Iterator over all 256 field elements, in byte order.
-    pub fn all() -> impl Iterator<Item = Gf256> {
-        (0u16..256).map(|v| Gf256(v as u8))
-    }
-
-    /// Iterator over the 255 non-zero elements, in byte order.
-    pub fn all_nonzero() -> impl Iterator<Item = Gf256> {
-        (1u16..256).map(|v| Gf256(v as u8))
     }
 }
 
@@ -232,12 +202,12 @@ mod tests {
     fn constants() {
         assert!(Gf256::ZERO.is_zero());
         assert_eq!(Gf256::ONE * Gf256::ONE, Gf256::ONE);
-        assert_eq!(Gf256::GENERATOR.log(), Some(1));
+        assert_eq!(Gf256::GENERATOR.pow(255), Gf256::ONE);
     }
 
     #[test]
     fn add_is_xor_and_self_inverse() {
-        for a in Gf256::all() {
+        for a in (0..=255).map(Gf256) {
             assert_eq!(a + a, Gf256::ZERO);
             assert_eq!(-a, a);
             assert_eq!(a - a, Gf256::ZERO);
@@ -255,9 +225,8 @@ mod tests {
 
     #[test]
     fn checked_inv() {
-        assert_eq!(Gf256::ZERO.checked_inv(), None);
-        for a in Gf256::all_nonzero() {
-            assert_eq!(a.checked_inv().unwrap() * a, Gf256::ONE);
+        for a in (1..=255).map(Gf256) {
+            assert_eq!(a.inv() * a, Gf256::ONE);
         }
     }
 

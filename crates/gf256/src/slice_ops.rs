@@ -28,13 +28,6 @@ use crate::simd;
 /// Panics if `dst.len() != src.len()`; blocks in one stripe must agree.
 #[inline]
 pub fn add_assign(dst: &mut [u8], src: &[u8]) {
-    assert_eq!(
-        dst.len(),
-        src.len(),
-        "add_assign: block length mismatch ({} vs {})",
-        dst.len(),
-        src.len()
-    );
     simd::active().add_assign(dst, src);
 }
 
@@ -44,13 +37,6 @@ pub fn add_assign(dst: &mut [u8], src: &[u8]) {
 /// Panics on length mismatch.
 #[inline]
 pub fn mul_slice(c: Gf256, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(
-        dst.len(),
-        src.len(),
-        "mul_slice: block length mismatch ({} vs {})",
-        dst.len(),
-        src.len()
-    );
     simd::active().mul_slice(c, src, dst);
 }
 
@@ -64,13 +50,6 @@ pub fn mul_slice(c: Gf256, src: &[u8], dst: &mut [u8]) {
 /// Panics on length mismatch.
 #[inline]
 pub fn mul_add_slice(c: Gf256, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(
-        dst.len(),
-        src.len(),
-        "mul_add_slice: block length mismatch ({} vs {})",
-        dst.len(),
-        src.len()
-    );
     simd::active().mul_add_slice(c, src, dst);
 }
 
@@ -87,22 +66,6 @@ pub fn mul_add_slice(c: Gf256, src: &[u8], dst: &mut [u8]) {
 /// Panics if `coeffs.len() != blocks.len()` or any block length differs
 /// from `dst`.
 pub fn mul_add_multi(coeffs: &[Gf256], blocks: &[&[u8]], dst: &mut [u8]) {
-    assert_eq!(
-        coeffs.len(),
-        blocks.len(),
-        "mul_add_multi: {} coefficients for {} blocks",
-        coeffs.len(),
-        blocks.len()
-    );
-    for block in blocks {
-        assert_eq!(
-            block.len(),
-            dst.len(),
-            "mul_add_multi: block length mismatch ({} vs {})",
-            block.len(),
-            dst.len()
-        );
-    }
     simd::active().mul_add_multi(coeffs, blocks, dst);
 }
 
@@ -115,13 +78,6 @@ pub fn mul_add_multi(coeffs: &[Gf256], blocks: &[&[u8]], dst: &mut [u8]) {
 /// Panics if `coeffs.len() != blocks.len()` or any block length differs
 /// from `out`.
 pub fn linear_combination(coeffs: &[Gf256], blocks: &[&[u8]], out: &mut [u8]) {
-    assert_eq!(
-        coeffs.len(),
-        blocks.len(),
-        "linear_combination: {} coefficients for {} blocks",
-        coeffs.len(),
-        blocks.len()
-    );
     out.fill(0);
     mul_add_multi(coeffs, blocks, out);
 }

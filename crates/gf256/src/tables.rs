@@ -19,11 +19,8 @@
 /// The reduction polynomial `x⁸ + x⁴ + x³ + x² + 1` as a 9-bit constant.
 pub const POLY: u16 = 0x11D;
 
-/// Number of elements in the field.
-pub const FIELD_SIZE: usize = 256;
-
-/// Order of the multiplicative group (`FIELD_SIZE - 1`).
-pub const GROUP_ORDER: usize = 255;
+/// Order of the multiplicative group: the 255 non-zero elements.
+const GROUP_ORDER: usize = 255;
 
 const fn build_exp_log() -> ([u8; 512], [u8; 256]) {
     let mut exp = [0u8; 512];

@@ -795,9 +795,9 @@ fn l6_lock_across_transport(f: &FileCtx, out: &mut Vec<Diagnostic>) {
 // L8: bounded-retry
 // ---------------------------------------------------------------------------
 
-/// Client-side dispatch surfaces: the protocol client crate, the
-/// dispatch driver (the one loop that re-sends an envelope: its hedge)
-/// and the transports' links. The quorum engine (`quorum_round.rs`) is
+/// Client-side dispatch surfaces: the protocol client crate (its Case 2
+/// replacement-fetch loop), the dispatch driver and the transports'
+/// links (TCP reconnect). The quorum engine (`quorum_round.rs`) is
 /// out of scope — its loops walk distinct ops/slots and dispatch each
 /// envelope exactly once per round by construction.
 fn l8_in_scope(path: &str) -> bool {

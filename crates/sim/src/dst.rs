@@ -25,9 +25,11 @@
 //!   stays up but answers 10–100× slower), quiesced scrubs and
 //!   virtual-time jumps, with fault pressure bounded so the run stays
 //!   non-vacuous. Every scenario's links draw heavy-tailed service
-//!   times, and [`run_case`] pins hedging on ([`HedgePolicy::P99`]) —
-//!   the matrices double as the adaptive-robustness soak, and the
-//!   report's sim counters prove the hedges actually fired.
+//!   times. The client runs exactly as it ships over TCP: every round
+//!   waits the fabric's fixed deadline, every write level awaits all of
+//!   its members, and the health registry only flags stragglers for the
+//!   read path's `k`-shard poll and replacement fetches —
+//!   [`CaseStats::gray_flagged_reads`] shows the gray axis reaching it.
 //! * [`run_case`] / [`minimize`] — the explorer: build a backend over a
 //!   fresh simulation, drive the workload, settle with a final scrub,
 //!   and on violation shrink the reproduction to the shortest op prefix
@@ -55,8 +57,8 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tq_cluster::{
-    Cluster, FaultingBackend, HedgeCounters, HedgePolicy, MemoryBackend, NetworkModel, SimFault,
-    SimStats, SimTransport, StorageFaults,
+    Cluster, FaultingBackend, MemoryBackend, NetworkModel, SimFault, SimStats, SimTransport,
+    StorageFaults,
 };
 use tq_trapezoid::{
     BatchWrite, BlockAddr, ProtocolError, QuorumStore, ReadOutcome, ShardMap, ShardedStore, Store,
@@ -794,6 +796,9 @@ pub struct CaseStats {
     /// Successful reads served by Algorithm 2 Case 2 (decoded from `k`
     /// shards rather than read from the home node).
     pub reads_decoded: u64,
+    /// Successful reads completed while the health registry flagged a
+    /// node the gray `Degrade` axis had slowed as a straggler.
+    pub gray_flagged_reads: u64,
     /// Failed reads.
     pub reads_failed: u64,
     /// Scrubs that returned a report.
@@ -805,9 +810,10 @@ pub struct CaseStats {
 }
 
 impl CaseStats {
-    fn read_ok(&mut self, out: &ReadOutcome) {
+    fn read_ok(&mut self, out: &ReadOutcome, gray_flagged: bool) {
         self.reads_ok += 1;
         self.reads_decoded += u64::from(out.decoded());
+        self.gray_flagged_reads += u64::from(gray_flagged);
     }
 }
 
@@ -821,9 +827,6 @@ pub struct CaseReport {
     pub stats: CaseStats,
     /// The simulation's network counters.
     pub sim: SimStats,
-    /// What the armed hedge policy did over the case: re-issues fired,
-    /// won, absorbed, and retry tokens spent.
-    pub hedges: HedgeCounters,
     /// Reads the storage fault axis served corrupted (bit-flipped or
     /// misdirected) — non-zero on a corruption-axis case proves the
     /// clean checker verdict was earned, not vacuous.
@@ -874,15 +877,8 @@ pub fn run_case(cfg: &CaseConfig) -> CaseReport {
             )
             .expect("provisioning under reliable links succeeds");
     }
-    // Hedging arms *after* provisioning (whose require-every-ack rounds
-    // would turn any adaptively-timed-out slow disk into a provisioning
-    // failure) and is pinned ON (P99), so a `CaseConfig` replay is
-    // bit-for-bit identical whatever the caller's policy. The dormant registry sampled RTTs throughout
-    // provisioning, so the estimator starts the workload warm. The
-    // matrices thereby double as the adaptive-robustness soak — hedge
-    // re-issues, adaptive deadlines and retry-budget spends all run
-    // under the checker, and `CaseReport::hedges` counts what fired.
-    sim.health_registry().set_policy(HedgePolicy::P99);
+    // The registry sampled RTTs throughout provisioning, so the
+    // estimator starts the workload warm.
     sim.set_model(cfg.scenario.model.clone());
 
     let mut checker = HistoryChecker::new(&initial);
@@ -891,7 +887,6 @@ pub fn run_case(cfg: &CaseConfig) -> CaseReport {
         config: cfg.clone(),
         stats,
         sim: sim.stats(),
-        hedges: sim.health_registry().hedge_counters(),
         corrupted_reads: fault_backends.iter().map(|b| b.corrupted_reads()).sum(),
         violation,
     }
@@ -984,6 +979,12 @@ impl Runner<'_> {
         self.down.union(&self.partitioned).count()
     }
 
+    /// Whether the health registry flags a node this run grayed out.
+    fn gray_flagged(&self) -> bool {
+        let health = self.sim.health_registry();
+        self.degraded.iter().any(|&node| health.straggler(node))
+    }
+
     fn step(
         &mut self,
         op: &WorkloadOp,
@@ -1010,7 +1011,7 @@ impl Runner<'_> {
             }
             WorkloadOp::Read { block } => match self.store.read(addr_of(*block)) {
                 Ok(out) => {
-                    stats.read_ok(&out);
+                    stats.read_ok(&out, self.gray_flagged());
                     checker.observe_read(*block, &out.bytes, out.version, op_index)?;
                 }
                 Err(_) => stats.reads_failed += 1,
@@ -1049,7 +1050,7 @@ impl Runner<'_> {
                 for (&block, outcome) in blocks.iter().zip(&batch.outcomes) {
                     match outcome {
                         Ok(out) => {
-                            stats.read_ok(out);
+                            stats.read_ok(out, self.gray_flagged());
                             checker.observe_read(block, &out.bytes, out.version, op_index)?;
                         }
                         Err(_) => stats.reads_failed += 1,
@@ -1203,7 +1204,7 @@ impl Runner<'_> {
                         }
                         match self.store.read(BlockAddr::new(stripe, index)) {
                             Ok(out) => {
-                                stats.read_ok(&out);
+                                stats.read_ok(&out, self.gray_flagged());
                                 checker.observe_read(block, &out.bytes, out.version, op_index)?;
                                 if full {
                                     checker.settle(block, &out.bytes, out.version, op_index)?;

@@ -12,13 +12,14 @@
 //! artifact; replaying the same `CaseConfig` reproduces the violation
 //! bit-for-bit.
 //!
-//! Every case runs *hedged*: `run_case` pins `HedgePolicy::P99`, the
-//! scenario links draw heavy-tailed service times, and the workloads
-//! degrade nodes into gray stragglers — so straggler re-issues, adaptive
-//! per-node deadlines and retry-budget spends all execute under the
-//! checker. The matrices assert the hedge counters are non-vacuous: the
-//! clean verdict covers schedules where hedges genuinely fired and
-//! duplicate replies genuinely arrived. They assert the same of Case 2:
+//! Every case runs the client exactly as `TcpTransport` ships it: each
+//! round waits the fabric's fixed deadline and nothing is re-sent, and
+//! every write level awaits all of its members. The scenario links draw
+//! heavy-tailed service times, and the workloads degrade nodes into
+//! gray stragglers. Both matrices assert the gray axis is live: the
+//! health registry flagged a grayed node while many reads completed, so
+//! the read path's straggler-aware `k`-shard poll and replacement
+//! fetches ran under the checker. They assert the same of Case 2:
 //! enough reads were decoded (a refused or stale home node, the
 //! `k`-shard poll) under loss, crash and corruption schedules.
 //!
@@ -65,7 +66,7 @@ fn seed_matrix_stays_checker_clean_across_all_backends() {
     let base = seed_base();
     let mut failures = Vec::new();
     let (mut commits, mut reads_ok, mut corrupted) = (0u64, 0u64, 0u64);
-    let (mut hedges_fired, mut hedges_absorbed, mut decoded) = (0u64, 0u64, 0u64);
+    let (mut gray_flagged, mut decoded) = (0u64, 0u64);
 
     for seed in 0..64u64 {
         let mut scenario = scenarios[(seed % scenarios.len() as u64) as usize].clone();
@@ -86,8 +87,7 @@ fn seed_matrix_stays_checker_clean_across_all_backends() {
             reads_ok += report.stats.reads_ok;
             decoded += report.stats.reads_decoded;
             corrupted += report.corrupted_reads;
-            hedges_fired += report.hedges.fired;
-            hedges_absorbed += report.hedges.won + report.hedges.dups;
+            gray_flagged += report.stats.gray_flagged_reads;
             if report.violation.is_some() {
                 let minimal = minimize(&cfg).expect("violation reproduces");
                 failures.push(format!(
@@ -126,17 +126,13 @@ fn seed_matrix_stays_checker_clean_across_all_backends() {
         corrupted > 200,
         "corruption axis vacuous: only {corrupted} corrupted reads served"
     );
-    // The hedging claim needs teeth too: across the matrix, straggler
-    // re-issues must actually have fired, and some must have raced their
-    // original to completion (a win or an absorbed duplicate) — or the
-    // clean verdict says nothing about the dup-reply hardening.
+    // The gray axis must reach the health registry: reads completed
+    // while a grayed node was flagged a straggler, or the clean verdict
+    // says nothing about the straggler-aware read path. Seed bases 0,
+    // 1000, 5000 and 20000 give 101–176 such reads.
     assert!(
-        hedges_fired > 100,
-        "hedging vacuous: only {hedges_fired} hedges fired across the matrix"
-    );
-    assert!(
-        hedges_absorbed > 20,
-        "hedging vacuous: only {hedges_absorbed} hedge wins/dups absorbed"
+        gray_flagged > 40,
+        "gray axis vacuous: only {gray_flagged} reads completed while a grayed node was flagged"
     );
     // Case 2 — the k-shard poll and the decode behind it — must have
     // served reads under these schedules, not only healthy home nodes.
@@ -158,7 +154,7 @@ fn at_least_once_matrix_stays_checker_clean_across_all_backends() {
     let base = seed_base();
     let mut failures = Vec::new();
     let (mut commits, mut reads_ok, mut redelivered) = (0u64, 0u64, 0u64);
-    let (mut hedges_fired, mut decoded) = (0u64, 0u64);
+    let (mut decoded, mut gray_flagged) = (0u64, 0u64);
 
     for seed in 0..64u64 {
         // The storage fault and corruption axes rotate through this
@@ -183,7 +179,7 @@ fn at_least_once_matrix_stays_checker_clean_across_all_backends() {
             reads_ok += report.stats.reads_ok;
             decoded += report.stats.reads_decoded;
             redelivered += report.sim.redelivered;
-            hedges_fired += report.hedges.fired;
+            gray_flagged += report.stats.gray_flagged_reads;
             if report.violation.is_some() {
                 let minimal = minimize(&cfg).expect("violation reproduces");
                 failures.push(format!(
@@ -221,12 +217,11 @@ fn at_least_once_matrix_stays_checker_clean_across_all_backends() {
         redelivered > 500,
         "at-least-once vacuous: only {redelivered} cross-round redeliveries"
     );
-    // Hedge re-issues under an at-least-once fabric are the hardest
-    // duplication case — the same op-id may arrive thrice (original,
-    // redelivery, hedge). The clean verdict must cover it non-vacuously.
+    // The gray axis reaches the registry here too (91–143 reads at seed
+    // bases 0, 1000, 5000 and 20000).
     assert!(
-        hedges_fired > 100,
-        "hedging vacuous: only {hedges_fired} hedges fired under at-least-once"
+        gray_flagged > 40,
+        "gray axis vacuous: only {gray_flagged} reads completed while a grayed node was flagged"
     );
     // And Case 2 must have run under redelivered, duplicated traffic.
     assert!(
