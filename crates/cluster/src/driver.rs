@@ -26,6 +26,7 @@ use crate::detmap::DetHashMap;
 use crate::health::NodeHealth;
 use crate::node::NodeId;
 use crate::rpc::{Envelope, NodeError, OpId, Reply};
+use crate::sync;
 use crate::transport::RoundReply;
 
 /// The instant that never comes: a round without a deadline, a
@@ -73,6 +74,9 @@ struct Slot {
 /// issued is forwarded uncounted: the sink ignores strangers by
 /// identity. A call still open at the deadline yields
 /// [`NodeError::TimedOut`] under the envelope's identity.
+///
+/// No [`sync::Mutex`] guard may be held across a round; a debug build
+/// panics here if one is.
 pub(crate) fn drive(
     mut link: impl Link,
     health: &NodeHealth,
@@ -80,6 +84,7 @@ pub(crate) fn drive(
     calls: Vec<(NodeId, Envelope)>,
     sink: &mut dyn FnMut(RoundReply) -> bool,
 ) {
+    sync::debug_assert_unheld();
     let start = link.now();
     let deadline = start.saturating_add(budget);
     let mut by_op: DetHashMap<OpId, usize> = DetHashMap::default();

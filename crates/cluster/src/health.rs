@@ -16,7 +16,9 @@
 //! * A token-bucket retry budget capping client-side re-issue traffic
 //!   (replacement fetches, TCP reconnects) to a fraction of observed
 //!   successes, so a sick cluster cannot amplify its own load into a
-//!   retry storm.
+//!   retry storm. A spent token is a [`RetryPermit`], and the re-send
+//!   paths take one by value: a re-issue that skipped the budget does
+//!   not compile.
 //!
 //! Nothing here sets a deadline: every round waits the fabric's fixed
 //! budget (see `driver.rs`). Everything here is deterministic under
@@ -28,7 +30,7 @@
 
 use crate::detmap::DetHashMap;
 use crate::rpc::{Lane, NodeError};
-use std::sync::Mutex;
+use crate::sync::Mutex;
 
 /// Consecutive availability failures that open a node's circuit.
 const CIRCUIT_THRESHOLD: u32 = 8;
@@ -52,6 +54,28 @@ const EARN: u64 = 100;
 const CAP: u64 = 16 * SPEND_COST;
 const INITIAL: u64 = 3 * SPEND_COST;
 const BACKGROUND_RESERVE: u64 = SPEND_COST;
+
+/// Licence for one discretionary re-issue: a Case 2 replacement fetch,
+/// a TCP reconnect attempt. The re-send paths take one by value, and
+/// only this module makes them — [`NodeHealth::try_spend`] out of the
+/// budget, [`RetryPermit::spend`] for a caller whose transport may keep
+/// no registry:
+///
+/// ```compile_fail,E0423
+/// let forged = tq_cluster::health::RetryPermit(());
+/// ```
+#[derive(Debug)]
+#[must_use = "a permit licenses the re-issue it is passed to"]
+pub struct RetryPermit(());
+
+impl RetryPermit {
+    /// Spends a token from `health`. With no registry there is no
+    /// budget to draw on, and the caller's own bound (Case 2's finite
+    /// member pool) is the only one.
+    pub fn spend(health: Option<&NodeHealth>, lane: Lane) -> Option<RetryPermit> {
+        health.map_or(Some(RetryPermit(())), |h| h.try_spend(lane))
+    }
+}
 
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeStat {
@@ -114,18 +138,9 @@ impl NodeHealth {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HealthInner> {
-        // A poisoned health mutex only means a panicking thread died while
-        // updating counters; the data is still internally consistent.
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-
     /// Record a successful round-trip sample for `node`.
     pub fn record_sample(&self, node: usize, rtt: u64) {
-        self.lock().nodes.entry(node).or_default().sample(rtt);
+        self.inner.lock().nodes.entry(node).or_default().sample(rtt);
     }
 
     /// Feed one call's outcome for `node`. An answer — an application
@@ -134,7 +149,7 @@ impl NodeHealth {
     /// run. An availability failure (down, unreachable, shed load, timed
     /// out) extends the run.
     pub(crate) fn record(&self, node: usize, result: Result<(), &NodeError>) {
-        let mut guard = self.lock();
+        let mut guard = self.inner.lock();
         let g = &mut *guard;
         let st = g.nodes.entry(node).or_default();
         match result {
@@ -160,7 +175,7 @@ impl NodeHealth {
     /// uniformly slow fleet has no stragglers — and a cold node is never
     /// a straggler (no evidence, no demotion).
     pub fn straggler(&self, node: usize) -> bool {
-        let g = self.lock();
+        let g = self.inner.lock();
         let Some(st) = g.nodes.get(&node) else {
             return false;
         };
@@ -185,7 +200,7 @@ impl NodeHealth {
     /// then by latency estimate, then by node id for determinism.
     /// Unknown nodes rank as healthy-but-unmeasured.
     pub fn rank_nodes(&self, nodes: &mut [usize]) {
-        let g = self.lock();
+        let g = self.inner.lock();
         nodes.sort_by_key(|&n| {
             let st = g.nodes.get(&n);
             (st.is_some_and(NodeStat::open), st.map_or(0, |s| s.srtt), n)
@@ -193,32 +208,32 @@ impl NodeHealth {
     }
 
     /// Spend one retry token for a discretionary re-issue (a Case 2
-    /// replacement fetch, a TCP reconnect). Background-lane callers must leave a
-    /// foreground reserve. Returns false when the budget is exhausted —
+    /// replacement fetch, a TCP reconnect). Background-lane callers must
+    /// leave a foreground reserve. `None` when the budget is exhausted —
     /// the caller skips the re-issue rather than queueing.
-    pub fn try_spend(&self, lane: Lane) -> bool {
-        let mut g = self.lock();
+    pub fn try_spend(&self, lane: Lane) -> Option<RetryPermit> {
+        let mut g = self.inner.lock();
         let reserve = match lane {
             Lane::Foreground => 0,
             Lane::Background => BACKGROUND_RESERVE,
         };
         if g.budget < SPEND_COST + reserve {
-            return false;
+            return None;
         }
         g.budget -= SPEND_COST;
         g.retries += 1;
-        true
+        Some(RetryPermit(()))
     }
 
     /// Retry tokens spent so far, across every re-issue path.
     pub fn retries(&self) -> u64 {
-        self.lock().retries
+        self.inner.lock().retries
     }
 
     /// Latency samples recorded for `node`.
     #[cfg(test)]
     pub(crate) fn samples(&self, node: usize) -> u32 {
-        self.lock().nodes.get(&node).map_or(0, |s| s.samples)
+        self.inner.lock().nodes.get(&node).map_or(0, |s| s.samples)
     }
 }
 
@@ -227,7 +242,7 @@ mod tests {
     use super::*;
 
     fn stat(h: &NodeHealth, node: usize) -> NodeStat {
-        h.lock().nodes[&node]
+        h.inner.lock().nodes[&node]
     }
 
     fn fail(h: &NodeHealth, node: usize, times: u32) {
@@ -356,17 +371,17 @@ mod tests {
         // With zero successes the budget allows at most its initial
         // balance, then refuses forever.
         let h = NodeHealth::new();
-        let spends = (0..100).filter(|_| h.try_spend(Lane::Foreground)).count();
+        let spends = (0..100)
+            .filter(|_| h.try_spend(Lane::Foreground).is_some())
+            .count();
         assert_eq!(spends, 3, "cold-start allowance only");
-        assert!(!h.try_spend(Lane::Foreground));
+        assert!(h.try_spend(Lane::Foreground).is_none());
         assert_eq!(h.retries(), 3);
     }
 
     #[test]
     fn retry_budget_tracks_success_fraction() {
-        let drain = |h: &NodeHealth| {
-            std::iter::from_fn(|| h.try_spend(Lane::Foreground).then_some(())).count()
-        };
+        let drain = |h: &NodeHealth| std::iter::from_fn(|| h.try_spend(Lane::Foreground)).count();
         let h = NodeHealth::new();
         for _ in 0..100 {
             h.record(0, Ok(()));
@@ -389,11 +404,14 @@ mod tests {
         // Drain to exactly one token via background spends: the last
         // token is reserved for foreground.
         let mut bg = 0;
-        while h.try_spend(Lane::Background) {
+        while h.try_spend(Lane::Background).is_some() {
             bg += 1;
         }
         assert_eq!(bg, 2, "background stops above the reserve");
-        assert!(h.try_spend(Lane::Foreground), "reserve is spendable by fg");
-        assert!(!h.try_spend(Lane::Foreground));
+        assert!(
+            h.try_spend(Lane::Foreground).is_some(),
+            "reserve is spendable by fg"
+        );
+        assert!(h.try_spend(Lane::Foreground).is_none());
     }
 }

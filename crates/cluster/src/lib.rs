@@ -34,6 +34,8 @@
 //!   level's requests issued at once through [`transport::Transport::multicall`],
 //!   completed on the paper's `w_l`/`r_l` quorum condition, stragglers
 //!   and failures reported for accounting.
+//! * [`sync`] — the one short-lock type ([`sync::Mutex`]), whose guard a
+//!   debug build checks no round outlives.
 //! * [`fault`] — seeded fail-stop fault patterns and schedules, so every
 //!   experiment is replayable bit-for-bit.
 //! * [`health`] — per-node health ([`health::NodeHealth`]): a latency
@@ -76,7 +78,9 @@
 // names each), so a DST case replays bit-for-bit. The dispatch driver is
 // among them: it runs on its link's clock, virtual under the simulator.
 // `tcp` is real-clock by nature and unreachable from the simulator. Test
-// code is exempt.
+// code is exempt. The same ban keeps raw mutexes out of these modules:
+// their locks are `sync::Mutex`, whose guards the round entry points
+// check in a debug build.
 pub mod cluster;
 #[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 pub mod detmap;
@@ -96,6 +100,7 @@ pub mod sim;
 pub mod stats;
 #[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 pub mod storage;
+pub mod sync;
 pub mod tcp;
 #[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 pub mod transport;

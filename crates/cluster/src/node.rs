@@ -38,11 +38,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use crate::rpc::{BlockId, Envelope, NodeApi, NodeError, Reply, Request, Response};
 use crate::stats::{IoSnapshot, IoStats};
 use crate::storage::{self, StorageBackend, StorageError, StoredBlock};
+use crate::sync::{Mutex, MutexGuard};
 
 /// Index of a node within its cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -149,7 +149,7 @@ impl NodeBuilder {
 /// One storage server.
 ///
 /// Thread-safe: request handling is serialised *per block* over striped
-/// [`parking_lot::Mutex`] locks keyed by block-id hash, the fail-stop
+/// [`Mutex`] locks keyed by block-id hash, the fail-stop
 /// switch is an atomic, and the backend is `Sync` — so the same node can
 /// serve the direct transport, the channel transport and a TCP listener
 /// interchangeably. Each block has exactly one serialisation point,
@@ -263,7 +263,7 @@ impl StorageNode {
         clippy::indexing_slicing,
         reason = "the stripe is reduced modulo OP_LOCK_STRIPES, the length of `op_locks`"
     )]
-    fn op_lock(&self, id: BlockId) -> parking_lot::MutexGuard<'_, ()> {
+    fn op_lock(&self, id: BlockId) -> MutexGuard<'_, ()> {
         self.op_locks[storage::stripe_of(id) % OP_LOCK_STRIPES].lock()
     }
 

@@ -55,7 +55,7 @@ use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::MutexGuard;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -569,10 +569,16 @@ impl SimState {
 /// All mutation goes through a single internal lock, and the event loop
 /// runs on the caller's thread: the simulation is effectively
 /// single-threaded even if the handle is shared, which is what makes
-/// replays exact.
+/// replays exact. That lock is the fabric itself: a round's link holds
+/// it for the whole round, so it is a raw mutex, not a
+/// [`sync::Mutex`](crate::sync::Mutex) whose guard no round may outlive.
 pub struct SimTransport {
     cluster: Cluster,
-    state: Mutex<SimState>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a round's link holds it for the whole round"
+    )]
+    state: parking_lot::Mutex<SimState>,
     /// Per-node health, fed from virtual time: RTT samples on delivery,
     /// outcomes by the quorum engine via [`Transport::health`]. The
     /// registry draws nothing from the schedule's RNG.
@@ -586,11 +592,15 @@ impl SimTransport {
     }
 
     /// A simulation with an explicit network model.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a round's link holds it for the whole round"
+    )]
     pub fn with_model(cluster: Cluster, seed: u64, model: NetworkModel) -> Self {
         let n = cluster.len();
         SimTransport {
             cluster,
-            state: Mutex::new(SimState {
+            state: parking_lot::Mutex::new(SimState {
                 now: 0,
                 seq: 0,
                 rng: StdRng::seed_from_u64(seed),

@@ -43,10 +43,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use crate::detmap::DetHashMap;
 use crate::rpc::BlockId;
+use crate::sync::Mutex;
 use crate::wire::crc32;
 
 /// What one node stores for one object.

@@ -76,7 +76,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use crate::driver::{drive, drive_one, Link, NEVER};
-use crate::health::NodeHealth;
+use crate::health::{NodeHealth, RetryPermit};
 use crate::node::NodeId;
 use crate::rpc::{Envelope, Lane, NodeApi, NodeError, OpId, Reply, Response};
 use crate::transport::{RoundReply, Transport};
@@ -344,7 +344,6 @@ fn splitmix64(mut z: u64) -> u64 {
 struct Written {
     conn: Arc<Conn>,
     op_id: u64,
-    waiter: u64,
 }
 
 /// One round's reply channel, and the registrations it must take back
@@ -373,10 +372,6 @@ impl Round {
 /// command's unit of the peer's inflight window, released when the
 /// waiter goes — answered, failed, or taken back by its round.
 struct Waiter {
-    /// The registration's own identity: an at-least-once caller may
-    /// legally have one op id in flight twice, and each copy is removed
-    /// as itself.
-    id: u64,
     node: NodeId,
     round_epoch: u64,
     tx: Sender<RoundReply>,
@@ -400,9 +395,9 @@ impl Waiter {
 /// dispatch table matching reply frames to waiting rounds by op id.
 struct Conn {
     writer: Mutex<TcpStream>,
-    /// op id → FIFO of waiters.
-    pending: Mutex<HashMap<u64, Vec<Waiter>>>,
-    next_waiter: AtomicU64,
+    /// op id → its waiter. A round sends each call once, and every
+    /// call is a fresh envelope, so an op id is pending at most once.
+    pending: Mutex<HashMap<u64, Waiter>>,
     alive: AtomicBool,
 }
 
@@ -411,52 +406,32 @@ impl Conn {
         Conn {
             writer: Mutex::new(stream),
             pending: Mutex::new(HashMap::new()),
-            next_waiter: AtomicU64::new(0),
             alive: AtomicBool::new(true),
         }
     }
 
-    /// Parks a waiter for `env`'s reply; returns its registration.
-    fn register(&self, node: NodeId, env: &Envelope, round: &Round, permit: InflightPermit) -> u64 {
-        let id = self.next_waiter.fetch_add(1, Ordering::Relaxed);
+    /// Parks a waiter for `env`'s reply.
+    fn register(&self, node: NodeId, env: &Envelope, round: &Round, permit: InflightPermit) {
         let waiter = Waiter {
-            id,
             node,
             round_epoch: env.round_epoch,
             tx: round.tx.clone(),
             _permit: permit,
         };
-        let mut pending = self.pending.lock();
-        pending.entry(env.op_id.0).or_default().push(waiter);
-        id
+        let earlier = self.pending.lock().insert(env.op_id.0, waiter);
+        debug_assert!(earlier.is_none(), "{} is already pending", env.op_id);
     }
 
-    /// Removes the waiter an op id's reply would be served to: the
-    /// oldest, or the one registered as `id`.
-    fn take(&self, op_id: u64, id: Option<u64>) -> Option<Waiter> {
-        let mut pending = self.pending.lock();
-        let waiters = pending.get_mut(&op_id)?;
-        let at = match id {
-            Some(id) => waiters.iter().position(|w| w.id == id)?,
-            None => 0,
-        };
-        let waiter = waiters.remove(at);
-        if waiters.is_empty() {
-            pending.remove(&op_id);
-        }
-        Some(waiter)
+    /// Removes the op id's waiter: its round no longer waits.
+    fn deregister(&self, op_id: u64) -> Option<Waiter> {
+        self.pending.lock().remove(&op_id)
     }
 
-    /// Takes registration `id` back: its round no longer waits.
-    fn deregister(&self, op_id: u64, id: u64) {
-        self.take(op_id, Some(id));
-    }
-
-    /// Serves a reply frame to the op id's oldest waiter. A reply nobody
-    /// waits for — its round closed — is dropped; identity matching
-    /// means it cannot be miscounted against another command.
+    /// Serves a reply frame to the op id's waiter. A reply nobody waits
+    /// for — its round closed — is dropped; identity matching means it
+    /// cannot be miscounted against another command.
     fn complete(&self, op_id: u64, result: Result<Response, NodeError>) {
-        if let Some(waiter) = self.take(op_id, None) {
+        if let Some(waiter) = self.deregister(op_id) {
             waiter.answer(op_id, result);
         }
     }
@@ -465,10 +440,8 @@ impl Conn {
     fn poison(&self) {
         self.alive.store(false, Ordering::Release);
         let drained: Vec<_> = self.pending.lock().drain().collect();
-        for (op_id, waiters) in drained {
-            for waiter in waiters {
-                waiter.answer(op_id, Err(NodeError::TransportClosed));
-            }
+        for (op_id, waiter) in drained {
+            waiter.answer(op_id, Err(NodeError::TransportClosed));
         }
     }
 
@@ -485,10 +458,10 @@ impl Conn {
         {
             let mut open = round.open.lock();
             let Some(written) = open.as_mut() else { return };
+            self.register(node, env, round, permit);
             written.push(Written {
                 conn: Arc::clone(self),
                 op_id: env.op_id.0,
-                waiter: self.register(node, env, round, permit),
             });
         }
         let frame = wire::encode_envelope(env);
@@ -720,10 +693,10 @@ impl TcpInner {
     /// Opens a connection to `peer`, honouring and updating `backoff`:
     /// the one reconnect routine, for pool slots and lone calls alike
     /// (`jitter_key` tells their backoffs apart). `None` means the node
-    /// is unreachable within the attempt budget / deadline. Every
-    /// attempt beyond the first must be paid for out of the retry budget
-    /// (`lane`-aware: background reconnects leave the foreground reserve
-    /// untouched).
+    /// is unreachable within the attempt budget / deadline. The first
+    /// attempt is free; every re-attempt is a [`redial`](Self::redial),
+    /// paid for out of the retry budget (`lane`-aware: background
+    /// reconnects leave the foreground reserve untouched).
     fn connect(
         &self,
         peer: &Peer,
@@ -732,54 +705,81 @@ impl TcpInner {
         deadline: Instant,
         lane: Lane,
     ) -> Option<TcpStream> {
+        let mut stream = None;
         for attempt in 0..self.cfg.connect_attempts {
-            let now = Instant::now();
-            if now >= deadline {
+            if stream.is_some() || Instant::now() >= deadline {
+                break;
+            }
+            stream = if attempt == 0 {
+                self.dial(peer, backoff, jitter_key, deadline)
+            } else {
+                let permit = self.health.try_spend(lane)?;
+                self.redial(permit, peer, backoff, jitter_key, deadline)
+            };
+        }
+        stream
+    }
+
+    /// A reconnect attempt after a failed one: a retry, so it costs a
+    /// permit.
+    fn redial(
+        &self,
+        _permit: RetryPermit,
+        peer: &Peer,
+        backoff: &mut Backoff,
+        jitter_key: u64,
+        deadline: Instant,
+    ) -> Option<TcpStream> {
+        self.dial(peer, backoff, jitter_key, deadline)
+    }
+
+    /// One connection attempt: waits out `backoff`'s window from earlier
+    /// failures (never past `deadline`), connects, and on failure pushes
+    /// the window out.
+    fn dial(
+        &self,
+        peer: &Peer,
+        backoff: &mut Backoff,
+        jitter_key: u64,
+        deadline: Instant,
+    ) -> Option<TcpStream> {
+        let now = Instant::now();
+        if backoff.next_attempt > now {
+            let wait = (backoff.next_attempt - now).min(deadline - now);
+            std::thread::sleep(wait);
+            if Instant::now() >= deadline {
                 return None;
-            }
-            // The first attempt is free; every re-attempt spends a token.
-            if attempt > 0 && !self.health.try_spend(lane) {
-                return None;
-            }
-            // Honour the backoff window from previous failures.
-            if backoff.next_attempt > now {
-                let wait = (backoff.next_attempt - now).min(deadline - now);
-                std::thread::sleep(wait);
-                if Instant::now() >= deadline {
-                    return None;
-                }
-            }
-            let budget = self.cfg.connect_timeout.min(deadline - Instant::now());
-            match TcpStream::connect_timeout(&peer.addr, budget.max(Duration::from_millis(1))) {
-                Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.set_write_timeout(Some(self.cfg.io_timeout));
-                    backoff.consecutive_failures = 0;
-                    return Some(stream);
-                }
-                Err(_) => {
-                    backoff.consecutive_failures = backoff.consecutive_failures.saturating_add(1);
-                    let shift = backoff.consecutive_failures.min(6);
-                    let delay = self
-                        .cfg
-                        .backoff_base
-                        .saturating_mul(1u32 << shift.saturating_sub(1))
-                        .min(self.cfg.backoff_max);
-                    // Deterministic ±50% jitter so many slots/processes
-                    // hammering one dead node spread out instead of
-                    // synchronising their retry storms.
-                    let seed = (u64::from(peer.addr.port()) << 32)
-                        ^ u64::from(backoff.consecutive_failures)
-                        ^ jitter_key << 16;
-                    let permille = 500 + splitmix64(seed) % 1001; // [0.5, 1.5]×
-                    let jittered = Duration::from_nanos(
-                        (delay.as_nanos() as u64).saturating_mul(permille) / 1000,
-                    );
-                    backoff.next_attempt = Instant::now() + jittered;
-                }
             }
         }
-        None
+        let budget = self.cfg.connect_timeout.min(deadline - Instant::now());
+        match TcpStream::connect_timeout(&peer.addr, budget.max(Duration::from_millis(1))) {
+            Ok(stream) => {
+                let _ = stream.set_nodelay(true);
+                let _ = stream.set_write_timeout(Some(self.cfg.io_timeout));
+                backoff.consecutive_failures = 0;
+                Some(stream)
+            }
+            Err(_) => {
+                backoff.consecutive_failures = backoff.consecutive_failures.saturating_add(1);
+                let shift = backoff.consecutive_failures.min(6);
+                let delay = self
+                    .cfg
+                    .backoff_base
+                    .saturating_mul(1u32 << shift.saturating_sub(1))
+                    .min(self.cfg.backoff_max);
+                // Deterministic ±50% jitter so many slots/processes
+                // hammering one dead node spread out instead of
+                // synchronising their retry storms.
+                let seed = (u64::from(peer.addr.port()) << 32)
+                    ^ u64::from(backoff.consecutive_failures)
+                    ^ jitter_key << 16;
+                let permille = 500 + splitmix64(seed) % 1001; // [0.5, 1.5]×
+                let jittered =
+                    Duration::from_nanos((delay.as_nanos() as u64).saturating_mul(permille) / 1000);
+                backoff.next_attempt = Instant::now() + jittered;
+                None
+            }
+        }
     }
 
     /// Gets (or re-establishes, starting its reader thread) a live
@@ -941,7 +941,7 @@ impl Drop for RelayLink<'_> {
     /// instead of when (or if) their replies arrive.
     fn drop(&mut self) {
         for w in self.round.open.lock().take().into_iter().flatten() {
-            w.conn.deregister(w.op_id, w.waiter);
+            w.conn.deregister(w.op_id);
         }
     }
 }
@@ -1450,47 +1450,6 @@ pub(crate) mod tests {
             "the refusing peer, listed first, held the round up: {outcome:?}"
         );
         assert!(elapsed < backoff_base / 2, "{elapsed:?}");
-    }
-
-    #[test]
-    fn tcp_deregister_removes_its_own_registration() {
-        // One op id in flight twice (an at-least-once caller) on one
-        // connection: the first registration is taken back, and the
-        // reply must still reach the second.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let conn = Conn::new(stream);
-        let inflight = Arc::new(Inflight::default());
-        let permit = || {
-            *inflight.count.lock() += 1;
-            InflightPermit(Arc::clone(&inflight))
-        };
-        let env = Envelope::in_epoch(Request::Ping, 5);
-        let round = |tx| Round {
-            tx,
-            open: Mutex::new(Some(Vec::new())),
-        };
-        let (tx1, rx1) = unbounded();
-        let (tx2, rx2) = unbounded();
-        let first = conn.register(NodeId(3), &env, &round(tx1), permit());
-        let second = conn.register(NodeId(3), &env, &round(tx2), permit());
-        assert_ne!(first, second);
-        assert_eq!(*inflight.count.lock(), 2);
-        conn.deregister(env.op_id.0, first);
-        assert_eq!(*inflight.count.lock(), 1, "taken back with its permit");
-        conn.complete(env.op_id.0, Ok(Response::Pong));
-        assert!(rx1.try_recv().is_err(), "the first caller had left");
-        assert_eq!(
-            rx2.try_recv(),
-            Ok(RoundReply {
-                op_id: env.op_id,
-                round_epoch: 5,
-                node: NodeId(3),
-                result: Ok(Response::Pong),
-            })
-        );
-        assert_eq!(*inflight.count.lock(), 0);
-        assert!(conn.pending.lock().is_empty());
     }
 
     #[test]

@@ -34,6 +34,7 @@ use crate::cluster::Cluster;
 use crate::health::NodeHealth;
 use crate::node::NodeId;
 use crate::rpc::{Envelope, NodeApi, NodeError, OpId, Reply, Request, Response};
+use crate::sync;
 
 /// One completed call of a [`Transport::multicall`] batch, identified by
 /// the op id its envelope carried (never by arrival position — an
@@ -149,7 +150,11 @@ impl Transport for LocalTransport {
         self.cluster.len()
     }
 
+    /// A call is its reply, so a debug build panics here, as the driver
+    /// does for the concurrent links, if a [`sync::Mutex`] guard is held;
+    /// `multicall`, the lazy default, comes through here per call.
     fn dispatch(&self, node: NodeId, env: Envelope) -> Reply {
+        sync::debug_assert_unheld();
         assert!(node.0 < self.cluster.len(), "node {node} out of range");
         self.cluster.node(node.0).execute(env)
     }

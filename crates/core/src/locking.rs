@@ -26,7 +26,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Condvar;
 use tq_cluster::detmap::DetHashSet;
 use tq_cluster::Transport;
 
@@ -37,10 +37,16 @@ use crate::trap_erc::{TrapErcClient, WriteOutcome};
 /// distinct hot blocks almost never share a condvar.
 const DEFAULT_LOCK_SHARDS: usize = 64;
 
-/// One independent slice of the lock table.
+/// One independent slice of the lock table. Its mutex is raw, not a
+/// [`tq_cluster::sync::Mutex`]: the condvar needs the raw guard, and the
+/// logical locks it records span Algorithm 1's rounds by design.
 #[derive(Debug, Default)]
 struct LockShard {
-    held: Mutex<DetHashSet<(u64, usize)>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the condvar waits on the raw guard"
+    )]
+    held: parking_lot::Mutex<DetHashSet<(u64, usize)>>,
     released: Condvar,
 }
 
@@ -52,6 +58,11 @@ struct LockShard {
 /// writer cannot leak a lock. Keys hash onto independent shards (see the
 /// [module docs](self)), so disjoint writers neither serialise on one
 /// mutex nor wake on each other's releases.
+///
+/// A writer holds its (stripe, block) lock across Algorithm 1's rounds
+/// by design, so these locks stay outside
+/// [`tq_cluster::sync::Mutex`]: a [`BlockLockGuard`] is not counted by
+/// the debug-build check that no short lock outlives a round.
 #[derive(Debug)]
 pub struct StripeLockManager {
     shards: Box<[LockShard]>,

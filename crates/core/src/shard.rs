@@ -35,7 +35,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use parking_lot::Mutex;
+use tq_cluster::sync::Mutex;
 
 use crate::errors::ProtocolError;
 use crate::recovery::RebuildReport;

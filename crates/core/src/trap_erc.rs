@@ -77,6 +77,8 @@
 use std::cell::OnceCell;
 
 use bytes::Bytes;
+use tq_cluster::health::RetryPermit;
+use tq_cluster::sync::Mutex;
 use tq_cluster::{
     Lane, NodeError, NodeId, PlanOp, QuorumRound, Request, Response, RoundOutcome, Transport,
 };
@@ -241,7 +243,7 @@ pub struct TrapErcClient<T: Transport> {
     /// and scrub): each entry is one `parity_count`-buffer set handed to
     /// [`ReedSolomon::encode_into`], recycled instead of reallocated per
     /// stripe. A stack so concurrent scrubs each get their own set.
-    scratch: parking_lot::Mutex<Vec<Vec<Vec<u8>>>>,
+    scratch: Mutex<Vec<Vec<Vec<u8>>>>,
 }
 
 /// How many parity scratch sets the client keeps around; beyond this,
@@ -267,7 +269,7 @@ impl<T: Transport> TrapErcClient<T> {
             systems,
             config,
             transport,
-            scratch: parking_lot::Mutex::new(Vec::new()),
+            scratch: Mutex::new(Vec::new()),
         })
     }
 
@@ -1203,9 +1205,17 @@ impl<T: Transport> TrapErcClient<T> {
             // health registry the loop is bounded only by the pool.
             pool.retain(|member| !st.asked.contains(member));
             pool.truncate(k - clean);
-            if pool.is_empty()
-                || (fetches > 0 && health.is_some_and(|h| !h.try_spend(Lane::Foreground)))
-            {
+            let (round, calls) = (
+                QuorumRound::await_all(0),
+                Self::shard_calls(id, k, pool.iter()),
+            );
+            let fetch = match fetches {
+                _ if pool.is_empty() => None,
+                0 => Some(run_recorded(&self.transport, round, None, calls, report)),
+                _ => RetryPermit::spend(health, Lane::Foreground)
+                    .map(|permit| self.refetch(permit, calls, report)),
+            };
+            let Some(fetch) = fetch else {
                 // Distinguish "nodes are missing/stale" from "nodes are
                 // provably lying": only the latter is an integrity
                 // verdict — judged on every node this read proved
@@ -1223,19 +1233,24 @@ impl<T: Transport> TrapErcClient<T> {
                         found: clean,
                     }
                 });
-            }
+            };
             fetches += 1;
-            // Gather-all with no enforced threshold: sufficiency is
-            // decided above, after per-shard validation.
-            let fetch = run_recorded(
-                &self.transport,
-                QuorumRound::await_all(0),
-                None,
-                Self::shard_calls(id, k, pool.iter()),
-                report,
-            );
             self.absorb_shards(st, fetch);
         }
+    }
+
+    /// A replacement fetch: a shard round after an item's first, so a
+    /// retry, paid for with `_permit`. Like the first it gathers every
+    /// reply with no enforced threshold: sufficiency is decided by the
+    /// caller, after per-shard validation.
+    fn refetch(
+        &self,
+        _permit: RetryPermit,
+        calls: Vec<(NodeId, Request)>,
+        report: &mut OpReport,
+    ) -> RoundOutcome {
+        let round = QuorumRound::await_all(0);
+        run_recorded(&self.transport, round, None, calls, report)
     }
 
     /// **Scrub (extension)** — the paper defines no repair path, so a

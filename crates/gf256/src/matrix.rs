@@ -213,36 +213,6 @@ impl Matrix {
         top[a * self.cols..(a + 1) * self.cols].swap_with_slice(&mut bottom[..self.cols]);
     }
 
-    /// Rank via Gaussian elimination on a scratch copy.
-    pub fn rank(&self) -> usize {
-        let mut m = self.clone();
-        let mut rank = 0;
-        for col in 0..m.cols {
-            if rank == m.rows {
-                break;
-            }
-            let Some(pivot) = (rank..m.rows).find(|&r| !m[(r, col)].is_zero()) else {
-                continue;
-            };
-            m.swap_rows(pivot, rank);
-            let inv = m[(rank, col)].inv();
-            for c in 0..m.cols {
-                m[(rank, c)] *= inv;
-            }
-            for r in 0..m.rows {
-                if r != rank && !m[(r, col)].is_zero() {
-                    let factor = m[(r, col)];
-                    for c in 0..m.cols {
-                        let sub = factor * m[(rank, c)];
-                        m[(r, c)] += sub;
-                    }
-                }
-            }
-            rank += 1;
-        }
-        rank
-    }
-
     /// Checks the MDS property of an `n × k` generator matrix: every `k`
     /// rows must be linearly independent. Cost is `C(n, k)` inversions —
     /// intended for construction-time validation and tests, not hot paths.
@@ -253,7 +223,7 @@ impl Matrix {
         }
         let mut selection: Vec<usize> = (0..k).collect();
         loop {
-            if self.select_rows(&selection).rank() < k {
+            if self.select_rows(&selection).inverse().is_err() {
                 return false;
             }
             // Advance the combination (lexicographic).
@@ -336,12 +306,13 @@ mod tests {
         // Two identical rows.
         let m = from_rows(&[&[1, 2], &[1, 2]]);
         assert_eq!(m.inverse(), Err(SingularMatrix));
-        assert_eq!(m.rank(), 1);
     }
 
     #[test]
     fn zero_matrix_rank() {
-        assert_eq!(Matrix::zero(3, 3).rank(), 0);
+        // Rank 0: singular, and no k rows of it are independent.
+        assert_eq!(Matrix::zero(3, 3).inverse(), Err(SingularMatrix));
+        assert!(!Matrix::zero(4, 2).is_mds_generator());
     }
 
     #[test]
@@ -394,7 +365,10 @@ mod tests {
                     prop_assert_eq!(m.mul(&inv), Matrix::identity(m.rows()));
                     prop_assert_eq!(inv.mul(&m), Matrix::identity(m.rows()));
                 } else {
-                    prop_assert!(m.rank() < m.rows());
+                    // Singular: so is the transpose.
+                    let n = m.rows();
+                    let t = Matrix::from_fn(n, n, |r, c| m[(c, r)]);
+                    prop_assert!(t.inverse().is_err());
                 }
             }
 
@@ -405,11 +379,6 @@ mod tests {
                 c in random_matrix(4),
             ) {
                 prop_assert_eq!(a.mul(&b).mul(&c), a.mul(&b.mul(&c)));
-            }
-
-            #[test]
-            fn rank_bounded(m in (1usize..8).prop_flat_map(random_matrix)) {
-                prop_assert!(m.rank() <= m.rows());
             }
 
             #[test]

@@ -2,24 +2,20 @@
 //!
 //! `tq-lint` tokenizes every first-party source file with a hand-rolled
 //! lexer (the workspace builds from vendored stand-ins; no
-//! syn/proc-macro2) and runs the project-specific rules that neither
-//! rustc nor clippy can express. Every other contract lives in the
-//! compiler: privacy keeps the applied-op window's set behind its
-//! monotone helpers, exhaustive `match`es over the `#[repr(u8)]` wire
-//! tags keep every decoder total, `clippy.toml` plus a scoped `deny` bans
-//! wall clocks, entropy and panics where they would break determinism or
-//! totality, and the workspace forbids `unsafe_code` outside `tq-gf256`.
-//! What is left here:
+//! syn/proc-macro2) and runs the one project-specific rule that neither
+//! rustc nor clippy expresses yet. Every other contract lives in the
+//! compiler or in a debug-build check: privacy keeps the applied-op
+//! window's set behind its monotone helpers, exhaustive `match`es over
+//! the `#[repr(u8)]` wire tags keep every decoder total, `clippy.toml`
+//! plus a scoped `deny` bans wall clocks, entropy, raw mutexes and panics
+//! where they would break determinism or totality, a
+//! `tq_cluster::sync::Mutex` guard held across a round panics a debug
+//! build, a re-issue cannot be written without the `RetryPermit` the
+//! retry budget hands out, and the workspace forbids `unsafe_code`
+//! outside `tq-gf256`. What is left here:
 //!
 //! * `opid-echo` — every `Reply`/`RoundReply` literal must thread the
 //!   incoming envelope's `op_id` (PR 4's echo contract).
-//! * `lock-across-transport` — a lock guard's scope may not enclose a
-//!   `transport.` call.
-//! * `bounded-retry` — a loop in a client dispatch surface that puts
-//!   envelopes on the wire must consult `RetryBudget::try_spend` or
-//!   carry a waiver naming why it is bounded (PR 10's retry-storm
-//!   contract: unbudgeted retry loops amplify load exactly when the
-//!   cluster can least afford it).
 //!
 //! Waivers are inline comments of the form `// <marker> allow(NAME) --
 //! JUSTIFICATION`, where `<marker>` is the crate name followed by a colon
@@ -34,8 +30,6 @@
 use std::path::Path;
 
 pub const L_OPID: &str = "opid-echo";
-pub const L_LOCK: &str = "lock-across-transport";
-pub const L_RETRY: &str = "bounded-retry";
 pub const L_WAIVER: &str = "waiver-syntax";
 
 /// The lint catalog: `(name, what it enforces)`. `waiver-syntax` is the
@@ -44,14 +38,6 @@ pub const LINTS: &[(&str, &str)] = &[
     (
         L_OPID,
         "Reply/RoundReply literals must thread the incoming op_id (echo contract, PR 4)",
-    ),
-    (
-        L_LOCK,
-        "a lock guard scope may not enclose a transport. call",
-    ),
-    (
-        L_RETRY,
-        "client dispatch loops must consult RetryBudget::try_spend (or carry a waiver naming why the loop is bounded)",
     ),
     (
         L_WAIVER,
@@ -525,9 +511,6 @@ struct FileCtx<'a> {
 }
 
 impl FileCtx<'_> {
-    fn id(&self, i: usize, s: &str) -> bool {
-        matches!(self.toks.get(i), Some(t) if t.kind == Kind::Ident && t.text == s)
-    }
     fn ident(&self, i: usize) -> Option<&str> {
         match self.toks.get(i) {
             Some(t) if t.kind == Kind::Ident => Some(&t.text),
@@ -675,245 +658,14 @@ fn l2_opid_echo(f: &FileCtx, out: &mut Vec<Diagnostic>) {
         }
     }
 }
-// ---------------------------------------------------------------------------
-// L6: lock-across-transport
-// ---------------------------------------------------------------------------
-
-fn lock_like(name: &str) -> bool {
-    name == "lock" || name == "lock_arc" || name.ends_with("_lock")
-}
-
-fn l6_lock_across_transport(f: &FileCtx, out: &mut Vec<Diagnostic>) {
-    let n = f.toks.len();
-    let mut guards: Vec<(String, i32, u32)> = Vec::new(); // (binding, depth, line)
-    let mut depth: i32 = 0;
-    let mut i = 0usize;
-    while i < n {
-        if f.p(i, '{') {
-            depth += 1;
-            i += 1;
-            continue;
-        }
-        if f.p(i, '}') {
-            guards.retain(|&(_, d, _)| d < depth);
-            depth -= 1;
-            i += 1;
-            continue;
-        }
-        if f.ctx.in_test[i] {
-            i += 1;
-            continue;
-        }
-        // Explicit release.
-        if f.id(i, "drop") && f.p(i + 1, '(') && f.p(i + 3, ')') {
-            if let Some(name) = f.ident(i + 2) {
-                guards.retain(|(g, _, _)| g != name);
-            }
-        }
-        // `let [mut] <name> [: ty] = <expr ending in a lock() call>;`
-        if f.id(i, "let") && !(i > 0 && (f.id(i - 1, "if") || f.id(i - 1, "while"))) {
-            let mut j = i + 1;
-            if f.id(j, "mut") {
-                j += 1;
-            }
-            if let Some(name) = f.ident(j) {
-                let binding = name.to_string();
-                let mut k = j + 1;
-                while k < n && !f.p(k, '=') && !f.p(k, ';') {
-                    k += 1;
-                }
-                if f.p(k, '=') && binding != "_" {
-                    let start = k + 1;
-                    let mut d2 = 0i32;
-                    let mut m = start;
-                    while m < n {
-                        match &f.toks[m].kind {
-                            Kind::Punct('(') | Kind::Punct('[') | Kind::Punct('{') => d2 += 1,
-                            Kind::Punct(')') | Kind::Punct(']') | Kind::Punct('}') => {
-                                if d2 == 0 {
-                                    break;
-                                }
-                                d2 -= 1;
-                            }
-                            Kind::Punct(';') if d2 == 0 => break,
-                            _ => {}
-                        }
-                        m += 1;
-                    }
-                    let mut last = m;
-                    if last > start && f.p(last - 1, '?') {
-                        last -= 1;
-                    }
-                    // Guard iff the initializer's final call is lock-like:
-                    // `..lock(..)` as the last tokens of the expression.
-                    if last > start + 1 && f.p(last - 1, ')') {
-                        let close = last - 1;
-                        let mut d3 = 0i32;
-                        let mut o = close;
-                        loop {
-                            match &f.toks[o].kind {
-                                Kind::Punct(')') => d3 += 1,
-                                Kind::Punct('(') => {
-                                    d3 -= 1;
-                                    if d3 == 0 {
-                                        break;
-                                    }
-                                }
-                                _ => {}
-                            }
-                            if o == start {
-                                break;
-                            }
-                            o -= 1;
-                        }
-                        if d3 == 0 && o > start {
-                            if let Some(mname) = f.ident(o - 1) {
-                                if lock_like(mname) {
-                                    guards.push((binding, depth, f.line(i)));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if f.id(i, "transport") && f.p(i + 1, '.') && !guards.is_empty() {
-            let (g, _, gl) = &guards[guards.len() - 1];
-            out.push(f.diag(
-                L_LOCK,
-                i,
-                format!(
-                    "`transport.` call while lock guard `{g}` (taken line {gl}) is live; \
-                     release the guard before any transport round-trip"
-                ),
-            ));
-        }
-        i += 1;
-    }
-}
-// ---------------------------------------------------------------------------
-// L8: bounded-retry
-// ---------------------------------------------------------------------------
-
-/// Client-side dispatch surfaces: the protocol client crate (its Case 2
-/// replacement-fetch loop), the dispatch driver and the transports'
-/// links (TCP reconnect). The quorum engine (`quorum_round.rs`) is
-/// out of scope — its loops walk distinct ops/slots and dispatch each
-/// envelope exactly once per round by construction.
-fn l8_in_scope(path: &str) -> bool {
-    path.contains("crates/core/src/")
-        || [
-            "crates/cluster/src/driver.rs",
-            "crates/cluster/src/tcp.rs",
-            "crates/cluster/src/transport.rs",
-            "crates/cluster/src/sim.rs",
-        ]
-        .iter()
-        .any(|s| path.ends_with(s))
-}
-
-/// Call idioms that put an envelope (or a whole round of them) on the
-/// wire. A loop whose body contains one is re-dispatching under its own
-/// control flow, which is exactly where an unbudgeted retry storm hides.
-/// The driver's own idiom, `link.send(..)`, is matched with its
-/// receiver (see [`l8_bounded_retry`]): a bare `send` is every channel.
-const L8_DISPATCH: &[&str] = &[
-    "dispatch",
-    "multicall",
-    "run_recorded",
-    "run_fused",
-    "schedule_request",
-];
-
-/// Idioms that prove the loop draws on the retry budget.
-const L8_BUDGET: &[&str] = &["try_spend", "RetryBudget"];
-
-fn l8_bounded_retry(f: &FileCtx, out: &mut Vec<Diagnostic>) {
-    if !l8_in_scope(f.path) {
-        return;
-    }
-    let n = f.toks.len();
-    // Collect loop bodies as (open, close) brace token indices. Only the
-    // open-ended forms count: a `for` loop is bounded by its iterator by
-    // construction (fan-outs and level walks dispatch each target once),
-    // and lexing `for` naively would also swallow `impl Trait for Type`
-    // headers. `loop`/`while` have no such intrinsic bound — there the
-    // budget is the only thing standing between a straggler and a storm.
-    let mut loops: Vec<(usize, usize)> = Vec::new();
-    for i in 0..n {
-        let Some(kw) = f.ident(i) else { continue };
-        if !matches!(kw, "loop" | "while") {
-            continue;
-        }
-        // `.loop`-like method paths lex as their own idents; a loop
-        // keyword is never preceded by `.`.
-        if i > 0 && f.p(i - 1, '.') {
-            continue;
-        }
-        // The body `{` follows immediately for `loop`; for `while` it is
-        // the first brace outside the header's parens/brackets.
-        let mut j = i + 1;
-        let (mut paren, mut brack) = (0i32, 0i32);
-        let open = loop {
-            match f.toks.get(j).map(|t| &t.kind) {
-                None => break None,
-                Some(Kind::Punct('(')) => paren += 1,
-                Some(Kind::Punct(')')) => paren -= 1,
-                Some(Kind::Punct('[')) => brack += 1,
-                Some(Kind::Punct(']')) => brack -= 1,
-                Some(Kind::Punct('{')) if paren == 0 && brack == 0 => break Some(j),
-                Some(Kind::Punct(';')) if paren == 0 => break None,
-                _ => {}
-            }
-            j += 1;
-        };
-        let Some(open) = open else { continue };
-        loops.push((open, f.match_brace(open)));
-    }
-    for d in 0..n {
-        if f.ctx.in_test[d] {
-            continue;
-        }
-        let Some(name) = f.ident(d) else { continue };
-        let link_send = name == "send" && d >= 2 && f.p(d - 1, '.') && f.id(d - 2, "link");
-        if !(L8_DISPATCH.contains(&name) || link_send) || !f.p(d + 1, '(') {
-            continue;
-        }
-        if d > 0 && f.id(d - 1, "fn") {
-            continue; // a definition, not a call
-        }
-        // Attribute the call to its innermost enclosing loop; calls
-        // outside any loop (or in a loop header's iterator expression)
-        // dispatch once and are fine.
-        let Some(&(open, close)) = loops
-            .iter()
-            .filter(|&&(o, c)| o < d && d < c)
-            .min_by_key(|&&(o, c)| c - o)
-        else {
-            continue;
-        };
-        let consults =
-            (open..=close).any(|k| matches!(f.ident(k), Some(t) if L8_BUDGET.contains(&t)));
-        if !consults {
-            out.push(f.diag(
-                L_RETRY,
-                d,
-                format!(
-                    "`{name}` inside a loop with no retry-budget consult; a re-dispatch loop \
-                     must call `try_spend` (or carry a waiver naming why it is bounded)"
-                ),
-            ));
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
 /// Lint a single source file. `path` is the workspace-relative path with
-/// forward slashes; lint applicability is decided from its suffix, so tests
-/// can feed fixture sources under virtual paths.
+/// forward slashes that diagnostics report, so tests can feed fixture
+/// sources under virtual paths.
 pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
     let (toks, comments) = lex(src);
     let ctx = build_ctx(&toks);
@@ -924,8 +676,6 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
     };
     let (waivers, mut diags) = parse_waivers(&comments, &toks, path);
     l2_opid_echo(&f, &mut diags);
-    l6_lock_across_transport(&f, &mut diags);
-    l8_bounded_retry(&f, &mut diags);
     let excuses = |w: &Waiver, d: &Diagnostic| w.lint == d.lint && w.lines.contains(&d.line);
     for d in &mut diags {
         d.waived = waivers.iter().any(|w| excuses(w, d));

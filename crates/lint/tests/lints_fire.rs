@@ -55,33 +55,3 @@ fn l2_opid_echo_fires() {
         "opid-echo",
     );
 }
-
-#[test]
-fn l6_lock_across_transport_fires() {
-    assert_fires(
-        include_str!("fixtures/l6_lock.rs"),
-        "crates/cluster/src/quorum_round.rs",
-        "lock-across-transport",
-    );
-}
-
-#[test]
-fn l8_bounded_retry_fires() {
-    assert_fires(
-        include_str!("fixtures/l8_retry.rs"),
-        "crates/core/src/retry_site.rs",
-        "bounded-retry",
-    );
-}
-
-#[test]
-fn l8_out_of_scope_engine_is_exempt() {
-    let diags = lint_source(
-        "crates/cluster/src/quorum_round.rs",
-        include_str!("fixtures/l8_retry.rs"),
-    );
-    assert!(
-        diags.iter().all(|d| d.lint != "bounded-retry"),
-        "the quorum engine dispatches once per round by construction and is out of scope"
-    );
-}

@@ -40,21 +40,29 @@ fn waiver_does_not_leak_past_the_next_line() {
 
 #[test]
 fn waiver_for_a_different_lint_does_not_apply() {
-    let src = format!(
-        "fn f(r: R) -> Reply {{\n    {BAD_REPLY} // tq-lint: allow(bounded-retry) -- wrong lint on purpose\n}}\n"
+    // An `opid-echo` waiver over a line whose finding is a malformed
+    // waiver (`waiver-syntax`): the lints differ, so nothing is excused.
+    let src = "fn f() {\n    // tq-lint: allow(opid-echo) -- names a different lint on purpose\n    let x = 1; // tq-lint: allow(no-such-lint) -- bogus\n}\n";
+    let diags = lint_source("crates/cluster/src/x.rs", src);
+    let unknown = diags
+        .iter()
+        .find(|d| d.message.contains("no-such-lint"))
+        .expect("the unknown lint is reported");
+    assert_eq!(
+        (unknown.lint, unknown.line, unknown.waived),
+        (L_WAIVER, 3, false)
     );
-    assert!(!one_opid_diag(&src).waived);
 }
 
 #[test]
 fn a_waiver_that_excuses_nothing_is_an_error() {
-    // The loop consults the budget, so `bounded-retry` has nothing to
-    // excuse on the line the waiver covers.
-    let src = "fn f(b: &RetryBudget) {\n    loop {\n        // tq-lint: allow(bounded-retry) -- stale: the loop spends a token\n        if !b.try_spend() { break; }\n        dispatch(env);\n    }\n}\n";
-    let diags = lint_source("crates/core/src/x.rs", src);
+    // The reply threads the envelope's op id, so `opid-echo` has nothing
+    // to excuse on the line the waiver covers.
+    let src = "fn f(env: Envelope) -> Reply {\n    // tq-lint: allow(opid-echo) -- stale: the reply echoes its envelope\n    Reply { op_id: env.op_id, round_epoch: 0, result: r }\n}\n";
+    let diags = lint_source("crates/cluster/src/x.rs", src);
     let stale: Vec<_> = diags.iter().filter(|d| d.lint == L_WAIVER).collect();
     assert_eq!(stale.len(), 1, "{diags:?}");
-    assert_eq!(stale[0].line, 3);
+    assert_eq!(stale[0].line, 2);
     assert!(
         stale[0].message.contains("excuses no finding"),
         "{}",
