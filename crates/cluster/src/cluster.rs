@@ -104,11 +104,6 @@ impl Cluster {
         }
     }
 
-    /// Indices of currently live nodes.
-    pub fn live_nodes(&self) -> Vec<usize> {
-        (0..self.len()).filter(|&i| self.nodes[i].is_up()).collect()
-    }
-
     /// Cluster-wide IO counters.
     pub fn io_totals(&self) -> IoSnapshot {
         self.nodes
@@ -120,6 +115,14 @@ impl Cluster {
     /// Total payload bytes stored across all nodes (measured `D_used`).
     pub fn stored_bytes(&self) -> usize {
         self.nodes.iter().map(|n| n.stored_bytes()).sum()
+    }
+}
+
+#[cfg(test)]
+impl Cluster {
+    /// Indices of currently live nodes.
+    pub(crate) fn live_nodes(&self) -> Vec<usize> {
+        (0..self.len()).filter(|&i| self.nodes[i].is_up()).collect()
     }
 }
 

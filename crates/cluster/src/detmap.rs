@@ -6,7 +6,7 @@
 //! must make identical scheduling decisions, and any code that iterates a
 //! map (version sweeps, recovery scans, stats) feeds those decisions.
 //!
-//! [`DetHashMap`]/[`DetHashSet`] keep std's table implementation but swap
+//! `DetHashMap`/[`DetHashSet`] keep std's table implementation but swap
 //! the hasher for fixed-key FNV-1a, making layout a pure function of the
 //! insertion sequence. Integers hash via their little-endian bytes so the
 //! layout is also platform-independent. This is an *internal* container:
@@ -69,7 +69,7 @@ impl Hasher for DetHasher {
     clippy::disallowed_types,
     reason = "the whole point of this alias: std's table with a fixed-key FNV hasher, layout is a pure function of insertion order"
 )]
-pub type DetHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<DetHasher>>;
+pub(crate) type DetHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<DetHasher>>;
 
 /// `HashSet` with run-to-run deterministic layout.
 #[expect(

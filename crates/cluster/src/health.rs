@@ -25,7 +25,7 @@
 //! simulation: the registry reads no clock (a latency sample is an
 //! opaque `u64` duration — virtual nanoseconds under
 //! [`crate::sim::SimTransport`], wall nanoseconds on TCP), state lives
-//! in a [`DetHashMap`], and no OS entropy is read — clippy's determinism
+//! in a `DetHashMap`, and no OS entropy is read — clippy's determinism
 //! ban (see this crate's `lib.rs`) covers this file.
 
 use crate::detmap::DetHashMap;
@@ -42,7 +42,7 @@ const WARMUP_SAMPLES: u32 = 3;
 /// (see [`NodeHealth::straggler`]). Well clear of ordinary jitter, well
 /// under the 10–100× degradation a failing disk or saturated peer
 /// shows.
-pub const STRAGGLER_MULT: u64 = 4;
+pub(crate) const STRAGGLER_MULT: u64 = 4;
 
 // The retry budget, in milli-tokens: each success earns `EARN`
 // (retries ≤ 10% of successes in steady state), each spend costs
@@ -57,7 +57,7 @@ const BACKGROUND_RESERVE: u64 = SPEND_COST;
 
 /// Licence for one discretionary re-issue: a Case 2 replacement fetch,
 /// a TCP reconnect attempt. The re-send paths take one by value, and
-/// only this module makes them — [`NodeHealth::try_spend`] out of the
+/// only this module makes them — `NodeHealth::try_spend` out of the
 /// budget, [`RetryPermit::spend`] for a caller whose transport may keep
 /// no registry:
 ///
@@ -170,7 +170,7 @@ impl NodeHealth {
 
     /// True when the estimator marks `node` as one the router should
     /// read *around*: its circuit is open, or its warmed-up latency
-    /// estimate sits at least [`STRAGGLER_MULT`]× above the fleet's
+    /// estimate sits at least `STRAGGLER_MULT`× above the fleet's
     /// median warmed-up estimate. The test is relative, not absolute — a
     /// uniformly slow fleet has no stragglers — and a cold node is never
     /// a straggler (no evidence, no demotion).
@@ -211,7 +211,7 @@ impl NodeHealth {
     /// replacement fetch, a TCP reconnect). Background-lane callers must
     /// leave a foreground reserve. `None` when the budget is exhausted —
     /// the caller skips the re-issue rather than queueing.
-    pub fn try_spend(&self, lane: Lane) -> Option<RetryPermit> {
+    pub(crate) fn try_spend(&self, lane: Lane) -> Option<RetryPermit> {
         let mut g = self.inner.lock();
         let reserve = match lane {
             Lane::Foreground => 0,
@@ -224,14 +224,16 @@ impl NodeHealth {
         g.retries += 1;
         Some(RetryPermit(()))
     }
+}
 
+#[cfg(test)]
+impl NodeHealth {
     /// Retry tokens spent so far, across every re-issue path.
-    pub fn retries(&self) -> u64 {
+    pub(crate) fn retries(&self) -> u64 {
         self.inner.lock().retries
     }
 
     /// Latency samples recorded for `node`.
-    #[cfg(test)]
     pub(crate) fn samples(&self, node: usize) -> u32 {
         self.inner.lock().nodes.get(&node).map_or(0, |s| s.samples)
     }

@@ -116,7 +116,6 @@ pub use quorum_round::{
 };
 pub use rpc::{BlockId, Envelope, Lane, NodeApi, NodeError, OpId, Reply, Request, Response};
 pub use sim::{NetworkModel, SimFault, SimStats, SimTransport};
-pub use stats::IoStats;
 pub use storage::{
     AppendLogBackend, FaultingBackend, FsyncPolicy, MemoryBackend, StorageBackend, StorageError,
     StorageFaults, StoredBlock,

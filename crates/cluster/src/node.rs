@@ -244,13 +244,6 @@ impl StorageNode {
         self.stats.snapshot()
     }
 
-    /// Number of objects stored (diagnostics).
-    pub fn object_count(&self) -> usize {
-        let mut n = 0;
-        let _ = self.backend.scan(&mut |_, _| n += 1);
-        n
-    }
-
     /// Total payload bytes currently stored — the `D_used` of eqs. 14/15
     /// measured rather than predicted.
     pub fn stored_bytes(&self) -> usize {
@@ -719,6 +712,16 @@ impl NodeApi for StorageNode {
             self.applied.lock().remember(op_id);
         }
         reply(result)
+    }
+}
+
+#[cfg(test)]
+impl StorageNode {
+    /// Number of objects stored (diagnostics).
+    pub(crate) fn object_count(&self) -> usize {
+        let mut n = 0;
+        let _ = self.backend.scan(&mut |_, _| n += 1);
+        n
     }
 }
 

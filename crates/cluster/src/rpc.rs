@@ -71,7 +71,7 @@ impl fmt::Display for OpId {
 /// with one epoch, so a reply surfacing in a *later* round is
 /// recognisable as a straggler at a glance (epoch 0 is reserved for
 /// single [`Transport::call`](crate::transport::Transport::call)s).
-pub fn next_round_epoch() -> u64 {
+pub(crate) fn next_round_epoch() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
@@ -83,7 +83,7 @@ pub fn next_round_epoch() -> u64 {
 /// poll, parity audit and push). Transports and the retry budget use
 /// the lane to make maintenance traffic yield to foreground ops:
 /// background retries must leave a foreground token reserve (see
-/// [`NodeHealth::try_spend`](crate::health::NodeHealth::try_spend)). On the wire the lane
+/// `NodeHealth::try_spend`). On the wire the lane
 /// travels as header flag bit `0x0001`; foreground (the default)
 /// encodes as 0, so frames from pre-lane peers decode as foreground and
 /// foreground frames are byte-identical to pre-lane encodings.
@@ -135,7 +135,7 @@ impl Envelope {
     }
 
     /// Wraps a payload with a fresh op id, tagged with a round epoch.
-    pub fn in_epoch(payload: Request, round_epoch: u64) -> Self {
+    pub(crate) fn in_epoch(payload: Request, round_epoch: u64) -> Self {
         Envelope {
             op_id: OpId::fresh(),
             round_epoch,

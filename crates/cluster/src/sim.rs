@@ -665,11 +665,6 @@ impl SimTransport {
         dropped
     }
 
-    /// Number of cross-round messages currently parked in limbo.
-    pub fn inflight(&self) -> usize {
-        self.state.lock().limbo.len()
-    }
-
     /// Overrides the one-way delay band of node `i`'s link (both
     /// directions); `None` restores the model band.
     ///
@@ -878,6 +873,14 @@ impl std::fmt::Debug for SimTransport {
             .field("inflight", &st.limbo.len())
             .field("stats", &st.stats)
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl SimTransport {
+    /// Number of cross-round messages currently parked in limbo.
+    pub(crate) fn inflight(&self) -> usize {
+        self.state.lock().limbo.len()
     }
 }
 

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// All counters are relaxed atomics: they are statistics, not
 /// synchronisation, and the hot path must stay cheap.
 #[derive(Debug, Default)]
-pub struct IoStats {
+pub(crate) struct IoStats {
     reads: AtomicU64,
     writes: AtomicU64,
     version_queries: AtomicU64,
@@ -24,7 +24,7 @@ pub struct IoStats {
     bytes_out: AtomicU64,
 }
 
-/// A point-in-time copy of [`IoStats`].
+/// A point-in-time copy of `IoStats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IoSnapshot {
     /// Block reads served (data or parity).
@@ -83,36 +83,36 @@ impl IoStats {
     }
 
     /// Records a block read serving `bytes` bytes.
-    pub fn record_read(&self, bytes: usize) {
+    pub(crate) fn record_read(&self, bytes: usize) {
         self.reads.fetch_add(1, Ordering::Relaxed);
         self.bytes_out.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Records a block write receiving `bytes` bytes.
-    pub fn record_write(&self, bytes: usize) {
+    pub(crate) fn record_write(&self, bytes: usize) {
         self.writes.fetch_add(1, Ordering::Relaxed);
         self.bytes_in.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Records a version(-vector) query.
-    pub fn record_version_query(&self) {
+    pub(crate) fn record_version_query(&self) {
         self.version_queries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a parity fold receiving `bytes` delta bytes.
-    pub fn record_parity_add(&self, bytes: usize) {
+    pub(crate) fn record_parity_add(&self, bytes: usize) {
         self.parity_adds.fetch_add(1, Ordering::Relaxed);
         self.bytes_in.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Records a rejected request.
-    pub fn record_rejected(&self) {
+    pub(crate) fn record_rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Takes a consistent-enough snapshot (relaxed reads; counters are
     /// monotone so any interleaving is a valid point in time for tests).
-    pub fn snapshot(&self) -> IoSnapshot {
+    pub(crate) fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),

@@ -118,7 +118,7 @@ impl StoredBlock {
     }
 
     /// Payload length in bytes.
-    pub fn payload_len(&self) -> usize {
+    pub(crate) fn payload_len(&self) -> usize {
         match self {
             StoredBlock::Data { bytes, .. } | StoredBlock::Parity { bytes, .. } => bytes.len(),
         }
@@ -1296,16 +1296,6 @@ impl FaultingBackend {
         Ok(())
     }
 
-    /// How many barriers were silently dropped (fault non-vacuity).
-    pub fn dropped_syncs(&self) -> u64 {
-        self.state.lock().dropped_syncs
-    }
-
-    /// How many crash-restarts actually reverted state (non-vacuity).
-    pub fn crashes_reverted(&self) -> u64 {
-        self.state.lock().crashes_reverted
-    }
-
     /// How many reads served corrupted payloads (non-vacuity for the
     /// DST corruption axis).
     pub fn corrupted_reads(&self) -> u64 {
@@ -1468,6 +1458,19 @@ pub fn default_backend(node_index: usize) -> Arc<dyn StorageBackend> {
             Arc::new(backend)
         }
         Ok(other) => panic!("TQ_NODE_BACKEND={other:?} is not one of: memory, applog"),
+    }
+}
+
+#[cfg(test)]
+impl FaultingBackend {
+    /// How many barriers were silently dropped (fault non-vacuity).
+    pub(crate) fn dropped_syncs(&self) -> u64 {
+        self.state.lock().dropped_syncs
+    }
+
+    /// How many crash-restarts actually reverted state (non-vacuity).
+    pub(crate) fn crashes_reverted(&self) -> u64 {
+        self.state.lock().crashes_reverted
     }
 }
 

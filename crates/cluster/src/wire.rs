@@ -87,11 +87,11 @@ use core::fmt;
 use crate::rpc::{Envelope, Lane, NodeError, OpId, Reply, Request, Response};
 
 /// Frame magic: the first four bytes of every frame.
-pub const MAGIC: [u8; 4] = *b"TQWF";
+pub(crate) const MAGIC: [u8; 4] = *b"TQWF";
 
 /// Header flag bit: the command travels in the background/maintenance
 /// lane ([`Lane::Background`]); foreground encodes as 0.
-pub const FLAG_BACKGROUND: u16 = 0x0001;
+pub(crate) const FLAG_BACKGROUND: u16 = 0x0001;
 
 /// Current wire protocol version. Bump on any incompatible layout change.
 pub const WIRE_VERSION: u8 = 2;
@@ -153,7 +153,7 @@ wire_codes! {
 pub struct Header {
     /// Direction of the message in the body.
     pub kind: FrameKind,
-    /// Flag bits. Bit 0 ([`FLAG_BACKGROUND`]) marks background-lane
+    /// Flag bits. Bit 0 (`FLAG_BACKGROUND`) marks background-lane
     /// requests; the rest are reserved (decoders must tolerate any
     /// value so future versions can set bits without breaking old
     /// peers).
@@ -194,7 +194,7 @@ pub enum DecodeError {
         /// Bytes actually available.
         got: usize,
     },
-    /// The first four bytes are not [`MAGIC`] — not a frame, or a
+    /// The first four bytes are not `MAGIC` — not a frame, or a
     /// desynchronised stream.
     BadMagic([u8; 4]),
     /// The header checksum did not match its contents.
@@ -667,7 +667,8 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
 
 mod decode;
 
-pub use decode::{crc32, decode_body, decode_frame};
+pub(crate) use decode::decode_body;
+pub use decode::{crc32, decode_frame};
 
 #[cfg(test)]
 mod tests {

@@ -386,7 +386,7 @@ fn decode_error_body(cur: &mut Cursor<'_>) -> Result<NodeError, DecodeError> {
 ///
 /// `body` must hold exactly `header.body_len` bytes (a streaming reader
 /// reads exactly that many after the header).
-pub fn decode_body(header: &Header, body: &Bytes) -> Result<Frame, DecodeError> {
+pub(crate) fn decode_body(header: &Header, body: &Bytes) -> Result<Frame, DecodeError> {
     if body.len() != header.body_len as usize {
         return Err(DecodeError::Truncated {
             needed: header.body_len as usize,

@@ -2,8 +2,8 @@
 
 use core::fmt;
 
-use tq_erasure::{CodeParams, ParamError, ReedSolomon};
-use tq_quorum::trapezoid::{ShapeError, TrapErcSystem, TrapezoidShape, WriteThresholds};
+use tq_erasure::{CodeParams, ReedSolomon};
+use tq_quorum::trapezoid::{TrapErcSystem, TrapezoidShape, WriteThresholds};
 
 use crate::errors::ProtocolError;
 
@@ -151,20 +151,11 @@ impl fmt::Display for ProtocolConfig {
     }
 }
 
-/// Re-exported error types used in config construction signatures.
-pub mod error_types {
-    pub use tq_erasure::ParamError;
-    pub use tq_quorum::trapezoid::ShapeError;
-}
-
-// Silence unused-import lint for the doc re-export above while keeping the
-// names in the public signature path.
-const _: Option<ParamError> = None;
-const _: Option<ShapeError> = None;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tq_erasure::ParamError;
+    use tq_quorum::trapezoid::ShapeError;
 
     #[test]
     fn build_validates_eq5() {

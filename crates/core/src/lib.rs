@@ -70,13 +70,13 @@
 mod baselines;
 pub mod config;
 pub mod errors;
-pub mod locking;
+pub(crate) mod locking;
 pub mod recovery;
 mod rounds;
 pub mod shard;
 pub mod store;
 pub mod trap_erc;
-pub mod version_matrix;
+pub(crate) mod version_matrix;
 pub mod volume;
 
 pub use config::ProtocolConfig;
@@ -89,5 +89,4 @@ pub use store::{
     StoreBuilder, StoreInfo,
 };
 pub use trap_erc::{ReadOutcome, ReadPath, ScrubReport, TrapErcClient, WriteOutcome};
-pub use version_matrix::VersionMatrix;
 pub use volume::{Volume, VolumeConfig};

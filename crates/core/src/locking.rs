@@ -33,9 +33,9 @@ use tq_cluster::Transport;
 use crate::errors::ProtocolError;
 use crate::trap_erc::{TrapErcClient, WriteOutcome};
 
-/// Default shard count: comfortably above any plausible writer count so
+/// Shard count: comfortably above any plausible writer count so
 /// distinct hot blocks almost never share a condvar.
-const DEFAULT_LOCK_SHARDS: usize = 64;
+const LOCK_SHARDS: usize = 64;
 
 /// One independent slice of the lock table. Its mutex is raw, not a
 /// [`tq_cluster::sync::Mutex`]: the condvar needs the raw guard, and the
@@ -55,13 +55,13 @@ struct LockShard {
 /// Models a lock service co-located with the writers (one VM host, one
 /// gateway): mutual exclusion among the writers that share it. Fairness
 /// is parking-lot's; locks are released on guard drop, so a panicking
-/// writer cannot leak a lock. Keys hash onto independent shards (see the
-/// [module docs](self)), so disjoint writers neither serialise on one
-/// mutex nor wake on each other's releases.
+/// writer cannot leak a lock. Keys hash onto independent shards, each
+/// with its own mutex and condvar, so disjoint writers neither
+/// serialise on one mutex nor wake on each other's releases.
 ///
 /// A writer holds its (stripe, block) lock across Algorithm 1's rounds
 /// by design, so these locks stay outside
-/// [`tq_cluster::sync::Mutex`]: a [`BlockLockGuard`] is not counted by
+/// [`tq_cluster::sync::Mutex`]: a `BlockLockGuard` is not counted by
 /// the debug-build check that no short lock outlives a round.
 #[derive(Debug)]
 pub struct StripeLockManager {
@@ -71,7 +71,10 @@ pub struct StripeLockManager {
 
 impl Default for StripeLockManager {
     fn default() -> Self {
-        StripeLockManager::with_shard_count(DEFAULT_LOCK_SHARDS)
+        StripeLockManager {
+            shards: (0..LOCK_SHARDS).map(|_| LockShard::default()).collect(),
+            contended_wakeups: AtomicU64::new(0),
+        }
     }
 }
 
@@ -93,34 +96,15 @@ fn mix_key(id: u64, block: usize) -> u64 {
 }
 
 impl StripeLockManager {
-    /// Creates an empty lock table with the default shard count.
+    /// Creates an empty lock table.
     pub fn new() -> Arc<Self> {
         Arc::new(StripeLockManager::default())
     }
 
-    /// Creates an empty lock table with `shards` independent shards
-    /// (clamped to at least one).
-    pub fn with_shards(shards: usize) -> Arc<Self> {
-        Arc::new(StripeLockManager::with_shard_count(shards))
-    }
-
-    fn with_shard_count(shards: usize) -> Self {
-        let shards = shards.max(1);
-        StripeLockManager {
-            shards: (0..shards).map(|_| LockShard::default()).collect(),
-            contended_wakeups: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of independent lock shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard a (stripe, block) key routes to — diagnostics and
     /// contention tests.
-    pub fn shard_of(&self, id: u64, block: usize) -> usize {
-        ((mix_key(id, block) as u128 * self.shards.len() as u128) >> 64) as usize
+    pub(crate) fn shard_of(&self, id: u64, block: usize) -> usize {
+        ((mix_key(id, block) as u128 * LOCK_SHARDS as u128) >> 64) as usize
     }
 
     /// Blocks until the (stripe, block) lock is acquired.
@@ -140,29 +124,9 @@ impl StripeLockManager {
         BlockLockGuard { shard, key }
     }
 
-    /// Non-blocking acquisition attempt.
-    pub fn try_lock(&self, id: u64, block: usize) -> Option<BlockLockGuard<'_>> {
-        let key = (id, block);
-        let shard = &self.shards[self.shard_of(id, block)];
-        let mut held = shard.held.lock();
-        if held.contains(&key) {
-            None
-        } else {
-            held.insert(key);
-            Some(BlockLockGuard { shard, key })
-        }
-    }
-
     /// Number of locks currently held (diagnostics).
     pub fn held_count(&self) -> usize {
         self.shards.iter().map(|s| s.held.lock().len()).sum()
-    }
-
-    /// Wakeups that found their key still held — the thundering-herd
-    /// figure of merit. Releases on other shards contribute nothing;
-    /// within a shard, only genuine same-shard contention counts.
-    pub fn contended_wakeups(&self) -> u64 {
-        self.contended_wakeups.load(Ordering::Relaxed)
     }
 }
 
@@ -190,6 +154,29 @@ impl<T: Transport> TrapErcClient<T> {
     ) -> Result<WriteOutcome, ProtocolError> {
         let _guard = locks.lock(id, block);
         self.write_block(id, block, new)
+    }
+}
+
+#[cfg(test)]
+impl StripeLockManager {
+    /// Non-blocking acquisition attempt.
+    pub(crate) fn try_lock(&self, id: u64, block: usize) -> Option<BlockLockGuard<'_>> {
+        let key = (id, block);
+        let shard = &self.shards[self.shard_of(id, block)];
+        let mut held = shard.held.lock();
+        if held.contains(&key) {
+            None
+        } else {
+            held.insert(key);
+            Some(BlockLockGuard { shard, key })
+        }
+    }
+
+    /// Wakeups that found their key still held — the thundering-herd
+    /// figure of merit. Releases on other shards contribute nothing;
+    /// within a shard, only genuine same-shard contention counts.
+    pub(crate) fn contended_wakeups(&self) -> u64 {
+        self.contended_wakeups.load(Ordering::Relaxed)
     }
 }
 
@@ -234,13 +221,19 @@ mod tests {
 
     #[test]
     fn single_shard_still_excludes() {
-        // Degenerate shard count: everything shares one shard, and the
-        // table must still be a correct lock.
-        let lm = StripeLockManager::with_shards(1);
-        assert_eq!(lm.shard_count(), 1);
+        // Two keys sharing one shard: the shard's set must still tell
+        // them apart.
+        let lm = StripeLockManager::new();
+        let home = lm.shard_of(1, 0);
+        let neighbour = (2u64..)
+            .find(|&id| lm.shard_of(id, 0) == home)
+            .expect("some key shares the shard");
         let g = lm.lock(1, 0);
         assert!(lm.try_lock(1, 0).is_none());
-        assert!(lm.try_lock(9, 9).is_some(), "different key, same shard");
+        assert!(
+            lm.try_lock(neighbour, 0).is_some(),
+            "different key, same shard"
+        );
         drop(g);
         assert_eq!(lm.held_count(), 0);
     }

@@ -13,29 +13,18 @@
 //!   for arbitrary id patterns) or by contiguous ranges (locality for
 //!   sequential volumes);
 //! * [`ShardedStore`] — `S` independent backends (each its own node set
-//!   and transport) behind the one [`QuorumStore`] facade: single ops
-//!   route to their shard, batch ops fan out shard-parallel on scoped
-//!   threads, and maintenance (`scrub_shard`) iterates shards
-//!   independently.
+//!   and transport) behind the one [`QuorumStore`] facade. It is a pure
+//!   router: every op goes to the shard its stripe maps to, and a batch
+//!   visits its addressed shards in ascending index order on the
+//!   caller's thread, so the path a simulation replays is the path that
+//!   ships. Maintenance (`scrub`, `rebuild_node_stripes`) routes per
+//!   stripe the same way.
 //!
-//! **No global lock sits on the read/write path.** The only shared
-//! mutable state is the per-shard created-stripe registry, touched by
-//! `create`/`provision_striped` (provisioning) and `scrub_shard`
-//! (maintenance) — `read`, `write`, `read_batch` and `write_batch`
-//! never take it.
-//!
-//! Determinism: batch fan-out over real transports runs one scoped
-//! thread per addressed shard. Simulation harnesses whose transports
-//! keep a single-threaded virtual clock (the DST's `SimTransport`) must
-//! opt into [`ShardedStore::sequential_batches`], which visits shards
-//! in ascending index order on the caller's thread — same results, same
-//! accounting, bit-for-bit replayable.
+//! **No lock and no shared mutable state sit in this layer.**
 
 #![deny(missing_docs)]
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use tq_cluster::sync::Mutex;
+use std::collections::BTreeMap;
 
 use crate::errors::ProtocolError;
 use crate::recovery::RebuildReport;
@@ -144,21 +133,17 @@ impl ShardMap {
 ///
 /// Each shard is a complete protocol group — its own node set, its own
 /// transport, its own stripe namespace slice per the [`ShardMap`].
-/// Single ops route; batch ops fan out one scoped thread per addressed
-/// shard (unless [`sequential_batches`](Self::sequential_batches) was
-/// selected); `scrub`/`scrub_shard` keep maintenance per-shard. The
-/// read/write hot path takes no lock in this layer.
+/// Every op routes to the shard its stripe maps to; a batch visits its
+/// addressed shards in ascending index order on the caller's thread.
+/// This layer holds no state beyond the routing map and takes no lock.
 ///
 /// Shards are expected to be homogeneous (same protocol and geometry);
 /// [`StoreInfo`] is reported from shard 0 with `nodes` summed over all
 /// shards and the protocol labelled `"sharded"`.
+#[derive(Debug)]
 pub struct ShardedStore<S: QuorumStore> {
     shards: Vec<S>,
     map: ShardMap,
-    /// Per-shard registry of provisioned stripe ids. Provisioning and
-    /// maintenance only — never touched by reads or writes.
-    created: Vec<Mutex<BTreeSet<u64>>>,
-    parallel: bool,
 }
 
 impl<S: QuorumStore> ShardedStore<S> {
@@ -179,155 +164,45 @@ impl<S: QuorumStore> ShardedStore<S> {
                 "shard map and backend count disagree",
             ));
         }
-        let created = (0..shards.len()).map(|_| Mutex::default()).collect();
-        Ok(ShardedStore {
-            shards,
-            map,
-            created,
-            parallel: true,
-        })
+        Ok(ShardedStore { shards, map })
     }
 
-    /// Switches batch fan-out from scoped threads to an in-order walk of
-    /// the addressed shards on the caller's thread. Required when the
-    /// shards share a transport whose clock or RNG is single-threaded
-    /// (the DST's `SimTransport`); same results, deterministic order.
-    #[must_use]
-    pub fn sequential_batches(mut self) -> Self {
-        self.parallel = false;
-        self
+    /// The shard `stripe` routes to.
+    fn shard(&self, stripe: u64) -> &S {
+        &self.shards[self.map.shard_of(stripe)]
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The routing map.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// Direct access to one shard's backend (fault injection, typed
-    /// extension surfaces).
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn shard_store(&self, shard: usize) -> &S {
-        &self.shards[shard]
-    }
-
-    /// `true` iff batch ops fan out on scoped threads.
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
-    }
-
-    /// Stripe ids provisioned through this store that route to `shard`,
-    /// in ascending order.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn shard_stripes(&self, shard: usize) -> Vec<u64> {
-        self.created[shard].lock().iter().copied().collect()
-    }
-
-    /// Scrubs every stripe this store has provisioned on `shard` —
-    /// the shard-targeted maintenance entry point; other shards keep
-    /// serving untouched. Must run quiesced like [`QuorumStore::scrub`].
-    ///
-    /// The per-stripe scrubs inherit the underlying store's maintenance
-    /// behaviour: their salvage, audit and push rounds travel the
-    /// background lane, and with a health registry on the shard's
-    /// transport their read plan's replacement fetches prefer healthy
-    /// members — so scrubbing one shard steals as little as possible
-    /// from foreground traffic on the others.
-    ///
-    /// # Errors
-    /// Stops at the first stripe that cannot be read back.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn scrub_shard(&self, shard: usize) -> Result<Vec<(u64, ScrubReport)>, ProtocolError> {
-        let stripes = self.shard_stripes(shard);
-        let mut out = Vec::with_capacity(stripes.len());
-        for stripe in stripes {
-            out.push((stripe, self.shards[shard].scrub(stripe)?));
-        }
-        Ok(out)
-    }
-
-    /// Provisions `stripe_count` zero-filled stripes (`width` blocks of
-    /// `block_len` bytes each) with ids `base_id..base_id +
-    /// stripe_count`, fanning the creates out shard-parallel — the bulk
-    /// path a volume or load harness uses to lay down millions of
-    /// blocks without serialising on one group.
-    ///
-    /// # Errors
-    /// Propagates the first stripe-creation failure.
-    pub fn provision_striped(
+    /// Splits a batch by shard, runs each shard's sub-batch in ascending
+    /// shard order, and merges the outcomes back into request order.
+    fn batch<I: Copy, O>(
         &self,
-        base_id: u64,
-        stripe_count: u64,
-        width: usize,
-        block_len: usize,
-    ) -> Result<(), ProtocolError> {
-        let mut groups: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-        for s in 0..stripe_count {
-            let id = base_id + s;
-            groups.entry(self.map.shard_of(id)).or_default().push(id);
-        }
-        let create_group = |shard: usize, ids: &[u64]| -> Result<(), ProtocolError> {
-            for &id in ids {
-                self.shards[shard].create(id, vec![vec![0u8; block_len]; width])?;
-            }
-            let mut registry = self.created[shard].lock();
-            registry.extend(ids.iter().copied());
-            Ok(())
-        };
-        if self.parallel && groups.len() > 1 {
-            let create_group = &create_group;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .iter()
-                    .map(|(&shard, ids)| {
-                        let ids = ids.as_slice();
-                        scope.spawn(move || create_group(shard, ids))
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().expect("shard provisioning worker")?;
-                }
-                Ok(())
-            })
-        } else {
-            for (&shard, ids) in &groups {
-                create_group(shard, ids)?;
-            }
-            Ok(())
-        }
-    }
-
-    /// Groups item positions by the shard their stripe routes to,
-    /// ascending by shard index (deterministic fan-out order).
-    fn group_by_shard(&self, stripes: impl Iterator<Item = u64>) -> Vec<(usize, Vec<usize>)> {
-        let mut buckets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, stripe) in stripes.enumerate() {
-            buckets
-                .entry(self.map.shard_of(stripe))
+        items: &[I],
+        stripe: impl Fn(&I) -> u64,
+        run: impl Fn(&S, &[I]) -> (Vec<O>, OpReport),
+    ) -> (Vec<O>, OpReport) {
+        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (i, item) in items.iter().enumerate() {
+            groups
+                .entry(self.map.shard_of(stripe(item)))
                 .or_default()
                 .push(i);
         }
-        buckets.into_iter().collect()
-    }
-}
-
-impl<S: QuorumStore> std::fmt::Debug for ShardedStore<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedStore")
-            .field("shards", &self.shards.len())
-            .field("map", &self.map)
-            .field("parallel", &self.parallel)
-            .finish()
+        let mut outcomes: Vec<Option<O>> = items.iter().map(|_| None).collect();
+        let mut report = OpReport::default();
+        for (shard, idxs) in groups {
+            let sub: Vec<I> = idxs.iter().map(|&i| items[i]).collect();
+            let (outs, sub_report) = run(&self.shards[shard], &sub);
+            debug_assert_eq!(idxs.len(), outs.len());
+            for (i, out) in idxs.into_iter().zip(outs) {
+                outcomes[i] = Some(out);
+            }
+            report.merge_from(sub_report);
+        }
+        let outcomes = outcomes
+            .into_iter()
+            .map(|o| o.expect("every batch item served by its shard"))
+            .collect();
+        (outcomes, report)
     }
 }
 
@@ -342,118 +217,47 @@ impl<S: QuorumStore> QuorumStore for ShardedStore<S> {
     }
 
     fn create(&self, stripe: u64, blocks: Vec<Vec<u8>>) -> Result<OpReport, ProtocolError> {
-        let shard = self.map.shard_of(stripe);
-        let report = self.shards[shard].create(stripe, blocks)?;
-        self.created[shard].lock().insert(stripe);
-        Ok(report)
+        self.shard(stripe).create(stripe, blocks)
     }
 
     fn read(&self, addr: BlockAddr) -> Result<ReadOutcome, ProtocolError> {
-        self.shards[self.map.shard_of(addr.stripe)].read(addr)
+        self.shard(addr.stripe).read(addr)
     }
 
     fn write(&self, addr: BlockAddr, new: &[u8]) -> Result<WriteOutcome, ProtocolError> {
-        self.shards[self.map.shard_of(addr.stripe)].write(addr, new)
+        self.shard(addr.stripe).write(addr, new)
     }
 
     fn read_batch(&self, addrs: &[BlockAddr]) -> BatchReads {
-        let groups = self.group_by_shard(addrs.iter().map(|a| a.stripe));
-        let run_group = |shard: usize, idxs: &[usize]| -> BatchReads {
-            let sub: Vec<BlockAddr> = idxs.iter().map(|&i| addrs[i]).collect();
-            self.shards[shard].read_batch(&sub)
-        };
-        let batches: Vec<BatchReads> = if self.parallel && groups.len() > 1 {
-            let run_group = &run_group;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .iter()
-                    .map(|(shard, idxs)| {
-                        let (shard, idxs) = (*shard, idxs.as_slice());
-                        scope.spawn(move || run_group(shard, idxs))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard read-batch worker"))
-                    .collect()
-            })
-        } else {
-            groups
-                .iter()
-                .map(|(shard, idxs)| run_group(*shard, idxs))
-                .collect()
-        };
-        let mut outcomes: Vec<Option<Result<ReadOutcome, ProtocolError>>> =
-            addrs.iter().map(|_| None).collect();
-        let mut report = OpReport::default();
-        for ((_, idxs), batch) in groups.iter().zip(batches) {
-            debug_assert_eq!(idxs.len(), batch.outcomes.len());
-            for (&i, outcome) in idxs.iter().zip(batch.outcomes) {
-                outcomes[i] = Some(outcome);
-            }
-            report.merge_from(batch.report);
-        }
-        BatchReads {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every batch item served by its shard"))
-                .collect(),
-            report,
-        }
+        let (outcomes, report) = self.batch(
+            addrs,
+            |a| a.stripe,
+            |shard, sub| {
+                let batch = shard.read_batch(sub);
+                (batch.outcomes, batch.report)
+            },
+        );
+        BatchReads { outcomes, report }
     }
 
     fn write_batch(&self, items: &[BatchWrite<'_>]) -> BatchWrites {
-        let groups = self.group_by_shard(items.iter().map(|it| it.addr.stripe));
-        let run_group = |shard: usize, idxs: &[usize]| -> BatchWrites {
-            let sub: Vec<BatchWrite<'_>> = idxs.iter().map(|&i| items[i]).collect();
-            self.shards[shard].write_batch(&sub)
-        };
-        let batches: Vec<BatchWrites> = if self.parallel && groups.len() > 1 {
-            let run_group = &run_group;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .iter()
-                    .map(|(shard, idxs)| {
-                        let (shard, idxs) = (*shard, idxs.as_slice());
-                        scope.spawn(move || run_group(shard, idxs))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard write-batch worker"))
-                    .collect()
-            })
-        } else {
-            groups
-                .iter()
-                .map(|(shard, idxs)| run_group(*shard, idxs))
-                .collect()
-        };
-        let mut outcomes: Vec<Option<Result<WriteOutcome, ProtocolError>>> =
-            items.iter().map(|_| None).collect();
-        let mut report = OpReport::default();
-        for ((_, idxs), batch) in groups.iter().zip(batches) {
-            debug_assert_eq!(idxs.len(), batch.outcomes.len());
-            for (&i, outcome) in idxs.iter().zip(batch.outcomes) {
-                outcomes[i] = Some(outcome);
-            }
-            report.merge_from(batch.report);
-        }
-        BatchWrites {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every batch item served by its shard"))
-                .collect(),
-            report,
-        }
+        let (outcomes, report) = self.batch(
+            items,
+            |it| it.addr.stripe,
+            |shard, sub| {
+                let batch = shard.write_batch(sub);
+                (batch.outcomes, batch.report)
+            },
+        );
+        BatchWrites { outcomes, report }
     }
 
     fn scrub(&self, stripe: u64) -> Result<ScrubReport, ProtocolError> {
-        self.shards[self.map.shard_of(stripe)].scrub(stripe)
+        self.shard(stripe).scrub(stripe)
     }
 
     fn stripe_nodes(&self, stripe: u64) -> usize {
-        self.shards[self.map.shard_of(stripe)].stripe_nodes(stripe)
+        self.shard(stripe).stripe_nodes(stripe)
     }
 
     /// Rebuilds `node` of the group each stripe routes to (`node` is a
@@ -465,7 +269,7 @@ impl<S: QuorumStore> QuorumStore for ShardedStore<S> {
     ) -> Result<Vec<RebuildReport>, ProtocolError> {
         let mut reports = Vec::new();
         for &id in ids {
-            reports.extend(self.shards[self.map.shard_of(id)].rebuild_node_stripes(&[id], node)?);
+            reports.extend(self.shard(id).rebuild_node_stripes(&[id], node)?);
         }
         Ok(reports)
     }
@@ -518,66 +322,10 @@ mod tests {
     }
 
     /// One shard per backend instance; the same blocks must round-trip
-    /// whether addressed singly or through the cross-shard batch path,
-    /// and batches must agree between parallel and sequential fan-out.
+    /// whether addressed singly or through the cross-shard batch path.
     #[test]
     fn sharded_store_routes_and_batches() {
-        let build = |sequential: bool| {
-            let shards: Vec<_> = (0..3)
-                .map(|_| {
-                    Store::trap_erc(9, 6)
-                        .shape(2, 1, 1)
-                        .uniform_w(2)
-                        .transport(LocalTransport::new(Cluster::new(9)))
-                        .build()
-                        .unwrap()
-                })
-                .collect();
-            let store = ShardedStore::new(shards, ShardMap::hashed(3).unwrap()).unwrap();
-            if sequential {
-                store.sequential_batches()
-            } else {
-                store
-            }
-        };
-        for sequential in [false, true] {
-            let store = build(sequential);
-            assert_eq!(store.info().protocol, "sharded");
-            assert_eq!(store.info().nodes, 27);
-            assert_eq!(store.stripe_nodes(7), 9, "one group per stripe");
-
-            for stripe in 0..6u64 {
-                store
-                    .create(stripe, (0..6).map(|i| vec![i as u8; 16]).collect())
-                    .unwrap();
-            }
-            let addrs: Vec<BlockAddr> = (0..6u64)
-                .map(|s| BlockAddr::new(s, (s % 6) as usize))
-                .collect();
-            let payloads: Vec<Vec<u8>> = (0..6u8).map(|i| vec![0xC0 | i; 16]).collect();
-            let items: Vec<BatchWrite<'_>> = addrs
-                .iter()
-                .zip(&payloads)
-                .map(|(&a, p)| BatchWrite::new(a, p))
-                .collect();
-            let writes = store.write_batch(&items);
-            assert!(writes.all_ok(), "sequential={sequential}");
-
-            let reads = store.read_batch(&addrs);
-            assert!(reads.all_ok());
-            for (out, want) in reads.outcomes.iter().zip(&payloads) {
-                assert_eq!(&out.as_ref().unwrap().bytes, want);
-            }
-            // Single-op routing agrees with the batch path.
-            for (&a, want) in addrs.iter().zip(&payloads) {
-                assert_eq!(&store.read(a).unwrap().bytes, want);
-            }
-        }
-    }
-
-    #[test]
-    fn provision_and_shard_scrub_cover_the_registry() {
-        let shards: Vec<_> = (0..2)
+        let shards: Vec<_> = (0..3)
             .map(|_| {
                 Store::trap_erc(9, 6)
                     .shape(2, 1, 1)
@@ -587,16 +335,35 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let store = ShardedStore::new(shards, ShardMap::hashed(2).unwrap()).unwrap();
-        store.provision_striped(100, 10, 6, 8).unwrap();
-        let (a, b) = (store.shard_stripes(0), store.shard_stripes(1));
-        assert_eq!(a.len() + b.len(), 10, "every stripe registered once");
-        for shard in 0..2 {
-            let scrubbed = store.scrub_shard(shard).unwrap();
-            assert_eq!(scrubbed.len(), store.shard_stripes(shard).len());
-            assert!(scrubbed
-                .iter()
-                .all(|(_, report)| report.refreshed.len() == 9));
+        let store = ShardedStore::new(shards, ShardMap::hashed(3).unwrap()).unwrap();
+        assert_eq!(store.info().protocol, "sharded");
+        assert_eq!(store.info().nodes, 27);
+        assert_eq!(store.stripe_nodes(7), 9, "one group per stripe");
+
+        for stripe in 0..6u64 {
+            store
+                .create(stripe, (0..6).map(|i| vec![i as u8; 16]).collect())
+                .unwrap();
+        }
+        let addrs: Vec<BlockAddr> = (0..6u64)
+            .map(|s| BlockAddr::new(s, (s % 6) as usize))
+            .collect();
+        let payloads: Vec<Vec<u8>> = (0..6u8).map(|i| vec![0xC0 | i; 16]).collect();
+        let items: Vec<BatchWrite<'_>> = addrs
+            .iter()
+            .zip(&payloads)
+            .map(|(&a, p)| BatchWrite::new(a, p))
+            .collect();
+        assert!(store.write_batch(&items).all_ok());
+
+        let reads = store.read_batch(&addrs);
+        assert!(reads.all_ok());
+        for (out, want) in reads.outcomes.iter().zip(&payloads) {
+            assert_eq!(&out.as_ref().unwrap().bytes, want);
+        }
+        // Single-op routing agrees with the batch path.
+        for (&a, want) in addrs.iter().zip(&payloads) {
+            assert_eq!(&store.read(a).unwrap().bytes, want);
         }
     }
 

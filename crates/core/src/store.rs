@@ -210,11 +210,6 @@ impl OpReport {
         self.rounds.iter().map(|r| r.abandoned).sum()
     }
 
-    /// Rounds that served trapezoid level `l`.
-    pub fn rounds_at_level(&self, l: usize) -> usize {
-        self.rounds.iter().filter(|r| r.level == Some(l)).count()
-    }
-
     /// Records one fused round covering `outcomes.len()` logical ops (a
     /// single-op round is a plan of one).
     pub(crate) fn absorb_fused(&mut self, level: Option<usize>, outcomes: &[RoundOutcome]) {
@@ -711,6 +706,14 @@ impl<T: Transport> BoundStoreBuilder<T> {
             ));
         }
         TrapErcClient::new(self.spec.resolve_config()?, self.transport)
+    }
+}
+
+#[cfg(test)]
+impl OpReport {
+    /// Rounds that served trapezoid level `l`.
+    pub(crate) fn rounds_at_level(&self, l: usize) -> usize {
+        self.rounds.iter().filter(|r| r.level == Some(l)).count()
     }
 }
 

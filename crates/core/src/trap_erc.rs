@@ -2309,7 +2309,7 @@ mod tests {
     #[test]
     fn a_flipped_reply_of_an_all_zero_block_is_caught() {
         // `block_check` is linear, so an all-zero block, which is what
-        // `Volume` and `provision_striped` create, is stamped 0. A byte
+        // `Volume` creates, is stamped 0. A byte
         // flipped in N_0's reply must still fail that stamp: N_0 is
         // attributed corrupt and the read decodes the zeros.
         let config = ProtocolConfig::with_uniform_w(9, 6, 2, 1, 1, 1).unwrap();

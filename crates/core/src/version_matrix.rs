@@ -12,7 +12,7 @@ use core::fmt;
 /// Client-side assembly of version information gathered during one
 /// operation. Columns are `Option` — a down node's column stays `None`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VersionMatrix {
+pub(crate) struct VersionMatrix {
     k: usize,
     parity_count: usize,
     /// `columns[j - k]` = version vector of parity node `j`.
@@ -34,16 +34,11 @@ impl VersionMatrix {
         }
     }
 
-    /// Number of data blocks `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Records the column of parity node `j` (stripe index `k ≤ j < n`).
     ///
     /// # Panics
     /// Panics if `j` is not a parity index or the column length ≠ k.
-    pub fn set_column(&mut self, j: usize, column: Vec<u64>) {
+    pub(crate) fn set_column(&mut self, j: usize, column: Vec<u64>) {
         assert!(
             j >= self.k && j < self.k + self.parity_count,
             "{j} is not a parity index"
@@ -56,7 +51,7 @@ impl VersionMatrix {
     ///
     /// # Panics
     /// Panics if `i ≥ k`.
-    pub fn set_data_version(&mut self, i: usize, version: u64) {
+    pub(crate) fn set_data_version(&mut self, i: usize, version: u64) {
         self.data[i] = Some(version);
     }
 
@@ -66,33 +61,19 @@ impl VersionMatrix {
     }
 
     /// Version of data node `i`, if collected.
-    pub fn data_version(&self, i: usize) -> Option<u64> {
+    pub(crate) fn data_version(&self, i: usize) -> Option<u64> {
         self.data[i]
     }
 
     /// The largest version observed for block `i` across the data node
     /// and every collected parity column — Algorithm 2's "latest version"
     /// after a completed check.
-    pub fn latest_version(&self, i: usize) -> Option<u64> {
+    pub(crate) fn latest_version(&self, i: usize) -> Option<u64> {
         let from_parity = self.columns.iter().flatten().map(|c| c[i]).max();
         match (self.data[i], from_parity) {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
         }
-    }
-
-    /// Stripe indices of parity nodes whose collected column holds
-    /// `version` for block `i` — the "updated nodes" of Algorithm 2.
-    pub fn parity_nodes_at(&self, i: usize, version: u64) -> Vec<usize> {
-        self.columns
-            .iter()
-            .enumerate()
-            .filter_map(|(c, col)| {
-                col.as_ref()
-                    .filter(|col| col[i] == version)
-                    .map(|_| self.k + c)
-            })
-            .collect()
     }
 
     /// Groups collected parity columns by exact value, keeping only
@@ -102,7 +83,11 @@ impl VersionMatrix {
     /// is a valid basis for decoding block `i` at `version` (the other
     /// components of an older stripe state do not change `b_i`'s bytes),
     /// so callers should pick the group that maximises usable nodes.
-    pub fn consistent_parity_groups(&self, i: usize, version: u64) -> Vec<(Vec<usize>, Vec<u64>)> {
+    pub(crate) fn consistent_parity_groups(
+        &self,
+        i: usize,
+        version: u64,
+    ) -> Vec<(Vec<usize>, Vec<u64>)> {
         let mut groups: Vec<(Vec<usize>, Vec<u64>)> = Vec::new();
         for (c, col) in self.columns.iter().enumerate() {
             let Some(col) = col else { continue };
@@ -115,18 +100,6 @@ impl VersionMatrix {
             }
         }
         groups
-    }
-
-    /// The group from [`VersionMatrix::consistent_parity_groups`] with
-    /// the most members (ties broken by first appearance).
-    pub fn largest_consistent_parity_group(
-        &self,
-        i: usize,
-        version: u64,
-    ) -> Option<(Vec<usize>, Vec<u64>)> {
-        self.consistent_parity_groups(i, version)
-            .into_iter()
-            .max_by_key(|(members, _)| members.len())
     }
 }
 
@@ -172,29 +145,26 @@ mod tests {
     }
 
     #[test]
-    fn parity_nodes_at_version() {
-        let mut v = VersionMatrix::new(7, 4); // parity j = 4, 5, 6
-        v.set_column(4, vec![5, 0, 0, 0]);
-        v.set_column(6, vec![5, 0, 0, 0]);
-        // Column 5 never collected (node down).
-        assert_eq!(v.parity_nodes_at(0, 5), vec![4, 6]);
-        assert_eq!(v.parity_nodes_at(0, 4), Vec::<usize>::new());
-    }
-
-    #[test]
     fn consistent_group_selection() {
-        let mut v = VersionMatrix::new(8, 4); // parity 4..8
-                                              // Two nodes agree on one stripe state, one diverges on another
-                                              // block's version, one is stale for block 0.
+        // Parity 4..8: two nodes agree on one stripe state, one diverges
+        // on another block's version, one is stale for block 0.
+        let mut v = VersionMatrix::new(8, 4);
         v.set_column(4, vec![7, 1, 2, 0]);
         v.set_column(5, vec![7, 1, 2, 0]);
-        v.set_column(6, vec![7, 9, 2, 0]); // consistent for block 0 only
-        v.set_column(7, vec![6, 1, 2, 0]); // stale for block 0
-        let (members, col) = v.largest_consistent_parity_group(0, 7).unwrap();
-        assert_eq!(members, vec![4, 5]);
-        assert_eq!(col, vec![7, 1, 2, 0]);
+        v.set_column(6, vec![7, 9, 2, 0]);
+        v.set_column(7, vec![6, 1, 2, 0]);
+        // At block 0's version 7, columns 4 and 5 form one group and
+        // column 6 its own; the stale column 7 forms the only group at 6.
+        assert_eq!(
+            v.consistent_parity_groups(0, 7),
+            vec![(vec![4, 5], vec![7, 1, 2, 0]), (vec![6], vec![7, 9, 2, 0])]
+        );
+        assert_eq!(
+            v.consistent_parity_groups(0, 6),
+            vec![(vec![7], vec![6, 1, 2, 0])]
+        );
         // No group at an unseen version.
-        assert!(v.largest_consistent_parity_group(0, 42).is_none());
+        assert!(v.consistent_parity_groups(0, 42).is_empty());
     }
 
     #[test]

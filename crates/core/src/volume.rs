@@ -1,4 +1,4 @@
-//! A byte-addressable volume over any [`QuorumStore`] backend.
+//! A block-addressed volume over any [`QuorumStore`] backend.
 //!
 //! The paper's motivating deployment (§I) is virtual-disk storage: VMs
 //! issue block reads/writes against an image that must stay strictly
@@ -7,27 +7,24 @@
 //! * logical blocks of `block_size` bytes, striped round-robin over
 //!   stripes of a validated [`VolumeConfig`] width (`lba → (stripe id,
 //!   block index)`);
-//! * byte-granular `read_at` / `write_at` with read-modify-write at
-//!   unaligned edges — what a virtio/iSCSI head would do;
 //! * writes serialised per block through a sharded
 //!   [`StripeLockManager`], so writers on different lock shards never
 //!   touch the same mutex;
-//! * maintenance entry points (`scrub`, `rebuild_node`; shard-parallel
-//!   `scrub_sharded` / per-shard `rebuild_shard_node` on
-//!   [`ShardedStore`] backends) wrapping the recovery workflows.
+//! * maintenance entry points (`scrub`, `rebuild_node`) wrapping the
+//!   recovery workflows.
 //!
 //! The volume is generic over `S: QuorumStore`, so the same virtual disk
 //! runs on TRAP-ERC, TRAP-FR, ROWA or Majority — including over
 //! `Box<dyn QuorumStore>` when the backend is chosen at runtime, and
-//! over [`ShardedStore`] when one group is not enough.
+//! over a [`ShardedStore`](crate::ShardedStore) when one group is not
+//! enough: its `scrub` and `rebuild_node_stripes` route each stripe to
+//! its own group, so `scrub` and `rebuild_node` need no sharded variant.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::errors::{ProtocolError, VolumeError};
 use crate::locking::StripeLockManager;
 use crate::recovery::RebuildReport;
-use crate::shard::ShardedStore;
 use crate::store::{BlockAddr, QuorumStore, OBJECTS_PER_STRIPE};
 
 /// Validated geometry for a [`Volume`].
@@ -102,7 +99,7 @@ impl VolumeConfig {
 }
 
 /// A fixed-size logical volume on one cluster (or, over a
-/// [`ShardedStore`], one federation of clusters).
+/// [`ShardedStore`](crate::ShardedStore), one federation of clusters).
 #[derive(Debug)]
 pub struct Volume<S: QuorumStore> {
     store: S,
@@ -134,8 +131,7 @@ impl<S: QuorumStore> Volume<S> {
     }
 
     /// Binds a volume to already-provisioned stripes without issuing any
-    /// creates — for stores laid down in bulk (e.g.
-    /// [`ShardedStore::provision_striped`]) or reopened across client
+    /// creates — for stores laid down in bulk or reopened across client
     /// restarts. The geometry must match what was provisioned; nothing
     /// is verified against the nodes here.
     ///
@@ -237,67 +233,6 @@ impl<S: QuorumStore> Volume<S> {
         Ok(self.store.write(addr, data)?.version)
     }
 
-    /// Reads `len` bytes starting at byte `offset`, spanning blocks as
-    /// needed.
-    ///
-    /// # Errors
-    /// Range outside the volume or protocol failure.
-    pub fn read_at(&self, offset: usize, len: usize) -> Result<Vec<u8>, ProtocolError> {
-        if offset
-            .checked_add(len)
-            .is_none_or(|end| end > self.capacity())
-        {
-            return Err(ProtocolError::SizeMismatch);
-        }
-        let mut out = Vec::with_capacity(len);
-        let mut pos = offset;
-        while out.len() < len {
-            let lba = pos / self.block_size;
-            let in_block = pos % self.block_size;
-            let take = (self.block_size - in_block).min(len - out.len());
-            let block = self.read_block(lba)?;
-            out.extend_from_slice(&block[in_block..in_block + take]);
-            pos += take;
-        }
-        Ok(out)
-    }
-
-    /// Writes `data` at byte `offset`, spanning blocks; unaligned edges
-    /// use read-modify-write under the per-block lock.
-    ///
-    /// # Errors
-    /// Range outside the volume or protocol failure.
-    pub fn write_at(&self, offset: usize, data: &[u8]) -> Result<(), ProtocolError> {
-        if offset
-            .checked_add(data.len())
-            .is_none_or(|end| end > self.capacity())
-        {
-            return Err(ProtocolError::SizeMismatch);
-        }
-        let mut pos = offset;
-        let mut remaining = data;
-        while !remaining.is_empty() {
-            let lba = pos / self.block_size;
-            let in_block = pos % self.block_size;
-            let take = (self.block_size - in_block).min(remaining.len());
-            let addr = self.locate(lba)?;
-            // Hold the (stripe, block) lock across the whole
-            // read-modify-write so a concurrent writer of the same block
-            // cannot interleave between the read and the write.
-            let _guard = self.locks.lock(addr.stripe, addr.block);
-            let mut buf = if take == self.block_size {
-                vec![0u8; self.block_size]
-            } else {
-                self.store.read(addr)?.bytes
-            };
-            buf[in_block..in_block + take].copy_from_slice(&remaining[..take]);
-            self.store.write(addr, &buf)?;
-            pos += take;
-            remaining = &remaining[take..];
-        }
-        Ok(())
-    }
-
     /// Scrubs every stripe (anti-entropy through the backend's
     /// [`QuorumStore::scrub`]); returns total node-states refreshed.
     ///
@@ -312,8 +247,8 @@ impl<S: QuorumStore> Volume<S> {
     }
 
     /// Rebuilds a replaced node across every stripe of this volume
-    /// (through [`QuorumStore::rebuild_node_stripes`]; a sharded store
-    /// rebuilds one group at a time via [`Volume::rebuild_shard_node`]).
+    /// (through [`QuorumStore::rebuild_node_stripes`]; over a sharded
+    /// store, `node` is a position within each stripe's own group).
     ///
     /// # Errors
     /// Stops at the first stripe that cannot be rebuilt.
@@ -323,95 +258,11 @@ impl<S: QuorumStore> Volume<S> {
     }
 }
 
-impl<S: QuorumStore> Volume<ShardedStore<S>> {
-    /// This volume's stripe ids grouped by the shard they route to,
-    /// ascending by shard index.
-    fn stripes_by_shard(&self) -> Vec<(usize, Vec<u64>)> {
-        let mut groups: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-        for s in 0..self.stripe_count {
-            let id = self.base_id + s;
-            groups
-                .entry(self.store.map().shard_of(id))
-                .or_default()
-                .push(id);
-        }
-        groups.into_iter().collect()
-    }
-
-    /// Shard-parallel scrub: each shard's stripes are scrubbed on their
-    /// own scoped thread (sequentially when the store runs
-    /// [`ShardedStore::sequential_batches`]); shards never wait on each
-    /// other's anti-entropy. Returns total node-states refreshed.
-    ///
-    /// # Errors
-    /// Propagates the first stripe per shard that cannot be read back.
-    pub fn scrub_sharded(&self) -> Result<usize, ProtocolError> {
-        let groups = self.stripes_by_shard();
-        let scrub_group = |shard: usize, ids: &[u64]| -> Result<usize, ProtocolError> {
-            let mut refreshed = 0;
-            for &id in ids {
-                refreshed += self.store.shard_store(shard).scrub(id)?.refreshed.len();
-            }
-            Ok(refreshed)
-        };
-        if self.store.is_parallel() && groups.len() > 1 {
-            let scrub_group = &scrub_group;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .iter()
-                    .map(|(shard, ids)| {
-                        let (shard, ids) = (*shard, ids.as_slice());
-                        scope.spawn(move || scrub_group(shard, ids))
-                    })
-                    .collect();
-                let mut refreshed = 0;
-                for h in handles {
-                    refreshed += h.join().expect("shard scrub worker")?;
-                }
-                Ok(refreshed)
-            })
-        } else {
-            let mut refreshed = 0;
-            for (shard, ids) in &groups {
-                refreshed += scrub_group(*shard, ids)?;
-            }
-            Ok(refreshed)
-        }
-    }
-}
-
-impl<S: QuorumStore> Volume<ShardedStore<S>> {
-    /// Rebuilds a replaced node of **one shard's** group across this
-    /// volume's stripes on that shard — per-shard maintenance; the other
-    /// shards keep serving untouched.
-    ///
-    /// # Errors
-    /// Stops at the first stripe that cannot be rebuilt.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn rebuild_shard_node(
-        &self,
-        shard: usize,
-        node: usize,
-    ) -> Result<Vec<RebuildReport>, ProtocolError> {
-        let ids: Vec<u64> = self
-            .stripes_by_shard()
-            .into_iter()
-            .find(|(s, _)| *s == shard)
-            .map(|(_, ids)| ids)
-            .unwrap_or_default();
-        self.store
-            .shard_store(shard)
-            .rebuild_node_stripes(&ids, node)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ProtocolConfig;
-    use crate::shard::ShardMap;
+    use crate::shard::{ShardMap, ShardedStore};
     use crate::store::Store;
     use crate::trap_erc::TrapErcClient;
     use tq_cluster::{Cluster, LocalTransport};
@@ -457,20 +308,6 @@ mod tests {
         assert!(vol.read_block(4).is_err());
         assert!(vol.write_block(4, &[0; 128]).is_err());
         assert!(vol.write_block(0, &[0; 100]).is_err());
-        assert!(vol.read_at(4 * 128 - 10, 11).is_err());
-        assert!(vol.write_at(usize::MAX, &[1]).is_err());
-    }
-
-    #[test]
-    fn byte_io_spans_blocks() {
-        let (vol, _c) = volume(6, 64);
-        // Write 150 bytes starting mid-block: touches blocks 0, 1, 2, 3.
-        let payload: Vec<u8> = (0..150).map(|i| i as u8).collect();
-        vol.write_at(40, &payload).unwrap();
-        assert_eq!(vol.read_at(40, 150).unwrap(), payload);
-        // Edges preserved by the read-modify-write.
-        assert!(vol.read_at(0, 40).unwrap().iter().all(|&b| b == 0));
-        assert!(vol.read_at(190, 64).unwrap().iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -645,53 +482,34 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        let store = ShardedStore::new(shards, ShardMap::hashed(2).unwrap()).unwrap();
+        let map = ShardMap::hashed(2).unwrap();
+        let store = ShardedStore::new(shards, map).unwrap();
         let vol = Volume::with_config(store, VolumeConfig::new(300, 64, 32)).unwrap();
         for lba in 0..32 {
             vol.write_block(lba, &[lba as u8 ^ 0x3C; 64]).unwrap();
         }
 
-        // Replace node 3 of shard 1's cluster only, rebuild just there.
+        // Replace node 3 of shard 1's cluster only. The rebuild routes
+        // every stripe to its own group: shard 0's intact node 3 serves
+        // its own copy, and only shard 1's stripes decode around the
+        // blank node.
         clusters[1].replace(3);
-        let stripes_on_1 = vol
-            .stripes_by_shard()
-            .iter()
-            .find(|(s, _)| *s == 1)
-            .map_or(0, |(_, ids)| ids.len());
-        let reports = vol.rebuild_shard_node(1, 3).unwrap();
-        assert_eq!(reports.len(), stripes_on_1);
+        let stripes_on_1 = (0..vol.stripe_count)
+            .filter(|s| map.shard_of(300 + s) == 1)
+            .count();
+        assert!(stripes_on_1 > 0, "shard 1 serves part of the volume");
+        let reports = vol.rebuild_node(3).unwrap();
+        assert_eq!(reports.len(), vol.stripe_count as usize);
+        assert_eq!(
+            reports.iter().filter(|r| r.sources != [3]).count(),
+            stripes_on_1
+        );
 
-        // Shard-parallel scrub covers all stripes of both shards.
-        let refreshed = vol.scrub_sharded().unwrap();
+        // The routed scrub covers all stripes of both shards.
+        let refreshed = vol.scrub().unwrap();
         assert_eq!(refreshed, vol.stripe_count as usize * 15);
         for lba in 0..32 {
             assert_eq!(vol.read_block(lba).unwrap(), vec![lba as u8 ^ 0x3C; 64]);
-        }
-    }
-
-    #[test]
-    fn concurrent_byte_writers_disjoint_ranges() {
-        use std::sync::Arc;
-        let config = ProtocolConfig::with_uniform_w(15, 8, 0, 4, 1, 2).unwrap();
-        let cluster = Cluster::new(15);
-        let client = TrapErcClient::new(config, LocalTransport::new(cluster)).unwrap();
-        let vol = Arc::new(Volume::create(client, 7, 64, 16).unwrap());
-        let handles: Vec<_> = (0..4usize)
-            .map(|t| {
-                let vol = Arc::clone(&vol);
-                std::thread::spawn(move || {
-                    // Each thread owns a 256-byte range (4 blocks).
-                    let base = t * 256;
-                    let payload = vec![t as u8 + 1; 256];
-                    vol.write_at(base, &payload).unwrap();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        for t in 0..4usize {
-            assert_eq!(vol.read_at(t * 256, 256).unwrap(), vec![t as u8 + 1; 256]);
         }
     }
 }

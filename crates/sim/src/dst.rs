@@ -144,9 +144,9 @@ impl Backend {
     }
 
     /// Builds the backend as a [`SHARDS`]-way [`ShardedStore`]: one
-    /// instance per stripe group, all over the same simulated cluster,
-    /// with batch fan-out walked sequentially so the single-threaded
-    /// virtual-time scheduler stays deterministic. Stripe `STRIPE + g`
+    /// instance per stripe group, all over the same simulated cluster
+    /// (the router visits a batch's shards in order on the caller's
+    /// thread, as it does in production). Stripe `STRIPE + g`
     /// routes to its own shard (the ranged map with one stripe per
     /// range), so every workload batch that spans groups crosses the
     /// router's shard boundary.
@@ -159,10 +159,7 @@ impl Backend {
             .map(|_| self.build(Arc::clone(&transport)))
             .collect();
         let map = ShardMap::ranged(SHARDS, 1).expect("shard count is positive");
-        let sharded = ShardedStore::new(shards, map)
-            .expect("shard vector matches the map")
-            .sequential_batches();
-        Box::new(sharded)
+        Box::new(ShardedStore::new(shards, map).expect("shard vector matches the map"))
     }
 }
 

@@ -1,7 +1,7 @@
 //! Node replacement and rebuild over a live volume — the recovery
 //! workflow §I of the paper worries about, measured.
 //!
-//! A byte-addressable volume serves IO while a node's disk is replaced;
+//! A block volume serves IO while a node's disk is replaced;
 //! the rebuild sources k blocks per stripe (the classical MDS repair cost
 //! the paper cites) and the IO counters show exactly what that costs. The
 //! volume is generic over `QuorumStore`; the rebuild entry point is the

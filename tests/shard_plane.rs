@@ -301,5 +301,5 @@ fn concurrent_volume_traffic_is_linear_per_block() {
         );
     }
     let stripes = BLOCKS.div_ceil(volume.blocks_per_stripe());
-    assert_eq!(volume.scrub_sharded().unwrap(), stripes * 15);
+    assert_eq!(volume.scrub().unwrap(), stripes * 15);
 }
