@@ -15,6 +15,18 @@
 
 use std::hash::{BuildHasherDefault, Hasher};
 
+/// SplitMix64: a full-avalanche 64-bit mixer of `z` plus the golden
+/// gamma. Neighbouring inputs come out unrelated, and the same input
+/// always gives the same output, so a counter through it is a seeded
+/// stream that replays bit for bit.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// FNV-1a, 64-bit. Deterministic: no per-process seed.
 pub struct DetHasher {
     state: u64,

@@ -61,8 +61,10 @@
 //! * [`storage`] — the pluggable persistence seam *under* the node:
 //!   [`storage::StorageBackend`] with a striped in-memory map, a
 //!   crash-safe append-only log (checksummed records, sync-per-append or
-//!   on-flush, torn-tail recovery, compaction), and a deterministic faulting
-//!   wrapper for the DST's storage fault axis.
+//!   on-flush, torn-tail recovery, compaction).
+//! * [`disk`] — the file system under the log: the operating system's,
+//!   or [`disk::SimFs`], a deterministic in-memory disk whose crashes and
+//!   faults the DST storage axis runs the shipped log on.
 //!
 //! Nothing here knows about trapezoids or erasure codes; `tq-trapezoid`
 //! composes this substrate with `tq-erasure` and `tq-quorum` into the
@@ -84,6 +86,8 @@
 pub mod cluster;
 #[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 pub mod detmap;
+#[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+pub mod disk;
 #[cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 mod driver;
 pub mod fault;
@@ -108,6 +112,7 @@ pub mod transport;
 pub mod wire;
 
 pub use cluster::Cluster;
+pub use disk::{LogDisk, LogFile, SimFs, SimFsFaults, SimFsStats};
 pub use fault::FaultInjector;
 pub use health::NodeHealth;
 pub use node::{NodeBuilder, NodeId, StorageNode};
@@ -117,8 +122,7 @@ pub use quorum_round::{
 pub use rpc::{BlockId, Envelope, Lane, NodeApi, NodeError, OpId, Reply, Request, Response};
 pub use sim::{NetworkModel, SimFault, SimStats, SimTransport};
 pub use storage::{
-    AppendLogBackend, FaultingBackend, FsyncPolicy, MemoryBackend, StorageBackend, StorageError,
-    StorageFaults, StoredBlock,
+    AppendLogBackend, FsyncPolicy, MemoryBackend, StorageBackend, StorageError, StoredBlock,
 };
 pub use tcp::{TcpConfig, TcpNodeServer, TcpTransport};
 pub use transport::{LocalTransport, RoundReply, Transport};

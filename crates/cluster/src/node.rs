@@ -214,11 +214,13 @@ impl StorageNode {
         *self.applied.lock() = AppliedWindow::default();
     }
 
-    /// Simulates a crash-restart of the node *process*: the backend
-    /// recovers whatever its durability contract preserves (everything
-    /// for the memory backend; the last-barrier prefix under the DST
-    /// faulting wrapper; the fsync'd log prefix for a real reopened
-    /// log), and the volatile applied-op window is lost. Losing the
+    /// Simulates a crash-restart of the node: the backend recovers
+    /// whatever its durability contract preserves (everything for the
+    /// memory backend; for the log, a replay of what its disk kept —
+    /// everything the OS still holds after a process restart, or the
+    /// synced prefix and any unsynced writes that happened to land on a
+    /// crashed [`SimFs`](crate::disk::SimFs)), and the volatile applied-op
+    /// window is lost. Losing the
     /// window is safe: redeliveries after a restart fall through to the
     /// monotone version guards (an already-applied parity fold carries
     /// a stale `expected_version` and is rejected, not re-applied).
@@ -1343,39 +1345,32 @@ mod tests {
 
     #[test]
     fn acked_writes_survive_crash_reverts() {
-        use crate::storage::{FaultingBackend, StorageFaults};
-        // A disk that never reaches an automatic fsync barrier: only the
-        // node's own flush-before-ack can make anything durable.
-        let lazy_disk = StorageFaults {
-            sync_every: u64::MAX,
-            fsync_fail_p: 0,
-            slow_read_p: 0,
-            slow_read_max_ticks: 0,
-            corrupt_read_p: 0,
-            misdirect_read_p: 0,
-        };
-        let n = StorageNode::builder(NodeId(0))
-            .backend(Arc::new(FaultingBackend::new(
-                Arc::new(MemoryBackend::new()),
-                lazy_disk,
-                11,
-            )))
-            .build();
-        n.handle(Request::InitData {
-            id: 1,
-            bytes: Bytes::from_static(b"acked"),
-        })
-        .unwrap();
-        // The ack implies durability, so the crash-revert recovers
-        // exactly what was acknowledged.
-        n.crash_restart();
-        assert!(
-            matches!(
-                n.handle(Request::ReadData { id: 1 }),
-                Ok(Response::Data { .. })
-            ),
-            "a node must not lose an acknowledged write"
-        );
+        use crate::disk::SimFs;
+        use crate::storage::{AppendLogBackend, FsyncPolicy};
+        // A `Manual` log syncs only when flushed, on a disk whose crash
+        // drops or tears what was never synced: only the node's own
+        // flush-before-ack can make the write durable. Each seed crashes
+        // the disk a different way.
+        for seed in 0..8 {
+            let disk = Arc::new(SimFs::new(seed));
+            let log = AppendLogBackend::open_on(disk, "node.log", FsyncPolicy::Manual).unwrap();
+            let n = StorageNode::builder(NodeId(0))
+                .backend(Arc::new(log))
+                .build();
+            n.handle(Request::InitData {
+                id: 1,
+                bytes: Bytes::from_static(b"acked"),
+            })
+            .unwrap();
+            n.crash_restart();
+            assert!(
+                matches!(
+                    n.handle(Request::ReadData { id: 1 }),
+                    Ok(Response::Data { .. })
+                ),
+                "seed {seed}: a node must not lose an acknowledged write"
+            );
+        }
     }
 
     #[test]

@@ -506,14 +506,13 @@ impl SimState {
         self.stats.faults += 1;
         match fault {
             SimFault::Crash { node, durable } => {
-                if *durable {
-                    // The process dies and restarts with its disk: the
-                    // backend recovers what it durably holds (everything
-                    // on an in-memory backend; the last fsync barrier on
-                    // a faulting one) and volatile node state — the
-                    // applied-op window — is gone either way.
-                    cluster.node(*node).crash_restart();
-                } else {
+                // The machine dies and restarts: the backend recovers
+                // what it durably holds (everything on an in-memory
+                // backend; on a log, a replay of what its disk kept) and
+                // volatile node state — the applied-op window — is gone.
+                // A volatile crash then replaces the disk with a blank one.
+                cluster.node(*node).crash_restart();
+                if !*durable {
                     cluster.node(*node).wipe();
                 }
                 cluster.kill(*node);

@@ -6,8 +6,7 @@
 //! module supplies what they sit on:
 //!
 //! * [`MemoryBackend`] — the original 16-way-striped in-memory block
-//!   map. Zero durability, maximum speed; the default, and what the
-//!   simulation uses.
+//!   map. Zero durability, maximum speed; the default.
 //! * [`AppendLogBackend`] — a crash-safe append-only log. Every put and
 //!   delete is one checksummed record, written into zero-filled 1 MiB
 //!   extents the file grows by ahead of time, so an acknowledged
@@ -22,11 +21,12 @@
 //!   ack either way); reads never wait behind an append or a sync; a
 //!   failed write or sync poisons the log (fail-stop); compaction copies
 //!   the live records into a fresh log once dead records dominate.
-//! * [`FaultingBackend`] — a deterministic fault-injection wrapper for
-//!   the DST storage-fault axis: it models the *recovery-visible* state
-//!   space of a real disk (an fsync barrier that may silently be
-//!   delayed, crash-restart reverting to the last barrier, seeded slow
-//!   reads surfacing as virtual-time stall ticks).
+//!   The log does its file I/O through [`disk`](crate::disk)'s seam: on
+//!   the operating system's file system in production, and on a
+//!   deterministic [`SimFs`](crate::disk::SimFs) under DST, which runs
+//!   every node on the shipped log. A `SimFs` crash loses what was
+//!   never synced, and its faults (failed syncs, slow, bit-flipped and
+//!   misdirected payload reads) meet the log as a real disk's would.
 //!
 //! Backends are selected per node via
 //! [`StorageNode::builder`](crate::node::StorageNode::builder); the
@@ -36,15 +36,14 @@
 
 use std::collections::hash_map::Entry;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::detmap::DetHashMap;
+use crate::detmap::{splitmix64, DetHashMap};
+use crate::disk::{dir_of, LogDisk, LogFile, OsDisk};
 use crate::rpc::BlockId;
 use crate::sync::Mutex;
 use crate::wire::crc32;
@@ -246,10 +245,10 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     /// Drops every block — models replacing the disk with a blank one.
     fn clear(&self) -> Result<(), StorageError>;
 
-    /// Simulated crash-restart hook: revert to the state a real process
-    /// restart would recover. The default is a no-op (an in-memory
-    /// backend that survived in-process "recovers" everything; a real
-    /// log backend recovers by construction when reopened).
+    /// Simulated crash-restart hook: revert to the state a restart would
+    /// recover. The default is a no-op (an in-memory backend that
+    /// survived in-process "recovers" everything); the log replays what
+    /// its disk kept.
     fn crash_restart(&self) {}
 
     /// Drains the virtual-time penalty (in abstract ticks) accumulated
@@ -273,14 +272,10 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
 /// of two so the hash reduction is a mask.
 const MEMORY_STRIPES: usize = 16;
 
-/// SplitMix64 finalizer, masked onto a stripe: neighbouring block ids
-/// (one stripe's data + parity objects) spread over slices.
+/// SplitMix64, masked onto a stripe: neighbouring block ids (one
+/// stripe's data + parity objects) spread over slices.
 pub(crate) fn stripe_of(id: BlockId) -> usize {
-    let mut z = id.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z as usize) & (MEMORY_STRIPES - 1)
+    (splitmix64(id) as usize) & (MEMORY_STRIPES - 1)
 }
 
 /// The original striped in-memory block map, now behind the
@@ -403,7 +398,7 @@ const EXTENT: u64 = 1 << 20;
 static ZEROS: [u8; 64 * 1024] = [0; 64 * 1024];
 
 /// Writes zeros over `[from, to)` of `file`.
-fn write_zeros(file: &File, mut from: u64, to: u64) -> std::io::Result<()> {
+fn write_zeros(file: &dyn LogFile, mut from: u64, to: u64) -> std::io::Result<()> {
     while from < to {
         let n = (to - from).min(ZEROS.len() as u64);
         file.write_all_at(&ZEROS[..n as usize], from)?;
@@ -413,7 +408,7 @@ fn write_zeros(file: &File, mut from: u64, to: u64) -> std::io::Result<()> {
 }
 
 /// Whether every byte of `bytes` is zero (compared a chunk at a time).
-fn is_zero(bytes: &[u8]) -> bool {
+pub(crate) fn is_zero(bytes: &[u8]) -> bool {
     bytes
         .chunks(ZEROS.len())
         .all(|chunk| chunk == &ZEROS[..chunk.len()])
@@ -564,7 +559,7 @@ fn parse_words(bytes: &[u8]) -> Option<(Vec<u64>, &[u8])> {
 /// bytes (or one longer record) at a time: how replay reads a log
 /// without holding it.
 struct Window<'a> {
-    file: &'a File,
+    file: &'a dyn LogFile,
     /// File length.
     len: u64,
     /// File offset of `buf[0]`.
@@ -593,10 +588,10 @@ impl Window<'_> {
 /// error: it was written whole, so it and every record after it may
 /// have been acknowledged. Each payload is read to check its record and
 /// stamp its block, and is not kept.
-fn replay(file: &Arc<File>, len: u64) -> Result<(Index, u64, bool), StorageError> {
+fn replay(file: &Arc<dyn LogFile>, len: u64) -> Result<(Index, u64, bool), StorageError> {
     let read = |e| io_err("read", e);
     let mut window = Window {
-        file,
+        file: &**file,
         len,
         at: 0,
         buf: Vec::new(),
@@ -645,8 +640,8 @@ fn replay(file: &Arc<File>, len: u64) -> Result<(Index, u64, bool), StorageError
 /// leaving out any record whose CRC no longer matches its body. Returns
 /// the length written and, per record copied, its id and new offset.
 fn copy_records(
-    from: &File,
-    to: &File,
+    from: &dyn LogFile,
+    to: &dyn LogFile,
     keep: &[(BlockId, u64, u64)],
 ) -> std::io::Result<(u64, Vec<(BlockId, u64)>)> {
     let mut chunk = Vec::with_capacity(IO_CHUNK);
@@ -674,9 +669,9 @@ fn copy_records(
 
 /// The end of the log the appends write to. Its lock is held across
 /// every write, sync and compaction.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Tail {
-    file: Arc<File>,
+    file: Arc<dyn LogFile>,
     /// End of the last record: the log's logical length.
     log_bytes: u64,
     /// Log length at the last successful fsync — everything before this
@@ -693,11 +688,15 @@ struct Tail {
     /// last failed, so a lasting failure (a full disk) is retried as the
     /// log doubles rather than on every put.
     compact_at: u64,
+    /// Whether the log's directory entry is known durable: the log may
+    /// be new, and a new entry survives a crash only once its directory
+    /// is synced.
+    entry_synced: bool,
 }
 
 impl Tail {
     /// A healthy tail over `file`, whose records end at `len`, all synced.
-    fn new(file: Arc<File>, len: u64, allocated: u64) -> Self {
+    fn new(file: Arc<dyn LogFile>, len: u64, allocated: u64) -> Self {
         Tail {
             file,
             log_bytes: len,
@@ -705,6 +704,7 @@ impl Tail {
             allocated,
             failed: None,
             compact_at: COMPACT_MIN_BYTES,
+            entry_synced: false,
         }
     }
 
@@ -727,7 +727,7 @@ impl Tail {
         let end = self.log_bytes + rec.len() as u64;
         if end > self.allocated {
             let grown = end.next_multiple_of(EXTENT);
-            write_zeros(&self.file, end, grown).map_err(|e| self.poison("extend", e))?;
+            write_zeros(&*self.file, end, grown).map_err(|e| self.poison("extend", e))?;
             self.allocated = grown;
         }
         self.file
@@ -755,7 +755,7 @@ struct Located {
     /// compaction moves the record. A `Located` taken before that keeps
     /// the replaced file open, and a record never changes once written,
     /// so it still reads the bytes it was taken for.
-    file: Arc<File>,
+    file: Arc<dyn LogFile>,
     /// Offset of the record in `file`.
     at: u64,
     /// Length of the record.
@@ -776,7 +776,7 @@ impl Located {
             payload,
         } = self;
         let mut bytes = vec![0; payload];
-        file.read_exact_at(&mut bytes, at + len - payload as u64)
+        file.read_payload(&mut bytes, at + len - payload as u64)
             .map_err(|e| io_err("read", e))?;
         *block.payload_mut() = Bytes::from(bytes);
         Ok(block)
@@ -859,6 +859,7 @@ impl Index {
 /// removes its new file and leaves the log and the triggering mutation's
 /// result alone; the next attempt waits until the log has doubled.
 pub struct AppendLogBackend {
+    disk: Arc<dyn LogDisk>,
     path: PathBuf,
     policy: FsyncPolicy,
     tail: Mutex<Tail>,
@@ -877,42 +878,48 @@ impl fmt::Debug for AppendLogBackend {
     }
 }
 
+/// Opens (or creates) the log file at `path` on `disk` and replays it:
+/// the tail and index of its valid prefix, with any torn or corrupt
+/// tail truncated.
+fn load(disk: &dyn LogDisk, path: &Path) -> Result<(Tail, Index), StorageError> {
+    let file = disk.open(path, false).map_err(|e| io_err("open", e))?;
+    let len = file.size().map_err(|e| io_err("read", e))?;
+    let (index, valid, zero_tail) = replay(&file, len)?;
+    // Past the prefix: either zeros, kept as room for appends, or the
+    // remains of a torn or corrupt append, truncated away so the next
+    // append starts clean and nothing stale can follow it.
+    let mut allocated = len;
+    if !zero_tail {
+        file.set_len(valid).map_err(|e| io_err("truncate", e))?;
+        file.sync_data().map_err(|e| io_err("fsync", e))?;
+        allocated = valid;
+    }
+    Ok((Tail::new(file, valid, allocated), index))
+}
+
 impl AppendLogBackend {
     /// Opens (or creates) the log at `path`, replaying it into the index
     /// and truncating any torn or corrupt tail. A record that passes its
     /// CRC but does not parse fails the open with
     /// [`StorageError::Corrupt`] and leaves the file as it was.
     pub fn open(path: impl Into<PathBuf>, policy: FsyncPolicy) -> Result<Self, StorageError> {
-        let path = path.into();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| io_err("create-dir", e))?;
-            }
-        }
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)
-            .map_err(|e| io_err("open", e))?;
-        let file = Arc::new(file);
-        let len = file.metadata().map_err(|e| io_err("read", e))?.len();
-        let (index, valid, zero_tail) = replay(&file, len)?;
-        // Past the prefix: either zeros, kept as room for appends, or
-        // the remains of a torn or corrupt append, truncated away so the
-        // next append starts clean and nothing stale can follow it.
-        let mut allocated = len;
-        if !zero_tail {
-            file.set_len(valid).map_err(|e| io_err("truncate", e))?;
-            file.sync_data().map_err(|e| io_err("fsync", e))?;
-            allocated = valid;
-        }
+        Self::open_on(Arc::new(OsDisk), path, policy)
+    }
 
+    /// [`open`](Self::open) on `disk` instead of the operating system's
+    /// file system: a [`SimFs`](crate::disk::SimFs) under simulation.
+    pub fn open_on(
+        disk: Arc<dyn LogDisk>,
+        path: impl Into<PathBuf>,
+        policy: FsyncPolicy,
+    ) -> Result<Self, StorageError> {
+        let path = path.into();
+        let (tail, index) = load(&*disk, &path)?;
         Ok(AppendLogBackend {
+            disk,
             path,
             policy,
-            tail: Mutex::new(Tail::new(file, valid, allocated)),
+            tail: Mutex::new(tail),
             index: Mutex::new(index),
             ephemeral: false,
         })
@@ -962,7 +969,7 @@ impl AppendLogBackend {
         let at = tail.log_bytes;
         tail.write(&encode_record(id, block.as_ref()))?;
         if self.policy == FsyncPolicy::Always {
-            tail.sync()?;
+            self.sync(tail)?;
         }
         // The payload now lives in the log; the index keeps the rest.
         let entry = block.map(|mut block| Located {
@@ -1006,26 +1013,24 @@ impl AppendLogBackend {
     ) -> Result<(), StorageError> {
         keep.sort_unstable_by_key(|&(_, at, _)| at);
         let tmp_path = self.path.with_extension("compact");
-        let tmp = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp_path)
+        let file = self
+            .disk
+            .open(&tmp_path, true)
             .map_err(|e| io_err("compact-create", e))?;
         let (len, allocated, moved) = (|| {
             let (len, moved) =
-                copy_records(&tail.file, &tmp, &keep).map_err(|e| io_err("compact-write", e))?;
+                copy_records(&*tail.file, &*file, &keep).map_err(|e| io_err("compact-write", e))?;
             let allocated = len.next_multiple_of(EXTENT);
-            write_zeros(&tmp, len, allocated).map_err(|e| io_err("compact-write", e))?;
-            tmp.sync_data().map_err(|e| io_err("compact-fsync", e))?;
-            std::fs::rename(&tmp_path, &self.path).map_err(|e| io_err("compact-rename", e))?;
+            write_zeros(&*file, len, allocated).map_err(|e| io_err("compact-write", e))?;
+            file.sync_data().map_err(|e| io_err("compact-fsync", e))?;
+            self.disk
+                .rename(&tmp_path, &self.path)
+                .map_err(|e| io_err("compact-rename", e))?;
             Ok((len, allocated, moved))
         })()
         .inspect_err(|_| {
-            let _ = std::fs::remove_file(&tmp_path);
+            let _ = self.disk.remove(&tmp_path);
         })?;
-        let file = Arc::new(tmp);
         {
             let mut index = self.index.lock();
             for (id, at) in moved {
@@ -1043,12 +1048,27 @@ impl AppendLogBackend {
         // Make the rename itself durable. Swallowing this error would
         // let an acknowledged-durable log vanish with the directory
         // entry on power loss.
-        if let Some(parent) = self.path.parent() {
-            if !parent.as_os_str().is_empty() {
-                File::open(parent)
-                    .and_then(|dir| dir.sync_all())
-                    .map_err(|e| tail.poison("compact-dir-fsync", e))?;
-            }
+        self.disk
+            .sync_dir(dir_of(&self.path))
+            .map_err(|e| tail.poison("compact-dir-fsync", e))?;
+        tail.entry_synced = true;
+        Ok(())
+    }
+
+    /// Syncs the log. The first sync also syncs its directory, so that
+    /// a new log's entry is durable before any record in it is
+    /// acknowledged; without it, a power loss could take the log,
+    /// acknowledged records and all. (Syncing the directory at `open`
+    /// instead costs every node of a cluster one journal commit in a
+    /// row; here it shares the first record's.)
+    fn sync(&self, tail: &mut Tail) -> Result<(), StorageError> {
+        tail.sync()?;
+        if !tail.entry_synced {
+            let dir = dir_of(&self.path);
+            self.disk
+                .sync_dir(dir)
+                .map_err(|e| tail.poison("dir-fsync", e))?;
+            tail.entry_synced = true;
         }
         Ok(())
     }
@@ -1057,7 +1077,7 @@ impl AppendLogBackend {
 impl Drop for AppendLogBackend {
     fn drop(&mut self) {
         if self.ephemeral {
-            let _ = std::fs::remove_file(&self.path);
+            let _ = self.disk.remove(&self.path);
         }
     }
 }
@@ -1109,7 +1129,7 @@ impl StorageBackend for AppendLogBackend {
         if tail.synced_len == tail.log_bytes {
             return Ok(());
         }
-        tail.sync()
+        self.sync(&mut tail)
     }
 
     fn clear(&self) -> Result<(), StorageError> {
@@ -1120,310 +1140,33 @@ impl StorageBackend for AppendLogBackend {
         self.rewrite(&mut tail, Vec::new())
     }
 
-    fn label(&self) -> &'static str {
-        "applog"
-    }
-}
-
-// ---------------------------------------------------------------------
-// Faulting wrapper (DST storage-fault axis).
-// ---------------------------------------------------------------------
-
-/// Knobs of the DST storage-fault axis. Probabilities are in parts per
-/// 256 (sampled from a seeded SplitMix64 stream, so every case replays
-/// bit-for-bit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StorageFaults {
-    /// Simulated fsync barrier cadence: a barrier is *attempted* every
-    /// `sync_every` mutations (1 = after each).
-    pub sync_every: u64,
-    /// Probability (0–255 of 256) that an attempted barrier silently
-    /// does nothing — the delayed/failed-fsync fault. The data still
-    /// reads back fine until a crash reverts past it.
-    pub fsync_fail_p: u8,
-    /// Probability (0–255 of 256) that a read is slow, charging
-    /// [`take_stall_ticks`](FaultingBackend::take_stall_ticks) virtual
-    /// time the simulation adds to the reply's delivery delay.
-    pub slow_read_p: u8,
-    /// Virtual ticks one slow read costs (1..=max, sampled).
-    pub slow_read_max_ticks: u64,
-    /// Probability (0–255 of 256) that a read serves a bit-flipped copy
-    /// of the stored payload — the silent media-rot fault. Transient:
-    /// the stored block itself is untouched, only the served copy lies.
-    pub corrupt_read_p: u8,
-    /// Probability (0–255 of 256) that a read serves *another* stored
-    /// block's payload under the requested block's metadata (version
-    /// stamps and self-checksum kept) — the misdirected-read fault of a
-    /// real disk. Skipped when no other block exists.
-    pub misdirect_read_p: u8,
-}
-
-impl StorageFaults {
-    /// The default adversarial mix the DST matrices run with: barriers
-    /// every 2 mutations, 1-in-4 of them silently delayed, 1-in-8 reads
-    /// slow by up to 3 ticks. No read corruption — that is its own axis
-    /// ([`corrupting`](Self::corrupting)).
-    pub fn aggressive() -> Self {
-        StorageFaults {
-            sync_every: 2,
-            fsync_fail_p: 64,
-            slow_read_p: 32,
-            slow_read_max_ticks: 3,
-            corrupt_read_p: 0,
-            misdirect_read_p: 0,
-        }
-    }
-
-    /// The corrupting-node mix of the DST integrity axis: fsync behaves,
-    /// but roughly 1 read in 26 serves a bit-flipped payload and 1 in 51
-    /// a misdirected one. Probabilities are kept low so workloads still
-    /// clear the matrices' non-vacuity floors.
-    pub fn corrupting() -> Self {
-        StorageFaults {
-            sync_every: 1,
-            fsync_fail_p: 0,
-            slow_read_p: 0,
-            slow_read_max_ticks: 1,
-            corrupt_read_p: 10,
-            misdirect_read_p: 5,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct FaultState {
-    /// The last successfully "fsync'd" snapshot — what a crash reverts to.
-    durable: DetHashMap<BlockId, StoredBlock>,
-    mutations_since_sync: u64,
-    rng: u64,
-    /// Counters for non-vacuity assertions in tests.
-    dropped_syncs: u64,
-    crashes_reverted: u64,
-    corrupted_reads: u64,
-}
-
-/// Deterministic fault-injection wrapper implementing the DST
-/// storage-fault axis over any inner backend.
-///
-/// The wrapper models the *recovery-visible* behaviour of a faulty
-/// disk rather than its byte-level failure detail: a torn final record
-/// and lost unflushed appends both recover to the last fsync barrier
-/// (that is precisely what [`AppendLogBackend`]'s truncating replay
-/// produces, proven separately by its unit tests), so
-/// [`crash_restart`](StorageBackend::crash_restart) reverts the inner
-/// backend to the last barrier snapshot. Barriers themselves can
-/// silently fail (delayed fsync), widening what a crash loses; reads
-/// can be slow, surfacing as virtual-time stall ticks the simulation
-/// folds into reply latency.
-#[derive(Debug)]
-pub struct FaultingBackend {
-    inner: Arc<dyn StorageBackend>,
-    faults: StorageFaults,
-    state: Mutex<FaultState>,
-    stall_ticks: AtomicU64,
-}
-
-impl FaultingBackend {
-    /// Wraps `inner`, seeding the fault stream with `seed`.
-    pub fn new(inner: Arc<dyn StorageBackend>, faults: StorageFaults, seed: u64) -> Self {
-        FaultingBackend {
-            inner,
-            faults,
-            state: Mutex::new(FaultState {
-                durable: DetHashMap::default(),
-                mutations_since_sync: 0,
-                rng: seed ^ 0xA076_1D64_78BD_642F,
-                dropped_syncs: 0,
-                crashes_reverted: 0,
-                corrupted_reads: 0,
-            }),
-            stall_ticks: AtomicU64::new(0),
-        }
-    }
-
-    fn next_rand(state: &mut FaultState) -> u64 {
-        // SplitMix64: deterministic, seed-replayable.
-        state.rng = state.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn chance(state: &mut FaultState, p: u8) -> bool {
-        (Self::next_rand(state) & 0xFF) < p as u64
-    }
-
-    fn snapshot_inner(&self) -> Result<DetHashMap<BlockId, StoredBlock>, StorageError> {
-        let mut snap = DetHashMap::default();
-        self.inner.scan(&mut |id, block| {
-            snap.insert(id, block.clone());
-        })?;
-        Ok(snap)
-    }
-
-    fn after_mutation(&self) -> Result<(), StorageError> {
-        let due = {
-            let mut state = self.state.lock();
-            state.mutations_since_sync += 1;
-            state.mutations_since_sync >= self.faults.sync_every.max(1)
-        };
-        if due {
-            self.barrier(false)?;
-        }
-        Ok(())
-    }
-
-    /// Attempts a durability barrier; `forced` barriers (explicit
-    /// `flush`) never fail — a returned `flush` means durable, matching
-    /// the contract callers rely on.
-    fn barrier(&self, forced: bool) -> Result<(), StorageError> {
-        let drop_it = {
-            let mut state = self.state.lock();
-            state.mutations_since_sync = 0;
-            if !forced && Self::chance(&mut state, self.faults.fsync_fail_p) {
-                state.dropped_syncs += 1;
-                true
-            } else {
-                false
-            }
-        };
-        if drop_it {
-            return Ok(()); // the lying disk: "done", but nothing moved
-        }
-        let snap = self.snapshot_inner()?;
-        self.state.lock().durable = snap;
-        Ok(())
-    }
-
-    /// How many reads served corrupted payloads (non-vacuity for the
-    /// DST corruption axis).
-    pub fn corrupted_reads(&self) -> u64 {
-        self.state.lock().corrupted_reads
-    }
-
-    /// Clones a block with its payload replaced and every piece of
-    /// metadata kept (version stamps and self-checksum) — the shape both
-    /// corruption faults share. Keeping the metadata is the point: the
-    /// served reply *claims* to be the requested block at its recorded
-    /// version, only the bytes lie.
-    fn with_bytes(block: &StoredBlock, bytes: Bytes) -> StoredBlock {
-        let mut block = block.clone();
-        *block.payload_mut() = bytes;
-        block
-    }
-}
-
-impl StorageBackend for FaultingBackend {
-    fn get(&self, id: BlockId) -> Result<Option<StoredBlock>, StorageError> {
-        {
-            let mut state = self.state.lock();
-            if Self::chance(&mut state, self.faults.slow_read_p) {
-                let max = self.faults.slow_read_max_ticks.max(1);
-                let ticks = 1 + Self::next_rand(&mut state) % max;
-                drop(state);
-                self.stall_ticks.fetch_add(ticks, Ordering::Relaxed);
-            }
-        }
-        let Some(block) = self.inner.get(id)? else {
-            return Ok(None);
-        };
-        if block.payload_len() > 0 {
-            let mut state = self.state.lock();
-            if Self::chance(&mut state, self.faults.corrupt_read_p) {
-                // Media rot: serve a copy with one bit flipped. The
-                // stored block is untouched — the next read may be clean.
-                let bit = Self::next_rand(&mut state) % (block.payload_len() as u64 * 8);
-                state.corrupted_reads += 1;
-                drop(state);
-                let mut bytes = match &block {
-                    StoredBlock::Data { bytes, .. } | StoredBlock::Parity { bytes, .. } => {
-                        bytes.to_vec()
-                    }
-                };
-                bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-                return Ok(Some(Self::with_bytes(&block, Bytes::from(bytes))));
-            }
-            if Self::chance(&mut state, self.faults.misdirect_read_p) {
-                let pick = Self::next_rand(&mut state);
-                drop(state);
-                // Misdirected read: the disk returns some *other* stored
-                // block's payload. Deterministic despite unspecified scan
-                // order: candidates are sorted by id before picking.
-                let mut others: Vec<(BlockId, Bytes)> = Vec::new();
-                self.inner.scan(&mut |oid, ob| {
-                    if oid != id {
-                        match ob {
-                            StoredBlock::Data { bytes, .. } | StoredBlock::Parity { bytes, .. } => {
-                                others.push((oid, bytes.clone()));
-                            }
-                        }
-                    }
-                })?;
-                if !others.is_empty() {
-                    others.sort_by_key(|(oid, _)| *oid);
-                    let (_, bytes) = &others[(pick % others.len() as u64) as usize];
-                    self.state.lock().corrupted_reads += 1;
-                    return Ok(Some(Self::with_bytes(&block, bytes.clone())));
-                }
-            }
-        }
-        Ok(Some(block))
-    }
-
-    fn put(&self, id: BlockId, block: StoredBlock) -> Result<(), StorageError> {
-        self.inner.put(id, block)?;
-        self.after_mutation()
-    }
-
-    fn delete(&self, id: BlockId) -> Result<(), StorageError> {
-        self.inner.delete(id)?;
-        self.after_mutation()
-    }
-
-    fn scan(&self, visit: &mut dyn FnMut(BlockId, &StoredBlock)) -> Result<(), StorageError> {
-        self.inner.scan(visit)
-    }
-
-    fn flush(&self) -> Result<(), StorageError> {
-        self.barrier(true)?;
-        self.inner.flush()
-    }
-
-    fn clear(&self) -> Result<(), StorageError> {
-        self.inner.clear()?;
-        let mut state = self.state.lock();
-        state.durable.clear();
-        state.mutations_since_sync = 0;
-        Ok(())
-    }
-
+    /// Replays the log as [`open`](AppendLogBackend::open) does, after
+    /// the disk lost what it never synced. A log poisoned by a failed
+    /// write or sync comes back healthy. A log that cannot be replayed
+    /// holds nothing and stays poisoned until a replay succeeds.
     fn crash_restart(&self) {
-        // Revert the inner backend to the last barrier snapshot: the
-        // unflushed suffix (including any torn final record) is gone.
-        let snap = self.state.lock().durable.clone();
-        if self.inner.clear().is_err() {
-            return;
-        }
-        let mut restore_failed = false;
-        for (id, block) in &snap {
-            if self.inner.put(*id, block.clone()).is_err() {
-                restore_failed = true;
-            }
-        }
-        let mut state = self.state.lock();
-        state.mutations_since_sync = 0;
-        if !restore_failed {
-            state.crashes_reverted += 1;
-        }
+        let mut tail = self.tail.lock();
+        self.disk.crash();
+        let (fresh, index) = load(&*self.disk, &self.path).unwrap_or_else(|e| {
+            let failed = Some(e);
+            (
+                Tail {
+                    failed,
+                    ..tail.clone()
+                },
+                Index::default(),
+            )
+        });
+        *tail = fresh;
+        *self.index.lock() = index;
     }
 
     fn take_stall_ticks(&self) -> u64 {
-        self.stall_ticks.swap(0, Ordering::Relaxed)
+        self.disk.take_stall_ticks()
     }
 
     fn label(&self) -> &'static str {
-        "faulting"
+        "applog"
     }
 }
 
@@ -1462,24 +1205,14 @@ pub fn default_backend(node_index: usize) -> Arc<dyn StorageBackend> {
 }
 
 #[cfg(test)]
-impl FaultingBackend {
-    /// How many barriers were silently dropped (fault non-vacuity).
-    pub(crate) fn dropped_syncs(&self) -> u64 {
-        self.state.lock().dropped_syncs
-    }
-
-    /// How many crash-restarts actually reverted state (non-vacuity).
-    pub(crate) fn crashes_reverted(&self) -> u64 {
-        self.state.lock().crashes_reverted
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::{SimFs, SimFsFaults};
     use crate::node::{NodeId, StorageNode};
     use crate::rpc::{NodeError, Request, Response};
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::fs::OpenOptions;
+    use std::os::unix::fs::FileExt;
 
     fn data(version: u64, payload: &[u8]) -> StoredBlock {
         StoredBlock::new_data(version, Bytes::copy_from_slice(payload))
@@ -1972,8 +1705,8 @@ mod tests {
             .open(b.log_path())
             .unwrap();
         let mut byte = [0];
-        file.read_exact_at(&mut byte, at).unwrap();
-        file.write_all_at(&[byte[0] ^ 0x20], at).unwrap();
+        FileExt::read_exact_at(&file, &mut byte, at).unwrap();
+        FileExt::write_all_at(&file, &[byte[0] ^ 0x20], at).unwrap();
     }
 
     #[test]
@@ -2421,108 +2154,347 @@ mod tests {
         let _ = std::fs::remove_file(&copy);
     }
 
-    #[test]
-    fn faulting_backend_reverts_to_last_barrier_on_crash() {
-        let inner = Arc::new(MemoryBackend::new());
-        let faults = StorageFaults {
-            sync_every: u64::MAX, // only explicit flushes create barriers
-            fsync_fail_p: 0,
-            slow_read_p: 0,
-            slow_read_max_ticks: 1,
-            corrupt_read_p: 0,
-            misdirect_read_p: 0,
-        };
-        let b = FaultingBackend::new(inner, faults, 42);
-        b.put(1, data(0, b"durable")).unwrap();
-        b.flush().unwrap();
-        b.put(1, data(1, b"lost-on-crash")).unwrap();
-        b.put(2, data(0, b"also-lost")).unwrap();
-        assert_eq!(b.get(1), Ok(Some(data(1, b"lost-on-crash"))));
-        b.crash_restart();
-        assert_eq!(b.get(1), Ok(Some(data(0, b"durable"))));
-        assert_eq!(b.get(2), Ok(None));
-        assert_eq!(b.crashes_reverted(), 1);
+    /// A log at `node.log` on a fresh [`SimFs`] seeded by `seed`.
+    fn sim_log(seed: u64, policy: FsyncPolicy) -> (Arc<SimFs>, AppendLogBackend) {
+        let disk = Arc::new(SimFs::new(seed));
+        let log = AppendLogBackend::open_on(Arc::clone(&disk) as _, "node.log", policy).unwrap();
+        (disk, log)
+    }
+
+    /// The fold of the first `n` of `puts`.
+    fn fold(puts: &[(BlockId, StoredBlock)], n: usize) -> BTreeMap<BlockId, StoredBlock> {
+        puts[..n].iter().cloned().collect()
     }
 
     #[test]
-    fn faulting_backend_crash_reverts_an_equal_length_overwrite() {
-        // The barrier snapshot shares the resident buffer, so the put
-        // after it must replace that buffer, not write through it.
-        let faults = StorageFaults {
-            sync_every: u64::MAX,
-            fsync_fail_p: 0,
-            slow_read_p: 0,
-            slow_read_max_ticks: 1,
-            corrupt_read_p: 0,
-            misdirect_read_p: 0,
-        };
-        let b = FaultingBackend::new(Arc::new(MemoryBackend::new()), faults, 42);
-        b.put(1, data(0, b"before-crash")).unwrap();
-        b.flush().unwrap();
-        b.put(1, data(1, b"lost-on-boot")).unwrap();
-        assert_eq!(b.get(1), Ok(Some(data(1, b"lost-on-boot"))));
-        b.crash_restart();
-        assert_eq!(b.get(1), Ok(Some(data(0, b"before-crash"))));
-        // And again from the restored state, whose blocks the snapshot
-        // still shares.
-        b.put(1, data(2, b"lost-again!!")).unwrap();
-        b.crash_restart();
-        assert_eq!(b.get(1), Ok(Some(data(0, b"before-crash"))));
-        assert_eq!(b.crashes_reverted(), 2);
-    }
-
-    #[test]
-    fn faulting_backend_dropped_fsync_widens_the_loss() {
-        let inner = Arc::new(MemoryBackend::new());
-        let faults = StorageFaults {
-            sync_every: 1,
-            fsync_fail_p: 255, // every automatic barrier silently fails
-            slow_read_p: 0,
-            slow_read_max_ticks: 1,
-            corrupt_read_p: 0,
-            misdirect_read_p: 0,
-        };
-        let b = FaultingBackend::new(inner, faults, 7);
-        b.put(1, data(0, b"x")).unwrap();
-        b.put(2, data(0, b"y")).unwrap();
-        assert!(b.dropped_syncs() >= 2);
-        b.crash_restart();
-        assert_eq!(b.get(1), Ok(None), "no barrier ever landed");
-        // An explicit flush is forced — it always lands.
-        b.put(3, data(0, b"z")).unwrap();
-        b.flush().unwrap();
-        b.crash_restart();
-        assert_eq!(b.get(3), Ok(Some(data(0, b"z"))));
-    }
-
-    #[test]
-    fn faulting_backend_slow_reads_charge_ticks_deterministically() {
-        let mk = || {
-            let faults = StorageFaults {
-                sync_every: 1,
-                fsync_fail_p: 0,
-                slow_read_p: 255,
-                slow_read_max_ticks: 3,
-                corrupt_read_p: 0,
-                misdirect_read_p: 0,
-            };
-            FaultingBackend::new(Arc::new(MemoryBackend::new()), faults, 99)
-        };
-        let a = mk();
-        let b = mk();
-        a.put(1, data(0, b"p")).unwrap();
-        b.put(1, data(0, b"p")).unwrap();
-        let mut ticks_a = Vec::new();
-        let mut ticks_b = Vec::new();
-        for _ in 0..16 {
-            a.get(1).unwrap();
-            ticks_a.push(a.take_stall_ticks());
-            b.get(1).unwrap();
-            ticks_b.push(b.take_stall_ticks());
+    fn simfs_crash_recovers_a_prefix_no_shorter_than_the_synced_one() {
+        let puts = [
+            (1, data(0, b"durable")),
+            (1, data(1, b"lost-on-crash")),
+            (2, data(0, b"also-lost")),
+        ];
+        let mut recovered = BTreeSet::new();
+        let (mut lossy, mut truncated) = (0, 0);
+        for seed in 0..32 {
+            let (disk, b) = sim_log(seed, FsyncPolicy::Manual);
+            b.put(1, puts[0].1.clone()).unwrap();
+            b.flush().unwrap();
+            for (id, block) in &puts[1..] {
+                b.put(*id, block.clone()).unwrap();
+            }
+            b.crash_restart();
+            let got = state(&b);
+            let n = (1..=3).find(|&n| fold(&puts, n) == got);
+            recovered.insert(n.unwrap_or_else(|| panic!("seed {seed}: {got:?}")));
+            lossy += disk.stats().lossy_crashes;
+            truncated += disk.stats().truncations;
+            // The replayed log appends and replays on.
+            b.put(3, data(0, b"after")).unwrap();
+            b.flush().unwrap();
+            b.crash_restart();
+            assert_eq!(b.get(3), Ok(Some(data(0, b"after"))), "seed {seed}");
         }
-        assert_eq!(ticks_a, ticks_b, "same seed, same stall stream");
-        assert!(ticks_a.iter().all(|&t| (1..=3).contains(&t)));
-        assert_eq!(a.take_stall_ticks(), 0, "drained");
+        assert_eq!(recovered, BTreeSet::from([1, 2, 3]), "every prefix occurs");
+        assert!(
+            lossy > 0 && truncated > 0,
+            "{lossy} lossy, {truncated} torn"
+        );
+    }
+
+    #[test]
+    fn simfs_crash_reverts_an_equal_length_overwrite_or_keeps_it_whole() {
+        let mut outcomes = BTreeSet::new();
+        for seed in 0..16 {
+            let (_disk, b) = sim_log(seed, FsyncPolicy::Manual);
+            b.put(1, data(0, b"before-crash")).unwrap();
+            b.flush().unwrap();
+            for (v, bytes) in [(1, b"lost-on-boot"), (2, b"lost-again!!")] {
+                let kept = b.get(1).unwrap().unwrap();
+                b.put(1, data(v, bytes)).unwrap();
+                b.crash_restart();
+                let got = b.get(1).unwrap().unwrap();
+                assert!(got == kept || got == data(v, bytes), "seed {seed}: {got:?}");
+                outcomes.insert(got == kept);
+            }
+        }
+        assert_eq!(outcomes.len(), 2, "some crashes revert, some keep");
+    }
+
+    #[test]
+    fn simfs_slow_reads_charge_ticks_deterministically() {
+        let ticks = || {
+            let (disk, b) = sim_log(99, FsyncPolicy::Always);
+            b.put(1, data(0, b"p")).unwrap();
+            disk.arm(Some(SimFsFaults::AGGRESSIVE));
+            let ticks: Vec<u64> = (0..64)
+                .map(|_| {
+                    b.get(1).unwrap();
+                    b.take_stall_ticks()
+                })
+                .collect();
+            assert_eq!(b.take_stall_ticks(), 0, "drained");
+            ticks
+        };
+        let first = ticks();
+        assert_eq!(first, ticks(), "same seed, same stall stream");
+        assert!(first.iter().all(|&t| t <= 3));
+        assert!(first.iter().any(|&t| t > 0));
+    }
+
+    #[test]
+    fn simfs_corrupt_payload_reads_reach_the_node_as_corrupt_and_pass() {
+        let (disk, b) = sim_log(3, FsyncPolicy::Always);
+        let b = Arc::new(b);
+        let node = StorageNode::builder(NodeId(0))
+            .backend(Arc::clone(&b) as Arc<dyn StorageBackend>)
+            .build();
+        let payload = |id: u64| Bytes::from(vec![0x30 + id as u8; 64]);
+        for id in 1..=2 {
+            let init = Request::InitData {
+                id,
+                bytes: payload(id),
+            };
+            assert_eq!(node.handle(init), Ok(Response::Ack));
+        }
+        let clean = Response::Data {
+            bytes: payload(2),
+            version: 0,
+            check: tq_gf256::check::block_check(&payload(2)),
+        };
+        disk.arm(Some(SimFsFaults::CORRUPTING));
+        let reads: Vec<_> = (0..200)
+            .map(|_| node.handle(Request::ReadData { id: 2 }))
+            .collect();
+        let corrupt = reads
+            .iter()
+            .filter(|r| **r == Err(NodeError::Corrupt))
+            .count();
+        assert!(
+            reads
+                .iter()
+                .all(|r| *r == Ok(clean.clone()) || *r == Err(NodeError::Corrupt)),
+            "a served payload is the stored one or refused"
+        );
+        assert!(corrupt > 0);
+        assert_eq!(corrupt as u64, disk.stats().corrupted_reads);
+        // Transient: the read after each refusal may be clean, and the
+        // stored bytes never rotted.
+        let after = reads.windows(2).filter(|w| w[0].is_err() && w[1].is_ok());
+        assert!(after.count() > 0);
+        disk.arm(None);
+        assert_eq!(node.handle(Request::ReadData { id: 2 }), Ok(clean));
+    }
+
+    #[test]
+    fn simfs_a_failed_sync_poisons_the_log_and_crash_restart_clears_it() {
+        let (disk, b) = sim_log(5, FsyncPolicy::Always);
+        let b = Arc::new(b);
+        let mut acked: BTreeMap<_, _> = (0..8).map(|id| (id, data(0, &[0; 8]))).collect();
+        for (id, block) in &acked {
+            b.put(*id, block.clone()).unwrap();
+        }
+        disk.arm(Some(SimFsFaults::AGGRESSIVE));
+        let (failed, lost) = (1..2000u64)
+            .find_map(|v| {
+                let block = data(v, &v.to_le_bytes());
+                match b.put(v % 8, block.clone()) {
+                    Ok(()) => {
+                        acked.insert(v % 8, block);
+                        None
+                    }
+                    Err(e) => Some((e, (v % 8, block))),
+                }
+            })
+            .expect("a sync fails");
+        assert!(
+            matches!(failed, StorageError::Io { op: "fsync", .. }),
+            "{failed:?}"
+        );
+        assert_eq!(state(&b), acked, "never synced, never indexed");
+        for result in [
+            b.put(9, data(0, b"after")),
+            b.delete(1),
+            b.flush(),
+            b.clear(),
+        ] {
+            assert_eq!(result, Err(failed.clone()), "every mutation refuses");
+        }
+        let node = StorageNode::builder(NodeId(0))
+            .backend(Arc::clone(&b) as Arc<dyn StorageBackend>)
+            .build();
+        let write = Request::WriteData {
+            id: 1,
+            bytes: Bytes::from_static(b"8 bytes!"),
+            version: 1 << 20,
+        };
+        assert_eq!(node.handle(write.clone()), Err(NodeError::Down));
+
+        disk.arm(None);
+        b.crash_restart();
+        assert_eq!(disk.stats().poisoned_replays, 1);
+        // The failed put's record may or may not have landed; every
+        // acknowledged one did.
+        let got = state(&b);
+        let mut landed = acked.clone();
+        landed.insert(lost.0, lost.1);
+        assert!(got == acked || got == landed, "{got:?}");
+        assert_eq!(node.handle(write), Ok(Response::Ack), "healthy again");
+    }
+
+    #[test]
+    fn simfs_a_new_log_survives_a_crash() {
+        // Create, write, sync, crash, reopen: the new file's directory
+        // entry must be as durable as the record in it.
+        for seed in 0..4 {
+            let (disk, b) = sim_log(seed, FsyncPolicy::Always);
+            b.put(1, data(0, b"acked")).unwrap();
+            drop(b);
+            disk.crash();
+            let b = AppendLogBackend::open_on(disk, "node.log", FsyncPolicy::Always).unwrap();
+            assert_eq!(b.get(1), Ok(Some(data(0, b"acked"))), "seed {seed}");
+        }
+    }
+
+    /// A [`SimFs`] that lets `left` more operations through, then fails
+    /// every call until its crash: a crash point after any operation.
+    /// Reads are not counted.
+    #[derive(Debug)]
+    struct CutDisk {
+        fs: SimFs,
+        left: Arc<AtomicU64>,
+    }
+
+    /// A file on a [`CutDisk`].
+    #[derive(Debug)]
+    struct CutFile {
+        file: Arc<dyn LogFile>,
+        left: Arc<AtomicU64>,
+    }
+
+    /// One operation, or `Err` once the disk has stopped.
+    fn step(left: &AtomicU64) -> std::io::Result<()> {
+        left.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .map(drop)
+            .map_err(|_| std::io::Error::other("stopped at the crash point"))
+    }
+
+    impl LogDisk for CutDisk {
+        fn open(&self, path: &Path, truncate: bool) -> std::io::Result<Arc<dyn LogFile>> {
+            step(&self.left)?;
+            let file = self.fs.open(path, truncate)?;
+            let left = Arc::clone(&self.left);
+            Ok(Arc::new(CutFile { file, left }))
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            step(&self.left)?;
+            self.fs.rename(from, to)
+        }
+
+        fn remove(&self, path: &Path) -> std::io::Result<()> {
+            step(&self.left)?;
+            self.fs.remove(path)
+        }
+
+        fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+            step(&self.left)?;
+            self.fs.sync_dir(dir)
+        }
+
+        fn crash(&self) {
+            self.left.store(u64::MAX, Ordering::SeqCst);
+            self.fs.crash();
+        }
+    }
+
+    impl LogFile for CutFile {
+        fn size(&self) -> std::io::Result<u64> {
+            self.file.size()
+        }
+
+        fn read_exact_at(&self, buf: &mut [u8], at: u64) -> std::io::Result<()> {
+            self.file.read_exact_at(buf, at)
+        }
+
+        fn write_all_at(&self, buf: &[u8], at: u64) -> std::io::Result<()> {
+            step(&self.left)?;
+            self.file.write_all_at(buf, at)
+        }
+
+        fn sync_data(&self) -> std::io::Result<()> {
+            step(&self.left)?;
+            self.file.sync_data()
+        }
+
+        fn set_len(&self, len: u64) -> std::io::Result<()> {
+            step(&self.left)?;
+            self.file.set_len(len)
+        }
+    }
+
+    /// Runs `op` on a log `prepare` filled, stopping the disk after each
+    /// of its operations in turn (and then not at all), crashes, and
+    /// checks each replay: exactly the state before `op` or exactly
+    /// `after`, and `after` whenever `op` returned `Ok`.
+    fn crash_at_every_point(
+        prepare: impl Fn(&AppendLogBackend),
+        op: impl Fn(&AppendLogBackend) -> Result<(), StorageError>,
+        after: &BTreeMap<BlockId, StoredBlock>,
+    ) -> usize {
+        for cut in 0.. {
+            for seed in 0..4 {
+                let left = Arc::new(AtomicU64::new(u64::MAX));
+                let disk = CutDisk {
+                    fs: SimFs::new(seed),
+                    left: Arc::clone(&left),
+                };
+                let b = AppendLogBackend::open_on(Arc::new(disk), "node.log", FsyncPolicy::Always)
+                    .unwrap();
+                prepare(&b);
+                let before = state(&b);
+                left.store(cut, Ordering::SeqCst);
+                let result = op(&b);
+                let completed = left.load(Ordering::SeqCst) > 0;
+                b.crash_restart();
+                let got = state(&b);
+                let at = format!("cut {cut} seed {seed}: {result:?}");
+                assert!(got == before || got == *after, "{at}: a mix");
+                assert!(result.is_err() || got == *after, "{at}: lost");
+                if completed {
+                    return cut as usize;
+                }
+            }
+        }
+        unreachable!()
+    }
+
+    #[test]
+    fn simfs_every_crash_point_of_a_rewrite_keeps_the_old_log_or_the_new() {
+        // Compaction: 2 KiB puts to one block cross the 64 KiB floor
+        // with one record in three live.
+        let block = |v: u64| data(v, &[v as u8; 2048]);
+        let (_disk, probe) = sim_log(0, FsyncPolicy::Always);
+        let mut v = 0;
+        put_until_compacted(&probe, || {
+            v += 1;
+            (1, block(v))
+        });
+        let last = v;
+        let prepare = |b: &AppendLogBackend| {
+            b.put(2, data(0, b"other")).unwrap();
+            for v in 1..last {
+                b.put(1, block(v)).unwrap();
+            }
+        };
+        let compacted = BTreeMap::from([(1, block(last)), (2, data(0, b"other"))]);
+        let points = crash_at_every_point(prepare, |b| b.put(1, block(last)), &compacted);
+        // The append and its sync, the create, the copy, the zero extent
+        // (16 writes), the sync, the rename and the directory sync.
+        assert!(points >= 22, "{points} crash points");
+
+        // `clear`: the same rewrite, keeping nothing.
+        let points = crash_at_every_point(prepare, |b| b.clear(), &BTreeMap::new());
+        assert!(points >= 5, "{points} crash points");
     }
 
     #[test]
@@ -2564,65 +2536,6 @@ mod tests {
             assert_eq!(std::fs::read(&path).unwrap(), log, "{name}: file untouched");
             let _ = std::fs::remove_file(&path);
         }
-    }
-
-    #[test]
-    fn faulting_backend_bit_flips_are_detectable_and_transient() {
-        let faults = StorageFaults {
-            sync_every: 1,
-            fsync_fail_p: 0,
-            slow_read_p: 0,
-            slow_read_max_ticks: 1,
-            corrupt_read_p: 255, // every read lies
-            misdirect_read_p: 0,
-        };
-        let b = FaultingBackend::new(Arc::new(MemoryBackend::new()), faults, 3);
-        let clean = data(1, b"payload-bytes");
-        b.put(1, clean.clone()).unwrap();
-        let served = b.get(1).unwrap().unwrap();
-        assert_ne!(served, clean, "served copy is corrupted");
-        assert!(
-            !served.self_check_ok(),
-            "metadata kept: the self-checksum convicts the bytes"
-        );
-        assert!(b.corrupted_reads() >= 1);
-        // Transient: the stored block itself never rotted.
-        let mut ok = FaultingBackend::new(Arc::new(MemoryBackend::new()), faults, 3);
-        ok.faults.corrupt_read_p = 0;
-        ok.put(1, clean.clone()).unwrap();
-        assert_eq!(ok.get(1).unwrap().unwrap(), clean);
-    }
-
-    #[test]
-    fn faulting_backend_misdirected_reads_keep_requested_metadata() {
-        let faults = StorageFaults {
-            sync_every: 1,
-            fsync_fail_p: 0,
-            slow_read_p: 0,
-            slow_read_max_ticks: 1,
-            corrupt_read_p: 0,
-            misdirect_read_p: 255, // every read (with another block) misdirects
-        };
-        let b = FaultingBackend::new(Arc::new(MemoryBackend::new()), faults, 11);
-        b.put(1, data(3, b"mine")).unwrap();
-        b.put(2, data(8, b"theirs")).unwrap();
-        match b.get(1).unwrap().unwrap() {
-            StoredBlock::Data {
-                version,
-                bytes,
-                check,
-            } => {
-                assert_eq!(version, 3, "requested block's version stamp");
-                assert_eq!(&bytes[..], b"theirs", "another block's payload");
-                assert_eq!(
-                    check,
-                    tq_gf256::check::block_check(b"mine"),
-                    "requested block's self-checksum — which convicts the bytes"
-                );
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(b.corrupted_reads() >= 1);
     }
 
     #[test]

@@ -75,6 +75,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
+use crate::detmap::splitmix64;
 use crate::driver::{drive, drive_one, Link, NEVER};
 use crate::health::{NodeHealth, RetryPermit};
 use crate::node::NodeId;
@@ -328,16 +329,6 @@ impl Default for TcpConfig {
             overload_wait: Duration::from_millis(500),
         }
     }
-}
-
-/// SplitMix64 finalizer: the deterministic jitter source for reconnect
-/// backoff — seeded from the peer address and failure count, so replays
-/// of the same failure sequence jitter identically.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A registration a round made and takes back when it closes.

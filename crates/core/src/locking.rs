@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Condvar;
-use tq_cluster::detmap::DetHashSet;
+use tq_cluster::detmap::{splitmix64, DetHashSet};
 use tq_cluster::Transport;
 
 use crate::errors::ProtocolError;
@@ -85,14 +85,10 @@ pub struct BlockLockGuard<'a> {
     key: (u64, usize),
 }
 
-/// SplitMix64 finalizer over the packed key, so neighbouring blocks of
-/// one stripe land on unrelated shards.
+/// SplitMix64 over the packed key, so neighbouring blocks of one
+/// stripe land on unrelated shards.
 fn mix_key(id: u64, block: usize) -> u64 {
-    let mut z = id ^ (block as u64).rotate_left(32);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(id ^ (block as u64).rotate_left(32))
 }
 
 impl StripeLockManager {

@@ -26,21 +26,14 @@
 
 use std::collections::BTreeMap;
 
+use tq_cluster::detmap::splitmix64;
+
 use crate::errors::ProtocolError;
 use crate::recovery::RebuildReport;
 use crate::store::{
     BatchReads, BatchWrite, BatchWrites, BlockAddr, OpReport, QuorumStore, StoreInfo,
 };
 use crate::trap_erc::{ReadOutcome, ScrubReport, WriteOutcome};
-
-/// SplitMix64 finalizer: a full-avalanche 64-bit mixer, so consecutive
-/// stripe ids land on unrelated shards.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// How a [`ShardMap`] assigns stripes to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,7 +114,7 @@ impl ShardMap {
         match self.strategy {
             // Multiply-shift reduction of the mixed id: an unbiased-to-
             // 2^-64 map of the full u64 range onto 0..shards.
-            Strategy::Hash => ((mix64(stripe) as u128 * self.shards as u128) >> 64) as usize,
+            Strategy::Hash => ((splitmix64(stripe) as u128 * self.shards as u128) >> 64) as usize,
             Strategy::Range { stripes_per_shard } => {
                 ((stripe / stripes_per_shard) % self.shards as u64) as usize
             }

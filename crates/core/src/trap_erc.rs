@@ -197,7 +197,8 @@ fn record_corrupt_refusals(corrupt: &mut Vec<usize>, outcome: &RoundOutcome) {
 /// What a scrub did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScrubReport {
-    /// Stripe indices whose state was rewritten (live nodes).
+    /// Stripe indices whose state was rewritten: live nodes that
+    /// answered the residue poll and acked the push.
     pub refreshed: Vec<usize>,
     /// Data block indices whose settle had to *supersede* residue: a
     /// failed write's version stamp was visible above the settled value
@@ -1406,8 +1407,11 @@ impl<T: Transport> TrapErcClient<T> {
         let parity_calls = self.encode_parity_calls(&refs, |_, bytes| {
             Request::write_parity(id, bytes, versions.clone(), stripe_checks.clone())
         });
-        // Push the reconstructed state to every node in one round; only
-        // live nodes ack and are reported refreshed.
+        // Push the reconstructed state to every node in one round. Only
+        // a node that acked it *and* answered the residue poll is
+        // refreshed: the push is monotone, so a node the poll missed may
+        // still hold residue above the settled version and ack the push
+        // as a stale delivery without applying it.
         let mut calls: Vec<(NodeId, Request)> = Vec::with_capacity(self.config.params().n());
         for (i, block) in data.into_iter().enumerate() {
             calls.push((
@@ -1427,6 +1431,7 @@ impl<T: Transport> TrapErcClient<T> {
             .accepted_in_issue_order()
             .iter()
             .map(|a| a.node.0)
+            .filter(|&node| poll.accepted.iter().any(|a| a.node.0 == node))
             .collect();
         corrupt.sort_unstable();
         corrupt.dedup();
@@ -1774,12 +1779,63 @@ mod tests {
         );
     }
 
+    /// `LocalTransport`, keeping every node's answer to an `AddParity`.
+    struct RecordsFolds {
+        inner: LocalTransport,
+        folds: std::sync::Mutex<Vec<(usize, Result<Response, NodeError>)>>,
+    }
+
+    impl Transport for RecordsFolds {
+        fn node_count(&self) -> usize {
+            self.inner.node_count()
+        }
+
+        fn dispatch(&self, node: NodeId, env: tq_cluster::Envelope) -> tq_cluster::Reply {
+            let fold = matches!(env.payload, Request::AddParity { .. });
+            let reply = self.inner.dispatch(node, env);
+            if fold {
+                let answer = (node.0, reply.result.clone());
+                self.folds.lock().unwrap().push(answer);
+            }
+            reply
+        }
+    }
+
+    /// The residue a failed write left on `N_4` blocks block 4's next
+    /// write: `N_4` is at v1, so the writer folds its delta as v1 → v2,
+    /// and every parity member, still at v0, refuses the fold (the
+    /// `AddParity` version guard). The write fails at level 1 with no
+    /// member validated, though its level-0 write reached `N_4` again;
+    /// reads keep succeeding; only a scrub, which re-stamps the parity
+    /// at `N_4`'s version, lets writes through again.
+    fn residue_blocks_the_next_write<T: Transport>(client: &TrapErcClient<T>) {
+        let err = client.write_block(1, 4, &[0xCC; 16]).unwrap_err();
+        let want = ProtocolError::WriteQuorumNotMet {
+            level: 1,
+            needed: 1,
+            achieved: 0,
+        };
+        assert_eq!(err, want);
+        let out = client.read_block(1, 4).unwrap();
+        assert_eq!((out.version, out.bytes), (2, vec![0xCC; 16]));
+        client.scrub_stripe(1).unwrap();
+        let out = client.write_block(1, 4, &[0xDD; 16]).unwrap();
+        assert_eq!(out.version, 3);
+        assert_eq!(client.read_block(1, 4).unwrap().bytes, vec![0xDD; 16]);
+    }
+
     #[test]
     fn failed_write_leaves_documented_residue() {
         // Algorithm 1 has no rollback: a write failing at level 1 has
         // already written N_i at level 0. The new version is then served
         // by subsequent reads (quorum-protocol anomaly, see module docs).
-        let (client, cluster) = client_9_6();
+        let config = ProtocolConfig::with_uniform_w(9, 6, 2, 1, 1, 1).unwrap();
+        let cluster = Cluster::new(9);
+        let link = RecordsFolds {
+            inner: LocalTransport::new(cluster.clone()),
+            folds: Default::default(),
+        };
+        let client = TrapErcClient::new(config, link).unwrap();
         client.create_stripe(1, blocks(6, 16)).unwrap();
         for j in 6..9 {
             cluster.kill(j);
@@ -1791,6 +1847,97 @@ mod tests {
         let out = client.read_block(1, 4).unwrap();
         assert_eq!(out.version, 1, "residue of the failed write is visible");
         assert_eq!(out.bytes, vec![0xBB; 16]);
+
+        client.transport().folds.lock().unwrap().clear();
+        residue_blocks_the_next_write(&client);
+        let folds = client.transport().folds.lock().unwrap();
+        let refusal = Err(NodeError::VersionConflict {
+            expected: 1,
+            actual: 0,
+        });
+        let refused: Vec<usize> = folds
+            .iter()
+            .take_while(|(_, answer)| *answer == refusal)
+            .map(|&(node, _)| node)
+            .collect();
+        assert_eq!(refused, [6, 7, 8], "every parity member refused: {folds:?}");
+    }
+
+    #[test]
+    fn a_write_whose_level_0_reply_is_lost_leaves_the_same_residue() {
+        // N_4 applies the write, but its ack never reaches the client:
+        // level 0 fails with nothing validated, and the residue blocks
+        // the next write exactly as a level-1 failure's does.
+        use tq_cluster::{NetworkModel, SimFault, SimTransport};
+        let config = ProtocolConfig::with_uniform_w(9, 6, 2, 1, 1, 1).unwrap();
+        let sim = SimTransport::with_model(Cluster::new(9), 3, NetworkModel::reliable());
+        let client = TrapErcClient::new(config, sim).unwrap();
+        client.create_stripe(1, blocks(6, 16)).unwrap();
+        client
+            .transport()
+            .apply(SimFault::PartitionReplies { nodes: vec![4] });
+        let err = client.write_block(1, 4, &[0xBB; 16]).unwrap_err();
+        let want = ProtocolError::WriteQuorumNotMet {
+            level: 0,
+            needed: 1,
+            achieved: 0,
+        };
+        assert_eq!(err, want);
+        client.transport().apply(SimFault::HealPartitions);
+        let out = client.read_block(1, 4).unwrap();
+        assert_eq!((out.version, out.bytes), (1, vec![0xBB; 16]));
+        residue_blocks_the_next_write(&client);
+    }
+
+    /// `LocalTransport` on which node `mute` times out on everything but
+    /// `WriteData`, as a node whose reads are still in flight does.
+    struct MuteButWrites {
+        inner: LocalTransport,
+        mute: usize,
+    }
+
+    impl Transport for MuteButWrites {
+        fn node_count(&self) -> usize {
+            self.inner.node_count()
+        }
+
+        fn dispatch(&self, node: NodeId, env: tq_cluster::Envelope) -> tq_cluster::Reply {
+            if node.0 == self.mute && !matches!(env.payload, Request::WriteData { .. }) {
+                return tq_cluster::Reply::to(&env, Err(NodeError::TimedOut));
+            }
+            self.inner.dispatch(node, env)
+        }
+    }
+
+    #[test]
+    fn a_scrub_refreshes_only_the_nodes_its_residue_poll_saw() {
+        // N_4 holds a failed write's residue at v1. The scrub cannot read
+        // it, decodes v0, and pushes v0, which N_4 acks as a stale
+        // delivery and does not apply: it is not refreshed, and keeps
+        // its residue.
+        let config = ProtocolConfig::with_uniform_w(9, 6, 2, 1, 1, 1).unwrap();
+        let cluster = Cluster::new(9);
+        let client =
+            TrapErcClient::new(config.clone(), LocalTransport::new(cluster.clone())).unwrap();
+        client.create_stripe(1, blocks(6, 16)).unwrap();
+        for j in 6..9 {
+            cluster.kill(j);
+        }
+        let _ = client.write_block(1, 4, &[0xBB; 16]).unwrap_err();
+        for j in 6..9 {
+            cluster.revive(j);
+        }
+        let link = MuteButWrites {
+            inner: LocalTransport::new(cluster.clone()),
+            mute: 4,
+        };
+        let report = TrapErcClient::new(config, link)
+            .unwrap()
+            .scrub_stripe(1)
+            .unwrap();
+        assert_eq!(report.refreshed, [0, 1, 2, 3, 5, 6, 7, 8]);
+        let out = client.read_block(1, 4).unwrap();
+        assert_eq!((out.version, out.bytes), (1, vec![0xBB; 16]));
     }
 
     #[test]

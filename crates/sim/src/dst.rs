@@ -19,7 +19,7 @@
 //!   rollback), a version maps to one value while the block is residue-
 //!   free, committed versions strictly increase, and anti-entropy never
 //!   regresses the version floor.
-//! * [`Scenario`] + [`generate_ops`] — seeded adversarial workloads:
+//! * [`Scenario`] + `generate_ops` — seeded adversarial workloads:
 //!   writes, reads, scheduled crashes (durable or volatile), restarts,
 //!   one-directional partitions, heals, gray-node degrades (a node that
 //!   stays up but answers 10–100× slower), quiesced scrubs and
@@ -57,8 +57,8 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tq_cluster::{
-    Cluster, FaultingBackend, MemoryBackend, NetworkModel, SimFault, SimStats, SimTransport,
-    StorageFaults,
+    AppendLogBackend, Cluster, FsyncPolicy, NetworkModel, SimFault, SimFs, SimFsFaults, SimFsStats,
+    SimStats, SimTransport, StorageBackend,
 };
 use tq_trapezoid::{
     BatchWrite, BlockAddr, ProtocolError, QuorumStore, ReadOutcome, ShardMap, ShardedStore, Store,
@@ -69,18 +69,18 @@ pub const STRIPE: u64 = 1;
 /// Blocks per stripe (the TRAP-ERC `k`; replication backends emulate).
 pub const BLOCKS: usize = 6;
 /// Payload length per block.
-pub const BLOCK_LEN: usize = 32;
+pub(crate) const BLOCK_LEN: usize = 32;
 /// Cluster width every backend runs on (the TRAP-ERC `n`).
 pub const CLUSTER_NODES: usize = 9;
 /// Stripe groups (shards) the sharded DST data plane spans.
-pub const SHARDS: usize = 2;
+pub(crate) const SHARDS: usize = 2;
 /// Logical blocks across all stripe groups: [`run_case`] drives a
 /// [`ShardedStore`] whose address space is `SHARDS` stripes wide.
-pub const TOTAL_BLOCKS: usize = BLOCKS * SHARDS;
+pub(crate) const TOTAL_BLOCKS: usize = BLOCKS * SHARDS;
 
 /// Address of a logical DST block: group `block / BLOCKS` lives on
 /// stripe `STRIPE + group` at in-stripe index `block % BLOCKS`.
-pub fn addr_of(block: usize) -> BlockAddr {
+pub(crate) fn addr_of(block: usize) -> BlockAddr {
     BlockAddr::new(STRIPE + (block / BLOCKS) as u64, block % BLOCKS)
 }
 
@@ -154,7 +154,7 @@ impl Backend {
     /// # Panics
     /// Panics if the fixed shard configuration stops validating — a bug
     /// in this module, not an input error.
-    pub fn build_sharded(&self, transport: Arc<SimTransport>) -> Box<dyn QuorumStore> {
+    pub(crate) fn build_sharded(&self, transport: Arc<SimTransport>) -> Box<dyn QuorumStore> {
         let shards: Vec<Box<dyn QuorumStore>> = (0..SHARDS)
             .map(|_| self.build(Arc::clone(&transport)))
             .collect();
@@ -184,17 +184,14 @@ pub struct Scenario {
     pub max_down: usize,
     /// Max nodes with wiped disks between scrubs.
     pub max_wiped: usize,
-    /// Storage fault axis: when set, every node's backend is wrapped in
-    /// a seeded [`FaultingBackend`] — crashes revert the node to its
-    /// last fsync barrier (the recovery-visible equivalent of a torn
-    /// final log record), automatic fsyncs silently fail, and slow reads
-    /// stretch reply latency. The matrices stay clean under this *only*
-    /// because every node flushes before it acks (`StorageNode::put_acked`),
-    /// which pins every revert to an acknowledged state: the axis is the
-    /// regression guard for that flush. Drop it and a read-one protocol
-    /// promptly reuses a committed version built on a reverted replica —
-    /// a `CommitRegression` the checker catches within a few seeds.
-    pub storage_faults: Option<StorageFaults>,
+    /// Storage fault axis. Every node runs the shipped
+    /// [`AppendLogBackend`] on its own seeded [`SimFs`]; a crash loses
+    /// what the disk never synced, and the log replays what it kept.
+    /// When set, the disks are armed with this mix once provisioning is
+    /// done: a failed sync poisons a node's log (it refuses mutations
+    /// until its next durable crash-restart replays the log), and
+    /// payload reads turn slow, bit-flipped or misdirected.
+    pub storage_faults: Option<SimFsFaults>,
 }
 
 impl Scenario {
@@ -296,23 +293,23 @@ impl Scenario {
         ]
     }
 
-    /// Turns on the storage fault axis with the aggressive default mix
-    /// (see [`StorageFaults::aggressive`]).
+    /// Turns on the storage fault axis with the aggressive mix
+    /// ([`SimFsFaults::AGGRESSIVE`]): failed syncs and slow reads.
     pub fn with_storage_faults(mut self) -> Self {
-        self.storage_faults = Some(StorageFaults::aggressive());
+        self.storage_faults = Some(SimFsFaults::AGGRESSIVE);
         self
     }
 
     /// Turns on the *corrupting* storage axis
-    /// ([`StorageFaults::corrupting`]): nodes serve bit-flipped or
-    /// misdirected copies of their stored blocks at high probability.
+    /// ([`SimFsFaults::CORRUPTING`]): nodes serve bit-flipped or
+    /// misdirected copies of their stored blocks.
     /// The matrices stay clean under this only because every served
     /// shard is checksummed — the node's self-check answers
     /// `NodeError::Corrupt` and the client cross-checksum catches
     /// whatever slips past; any corruption *returned* to the workload
     /// would be a `ForeignValue` violation within a few ops.
     pub fn with_corruption(mut self) -> Self {
-        self.storage_faults = Some(StorageFaults::corrupting());
+        self.storage_faults = Some(SimFsFaults::CORRUPTING);
         self
     }
 }
@@ -400,7 +397,7 @@ pub enum WorkloadOp {
 /// Generates `count` workload steps from a seed. Truncating the count
 /// yields a prefix of the longer workload — the property minimization
 /// relies on.
-pub fn generate_ops(seed: u64, scenario: &Scenario, count: usize) -> Vec<WorkloadOp> {
+pub(crate) fn generate_ops(seed: u64, scenario: &Scenario, count: usize) -> Vec<WorkloadOp> {
     let mut rng = StdRng::seed_from_u64(seed);
     let total: u32 = scenario.weights.iter().sum();
     let mut ops = Vec::with_capacity(count);
@@ -609,7 +606,7 @@ impl HistoryChecker {
 
     /// Number of blocks this history tracks — the workload driver
     /// derives the stripe-group count from it.
-    pub fn block_count(&self) -> usize {
+    pub(crate) fn block_count(&self) -> usize {
         self.blocks.len()
     }
 
@@ -658,7 +655,7 @@ impl HistoryChecker {
     /// Records a *failed* write: its payload may still surface (partial
     /// write, lost ack), and its version stamp may collide with a later
     /// one — the block is dirty until the next full refresh.
-    pub fn residue(&mut self, block: usize, bytes: &[u8]) {
+    pub(crate) fn residue(&mut self, block: usize, bytes: &[u8]) {
         let b = &mut self.blocks[block];
         b.remember(bytes);
         b.dirty = true;
@@ -721,7 +718,7 @@ impl HistoryChecker {
     /// Notes blocks a scrub salvaged (rolled back to an older
     /// recoverable value at a superseding version): their bindings are
     /// suspect until the settle.
-    pub fn note_salvaged(&mut self, blocks: &[usize]) {
+    pub(crate) fn note_salvaged(&mut self, blocks: &[usize]) {
         for &i in blocks {
             if let Some(b) = self.blocks.get_mut(i) {
                 b.dirty = true;
@@ -736,7 +733,7 @@ impl HistoryChecker {
     /// # Errors
     /// [`ViolationKind::ScrubRegression`] if the settle went below the
     /// floor.
-    pub fn settle(
+    pub(crate) fn settle(
         &mut self,
         block: usize,
         bytes: &[u8],
@@ -824,41 +821,35 @@ pub struct CaseReport {
     pub stats: CaseStats,
     /// The simulation's network counters.
     pub sim: SimStats,
-    /// Reads the storage fault axis served corrupted (bit-flipped or
-    /// misdirected) — non-zero on a corruption-axis case proves the
-    /// clean checker verdict was earned, not vacuous.
-    pub corrupted_reads: u64,
+    /// What each node's disk did: corrupted reads on a corruption-axis
+    /// case, and lossy crashes, truncated tails and poisoned logs
+    /// replayed on the storage axis, prove the clean checker verdict was
+    /// earned, not vacuous.
+    pub disks: Vec<SimFsStats>,
     /// The first consistency violation, if any (the run stops there).
     pub violation: Option<Violation>,
 }
 
-/// Runs one case end to end: provision a [`SHARDS`]-group
+/// Runs one case end to end: provision a `SHARDS`-group
 /// [`ShardedStore`] under reliable links, drive the workload (including
 /// cross-shard batches and shard-targeted scrubs) under the scenario's
 /// model, settle with a final quiesced scrub of every group, and report.
 pub fn run_case(cfg: &CaseConfig) -> CaseReport {
     let ops = generate_ops(cfg.seed, &cfg.scenario, cfg.ops);
-    // Kept so the report can count how many reads the fault axis
-    // actually corrupted — the proof the corruption runs are not
-    // vacuously clean.
-    let mut fault_backends: Vec<Arc<FaultingBackend>> = Vec::new();
-    let cluster = match cfg.scenario.storage_faults {
-        // The storage fault axis: every node's map sits behind a seeded
-        // faulting wrapper, each node with its own fault stream derived
-        // from the case seed so the whole case stays replayable.
-        Some(faults) => Cluster::with_backends(CLUSTER_NODES, |i| {
-            let backend = Arc::new(FaultingBackend::new(
-                Arc::new(MemoryBackend::new()),
-                faults,
-                cfg.seed
-                    .wrapping_mul(0xD6E8_FEB8_6659_FD93)
-                    .wrapping_add(i as u64),
-            ));
-            fault_backends.push(Arc::clone(&backend));
-            backend
-        }),
-        None => Cluster::new(CLUSTER_NODES),
-    };
+    // Every node runs the shipped log, as the benchmark and
+    // `TQ_NODE_BACKEND=applog` build it, on its own disk, each disk with
+    // its own stream derived from the case seed so the case replays.
+    let disks: Vec<Arc<SimFs>> = (0..CLUSTER_NODES)
+        .map(|i| {
+            let seed = cfg.seed.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+            Arc::new(SimFs::new(seed.wrapping_add(i as u64)))
+        })
+        .collect();
+    let cluster = Cluster::with_backends(CLUSTER_NODES, |i| -> Arc<dyn StorageBackend> {
+        let disk = Arc::clone(&disks[i]);
+        let log = AppendLogBackend::open_on(disk, "node.log", FsyncPolicy::Always);
+        Arc::new(log.expect("a blank simulated disk opens"))
+    });
     let sim = Arc::new(SimTransport::with_model(
         cluster,
         cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1),
@@ -877,6 +868,9 @@ pub fn run_case(cfg: &CaseConfig) -> CaseReport {
     // The registry sampled RTTs throughout provisioning, so the
     // estimator starts the workload warm.
     sim.set_model(cfg.scenario.model.clone());
+    for disk in &disks {
+        disk.arm(cfg.scenario.storage_faults);
+    }
 
     let mut checker = HistoryChecker::new(&initial);
     let (stats, violation) = run_workload(store.as_ref(), &sim, &cfg.scenario, &ops, &mut checker);
@@ -884,7 +878,7 @@ pub fn run_case(cfg: &CaseConfig) -> CaseReport {
         config: cfg.clone(),
         stats,
         sim: sim.stats(),
-        corrupted_reads: fault_backends.iter().map(|b| b.corrupted_reads()).sum(),
+        disks: disks.iter().map(|disk| disk.stats()).collect(),
         violation,
     }
 }

@@ -50,7 +50,7 @@ pub struct FigureData {
 }
 
 /// The stripe width used throughout the paper's evaluation.
-pub const PAPER_N: usize = 15;
+pub(crate) const PAPER_N: usize = 15;
 
 /// The exact availability curve of a predicate over `n` nodes: one
 /// enumeration of its up-set counts, evaluated at every p of the sweep.
@@ -66,13 +66,13 @@ fn exact_series(
 
 /// The canonical Fig. 3 configuration reconstructed from the prose
 /// anchors: (15, 8) stripe, trapezoid `a=0, b=4, h=1`, `w = 2`.
-pub fn fig3_config() -> ProtocolConfig {
+pub(crate) fn fig3_config() -> ProtocolConfig {
     ProtocolConfig::with_uniform_w(PAPER_N, 8, 0, 4, 1, 2).expect("static parameters are valid")
 }
 
 /// The (shape, thresholds, k) families used in Figs. 2 and 4: for each
 /// `k` a trapezoid with `n − k + 1` nodes.
-pub fn shape_for_k(k: usize) -> (TrapezoidShape, WriteThresholds) {
+pub(crate) fn shape_for_k(k: usize) -> (TrapezoidShape, WriteThresholds) {
     let nbnode = PAPER_N - k + 1;
     // b ≥ 3 keeps r_0 = ⌈b/2⌉ ≥ 2, steering clear of eq. 11's broken
     // r_0 = 1 edge case (see `eq13_underestimates_when_r0_is_one`).

@@ -35,6 +35,3 @@
 pub mod dst;
 pub mod experiments;
 pub mod report;
-
-pub use dst::{CaseConfig, CaseReport, HistoryChecker, Scenario, Violation};
-pub use experiments::FigureData;

@@ -52,12 +52,14 @@ fn seed_base() -> u64 {
 }
 
 /// The acceptance matrix: 64 seeds × all four backends, scenarios
-/// rotating per seed so every backend meets every adversarial regime —
-/// with the storage fault axis (fsync-barrier crash reverts, silently
-/// dropped fsyncs, slow reads) switched on for every other seed, and
-/// the *corrupting* axis (bit-flipped and misdirected served blocks) on
-/// every fourth, so each scenario runs with pristine disks, with lying
-/// ones, and with rotting ones. A corrupting node that slipped a bad
+/// rotating per seed so every backend meets every adversarial regime.
+/// Every node runs the shipped append-only log on a simulated disk
+/// whose crashes lose what was never synced; the storage fault axis
+/// (failed fsyncs that poison a log until its next crash-restart, slow
+/// reads) is switched on for every other seed, and the *corrupting*
+/// axis (bit-flipped and misdirected payload reads) on every fourth, so
+/// each scenario runs with pristine disks, with failing ones, and with
+/// rotting ones. A corrupting node that slipped a bad
 /// block past the checksums would surface as a `ForeignValue` or
 /// `VersionValueConflict` violation here.
 #[test]
@@ -66,7 +68,7 @@ fn seed_matrix_stays_checker_clean_across_all_backends() {
     let base = seed_base();
     let mut failures = Vec::new();
     let (mut commits, mut reads_ok, mut corrupted) = (0u64, 0u64, 0u64);
-    let (mut gray_flagged, mut decoded) = (0u64, 0u64);
+    let (mut gray_flagged, mut decoded, mut poisoned) = (0u64, 0u64, 0u64);
 
     for seed in 0..64u64 {
         let mut scenario = scenarios[(seed % scenarios.len() as u64) as usize].clone();
@@ -86,7 +88,8 @@ fn seed_matrix_stays_checker_clean_across_all_backends() {
             commits += report.stats.commits;
             reads_ok += report.stats.reads_ok;
             decoded += report.stats.reads_decoded;
-            corrupted += report.corrupted_reads;
+            corrupted += report.disks.iter().map(|d| d.corrupted_reads).sum::<u64>();
+            poisoned += report.disks.iter().map(|d| d.poisoned_replays).sum::<u64>();
             gray_flagged += report.stats.gray_flagged_reads;
             if report.violation.is_some() {
                 let minimal = minimize(&cfg).expect("violation reproduces");
@@ -126,6 +129,13 @@ fn seed_matrix_stays_checker_clean_across_all_backends() {
         corrupted > 200,
         "corruption axis vacuous: only {corrupted} corrupted reads served"
     );
+    // A log a failed fsync poisoned must have been replayed by a later
+    // crash-restart, or the fail-stop-then-recover path never ran (5–12
+    // per matrix at seed bases 0, 1000, 5000 and 20000).
+    assert!(
+        poisoned > 0,
+        "storage axis vacuous: no poisoned log was replayed"
+    );
     // The gray axis must reach the health registry: reads completed
     // while a grayed node was flagged a straggler, or the clean verdict
     // says nothing about the straggler-aware read path. Seed bases 0,
@@ -154,11 +164,11 @@ fn at_least_once_matrix_stays_checker_clean_across_all_backends() {
     let base = seed_base();
     let mut failures = Vec::new();
     let (mut commits, mut reads_ok, mut redelivered) = (0u64, 0u64, 0u64);
-    let (mut decoded, mut gray_flagged) = (0u64, 0u64);
+    let (mut decoded, mut gray_flagged, mut poisoned) = (0u64, 0u64, 0u64);
 
     for seed in 0..64u64 {
         // The storage fault and corruption axes rotate through this
-        // matrix too: at-least-once delivery, lying disks and rotting
+        // matrix too: at-least-once delivery, failing disks and rotting
         // disks all compose.
         let scenario = if seed % 2 == 1 {
             Scenario::at_least_once().with_storage_faults()
@@ -179,6 +189,7 @@ fn at_least_once_matrix_stays_checker_clean_across_all_backends() {
             reads_ok += report.stats.reads_ok;
             decoded += report.stats.reads_decoded;
             redelivered += report.sim.redelivered;
+            poisoned += report.disks.iter().map(|d| d.poisoned_replays).sum::<u64>();
             gray_flagged += report.stats.gray_flagged_reads;
             if report.violation.is_some() {
                 let minimal = minimize(&cfg).expect("violation reproduces");
@@ -227,6 +238,10 @@ fn at_least_once_matrix_stays_checker_clean_across_all_backends() {
     assert!(
         decoded > 100,
         "decode path vacuous: only {decoded} decoded reads under at-least-once"
+    );
+    assert!(
+        poisoned > 0,
+        "storage axis vacuous: no poisoned log was replayed"
     );
 }
 
