@@ -2285,6 +2285,93 @@ mod tests {
         assert_eq!(node.handle(Request::ReadData { id: 2 }), Ok(clean));
     }
 
+    /// Reads of block `id` from `b` until one is served with other bytes
+    /// than `clean`'s that `differs` accepts: the corrupted block.
+    fn first_corrupt_read(
+        b: &AppendLogBackend,
+        id: BlockId,
+        clean: &StoredBlock,
+        differs: impl Fn(&[u8], &[u8]) -> bool,
+    ) -> StoredBlock {
+        (0..10_000)
+            .map(|_| b.get(id).unwrap().unwrap())
+            .find(|served| {
+                let (StoredBlock::Data { bytes: got, .. }, StoredBlock::Data { bytes: want, .. }) =
+                    (served, clean)
+                else {
+                    panic!("{served:?}")
+                };
+                got != want && differs(got, want)
+            })
+            .expect("the armed disk corrupts a read")
+    }
+
+    /// Bits in which `a` and `b` differ.
+    fn bit_distance(a: &[u8], b: &[u8]) -> u32 {
+        a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
+    }
+
+    #[test]
+    fn faulting_backend_bit_flips_are_detectable_and_transient() {
+        let (disk, b) = sim_log(3, FsyncPolicy::Always);
+        let clean = data(1, b"payload-bytes");
+        b.put(1, clean.clone()).unwrap();
+        disk.arm(Some(SimFsFaults::CORRUPTING));
+        let served = first_corrupt_read(&b, 1, &clean, |got, want| bit_distance(got, want) == 1);
+        match (&served, &clean) {
+            (
+                StoredBlock::Data { version, check, .. },
+                StoredBlock::Data {
+                    version: v,
+                    check: c,
+                    ..
+                },
+            ) => assert_eq!((version, check), (v, c), "metadata kept"),
+            other => panic!("{other:?}"),
+        }
+        assert!(
+            !served.self_check_ok(),
+            "metadata kept: the self-checksum convicts the bytes"
+        );
+        assert!(disk.stats().corrupted_reads >= 1);
+        // Transient: the stored block itself never rotted.
+        disk.arm(None);
+        assert_eq!(b.get(1), Ok(Some(clean)));
+    }
+
+    #[test]
+    fn faulting_backend_misdirected_reads_keep_requested_metadata() {
+        let (disk, b) = sim_log(11, FsyncPolicy::Always);
+        b.put(1, data(3, b"theirs-theirs-theirs")).unwrap();
+        let mine = data(8, b"mine-mine-mine-mine!");
+        b.put(2, mine.clone()).unwrap();
+        disk.arm(Some(SimFsFaults::CORRUPTING));
+        // A flipped bit differs from the stored bytes in one bit; a read
+        // of another offset, in more.
+        match first_corrupt_read(&b, 2, &mine, |got, want| bit_distance(got, want) > 1) {
+            StoredBlock::Data {
+                version,
+                bytes,
+                check,
+            } => {
+                assert_eq!(version, 8, "requested block's version stamp");
+                assert_ne!(
+                    &bytes[..],
+                    b"mine-mine-mine-mine!",
+                    "another offset's payload"
+                );
+                assert_eq!(
+                    check,
+                    tq_gf256::check::block_check(b"mine-mine-mine-mine!"),
+                    "requested block's self-checksum — which convicts the bytes"
+                );
+                assert_ne!(tq_gf256::check::block_check(&bytes), check);
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(disk.stats().corrupted_reads >= 1);
+    }
+
     #[test]
     fn simfs_a_failed_sync_poisons_the_log_and_crash_restart_clears_it() {
         let (disk, b) = sim_log(5, FsyncPolicy::Always);
